@@ -15,6 +15,10 @@ import (
 	"repro/internal/wkt"
 )
 
+// probeBatch is the proof's StreamBatch: batch 1 is handed to the sink the
+// moment the probeBatch-th geometry is parsed.
+const probeBatch = 16
+
 // probeParser wraps the pooled WKTParser and flags any Parse call that
 // happens while a sink invocation is in progress — direct evidence of
 // parse/drain overlap (or, in the synchronous control run, of its
@@ -22,14 +26,31 @@ import (
 type probeParser struct {
 	inSink  *atomic.Int32
 	overlap *atomic.Int32
+	// entered (overlap mode only; nil in the control run) is closed by the
+	// sink once it is inside its first call. The first Parse after batch 1's
+	// hand-off waits for it, so the proof is a handshake: without the wait,
+	// a sink goroutine scheduled only after the rank has parsed batch 2 and
+	// parked in the next hand-off would spin on an overlap nobody can set.
+	entered <-chan struct{}
+	parsed  *atomic.Int32 // geometries produced so far
 	inner   WKTParser
 }
 
 func (p probeParser) Parse(rec []byte) (geom.Geometry, error) {
+	if p.entered != nil && p.parsed.Load() == probeBatch {
+		select {
+		case <-p.entered:
+		case <-time.After(10 * time.Second): // the sink reports the failure
+		}
+	}
 	if p.inSink.Load() == 1 {
 		p.overlap.Store(1)
 	}
-	return p.inner.Parse(rec)
+	g, err := p.inner.Parse(rec)
+	if err == nil && g != nil {
+		p.parsed.Add(1)
+	}
+	return g, err
 }
 
 // TestBackpressureOverlapProof proves the double-buffered hand-off
@@ -44,12 +65,17 @@ func TestBackpressureOverlapProof(t *testing.T) {
 	pfile := makeWKTFile(t, genRecords(400, 71))
 
 	run := func(overlapMode bool) (observed bool) {
-		var inSink, overlap atomic.Int32
+		var inSink, overlap, parsed atomic.Int32
+		probe := probeParser{inSink: &inSink, overlap: &overlap, parsed: &parsed}
+		entered := make(chan struct{})
+		if overlapMode {
+			probe.entered = entered
+		}
 		err := mpi.Run(cluster.Local(1), func(c *mpi.Comm) error {
 			f := mpiio.Open(c, pfile, mpiio.Hints{})
 			delivered := 0
-			_, err := ReadStream(c, f, probeParser{inSink: &inSink, overlap: &overlap}, ReadOptions{
-				BlockSize: 512, StreamBatch: 16, SinkOverlap: overlapMode,
+			_, err := ReadStream(c, f, probe, ReadOptions{
+				BlockSize: 512, StreamBatch: probeBatch, SinkOverlap: overlapMode,
 			}, func(batch []geom.Geometry) error {
 				delivered++
 				if delivered > 1 {
@@ -64,6 +90,7 @@ func TestBackpressureOverlapProof(t *testing.T) {
 					time.Sleep(10 * time.Millisecond)
 					return nil
 				}
+				close(entered)
 				deadline := time.Now().Add(10 * time.Second)
 				for overlap.Load() == 0 {
 					if time.Now().After(deadline) {

@@ -97,7 +97,9 @@ type Partitioner struct {
 	Mapping func(cell, size int) int
 	// WindowCells bounds how many consecutive cells are exchanged per
 	// phase (the sliding-window technique for large data). Zero exchanges
-	// everything in one phase.
+	// everything in one phase. The window bounds each phase's message size
+	// and the receive/decode memory; send-side frames are staged at Add for
+	// all phases (compact bytes, released as FinishStream ships each phase).
 	WindowCells int
 	// DirectGrid replaces the paper's cell-lookup mechanism — an R-tree
 	// built over the cell boundaries, queried with each geometry's MBR —
@@ -130,7 +132,7 @@ type ExchangeStats struct {
 	CommTime float64
 	// Phases is the number of sliding-window rounds executed.
 	Phases int
-	// Replicas counts (geometry, cell) placements made by this rank,
+	// Replicas counts (geometry, cell) pairs staged by this rank,
 	// including the replication of multi-cell geometries.
 	Replicas int
 	// GeomsRecv counts geometries landing in cells owned by this rank.
@@ -168,78 +170,43 @@ func (pt *Partitioner) mapping() func(cell, size int) int {
 // exchange. It returns this rank's cells: cell id -> geometries overlapping
 // that cell (from every rank). All ranks must call it collectively.
 //
-// Exchange is the materialized composition over the streaming core: one
-// Stream (in deferred-serialization mode), one Add with the whole batch,
-// one Finish. Deferred mode keeps the historical memory shape: the caller
-// already holds every geometry, so Add records placements only, and Finish
-// serializes one sliding-window phase at a time into per-destination
-// buffers recycled across phases — the projection charge lands at the top
-// of Finish and the serialization charge inside each Finish phase, the
-// fixed program points the streaming composition uses too, so the
-// materialized and streamed pipelines replay identical virtual-time
-// trajectories, stats, and per-cell output order by construction. One
-// deliberate behavior change of the streaming refactor: a geometry wholly
-// outside the grid envelope (only possible with a caller-built grid
-// smaller than the data) used to be silently dropped by the R-tree cell
-// lookup; it now clamps to the border cells, like the arithmetic lookup
-// always did.
+// Exchange is the materialized composition over the one exchange path: one
+// Stream, one Add with the whole batch, one Finish — so it and any chunked
+// Stream/Add/Finish over the same geometries produce the same cells, stats,
+// and virtual-clock trajectory, and its frames are staged on top of the
+// caller's slice (see WindowCells). A geometry wholly outside the grid
+// envelope (only possible with a caller-built grid smaller than the data)
+// clamps to the border cells.
 func (pt *Partitioner) Exchange(c *mpi.Comm, local []geom.Geometry) (map[int][]geom.Geometry, ExchangeStats, error) {
-	result := make(map[int][]geom.Geometry)
-	stats, err := pt.ExchangeStream(c, local, func(cells map[int][]geom.Geometry) error {
-		// Phases own disjoint cell ranges, so merging is reference moves.
-		for cell, gs := range cells {
-			result[cell] = gs
-		}
-		return nil
-	})
+	ex, err := pt.Stream(c)
 	if err != nil {
-		return nil, stats, err
+		return nil, ExchangeStats{}, err
 	}
-	return result, stats, nil
+	_ = ex.Add(local) // a failed Add is sticky: Finish returns it, after running its collectives
+	return ex.Finish()
 }
 
-// ExchangeStream is Exchange with per-phase delivery: instead of returning
-// one materialized cell map after every sliding-window phase has run, it
-// hands the sink each phase's completed cells the moment that phase's
-// payload round lands — a cell's contents never grow after its phase, so a
-// consumer (an index builder, a writer) can process and release each slice
-// of the grid while later phases are still exchanging. The sink receives a
-// freshly built map per phase and may retain it and the geometries inside.
-// Sink errors do not abort the collective mid-phase: remaining phases still
-// run their exchange rounds on every rank (so no rank is stranded in a
-// collective), further deliveries stop, and the first sink error is
-// returned after the last phase. All ranks must call it collectively.
-func (pt *Partitioner) ExchangeStream(c *mpi.Comm, local []geom.Geometry, sink func(cells map[int][]geom.Geometry) error) (ExchangeStats, error) {
-	ex, err := pt.stream(c, true)
-	if err != nil {
-		return ExchangeStats{}, err
-	}
-	ex.placements = make([]placement, 0, len(local))
-	if err := ex.Add(local); err != nil {
-		return ex.stats, err
-	}
-	//vet:allow collective — an Add failure (unencodable geometry) leaves this rank nothing to exchange; the strict-mode contract is world-abort teardown, releasing the peers with ErrAborted (TestChaosFrameCorruption pins it)
-	return ex.FinishStream(sink)
-}
-
-// Exchanger is the streaming face of the Partitioner: it accepts geometry
-// batches mid-read (a ReadStream sink can feed Add directly), projecting
-// and serializing each batch as it arrives, and runs the sliding-window
-// exchange protocol when Finish is called. Cell assignment and frame
-// encoding thereby overlap the parallel read instead of following it, and
-// the input geometries are never retained — once Add returns, a batch's
-// only footprint is its compact serialized frames.
+// Exchanger is the one exchange engine behind the Partitioner: it accepts
+// geometry batches (a ReadStream sink can feed Add directly, mid-read),
+// projecting and serializing each batch as it arrives, and runs the
+// sliding-window exchange protocol when Finish is called. Cell assignment
+// and frame encoding thereby overlap the parallel read instead of following
+// it, and the input geometries are never retained — once Add returns, a
+// batch's only footprint is its compact serialized frames.
 //
 // Add may be called any number of times (including zero) with any batch
 // sizes; ranks need not agree on the call count. Stream, Finish, and
-// FinishStream are collective. Virtual-time accounting follows the
+// FinishStream are collective. A failed Add (a geometry whose frame
+// overflows the u32 header) is sticky: later Adds return the same error,
+// and Finish treats it as a sink that had already failed — every phase's
+// collectives still run, so no peer is stranded, and the error is returned
+// after the last one. Virtual-time accounting follows the
 // parse-pool precedent: Add never touches the communicator — projection
 // and serialization costs accumulate off-clock and are charged inside
 // Finish at fixed rank-goroutine program points (the projection total
 // before the first phase, each phase's serialization inside that phase) —
-// so the materialized composition and the streamed pipeline replay
-// identical clock trajectories, and Add is safe to call from a
-// ReadOptions.SinkOverlap sink goroutine.
+// so the clock trajectory is independent of how the input was batched, and
+// Add is safe to call from a ReadOptions.SinkOverlap sink goroutine.
 type Exchanger struct {
 	c         *mpi.Comm
 	mapping   func(cell, size int) int
@@ -251,21 +218,18 @@ type Exchanger struct {
 	window    int
 	phases    int
 
-	// send stages serialized exchange frames as send[phase][dst]
-	// (streaming mode). A placement's phase is cell/window — deterministic
-	// at Add time — so frames land directly in their phase's buffer in
-	// arrival order, which is exactly the per-phase filtered placement
-	// order of deferred mode. Rows are allocated on first use (a
-	// fine-grained sliding window has many phases, most of them possibly
-	// empty on a given rank) and released as Finish ships them. Staging
-	// frames across all phases trades the recycle-one-phase-buffer memory
-	// bound for overlap: serialized frames are compact, and the batch's
-	// geometries are droppable the moment Add returns.
+	// send stages serialized exchange frames as send[phase][dst]. A
+	// placement's phase is cell/window — deterministic at Add time — so
+	// frames land directly in their phase's buffer in arrival order. Rows
+	// are allocated on first use (a fine-grained sliding window has many
+	// phases, most of them possibly empty on a given rank) and released as
+	// Finish ships them. Staging frames across all phases is what lets the
+	// batch's geometries go the moment Add returns; the window bounds what
+	// each phase sends, receives, and decodes, not what is staged.
 	send [][][]byte
-	// sendGeoms counts staged frames as sendGeoms[phase][dst] (streaming
-	// mode) — the geometry half of the count matrix each phase's Allgather
-	// publishes for load-balance observability. Rows allocate with their
-	// send rows; deferred mode counts during Finish's staging loop instead.
+	// sendGeoms counts staged frames as sendGeoms[phase][dst] — the geometry
+	// half of the count matrix each phase's Allgather publishes for
+	// load-balance observability. Rows allocate with their send rows.
 	sendGeoms [][]int64
 	// serCost accumulates each phase's deferred per-geometry serialization
 	// charge (the per-byte part is derived from buffer sizes at Finish).
@@ -273,51 +237,28 @@ type Exchanger struct {
 	// projCost accumulates the deferred projection charge of every Add —
 	// virtual seconds, already scale-multiplied — charged to the clock at
 	// the top of Finish. Keeping Add off the clock lets it run from a
-	// SinkOverlap sink goroutine and pins the streamed and materialized
-	// trajectories to the same program points.
+	// SinkOverlap sink goroutine and pins every batching of the same input
+	// to the same program points.
 	projCost float64
-
-	// lateSer switches Add to record placements instead of serialized
-	// frames; Finish then serializes one window phase at a time into
-	// buffers recycled across phases. This is the materialized Exchange
-	// mode: the caller retains every geometry anyway, so early
-	// serialization would only add a full frame copy of the dataset on top
-	// — deferred mode preserves the sliding window's peak-memory bound.
-	lateSer    bool
-	placements []placement
 
 	// skipBad and frameFault mirror Partitioner.SkipBadFrames and
 	// Partitioner.FrameFault for the receive path.
 	skipBad    bool
 	frameFault func(phase, src int, part []byte)
 
-	stats ExchangeStats
-	done  bool
+	stats  ExchangeStats
+	addErr error // first Add failure (sticky)
+	done   bool
 }
 
-// placement is one deferred (cell, geometry) pair of the materialized
-// exchange mode.
-type placement struct {
-	cell int
-	g    geom.Geometry
-}
-
-// Stream validates the grid and opens a streaming exchange. All ranks must
-// call it collectively with identical Partitioner configuration (they see
-// the same grid, so the validation fails all ranks identically — deferring
-// to the per-frame guard would abort one rank mid-collective and strand
-// its peers in the count exchange).
+// Stream validates the grid and opens an exchange. All ranks must call it
+// collectively with identical Partitioner configuration (they see the same
+// grid, so the validation fails all ranks identically — deferring to the
+// per-frame guard would abort one rank mid-collective and strand its peers
+// in the count exchange).
 //
 //vet:uniform — validates only the shared Partitioner configuration, never rank-local state
 func (pt *Partitioner) Stream(c *mpi.Comm) (*Exchanger, error) {
-	return pt.stream(c, false)
-}
-
-// stream opens the exchange in streaming (serialize-at-Add) or deferred
-// (serialize-at-Finish, for the materialized Exchange wrapper) mode.
-//
-//vet:uniform — validates only the shared grid's cell count, never rank-local state
-func (pt *Partitioner) stream(c *mpi.Comm, lateSer bool) (*Exchanger, error) {
 	numCells := pt.Grid.NumCells()
 	// Cell ids travel in a u32 frame header.
 	if int64(numCells-1) > math.MaxUint32 {
@@ -330,7 +271,6 @@ func (pt *Partitioner) stream(c *mpi.Comm, lateSer bool) (*Exchanger, error) {
 		scale:      c.Config().Scale(),
 		size:       c.Size(),
 		numCells:   numCells,
-		lateSer:    lateSer,
 		skipBad:    pt.SkipBadFrames,
 		frameFault: pt.FrameFault,
 	}
@@ -343,16 +283,14 @@ func (pt *Partitioner) stream(c *mpi.Comm, lateSer bool) (*Exchanger, error) {
 	}
 	ex.phases = (numCells + ex.window - 1) / ex.window
 	ex.stats.Phases = ex.phases
-	if !lateSer {
-		ex.send = make([][][]byte, ex.phases)
-		ex.sendGeoms = make([][]int64, ex.phases)
-		ex.serCost = make([]float64, ex.phases)
-	}
+	ex.send = make([][][]byte, ex.phases)
+	ex.sendGeoms = make([][]int64, ex.phases)
+	ex.serCost = make([]float64, ex.phases)
 	return ex, nil
 }
 
-// Add projects one geometry batch onto grid cells and serializes the
-// placements into their window phases' send buffers. It performs no
+// Add projects one geometry batch onto grid cells and serializes each
+// (geometry, cell) pair into its window phase's send buffer. It performs no
 // communication and never touches the clock (costs accumulate off-clock,
 // charged inside Finish), and the batch is not retained: geometries with
 // empty envelopes are dropped, the rest live on as serialized frames.
@@ -363,6 +301,9 @@ func (pt *Partitioner) stream(c *mpi.Comm, lateSer bool) (*Exchanger, error) {
 func (ex *Exchanger) Add(batch []geom.Geometry) error {
 	if ex.done {
 		return fmt.Errorf("core: Exchanger.Add after Finish")
+	}
+	if ex.addErr != nil {
+		return ex.addErr
 	}
 	for _, g := range batch {
 		env := g.Envelope()
@@ -390,12 +331,6 @@ func (ex *Exchanger) Add(batch []geom.Geometry) error {
 			ex.projCost += costmodel.GridProjectPerCell * float64(len(cells)) * ex.scale
 		}
 		ex.stats.Replicas += len(cells)
-		if ex.lateSer {
-			for _, cell := range cells {
-				ex.placements = append(ex.placements, placement{cell: cell, g: g})
-			}
-			continue
-		}
 		for _, cell := range cells {
 			ph := cell / ex.window
 			dst := ex.mapping(cell, ex.size)
@@ -407,6 +342,7 @@ func (ex *Exchanger) Add(batch []geom.Geometry) error {
 			}
 			buf, err := appendExchangeFrame(row[dst], cell, g)
 			if err != nil {
+				ex.addErr = err
 				return err
 			}
 			row[dst] = buf
@@ -463,13 +399,12 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 	rank := c.Rank()
 
 	// The deferred projection charge lands here — before the first phase's
-	// collectives — the same program point for the streamed pipeline (whose
-	// Adds ran mid-read) and the materialized wrapper (whose one Add ran
-	// just above), so both replay one clock trajectory.
+	// collectives — whether the Adds ran mid-read or just above, so every
+	// batching of the same input replays one clock trajectory.
 	c.Compute(ex.projCost)
 	ex.stats.ProjectTime += ex.projCost
 	ex.projCost = 0
-	var sinkErr error
+	sinkErr := ex.addErr
 
 	countRow := make([]byte, ex.size*16)
 	recvSizes := make([]int, ex.size)
@@ -479,60 +414,22 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 	// rank-identical without any trailing collective.
 	loadBytes := make([]int64, ex.size)
 	loadGeoms := make([]int64, ex.size)
-	// Streaming mode: emptyRow stands in for phases this rank staged
-	// nothing into. Deferred mode: lateSend is the one per-destination
-	// buffer set, serialized into afresh and recycled every phase — the
-	// sliding window's memory bound.
-	var emptyRow, lateSend [][]byte
-	var lateGeoms []int64
-	if ex.lateSer {
-		lateSend = make([][]byte, ex.size)
-		lateGeoms = make([]int64, ex.size)
-	} else {
-		emptyRow = make([][]byte, ex.size)
-	}
+	// emptyRow stands in for phases this rank staged nothing into.
+	emptyRow := make([][]byte, ex.size)
 
 	for ph := 0; ph < ex.phases; ph++ {
-		// Serialization happens (deferred mode) or is charged (streaming
-		// mode, where Add already did the work off-clock) at this fixed
-		// program point — where the pre-streaming monolithic Exchange did
-		// both.
+		// Serialization is charged at this fixed program point; Add already
+		// did the work off-clock.
 		t1 := c.Now()
-		var send [][]byte
-		var serGeomCost float64
-		if ex.lateSer {
-			cellLo := ph * ex.window
-			cellHi := min(cellLo+ex.window, ex.numCells)
-			for i := range lateSend {
-				lateSend[i] = lateSend[i][:0]
-				lateGeoms[i] = 0
-			}
-			for _, pl := range ex.placements {
-				if pl.cell < cellLo || pl.cell >= cellHi {
-					continue
-				}
-				dst := ex.mapping(pl.cell, ex.size)
-				buf, err := appendExchangeFrame(lateSend[dst], pl.cell, pl.g)
-				if err != nil {
-					return ex.stats, err
-				}
-				lateSend[dst] = buf
-				lateGeoms[dst]++
-				serGeomCost += costmodel.SerializeGeomCost(pl.g.GeomType())
-			}
-			send = lateSend
-		} else {
-			send = ex.send[ph]
-			if send == nil {
-				send = emptyRow
-			}
-			serGeomCost = ex.serCost[ph]
+		send := ex.send[ph]
+		if send == nil {
+			send = emptyRow
 		}
 		var sentBytes int64
 		for _, b := range send {
 			sentBytes += int64(len(b))
 		}
-		c.Compute((costmodel.SerializePerByte*float64(sentBytes) + serGeomCost) * ex.scale)
+		c.Compute((costmodel.SerializePerByte*float64(sentBytes) + ex.serCost[ph]) * ex.scale)
 		ex.stats.BytesSent += sentBytes
 
 		// Round 1: publish buffer sizes (MPI_Allgather of each rank's count
@@ -543,10 +440,7 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 		// exchange-wide balance factors settle locally after the last phase
 		// — with no trailing collective a strict-mode decode failure on one
 		// rank could strand the others in.
-		geomsTo := lateGeoms
-		if !ex.lateSer {
-			geomsTo = ex.sendGeoms[ph] // nil when this rank staged nothing
-		}
+		geomsTo := ex.sendGeoms[ph] // nil when this rank staged nothing
 		for dst, b := range send {
 			binary.LittleEndian.PutUint64(countRow[dst*16:], uint64(len(b)))
 			var ng int64
@@ -555,7 +449,7 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 			}
 			binary.LittleEndian.PutUint64(countRow[dst*16+8:], uint64(ng))
 		}
-		//vet:allow collective — a rank whose frames fail to encode or decode in strict mode has nothing further to exchange; the documented contract is world-abort teardown, releasing the peers with ErrAborted (TestChaosFrameCorruption pins it)
+		//vet:allow collective — a rank whose frames fail to decode in strict mode has nothing further to exchange; the documented contract is world-abort teardown, releasing the peers with ErrAborted (TestChaosFrameCorruption pins it)
 		countRows, err := c.Allgather(countRow)
 		if err != nil {
 			return ex.stats, fmt.Errorf("core: count exchange: %w", err)
@@ -576,13 +470,10 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 		}
 
 		// This phase's staged frames are dead the moment the payload round
-		// returns; in streaming mode release the row so a long
-		// sliding-window run frees send buffers as it goes (deferred mode
-		// recycles lateSend instead).
-		if !ex.lateSer {
-			ex.send[ph] = nil
-			ex.sendGeoms[ph] = nil
-		}
+		// returns; release the row so a long sliding-window run frees send
+		// buffers as it goes.
+		ex.send[ph] = nil
+		ex.sendGeoms[ph] = nil
 
 		// Deserialize into this phase's owned cells.
 		phaseCells := make(map[int][]geom.Geometry)
@@ -643,7 +534,6 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 	}
 	ex.stats.GeomImbalance = imbalance(float64(maxG), float64(sumG), ex.size)
 	ex.stats.ByteImbalance = imbalance(float64(maxB), float64(sumB), ex.size)
-	ex.placements = nil
 	return ex.stats, sinkErr
 }
 

@@ -152,3 +152,62 @@ func TestAppendExchangeFrameHeaderGuards(t *testing.T) {
 		}
 	}
 }
+
+// negativeCells is a partition whose lookup hands Add a cell id no frame
+// header can carry — the only way to reach Add's encode failure short of a
+// 4 GiB geometry.
+type negativeCells struct{ grid.Partition }
+
+func (negativeCells) CellsFor(geom.Envelope) []int { return []int{-1} }
+
+// TestExchangeAddFailureCompletes: an Add failure on one rank is sticky and
+// must not strand the others — Exchange still runs every phase's
+// collectives on all ranks, returns the encode error on the failing rank
+// and clean (merely short of that rank's contribution) cells elsewhere.
+func TestExchangeAddFailureCompletes(t *testing.T) {
+	g, err := grid.New(geom.Envelope{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ranks = 3
+	var mu sync.Mutex
+	errs := make([]error, ranks)
+	recv := make([]int, ranks)
+	err = mpi.Run(cluster.Local(ranks), func(c *mpi.Comm) error {
+		pt := &Partitioner{Grid: g, WindowCells: 5, DirectGrid: true}
+		if c.Rank() == 1 {
+			pt.Grid = negativeCells{g}
+			pt.Mapping = func(cell, size int) int { return grid.RoundRobin(max(cell, 0), size) }
+		}
+		ex, err := pt.Stream(c)
+		if err != nil {
+			return err
+		}
+		first := ex.Add([]geom.Geometry{geom.Point{X: 10 + 30*float64(c.Rank()), Y: 50}})
+		if again := ex.Add(nil); again != first {
+			return fmt.Errorf("rank %d: Add error not sticky: %v then %v", c.Rank(), first, again)
+		}
+		_, stats, ferr := ex.Finish()
+		mu.Lock()
+		errs[c.Rank()] = ferr
+		recv[c.Rank()] = stats.GeomsRecv
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for r := 0; r < ranks; r++ {
+		if failing := r == 1; failing != (errs[r] != nil) {
+			t.Errorf("rank %d: Finish error %v", r, errs[r])
+		}
+		total += recv[r]
+	}
+	if errs[1] != nil && !strings.Contains(errs[1].Error(), "overflows the u32 frame header") {
+		t.Errorf("rank 1: wrong failure: %v", errs[1])
+	}
+	if total != 2 {
+		t.Errorf("world received %d geometries, want the 2 the clean ranks added", total)
+	}
+}

@@ -312,6 +312,60 @@ func (ar *readArena) appendFragsReversed(dst []byte) []byte {
 	return dst
 }
 
+// blockLoop is one rank's walk over its aligned file blocks: the set-up
+// and per-iteration bookkeeping the three boundary-repair strategies share
+// (the repair bodies are different algorithms and stay with them).
+type blockLoop struct {
+	c          *mpi.Comm
+	f          *mpiio.File
+	level      AccessLevel
+	file       string
+	pc         *parseCtx
+	ar         readArena
+	blockSize  int64
+	iterations int
+
+	// Set by at(i): this rank's aligned block in iteration i (length 0 for
+	// a rank idle in the ragged last iteration) and whether it ends the file.
+	start, length int64
+	isTerminal    bool
+}
+
+// newBlockLoop opens the parse context and arena for one collective read.
+// Callers must l.pc.close() on every exit path (see newParseCtx).
+func newBlockLoop(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Framing, blockSize int64, sink func([]geom.Geometry) error) *blockLoop {
+	file := f.PFSFile().Name()
+	chunk := int64(c.Size()) * blockSize
+	l := &blockLoop{c: c, f: f, level: opt.Level, file: file, blockSize: blockSize,
+		pc:         newParseCtx(c, p, opt, fr, f.PFSFile().Scale(), file, sink),
+		iterations: int((f.Size() + chunk - 1) / chunk)}
+	l.pc.stats.Iterations = l.iterations
+	return l
+}
+
+// at positions the loop on iteration i.
+func (l *blockLoop) at(i int) {
+	n, rank, fileSize := l.c.Size(), l.c.Rank(), l.f.Size()
+	globalOffset := int64(i) * int64(n) * l.blockSize
+	l.start = globalOffset + int64(rank)*l.blockSize
+	l.length = min(l.blockSize, max(fileSize-l.start, 0))
+	active := min(int((fileSize-globalOffset+l.blockSize-1)/l.blockSize), n)
+	l.isTerminal = i == l.iterations-1 && rank == active-1
+}
+
+// read is the timed per-iteration block read: IOTime and BytesRead are
+// accounted, and a failure is wrapped as "<what> <i> read" at off.
+func (l *blockLoop) read(i int, what string, off, length int64) ([]byte, error) {
+	t0 := l.c.Now()
+	block, err := l.ar.readBlock(l.c, l.f, l.level, off, length)
+	if err != nil {
+		return nil, ioErr(l.c.Rank(), l.file, off, fmt.Sprintf("%s %d read", what, i), err)
+	}
+	l.pc.stats.IOTime += l.c.Now() - t0
+	l.pc.stats.BytesRead += int64(len(block))
+	return block, nil
+}
+
 // readMessage implements Algorithm 1 for self-synchronizing framings:
 // iterative aligned block reads with a ring exchange of the trailing
 // incomplete record. Even ranks send then receive; odd ranks receive then
@@ -323,38 +377,19 @@ func (ar *readArena) appendFragsReversed(dst []byte) []byte {
 // trailing fragment without knowing the stream phase at its block's first
 // byte.
 func readMessage(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Framing, blockSize int64, sink func([]geom.Geometry) error) ([]geom.Geometry, ReadStats, error) {
-	file := f.PFSFile().Name()
-	pc := newParseCtx(c, p, opt, fr, f.PFSFile().Scale(), file, sink)
+	l := newBlockLoop(c, f, p, opt, fr, blockSize, sink)
+	pc, ar, file, n, rank := l.pc, &l.ar, l.file, c.Size(), c.Rank()
 	defer pc.close()
-	n := c.Size()
-	rank := c.Rank()
-	fileSize := f.Size()
-	chunk := int64(n) * blockSize
-	iterations := int((fileSize + chunk - 1) / chunk)
-	pc.stats.Iterations = iterations
-
 	next := (rank + 1) % n
 	prev := (rank - 1 + n) % n
-	ar := &readArena{}
 
-	for i := 0; i < iterations; i++ {
-		globalOffset := int64(i) * chunk
-		start := globalOffset + int64(rank)*blockSize
-		length := min(blockSize, max(fileSize-start, 0))
-		remaining := fileSize - globalOffset
-		active := int((remaining + blockSize - 1) / blockSize)
-		if active > n {
-			active = n
-		}
-		isTerminal := i == iterations-1 && rank == active-1
-
-		t0 := c.Now()
-		block, err := ar.readBlock(c, f, opt.Level, start, length)
+	for i := 0; i < l.iterations; i++ {
+		l.at(i)
+		start, isTerminal := l.start, l.isTerminal
+		block, err := l.read(i, "iteration", start, l.length)
 		if err != nil {
-			return nil, pc.stats, ioErr(rank, file, start, fmt.Sprintf("iteration %d read", i), err)
+			return nil, pc.stats, err
 		}
-		pc.stats.IOTime += c.Now() - t0
-		pc.stats.BytesRead += int64(len(block))
 
 		// Classify this rank's block: body is parsed locally (after the
 		// inbound prefix is prepended); ownMsg flows to the successor.
@@ -505,38 +540,19 @@ func readMessage(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Frami
 // owns end-of-file: nothing flows past it, and leftover bytes there are
 // settled by the framing's EOF rule (for binary records, truncation).
 func readMessageChain(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Framing, blockSize int64, sink func([]geom.Geometry) error) ([]geom.Geometry, ReadStats, error) {
-	file := f.PFSFile().Name()
-	pc := newParseCtx(c, p, opt, fr, f.PFSFile().Scale(), file, sink)
+	l := newBlockLoop(c, f, p, opt, fr, blockSize, sink)
+	pc, ar, file, n, rank := l.pc, &l.ar, l.file, c.Size(), c.Rank()
 	defer pc.close()
-	n := c.Size()
-	rank := c.Rank()
-	fileSize := f.Size()
-	chunk := int64(n) * blockSize
-	iterations := int((fileSize + chunk - 1) / chunk)
-	pc.stats.Iterations = iterations
-
 	next := (rank + 1) % n
 	prev := (rank - 1 + n) % n
-	ar := &readArena{}
 
-	for i := 0; i < iterations; i++ {
-		globalOffset := int64(i) * chunk
-		start := globalOffset + int64(rank)*blockSize
-		length := min(blockSize, max(fileSize-start, 0))
-		remaining := fileSize - globalOffset
-		active := int((remaining + blockSize - 1) / blockSize)
-		if active > n {
-			active = n
-		}
-		isTerminal := i == iterations-1 && rank == active-1
-
-		t0 := c.Now()
-		block, err := ar.readBlock(c, f, opt.Level, start, length)
+	for i := 0; i < l.iterations; i++ {
+		l.at(i)
+		start, isTerminal := l.start, l.isTerminal
+		block, err := l.read(i, "iteration", start, l.length)
 		if err != nil {
-			return nil, pc.stats, ioErr(rank, file, start, fmt.Sprintf("iteration %d read", i), err)
+			return nil, pc.stats, err
 		}
-		pc.stats.IOTime += c.Now() - t0
-		pc.stats.BytesRead += int64(len(block))
 
 		// The inbound prefix — the unfinished record reaching into this
 		// block. Rank 0 carries it across iterations; everyone else
@@ -713,16 +729,9 @@ func (ar *readArena) recvFragment(c *mpi.Comm, src int) ([]byte, bool, error) {
 // zero data bytes exchanged; the token is 8 bytes against MaxGeomSize of
 // redundant read per block.
 func readOverlap(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Framing, blockSize int64, sink func([]geom.Geometry) error) ([]geom.Geometry, ReadStats, error) {
-	file := f.PFSFile().Name()
-	pc := newParseCtx(c, p, opt, fr, f.PFSFile().Scale(), file, sink)
+	l := newBlockLoop(c, f, p, opt, fr, blockSize, sink)
+	pc, file, rank, fileSize, iterations := l.pc, l.file, c.Rank(), f.Size(), l.iterations
 	defer pc.close()
-	n := int64(c.Size())
-	rank := int64(c.Rank())
-	fileSize := f.Size()
-	chunk := n * blockSize
-	iterations := int((fileSize + chunk - 1) / chunk)
-	pc.stats.Iterations = iterations
-	ar := &readArena{}
 	sync := fr.selfSync()
 
 	// Phase token state for non-self-synchronizing framings. Rank 0 of
@@ -732,9 +741,8 @@ func readOverlap(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Frami
 	intPrev := (c.Rank() - 1 + c.Size()) % c.Size()
 
 	for i := 0; i < iterations; i++ {
-		globalOffset := int64(i) * chunk
-		start := globalOffset + rank*blockSize
-		length := min(blockSize, max(fileSize-start, 0))
+		l.at(i)
+		start, length := l.start, l.length
 
 		// Extend by the halo; self-synchronizing framings also read one
 		// leading byte for record-start detection.
@@ -747,14 +755,11 @@ func readOverlap(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Frami
 			extLen = min(start-extStart+length+opt.MaxGeomSize, fileSize-extStart)
 		}
 
-		t0 := c.Now()
-		//vet:allow collective — token-chain halo overflow (reader.go:~810) cannot defer: the successor is blocked on a phase token this rank cannot construct, so the world abort is the only teardown that unblocks the chain
-		block, err := ar.readBlock(c, f, opt.Level, extStart, extLen)
+		//vet:allow collective — token-chain halo overflow (reader.go:~820) cannot defer: the successor is blocked on a phase token this rank cannot construct, so the world abort is the only teardown that unblocks the chain
+		block, err := l.read(i, "overlap iteration", extStart, extLen)
 		if err != nil {
-			return nil, pc.stats, ioErr(c.Rank(), file, extStart, fmt.Sprintf("overlap iteration %d read", i), err)
+			return nil, pc.stats, err
 		}
-		pc.stats.IOTime += c.Now() - t0
-		pc.stats.BytesRead += int64(len(block))
 
 		// Receive this iteration's phase token (all ranks participate,
 		// active or not, so the chain stays unbroken in ragged final

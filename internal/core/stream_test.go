@@ -158,7 +158,11 @@ func renderCells(cells map[int][]geom.Geometry) exchangeResult {
 // partition identically to the two-pass materialized pipeline
 // (ReadPartition + Exchange) — same per-rank cells, same within-cell
 // order, same exchange counters, same ProjectTime — across framings,
-// strategies, worker counts, and sliding-window phase counts.
+// strategies, worker counts, and sliding-window phase counts. And since
+// Exchange is one Add over the same engine, feeding the materialized slice
+// through Stream + Add in chunks of any size + Finish must reproduce it
+// bitwise: cells, within-cell order, every ExchangeStats field, and the
+// final clock.
 func TestStreamedExchangeMatrix(t *testing.T) {
 	wktFile := makeWKTFile(t, genRecords(400, 37))
 	wkbFile := makeWKBFile(t, genGeoms(t, 400, 37))
@@ -173,21 +177,30 @@ func TestStreamedExchangeMatrix(t *testing.T) {
 		{"delimited", wktFile, func() Parser { return NewWKTParser() }, nil},
 		{"length-prefixed", wkbFile, func() Parser { return NewWKBParser() }, LengthPrefixed()},
 	}
+	// How a run feeds the exchange: the fused ReadExchange, the materialized
+	// Exchange, or (any positive value) ReadPartition + Stream + Add in
+	// chunks of that many geometries + Finish.
+	const (
+		fused        = -1
+		materialized = 0
+		wholeSlice   = 1 << 30
+	)
 	const ranks = 3
 	for _, fc := range cases {
 		for _, strat := range []Strategy{MessageBased, Overlap} {
 			for _, workers := range []int{0, 3} {
-				for _, window := range []int{0, 7} { // one phase vs 10 phases over 64 cells
+				for _, window := range []int{0, 5} { // one phase vs 13 phases over 64 cells
 					opt := ReadOptions{
 						BlockSize: 1 << 10, Strategy: strat, MaxGeomSize: 2 << 10,
 						Framing: fc.fr, ParseWorkers: workers, StreamBatch: 29,
 					}
 					label := fmt.Sprintf("%s %s workers=%d window=%d", fc.name, strat, workers, window)
 
-					run := func(streamed bool) ([]exchangeResult, []ExchangeStats) {
+					run := func(feed int) ([]exchangeResult, []ExchangeStats, []float64) {
 						var mu sync.Mutex
 						res := make([]exchangeResult, ranks)
 						sts := make([]ExchangeStats, ranks)
+						clocks := make([]float64, ranks)
 						err := mpi.Run(cluster.Local(ranks), func(c *mpi.Comm) error {
 							f := mpiio.Open(c, pf(fc), mpiio.Hints{})
 							g, err := grid.New(world, 8, 8)
@@ -197,13 +210,27 @@ func TestStreamedExchangeMatrix(t *testing.T) {
 							pt := &Partitioner{Grid: g, WindowCells: window, DirectGrid: true}
 							var cells map[int][]geom.Geometry
 							var estats ExchangeStats
-							if streamed {
+							if feed == fused {
 								cells, _, estats, err = ReadExchange(c, f, fc.mk(), opt, pt)
 							} else {
 								var local []geom.Geometry
 								local, _, err = ReadPartition(c, f, fc.mk(), opt)
-								if err == nil {
+								if err != nil {
+									return err
+								}
+								if feed == materialized {
 									cells, estats, err = pt.Exchange(c, local)
+								} else {
+									var ex *Exchanger
+									if ex, err = pt.Stream(c); err != nil {
+										return err
+									}
+									for i := 0; i < len(local); i += feed {
+										if err = ex.Add(local[i:min(i+feed, len(local))]); err != nil {
+											return err
+										}
+									}
+									cells, estats, err = ex.Finish()
 								}
 							}
 							if err != nil {
@@ -212,16 +239,17 @@ func TestStreamedExchangeMatrix(t *testing.T) {
 							mu.Lock()
 							res[c.Rank()] = renderCells(cells)
 							sts[c.Rank()] = estats
+							clocks[c.Rank()] = c.Now()
 							mu.Unlock()
 							return nil
 						})
 						if err != nil {
 							t.Fatal(err)
 						}
-						return res, sts
+						return res, sts, clocks
 					}
-					wantRes, wantSts := run(false)
-					gotRes, gotSts := run(true)
+					wantRes, wantSts, wantClocks := run(materialized)
+					gotRes, gotSts, _ := run(fused)
 					for r := 0; r < ranks; r++ {
 						if !reflect.DeepEqual(gotRes[r], wantRes[r]) {
 							t.Fatalf("%s: rank %d cells differ from materialized", label, r)
@@ -233,6 +261,20 @@ func TestStreamedExchangeMatrix(t *testing.T) {
 						}
 						if diff := math.Abs(g.ProjectTime - w.ProjectTime); diff > 1e-9*(1+w.ProjectTime) {
 							t.Errorf("%s: rank %d ProjectTime %g, materialized %g", label, r, g.ProjectTime, w.ProjectTime)
+						}
+					}
+					for _, chunk := range []int{1, 7, wholeSlice} {
+						gotRes, gotSts, gotClocks := run(chunk)
+						for r := 0; r < ranks; r++ {
+							if !reflect.DeepEqual(gotRes[r], wantRes[r]) {
+								t.Fatalf("%s: rank %d cells differ from Exchange with Add chunks of %d", label, r, chunk)
+							}
+							if gotSts[r] != wantSts[r] {
+								t.Errorf("%s: rank %d stats drifted with Add chunks of %d:\n got %+v\nwant %+v", label, r, chunk, gotSts[r], wantSts[r])
+							}
+							if gotClocks[r] != wantClocks[r] {
+								t.Errorf("%s: rank %d clock %v with Add chunks of %d, Exchange %v", label, r, gotClocks[r], chunk, wantClocks[r])
+							}
 						}
 					}
 				}
@@ -385,11 +427,24 @@ func TestExchangerReuseGuards(t *testing.T) {
 	}
 }
 
-// TestExchangeStreamPerPhaseDelivery: the per-phase sink must see every
+// addFinishStream is the per-phase-delivery composition the tests below
+// drive: Stream, one Add with the whole batch, FinishStream into sink.
+func addFinishStream(c *mpi.Comm, pt *Partitioner, local []geom.Geometry, sink func(map[int][]geom.Geometry) error) (ExchangeStats, error) {
+	ex, err := pt.Stream(c)
+	if err != nil {
+		return ExchangeStats{}, err
+	}
+	if err := ex.Add(local); err != nil {
+		return ExchangeStats{}, err
+	}
+	return ex.FinishStream(sink)
+}
+
+// TestFinishStreamPerPhaseDelivery: the per-phase sink must see every
 // sliding-window phase exactly once, each delivery holding only cells of
 // that phase's window, phases disjoint, and the union — contents and
 // within-cell order — identical to the materialized Exchange.
-func TestExchangeStreamPerPhaseDelivery(t *testing.T) {
+func TestFinishStreamPerPhaseDelivery(t *testing.T) {
 	const ranks, window, gridDim = 3, 5, 8
 	geoms := genGeoms(t, 300, 41)
 	var mu sync.Mutex
@@ -410,7 +465,7 @@ func TestExchangeStreamPerPhaseDelivery(t *testing.T) {
 
 		union := make(map[int][]geom.Geometry)
 		phases := 0
-		_, err = pt.ExchangeStream(c, local, func(cells map[int][]geom.Geometry) error {
+		_, err = addFinishStream(c, pt, local, func(cells map[int][]geom.Geometry) error {
 			lo, hi := phases*window, (phases+1)*window
 			for cell := range cells {
 				if cell < lo || cell >= hi {
@@ -477,7 +532,7 @@ func TestFinishStreamSinkErrorCompletes(t *testing.T) {
 		}
 		pt := &Partitioner{Grid: g, WindowCells: 4, DirectGrid: true} // 9 phases
 		n := 0
-		_, serr := pt.ExchangeStream(c, local, func(map[int][]geom.Geometry) error {
+		_, serr := addFinishStream(c, pt, local, func(map[int][]geom.Geometry) error {
 			n++
 			if c.Rank() == 1 && n == 2 {
 				return boom

@@ -6,9 +6,6 @@
 package spatial
 
 import (
-	"fmt"
-
-	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/mpi"
@@ -55,35 +52,11 @@ func Serve(c *mpi.Comm, svc *serve.Service, g grid.Partition, trees map[int]*rtr
 // world from queries it has not seen yet. All ranks must call it
 // collectively.
 func ServeQuery(c *mpi.Comm, localData []geom.Geometry, svc *serve.Service, opt JoinOptions) (Breakdown, error) {
-	var bd Breakdown
-	start := c.Now()
-	g := opt.Partition
-	if g == nil {
-		if opt.Envelope == nil || opt.Envelope.IsEmpty() {
-			return bd, fmt.Errorf("spatial: ServeQuery requires JoinOptions.Partition or a non-empty Envelope")
-		}
-		var err error
-		if g, err = uniformPartition(*opt.Envelope, opt.cells()); err != nil {
-			return bd, fmt.Errorf("spatial: grid: %w", err)
-		}
-	}
-	pt := &core.Partitioner{Grid: g, WindowCells: opt.WindowCells, SkipBadFrames: opt.SkipBadFrames}
-	ci := newCellIndexer(c, c.Config().Scale())
-	stats, err := pt.ExchangeStream(c, localData, ci.phase)
-	if err != nil {
-		return bd, fmt.Errorf("spatial: exchange: %w", err)
-	}
-	bd.Partition = stats.ProjectTime
-	bd.Comm = stats.CommTime
-	bd.Index = ci.time
-	bd.Indexed = ci.indexed
-	bd.Quarantined = int64(stats.FramesQuarantined)
-	bd.GeomImbalance = stats.GeomImbalance
-	bd.ByteImbalance = stats.ByteImbalance
-
-	sbd := Serve(c, svc, g, ci.trees, opt)
-	bd.Refine = sbd.Refine
-	bd.Pairs = sbd.Pairs
-	bd.Total = c.Now() - start
-	return bd, nil
+	_, _, bd, err := runIndex(c, opt, nil, source{local: localData},
+		func(g grid.Partition, trees map[int]*rtree.Tree[geom.Geometry], bd *Breakdown) {
+			sbd := Serve(c, svc, g, trees, opt)
+			bd.Refine = sbd.Refine
+			bd.Pairs = sbd.Pairs
+		})
+	return bd, err
 }

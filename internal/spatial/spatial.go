@@ -96,15 +96,15 @@ type JoinOptions struct {
 	// used to demonstrate why it is needed).
 	KeepDuplicates bool
 	// Envelope, when non-nil, is a caller-known global data envelope (from
-	// dataset metadata, a previous run, or a catalog). JoinFiles then fixes
-	// the grid up front and runs the one-pass streaming pipeline — reading,
-	// partitioning, and exchanging overlap instead of running as separate
-	// passes, and the full local geometry slices never exist. Nil keeps the
-	// two-pass path: read everything, derive the envelope with the
-	// MPI_UNION Allreduce, then exchange. Geometries outside the supplied
-	// envelope still partition correctly (projections clamp to the border
-	// cells), but a misleadingly small envelope skews the grid, so supply
-	// the real bounds or nil.
+	// dataset metadata, a previous run, or a catalog): the grid is fixed
+	// from it up front, skipping the MPI_UNION Allreduce, and the *Files
+	// workloads run the one-pass streaming pipeline — reading, partitioning,
+	// and exchanging overlap instead of running as separate passes, and the
+	// full local geometry slices never exist. Nil keeps the two-pass path:
+	// read everything, derive the envelope with the reduction, then
+	// exchange. Geometries outside the supplied envelope still partition
+	// correctly (projections clamp to the border cells), but a misleadingly
+	// small envelope skews the grid, so supply the real bounds or nil.
 	Envelope *geom.Envelope
 	// Partition, when non-nil, replaces the uniform grid entirely — cell
 	// layout AND cell-to-rank placement come from it (a skew-aware
@@ -126,24 +126,43 @@ func (o JoinOptions) cells() int {
 	return 1024
 }
 
-func (o JoinOptions) predicate() func(a, b geom.Geometry) bool {
-	if o.Predicate != nil {
-		return o.Predicate
+// resolvePartition is the one place a workload's partition is fixed, in
+// precedence order: opt.Partition verbatim; a uniform near-square grid of
+// about opt.cells() cells over the caller's opt.Envelope; the same grid
+// over the MPI_UNION envelope reduction (§4.2.2) of local(), evaluated only
+// on this branch. A nil local marks a workload that cannot look ahead at
+// its data (streamed, served), which must be given one of the first two.
+// All inputs are rank-uniform configuration, so every rank takes the same
+// branch and the reduction is skipped (or run) collectively. A nil
+// Partitioner with a nil error means the world holds no data.
+func resolvePartition(c *mpi.Comm, opt JoinOptions, local func() geom.Envelope) (*core.Partitioner, error) {
+	g := opt.Partition
+	if g == nil {
+		var global geom.Envelope
+		switch {
+		case opt.Envelope != nil:
+			if global = *opt.Envelope; global.IsEmpty() {
+				return nil, fmt.Errorf("spatial: a supplied envelope must be non-empty")
+			}
+		case local == nil:
+			return nil, fmt.Errorf("spatial: a streamed or served workload requires a Partition or an Envelope")
+		default:
+			var err error
+			if global, err = core.GlobalEnvelope(c, local()); err != nil {
+				return nil, fmt.Errorf("spatial: global envelope: %w", err)
+			}
+			if global.IsEmpty() {
+				return nil, nil
+			}
+		}
+		cols, rows := squareDims(opt.cells())
+		ug, err := grid.New(global, cols, rows)
+		if err != nil {
+			return nil, fmt.Errorf("spatial: grid: %w", err)
+		}
+		g = ug
 	}
-	return geom.Intersects
-}
-
-// uniformPartition builds the default partition — a near-square uniform
-// grid of about `cells` cells over the global envelope.
-//
-//vet:uniform — pure function of the rank-uniform envelope and cell count
-func uniformPartition(global geom.Envelope, cells int) (grid.Partition, error) {
-	cols, rows := squareDims(cells)
-	g, err := grid.New(global, cols, rows)
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
+	return &core.Partitioner{Grid: g, WindowCells: opt.WindowCells, SkipBadFrames: opt.SkipBadFrames}, nil
 }
 
 // squareDims factors n into cols x rows as near-square as possible,
@@ -160,50 +179,69 @@ func squareDims(n int) (cols, rows int) {
 	return cols, rows
 }
 
+// source is what feeds a workload's exchange: the materialized local
+// slice, or — file non-nil — a file streamed through the reader.
+type source struct {
+	local   []geom.Geometry
+	file    *mpiio.File
+	parser  core.Parser
+	readOpt core.ReadOptions
+}
+
 // Join performs the distributed spatial join of the paper's §5.2 on
-// already-read local geometry batches: grid dimensions from MPI_UNION,
-// global spatial partitioning of both datasets, per-cell R-tree filter on
-// R, exact refinement with duplicate avoidance. Returns this rank's
-// un-aggregated breakdown. All ranks must call it collectively.
+// already-read local geometry batches: grid dimensions from MPI_UNION
+// (unless JoinOptions fixes the partition), global spatial partitioning of
+// both datasets, per-cell R-tree filter on R, exact refinement with
+// duplicate avoidance. Returns this rank's un-aggregated breakdown. All
+// ranks must call it collectively.
 func Join(c *mpi.Comm, localR, localS []geom.Geometry, opt JoinOptions) (Breakdown, error) {
+	return join(c, opt, func() geom.Envelope {
+		return core.LocalEnvelope(localR).Union(core.LocalEnvelope(localS))
+	}, source{local: localR}, source{local: localS})
+}
+
+// join is the one body of the distributed join, parameterised only by how
+// each side is fed: resolve the partition, exchange R then S (a slice
+// through Partitioner.Exchange, a file through core.ReadExchange), filter
+// and refine. Read covers a streamed side's I/O, boundary-repair
+// communication and parsing work from the fused pass (the phases overlap,
+// so they are attributed by work done, not by wall intervals); a slice
+// contributes zero.
+func join(c *mpi.Comm, opt JoinOptions, local func() geom.Envelope, srcR, srcS source) (Breakdown, error) {
 	var bd Breakdown
 	start := c.Now()
-
-	// Partition: the caller-supplied one verbatim, or a uniform grid over
-	// the MPI_UNION envelope reduction (§4.2.2). The Partition option is
-	// rank-uniform configuration, so every rank takes the same branch and
-	// the reduction is skipped (or run) collectively.
-	p := opt.Partition
-	if p == nil {
-		global, err := core.GlobalEnvelope(c, core.LocalEnvelope(localR).Union(core.LocalEnvelope(localS)))
-		if err != nil {
-			return bd, fmt.Errorf("spatial: global envelope: %w", err)
-		}
-		if global.IsEmpty() {
-			bd.Total = c.Now() - start
-			return bd, nil
-		}
-		if p, err = uniformPartition(global, opt.cells()); err != nil {
-			return bd, fmt.Errorf("spatial: grid: %w", err)
-		}
+	pt, err := resolvePartition(c, opt, local)
+	if err != nil {
+		return bd, err
 	}
-
-	pt := &core.Partitioner{Grid: p, WindowCells: opt.WindowCells, SkipBadFrames: opt.SkipBadFrames}
-	cellsR, statsR, err := pt.Exchange(c, localR)
+	if pt == nil {
+		bd.Total = c.Now() - start
+		return bd, nil
+	}
+	exchange := func(src source) (map[int][]geom.Geometry, core.ReadStats, core.ExchangeStats, error) {
+		if src.file != nil {
+			return core.ReadExchange(c, src.file, src.parser, src.readOpt, pt)
+		}
+		cells, stats, err := pt.Exchange(c, src.local)
+		return cells, core.ReadStats{}, stats, err
+	}
+	cellsR, readR, statsR, err := exchange(srcR)
 	if err != nil {
 		return bd, fmt.Errorf("spatial: exchange R: %w", err)
 	}
-	cellsS, statsS, err := pt.Exchange(c, localS)
+	cellsS, readS, statsS, err := exchange(srcS)
 	if err != nil {
 		return bd, fmt.Errorf("spatial: exchange S: %w", err)
 	}
+	bd.Read = readR.IOTime + readR.CommTime + readR.ParseTime +
+		readS.IOTime + readS.CommTime + readS.ParseTime
 	bd.Partition = statsR.ProjectTime + statsS.ProjectTime
 	bd.Comm = statsR.CommTime + statsS.CommTime
 	bd.Quarantined = int64(statsR.FramesQuarantined + statsS.FramesQuarantined)
 	bd.GeomImbalance = math.Max(statsR.GeomImbalance, statsS.GeomImbalance)
 	bd.ByteImbalance = math.Max(statsR.ByteImbalance, statsS.ByteImbalance)
 
-	joinCells(c, p, cellsR, cellsS, opt, &bd)
+	joinCells(c, pt.Grid, cellsR, cellsS, opt, &bd)
 	bd.Total = c.Now() - start
 	return bd, nil
 }
@@ -215,14 +253,12 @@ func Join(c *mpi.Comm, localR, localS []geom.Geometry, opt JoinOptions) (Breakdo
 // filter-and-refine core the resident query service evaluates — with the
 // costs charged inline on this rank's clock.
 func joinCells(c *mpi.Comm, g grid.Partition, cellsR, cellsS map[int][]geom.Geometry, opt JoinOptions, bd *Breakdown) {
-	scale := c.Config().Scale()
-
-	// Filter phase: per-cell R-tree over the R side. One real geometry
-	// stands for `scale` full-size ones, inserted into a tree that is
-	// `scale` times larger.
-	t0 := c.Now()
-	trees := buildCellTrees(c, cellsR, scale, &bd.Indexed)
-	bd.Index = c.Now() - t0
+	// Filter phase: per-cell R-tree over the R side, every owned cell in
+	// one cellIndexer phase. One real geometry stands for `scale` full-size
+	// ones, inserted into a tree that is `scale` times larger.
+	ci := newCellIndexer(c)
+	_ = ci.phase(cellsR)
+	bd.Index, bd.Indexed = ci.time, ci.indexed
 
 	// Refine phase: query with each S geometry, test exact intersection.
 	// Candidate counts follow the *product* of the two densities, so each
@@ -230,7 +266,7 @@ func joinCells(c *mpi.Comm, g grid.Partition, cellsR, cellsS map[int][]geom.Geom
 	// per-candidate term and the refinement tests are charged accordingly
 	// (Session.JoinCell's chargeScale).
 	t1 := c.Now()
-	s := querySession(c, g, trees, opt)
+	s := querySession(c, g, ci.trees, opt)
 	// Query cells in ascending id order: iterating the map directly would
 	// charge the per-query Compute costs in random order, and float
 	// accumulation order leaks into the virtual clock bit-for-bit (the
@@ -288,8 +324,8 @@ type cellIndexer struct {
 	items []rtree.Item[geom.Geometry] // recycled bulk-load staging
 }
 
-func newCellIndexer(c *mpi.Comm, scale float64) *cellIndexer {
-	return &cellIndexer{c: c, scale: scale, trees: make(map[int]*rtree.Tree[geom.Geometry])}
+func newCellIndexer(c *mpi.Comm) *cellIndexer {
+	return &cellIndexer{c: c, scale: c.Config().Scale(), trees: make(map[int]*rtree.Tree[geom.Geometry])}
 }
 
 // phase indexes one batch of completed cells. It is an Exchanger
@@ -322,33 +358,25 @@ func (ci *cellIndexer) phase(cells map[int][]geom.Geometry) error {
 	return nil
 }
 
-// buildCellTrees is the one-shot materialized composition over the
-// cellIndexer: every owned cell indexed in a single phase.
-func buildCellTrees(c *mpi.Comm, owned map[int][]geom.Geometry, scale float64, indexed *int64) map[int]*rtree.Tree[geom.Geometry] {
-	ci := newCellIndexer(c, scale)
-	_ = ci.phase(owned)
-	*indexed += ci.indexed
-	return ci.trees
-}
-
 // JoinFiles is the end-to-end exemplar: read and partition two vector
 // files with MPI-Vector-IO, then join them. Returns the aggregated
 // (cross-rank) breakdown, identical on all ranks.
 //
-// Both flavors are thin compositions over the streaming core. With
-// JoinOptions.Envelope nil (the default), the two-pass pipeline runs:
-// materialize both inputs with ReadPartition, derive the global envelope
-// with the MPI_UNION Allreduce, then exchange — historical behavior,
-// preserved by construction. With a caller-supplied envelope, the one-pass
-// pipeline runs: the grid is fixed up front and each file streams through
-// core.ReadExchange, so cell assignment and frame encoding overlap I/O and
-// parsing and no rank ever materializes its full local geometry slice. In
-// the one-pass breakdown, Read covers the rank's I/O, boundary-repair
-// communication and parsing work from the fused pass (the phases overlap,
-// so they are attributed by work done, not by wall intervals).
+// With JoinOptions.Envelope and Partition nil (the default), the two-pass
+// pipeline runs: materialize both inputs with ReadPartition, then Join
+// derives the global envelope with the MPI_UNION Allreduce and exchanges.
+// With the partition known up front, the one-pass pipeline runs: each file
+// streams through core.ReadExchange, so cell assignment and frame encoding
+// overlap I/O and parsing and no rank ever materializes its full local
+// geometry slice.
 func JoinFiles(c *mpi.Comm, fR, fS *mpiio.File, parser core.Parser, readOpt core.ReadOptions, opt JoinOptions) (Breakdown, error) {
 	if opt.Envelope != nil || opt.Partition != nil {
-		return joinFilesStreamed(c, fR, fS, parser, readOpt, opt)
+		bd, err := join(c, opt, nil, source{file: fR, parser: parser, readOpt: readOpt},
+			source{file: fS, parser: parser, readOpt: readOpt})
+		if err != nil {
+			return Breakdown{}, err
+		}
+		return bd.Aggregate(c)
 	}
 	t0 := c.Now()
 	localR, _, err := core.ReadPartition(c, fR, parser, readOpt)
@@ -366,45 +394,6 @@ func JoinFiles(c *mpi.Comm, fR, fS *mpiio.File, parser core.Parser, readOpt core
 	}
 	bd.Read = readTime
 	bd.Total += readTime
-	return bd.Aggregate(c)
-}
-
-// joinFilesStreamed is the one-pass JoinFiles pipeline: the partition —
-// the caller-supplied one, or a uniform grid over the caller-supplied
-// envelope — is fixed up front, and each input streams straight into its
-// exchange.
-func joinFilesStreamed(c *mpi.Comm, fR, fS *mpiio.File, parser core.Parser, readOpt core.ReadOptions, opt JoinOptions) (Breakdown, error) {
-	var bd Breakdown
-	start := c.Now()
-	g := opt.Partition
-	if g == nil {
-		if opt.Envelope.IsEmpty() {
-			return bd, fmt.Errorf("spatial: streamed join requires a non-empty envelope")
-		}
-		var err error
-		if g, err = uniformPartition(*opt.Envelope, opt.cells()); err != nil {
-			return bd, fmt.Errorf("spatial: grid: %w", err)
-		}
-	}
-	pt := &core.Partitioner{Grid: g, WindowCells: opt.WindowCells, SkipBadFrames: opt.SkipBadFrames}
-	cellsR, rstatsR, estatsR, err := core.ReadExchange(c, fR, parser, readOpt, pt)
-	if err != nil {
-		return bd, fmt.Errorf("spatial: stream R: %w", err)
-	}
-	cellsS, rstatsS, estatsS, err := core.ReadExchange(c, fS, parser, readOpt, pt)
-	if err != nil {
-		return bd, fmt.Errorf("spatial: stream S: %w", err)
-	}
-	bd.Read = rstatsR.IOTime + rstatsR.CommTime + rstatsR.ParseTime +
-		rstatsS.IOTime + rstatsS.CommTime + rstatsS.ParseTime
-	bd.Partition = estatsR.ProjectTime + estatsS.ProjectTime
-	bd.Comm = estatsR.CommTime + estatsS.CommTime
-	bd.Quarantined = int64(estatsR.FramesQuarantined + estatsS.FramesQuarantined)
-	bd.GeomImbalance = math.Max(estatsR.GeomImbalance, estatsS.GeomImbalance)
-	bd.ByteImbalance = math.Max(estatsR.ByteImbalance, estatsS.ByteImbalance)
-
-	joinCells(c, g, cellsR, cellsS, opt, &bd)
-	bd.Total = c.Now() - start
 	return bd.Aggregate(c)
 }
 
@@ -441,61 +430,26 @@ func (o IndexOptions) cells() int {
 	return 2048
 }
 
+// asJoin is the index options as the JoinOptions the shared pipeline takes
+// (IndexOptions is the partitioning subset of JoinOptions).
+func (o IndexOptions) asJoin() JoinOptions {
+	return JoinOptions{GridCells: o.cells(), WindowCells: o.WindowCells, Envelope: o.Envelope,
+		Partition: o.Partition, SkipBadFrames: o.SkipBadFrames}
+}
+
 // BuildIndex partitions the local geometries globally and builds one R-tree
 // per owned cell — the paper's in-memory spatial indexing workload that
 // handles 717 M geometries in 90 s at 320 processes. Returns the cell
 // indexes, the grid whose cell ids key them (nil when there is no data),
 // and this rank's un-aggregated breakdown.
 //
-// BuildIndex is the materialized composition over the streamed index core:
-// one ExchangeStream whose per-phase sink is the shared cellIndexer, so
-// trees rise as each sliding-window phase completes and the fully
-// materialized owned-cells map never exists. With IndexOptions.Envelope
-// set, the MPI_UNION reduction is skipped and the grid fixed up front —
-// the configuration whose clock trajectory the one-pass BuildIndexFiles
-// reproduces exactly.
+// BuildIndex is the materialized composition over the streamed index core
+// (runIndex fed the whole slice in one Add). With IndexOptions.Envelope or
+// Partition set, the MPI_UNION reduction is skipped and the grid fixed up
+// front — the configuration whose clock trajectory the one-pass
+// BuildIndexFiles reproduces exactly.
 func BuildIndex(c *mpi.Comm, local []geom.Geometry, opt IndexOptions) (map[int]*rtree.Tree[geom.Geometry], grid.Partition, Breakdown, error) {
-	var bd Breakdown
-	start := c.Now()
-	g := opt.Partition
-	if g == nil {
-		var global geom.Envelope
-		if opt.Envelope != nil {
-			if opt.Envelope.IsEmpty() {
-				return nil, nil, bd, fmt.Errorf("spatial: BuildIndex requires a non-empty envelope when one is supplied")
-			}
-			global = *opt.Envelope
-		} else {
-			var err error
-			global, err = core.GlobalEnvelope(c, core.LocalEnvelope(local))
-			if err != nil {
-				return nil, nil, bd, fmt.Errorf("spatial: global envelope: %w", err)
-			}
-			if global.IsEmpty() {
-				bd.Total = c.Now() - start
-				return map[int]*rtree.Tree[geom.Geometry]{}, nil, bd, nil
-			}
-		}
-		var err error
-		if g, err = uniformPartition(global, opt.cells()); err != nil {
-			return nil, nil, bd, fmt.Errorf("spatial: grid: %w", err)
-		}
-	}
-	pt := &core.Partitioner{Grid: g, WindowCells: opt.WindowCells, SkipBadFrames: opt.SkipBadFrames}
-	ci := newCellIndexer(c, c.Config().Scale())
-	stats, err := pt.ExchangeStream(c, local, ci.phase)
-	if err != nil {
-		return nil, nil, bd, fmt.Errorf("spatial: exchange: %w", err)
-	}
-	bd.Partition = stats.ProjectTime
-	bd.Comm = stats.CommTime
-	bd.Index = ci.time
-	bd.Indexed = ci.indexed
-	bd.Quarantined = int64(stats.FramesQuarantined)
-	bd.GeomImbalance = stats.GeomImbalance
-	bd.ByteImbalance = stats.ByteImbalance
-	bd.Total = c.Now() - start
-	return ci.trees, g, bd, nil
+	return runIndex(c, opt.asJoin(), func() geom.Envelope { return core.LocalEnvelope(local) }, source{local: local}, nil)
 }
 
 // RangeQuery runs a batch of rectangular range queries against a
@@ -507,74 +461,36 @@ func BuildIndex(c *mpi.Comm, local []geom.Geometry, opt IndexOptions) (map[int]*
 // until aggregated.
 //
 // Like BuildIndex, RangeQuery is a materialized composition over the
-// streamed index core: the cell trees rise phase by phase inside the
-// exchange. With JoinOptions.Envelope set, the grid is fixed from the
-// caller's envelope instead of the MPI_UNION reduction over data and
-// queries — queries and data outside it clamp to the border cells — which
-// is the configuration the one-pass RangeQueryFiles reproduces exactly.
+// streamed index core. With JoinOptions.Envelope set, the grid is fixed
+// from the caller's envelope instead of the MPI_UNION reduction over data
+// and queries — queries and data outside it clamp to the border cells —
+// which is the configuration the one-pass RangeQueryFiles reproduces
+// exactly.
 func RangeQuery(c *mpi.Comm, localData []geom.Geometry, queries []geom.Envelope, opt JoinOptions) (Breakdown, error) {
-	var bd Breakdown
-	start := c.Now()
-	g := opt.Partition
-	if g == nil {
-		var global geom.Envelope
-		if opt.Envelope != nil {
-			if opt.Envelope.IsEmpty() {
-				return bd, fmt.Errorf("spatial: RangeQuery requires a non-empty envelope when one is supplied")
-			}
-			global = *opt.Envelope
-		} else {
-			queryEnv := geom.EmptyEnvelope()
-			for _, q := range queries {
-				queryEnv = queryEnv.Union(q)
-			}
-			var err error
-			global, err = core.GlobalEnvelope(c, core.LocalEnvelope(localData).Union(queryEnv))
-			if err != nil {
-				return bd, fmt.Errorf("spatial: global envelope: %w", err)
-			}
-			if global.IsEmpty() {
-				bd.Total = c.Now() - start
-				return bd, nil
-			}
+	_, _, bd, err := runIndex(c, opt, func() geom.Envelope {
+		env := core.LocalEnvelope(localData)
+		for _, q := range queries {
+			env = env.Union(q)
 		}
-		var err error
-		if g, err = uniformPartition(global, opt.cells()); err != nil {
-			return bd, fmt.Errorf("spatial: grid: %w", err)
-		}
-	}
-	pt := &core.Partitioner{Grid: g, WindowCells: opt.WindowCells, SkipBadFrames: opt.SkipBadFrames}
-	ci := newCellIndexer(c, c.Config().Scale())
-	stats, err := pt.ExchangeStream(c, localData, ci.phase)
-	if err != nil {
-		return bd, fmt.Errorf("spatial: exchange: %w", err)
-	}
-	bd.Partition = stats.ProjectTime
-	bd.Comm = stats.CommTime
-	bd.Index = ci.time
-	bd.Indexed = ci.indexed
-	bd.Quarantined = int64(stats.FramesQuarantined)
-	bd.GeomImbalance = stats.GeomImbalance
-	bd.ByteImbalance = stats.ByteImbalance
-
-	queryCells(c, g, ci.trees, queries, opt, &bd)
-	bd.Total = c.Now() - start
-	return bd, nil
+		return env
+	}, source{local: localData}, queryCells(c, queries, opt))
+	return bd, err
 }
 
-// queryCells evaluates a replicated rectangular query batch against this
-// rank's cell trees with filter-and-refine and reference-point duplicate
-// suppression, accumulating matches and refine time into bd. It is the
-// shared back half of RangeQuery (materialized) and RangeQueryFiles
-// (one-pass streamed) — a thin batch wrapper over serve.Session.Range, the
-// same evaluation the resident query service runs concurrently: queries in
-// batch order with costs charged inline, so the service's id-ordered
-// charge replay reproduces this trajectory bitwise.
-func queryCells(c *mpi.Comm, g grid.Partition, trees map[int]*rtree.Tree[geom.Geometry], queries []geom.Envelope, opt JoinOptions, bd *Breakdown) {
-	t1 := c.Now()
-	s := querySession(c, g, trees, opt)
-	for _, q := range queries {
-		bd.Pairs += s.Range(q, c.Compute, nil)
+// queryCells is the query phase of RangeQuery and RangeQueryFiles: it
+// evaluates a replicated rectangular query batch against this rank's cell
+// trees with filter-and-refine and reference-point duplicate suppression,
+// accumulating matches and refine time into bd — a thin batch wrapper over
+// serve.Session.Range, the same evaluation the resident query service runs
+// concurrently: queries in batch order with costs charged inline, so the
+// service's id-ordered charge replay reproduces this trajectory bitwise.
+func queryCells(c *mpi.Comm, queries []geom.Envelope, opt JoinOptions) func(grid.Partition, map[int]*rtree.Tree[geom.Geometry], *Breakdown) {
+	return func(g grid.Partition, trees map[int]*rtree.Tree[geom.Geometry], bd *Breakdown) {
+		t1 := c.Now()
+		s := querySession(c, g, trees, opt)
+		for _, q := range queries {
+			bd.Pairs += s.Range(q, c.Compute, nil)
+		}
+		bd.Refine += c.Now() - t1
 	}
-	bd.Refine += c.Now() - t1
 }

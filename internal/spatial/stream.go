@@ -42,37 +42,23 @@ type IndexStream struct {
 //
 //vet:uniform — validates only the shared IndexOptions; identical options fail every rank identically
 func BuildIndexStream(c *mpi.Comm, opt IndexOptions) (*IndexStream, error) {
-	if opt.Partition != nil {
-		return newIndexStream(c, opt.Partition, opt.WindowCells, opt.SkipBadFrames)
-	}
-	if opt.Envelope == nil || opt.Envelope.IsEmpty() {
-		return nil, fmt.Errorf("spatial: BuildIndexStream requires a partition or a non-empty IndexOptions.Envelope")
-	}
-	g, err := uniformPartition(*opt.Envelope, opt.cells())
-	if err != nil {
-		return nil, fmt.Errorf("spatial: grid: %w", err)
-	}
-	return newIndexStream(c, g, opt.WindowCells, opt.SkipBadFrames)
+	return newIndexStream(c, opt.asJoin(), nil)
 }
 
-// newIndexStream opens the streaming exchange over an already-built
-// partition — the shared core of BuildIndexStream and the one-pass
-// RangeQueryFiles (whose grid granularity comes from JoinOptions instead).
-//
-//vet:uniform — only Partitioner.Stream grid validation can fail, and the partition is rank-uniform
-func newIndexStream(c *mpi.Comm, g grid.Partition, window int, skipBad bool) (*IndexStream, error) {
-	pt := &core.Partitioner{Grid: g, WindowCells: window, SkipBadFrames: skipBad}
+// newIndexStream resolves the partition (see resolvePartition for what a
+// nil local means) and opens the streaming exchange over it. A nil stream
+// with a nil error means the world holds no data.
+func newIndexStream(c *mpi.Comm, opt JoinOptions, local func() geom.Envelope) (*IndexStream, error) {
+	start := c.Now()
+	pt, err := resolvePartition(c, opt, local)
+	if err != nil || pt == nil {
+		return nil, err
+	}
 	ex, err := pt.Stream(c)
 	if err != nil {
 		return nil, err
 	}
-	return &IndexStream{
-		c:     c,
-		g:     g,
-		ex:    ex,
-		ci:    newCellIndexer(c, c.Config().Scale()),
-		start: c.Now(),
-	}, nil
+	return &IndexStream{c: c, g: pt.Grid, ex: ex, ci: newCellIndexer(c), start: start}, nil
 }
 
 // Add projects and stages one geometry batch. It is rank-local, never
@@ -105,105 +91,98 @@ func (s *IndexStream) Finish() (map[int]*rtree.Tree[geom.Geometry], Breakdown, e
 	return s.ci.trees, bd, nil
 }
 
-// BuildIndexFiles is the file-to-index pipeline: read a vector file with
-// MPI-Vector-IO and build the distributed per-cell R-tree index. With
-// IndexOptions.Envelope nil it runs two passes — materialize with
-// ReadPartition, then BuildIndex (MPI_UNION envelope, historical
-// behavior). With a caller-supplied envelope it runs one pass: the grid is
-// fixed up front and parsed batches stream through the Exchanger into the
-// per-phase tree builder, so reading, cell assignment, frame encoding, and
-// index construction overlap and no rank ever holds its full local slice.
-// Returns the cell indexes, the grid, and this rank's un-aggregated
-// breakdown. All ranks must call it collectively.
-func BuildIndexFiles(c *mpi.Comm, f *mpiio.File, parser core.Parser, readOpt core.ReadOptions, opt IndexOptions) (map[int]*rtree.Tree[geom.Geometry], grid.Partition, Breakdown, error) {
-	if opt.Envelope == nil && opt.Partition == nil {
-		t0 := c.Now()
-		local, _, err := core.ReadPartition(c, f, parser, readOpt)
-		if err != nil {
-			return nil, nil, Breakdown{}, fmt.Errorf("spatial: read: %w", err)
-		}
-		readTime := c.Now() - t0
-		trees, g, bd, err := BuildIndex(c, local, opt)
-		if err != nil {
-			return nil, nil, bd, err
-		}
-		bd.Read = readTime
-		bd.Total += readTime
-		return trees, g, bd, nil
-	}
-
+// runIndex is the one body behind BuildIndex, RangeQuery, ServeQuery and
+// the one-pass *Files pipelines: open the IndexStream (which resolves the
+// partition), feed it, finish the exchange — trees rise as each
+// sliding-window phase completes, so the materialized owned-cells map never
+// exists — then run the workload's query phase, if it has one, over the
+// finished trees. Returns the cell indexes, the partition whose cell ids
+// key them (nil when the world holds no data), and this rank's
+// un-aggregated breakdown; Read is the streamed file's I/O, boundary-repair
+// communication and parsing work (zero for a slice).
+func runIndex(c *mpi.Comm, opt JoinOptions, local func() geom.Envelope, src source,
+	query func(g grid.Partition, trees map[int]*rtree.Tree[geom.Geometry], bd *Breakdown)) (map[int]*rtree.Tree[geom.Geometry], grid.Partition, Breakdown, error) {
 	start := c.Now()
-	s, err := BuildIndexStream(c, opt)
+	s, err := newIndexStream(c, opt, local)
 	if err != nil {
 		return nil, nil, Breakdown{}, err
 	}
-	rstats, err := core.ReadStream(c, f, parser, readOpt, s.Add)
-	if err != nil {
+	if s == nil {
+		return map[int]*rtree.Tree[geom.Geometry]{}, nil, Breakdown{Total: c.Now() - start}, nil
+	}
+	var rstats core.ReadStats
+	if src.file == nil {
+		_ = s.Add(src.local) // a failed Add is sticky: Finish returns it, after running its collectives
+	} else if rstats, err = core.ReadStream(c, src.file, src.parser, src.readOpt, s.Add); err != nil {
 		// The read settled its error collectively: every rank abandons the
 		// exchange here, so nobody is stranded in Finish's collectives.
 		return nil, nil, Breakdown{}, fmt.Errorf("spatial: stream: %w", err)
 	}
 	trees, bd, err := s.Finish()
 	if err != nil {
-		return nil, s.Grid(), bd, err
+		return nil, nil, bd, err
 	}
 	bd.Read = rstats.IOTime + rstats.CommTime + rstats.ParseTime
+	if query != nil {
+		query(s.g, trees, &bd)
+	}
 	bd.Total = c.Now() - start
-	return trees, s.Grid(), bd, nil
+	return trees, s.g, bd, nil
+}
+
+// BuildIndexFiles is the file-to-index pipeline: read a vector file with
+// MPI-Vector-IO and build the distributed per-cell R-tree index. With
+// IndexOptions.Envelope and Partition nil it runs two passes — materialize
+// with ReadPartition, then BuildIndex (MPI_UNION envelope). With the
+// partition known up front it runs one pass: parsed batches stream through
+// the Exchanger into the per-phase tree builder, so reading, cell
+// assignment, frame encoding, and index construction overlap and no rank
+// ever holds its full local slice. Returns the cell indexes, the grid, and
+// this rank's un-aggregated breakdown. All ranks must call it collectively.
+func BuildIndexFiles(c *mpi.Comm, f *mpiio.File, parser core.Parser, readOpt core.ReadOptions, opt IndexOptions) (map[int]*rtree.Tree[geom.Geometry], grid.Partition, Breakdown, error) {
+	if opt.Envelope != nil || opt.Partition != nil {
+		return runIndex(c, opt.asJoin(), nil, source{file: f, parser: parser, readOpt: readOpt}, nil)
+	}
+	t0 := c.Now()
+	local, _, err := core.ReadPartition(c, f, parser, readOpt)
+	if err != nil {
+		return nil, nil, Breakdown{}, fmt.Errorf("spatial: read: %w", err)
+	}
+	readTime := c.Now() - t0
+	trees, g, bd, err := BuildIndex(c, local, opt)
+	if err != nil {
+		return nil, nil, bd, err
+	}
+	bd.Read = readTime
+	bd.Total += readTime
+	return trees, g, bd, nil
 }
 
 // RangeQueryFiles is the file-to-query pipeline: read a vector file,
 // grid-partition and index it, and evaluate a replicated batch of
 // rectangular range queries with filter-and-refine. With
-// JoinOptions.Envelope nil it runs two passes (ReadPartition, then
-// RangeQuery — historical behavior); with a caller-supplied envelope it
-// runs one pass, streaming parsed batches straight into the per-phase
-// index builder and querying the trees the moment the last phase lands —
-// the full local slice and the materialized owned-cells map never exist.
-// Returns this rank's un-aggregated breakdown; matches are per-rank until
-// aggregated. All ranks must call it collectively.
+// JoinOptions.Envelope and Partition nil it runs two passes (ReadPartition,
+// then RangeQuery); with the partition known up front it runs one pass,
+// streaming parsed batches straight into the per-phase index builder and
+// querying the trees the moment the last phase lands. Returns this rank's
+// un-aggregated breakdown; matches are per-rank until aggregated. All ranks
+// must call it collectively.
 func RangeQueryFiles(c *mpi.Comm, f *mpiio.File, parser core.Parser, readOpt core.ReadOptions, queries []geom.Envelope, opt JoinOptions) (Breakdown, error) {
-	if opt.Envelope == nil && opt.Partition == nil {
-		t0 := c.Now()
-		local, _, err := core.ReadPartition(c, f, parser, readOpt)
-		if err != nil {
-			return Breakdown{}, fmt.Errorf("spatial: read: %w", err)
-		}
-		readTime := c.Now() - t0
-		bd, err := RangeQuery(c, local, queries, opt)
-		if err != nil {
-			return bd, err
-		}
-		bd.Read = readTime
-		bd.Total += readTime
-		return bd, nil
+	if opt.Envelope != nil || opt.Partition != nil {
+		_, _, bd, err := runIndex(c, opt, nil, source{file: f, parser: parser, readOpt: readOpt}, queryCells(c, queries, opt))
+		return bd, err
 	}
-
-	start := c.Now()
-	g := opt.Partition
-	if g == nil {
-		if opt.Envelope.IsEmpty() {
-			return Breakdown{}, fmt.Errorf("spatial: streamed range query requires a non-empty envelope")
-		}
-		var err error
-		if g, err = uniformPartition(*opt.Envelope, opt.cells()); err != nil {
-			return Breakdown{}, fmt.Errorf("spatial: grid: %w", err)
-		}
-	}
-	s, err := newIndexStream(c, g, opt.WindowCells, opt.SkipBadFrames)
+	t0 := c.Now()
+	local, _, err := core.ReadPartition(c, f, parser, readOpt)
 	if err != nil {
-		return Breakdown{}, err
+		return Breakdown{}, fmt.Errorf("spatial: read: %w", err)
 	}
-	rstats, err := core.ReadStream(c, f, parser, readOpt, s.Add)
-	if err != nil {
-		return Breakdown{}, fmt.Errorf("spatial: stream: %w", err)
-	}
-	trees, bd, err := s.Finish()
+	readTime := c.Now() - t0
+	bd, err := RangeQuery(c, local, queries, opt)
 	if err != nil {
 		return bd, err
 	}
-	queryCells(c, g, trees, queries, opt, &bd)
-	bd.Read = rstats.IOTime + rstats.CommTime + rstats.ParseTime
-	bd.Total = c.Now() - start
+	bd.Read = readTime
+	bd.Total += readTime
 	return bd, nil
 }

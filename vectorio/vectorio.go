@@ -138,10 +138,10 @@
 //	})
 //
 // Two-pass, when the envelope is unknown: read first, derive the envelope
-// with the MPI_UNION Allreduce, then exchange — which is exactly what the
-// materialized entry points do, since ReadPartition and
-// Partitioner.Exchange are thin compositions over the same streaming core
-// (a collecting sink; one Add of the whole slice):
+// with the MPI_UNION Allreduce, then exchange. There is one read engine and
+// one exchange engine: ReadPartition is ReadStream with a collecting sink,
+// and Partitioner.Exchange is literally Stream, one Add of the whole slice,
+// Finish:
 //
 //	vectorio.Run(cfg, func(c *vectorio.Comm) error {
 //		local, _, err := vectorio.ReadPartition(c, f, vectorio.NewWKTParser(), vectorio.ReadOptions{})
@@ -154,9 +154,17 @@
 //		...
 //	})
 //
+// Because frames are always staged at Add, Partitioner.WindowCells bounds
+// each sliding-window phase's message size and the receive/decode memory,
+// not the send side: every phase's frames (compact bytes, released phase by
+// phase as FinishStream ships them) are staged up front, on the
+// materialized path on top of the caller's slice. No committed bench row
+// measures a materialized windowed exchange's heap — every materialized row
+// in BENCH_ingest.json and benchmark/ is single-phase.
+//
 // JoinFiles follows the same split: JoinOptions.Envelope nil runs the
-// historical two-pass pipeline, non-nil runs both inputs through the
-// one-pass streamed read-exchange. Custom sinks compose the same way —
+// two-pass pipeline, non-nil runs both inputs through the one-pass
+// streamed read-exchange. Custom sinks compose the same way —
 // ReadStream's batches arrive on the rank goroutine in deterministic file
 // order, a sink error is settled collectively (every rank of the read
 // agrees on the outcome, even under SkipErrors), and the batch slice is
@@ -175,8 +183,8 @@
 // exchange. BuildIndexFiles and RangeQueryFiles are the one-pass entry
 // points: file → stream → index (→ query) with no rank ever holding its
 // full local slice or owned-cells map. Like JoinFiles, they dispatch on
-// the envelope — nil runs the historical two-pass composition, non-nil
-// fixes the grid up front and streams:
+// the envelope — nil runs the two-pass composition, non-nil fixes the grid
+// up front and streams:
 //
 //	vectorio.Run(cfg, func(c *vectorio.Comm) error {
 //		world := vectorio.Envelope{MinX: -180, MinY: -90, MaxX: 180, MaxY: 90}
@@ -186,10 +194,10 @@
 //		...
 //	})
 //
-// The materialized BuildIndex and RangeQuery are thin wrappers over the
-// same streamed core (per-phase tree building inside the exchange), so
-// the two compositions produce identical per-cell indexes, query results,
-// stats, and — by construction — identical virtual-time trajectories;
+// The materialized BuildIndex, RangeQuery and ServeQuery run the same body
+// as the one-pass entry points — an IndexStream fed the whole slice in one
+// Add instead of by ReadStream — so the two compositions produce identical
+// per-cell indexes, query results, stats, and virtual-time trajectories;
 // internal/pipelinetest pins that equivalence bitwise across framings,
 // strategies, and worker counts, and BENCH_ingest.json's index_query rows
 // track the real-memory payoff (streamed peak heap at or below
@@ -565,10 +573,11 @@ type (
 	// Partitioner performs grid-based global spatial partitioning with the
 	// two-round all-to-all exchange.
 	Partitioner = core.Partitioner
-	// Exchanger is the Partitioner's streaming face: Add accepts geometry
-	// batches mid-read (for instance as a ReadStream sink), Finish runs the
-	// sliding-window exchange over the staged frames. Open one with
-	// Partitioner.Stream.
+	// Exchanger is the Partitioner's one exchange engine: Add accepts
+	// geometry batches (mid-read, for instance as a ReadStream sink) and
+	// stages their frames, Finish runs the sliding-window exchange over
+	// them. Open one with Partitioner.Stream; Partitioner.Exchange is the
+	// one-Add composition.
 	Exchanger = core.Exchanger
 	// ExchangeStats reports a rank's partitioning work.
 	ExchangeStats = core.ExchangeStats
