@@ -27,9 +27,6 @@ var MapOrder = &Analyzer{
 	Doc: "flag map iteration whose body appends to exchange/frame/send buffers, accumulates " +
 		"floats, or emits per-rank output: map order is random per run, so the effect is nondeterministic",
 	Scope: func(relDir string) bool {
-		if relDir == "internal/bench" || strings.HasPrefix(relDir, "internal/bench/") {
-			return false
-		}
 		return relDir == "internal" || strings.HasPrefix(relDir, "internal/")
 	},
 	Run: runMapOrder,

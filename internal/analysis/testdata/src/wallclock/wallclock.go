@@ -1,6 +1,6 @@
 // Package wallclock is the analysistest fixture for the wallclock
-// analyzer: reading real time outside the deadlock watchdog and
-// internal/bench breaks virtual-time determinism.
+// analyzer: reading real time outside the deadlock watchdog breaks
+// virtual-time determinism.
 package wallclock
 
 import "time"

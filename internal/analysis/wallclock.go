@@ -35,16 +35,12 @@ var wallclockExemptFiles = map[string]bool{
 // Virtual-time determinism (ROADMAP "bitwise identical trajectories",
 // pinned dynamically by internal/pipelinetest) dies silently if a stage
 // charges real durations: the numbers still look plausible, they just
-// stop replaying. internal/bench is exempt wholesale — its entire job is
-// measuring real time — as are tests (never loaded).
+// stop replaying. Tests are never loaded, so they are exempt.
 var Wallclock = &Analyzer{
 	Name: "wallclock",
 	Doc: "flag time.Now/Since/Sleep (and friends) in internal packages: virtual time must come " +
-		"from the simulated clock; only the mpi deadlock watchdog and internal/bench may read real time",
+		"from the simulated clock; only the mpi deadlock watchdog may read real time",
 	Scope: func(relDir string) bool {
-		if relDir == "internal/bench" || strings.HasPrefix(relDir, "internal/bench/") {
-			return false
-		}
 		return relDir == "internal" || strings.HasPrefix(relDir, "internal/")
 	},
 	Run: runWallclock,
@@ -77,7 +73,7 @@ func runWallclock(pass *Pass) error {
 				return true
 			}
 			if wallclockFuncs[obj.Name()] {
-				pass.Reportf(call.Pos(), "time.%s reads the wall clock: virtual time must come from the simulated clock (mpi.Comm.Now/Compute); only the mpi deadlock watchdog and internal/bench may observe real time", obj.Name())
+				pass.Reportf(call.Pos(), "time.%s reads the wall clock: virtual time must come from the simulated clock (mpi.Comm.Now/Compute); only the mpi deadlock watchdog may read real time", obj.Name())
 			}
 			return true
 		})

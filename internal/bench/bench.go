@@ -6,8 +6,10 @@
 package bench
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -150,19 +152,7 @@ func dataset(spec datagen.Spec, scale float64, params pfs.Params, stripeCount in
 // datasetWithStats is dataset exposing the generation statistics (record
 // count, real max record size — the halo bound of the overlap strategy).
 func datasetWithStats(spec datagen.Spec, scale float64, params pfs.Params, stripeCount int, virtStripe int64) (*pfs.File, datagen.Stats, error) {
-	return datasetEncodedWithStats(spec, scale, datagen.EncodingWKT, params, stripeCount, virtStripe)
-}
-
-// datasetEncoded generates (or reuses) a dataset in the given record
-// encoding — the text-vs-binary ingest comparison reads the same spec in
-// both.
-func datasetEncoded(spec datagen.Spec, scale float64, enc datagen.Encoding, params pfs.Params, stripeCount int, virtStripe int64) (*pfs.File, error) {
-	f, _, err := datasetEncodedWithStats(spec, scale, enc, params, stripeCount, virtStripe)
-	return f, err
-}
-
-func datasetEncodedWithStats(spec datagen.Spec, scale float64, enc datagen.Encoding, params pfs.Params, stripeCount int, virtStripe int64) (*pfs.File, datagen.Stats, error) {
-	key := fmt.Sprintf("%s|%.0f|%s|%s|%d|%d", spec.Name, scale, enc, params.Name, stripeCount, virtStripe)
+	key := fmt.Sprintf("%s|%.0f|%s|%d|%d", spec.Name, scale, params.Name, stripeCount, virtStripe)
 	if d, ok := datasetCache.Load(key); ok {
 		cd := d.(cachedDataset)
 		return cd.f, cd.stats, nil
@@ -171,7 +161,7 @@ func datasetEncodedWithStats(spec datagen.Spec, scale float64, enc datagen.Encod
 	if err != nil {
 		return nil, datagen.Stats{}, err
 	}
-	f, stats, err := datagen.GenerateFileEncoded(spec, scale, enc, fs, spec.Name+enc.Ext(), stripeCount, virtStripe)
+	f, stats, err := datagen.GenerateFile(spec, scale, fs, spec.Name+".wkt", stripeCount, virtStripe)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -205,13 +195,9 @@ func f64bytes(v float64) []byte {
 	return buf[:]
 }
 
+func putF64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
+
+func f64of(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+
 // seconds formats a time in seconds with sensible precision.
 func seconds(v float64) string { return fmt.Sprintf("%.2f", v) }
-
-// gbps formats a bandwidth in GB/s.
-func gbps(bytes float64, secs float64) string {
-	if secs <= 0 {
-		return "inf"
-	}
-	return fmt.Sprintf("%.2f", bytes/secs/1e9)
-}

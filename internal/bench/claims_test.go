@@ -149,35 +149,6 @@ func TestFig5Declustering(t *testing.T) {
 	}
 }
 
-// TestSkewAdaptiveBeatsUniform asserts the skew group's claim on the
-// extreme-skew preset: the sample-built adaptive partition must land a
-// lower per-rank exchange imbalance — geometries and bytes — than the
-// uniform grid with round-robin ownership, on the exact configuration the
-// BENCH_ingest.json skew rows report.
-func TestSkewAdaptiveBeatsUniform(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement")
-	}
-	uni, err := skewOnce(Config{}, datagen.Hotspot(), 4, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ada, err := skewOnce(Config{}, datagen.Hotspot(), 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uni.Records != ada.Records || uni.BytesRead != ada.BytesRead {
-		t.Fatalf("placements read different data: %d/%d records, %d/%d bytes",
-			uni.Records, ada.Records, uni.BytesRead, ada.BytesRead)
-	}
-	if ada.ByteImbalance >= uni.ByteImbalance {
-		t.Errorf("adaptive byte imbalance %.2f did not improve on uniform %.2f", ada.ByteImbalance, uni.ByteImbalance)
-	}
-	if ada.GeomImbalance >= uni.GeomImbalance {
-		t.Errorf("adaptive geom imbalance %.2f did not improve on uniform %.2f", ada.GeomImbalance, uni.GeomImbalance)
-	}
-}
-
 // TestAblationWindowPhases asserts the sliding window actually produces
 // multiple phases and conserves the exchange outcome.
 func TestAblationWindowPhases(t *testing.T) {

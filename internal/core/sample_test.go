@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/datagen"
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/mpi"
@@ -258,4 +259,78 @@ func TestSamplePartitionDrivesExchange(t *testing.T) {
 	if imb[0] < 1 {
 		t.Errorf("byte imbalance %v, want >= 1 after a real exchange", imb[0])
 	}
+}
+
+// TestSkewAdaptiveBeatsUniform pins the placement-quality claim of
+// SamplePartition on the extreme-skew preset: over the same file and read
+// options, the sample-built adaptive partition lands a strictly lower
+// max/mean per-rank exchange load — geometries and bytes — than the
+// uniform 16x16 grid with round-robin ownership.
+func TestSkewAdaptiveBeatsUniform(t *testing.T) {
+	spec := datagen.Hotspot()
+	fs, err := pfs.New(pfs.RogerGPFS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, _, err := datagen.GenerateFile(spec, spec.DefaultScale, fs, "hotspot.wkt", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := ReadOptions{BlockSize: 64 << 10}
+	world := geom.Envelope{MinX: -180, MinY: -90, MaxX: 180, MaxY: 90}
+	uniform, err := grid.New(world, 16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Denser than the defaults: the file is a few MB, so the default
+	// prefix and 64-bin histogram see too little of the hotspots for the
+	// quadtree to spread them.
+	_, adaptive := samplePartitions(t, pf, 4, opt, PartitionOptions{
+		Envelope:      &world,
+		SampleBytes:   pf.Size() / 4,
+		SampleStride:  4,
+		HistogramSide: 256,
+	})
+
+	type outcome struct {
+		records                      int
+		bytesRead                    int64
+		geomImbalance, byteImbalance float64
+	}
+	place := func(g grid.Partition) outcome {
+		var mu sync.Mutex
+		var out outcome
+		err := mpi.Run(cluster.Local(4), func(c *mpi.Comm) error {
+			pt := &Partitioner{Grid: g, DirectGrid: true}
+			_, rstats, estats, err := ReadExchange(c, mpiio.Open(c, pf, mpiio.Hints{}), WKTParser{}, opt, pt)
+			if err != nil {
+				return err
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			out.records += rstats.Records
+			out.bytesRead += rstats.BytesRead
+			if c.Rank() == 0 { // the imbalance factors are rank-identical
+				out.geomImbalance, out.byteImbalance = estats.GeomImbalance, estats.ByteImbalance
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	uni, ada := place(uniform), place(adaptive)
+	if uni.records == 0 || uni.records != ada.records || uni.bytesRead != ada.bytesRead {
+		t.Fatalf("placements read different data: %d/%d records, %d/%d bytes",
+			uni.records, ada.records, uni.bytesRead, ada.bytesRead)
+	}
+	if ada.byteImbalance >= uni.byteImbalance {
+		t.Errorf("adaptive byte imbalance %.2f did not improve on uniform %.2f", ada.byteImbalance, uni.byteImbalance)
+	}
+	if ada.geomImbalance >= uni.geomImbalance {
+		t.Errorf("adaptive geom imbalance %.2f did not improve on uniform %.2f", ada.geomImbalance, uni.geomImbalance)
+	}
+	t.Logf("byte imbalance %.2f -> %.2f, geom imbalance %.2f -> %.2f",
+		uni.byteImbalance, ada.byteImbalance, uni.geomImbalance, ada.geomImbalance)
 }

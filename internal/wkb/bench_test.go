@@ -7,8 +7,7 @@ import (
 )
 
 // Decode throughput fixtures, mirroring internal/wkt's benchmark suite so
-// the two scanners' trajectories stay comparable (BENCH_ingest.json tracks
-// the same fixtures via the bench harness).
+// the two scanners' numbers stay comparable.
 var benchLS = func() []byte {
 	pts := make([]geom.Point, 8)
 	for i := range pts {

@@ -56,8 +56,8 @@
 // by that many bytes of WKB (AppendWKBRecord writes one; GenerateEncoded
 // with EncodingWKB writes whole datasets). The binary path does no float
 // scanning at all, so ingest throughput approaches raw I/O bandwidth
-// (paper Figures 12/15 — and BENCH_ingest.json tracks the measured
-// text-vs-binary ratio):
+// (paper Figures 12/15 — and benchmark/'s per-layer trace reports
+// wkt.parse_mb_s beside wkb.decode_mb_s over the same layer):
 //
 //	vectorio.Run(cfg, func(c *vectorio.Comm) error {
 //		p := vectorio.NewWKBParser() // per-rank, not shared
@@ -87,8 +87,8 @@
 // ReadOptions.ParseWorkers > 0 fans record parsing out to that many worker
 // goroutines per rank, overlapping parse work with the next block's I/O and
 // the boundary exchange — on a multi-core host this lifts text-ingest
-// throughput, which is parse-bound (see BENCH_ingest.json's worker-scaling
-// rows). Two guarantees hold for any worker count:
+// throughput, which is parse-bound. Two guarantees hold for any worker
+// count:
 //
 //   - Ordering: the geometry slice each rank returns is identical, order
 //     included, to the serial path. Whole-record regions are sharded into
@@ -120,8 +120,8 @@
 // staged frames. Reading, cell assignment, and frame encoding overlap
 // instead of running as separate passes, and peak memory drops from the
 // full local geometry slice to one batch plus the compact serialized
-// frames (BENCH_ingest.json's read+exchange rows track the measured
-// ratio).
+// frames (benchmark/'s partition_wkb workload measures this path's
+// throughput and peak heap).
 //
 // The grid needs a global envelope before the first cell can be assigned,
 // which splits the pipeline into two flavors. One-pass, when the caller
@@ -158,9 +158,9 @@
 // each sliding-window phase's message size and the receive/decode memory,
 // not the send side: every phase's frames (compact bytes, released phase by
 // phase as FinishStream ships them) are staged up front, on the
-// materialized path on top of the caller's slice. No committed bench row
-// measures a materialized windowed exchange's heap — every materialized row
-// in BENCH_ingest.json and benchmark/ is single-phase.
+// materialized path on top of the caller's slice. No benchmark workload
+// measures a materialized windowed exchange's heap — join_polys, the
+// materialized workload in benchmark/, is single-phase.
 //
 // JoinFiles follows the same split: JoinOptions.Envelope nil runs the
 // two-pass pipeline, non-nil runs both inputs through the one-pass
@@ -199,9 +199,7 @@
 // Add instead of by ReadStream — so the two compositions produce identical
 // per-cell indexes, query results, stats, and virtual-time trajectories;
 // internal/pipelinetest pins that equivalence bitwise across framings,
-// strategies, and worker counts, and BENCH_ingest.json's index_query rows
-// track the real-memory payoff (streamed peak heap at or below
-// materialized).
+// strategies, and worker counts.
 //
 // A slow consumer no longer serializes with the read either:
 // ReadOptions.SinkOverlap moves the sink onto a dedicated goroutine with
@@ -247,10 +245,11 @@
 // adaptive partition too. ExchangeStats reports each exchange's realized
 // balance: GeomImbalance and ByteImbalance are max/mean per-rank load
 // factors (1.0 = perfectly balanced), identical on every rank, and
-// surfaced through the spatial workloads' Breakdown. BENCH_ingest.json's
-// skew rows track uniform-vs-adaptive placement on skewed datasets; the
-// Hotspot dataset preset is the extreme-skew stress layer, and the
-// ZipfSkew knob on DatasetSpec dials cluster skew for custom ones.
+// surfaced through the spatial workloads' Breakdown. The Hotspot dataset
+// preset is the extreme-skew stress layer — internal/core's
+// TestSkewAdaptiveBeatsUniform pins the adaptive placement below the
+// uniform grid's imbalance on it — and the ZipfSkew knob on DatasetSpec
+// dials cluster skew for custom ones.
 //
 // # Resident query service
 //
@@ -291,11 +290,11 @@
 // over the same queries would have, however the real scheduler
 // interleaved the serving. internal/pipelinetest pins that equivalence —
 // answers and clock — across partition families and client counts, and
-// BENCH_ingest.json's serve rows track real QPS and latency percentiles
-// under concurrent load. Session is the underlying single-rank
-// evaluation core (the filter-and-refine loop RangeQuery itself runs);
-// NewSession composes with hand-built trees when the full pipeline is
-// not wanted. See examples/servequery for a complete program.
+// benchmark/'s serve_range workload measures real QPS and latency
+// percentiles. Session is the underlying single-rank evaluation core (the
+// filter-and-refine loop RangeQuery itself runs); NewSession composes
+// with hand-built trees when the full pipeline is not wanted. See
+// examples/servequery for a complete program.
 //
 // # Failure semantics and fault injection
 //
