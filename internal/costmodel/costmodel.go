@@ -88,7 +88,9 @@ const (
 )
 
 // RefineCost returns the modeled cost of one exact intersection test
-// between geometries with na and nb vertices.
+// between geometries with na and nb vertices. The charge models GEOS, not
+// this repository's geom package: it is the same whichever of geom's
+// kernels answered and however early that kernel stopped.
 func RefineCost(na, nb int) float64 {
 	return refineBase + refinePerVertexPair*float64(na)*float64(nb)
 }

@@ -5,14 +5,50 @@ package geom
 // spatial join definition (§2): it returns true iff the two shapes share any
 // portion of space. The refine phase of filter-and-refine calls these exact
 // routines after the MBR filter has discarded the cheap negatives.
+//
+// There are two kernels, and each is pinned to the plain all-pairs
+// definition by a differential test (kernels_test.go):
+//
+//   - The general path crosses every ring of one operand against every ring
+//     of the other, segment pair by segment pair, with a per-pair envelope
+//     pre-test (polylinesCross), then settles containment with
+//     PointInPolygon. polylinesCross first clips both vertex runs to the
+//     window W = env(a) ∩ env(b). Invariant: a pair whose segment envelopes
+//     meet has both envelopes meeting W, so clipping drops only pairs the
+//     pre-test would have dropped — the set of pairs handed to
+//     SegmentsIntersect, and therefore the boolean, is that of the naive
+//     double loop.
+//   - The rectangle kernel (IntersectsRect) answers geometry × axis-aligned
+//     rectangle. Invariant: it returns what the general path returns on the
+//     rectangle's polygon. Its shortcuts are exact consequences of the
+//     general path's own arithmetic on axis-aligned edges, not
+//     approximations of it, and the segments it cannot settle by comparison
+//     go through the same SegmentsIntersect against the same four edges.
+//
+// Neither kernel stores anything per geometry or allocates.
 
 // Intersects reports whether geometries a and b share at least one point.
-// An envelope pre-test short-circuits disjoint pairs, mirroring the filter
-// step GEOS applies internally.
+// When either operand is an axis-aligned rectangle polygon (a range query's
+// Envelope.ToPolygon(), a rectangular join input) the rectangle kernel
+// answers; every other pair takes the general path.
 func Intersects(a, b Geometry) bool {
 	if a == nil || b == nil {
 		return false
 	}
+	if r, shell, ok := rectOf(b); ok {
+		return rectIntersects(a, r, shell)
+	}
+	if r, shell, ok := rectOf(a); ok {
+		return rectIntersects(b, r, shell)
+	}
+	return intersectsGeneral(a, b)
+}
+
+// intersectsGeneral is the all-types path with no rectangle dispatch (it
+// recurses into itself, so the differential tests can hold the rectangle
+// kernel against it). An envelope pre-test short-circuits disjoint pairs,
+// mirroring the filter step GEOS applies internally.
+func intersectsGeneral(a, b Geometry) bool {
 	if !a.Envelope().Intersects(b.Envelope()) {
 		return false
 	}
@@ -41,27 +77,27 @@ func Intersects(a, b Geometry) bool {
 	}
 }
 
-// distribute expands a Multi* left operand into per-component Intersects
+// distribute expands a Multi* left operand into per-component general-path
 // calls. The second result reports whether a was a multi-geometry.
 func distribute(a, b Geometry) (hit, ok bool) {
 	switch g := a.(type) {
 	case *MultiPoint:
 		for _, p := range g.Pts {
-			if Intersects(p, b) {
+			if intersectsGeneral(p, b) {
 				return true, true
 			}
 		}
 		return false, true
 	case *MultiLineString:
 		for i := range g.Lines {
-			if Intersects(&g.Lines[i], b) {
+			if intersectsGeneral(&g.Lines[i], b) {
 				return true, true
 			}
 		}
 		return false, true
 	case *MultiPolygon:
 		for i := range g.Polys {
-			if Intersects(&g.Polys[i], b) {
+			if intersectsGeneral(&g.Polys[i], b) {
 				return true, true
 			}
 		}
@@ -69,6 +105,167 @@ func distribute(a, b Geometry) (hit, ok bool) {
 	default:
 		return false, false
 	}
+}
+
+// rectOf reports whether g is a non-degenerate axis-aligned rectangle
+// polygon — a hole-free closed 5-point shell whose vertices are the four
+// corners of its own envelope in cyclic order, either orientation, any
+// starting corner — and returns that envelope and the shell. O(1).
+func rectOf(g Geometry) (r Envelope, shell *[5]Point, ok bool) {
+	p, isPoly := g.(*Polygon)
+	if !isPoly || len(p.Holes) != 0 || len(p.Shell) != 5 || p.Shell[0] != p.Shell[4] {
+		return Envelope{}, nil, false
+	}
+	s := (*[5]Point)(p.Shell)
+	// s[0] and s[2] are opposite corners; s[1] and s[3] must be the other
+	// two, so that the edges alternate between the axes.
+	if s[0].X == s[2].X || s[0].Y == s[2].Y {
+		return Envelope{}, nil, false
+	}
+	xFirst := s[1].Y == s[0].Y && s[1].X == s[2].X && s[3].Y == s[2].Y && s[3].X == s[0].X
+	yFirst := s[1].X == s[0].X && s[1].Y == s[2].Y && s[3].X == s[2].X && s[3].Y == s[0].Y
+	if !xFirst && !yFirst {
+		return Envelope{}, nil, false
+	}
+	return segBox(s[0], s[2]), s, true
+}
+
+// IntersectsRect reports whether g shares at least one point with the
+// closed axis-aligned rectangle r. It is the exact refine step of a range
+// query: the answer is that of Intersects(g, r.ToPolygon()), reached
+// without building the polygon and, for most candidates, without visiting
+// every vertex. A zero-width, zero-height or empty r is not a rectangle
+// polygon; the general path decides it.
+func IntersectsRect(g Geometry, r Envelope) bool {
+	if g == nil {
+		return false
+	}
+	if !(r.MinX < r.MaxX && r.MinY < r.MaxY) {
+		return intersectsGeneral(g, r.ToPolygon())
+	}
+	c := r.Corners()
+	shell := [5]Point{c[0], c[1], c[2], c[3], c[0]}
+	return rectIntersects(g, r, &shell)
+}
+
+// rectIntersects is the rectangle kernel: g against the rectangle whose
+// envelope is r and whose boundary the general path would walk as shell.
+// Every step is the general path's own outcome, reached cheaply:
+//
+//   - r contains g's envelope: g's first vertex lies in r, which the general
+//     path accepts (a point is in a rectangle polygon iff it is in r).
+//   - a vertex on r's boundary: its segment meets the edge it lies on —
+//     orientation against an axis-aligned edge is exactly zero there.
+//   - a segment whose endpoints' Cohen–Sutherland outcodes share a bit, or
+//     are both strictly inside r: its envelope misses all four edge
+//     envelopes, so the general path's pre-test skips it.
+//   - what is left goes through SegmentsIntersect against the four edges,
+//     and containment is settled by PointInPolygon on shell[0], as in the
+//     general path.
+//
+// So the cost follows how soon the answer is known — O(1) for a contained
+// candidate, the distance to the first boundary crossing for a straddling
+// one — and only a disjoint or enclosing polygon is walked in full.
+func rectIntersects(g Geometry, r Envelope, shell *[5]Point) bool {
+	env := g.Envelope()
+	if !env.Intersects(r) {
+		return false
+	}
+	if r.Contains(env) {
+		return true
+	}
+	// A Point never gets this far: its envelope is itself.
+	switch g := g.(type) {
+	case *LineString:
+		return len(g.Pts) > 0 &&
+			(r.ContainsPoint(g.Pts[0].X, g.Pts[0].Y) || runMeetsRect(g.Pts, r, shell))
+	case *Polygon:
+		if len(g.Shell) > 0 && r.ContainsPoint(g.Shell[0].X, g.Shell[0].Y) {
+			return true
+		}
+		if runMeetsRect(g.Shell, r, shell) {
+			return true
+		}
+		for _, h := range g.Holes {
+			if runMeetsRect(h, r, shell) {
+				return true
+			}
+		}
+		return PointInPolygon(shell[0], g)
+	case *MultiPoint:
+		for _, p := range g.Pts {
+			if r.ContainsPoint(p.X, p.Y) {
+				return true
+			}
+		}
+	case *MultiLineString:
+		for i := range g.Lines {
+			if rectIntersects(&g.Lines[i], r, shell) {
+				return true
+			}
+		}
+	case *MultiPolygon:
+		for i := range g.Polys {
+			if rectIntersects(&g.Polys[i], r, shell) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Cohen–Sutherland outcode bits: which side of r a vertex lies strictly
+// beyond. Zero means inside or on the boundary.
+const (
+	outLeft = 1 << iota
+	outRight
+	outBelow
+	outAbove
+)
+
+// runMeetsRect reports whether any segment of the vertex run pts shares a
+// point with the boundary of r — polylinesCross(pts, shell[:]) — with one
+// outcode per vertex deciding, by comparison alone, all but the segments
+// that actually pass by the rectangle.
+func runMeetsRect(pts []Point, r Envelope, shell *[5]Point) bool {
+	if len(pts) < 2 {
+		return false
+	}
+	prev := 0
+	for i, v := range pts {
+		code := 0
+		if v.X < r.MinX {
+			code = outLeft
+		} else if v.X > r.MaxX {
+			code = outRight
+		}
+		if v.Y < r.MinY {
+			code |= outBelow
+		} else if v.Y > r.MaxY {
+			code |= outAbove
+		}
+		if code == 0 && (v.X == r.MinX || v.X == r.MaxX || v.Y == r.MinY || v.Y == r.MaxY) {
+			return true
+		}
+		// Both codes zero here means both endpoints strictly inside.
+		if i > 0 && prev&code == 0 && prev|code != 0 && segmentMeetsRing(pts[i-1], v, shell) {
+			return true
+		}
+		prev = code
+	}
+	return false
+}
+
+// segmentMeetsRing is the general path's inner loop for one segment
+// against the rectangle's four edges.
+func segmentMeetsRing(p, q Point, shell *[5]Point) bool {
+	box := segBox(p, q)
+	for j := 1; j < len(shell); j++ {
+		if boxesMeet(box, segBox(shell[j-1], shell[j])) && SegmentsIntersect(p, q, shell[j-1], shell[j]) {
+			return true
+		}
+	}
+	return false
 }
 
 // pointIntersects handles point vs. simple type with GeomType >= TypePoint.
@@ -149,17 +346,38 @@ func pointOnLine(p Point, pts []Point) bool {
 	return false
 }
 
+// segBox is the closed bounding box of segment pq.
+func segBox(p, q Point) Envelope {
+	return Envelope{min(p.X, q.X), min(p.Y, q.Y), max(p.X, q.X), max(p.Y, q.Y)}
+}
+
+// boxesMeet is Envelope.Intersects for boxes known to be non-empty.
+func boxesMeet(a, b Envelope) bool {
+	return a.MinX <= b.MaxX && b.MinX <= a.MaxX && a.MinY <= b.MaxY && b.MinY <= a.MaxY
+}
+
 // polylinesCross reports whether any segment of a intersects any segment of
-// b. Envelope pre-tests per segment keep the O(n*m) loop cheap; the paper's
-// workloads call this only on filter survivors inside a single grid cell.
+// b: SegmentsIntersect over every pair whose segment envelopes meet. Such a
+// pair meets inside W = env(a) ∩ env(b), so both runs are first clipped to
+// the segments that meet W — n + m comparisons that spare a small polygon
+// against a large one the n·m pre-tests. The longer clipped run drives the
+// outer loop, where a segment missing W skips its whole inner loop.
 func polylinesCross(a, b []Point) bool {
+	w := EnvelopeOf(a).Intersection(EnvelopeOf(b))
+	if w.IsEmpty() {
+		return false
+	}
+	a, b = clipRun(a, w), clipRun(b, w)
+	if len(a) < len(b) {
+		a, b = b, a // SegmentsIntersect is symmetric in its two segments
+	}
 	for i := 1; i < len(a); i++ {
-		segEnv := segmentEnvelope(a[i-1], a[i])
+		box := segBox(a[i-1], a[i])
+		if !boxesMeet(box, w) {
+			continue
+		}
 		for j := 1; j < len(b); j++ {
-			if !segEnv.Intersects(segmentEnvelope(b[j-1], b[j])) {
-				continue
-			}
-			if SegmentsIntersect(a[i-1], a[i], b[j-1], b[j]) {
+			if boxesMeet(box, segBox(b[j-1], b[j])) && SegmentsIntersect(a[i-1], a[i], b[j-1], b[j]) {
 				return true
 			}
 		}
@@ -167,9 +385,21 @@ func polylinesCross(a, b []Point) bool {
 	return false
 }
 
-func segmentEnvelope(a, b Point) Envelope {
-	e := Envelope{a.X, a.Y, a.X, a.Y}
-	return e.ExpandToPoint(b.X, b.Y)
+// clipRun trims from both ends of a vertex run the segments whose envelope
+// misses w, returning the sub-run from the first to the last segment that
+// meets it (nil when none does).
+func clipRun(pts []Point, w Envelope) []Point {
+	lo, hi := 1, len(pts)-1
+	for lo <= hi && !boxesMeet(segBox(pts[lo-1], pts[lo]), w) {
+		lo++
+	}
+	for hi > lo && !boxesMeet(segBox(pts[hi-1], pts[hi]), w) {
+		hi--
+	}
+	if lo > hi {
+		return nil
+	}
+	return pts[lo-1 : hi+1]
 }
 
 // linePolygonIntersects: a line meets a polygon if an endpoint is inside it
@@ -178,24 +408,21 @@ func linePolygonIntersects(l *LineString, poly *Polygon) bool {
 	if len(l.Pts) == 0 {
 		return false
 	}
-	if PointInPolygon(l.Pts[0], poly) {
-		return true
-	}
-	if polylinesCross(l.Pts, poly.Shell) {
-		return true
-	}
-	for _, h := range poly.Holes {
-		if polylinesCross(l.Pts, h) {
-			return true
-		}
-	}
-	return false
+	return PointInPolygon(l.Pts[0], poly) || ringsCross(l.Pts, poly)
 }
 
-// polygonsIntersect: boundaries cross, or one polygon contains the other.
+// polygonsIntersect: some ring of one crosses some ring of the other, or
+// one polygon contains the other. Holes count: a polygon whose first vertex
+// sits inside the other's hole can still reach its material across the hole
+// ring without ever meeting the shell.
 func polygonsIntersect(a, b *Polygon) bool {
-	if polylinesCross(a.Shell, b.Shell) {
+	if ringsCross(a.Shell, b) {
 		return true
+	}
+	for _, h := range a.Holes {
+		if ringsCross(h, b) {
+			return true
+		}
 	}
 	// No boundary crossing: either disjoint or one inside the other.
 	if len(b.Shell) > 0 && PointInPolygon(b.Shell[0], a) {
@@ -207,19 +434,33 @@ func polygonsIntersect(a, b *Polygon) bool {
 	return false
 }
 
+// ringsCross reports whether the vertex run crosses the shell or a hole
+// ring of b.
+func ringsCross(run []Point, b *Polygon) bool {
+	if polylinesCross(run, b.Shell) {
+		return true
+	}
+	for _, h := range b.Holes {
+		if polylinesCross(run, h) {
+			return true
+		}
+	}
+	return false
+}
+
 // orientation returns >0 if (a,b,c) turn counter-clockwise, <0 clockwise,
 // 0 if collinear.
 func orientation(a, b, c Point) float64 {
 	return (b.X-a.X)*(c.Y-a.Y) - (b.Y-a.Y)*(c.X-a.X)
 }
 
-// onSegment reports whether collinearity-tested point p lies on segment ab.
+// onSegment reports whether p lies on segment ab. The bounding-box
+// comparisons run first: they settle all but a few segments of a ring
+// without the orientation product.
 func onSegment(a, b, p Point) bool {
-	if orientation(a, b, p) != 0 {
-		return false
-	}
 	return min(a.X, b.X) <= p.X && p.X <= max(a.X, b.X) &&
-		min(a.Y, b.Y) <= p.Y && p.Y <= max(a.Y, b.Y)
+		min(a.Y, b.Y) <= p.Y && p.Y <= max(a.Y, b.Y) &&
+		orientation(a, b, p) == 0
 }
 
 // SegmentsIntersect reports whether closed segments p1p2 and p3p4 share a

@@ -83,6 +83,13 @@ func TestIntersectsPairs(t *testing.T) {
 	line := &LineString{Pts: []Point{{-1, 0.5}, {2, 0.5}}}
 	outsideLine := &LineString{Pts: []Point{{3, 3}, {4, 4}}}
 	insideLine := &LineString{Pts: []Point{{0.2, 0.2}, {0.8, 0.8}}}
+	donut := &Polygon{
+		Shell: []Point{{0, 0}, {10, 0}, {10, 10}, {0, 10}, {0, 0}},
+		Holes: [][]Point{{{2, 2}, {8, 2}, {8, 8}, {2, 8}, {2, 2}}},
+	}
+	// First vertex inside the hole, reaching the material across the hole
+	// ring only — as a rectangle and as a general polygon.
+	acrossHole := &Polygon{Shell: []Point{{3, 3}, {9, 4}, {3, 5}, {3, 3}}}
 
 	cases := []struct {
 		name string
@@ -102,6 +109,10 @@ func TestIntersectsPairs(t *testing.T) {
 		{"poly-poly-disjoint", sq, far, false},
 		{"poly-contains-poly", containing, sq, true},
 		{"poly-inside-poly", sq, containing, true},
+		{"rect-straddles-hole-only", donut, Envelope{3, 3, 9, 5}.ToPolygon(), true},
+		{"rect-inside-hole", donut, Envelope{3, 3, 5, 5}.ToPolygon(), false},
+		{"poly-straddles-hole-only", donut, acrossHole, true},
+		{"poly-inside-hole", donut, &Polygon{Shell: []Point{{3, 3}, {7, 4}, {3, 5}, {3, 3}}}, false},
 		{"line-line-cross", line, &LineString{Pts: []Point{{0.5, 0}, {0.5, 1}}}, true},
 		{"line-line-miss", line, outsideLine, false},
 		{"multipoint-hit", &MultiPoint{Pts: []Point{{9, 9}, {0.5, 0.5}}}, sq, true},

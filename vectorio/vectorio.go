@@ -293,8 +293,13 @@
 // benchmark/'s serve_range workload measures real QPS and latency
 // percentiles. Session is the underlying single-rank evaluation core (the
 // filter-and-refine loop RangeQuery itself runs); NewSession composes
-// with hand-built trees when the full pipeline is not wanted. See
-// examples/servequery for a complete program.
+// with hand-built trees when the full pipeline is not wanted. The refine
+// step is Intersects: against a query rectangle it costs what the answer
+// takes to establish — O(1) for a candidate the rectangle contains, the
+// walk to the first boundary crossing for one that straddles it — rather
+// than the candidate's vertex count, and the modeled refine charge on the
+// virtual clock is independent of that. See examples/servequery for a
+// complete program.
 //
 // # Failure semantics and fault injection
 //
@@ -692,7 +697,9 @@ var (
 	// DecodeWKBRecord decodes one length-prefixed WKB record.
 	DecodeWKBRecord = wkb.DecodeFramed
 	// Intersects is the exact-geometry intersection predicate used in the
-	// refine phase.
+	// refine phase. A rectangle polygon operand (Envelope.ToPolygon) is
+	// answered by a rectangle kernel, every other pair by a window-clipped
+	// segment-pair test; neither allocates.
 	Intersects = geom.Intersects
 )
 
