@@ -9,9 +9,11 @@
 // share a query stream: each request is routed only to the ranks whose
 // cells it overlaps, concurrent requests coalesce into per-rank admission
 // rounds, and every answer is deterministic (merged in ascending-cell rank
-// order over immutable trees). Because each request's virtual-time cost is
-// replayed in request-id order after the service closes, the final virtual
-// clock matches the batch RangeQuery over the same queries bitwise.
+// order over immutable trees). The service retains nothing per answered
+// request and charges no virtual time for serving; a harness that wants the
+// final virtual clock to match the batch RangeQuery over the same queries
+// bitwise calls svc.Record() first, which replays each request's cost in
+// request-id order after the service closes.
 //
 // Run with: go run ./examples/servequery
 package main

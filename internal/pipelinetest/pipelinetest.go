@@ -363,6 +363,7 @@ func RunServeE(cfg Config, clients int) (*Result, []error, error) {
 	jopt := spatial.JoinOptions{GridCells: cfg.GridCells, WindowCells: cfg.WindowCells, Envelope: &env, Partition: cfg.Partition}
 
 	svc := serve.NewService(cfg.Ranks)
+	svc.Record() // the replay is what pins the served clock to the batch one
 	var clientErr error
 	var clientMu sync.Mutex
 	var cwg sync.WaitGroup

@@ -19,7 +19,12 @@ import (
 // geometries are struct literals whose envelope caches are deliberately
 // cold — NewSession's priming pass is what makes querying them from many
 // goroutines race-free, and the -race concurrency tests below depend on it.
-func buildWorld(t *testing.T, g grid.Partition, size int, geoms []geom.Geometry) []*Session {
+func buildWorld(t testing.TB, g grid.Partition, size int, geoms []geom.Geometry) []*Session {
+	return buildWorldPred(t, g, size, geoms, nil)
+}
+
+// buildWorldPred is buildWorld with a custom refinement predicate.
+func buildWorldPred(t testing.TB, g grid.Partition, size int, geoms []geom.Geometry, pred func(a, b geom.Geometry) bool) []*Session {
 	t.Helper()
 	cells := make(map[int][]rtree.Item[geom.Geometry])
 	for _, gg := range geoms {
@@ -45,7 +50,7 @@ func buildWorld(t *testing.T, g grid.Partition, size int, geoms []geom.Geometry)
 			}
 		}
 		sessions[r] = NewSession(SessionConfig{
-			Partition: g, Rank: r, Size: size, Scale: 1, Trees: trees,
+			Partition: g, Rank: r, Size: size, Scale: 1, Trees: trees, Predicate: pred,
 		})
 	}
 	return sessions
@@ -80,10 +85,19 @@ func answerSet(res Result) []string {
 }
 
 // runService registers the sessions of one hand-built world with a fresh
-// Service and returns it ready for client traffic.
-func runService(t *testing.T, sessions []*Session) *Service {
+// default Service — no replay recorder — and returns it ready for client
+// traffic.
+func runService(t testing.TB, sessions []*Session) *Service {
+	return startService(t, sessions, false)
+}
+
+// startService is runService with the replay recorder optionally installed.
+func startService(t testing.TB, sessions []*Session, record bool) *Service {
 	t.Helper()
 	svc := NewService(len(sessions))
+	if record {
+		svc.Record()
+	}
 	for r, s := range sessions {
 		svc.Register(r, s)
 	}
@@ -292,7 +306,9 @@ func TestRangeRoutesOnlyOwningRanks(t *testing.T) {
 // TestDrainChargesDeterministic runs the same traffic through two services
 // — one serial, one with interleaved submission order — and requires the
 // drained charge sequences to be identical: the replay is keyed by request
-// id, so admission order must not leak into the virtual clock.
+// id, so admission order must not leak into the virtual clock. It also pins
+// DrainCharges' one-pass fill: ascending request id, each request's charges
+// in evaluation order, the record reset by the read.
 func TestDrainChargesDeterministic(t *testing.T) {
 	world := geom.Envelope{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
 	g, err := grid.New(world, 6, 6)
@@ -310,7 +326,7 @@ func TestDrainChargesDeterministic(t *testing.T) {
 
 	drained := make([][][]float64, 2)
 	for variant := range drained {
-		svc := runService(t, sessions)
+		svc := startService(t, sessions, true)
 		if variant == 0 {
 			for qi, q := range queries {
 				if _, err := svc.Range(uint64(qi), q); err != nil {
@@ -334,6 +350,9 @@ func TestDrainChargesDeterministic(t *testing.T) {
 		drained[variant] = make([][]float64, ranks)
 		for r := 0; r < ranks; r++ {
 			drained[variant][r] = svc.DrainCharges(r)
+			if again := svc.DrainCharges(r); len(again) != 0 {
+				t.Errorf("rank %d: second DrainCharges returned %d charges, want the record reset", r, len(again))
+			}
 		}
 	}
 	for r := 0; r < ranks; r++ {
@@ -342,6 +361,16 @@ func TestDrainChargesDeterministic(t *testing.T) {
 		}
 		if len(drained[0][r]) == 0 {
 			t.Errorf("rank %d recorded no charges", r)
+		}
+		// The service's sequence must be the batch loop's: the same queries
+		// in id order through a Cursor with costs taken inline.
+		var batch []float64
+		cu := sessions[r].Cursor()
+		for _, q := range queries {
+			cu.Range(q, func(d float64) { batch = append(batch, d) }, nil)
+		}
+		if !reflect.DeepEqual(drained[0][r], batch) {
+			t.Errorf("rank %d: drained charges differ from the batch loop's sequence", r)
 		}
 	}
 }

@@ -2,7 +2,8 @@
 // indexes standing behind a serve.Service instead of evaluating one batch
 // and exiting. The evaluation core is the same serve.Session the batch
 // workloads wrap (queryCells/joinCells), so a served request and its batch
-// twin produce identical answers and identical virtual-clock charges.
+// twin produce identical answers and — when the service records them —
+// identical virtual-clock charges.
 package spatial
 
 import (
@@ -16,12 +17,17 @@ import (
 // Serve runs this rank's share of a resident query service over finished
 // cell trees: it registers a Session with svc, parks until svc.Close()
 // (channel-based — no virtual time passes and no MPI operation is pending,
-// so the deadlock watchdog stays quiet), then charges the recorded
-// virtual-clock costs of every request this rank served at this single
-// program point, in ascending request-id order. Clients numbering requests
-// by batch index therefore leave the clock bitwise where the batch
-// RangeQuery over the same queries would have — however many goroutines
-// served them and however the scheduler interleaved the rounds.
+// so the deadlock watchdog stays quiet), then replays exactly what svc's
+// recorder holds. A default Service records nothing, so serving advances
+// the clock by nothing (Breakdown.Refine == 0) and the service's memory
+// does not grow with the requests it answers. On a Service with the replay
+// recorder installed (serve.Service.Record — the equivalence harnesses),
+// the recorded virtual-clock costs of every request this rank served are
+// charged at this single program point, in ascending request-id order:
+// clients numbering requests by batch index then leave the clock bitwise
+// where the batch RangeQuery over the same queries would have — however
+// many goroutines served them and however the scheduler interleaved the
+// rounds.
 //
 // Client goroutines drive svc.Range concurrently from outside the MPI
 // world and must never touch a Comm; the rank goroutines touch svc only
@@ -46,7 +52,8 @@ func Serve(c *mpi.Comm, svc *serve.Service, g grid.Partition, trees map[int]*rtr
 // ServeQuery is RangeQuery's resident sibling: the same partition,
 // exchange, and per-phase index build (identical virtual-clock trajectory),
 // but instead of evaluating a replicated query batch it hands the finished
-// trees to Serve and parks until the service closes. The partition must be
+// trees to Serve and parks until the service closes (the query phase costs
+// virtual time only on a recording Service; see Serve). The partition must be
 // known up front — JoinOptions.Partition or a non-empty
 // JoinOptions.Envelope — because a resident service cannot derive the
 // world from queries it has not seen yet. All ranks must call it

@@ -264,9 +264,10 @@ func joinCells(c *mpi.Comm, g grid.Partition, cellsR, cellsS map[int][]geom.Geom
 	// Candidate counts follow the *product* of the two densities, so each
 	// real candidate pair stands for scale^2 full-size pairs — the filter's
 	// per-candidate term and the refinement tests are charged accordingly
-	// (Session.JoinCell's chargeScale).
+	// (Cursor.JoinCell's chargeScale). One cursor for the whole loop: every
+	// probe filters into the same recycled candidate buffer.
 	t1 := c.Now()
-	s := querySession(c, g, ci.trees, opt)
+	cu := querySession(c, g, ci.trees, opt).Cursor()
 	// Query cells in ascending id order: iterating the map directly would
 	// charge the per-query Compute costs in random order, and float
 	// accumulation order leaks into the virtual clock bit-for-bit (the
@@ -278,7 +279,7 @@ func joinCells(c *mpi.Comm, g grid.Partition, cellsR, cellsS map[int][]geom.Geom
 	sort.Ints(sCells)
 	for _, cell := range sCells {
 		for _, sg := range cellsS[cell] {
-			bd.Pairs += s.JoinCell(cell, sg, c.Compute, nil)
+			bd.Pairs += cu.JoinCell(cell, sg, c.Compute, nil)
 		}
 	}
 	bd.Refine = c.Now() - t1
@@ -287,7 +288,8 @@ func joinCells(c *mpi.Comm, g grid.Partition, cellsR, cellsS map[int][]geom.Geom
 // querySession wraps this rank's finished cell trees in the shared
 // filter-and-refine evaluation core (see internal/serve): the batch
 // workloads drive it with costs charged inline via c.Compute, the resident
-// service drives the same Session concurrently with recorded charges.
+// service drives the same Session concurrently, its charges recorded for a
+// later replay or (by default) not computed at all.
 func querySession(c *mpi.Comm, g grid.Partition, trees map[int]*rtree.Tree[geom.Geometry], opt JoinOptions) *serve.Session {
 	return serve.NewSession(serve.SessionConfig{
 		Partition:      g,
@@ -481,15 +483,16 @@ func RangeQuery(c *mpi.Comm, localData []geom.Geometry, queries []geom.Envelope,
 // evaluates a replicated rectangular query batch against this rank's cell
 // trees with filter-and-refine and reference-point duplicate suppression,
 // accumulating matches and refine time into bd — a thin batch wrapper over
-// serve.Session.Range, the same evaluation the resident query service runs
-// concurrently: queries in batch order with costs charged inline, so the
-// service's id-ordered charge replay reproduces this trajectory bitwise.
+// serve.Cursor.Range, the same evaluation the resident query service runs
+// concurrently: queries in batch order with costs charged inline, so a
+// recording service's id-ordered charge replay reproduces this trajectory
+// bitwise.
 func queryCells(c *mpi.Comm, queries []geom.Envelope, opt JoinOptions) func(grid.Partition, map[int]*rtree.Tree[geom.Geometry], *Breakdown) {
 	return func(g grid.Partition, trees map[int]*rtree.Tree[geom.Geometry], bd *Breakdown) {
 		t1 := c.Now()
-		s := querySession(c, g, trees, opt)
+		cu := querySession(c, g, trees, opt).Cursor()
 		for _, q := range queries {
-			bd.Pairs += s.Range(q, c.Compute, nil)
+			bd.Pairs += cu.Range(q, c.Compute, nil)
 		}
 		bd.Refine += c.Now() - t1
 	}

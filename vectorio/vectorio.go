@@ -281,17 +281,23 @@
 //	})
 //
 // Concurrency does not cost determinism: a request's answer is merged in
-// ascending-cell rank order, evaluation is read-only over the immutable
+// ascending-cell rank order and evaluation is read-only over the immutable
 // trees (every envelope cache is primed at build, so -race stays quiet
-// under any client count), and each request's virtual-time costs are
-// recorded off-clock and replayed at one fixed program point after Close
-// in ascending request id — so clients that number requests by batch
-// index leave the final virtual clock bitwise where the batch RangeQuery
-// over the same queries would have, however the real scheduler
-// interleaved the serving. internal/pipelinetest pins that equivalence —
-// answers and clock — across partition families and client counts, and
-// benchmark/'s serve_range workload measures real QPS and latency
-// percentiles. Session is the underlying single-rank evaluation core (the
+// under any client count). The service as NewService returns it is built
+// to be left running: it charges no virtual time for serving, retains
+// nothing past a Range return but its per-rank ServeStats counters, and a
+// request whose evaluation panics fails alone. The served ≡ batch clock
+// guarantee is what the opt-in replay recorder buys: after
+// Service.Record (one call, before the ranks register) each request's
+// virtual-time costs are recorded off-clock and replayed at one fixed
+// program point after Close in ascending request id — so clients that
+// number requests by batch index leave the final virtual clock bitwise
+// where the batch RangeQuery over the same queries would have, however
+// the real scheduler interleaved the serving — at the price of a record
+// that grows with every request. internal/pipelinetest installs it and
+// pins that equivalence — answers and clock — across partition families
+// and client counts, and benchmark/'s serve_range workload measures real
+// QPS and latency percentiles on the default service. Session is the underlying single-rank evaluation core (the
 // filter-and-refine loop RangeQuery itself runs); NewSession composes
 // with hand-built trees when the full pipeline is not wanted. The refine
 // step is Intersects: against a query rectangle it costs what the answer
@@ -775,7 +781,9 @@ var (
 	// NewSession builds one rank's evaluation core over finished trees.
 	NewSession = serve.NewSession
 	// Serve parks one rank's finished trees behind a Service until it
-	// closes, then charges the recorded costs at a single program point.
+	// closes, then charges whatever costs the Service recorded (none,
+	// unless Service.Record installed the replay recorder) at a single
+	// program point.
 	Serve = spatial.Serve
 	// ServeQuery is RangeQuery's resident sibling: the same pipeline up
 	// through index build, then Serve. Requires the partition up front
