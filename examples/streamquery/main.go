@@ -5,9 +5,7 @@
 // feeds the streaming Exchanger, each grid cell's R-tree is bulk-loaded
 // the moment its sliding-window exchange phase completes, and the query
 // batch runs against the finished trees — no rank ever materializes its
-// local geometry slice or a full owned-cells map. With SinkOverlap the
-// sink drains each batch on its own goroutine while the rank parses the
-// next one.
+// local geometry slice or a full owned-cells map.
 //
 // The program generates a synthetic lakes layer (whose envelope is the
 // world bounds by construction), runs RangeQueryFiles through both the
@@ -59,7 +57,6 @@ func main() {
 			my, err := vectorio.RangeQueryFiles(c, mf, vectorio.NewWKTParser(), vectorio.ReadOptions{
 				BlockSize:   32 << 10,
 				StreamBatch: 64,
-				SinkOverlap: envelope != nil, // overlapped sink on the streamed arm
 			}, queries, vectorio.JoinOptions{
 				GridCells:   256,
 				WindowCells: 32, // 8 sliding-window phases; trees rise per phase

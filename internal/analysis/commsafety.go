@@ -10,12 +10,12 @@ import (
 // spawned in internal/core. The simulated communicator is the rank's
 // program counter: every send, receive, and Compute charge advances the
 // rank's virtual clock in program order. A worker goroutine (the PR 3
-// parse pool, the PR 5 SinkOverlap sink goroutine) touching the
-// communicator races the rank's own trajectory — the virtual clock stops
-// being a deterministic function of the input and the -race chaos jobs
-// only catch it when the schedule cooperates. Off-goroutine work must
-// accumulate cost locally and charge it at a fixed program point on the
-// rank goroutine (parsepool's Compute-at-join discipline).
+// parse pool) touching the communicator races the rank's own trajectory —
+// the virtual clock stops being a deterministic function of the input and
+// the -race chaos jobs only catch it when the schedule cooperates.
+// Off-goroutine work must accumulate cost locally and charge it at a fixed
+// program point on the rank goroutine (parsepool's Compute-at-join
+// discipline).
 //
 // The reachability walk runs over the whole-program call graph
 // (Facts.Graph): static calls in any loaded package plus CHA-resolved

@@ -1,7 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/datagen"
+	"repro/internal/mpi"
+	"repro/internal/mpiio"
+	"repro/internal/pfs"
 )
 
 var benchRecord = []byte("POLYGON ((35 10, 45 45, 15 40, 10 20, 35 10), (20 30, 35 35, 30 20, 20 30))\tosm_id=42\n")
@@ -30,6 +37,47 @@ func BenchmarkWKTParserDedicated(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := p.Parse(benchRecord); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadKnobs is ROADMAP item 4's row: ReadPartition over the lakes
+// layer at 1/256 (35 MB, the benchmark/ input) by encoding, rank count and
+// ParseWorkers. Run with -cpu 2 to compare {2 ranks, 0 workers} against
+// {1 rank, 2 workers} at equal thread count.
+func BenchmarkReadKnobs(b *testing.B) {
+	const scale = 256
+	for _, enc := range []datagen.Encoding{datagen.EncodingWKT, datagen.EncodingWKB} {
+		fs, err := pfs.New(pfs.RogerGPFS())
+		if err != nil {
+			b.Fatal(err)
+		}
+		pf, _, err := datagen.GenerateFileEncoded(datagen.Lakes(), scale, enc, fs, "lakes"+enc.Ext(), 0, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opt := ReadOptions{BlockSize: 256e6 / scale}
+		newParser := func() Parser { return NewWKTParser() }
+		if enc == datagen.EncodingWKB {
+			opt.Framing = LengthPrefixed()
+			newParser = func() Parser { return NewWKBParser() }
+		}
+		for _, ranks := range []int{1, 2} {
+			for _, workers := range []int{0, 1, 2} {
+				opt.ParseWorkers = workers
+				b.Run(fmt.Sprintf("%s/ranks=%d/workers=%d", enc.Ext()[1:], ranks, workers), func(b *testing.B) {
+					b.SetBytes(pf.Size())
+					for i := 0; i < b.N; i++ {
+						err := mpi.Run(cluster.Local(ranks), func(c *mpi.Comm) error {
+							_, _, err := ReadPartition(c, mpiio.Open(c, pf, mpiio.Hints{}), newParser(), opt)
+							return err
+						})
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

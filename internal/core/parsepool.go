@@ -200,13 +200,10 @@ func (pc *parseCtx) drain() {
 	}
 }
 
-// close stops the workers and the overlapped sink goroutine. Idempotent;
-// safe on error paths with batches still in flight (workers finish the
-// queued work and exit — the buffered done channels mean nobody blocks on
-// the abandoned results, and the buffered sink result channel gives the
-// sink goroutine the same freedom).
+// close stops the workers. Idempotent; safe on error paths with batches
+// still in flight (workers finish the queued work and exit — the buffered
+// done channels mean nobody blocks on the abandoned results).
 func (pc *parseCtx) close() {
-	pc.sinkClose()
 	if pc.pool == nil || pc.pool.closed {
 		return
 	}

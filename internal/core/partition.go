@@ -205,8 +205,7 @@ func (pt *Partitioner) Exchange(c *mpi.Comm, local []geom.Geometry) (map[int][]g
 // and serialization costs accumulate off-clock and are charged inside
 // Finish at fixed rank-goroutine program points (the projection total
 // before the first phase, each phase's serialization inside that phase) —
-// so the clock trajectory is independent of how the input was batched, and
-// Add is safe to call from a ReadOptions.SinkOverlap sink goroutine.
+// so the clock trajectory is independent of how the input was batched.
 type Exchanger struct {
 	c         *mpi.Comm
 	mapping   func(cell, size int) int
@@ -236,9 +235,8 @@ type Exchanger struct {
 	serCost []float64
 	// projCost accumulates the deferred projection charge of every Add —
 	// virtual seconds, already scale-multiplied — charged to the clock at
-	// the top of Finish. Keeping Add off the clock lets it run from a
-	// SinkOverlap sink goroutine and pins every batching of the same input
-	// to the same program points.
+	// the top of Finish. Keeping Add off the clock pins every batching of
+	// the same input to the same program points.
 	projCost float64
 
 	// skipBad and frameFault mirror Partitioner.SkipBadFrames and
@@ -296,8 +294,7 @@ func (pt *Partitioner) Stream(c *mpi.Comm) (*Exchanger, error) {
 // empty envelopes are dropped, the rest live on as serialized frames.
 // Thanks to envelope-at-parse, freshly parsed batches project without
 // rescanning a single coordinate. Calls must be serialized (one goroutine
-// at a time — the rank goroutine, or a SinkOverlap sink goroutine whose
-// hand-off ordering the reader guarantees).
+// at a time — in practice the rank goroutine, from a ReadStream sink).
 func (ex *Exchanger) Add(batch []geom.Geometry) error {
 	if ex.done {
 		return fmt.Errorf("core: Exchanger.Add after Finish")

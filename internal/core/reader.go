@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"unicode/utf8"
 
 	"repro/internal/arena"
@@ -80,19 +79,6 @@ type ReadOptions struct {
 	// hands a batch to its sink. Zero defaults to 256. ReadPartition
 	// ignores it.
 	StreamBatch int
-	// SinkOverlap moves the ReadStream sink onto a dedicated per-rank
-	// goroutine with a double-buffered batch hand-off: the sink drains
-	// batch N while the rank parses batch N+1, overlapping a slow consumer
-	// with the read in real time. At most one batch is in flight, so peak
-	// memory grows by exactly one batch copy. Everything deterministic
-	// stays deterministic: batch boundaries and contents are unchanged (a
-	// pure function of the geometry stream), sink errors still settle in
-	// the collective agreement, and the virtual clock and stats are
-	// identical to the synchronous path — which is also the contract's
-	// price: an overlapped sink must NOT touch the Comm (no collectives,
-	// no clock; the streaming Exchanger.Add qualifies). ReadPartition
-	// ignores it.
-	SinkOverlap bool
 	// ParseWorkers fans record parsing out to this many per-rank worker
 	// goroutines, so a multi-core host overlaps parsing with the next
 	// block's I/O and the boundary exchange. 0 (the default) parses
@@ -108,6 +94,14 @@ type ReadOptions struct {
 	// error agreement stays collective-safe. The Parser must either
 	// implement ParserCloner (WKTParser and WKBParser do — every worker
 	// gets its own coordinate arena) or be safe for concurrent use.
+	//
+	// The knob's row (BenchmarkReadKnobs, 35 MB lakes layer, -cpu 2 on a
+	// 2-vCPU host, medians of 5): WKT 231 ms serial, 166 ms with a second
+	// rank, 132 ms with 2 workers — as fast as adding a rank, with no
+	// boundary messages and no second partition. WKB parses too cheaply to
+	// pay for the batch copy: 41 ms serial, 33 ms with a second rank, 41 ms
+	// with 2 workers. 1 worker only moves the parse to another goroutine
+	// (246 ms WKT, 57 ms WKB) — use ≥ 2 or 0.
 	ParseWorkers int
 }
 
@@ -162,11 +156,7 @@ func ReadPartition(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions) ([]geo
 // runs on the rank goroutine and may use the Comm — but any collective it
 // issues must be collective across ranks, and batch boundaries are not:
 // ranks see different batch counts, so collectives belong in the code
-// around ReadStream, not in the sink. With ReadOptions.SinkOverlap the
-// sink instead runs on a dedicated goroutine, overlapping its work with
-// the rank's parsing — same batches, same order, same virtual clock — in
-// exchange for a stricter contract: an overlapped sink must not touch the
-// Comm at all.
+// around ReadStream, not in the sink.
 //
 // A sink error stops further deliveries but not the read: the rank keeps
 // participating in the collective read structure, and the error is settled
@@ -898,25 +888,6 @@ type parseCtx struct {
 	sink        func([]geom.Geometry) error
 	batchTarget int
 	sinkErr     error
-
-	// Sink-overlap mode (ReadOptions.SinkOverlap): the sink runs on its own
-	// goroutine, fed through sinkCh with at most one batch in flight;
-	// sinkRes (buffered, capacity 1) carries each batch's result back, so
-	// the sink goroutine never blocks on an abandoned hand-off. The
-	// accumulator in geoms and the in-flight copy in emitBuf are the two
-	// halves of the double buffer: emit waits out the previous batch, then
-	// copies the outgoing one into emitBuf — geoms is recycled by the very
-	// next region — so the sink always drains a buffer nobody is writing,
-	// and exactly one batch copy exists at any time. A batch's error
-	// surfaces at the next hand-off (or at sinkClose), which still precedes
-	// finish's agreement Allreduce, so error settlement is as collective as
-	// the synchronous path.
-	sinkCh     chan []geom.Geometry
-	sinkRes    chan error
-	sinkWG     sync.WaitGroup
-	emitBuf    []geom.Geometry
-	inFlight   bool
-	sinkClosed bool
 }
 
 // defaultStreamBatch is the ReadStream batch bound when
@@ -934,17 +905,6 @@ func newParseCtx(c *mpi.Comm, p Parser, opt ReadOptions, fr Framing, scale float
 		if pc.batchTarget <= 0 {
 			pc.batchTarget = defaultStreamBatch
 		}
-		if opt.SinkOverlap {
-			pc.sinkCh = make(chan []geom.Geometry)
-			pc.sinkRes = make(chan error, 1)
-			pc.sinkWG.Add(1)
-			go func() {
-				defer pc.sinkWG.Done()
-				for batch := range pc.sinkCh {
-					pc.sinkRes <- pc.sink(batch)
-				}
-			}()
-		}
 	}
 	if opt.ParseWorkers > 0 {
 		pc.pool = newParsePool(opt.ParseWorkers, p, fr, scale)
@@ -952,55 +912,17 @@ func newParseCtx(c *mpi.Comm, p Parser, opt ReadOptions, fr Framing, scale float
 	return pc
 }
 
-// waitSink collects the in-flight overlapped batch's result, recording the
-// first sink error. No-op when nothing is in flight.
-func (pc *parseCtx) waitSink() {
-	if !pc.inFlight {
-		return
-	}
-	pc.inFlight = false
-	if err := <-pc.sinkRes; err != nil && pc.sinkErr == nil {
-		pc.sinkErr = err
-	}
-}
-
-// sinkClose drains the in-flight batch and stops the sink goroutine.
-// Idempotent; finish calls it before the error agreement, and the deferred
-// close covers error paths.
-func (pc *parseCtx) sinkClose() {
-	if pc.sinkCh == nil || pc.sinkClosed {
-		return
-	}
-	pc.sinkClosed = true
-	pc.waitSink()
-	close(pc.sinkCh)
-	pc.sinkWG.Wait()
-}
-
 // emit hands one bounded batch to the sink — unless an error has already
 // doomed the read, in which case the rest of the stream is silently
 // dropped: the rank still finishes its iterations for collectivity, and
-// dropping keeps memory bounded. In sink-overlap mode the hand-off is
-// double-buffered: wait for batch N-1's drain, copy batch N into the
-// spare buffer, send it, and return — the rank goes on parsing while the
-// sink goroutine drains.
+// dropping keeps memory bounded.
 func (pc *parseCtx) emit(batch []geom.Geometry) {
 	if pc.sinkErr != nil || pc.firstErr != nil {
 		return
 	}
-	if pc.sinkCh == nil {
-		if err := pc.sink(batch); err != nil {
-			pc.sinkErr = err
-		}
-		return
+	if err := pc.sink(batch); err != nil {
+		pc.sinkErr = err
 	}
-	pc.waitSink()
-	if pc.sinkErr != nil {
-		return
-	}
-	pc.emitBuf = append(pc.emitBuf[:0], batch...)
-	pc.inFlight = true
-	pc.sinkCh <- pc.emitBuf
 }
 
 // deliver flushes whatever remains in the accumulator as the stream's

@@ -1,15 +1,14 @@
 // Package pipelinetest is the reusable equivalence harness for the
 // streamed file-to-query pipeline: it runs one workload — parallel read,
 // spatial exchange, per-cell index build, batch range query — through the
-// materialized pipeline (ReadPartition + BuildIndex + RangeQuery), the
+// materialized pipeline (ReadPartition + BuildIndex + RangeQuery) and the
 // streamed pipeline (ReadStream feeding BuildIndexStream / the one-pass
-// RangeQueryFiles), and the streamed pipeline with sink-side backpressure
-// (ReadOptions.SinkOverlap), and asserts that every observable agrees
-// rank by rank: the geometries each rank reads (order included), its
-// ReadStats, the per-cell index cardinalities and exact geometry
-// multisets, the query matches, the phase timings, and the final virtual
-// clock — bitwise, not within a tolerance, because the streamed
-// compositions are built to replay the materialized trajectory exactly.
+// RangeQueryFiles), and asserts that every observable agrees rank by rank:
+// the geometries each rank reads (order included), its ReadStats, the
+// per-cell index cardinalities and exact geometry multisets, the query
+// matches, the phase timings, and the final virtual clock — bitwise, not
+// within a tolerance, because the streamed compositions are built to replay
+// the materialized trajectory exactly.
 //
 // Tests hand Build a file, a parser constructor, read options, a known
 // global envelope, and a query batch; RunAll/AssertEquivalent do the rest.
@@ -49,10 +48,6 @@ const (
 	// into the streaming index builder; per-cell trees bulk-load as each
 	// exchange phase completes.
 	Streamed
-	// StreamedOverlap is Streamed plus sink-side backpressure: the sink
-	// drains batch N on its own goroutine while the rank parses batch N+1
-	// (ReadOptions.SinkOverlap).
-	StreamedOverlap
 	// Served is the resident-service composition: the same materialized
 	// read and index build, but the query batch is submitted by concurrent
 	// client goroutines against spatial.ServeQuery's standing service
@@ -63,7 +58,7 @@ const (
 
 // Modes lists every pipeline composition RunAll runs. Served is absent:
 // it takes a client count, so the serve matrix drives it explicitly.
-var Modes = []Mode{Materialized, Streamed, StreamedOverlap}
+var Modes = []Mode{Materialized, Streamed}
 
 func (m Mode) String() string {
 	switch m {
@@ -71,8 +66,6 @@ func (m Mode) String() string {
 		return "materialized"
 	case Streamed:
 		return "streamed"
-	case StreamedOverlap:
-		return "streamed+overlap"
 	case Served:
 		return "served"
 	}
@@ -180,10 +173,6 @@ func RunE(cfg Config, mode Mode) (*Result, []error, error) {
 		QueryHits:      make([][]string, cfg.Ranks),
 		Clock:          make([]float64, cfg.Ranks),
 	}
-	readOpt := cfg.ReadOpt
-	if mode == StreamedOverlap {
-		readOpt.SinkOverlap = true
-	}
 	env := cfg.Envelope
 	iopt := spatial.IndexOptions{GridCells: cfg.GridCells, WindowCells: cfg.WindowCells, Envelope: &env, Partition: cfg.Partition}
 	jopt := spatial.JoinOptions{GridCells: cfg.GridCells, WindowCells: cfg.WindowCells, Envelope: &env, Partition: cfg.Partition}
@@ -210,7 +199,7 @@ func RunE(cfg Config, mode Mode) (*Result, []error, error) {
 		var buildBD spatial.Breakdown
 		var rstats core.ReadStats
 		if mode == Materialized {
-			geoms, stats, err := core.ReadPartition(c, f, cfg.Parser(), readOpt)
+			geoms, stats, err := core.ReadPartition(c, f, cfg.Parser(), cfg.ReadOpt)
 			if err != nil {
 				return fail(err)
 			}
@@ -228,10 +217,7 @@ func RunE(cfg Config, mode Mode) (*Result, []error, error) {
 				return fail(err)
 			}
 			batches = 0
-			// The recording wrapper runs wherever the sink runs (the rank
-			// goroutine, or the SinkOverlap sink goroutine); the hand-off
-			// protocol serializes it either way.
-			rstats, err = core.ReadStream(c, f, cfg.Parser(), readOpt, func(batch []geom.Geometry) error {
+			rstats, err = core.ReadStream(c, f, cfg.Parser(), cfg.ReadOpt, func(batch []geom.Geometry) error {
 				if cfg.SinkFault != nil {
 					if ferr := cfg.SinkFault(c.Rank(), batches); ferr != nil {
 						batches++
@@ -257,7 +243,7 @@ func RunE(cfg Config, mode Mode) (*Result, []error, error) {
 		// Pipeline 2: file -> range query.
 		var queryBD spatial.Breakdown
 		if mode == Materialized {
-			geoms, _, err := core.ReadPartition(c, f, cfg.Parser(), readOpt)
+			geoms, _, err := core.ReadPartition(c, f, cfg.Parser(), cfg.ReadOpt)
 			if err != nil {
 				return fail(err)
 			}
@@ -267,7 +253,7 @@ func RunE(cfg Config, mode Mode) (*Result, []error, error) {
 			}
 		} else {
 			var err error
-			queryBD, err = spatial.RangeQueryFiles(c, f, cfg.Parser(), readOpt, cfg.Queries, jopt)
+			queryBD, err = spatial.RangeQueryFiles(c, f, cfg.Parser(), cfg.ReadOpt, cfg.Queries, jopt)
 			if err != nil {
 				return fail(err)
 			}

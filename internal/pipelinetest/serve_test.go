@@ -15,9 +15,9 @@ import (
 // goroutines, the served answers (identities, per-rank pair counts, refine
 // time) and the final virtual clock must be bitwise identical to the
 // materialized RangeQuery over the same query batch. Client count and
-// scheduler interleaving must be invisible: admission batching coalesces
-// rounds differently on every run, but the charge replay is keyed by
-// request id, so the clock cannot drift.
+// scheduler interleaving must be invisible: which client evaluates what,
+// and when, differs on every run, but the charge replay is keyed by request
+// id, so the clock cannot drift.
 func TestServeEquivalenceMatrix(t *testing.T) {
 	world := geom.Envelope{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
 	queries := genQueries(12, 71)
@@ -82,7 +82,7 @@ func TestServeEquivalenceMatrix(t *testing.T) {
 
 // TestServeRepeatDeterministic runs the served pipeline twice under heavy
 // client concurrency and requires the two runs to agree bitwise — the
-// scheduler is free to coalesce admission rounds differently each time, and
+// scheduler is free to interleave the clients differently each time, and
 // none of it may show in any observable.
 func TestServeRepeatDeterministic(t *testing.T) {
 	world := geom.Envelope{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}

@@ -45,13 +45,11 @@ func residentQueries(n int) []geom.Envelope {
 	return out
 }
 
-// TestPanicContained pins the failure containment of the drain: a Predicate
-// that panics on one marker geometry fails exactly the requests that reach
-// the marker — each with an error naming the panic — while every other
-// request of the same rounds, from four concurrent clients, is answered as
-// if nothing had happened, and the rank keeps serving afterwards. Before
-// the drain recovered, the panic unwound through the drainer with the role
-// still held and the round's other clients never released: this test hung.
+// TestPanicContained pins the failure containment of an evaluation: a
+// Predicate that panics on one marker geometry fails exactly the requests
+// that reach the marker — each with an error naming the panic — while every
+// other request, from four concurrent clients, is answered as if nothing
+// had happened, and the rank keeps serving afterwards.
 func TestPanicContained(t *testing.T) {
 	var marker geom.Geometry
 	pred := func(a, b geom.Geometry) bool {
@@ -127,7 +125,7 @@ func TestPanicContained(t *testing.T) {
 		t.Fatal("clients still blocked after 30 s: a panicking evaluation wedged a rank")
 	}
 
-	// Both ranks still drain: a whole-world request that reaches the marker
+	// Both ranks still serve: a whole-world request that reaches the marker
 	// fails, and one that stays clear of it is answered by both.
 	if _, err := svc.Range(1<<32, geom.Envelope{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}); err == nil {
 		t.Error("whole-world request reached the marker and did not fail")
@@ -289,10 +287,10 @@ var serviceRangeCases = []struct {
 	q       geom.Envelope
 	targets int
 	empty   bool
-	// budget is the allocations one Range call may make: the plan (request,
-	// cell list, sub-requests, probe polygon and its shell) plus one
-	// exact-size answer per target that matched, plus one merge when a
-	// second target's matches do not fit behind the first's.
+	// budget is the allocations one Range call may make: the plan (cell
+	// list, target ranks, probe polygon and its shell) plus one exact-size
+	// answer per target that matched, plus one merge when a second target's
+	// matches do not fit behind the first's — and one to spare.
 	budget float64
 }{
 	{name: "empty", q: geom.Envelope{MinX: 200, MinY: 200, MaxX: 210, MaxY: 210}, targets: 1, empty: true, budget: 5},
@@ -301,15 +299,14 @@ var serviceRangeCases = []struct {
 }
 
 // TestRangeAllocBudget pins a served request's allocations at its plan and
-// its answer: nothing per candidate, per cell, per admission round or per
-// completion signal.
+// its answer: nothing per candidate, per cell or per borrowed Cursor.
 func TestRangeAllocBudget(t *testing.T) {
 	_, _, sessions := residentFixture(t, nil)
 	svc := runService(t, sessions)
 	defer svc.Close()
 	for _, tc := range serviceRangeCases {
 		before := svc.Stats(0).Admitted + svc.Stats(1).Admitted
-		res, err := svc.Range(0, tc.q) // also grows the ranks' buffers to working size
+		res, err := svc.Range(0, tc.q) // also grows the ranks' idle cursors to working size
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,16 +17,17 @@
 //     Sessions, client goroutines submit requests from outside the MPI
 //     world, and a dispatcher routes each request only to the ranks owning
 //     grid cells its envelope overlaps (O(1) per cell via the partition's
-//     cell-to-rank map, uniform and adaptive alike). Admission queues
-//     coalesce concurrent requests into per-rank rounds: while one client
-//     drains a rank's queue, requests arriving behind it are admitted by
-//     the drainer in its next round instead of waiting for a turn.
+//     cell-to-rank map, uniform and adaptive alike). The calling client
+//     evaluates its own request on each target rank's Session, so the
+//     service spawns no goroutine and hands nothing between goroutines:
+//     parallel evaluation is bounded by the clients, not by the rank count,
+//     and concurrent requests to one rank share only its counters' lock.
 //
 // A default Service is a function of its data, not of its uptime: a
-// request is planned once, evaluated into buffers the rank's drainer owns,
-// and handed back; past the Range return the service keeps its per-rank
-// Stats counters and nothing else, and it charges no virtual time for
-// serving.
+// request is planned once, evaluated into the buffers of a Cursor borrowed
+// from the rank's Session, and handed back; past the Range return the
+// service keeps its per-rank Stats counters and nothing else, and it
+// charges no virtual time for serving.
 //
 // The served ≡ batch clock guarantee is what the opt-in replay recorder
 // (Service.Record) buys. Evaluation never touches a communicator or the
@@ -53,7 +54,7 @@ import (
 	"repro/internal/rtree"
 )
 
-// ErrClosed is returned by Range calls admitted after Close.
+// ErrClosed is returned by Range calls that start after Close.
 var ErrClosed = errors.New("serve: service closed")
 
 // SessionConfig describes one rank's share of the distributed index.
@@ -78,8 +79,9 @@ type SessionConfig struct {
 }
 
 // Session is one rank's query evaluation core: the filter-and-refine loop
-// shared by the batch workloads and the resident Service. It is strictly
-// read-only after NewSession returns, so concurrent queries are race-free.
+// shared by the batch workloads and the resident Service. The index is
+// strictly read-only after NewSession returns, so concurrent queries are
+// race-free; the only state that changes is the free list of idle Cursors.
 type Session struct {
 	p       grid.Partition
 	rank    int
@@ -89,7 +91,14 @@ type Session struct {
 	trees   map[int]*rtree.Tree[geom.Geometry]
 	pred    func(a, b geom.Geometry) bool
 	keepDup bool
-	idle    sync.Pool // *Cursor, lent to Session.Range calls
+
+	// idle lends Cursors to Session.Range and the Service alike; it grows to
+	// the peak number of concurrent callers. A plain list, not a sync.Pool: a
+	// used Pool stays registered with the runtime until the second collection
+	// after its last use, and embedded here it would keep the Session — every
+	// tree under it — alive that long after the last reference is gone.
+	mu   sync.Mutex
+	idle []*Cursor
 }
 
 // NewSession builds the evaluation core over finished cell trees. It primes
@@ -132,25 +141,43 @@ func NewSession(cfg SessionConfig) *Session {
 // plus the candidate buffer its probes recycle, so the filter→refine
 // hand-off allocates nothing once the buffer has reached its working size.
 // Whoever drives a run of probes owns one for the run — a batch loop for
-// its batch, a Service rank's drainer for as long as the service stands. A
-// Cursor is not for concurrent use; any number may work one Session at once.
+// its batch, a served request for one rank's share of it. A Cursor is not
+// for concurrent use; any number may work one Session at once.
 type Cursor struct {
 	s    *Session
 	cand []rtree.Item[geom.Geometry]
+	hits []geom.Geometry // a served sub-request's matches before their exact-size copy
 }
 
 // Cursor returns a fresh evaluation handle on s.
 func (s *Session) Cursor() *Cursor { return &Cursor{s: s} }
 
+// borrow takes an idle Cursor off the free list, or makes one; giveBack
+// returns it.
+func (s *Session) borrow() *Cursor {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.idle)
+	if n == 0 {
+		return s.Cursor()
+	}
+	cu := s.idle[n-1]
+	s.idle = s.idle[:n-1]
+	return cu
+}
+
+func (s *Session) giveBack(cu *Cursor) {
+	s.mu.Lock()
+	s.idle = append(s.idle, cu)
+	s.mu.Unlock()
+}
+
 // Range is Cursor.Range for callers with no Cursor of their own: safe to
-// call from any number of goroutines at once, each call borrowing a pooled
+// call from any number of goroutines at once, each call borrowing an idle
 // Cursor for its duration.
 func (s *Session) Range(q geom.Envelope, charge func(float64), emit func(geom.Geometry)) int64 {
-	cu, _ := s.idle.Get().(*Cursor)
-	if cu == nil {
-		cu = s.Cursor()
-	}
-	defer s.idle.Put(cu)
+	cu := s.borrow()
+	defer s.giveBack(cu)
 	return cu.Range(q, charge, emit)
 }
 
@@ -238,34 +265,22 @@ type Result struct {
 type Stats struct {
 	// Pairs is the total accepted pairs this rank reported.
 	Pairs int64
-	// Rounds is the number of admission rounds the rank's queue executed.
+	// Rounds always equals Admitted; the field stays only because benchmark/
+	// reads it (ROADMAP item 6 retires it).
 	Rounds int
-	// Admitted is the number of sub-requests those rounds coalesced; under
-	// concurrent clients Admitted exceeds Rounds when admission batching
-	// merges queued requests into one drain.
+	// Admitted is the number of sub-requests evaluated on this rank: one per
+	// request whose envelope overlaps a cell the rank owns.
 	Admitted int
 }
 
-// request is one planned Range call: routed once, then shared read-only by
-// the sub-requests its target ranks evaluate.
+// request is one planned Range call: routed once, then evaluated by the
+// calling client on each target rank in turn.
 type request struct {
-	id    uint64
-	env   geom.Envelope
-	cells []int         // CellsFor(env); each target evaluates the ones it owns
-	poly  *geom.Polygon // env as the probe polygon, envelope cache primed
-	subs  []subRequest  // one per target rank, in ascending-cell order
-	done  sync.WaitGroup
-}
-
-// subRequest is one request's share on one rank, filled in by that rank's
-// drainer and read by the client once request.done releases it.
-type subRequest struct {
-	req     *request
-	rank    int
-	pairs   int64
-	matches []geom.Geometry
-	charges []float64 // recorded only when a recorder is installed
-	err     error
+	id      uint64
+	env     geom.Envelope
+	cells   []int         // CellsFor(env); each target evaluates the ones it owns
+	poly    *geom.Polygon // env as the probe polygon
+	targets []int         // the ranks owning any of cells, in ascending-cell order
 }
 
 // recorder is one rank's replay record (see Service.Record).
@@ -274,20 +289,14 @@ type recorder struct {
 	matches map[uint64][]geom.Geometry
 }
 
-// rankQueue is one rank's admission queue, the evaluation buffers its
-// drainer owns, and its served-work counters. mu guards the queue, the
-// drainer role, stats and rec's maps; cur, hits and spare belong to
-// whichever goroutine holds the drainer role.
-type rankQueue struct {
-	mu       sync.Mutex
-	queue    []*subRequest
-	draining bool
-	stats    Stats
-	rec      *recorder // nil unless Service.Record was called
+// rankState is one rank's registered Session, its served-work counters and
+// its replay record. mu guards stats and rec's maps.
+type rankState struct {
+	sess *Session // set by Register
 
-	cur   *Cursor         // set by Register
-	hits  []geom.Geometry // one sub-request's matches before their exact-size copy
-	spare []*subRequest   // the last round's queue storage, recycled
+	mu    sync.Mutex
+	stats Stats
+	rec   *recorder // nil unless Service.Record was called
 }
 
 // Service is the resident query frontend: rank goroutines Register their
@@ -305,19 +314,19 @@ type Service struct {
 	ready  chan struct{}
 	closed chan struct{}
 
-	ranks []*rankQueue
+	ranks []*rankState
 }
 
-// NewService creates a service for a world of size ranks. Admission opens
-// once every rank has registered its Session.
+// NewService creates a service for a world of size ranks. Range calls are
+// answered once every rank has registered its Session.
 func NewService(size int) *Service {
 	sv := &Service{
 		ready:  make(chan struct{}),
 		closed: make(chan struct{}),
-		ranks:  make([]*rankQueue, size),
+		ranks:  make([]*rankState, size),
 	}
 	for r := range sv.ranks {
-		sv.ranks[r] = &rankQueue{}
+		sv.ranks[r] = &rankState{}
 	}
 	return sv
 }
@@ -336,20 +345,20 @@ func (sv *Service) Record() {
 	if sv.registered > 0 {
 		panic("serve: Record called after Register")
 	}
-	for _, rq := range sv.ranks {
-		rq.rec = &recorder{charges: make(map[uint64][]float64), matches: make(map[uint64][]geom.Geometry)}
+	for _, rs := range sv.ranks {
+		rs.rec = &recorder{charges: make(map[uint64][]float64), matches: make(map[uint64][]geom.Geometry)}
 	}
 }
 
 // Register installs rank's Session. Each rank goroutine calls it once; when
 // the last rank registers, the partition (rank-uniform by contract) is
-// published for routing and admission opens.
+// published for routing and the service is ready.
 func (sv *Service) Register(rank int, s *Session) {
 	sv.mu.Lock()
-	if sv.ranks[rank].cur == nil {
+	if sv.ranks[rank].sess == nil {
 		sv.registered++
 	}
-	sv.ranks[rank].cur = s.Cursor()
+	sv.ranks[rank].sess = s
 	if sv.registered == len(sv.ranks) {
 		sv.p = s.p
 		sv.rankFor = s.rankFor
@@ -358,12 +367,17 @@ func (sv *Service) Register(rank int, s *Session) {
 	sv.mu.Unlock()
 }
 
-// Ready is closed once every rank has registered and admission is open.
+// Ready is closed once every rank has registered.
 func (sv *Service) Ready() <-chan struct{} { return sv.ready }
 
-// Close ends admission: Range calls admitted afterwards fail with
-// ErrClosed, and every rank blocked in WaitClosed is released. Callers must
-// let outstanding Range calls return before closing; Close is idempotent.
+// Close stops the service: Range calls that start afterwards fail with
+// ErrClosed, calls already past that check run to completion and return
+// their answer, and every rank blocked in WaitClosed is released. Close may
+// race any number of Range calls and is idempotent. Only a recording
+// Service (Record) asks more of its callers: a Range still running when
+// DrainCharges or Matches is read may add its entry after the read, so a
+// harness joins its clients before Close (spatial.Serve drains right after
+// WaitClosed).
 func (sv *Service) Close() {
 	sv.mu.Lock()
 	select {
@@ -378,15 +392,12 @@ func (sv *Service) Close() {
 func (sv *Service) Closed() <-chan struct{} { return sv.closed }
 
 // Range answers one rectangular query. It may be called from any number of
-// client goroutines (never from a rank goroutine blocked in WaitClosed —
-// that would deadlock the drain with the close). The request id must be
-// unique per request; it keys the recorder's replay, so batch equivalence
-// calls number requests by their batch index. Range blocks until every rank
-// has registered, then runs three stages: plan routes the request once,
-// admit queues a sub-request on each rank owning a cell the envelope
-// overlaps, and drain has the calling goroutine serve whichever target
-// queues are idle — queues another client is already draining pick the
-// request up in that drainer's next round. An evaluation that panics (a
+// client goroutines. The request id must be unique per request; it keys the
+// recorder's replay, so batch equivalence calls number requests by their
+// batch index. Range blocks until every rank has registered, then plans the
+// request once and, for each rank owning a cell the envelope overlaps, in
+// ascending-cell order, evaluates that rank's share on the calling
+// goroutine and merges it into the result. An evaluation that panics (a
 // caller-supplied Predicate, in practice) fails this request alone, with an
 // error naming the panic.
 func (sv *Service) Range(id uint64, q geom.Envelope) (Result, error) {
@@ -402,128 +413,84 @@ func (sv *Service) Range(id uint64, q geom.Envelope) (Result, error) {
 	}
 
 	req := sv.plan(id, q)
-	for i := range req.subs {
-		sv.ranks[req.subs[i].rank].admit(&req.subs[i])
-	}
-	for i := range req.subs {
-		sv.ranks[req.subs[i].rank].drain()
-	}
-	req.done.Wait()
-
-	// Merge in target order. The first target's matches are the result
-	// (most requests have one target, or matches on one); later ones append.
+	// The first target's matches are the result (most requests have one
+	// target, or matches on one); later ones append. Every target is
+	// evaluated and counted even when an earlier one failed.
 	res := Result{ID: id}
-	for i := range req.subs {
-		sub := &req.subs[i]
-		if sub.err != nil {
-			return Result{}, sub.err
+	var firstErr error
+	for _, r := range req.targets {
+		pairs, matches, err := sv.ranks[r].evaluate(r, &req)
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
-		res.Pairs += sub.pairs
+		res.Pairs += pairs
 		if res.Matches == nil {
-			res.Matches = sub.matches
+			res.Matches = matches
 		} else {
-			res.Matches = append(res.Matches, sub.matches...)
+			res.Matches = append(res.Matches, matches...)
 		}
+	}
+	if firstErr != nil {
+		return Result{}, firstErr
 	}
 	return res, nil
 }
 
 // plan routes one request: its cells, the ranks owning any of them —
 // deduplicated in ascending-cell order, the deterministic merge order of
-// the result — and the one probe polygon every target refines against,
-// its envelope cache primed here because the targets' drainers share it.
-func (sv *Service) plan(id uint64, q geom.Envelope) *request {
-	req := &request{id: id, env: q, cells: sv.p.CellsFor(q)}
+// the result — and the one probe polygon every target refines against.
+func (sv *Service) plan(id uint64, q geom.Envelope) request {
+	req := request{id: id, env: q, cells: sv.p.CellsFor(q)}
 	if len(req.cells) == 0 {
 		return req
 	}
 	req.poly = q.ToPolygon()
-	req.poly.Envelope()
 	size := len(sv.ranks)
-	req.subs = make([]subRequest, 0, min(len(req.cells), size))
-routing:
+	req.targets = make([]int, 0, min(len(req.cells), size))
 	for _, cell := range req.cells {
-		r := sv.rankFor(cell, size)
-		for i := range req.subs {
-			if req.subs[i].rank == r {
-				continue routing
+		if r := sv.rankFor(cell, size); !slices.Contains(req.targets, r) {
+			req.targets = append(req.targets, r)
+			if len(req.targets) == size {
+				break
 			}
 		}
-		req.subs = append(req.subs, subRequest{req: req, rank: r})
-		if len(req.subs) == size {
-			break
-		}
 	}
-	req.done.Add(len(req.subs))
 	return req
 }
 
-// admit queues one sub-request for the rank's next round.
-func (rq *rankQueue) admit(sub *subRequest) {
-	rq.mu.Lock()
-	rq.queue = append(rq.queue, sub)
-	rq.mu.Unlock()
-}
-
-// drain runs admission rounds until the rank's queue is empty. Only one
-// goroutine drains a rank at a time; everyone else returns immediately and
-// relies on the drainer to pick up what they admitted (the drainer
-// re-checks the queue under the lock before giving up the role, so nothing
-// is stranded).
-func (rq *rankQueue) drain() {
-	rq.mu.Lock()
-	if rq.draining {
-		rq.mu.Unlock()
-		return
+// evaluate answers req's share on rank, on the calling client's
+// goroutine: matches gather in a borrowed Cursor's buffer and leave as one
+// exact-size copy, then the rank's counters — and, when a recorder is
+// installed, the request's charges and matches — are booked under mu. A
+// panic out of the evaluation is contained to this sub-request: pairs and
+// matches stay unset, nothing is recorded, the error travels back, and the
+// Cursor and the counters are settled all the same.
+func (rs *rankState) evaluate(rank int, req *request) (pairs int64, matches []geom.Geometry, err error) {
+	var charges []float64 // recorded only when a recorder is installed
+	var charge func(float64)
+	if rs.rec != nil {
+		charge = func(d float64) { charges = append(charges, d) }
 	}
-	rq.draining = true
-	for len(rq.queue) > 0 {
-		round := rq.queue
-		rq.queue = rq.spare[:0]
-		rq.stats.Rounds++
-		rq.stats.Admitted += len(round)
-		rq.mu.Unlock()
-
-		for _, sub := range round {
-			rq.evaluate(sub)
-		}
-
-		rq.mu.Lock()
-		for _, sub := range round {
-			rq.stats.Pairs += sub.pairs
-			if rq.rec != nil && sub.err == nil {
-				rq.rec.charges[sub.req.id] = sub.charges
-				rq.rec.matches[sub.req.id] = sub.matches
-			}
-			sub.req.done.Done() // the client may take sub back from here on
-		}
-		clear(round)
-		rq.spare = round
-	}
-	rq.draining = false
-	rq.mu.Unlock()
-}
-
-// evaluate answers one sub-request on the drainer's goroutine: matches
-// gather in the rank's buffer and leave as one exact-size copy. A panic out
-// of the evaluation is contained to this sub-request — pairs and matches
-// stay unset, nothing is recorded, the error travels back — so the rest of
-// the round is still answered and the drainer role is still released.
-func (rq *rankQueue) evaluate(sub *subRequest) {
-	req := sub.req
+	cu := rs.sess.borrow()
 	defer func() {
 		if p := recover(); p != nil {
-			sub.err = fmt.Errorf("serve: request %d: evaluation panicked on rank %d: %v", req.id, sub.rank, p)
+			err = fmt.Errorf("serve: request %d: evaluation panicked on rank %d: %v", req.id, rank, p)
 		}
+		rs.sess.giveBack(cu)
+		rs.mu.Lock()
+		rs.stats.Admitted++
+		rs.stats.Rounds++
+		rs.stats.Pairs += pairs
+		if rs.rec != nil && err == nil {
+			rs.rec.charges[req.id] = charges
+			rs.rec.matches[req.id] = matches
+		}
+		rs.mu.Unlock()
 	}()
-	var charge func(float64)
-	if rq.rec != nil {
-		charge = func(d float64) { sub.charges = append(sub.charges, d) }
-	}
-	rq.hits = rq.hits[:0]
-	sub.pairs = rq.cur.rangeCells(req.cells, req.env, req.poly, charge,
-		func(g geom.Geometry) { rq.hits = append(rq.hits, g) })
-	sub.matches = append([]geom.Geometry(nil), rq.hits...)
+	cu.hits = cu.hits[:0]
+	n := cu.rangeCells(req.cells, req.env, req.poly, charge,
+		func(g geom.Geometry) { cu.hits = append(cu.hits, g) })
+	return n, append([]geom.Geometry(nil), cu.hits...), nil
 }
 
 // WaitClosed blocks until Close. Rank goroutines park here while clients
@@ -540,24 +507,24 @@ func (sv *Service) WaitClosed() { <-sv.closed }
 // sequence exactly: float accumulation order leaks into the virtual clock
 // bit for bit, so the replay preserves both grouping and order.
 func (sv *Service) DrainCharges(rank int) []float64 {
-	rq := sv.ranks[rank]
-	rq.mu.Lock()
-	defer rq.mu.Unlock()
-	if rq.rec == nil {
+	rs := sv.ranks[rank]
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if rs.rec == nil {
 		return nil
 	}
-	ids := make([]uint64, 0, len(rq.rec.charges))
+	ids := make([]uint64, 0, len(rs.rec.charges))
 	n := 0
-	for id, cs := range rq.rec.charges {
+	for id, cs := range rs.rec.charges {
 		ids = append(ids, id)
 		n += len(cs)
 	}
 	slices.Sort(ids)
 	out := make([]float64, 0, n)
 	for _, id := range ids {
-		out = append(out, rq.rec.charges[id]...)
+		out = append(out, rs.rec.charges[id]...)
 	}
-	clear(rq.rec.charges)
+	clear(rs.rec.charges)
 	return out
 }
 
@@ -565,19 +532,19 @@ func (sv *Service) DrainCharges(rank int) []float64 {
 // per-rank attribution of the served answers, for equivalence harnesses;
 // empty when no recorder is installed.
 func (sv *Service) Matches(rank int) map[uint64][]geom.Geometry {
-	rq := sv.ranks[rank]
-	rq.mu.Lock()
-	defer rq.mu.Unlock()
-	if rq.rec == nil {
+	rs := sv.ranks[rank]
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if rs.rec == nil {
 		return nil
 	}
-	return maps.Clone(rq.rec.matches)
+	return maps.Clone(rs.rec.matches)
 }
 
 // Stats returns rank's served-work counters.
 func (sv *Service) Stats(rank int) Stats {
-	rq := sv.ranks[rank]
-	rq.mu.Lock()
-	defer rq.mu.Unlock()
-	return rq.stats
+	rs := sv.ranks[rank]
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return rs.stats
 }

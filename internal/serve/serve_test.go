@@ -198,8 +198,8 @@ func TestConcurrentQueriesDeterministic(t *testing.T) {
 	}
 	svc.Close()
 
-	// Admission accounting: every sub-request was admitted in some round,
-	// and rounds never exceed admissions.
+	// Accounting: every rank evaluated sub-requests, and Rounds (kept equal
+	// to Admitted) never exceeds them.
 	for r := 0; r < ranks; r++ {
 		st := svc.Stats(r)
 		if st.Rounds > st.Admitted {
@@ -216,9 +216,8 @@ func TestConcurrentQueriesDeterministic(t *testing.T) {
 // exists for. The geometries enter the tree with cold envelope caches;
 // without priming, the first concurrent evaluations would all hit the lazy
 // cache write on shared instances (the dedup rule reads every candidate's
-// envelope) and -race flags it. Service traffic cannot pin this on its own:
-// its per-rank single-drainer happens to serialize evaluation, so the
-// direct-Session path is where the guarantee must hold.
+// envelope) and -race flags it. The guarantee is the Session's, so it is
+// pinned on the direct-Session path, with no Service in between.
 func TestSessionConcurrentRangeRaceFree(t *testing.T) {
 	world := geom.Envelope{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
 	g, err := grid.New(world, 8, 8)
@@ -273,7 +272,7 @@ func TestSessionConcurrentRangeRaceFree(t *testing.T) {
 }
 
 // TestRangeRoutesOnlyOwningRanks pins the dispatcher: a query confined to
-// one rank's cells must admit work on that rank alone.
+// one rank's cells must be evaluated on that rank alone.
 func TestRangeRoutesOnlyOwningRanks(t *testing.T) {
 	world := geom.Envelope{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
 	g, err := grid.New(world, 4, 1) // 4 cells in a row, round-robin over 2 ranks
@@ -287,7 +286,7 @@ func TestRangeRoutesOnlyOwningRanks(t *testing.T) {
 	svc := runService(t, buildWorld(t, g, 2, geoms))
 	defer svc.Close()
 
-	// Strictly inside cell 0: rank 1 must see no admission.
+	// Strictly inside cell 0: rank 1 must see no sub-request.
 	res, err := svc.Range(0, geom.Envelope{MinX: 5, MinY: 40, MaxX: 15, MaxY: 60})
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +305,7 @@ func TestRangeRoutesOnlyOwningRanks(t *testing.T) {
 // TestDrainChargesDeterministic runs the same traffic through two services
 // — one serial, one with interleaved submission order — and requires the
 // drained charge sequences to be identical: the replay is keyed by request
-// id, so admission order must not leak into the virtual clock. It also pins
+// id, so evaluation order must not leak into the virtual clock. It also pins
 // DrainCharges' one-pass fill: ascending request id, each request's charges
 // in evaluation order, the record reset by the read.
 func TestDrainChargesDeterministic(t *testing.T) {
@@ -375,7 +374,7 @@ func TestDrainChargesDeterministic(t *testing.T) {
 	}
 }
 
-// TestRangeAfterCloseFails pins the admission shutdown contract.
+// TestRangeAfterCloseFails pins the shutdown contract.
 func TestRangeAfterCloseFails(t *testing.T) {
 	world := geom.Envelope{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}
 	g, err := grid.New(world, 2, 2)

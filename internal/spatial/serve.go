@@ -26,8 +26,9 @@ import (
 // charged at this single program point, in ascending request-id order:
 // clients numbering requests by batch index then leave the clock bitwise
 // where the batch RangeQuery over the same queries would have — however
-// many goroutines served them and however the scheduler interleaved the
-// rounds.
+// many clients evaluated them and however the scheduler interleaved them.
+// The drain reads the record once, right after WaitClosed: clients of a
+// recording Service return from Range before Close is called.
 //
 // Client goroutines drive svc.Range concurrently from outside the MPI
 // world and must never touch a Comm; the rank goroutines touch svc only

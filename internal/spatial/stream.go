@@ -19,9 +19,8 @@ import (
 )
 
 // IndexStream is the streaming face of BuildIndex: Add accepts geometry
-// batches mid-read (it is a core.ReadStream sink, safe under
-// ReadOptions.SinkOverlap because it never touches the communicator), and
-// Finish completes the sliding-window exchange, bulk-loading each cell's
+// batches mid-read (it is a core.ReadStream sink that never touches the
+// communicator), and Finish completes the sliding-window exchange, bulk-loading each cell's
 // R-tree as that cell's phase lands rather than after a fully
 // materialized exchange. Open one with BuildIndexStream; Add is rank-local,
 // Finish is collective.

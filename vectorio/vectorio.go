@@ -201,13 +201,9 @@
 // internal/pipelinetest pins that equivalence bitwise across framings,
 // strategies, and worker counts.
 //
-// A slow consumer no longer serializes with the read either:
-// ReadOptions.SinkOverlap moves the sink onto a dedicated goroutine with
-// a double-buffered hand-off (the sink drains batch N while the rank
-// parses batch N+1) — batch boundaries, stats, and the virtual clock are
-// unchanged, in exchange for the contract that an overlapped sink never
-// touches the Comm (IndexStream.Add and Exchanger.Add qualify). See
-// examples/streamquery for the complete file-to-query program.
+// The sink runs on the rank goroutine; to overlap a slow consumer with the
+// read, add a rank. See examples/streamquery for the complete file-to-query
+// program.
 //
 // # Skew-aware partitioning
 //
@@ -263,8 +259,8 @@
 // Service.Range concurrently (any number at once), and a dispatcher
 // routes each request only to the ranks whose grid cells its envelope
 // overlaps — O(1) per cell through the partition's cell-to-rank map,
-// uniform and adaptive alike — while per-rank admission queues coalesce
-// concurrent requests into shared evaluation rounds:
+// uniform and adaptive alike — where the calling client evaluates it
+// itself, so as many requests run at once as there are clients:
 //
 //	svc := vectorio.NewService(ranks)
 //	go func() { // any number of client goroutines
@@ -768,8 +764,8 @@ type (
 	// ServeResult is one answered request: accepted pairs and their
 	// identities, merged deterministically across the routed ranks.
 	ServeResult = serve.Result
-	// ServeStats reports one rank's served-work counters (pairs, admission
-	// rounds, coalesced sub-requests).
+	// ServeStats reports one rank's served-work counters (pairs and the
+	// sub-requests evaluated on it).
 	ServeStats = serve.Stats
 )
 

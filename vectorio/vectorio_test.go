@@ -297,7 +297,7 @@ func TestStreamingFacade(t *testing.T) {
 }
 
 // TestStreamedIndexFacade drives the streamed indexing and query surface:
-// BuildIndexStream fed by an overlapped ReadStream sink, the one-call
+// BuildIndexStream fed by a ReadStream sink, the one-call
 // BuildIndexFiles, and RangeQueryFiles — checking the streamed results
 // against the materialized BuildIndex/RangeQuery on the same layer.
 func TestStreamedIndexFacade(t *testing.T) {
@@ -324,7 +324,7 @@ func TestStreamedIndexFacade(t *testing.T) {
 	}
 	iopt := vectorio.IndexOptions{GridCells: 16, Envelope: &world}
 	jopt := vectorio.JoinOptions{GridCells: 16, Envelope: &world}
-	readOpt := vectorio.ReadOptions{BlockSize: 512, StreamBatch: 16, SinkOverlap: true}
+	readOpt := vectorio.ReadOptions{BlockSize: 512, StreamBatch: 16}
 
 	var mu sync.Mutex
 	streamedCells := map[int]int{}
@@ -334,8 +334,8 @@ func TestStreamedIndexFacade(t *testing.T) {
 	err = vectorio.Run(vectorio.Local(3), func(c *vectorio.Comm) error {
 		f := vectorio.Open(c, layer, vectorio.Hints{})
 
-		// Explicit composition: BuildIndexStream fed through an overlapped
-		// ReadStream sink.
+		// Explicit composition: BuildIndexStream fed through a ReadStream
+		// sink.
 		s, err := vectorio.BuildIndexStream(c, iopt)
 		if err != nil {
 			return err
