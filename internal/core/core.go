@@ -120,9 +120,25 @@ func (w WKBParser) Parse(record []byte) (geom.Geometry, error) {
 		return nil, err
 	}
 	if n != len(record) {
-		return nil, fmt.Errorf("wkb: record has %d bytes of trailing garbage after geometry", len(record)-n)
+		return nil, trailingGarbage(len(record) - n)
 	}
 	return g, nil
+}
+
+// scanWKB is WKBParser.Parse without the geometry — the raw exchange path's
+// record check (see ReadExchange). It accepts, rejects and words errors
+// exactly as Parse does, and returns the type and envelope Parse's geometry
+// would report.
+func scanWKB(record []byte) (geom.Type, geom.Envelope, error) {
+	t, env, n, err := wkb.Scan(record)
+	if err == nil && n != len(record) {
+		err = trailingGarbage(len(record) - n)
+	}
+	return t, env, err
+}
+
+func trailingGarbage(n int) error {
+	return fmt.Errorf("wkb: record has %d bytes of trailing garbage after geometry", n)
 }
 
 func trimSpace(b []byte) []byte {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/mpi"
+	"repro/internal/wkb"
 )
 
 // FuzzDecodeExchangeFrame drives the exchange-frame decoder with arbitrary
@@ -32,7 +33,7 @@ func FuzzDecodeExchangeFrame(f *testing.F) {
 		f.Add(flipped)
 	}
 	f.Fuzz(func(t *testing.T, part []byte) {
-		cell, g, rest, err := decodeExchangeFrame(part)
+		cell, g, rest, err := decodeExchangeFrame(&wkb.Parser{}, part)
 		if err != nil {
 			skipped, tail := quarantineFrame(part)
 			if skipped <= 0 && len(part) > 0 {

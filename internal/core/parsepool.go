@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/costmodel"
@@ -44,27 +43,49 @@ type parseBatch struct {
 	done  chan struct{}
 
 	geoms    []geom.Geometry
+	scanned  []scannedRecord // raw mode: records of buf, in file order
 	records  int
 	errs     int
 	firstErr error
 	cost     float64 // accumulated virtual-seconds parse charge
 }
 
-// run parses the batch with the worker's parser. It mirrors parseCtx.one and
-// parseCtx.records exactly — same blank handling, same error text, same
-// per-record cost formula — but touches no Comm: the virtual-time charge is
-// accumulated in cost and applied by the reader goroutine at merge, because
-// Now/Compute are rank-single-threaded.
-func (b *parseBatch) run(p Parser, fr Framing, scale float64) {
+// scannedRecord is one raw-mode record a worker checked with scanWKB: the
+// record's bytes (in its batch's buf) and what its decode would report.
+type scannedRecord struct {
+	rec []byte
+	t   geom.Type
+	env geom.Envelope
+}
+
+// run parses the batch with the worker's parser — or, with scan set (raw
+// mode), scans each record and leaves it in buf for the reader to stage at
+// merge. It mirrors parseCtx.one and parseCtx.records exactly — same blank
+// handling, same error text, same per-record cost formula — but touches no
+// Comm: the virtual-time charge is accumulated in cost and applied by the
+// reader goroutine at merge, because Now/Compute are rank-single-threaded.
+func (b *parseBatch) run(p Parser, fr Framing, scale float64, scan bool) {
 	b.geoms = b.geoms[:0]
+	b.scanned = b.scanned[:0]
 	b.records, b.errs, b.firstErr, b.cost = 0, 0, nil, 0
 	one := func(rec []byte) {
 		if fr.blank(rec) {
 			return
 		}
+		if scan {
+			t, env, err := scanWKB(rec)
+			if err != nil {
+				b.fail(parseErr(rec, err))
+				return
+			}
+			b.cost += costmodel.ParseCost(t, len(rec)) * scale
+			b.records++
+			b.scanned = append(b.scanned, scannedRecord{rec, t, env})
+			return
+		}
 		g, err := p.Parse(rec)
 		if err != nil {
-			b.fail(fmt.Errorf("parse error in record %q: %w", truncRecord(rec), err))
+			b.fail(parseErr(rec, err))
 			return
 		}
 		if g == nil {
@@ -101,6 +122,7 @@ func (b *parseBatch) fail(err error) {
 type parsePool struct {
 	fr    Framing
 	scale float64
+	scan  bool // raw mode: workers scan records instead of parsing them
 	work  chan *parseBatch
 	wg    sync.WaitGroup
 
@@ -112,11 +134,12 @@ type parsePool struct {
 
 // newParsePool starts workers goroutines, each with its own parser clone
 // when the supplied parser can furnish one (see ParserCloner).
-func newParsePool(workers int, p Parser, fr Framing, scale float64) *parsePool {
+func newParsePool(workers int, p Parser, fr Framing, scale float64, scan bool) *parsePool {
 	limit := 2 * workers
 	pl := &parsePool{
 		fr:    fr,
 		scale: scale,
+		scan:  scan,
 		work:  make(chan *parseBatch, limit),
 		limit: limit,
 	}
@@ -129,7 +152,7 @@ func newParsePool(workers int, p Parser, fr Framing, scale float64) *parsePool {
 		go func(wp Parser) {
 			defer pl.wg.Done()
 			for b := range pl.work {
-				b.run(wp, pl.fr, pl.scale)
+				b.run(wp, pl.fr, pl.scale, pl.scan)
 				b.done <- struct{}{}
 			}
 		}(wp)
@@ -165,9 +188,10 @@ func (pc *parseCtx) submit(data []byte, atEOF, raw bool) {
 }
 
 // mergeOldest joins the oldest outstanding batch on the reader goroutine:
-// geometries are appended in file order, the batch's accumulated parse cost
-// is charged to the rank's clock, and errors flow through the same
-// SkipErrors gate as the serial path. The drained batch is recycled.
+// geometries are appended (raw mode: records staged from the batch's own
+// buffer) in file order, the batch's accumulated parse cost is charged to
+// the rank's clock, and errors flow through the same SkipErrors gate as the
+// serial path. The drained batch is recycled.
 func (pc *parseCtx) mergeOldest() {
 	pl := pc.pool
 	b := pl.queue[0]
@@ -185,6 +209,9 @@ func (pc *parseCtx) mergeOldest() {
 	if b.cost > 0 {
 		pc.c.Compute(b.cost)
 		pc.stats.ParseTime += b.cost
+	}
+	for _, r := range b.scanned {
+		pc.stage(r.rec, r.t, r.env)
 	}
 	pl.free = append(pl.free, b)
 	pc.maybeFlush()

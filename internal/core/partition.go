@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -17,36 +18,82 @@ import (
 // [cell uint32][payload length uint32].
 const exchangeHeader = 8
 
-// appendExchangeFrame appends one [cell u32][len u32][wkb payload] exchange
-// frame to dst, encoding the geometry directly into dst (no intermediate
-// per-geometry buffer) and back-patching the header once the payload length
-// is known. Both header fields are range-checked: a grid with more than 2^32
-// cells or a geometry whose WKB exceeds 4 GiB would otherwise wrap silently
-// and deframe as garbage on the receiving rank.
-func appendExchangeFrame(dst []byte, cell int, g geom.Geometry) ([]byte, error) {
+// checkFrame range-checks both header fields of one [cell u32][len u32]
+// [wkb payload] exchange frame before anything is staged: a grid with more
+// than 2^32 cells or a geometry whose WKB exceeds 4 GiB would otherwise wrap
+// silently and deframe as garbage on the receiving rank.
+func checkFrame(cell, plen int) error {
 	if cell < 0 || int64(cell) > math.MaxUint32 {
-		return dst, fmt.Errorf("core: exchange cell id %d overflows the u32 frame header", cell)
+		return fmt.Errorf("core: exchange cell id %d overflows the u32 frame header", cell)
 	}
-	hdr := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
-	dst = wkb.Append(dst, g)
-	plen := len(dst) - hdr - exchangeHeader
 	if int64(plen) > math.MaxUint32 {
-		return dst, fmt.Errorf("core: exchange payload of %d bytes overflows the u32 frame header", plen)
+		return fmt.Errorf("core: exchange payload of %d bytes overflows the u32 frame header", plen)
 	}
-	binary.LittleEndian.PutUint32(dst[hdr:], uint32(cell))
-	binary.LittleEndian.PutUint32(dst[hdr+4:], uint32(plen))
-	return dst, nil
+	return nil
 }
 
-// decodeExchangeFrame decodes one exchange frame from the front of part and
-// returns the remainder. A decoder error and a short decode (wkb.Decode
-// consuming fewer bytes than the frame announced, with no error) are
-// distinct failures: wrapping a nil error would print a garbage
+// Staging chunk sizes. A stage's first chunk holds minChunk bytes and each
+// later one doubles up to maxChunk, after which every chunk is maxChunk —
+// so a sparse (phase, destination) pair of a fine sliding window over many
+// ranks costs a small buffer rather than a full chunk. A frame larger than
+// the next chunk gets a chunk of exactly its size.
+const (
+	minChunk     = 1 << 10
+	chunkDoubles = 6
+	maxChunk     = minChunk << chunkDoubles // 64 KiB
+)
+
+// frameStage is one (phase, destination) pair's staged exchange frames,
+// held in chunks that are filled in place and never regrown: a frame is
+// reserved at its exact size (wkb.Size on the geometry path, the record
+// length on the raw path), so no staged byte is ever copied before gather.
+type frameStage struct {
+	chunks [][]byte // each chunk's length is its used prefix
+}
+
+// frame reserves one frame for cell with a payload of plen bytes (already
+// checked by checkFrame), writes its header, and returns the payload slot,
+// capped at plen bytes.
+func (s *frameStage) frame(cell, plen int) []byte {
+	size := exchangeHeader + plen
+	var b []byte
+	if k := len(s.chunks); k > 0 && cap(s.chunks[k-1])-len(s.chunks[k-1]) >= size {
+		c := s.chunks[k-1]
+		s.chunks[k-1] = c[:len(c)+size]
+		b = c[len(c) : len(c)+size : len(c)+size]
+	} else {
+		b = make([]byte, size, max(minChunk<<min(k, chunkDoubles), size))
+		s.chunks = append(s.chunks, b)
+		b = b[:size:size]
+	}
+	binary.LittleEndian.PutUint32(b, uint32(cell))
+	binary.LittleEndian.PutUint32(b[4:], uint32(plen))
+	return b[exchangeHeader:]
+}
+
+// gather returns the staged frames as one buffer of exactly the staged
+// length — the chunk itself when there is only one — and empties the stage.
+func (s *frameStage) gather() []byte {
+	var out []byte
+	switch len(s.chunks) {
+	case 0:
+	case 1:
+		out = s.chunks[0]
+	default:
+		out = bytes.Join(s.chunks, nil) // no zeroing: every byte is copied over
+	}
+	*s = frameStage{}
+	return out
+}
+
+// decodeExchangeFrame decodes one exchange frame from the front of part
+// with dec and returns the remainder. A decoder error and a short decode
+// (the geometry ending before the bytes the frame announced, with no error)
+// are distinct failures: wrapping a nil error would print a garbage
 // "%!w(<nil>)" message, so the short decode is reported explicitly.
 // Callers add the rank/phase/source context; the messages here describe only
 // the frame itself.
-func decodeExchangeFrame(part []byte) (cell int, g geom.Geometry, rest []byte, err error) {
+func decodeExchangeFrame(dec *wkb.Parser, part []byte) (cell int, g geom.Geometry, rest []byte, err error) {
 	if len(part) < exchangeHeader {
 		return 0, nil, nil, fmt.Errorf("truncated exchange frame header")
 	}
@@ -55,7 +102,7 @@ func decodeExchangeFrame(part []byte) (cell int, g geom.Geometry, rest []byte, e
 	if int64(len(part)) < int64(exchangeHeader)+plen {
 		return 0, nil, nil, fmt.Errorf("truncated exchange frame payload")
 	}
-	g, used, derr := wkb.Decode(part[exchangeHeader : int64(exchangeHeader)+plen])
+	g, used, derr := dec.Decode(part[exchangeHeader : int64(exchangeHeader)+plen])
 	if derr != nil {
 		return 0, nil, nil, fmt.Errorf("exchange payload decode: %w", derr)
 	}
@@ -99,7 +146,9 @@ type Partitioner struct {
 	// phase (the sliding-window technique for large data). Zero exchanges
 	// everything in one phase. The window bounds each phase's message size
 	// and the receive/decode memory; send-side frames are staged at Add for
-	// all phases (compact bytes, released as FinishStream ships each phase).
+	// all phases — in chunks per (phase, destination) that are filled in
+	// place and never regrown, gathered at exact size just before the
+	// phase's payload round and released as FinishStream ships it.
 	WindowCells int
 	// DirectGrid replaces the paper's cell-lookup mechanism — an R-tree
 	// built over the cell boundaries, queried with each geometry's MBR —
@@ -194,6 +243,14 @@ func (pt *Partitioner) Exchange(c *mpi.Comm, local []geom.Geometry) (map[int][]g
 // it, and the input geometries are never retained — once Add returns, a
 // batch's only footprint is its compact serialized frames.
 //
+// Frames have one format — [cell u32][len u32][WKB] — whoever stages them.
+// Add encodes geometries into them; ReadExchange over length-prefixed WKB
+// read by WKBParser stages the file's own record bytes instead (the raw
+// path: scanned, never decoded on the sender, one copy per replica). The
+// two produce byte-identical frames, so cells, their order, every
+// ExchangeStats field and the virtual clock do not depend on which path
+// ran. Receivers decode every frame once, with the Exchanger's own decoder.
+//
 // Add may be called any number of times (including zero) with any batch
 // sizes; ranks need not agree on the call count. Stream, Finish, and
 // FinishStream are collective. A failed Add (a geometry whose frame
@@ -219,13 +276,13 @@ type Exchanger struct {
 
 	// send stages serialized exchange frames as send[phase][dst]. A
 	// placement's phase is cell/window — deterministic at Add time — so
-	// frames land directly in their phase's buffer in arrival order. Rows
+	// frames land directly in their phase's stage in arrival order. Rows
 	// are allocated on first use (a fine-grained sliding window has many
 	// phases, most of them possibly empty on a given rank) and released as
 	// Finish ships them. Staging frames across all phases is what lets the
 	// batch's geometries go the moment Add returns; the window bounds what
 	// each phase sends, receives, and decodes, not what is staged.
-	send [][][]byte
+	send [][]frameStage
 	// sendGeoms counts staged frames as sendGeoms[phase][dst] — the geometry
 	// half of the count matrix each phase's Allgather publishes for
 	// load-balance observability. Rows allocate with their send rows.
@@ -281,7 +338,7 @@ func (pt *Partitioner) Stream(c *mpi.Comm) (*Exchanger, error) {
 	}
 	ex.phases = (numCells + ex.window - 1) / ex.window
 	ex.stats.Phases = ex.phases
-	ex.send = make([][][]byte, ex.phases)
+	ex.send = make([][]frameStage, ex.phases)
 	ex.sendGeoms = make([][]int64, ex.phases)
 	ex.serCost = make([]float64, ex.phases)
 	return ex, nil
@@ -293,61 +350,112 @@ func (pt *Partitioner) Stream(c *mpi.Comm) (*Exchanger, error) {
 // charged inside Finish), and the batch is not retained: geometries with
 // empty envelopes are dropped, the rest live on as serialized frames.
 // Thanks to envelope-at-parse, freshly parsed batches project without
-// rescanning a single coordinate. Calls must be serialized (one goroutine
-// at a time — in practice the rank goroutine, from a ReadStream sink).
+// rescanning a single coordinate. Each frame is reserved at its exact
+// encoded size (wkb.Size), so encoding never regrows a buffer. Calls must
+// be serialized (one goroutine at a time — in practice the rank goroutine,
+// from a ReadStream sink). ReadExchange bypasses Add when its input allows
+// the raw path (see Exchanger); that is a property of the parser and
+// framing the caller passes, not an option.
 func (ex *Exchanger) Add(batch []geom.Geometry) error {
-	if ex.done {
-		return fmt.Errorf("core: Exchanger.Add after Finish")
-	}
-	if ex.addErr != nil {
-		return ex.addErr
+	if err := ex.open(); err != nil {
+		return err
 	}
 	for _, g := range batch {
 		env := g.Envelope()
 		if env.IsEmpty() {
 			continue
 		}
-		var cells []int
-		if ex.cellIndex != nil {
-			// The paper's mechanism: query the R-tree of cell boundaries
-			// with the geometry's MBR.
-			cells = ex.cellIndex.CellsFor(env)
-			ex.projCost += costmodel.IndexQuery(ex.numCells, len(cells)) * ex.scale
-		} else {
-			cells = ex.grid.CellsFor(env)
-			ex.projCost += costmodel.GridProjectPerCell * float64(len(cells)) * ex.scale
-		}
-		if len(cells) == 0 {
-			// The R-tree of cell boundaries matches nothing for a geometry
-			// lying wholly outside the grid envelope (reachable only with a
-			// caller-supplied envelope smaller than the data; a grid derived
-			// from the data always covers it). Dropping it would silently
-			// lose data, so fall back to the arithmetic lookup, which clamps
-			// outside geometries to the border cells.
-			cells = ex.grid.CellsFor(env)
-			ex.projCost += costmodel.GridProjectPerCell * float64(len(cells)) * ex.scale
-		}
-		ex.stats.Replicas += len(cells)
-		for _, cell := range cells {
-			ph := cell / ex.window
-			dst := ex.mapping(cell, ex.size)
-			row := ex.send[ph]
-			if row == nil {
-				row = make([][]byte, ex.size)
-				ex.send[ph] = row
-				ex.sendGeoms[ph] = make([]int64, ex.size)
-			}
-			buf, err := appendExchangeFrame(row[dst], cell, g)
+		t, size := g.GeomType(), wkb.Size(g)
+		for _, cell := range ex.project(env) {
+			slot, err := ex.frame(cell, t, size)
 			if err != nil {
-				ex.addErr = err
 				return err
 			}
-			row[dst] = buf
-			ex.sendGeoms[ph][dst]++
-			ex.serCost[ph] += costmodel.SerializeGeomCost(g.GeomType())
+			if enc := wkb.Append(slot[:0], g); len(enc) != size {
+				panic(fmt.Sprintf("core: wkb.Size(%T) = %d but Append wrote %d bytes", g, size, len(enc)))
+			}
 		}
 	}
 	return nil
+}
+
+// addRaw is Add for one record of the raw path: rec is the file's own WKB,
+// already checked whole by scanWKB, and t and env are what its decode would
+// report. By FuzzDecode's re-encode invariant rec is byte-for-byte
+// wkb.Append of that decode, so staging it with one copy per replica yields
+// Add's frames exactly; projection, charges and counters are Add's. The
+// caller's buffer is not retained.
+func (ex *Exchanger) addRaw(rec []byte, t geom.Type, env geom.Envelope) error {
+	if err := ex.open(); err != nil {
+		return err
+	}
+	if env.IsEmpty() {
+		return nil
+	}
+	for _, cell := range ex.project(env) {
+		slot, err := ex.frame(cell, t, len(rec))
+		if err != nil {
+			return err
+		}
+		copy(slot, rec)
+	}
+	return nil
+}
+
+// open reports whether the Exchanger still accepts input.
+func (ex *Exchanger) open() error {
+	if ex.done {
+		return fmt.Errorf("core: Exchanger.Add after Finish")
+	}
+	return ex.addErr
+}
+
+// project returns the cells an envelope overlaps, booking the lookup's
+// charge off-clock and the replicas in the stats.
+func (ex *Exchanger) project(env geom.Envelope) []int {
+	var cells []int
+	if ex.cellIndex != nil {
+		// The paper's mechanism: query the R-tree of cell boundaries with
+		// the geometry's MBR.
+		cells = ex.cellIndex.CellsFor(env)
+		ex.projCost += costmodel.IndexQuery(ex.numCells, len(cells)) * ex.scale
+	} else {
+		cells = ex.grid.CellsFor(env)
+		ex.projCost += costmodel.GridProjectPerCell * float64(len(cells)) * ex.scale
+	}
+	if len(cells) == 0 {
+		// The R-tree of cell boundaries matches nothing for a geometry
+		// lying wholly outside the grid envelope (reachable only with a
+		// caller-supplied envelope smaller than the data; a grid derived
+		// from the data always covers it). Dropping it would silently lose
+		// data, so fall back to the arithmetic lookup, which clamps outside
+		// geometries to the border cells.
+		cells = ex.grid.CellsFor(env)
+		ex.projCost += costmodel.GridProjectPerCell * float64(len(cells)) * ex.scale
+	}
+	ex.stats.Replicas += len(cells)
+	return cells
+}
+
+// frame stages the header of one (geometry, cell) frame with a plen-byte
+// payload of type t in the cell's phase stage for its owner, books the
+// frame's count and serialization charge, and returns the payload slot. A
+// header field that overflows fails the Exchanger (sticky) before anything
+// is staged.
+func (ex *Exchanger) frame(cell int, t geom.Type, plen int) ([]byte, error) {
+	if err := checkFrame(cell, plen); err != nil {
+		ex.addErr = err
+		return nil, err
+	}
+	ph := cell / ex.window
+	dst := ex.mapping(cell, ex.size)
+	if ex.send[ph] == nil {
+		ex.send[ph] = make([]frameStage, ex.size)
+		ex.sendGeoms[ph] = make([]int64, ex.size)
+	}
+	ex.sendGeoms[ph][dst]++
+	ex.serCost[ph] += costmodel.SerializeGeomCost(t)
+	return ex.send[ph][dst].frame(cell, plen), nil
 }
 
 // Finish runs the two-round exchange protocol over the staged frames, one
@@ -411,20 +519,23 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 	// rank-identical without any trailing collective.
 	loadBytes := make([]int64, ex.size)
 	loadGeoms := make([]int64, ex.size)
-	// emptyRow stands in for phases this rank staged nothing into.
-	emptyRow := make([][]byte, ex.size)
+	// send is each phase's payload-round input, gathered from its stages.
+	send := make([][]byte, ex.size)
+	// dec decodes every received frame of the exchange: one arena for the
+	// whole receive side (a zero Parser allocates its first slab lazily).
+	var dec wkb.Parser
 
 	for ph := 0; ph < ex.phases; ph++ {
 		// Serialization is charged at this fixed program point; Add already
 		// did the work off-clock.
 		t1 := c.Now()
-		send := ex.send[ph]
-		if send == nil {
-			send = emptyRow
-		}
 		var sentBytes int64
-		for _, b := range send {
-			sentBytes += int64(len(b))
+		for dst := range send {
+			send[dst] = nil
+			if ex.send[ph] != nil {
+				send[dst] = ex.send[ph][dst].gather()
+			}
+			sentBytes += int64(len(send[dst]))
 		}
 		c.Compute((costmodel.SerializePerByte*float64(sentBytes) + ex.serCost[ph]) * ex.scale)
 		ex.stats.BytesSent += sentBytes
@@ -467,8 +578,9 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 		}
 
 		// This phase's staged frames are dead the moment the payload round
-		// returns; release the row so a long sliding-window run frees send
+		// returns; release them so a long sliding-window run frees send
 		// buffers as it goes.
+		clear(send)
 		ex.send[ph] = nil
 		ex.sendGeoms[ph] = nil
 
@@ -482,7 +594,7 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 			c.Compute(costmodel.DeserializePerByte * float64(len(part)) * ex.scale)
 			var deserGeomCost float64
 			for len(part) > 0 {
-				cell, g, rest, err := decodeExchangeFrame(part)
+				cell, g, rest, err := decodeExchangeFrame(&dec, part)
 				if err == nil {
 					if own := ex.mapping(cell, ex.size); own != rank {
 						err = fmt.Errorf("received cell %d owned by rank %d", cell, own)
@@ -554,19 +666,43 @@ func f64field(buf []byte, i int) float64 {
 // front (a caller-supplied global envelope); when the envelope is unknown,
 // read first and use the two-pass Allreduce path instead (see
 // spatial.JoinFiles). All ranks must call it collectively.
+//
+// When p is a WKBParser and opt.Framing is LengthPrefixed, the read takes
+// the raw path: each record is scanned (wkb.Scan — type, envelope, length,
+// with Parse's checks and error text) instead of decoded, and its file
+// bytes are staged as the frame payload while the read block still holds
+// them, so the sender never builds a geometry and never encodes one. This
+// is a property of the input, not an option: ReadStats, cells, within-cell
+// order, every ExchangeStats field and the virtual clock are bitwise those
+// of feeding ReadStream's batches to Exchanger.Add (a Parser wrapping
+// WKBParser does exactly that). On a read error the exchange never runs and
+// its stats are zero.
 func ReadExchange(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, pt *Partitioner) (map[int][]geom.Geometry, ReadStats, ExchangeStats, error) {
 	ex, err := pt.Stream(c)
 	if err != nil {
 		return nil, ReadStats{}, ExchangeStats{}, err
 	}
-	rstats, err := ReadStream(c, f, p, opt, ex.Add)
+	var rstats ReadStats
+	if rawPath(p, opt.Framing) {
+		_, rstats, err = readCore(c, f, p, opt, output{raw: ex})
+	} else {
+		rstats, err = ReadStream(c, f, p, opt, ex.Add)
+	}
 	if err != nil {
 		// The read settled its error collectively: every rank abandons the
 		// exchange here, so nobody is stranded in Finish's collectives.
-		return nil, rstats, ex.stats, err
+		return nil, rstats, ExchangeStats{}, err
 	}
 	cells, estats, err := ex.Finish()
 	return cells, rstats, estats, err
+}
+
+// rawPath reports whether ReadExchange can forward the file's record bytes:
+// the stock WKB parser over length-prefixed framing, whose payloads are
+// exactly the frames' WKB.
+func rawPath(p Parser, fr Framing) bool {
+	_, stock := p.(WKBParser)
+	return stock && fr == LengthPrefixed()
 }
 
 // LocalEnvelope unions the MBRs of a geometry batch — each rank's input to

@@ -16,6 +16,18 @@ import (
 	"repro/internal/wkb"
 )
 
+// appendExchangeFrame stages g's frame for cell the way Exchanger.Add does —
+// checked header, exact-size slot, encode in place — and appends the
+// gathered bytes to dst.
+func appendExchangeFrame(dst []byte, cell int, g geom.Geometry) ([]byte, error) {
+	if err := checkFrame(cell, wkb.Size(g)); err != nil {
+		return dst, err
+	}
+	var s frameStage
+	wkb.Append(s.frame(cell, wkb.Size(g))[:0], g)
+	return append(dst, s.gather()...), nil
+}
+
 // TestDecodeExchangeFrameShortDecode is the regression test for the
 // wrapped-nil decode error: when wkb.Decode consumes fewer bytes than the
 // frame header announced but returns no error, the old
@@ -29,7 +41,7 @@ func TestDecodeExchangeFrameShortDecode(t *testing.T) {
 	binary.LittleEndian.PutUint32(frame[4:], uint32(len(padded)))
 	frame = append(frame, padded...)
 
-	_, _, _, err := decodeExchangeFrame(frame)
+	_, _, _, err := decodeExchangeFrame(&wkb.Parser{}, frame)
 	if err == nil {
 		t.Fatal("short decode accepted")
 	}
@@ -47,7 +59,7 @@ func TestDecodeExchangeFrameDecoderError(t *testing.T) {
 	binary.LittleEndian.PutUint32(frame[0:], 3)
 	binary.LittleEndian.PutUint32(frame[4:], 3)
 	frame = append(frame, 9, 9, 9) // garbage WKB
-	if _, _, _, err := decodeExchangeFrame(frame); err == nil {
+	if _, _, _, err := decodeExchangeFrame(&wkb.Parser{}, frame); err == nil {
 		t.Fatal("garbage payload accepted")
 	} else if strings.Contains(err.Error(), "<nil>") {
 		t.Errorf("nil wrapped into decoder error: %q", err.Error())
@@ -55,12 +67,12 @@ func TestDecodeExchangeFrameDecoderError(t *testing.T) {
 }
 
 func TestDecodeExchangeFrameTruncated(t *testing.T) {
-	if _, _, _, err := decodeExchangeFrame([]byte{1, 2, 3}); err == nil {
+	if _, _, _, err := decodeExchangeFrame(&wkb.Parser{}, []byte{1, 2, 3}); err == nil {
 		t.Error("truncated header accepted")
 	}
 	frame := make([]byte, 8)
 	binary.LittleEndian.PutUint32(frame[4:], 100) // announces more than present
-	if _, _, _, err := decodeExchangeFrame(frame); err == nil {
+	if _, _, _, err := decodeExchangeFrame(&wkb.Parser{}, frame); err == nil {
 		t.Error("truncated payload accepted")
 	}
 }
@@ -71,7 +83,7 @@ func TestAppendExchangeFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell, got, rest, err := decodeExchangeFrame(buf)
+	cell, got, rest, err := decodeExchangeFrame(&wkb.Parser{}, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +98,11 @@ func TestAppendExchangeFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, rest, err = decodeExchangeFrame(buf)
+	_, _, rest, err = decodeExchangeFrame(&wkb.Parser{}, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cell2, _, rest2, err := decodeExchangeFrame(rest); err != nil || cell2 != 7 || len(rest2) != 0 {
+	if cell2, _, rest2, err := decodeExchangeFrame(&wkb.Parser{}, rest); err != nil || cell2 != 7 || len(rest2) != 0 {
 		t.Errorf("second frame: cell=%d rest=%d err=%v", cell2, len(rest2), err)
 	}
 }

@@ -136,7 +136,7 @@ type ReadStats struct {
 // through the ranks; see readMessageChain and the overlap phase chain for
 // how each strategy does it.
 func ReadPartition(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions) ([]geom.Geometry, ReadStats, error) {
-	return readCore(c, f, p, opt, nil)
+	return readCore(c, f, p, opt, output{})
 }
 
 // ReadStream is the streaming variant of ReadPartition: instead of
@@ -169,14 +169,22 @@ func ReadStream(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, sink func
 	if sink == nil {
 		return ReadStats{}, fmt.Errorf("core: ReadStream requires a sink")
 	}
-	_, stats, err := readCore(c, f, p, opt, sink)
+	_, stats, err := readCore(c, f, p, opt, output{batch: sink})
 	return stats, err
 }
 
-// readCore is the single read/boundary-repair engine behind ReadPartition
-// (nil sink: geometries accumulate and are returned) and ReadStream
-// (non-nil sink: geometries flow out in pooled batches).
-func readCore(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, sink func([]geom.Geometry) error) ([]geom.Geometry, ReadStats, error) {
+// output is where a read's records go: into the returned slice (the zero
+// value, ReadPartition), to batch in bounded batches (ReadStream), or — the
+// raw path of ReadExchange — into raw as scanned record bytes, with no
+// geometry built at all.
+type output struct {
+	batch func([]geom.Geometry) error
+	raw   *Exchanger
+}
+
+// readCore is the single read/boundary-repair engine behind ReadPartition,
+// ReadStream and ReadExchange's raw path (see output).
+func readCore(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, out output) ([]geom.Geometry, ReadStats, error) {
 	if opt.Delimiter == 0 {
 		opt.Delimiter = '\n'
 	}
@@ -197,12 +205,12 @@ func readCore(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, sink func([
 		opt.MaxGeomSize = blockSize
 	}
 	if opt.Strategy == Overlap {
-		return readOverlap(c, f, p, opt, fr, blockSize, sink)
+		return readOverlap(c, f, p, opt, fr, blockSize, out)
 	}
 	if fr.selfSync() {
-		return readMessage(c, f, p, opt, fr, blockSize, sink)
+		return readMessage(c, f, p, opt, fr, blockSize, out)
 	}
-	return readMessageChain(c, f, p, opt, fr, blockSize, sink)
+	return readMessageChain(c, f, p, opt, fr, blockSize, out)
 }
 
 // readArena holds one rank's reusable buffers for ReadPartition. Every
@@ -323,11 +331,11 @@ type blockLoop struct {
 
 // newBlockLoop opens the parse context and arena for one collective read.
 // Callers must l.pc.close() on every exit path (see newParseCtx).
-func newBlockLoop(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Framing, blockSize int64, sink func([]geom.Geometry) error) *blockLoop {
+func newBlockLoop(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Framing, blockSize int64, out output) *blockLoop {
 	file := f.PFSFile().Name()
 	chunk := int64(c.Size()) * blockSize
 	l := &blockLoop{c: c, f: f, level: opt.Level, file: file, blockSize: blockSize,
-		pc:         newParseCtx(c, p, opt, fr, f.PFSFile().Scale(), file, sink),
+		pc:         newParseCtx(c, p, opt, fr, f.PFSFile().Scale(), file, out),
 		iterations: int((f.Size() + chunk - 1) / chunk)}
 	l.pc.stats.Iterations = l.iterations
 	return l
@@ -366,8 +374,8 @@ func (l *blockLoop) read(i int, what string, off, length int64) ([]byte, error) 
 // precisely because the framing is self-synchronizing: a rank finds its own
 // trailing fragment without knowing the stream phase at its block's first
 // byte.
-func readMessage(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Framing, blockSize int64, sink func([]geom.Geometry) error) ([]geom.Geometry, ReadStats, error) {
-	l := newBlockLoop(c, f, p, opt, fr, blockSize, sink)
+func readMessage(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Framing, blockSize int64, out output) ([]geom.Geometry, ReadStats, error) {
+	l := newBlockLoop(c, f, p, opt, fr, blockSize, out)
 	pc, ar, file, n, rank := l.pc, &l.ar, l.file, c.Size(), c.Rank()
 	defer pc.close()
 	next := (rank + 1) % n
@@ -529,8 +537,8 @@ func readMessage(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Frami
 // world-trailing fragment as its next-iteration carry. The terminal rank
 // owns end-of-file: nothing flows past it, and leftover bytes there are
 // settled by the framing's EOF rule (for binary records, truncation).
-func readMessageChain(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Framing, blockSize int64, sink func([]geom.Geometry) error) ([]geom.Geometry, ReadStats, error) {
-	l := newBlockLoop(c, f, p, opt, fr, blockSize, sink)
+func readMessageChain(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Framing, blockSize int64, out output) ([]geom.Geometry, ReadStats, error) {
+	l := newBlockLoop(c, f, p, opt, fr, blockSize, out)
 	pc, ar, file, n, rank := l.pc, &l.ar, l.file, c.Size(), c.Rank()
 	defer pc.close()
 	next := (rank + 1) % n
@@ -718,8 +726,8 @@ func (ar *readArena) recvFragment(c *mpi.Comm, src int) ([]byte, bool, error) {
 // is unchanged: the halo still makes every owned record fully visible with
 // zero data bytes exchanged; the token is 8 bytes against MaxGeomSize of
 // redundant read per block.
-func readOverlap(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Framing, blockSize int64, sink func([]geom.Geometry) error) ([]geom.Geometry, ReadStats, error) {
-	l := newBlockLoop(c, f, p, opt, fr, blockSize, sink)
+func readOverlap(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Framing, blockSize int64, out output) ([]geom.Geometry, ReadStats, error) {
+	l := newBlockLoop(c, f, p, opt, fr, blockSize, out)
 	pc, file, rank, fileSize, iterations := l.pc, l.file, c.Rank(), f.Size(), l.iterations
 	defer pc.close()
 	sync := fr.selfSync()
@@ -888,6 +896,12 @@ type parseCtx struct {
 	sink        func([]geom.Geometry) error
 	batchTarget int
 	sinkErr     error
+
+	// Raw mode (ReadExchange over length-prefixed WKB): records are scanned,
+	// not parsed, and staged into raw as bytes; geoms stays empty. It
+	// streams like ReadStream — same deliveries gate, same agreement — so a
+	// staging failure is a sink error.
+	raw *Exchanger
 }
 
 // defaultStreamBatch is the ReadStream batch bound when
@@ -898,16 +912,16 @@ const defaultStreamBatch = 256
 // the worker pool when ParseWorkers asks for one. Callers must pc.close()
 // on every exit path (finish does it on the success path; a deferred close
 // is idempotent and covers errors).
-func newParseCtx(c *mpi.Comm, p Parser, opt ReadOptions, fr Framing, scale float64, file string, sink func([]geom.Geometry) error) *parseCtx {
-	pc := &parseCtx{c: c, p: p, opt: opt, fr: fr, scale: scale, file: file, sink: sink}
-	if sink != nil {
+func newParseCtx(c *mpi.Comm, p Parser, opt ReadOptions, fr Framing, scale float64, file string, out output) *parseCtx {
+	pc := &parseCtx{c: c, p: p, opt: opt, fr: fr, scale: scale, file: file, sink: out.batch, raw: out.raw}
+	if pc.sink != nil {
 		pc.batchTarget = opt.StreamBatch
 		if pc.batchTarget <= 0 {
 			pc.batchTarget = defaultStreamBatch
 		}
 	}
 	if opt.ParseWorkers > 0 {
-		pc.pool = newParsePool(opt.ParseWorkers, p, fr, scale)
+		pc.pool = newParsePool(opt.ParseWorkers, p, fr, scale, pc.raw != nil)
 	}
 	return pc
 }
@@ -917,13 +931,25 @@ func newParseCtx(c *mpi.Comm, p Parser, opt ReadOptions, fr Framing, scale float
 // dropped: the rank still finishes its iterations for collectivity, and
 // dropping keeps memory bounded.
 func (pc *parseCtx) emit(batch []geom.Geometry) {
-	if pc.sinkErr != nil || pc.firstErr != nil {
+	if pc.doomed() {
 		return
 	}
 	if err := pc.sink(batch); err != nil {
 		pc.sinkErr = err
 	}
 }
+
+// stage is emit for one scanned record of the raw path.
+func (pc *parseCtx) stage(rec []byte, t geom.Type, env geom.Envelope) {
+	if pc.doomed() {
+		return
+	}
+	if err := pc.raw.addRaw(rec, t, env); err != nil {
+		pc.sinkErr = err
+	}
+}
+
+func (pc *parseCtx) doomed() bool { return pc.sinkErr != nil || pc.firstErr != nil }
 
 // deliver flushes whatever remains in the accumulator as the stream's
 // final (partial) batch.
@@ -1029,16 +1055,30 @@ func parseRegion(fr Framing, data []byte, atEOF bool, one func([]byte), fail fun
 }
 
 // one parses one record payload, charges the calibrated parse cost for the
-// work actually done, and appends the geometry. Malformed records are
-// counted; the first is remembered unless SkipErrors is set.
+// work actually done, and appends the geometry — or, in raw mode, scans it
+// and stages its bytes while the read buffer still holds them, at the same
+// charge. Malformed records are counted; the first is remembered unless
+// SkipErrors is set.
 func (pc *parseCtx) one(rec []byte) {
 	if pc.fr.blank(rec) {
 		return
 	}
 	t0 := pc.c.Now()
+	if pc.raw != nil {
+		t, env, err := scanWKB(rec)
+		if err != nil {
+			pc.fail(parseErr(rec, err))
+			return
+		}
+		pc.c.Compute(costmodel.ParseCost(t, len(rec)) * pc.scale)
+		pc.stats.ParseTime += pc.c.Now() - t0
+		pc.stats.Records++
+		pc.stage(rec, t, env)
+		return
+	}
 	g, err := pc.p.Parse(rec)
 	if err != nil {
-		pc.fail(fmt.Errorf("parse error in record %q: %w", truncRecord(rec), err))
+		pc.fail(parseErr(rec, err))
 		return
 	}
 	if g == nil {
@@ -1049,6 +1089,11 @@ func (pc *parseCtx) one(rec []byte) {
 	pc.stats.Records++
 	pc.geoms = append(pc.geoms, g)
 	pc.maybeFlush()
+}
+
+// parseErr is the one wording of a malformed record, on every parse path.
+func parseErr(rec []byte, err error) error {
+	return fmt.Errorf("parse error in record %q: %w", truncRecord(rec), err)
 }
 
 // fail records a malformed-record or framing error: counted always,
@@ -1080,15 +1125,15 @@ func (pc *parseCtx) stamp(err error) error {
 // collective read agree on the outcome. The local error wins the report
 // (it is the concrete one); a clean rank learns of remote failures through
 // the flags. The agreement is skipped only for a materialized read under
-// SkipErrors, where nothing can be fatal (streaming reads always agree:
-// their sink can fail regardless). The identical agreement structure on
-// both paths means ReadPartition and a collecting-sink ReadStream share
-// the exact virtual-time trajectory.
+// SkipErrors, where nothing can be fatal (streaming reads, ReadStream's and
+// the raw path's, always agree: their sink can fail regardless). The
+// identical agreement structure on both paths means ReadPartition and a
+// collecting-sink ReadStream share the exact virtual-time trajectory.
 func (pc *parseCtx) finish() ([]geom.Geometry, ReadStats, error) {
 	pc.drain()
 	pc.deliver()
 	pc.close()
-	if pc.opt.SkipErrors && pc.sink == nil {
+	if pc.opt.SkipErrors && pc.sink == nil && pc.raw == nil {
 		return pc.geoms, pc.stats, nil
 	}
 	var flag [16]byte

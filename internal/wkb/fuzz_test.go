@@ -3,6 +3,7 @@ package wkb
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"repro/internal/geom"
@@ -12,7 +13,10 @@ import (
 // invariants: it never panics, it never reports success without consuming a
 // sensible byte count, and every decodable input round-trips byte-exactly
 // through Encode (the encoding is canonical: little-endian only, counts
-// derived from content).
+// derived from content) — the licence for core's raw exchange path to ship
+// a record's file bytes as its frame payload. Scan must agree with Decode on
+// every input: accept or reject, error text, bytes consumed, geometry type,
+// and the primed envelope bit for bit.
 func FuzzDecode(f *testing.F) {
 	seedGeoms := []geom.Geometry{
 		geom.Point{X: 1.5, Y: -2.25},
@@ -47,9 +51,14 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0})             // big-endian marker
 	f.Add([]byte{1, 99, 0, 0, 0})            // unknown code
 	f.Add([]byte{1, 3, 0, 0, 0, 0, 0, 0, 0}) // polygon with zero rings
+	// Envelope edge cases for Scan ≡ Decode: special floats and empty runs.
+	for _, g := range scanEdgeGeoms() {
+		f.Add(Encode(g))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, n, err := Decode(data)
+		assertScanMatches(t, data, g, n, err)
 		if err != nil {
 			if g != nil {
 				t.Fatalf("Decode returned a geometry alongside error %v", err)
@@ -67,6 +76,68 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("re-encode mismatch:\n in  %x\n out %x", data[:n], re)
 		}
 	})
+}
+
+// scanEdgeGeoms are the inputs where an envelope fold could drift from
+// Decode's: NaN, signed zeros and infinities among the coordinates, empty
+// runs (LINESTRING EMPTY, an empty MULTIPOINT, a polygon with an empty shell
+// and a non-empty hole), holes, and collections mixing all of them.
+func scanEdgeGeoms() []geom.Geometry {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	square := func(x float64) []geom.Point {
+		return []geom.Point{{X: x, Y: 0}, {X: x + 1, Y: 0}, {X: x + 1, Y: 1}, {X: x, Y: 0}}
+	}
+	return []geom.Geometry{
+		geom.Point{X: nan, Y: 1},
+		geom.Point{X: negZero, Y: negZero},
+		&geom.LineString{Pts: []geom.Point{{X: 0, Y: negZero}, {X: negZero, Y: 0}}},
+		&geom.LineString{Pts: []geom.Point{{X: 1, Y: 1}, {X: nan, Y: 2}, {X: 3, Y: nan}}},
+		&geom.LineString{Pts: []geom.Point{{X: inf, Y: -inf}, {X: -inf, Y: inf}}},
+		&geom.LineString{},
+		&geom.MultiPoint{},
+		&geom.MultiPoint{Pts: []geom.Point{{X: nan, Y: nan}, {X: 1, Y: negZero}}},
+		&geom.Polygon{Shell: []geom.Point{}, Holes: [][]geom.Point{square(5)}},
+		&geom.Polygon{Shell: square(0), Holes: [][]geom.Point{square(0.25), {}}},
+		&geom.MultiLineString{Lines: []geom.LineString{{}, {Pts: []geom.Point{{X: 2, Y: 2}}}, {}}},
+		&geom.MultiLineString{Lines: []geom.LineString{{Pts: []geom.Point{{X: nan, Y: 0}}}, {Pts: []geom.Point{{X: 1, Y: 1}}}}},
+		&geom.MultiPolygon{Polys: []geom.Polygon{
+			{Shell: []geom.Point{}},
+			{Shell: square(-3), Holes: [][]geom.Point{square(-2.5)}},
+			{Shell: square(inf)},
+		}},
+		&geom.MultiPolygon{},
+	}
+}
+
+// assertScanMatches checks Scan against Decode's outcome (g, n, err) on data.
+func assertScanMatches(t *testing.T, data []byte, g geom.Geometry, n int, err error) {
+	t.Helper()
+	st, senv, sn, serr := Scan(data)
+	if (err == nil) != (serr == nil) {
+		t.Fatalf("Decode err %v, Scan err %v on %x", err, serr, data)
+	}
+	if err != nil {
+		if err.Error() != serr.Error() {
+			t.Fatalf("error text: Decode %q, Scan %q", err, serr)
+		}
+		return
+	}
+	if sn != n {
+		t.Fatalf("Scan consumed %d bytes, Decode %d", sn, n)
+	}
+	if st != g.GeomType() {
+		t.Fatalf("Scan type %v, Decode %v", st, g.GeomType())
+	}
+	if denv := g.Envelope(); !sameBits(senv, denv) {
+		t.Fatalf("Scan envelope %+v, Decode %+v", senv, denv)
+	}
+}
+
+func sameBits(a, b geom.Envelope) bool {
+	return math.Float64bits(a.MinX) == math.Float64bits(b.MinX) &&
+		math.Float64bits(a.MinY) == math.Float64bits(b.MinY) &&
+		math.Float64bits(a.MaxX) == math.Float64bits(b.MaxX) &&
+		math.Float64bits(a.MaxY) == math.Float64bits(b.MaxY)
 }
 
 // FuzzDecodeFramed covers the length-prefix layer: arbitrary headers must

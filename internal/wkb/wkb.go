@@ -20,6 +20,15 @@
 // slabs are abandoned to the garbage collector, never recycled), but a
 // single Parser must not be shared between goroutines. The package-level
 // Decode draws Parsers from a pool and is safe for concurrent use.
+//
+// Scan is Decode's walk without the geometry: the type, the envelope Decode
+// would prime, and the bytes consumed, with no allocation. Because the
+// encoding is canonical — FuzzDecode pins Encode(Decode(b)) == b[:n] — a
+// record Scan accepts whole is byte-for-byte what Append would write for its
+// decode, which is what licenses core's raw exchange path to forward a
+// length-prefixed file's record bytes verbatim as frame payloads and decode
+// them once, on the receiving rank. Size is Append's length without
+// encoding, so a caller can reserve a frame exactly.
 package wkb
 
 import (
@@ -102,6 +111,51 @@ func Append(dst []byte, g geom.Geometry) []byte {
 // Encode returns the WKB encoding of g.
 func Encode(g geom.Geometry) []byte { return Append(nil, g) }
 
+// headerBytes is one geometry header: byte-order marker plus type code.
+// A count word is 4 bytes; a vertex is minPointBytes.
+const headerBytes = 5
+
+// Size returns len(Append(nil, g)) without encoding, so a caller can
+// reserve exactly the bytes Append will write. It panics on the geometries
+// Append panics on.
+func Size(g geom.Geometry) int {
+	switch v := g.(type) {
+	case geom.Point, *geom.Point:
+		return headerBytes + minPointBytes
+	case *geom.LineString:
+		return headerBytes + runSize(v.Pts)
+	case *geom.Polygon:
+		return headerBytes + polygonBodySize(v)
+	case *geom.MultiPoint:
+		return headerBytes + 4 + (headerBytes+minPointBytes)*len(v.Pts)
+	case *geom.MultiLineString:
+		n := headerBytes + 4
+		for i := range v.Lines {
+			n += headerBytes + runSize(v.Lines[i].Pts)
+		}
+		return n
+	case *geom.MultiPolygon:
+		n := headerBytes + 4
+		for i := range v.Polys {
+			n += headerBytes + polygonBodySize(&v.Polys[i])
+		}
+		return n
+	default:
+		panic(fmt.Sprintf("wkb: unsupported geometry %T", g))
+	}
+}
+
+// runSize is the encoded size of a counted vertex run.
+func runSize(pts []geom.Point) int { return 4 + minPointBytes*len(pts) }
+
+func polygonBodySize(poly *geom.Polygon) int {
+	n := 4 + runSize(poly.Shell)
+	for _, h := range poly.Holes {
+		n += runSize(h)
+	}
+	return n
+}
+
 // parserPool backs the package-level Decode so stateless callers still get
 // arena-amortized decoding.
 var parserPool = sync.Pool{New: func() any { return NewParser() }}
@@ -128,8 +182,7 @@ const slabPoints = 1024
 // what core's per-rank parse workers do, each worker cloning its own —
 // rather than sharing one behind a lock; the arena is the point.
 type Parser struct {
-	buf []byte
-	pos int
+	reader
 
 	// slab is the coordinate arena. Completed point runs are sliced out
 	// with a full slice expression and handed to geometries, so the slab is
@@ -201,21 +254,39 @@ func (p *Parser) takeRun() []geom.Point {
 // (safe because the run was never handed to a geometry).
 func (p *Parser) abandonRun() { p.slab = p.slab[:p.mark] }
 
-func (p *Parser) u32() (uint32, error) {
-	if p.pos+4 > len(p.buf) {
+// reader is the bounds-checked cursor both walks share — Parser, which
+// builds geometries, and Scan, which only folds their envelope — so the two
+// accept, reject and word errors identically.
+type reader struct {
+	buf []byte
+	pos int
+}
+
+// Element-type mismatches inside collections, and the one structural rule
+// beyond the byte counts.
+const (
+	errMultiPointElem = "wkb: MULTIPOINT element is not a point"
+	errMultiLineElem  = "wkb: MULTILINESTRING element is not a linestring"
+	errMultiPolyElem  = "wkb: MULTIPOLYGON element is not a polygon"
+)
+
+var errZeroRings = errors.New("wkb: polygon with zero rings")
+
+func (r *reader) u32() (uint32, error) {
+	if r.pos+4 > len(r.buf) {
 		return 0, ErrTruncated
 	}
-	v := binary.LittleEndian.Uint32(p.buf[p.pos:])
-	p.pos += 4
+	v := binary.LittleEndian.Uint32(r.buf[r.pos:])
+	r.pos += 4
 	return v, nil
 }
 
-func (p *Parser) f64() (float64, error) {
-	if p.pos+8 > len(p.buf) {
+func (r *reader) f64() (float64, error) {
+	if r.pos+8 > len(r.buf) {
 		return 0, ErrTruncated
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(p.buf[p.pos:]))
-	p.pos += 8
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.pos:]))
+	r.pos += 8
 	return v, nil
 }
 
@@ -225,28 +296,34 @@ func (p *Parser) f64() (float64, error) {
 // otherwise reserve unbounded memory — a 9-byte MULTIPOINT header must not
 // make the decoder set aside gigabytes. The comparison is done in int64 so
 // the product cannot wrap where int is 32 bits.
-func (p *Parser) count(minSize int) (int, error) {
-	n, err := p.u32()
+func (r *reader) count(minSize int) (int, error) {
+	n, err := r.u32()
 	if err != nil {
 		return 0, err
 	}
-	if int64(n)*int64(minSize) > int64(len(p.buf)-p.pos) {
+	if int64(n)*int64(minSize) > int64(len(r.buf)-r.pos) {
 		return 0, ErrTruncated
 	}
 	return int(n), nil
 }
 
-// header consumes one nested geometry header (byte-order marker plus type
-// code) and checks the code against want.
-func (p *Parser) header(want uint32, mismatch string) error {
-	if p.pos >= len(p.buf) {
-		return ErrTruncated
+// code consumes one geometry header (byte-order marker plus type code) and
+// returns the code.
+func (r *reader) code() (uint32, error) {
+	if r.pos >= len(r.buf) {
+		return 0, ErrTruncated
 	}
-	if p.buf[p.pos] != 1 {
-		return fmt.Errorf("wkb: unsupported byte order marker %d", p.buf[p.pos])
+	if r.buf[r.pos] != 1 {
+		return 0, fmt.Errorf("wkb: unsupported byte order marker %d", r.buf[r.pos])
 	}
-	p.pos++
-	code, err := p.u32()
+	r.pos++
+	return r.u32()
+}
+
+// header consumes one nested geometry header and checks the code against
+// want.
+func (r *reader) header(want uint32, mismatch string) error {
+	code, err := r.code()
 	if err != nil {
 		return err
 	}
@@ -256,16 +333,160 @@ func (p *Parser) header(want uint32, mismatch string) error {
 	return nil
 }
 
-func (p *Parser) point() (geom.Point, error) {
-	x, err := p.f64()
+func (r *reader) point() (geom.Point, error) {
+	x, err := r.f64()
 	if err != nil {
 		return geom.Point{}, err
 	}
-	y, err := p.f64()
+	y, err := r.f64()
 	if err != nil {
 		return geom.Point{}, err
 	}
 	return geom.Point{X: x, Y: y}, nil
+}
+
+// Scan walks one WKB geometry at the front of buf without building it: it
+// returns the geometry's type, the envelope Decode primes on it, and the
+// number of bytes consumed, and allocates nothing on success. It is
+// Decode's walk over the same guards, so it accepts, rejects and words
+// errors exactly as Decode does, and the envelope matches bitwise — each
+// run folded in geom.EnvelopeOf's order, a polygon's from its shell alone,
+// a collection's the Union of its elements' (FuzzDecode pins all of it).
+func Scan(buf []byte) (geom.Type, geom.Envelope, int, error) {
+	r := reader{buf: buf}
+	t, env, err := r.scan()
+	if err != nil {
+		return 0, geom.Envelope{}, 0, err
+	}
+	return t, env, r.pos, nil
+}
+
+func (r *reader) scan() (geom.Type, geom.Envelope, error) {
+	code, err := r.code()
+	if err != nil {
+		return 0, geom.Envelope{}, err
+	}
+	switch code {
+	case codePoint:
+		p, err := r.point()
+		return geom.TypePoint, p.Envelope(), err
+	case codeLineString:
+		env, err := r.scanRun()
+		return geom.TypeLineString, env, err
+	case codePolygon:
+		env, err := r.scanPolygonBody()
+		return geom.TypePolygon, env, err
+	case codeMultiPoint:
+		n, err := r.count(minMultiPointElemBytes)
+		if err != nil {
+			return 0, geom.Envelope{}, err
+		}
+		env := geom.EmptyEnvelope()
+		for i := 0; i < n; i++ {
+			if err := r.header(codePoint, errMultiPointElem); err != nil {
+				return 0, geom.Envelope{}, err
+			}
+			p, err := r.point()
+			if err != nil {
+				return 0, geom.Envelope{}, err
+			}
+			env = foldPoint(env, i, p.X, p.Y)
+		}
+		return geom.TypeMultiPoint, env, nil
+	case codeMultiLineString:
+		env, err := r.scanCollection(codeLineString, errMultiLineElem)
+		return geom.TypeMultiLineString, env, err
+	case codeMultiPolygon:
+		env, err := r.scanCollection(codePolygon, errMultiPolyElem)
+		return geom.TypeMultiPolygon, env, err
+	default:
+		return 0, geom.Envelope{}, fmt.Errorf("wkb: unsupported geometry code %d", code)
+	}
+}
+
+// foldPoint extends the envelope of a run's first i vertices by (x, y) in
+// geom.EnvelopeOf's order, so a scanned run's envelope is bitwise the one
+// takeRun computes (NaN and signed zeros included).
+func foldPoint(e geom.Envelope, i int, x, y float64) geom.Envelope {
+	if i == 0 {
+		return geom.Envelope{MinX: x, MinY: y, MaxX: x, MaxY: y}
+	}
+	e.MinX = min(e.MinX, x)
+	e.MaxX = max(e.MaxX, x)
+	e.MinY = min(e.MinY, y)
+	e.MaxY = max(e.MaxY, y)
+	return e
+}
+
+// scanRun is pointRun without the arena. count has already bounded the run
+// against the remaining bytes, so its vertices are read with no further
+// checks.
+func (r *reader) scanRun() (geom.Envelope, error) {
+	n, err := r.count(minPointBytes)
+	if err != nil {
+		return geom.Envelope{}, err
+	}
+	env := geom.EmptyEnvelope()
+	run := r.buf[r.pos : r.pos+n*minPointBytes]
+	for i := 0; i < n; i++ {
+		v := run[i*minPointBytes:]
+		env = foldPoint(env, i,
+			math.Float64frombits(binary.LittleEndian.Uint64(v)),
+			math.Float64frombits(binary.LittleEndian.Uint64(v[8:])))
+	}
+	r.pos += len(run)
+	return env, nil
+}
+
+// scanPolygonBody is polygonBody without the arena: the envelope is the
+// shell's, as Decode primes it.
+func (r *reader) scanPolygonBody() (geom.Envelope, error) {
+	nRings, err := r.count(minRingBytes)
+	if err != nil {
+		return geom.Envelope{}, err
+	}
+	if nRings == 0 {
+		return geom.Envelope{}, errZeroRings
+	}
+	var shell geom.Envelope
+	for i := 0; i < nRings; i++ {
+		env, err := r.scanRun()
+		if err != nil {
+			return geom.Envelope{}, err
+		}
+		if i == 0 {
+			shell = env
+		}
+	}
+	return shell, nil
+}
+
+// scanCollection walks a counted collection of linestrings or polygons
+// (elem), unioning their envelopes as Decode does for MULTILINESTRING and
+// MULTIPOLYGON. (A method value for the element body would move the reader
+// to the heap.)
+func (r *reader) scanCollection(elem uint32, mismatch string) (geom.Envelope, error) {
+	n, err := r.count(minCollectionElemBytes)
+	if err != nil {
+		return geom.Envelope{}, err
+	}
+	env := geom.EmptyEnvelope()
+	for i := 0; i < n; i++ {
+		if err := r.header(elem, mismatch); err != nil {
+			return geom.Envelope{}, err
+		}
+		var e geom.Envelope
+		if elem == codeLineString {
+			e, err = r.scanRun()
+		} else {
+			e, err = r.scanPolygonBody()
+		}
+		if err != nil {
+			return geom.Envelope{}, err
+		}
+		env = env.Union(e)
+	}
+	return env, nil
 }
 
 // pointRun decodes a counted vertex sequence into the arena.
@@ -287,14 +508,7 @@ func (p *Parser) pointRun() ([]geom.Point, error) {
 }
 
 func (p *Parser) geometry() (geom.Geometry, error) {
-	if p.pos >= len(p.buf) {
-		return nil, ErrTruncated
-	}
-	if p.buf[p.pos] != 1 {
-		return nil, fmt.Errorf("wkb: unsupported byte order marker %d", p.buf[p.pos])
-	}
-	p.pos++
-	code, err := p.u32()
+	code, err := p.code()
 	if err != nil {
 		return nil, err
 	}
@@ -322,7 +536,7 @@ func (p *Parser) geometry() (geom.Geometry, error) {
 		}
 		p.beginRun()
 		for i := 0; i < n; i++ {
-			if err := p.header(codePoint, "wkb: MULTIPOINT element is not a point"); err != nil {
+			if err := p.header(codePoint, errMultiPointElem); err != nil {
 				p.abandonRun()
 				return nil, err
 			}
@@ -344,7 +558,7 @@ func (p *Parser) geometry() (geom.Geometry, error) {
 		lines := make([]geom.LineString, 0, n)
 		env := geom.EmptyEnvelope()
 		for i := 0; i < n; i++ {
-			if err := p.header(codeLineString, "wkb: MULTILINESTRING element is not a linestring"); err != nil {
+			if err := p.header(codeLineString, errMultiLineElem); err != nil {
 				return nil, err
 			}
 			pts, err := p.pointRun()
@@ -366,7 +580,7 @@ func (p *Parser) geometry() (geom.Geometry, error) {
 		polys := make([]geom.Polygon, 0, n)
 		env := geom.EmptyEnvelope()
 		for i := 0; i < n; i++ {
-			if err := p.header(codePolygon, "wkb: MULTIPOLYGON element is not a polygon"); err != nil {
+			if err := p.header(codePolygon, errMultiPolyElem); err != nil {
 				return nil, err
 			}
 			polys = append(polys, geom.Polygon{})
@@ -389,7 +603,7 @@ func (p *Parser) polygonBody(poly *geom.Polygon) error {
 		return err
 	}
 	if nRings == 0 {
-		return errors.New("wkb: polygon with zero rings")
+		return errZeroRings
 	}
 	for i := 0; i < nRings; i++ {
 		ring, err := p.pointRun()

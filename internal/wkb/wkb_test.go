@@ -221,3 +221,44 @@ func TestEnvelopePrimedAtDecode(t *testing.T) {
 		t.Errorf("envelope not primed at decode: got %+v after mutation", got)
 	}
 }
+
+// allTypes is one geometry of every type Append encodes, including the
+// empty runs and holes Size has to count.
+func allTypes() []geom.Geometry {
+	ring := []geom.Point{pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 0)}
+	hole := []geom.Point{pt(1, 1), pt(2, 1), pt(2, 2), pt(1, 1)}
+	return append(scanEdgeGeoms(),
+		pt(1, 2),
+		&geom.Point{X: 3, Y: 4},
+		&geom.LineString{Pts: ring},
+		&geom.Polygon{Shell: ring, Holes: [][]geom.Point{hole, hole}},
+		&geom.MultiPoint{Pts: ring},
+		&geom.MultiLineString{Lines: []geom.LineString{{Pts: ring}, {Pts: hole[:2]}}},
+		&geom.MultiPolygon{Polys: []geom.Polygon{{Shell: ring, Holes: [][]geom.Point{hole}}, {Shell: hole}}},
+	)
+}
+
+// TestSizeMatchesAppend: Size is exactly the length Append writes, for every
+// geometry type — what lets the exchange reserve a frame that never regrows.
+func TestSizeMatchesAppend(t *testing.T) {
+	for _, g := range allTypes() {
+		if got, want := Size(g), len(Append(nil, g)); got != want {
+			t.Errorf("%T %+v: Size %d, Append wrote %d", g, g, got, want)
+		}
+	}
+}
+
+// TestScanDoesNotAllocate: the raw exchange path scans every record of a
+// WKB file; a successful Scan allocates nothing.
+func TestScanDoesNotAllocate(t *testing.T) {
+	for _, g := range allTypes() {
+		buf := Encode(g)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, _, _, err := Scan(buf); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%T: Scan made %v allocations", g, allocs)
+		}
+	}
+}

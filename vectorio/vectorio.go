@@ -154,13 +154,21 @@
 //		...
 //	})
 //
+// Exchange frames are WKB, so when ReadExchange reads length-prefixed WKB
+// with the stock WKBParser it forwards the file's own record bytes as frame
+// payloads: each record is scanned for its type and envelope instead of
+// decoded, staged with one copy, and decoded once — on the receiving rank.
+// Nothing selects this but the parser and framing passed in; the cells,
+// stats and virtual clock are bitwise those of the decode-and-Add path.
+//
 // Because frames are always staged at Add, Partitioner.WindowCells bounds
 // each sliding-window phase's message size and the receive/decode memory,
-// not the send side: every phase's frames (compact bytes, released phase by
-// phase as FinishStream ships them) are staged up front, on the
-// materialized path on top of the caller's slice. No benchmark workload
-// measures a materialized windowed exchange's heap — join_polys, the
-// materialized workload in benchmark/, is single-phase.
+// not the send side: every phase's frames (compact bytes in chunks that are
+// never regrown, gathered and released phase by phase as FinishStream ships
+// them) are staged up front, on the materialized path on top of the
+// caller's slice. No benchmark workload measures a materialized windowed
+// exchange's heap — join_polys, the materialized workload in benchmark/, is
+// single-phase.
 //
 // JoinFiles follows the same split: JoinOptions.Envelope nil runs the
 // two-pass pipeline, non-nil runs both inputs through the one-pass
@@ -636,8 +644,9 @@ func ReadStream(c *Comm, f *File, p Parser, opt ReadOptions, sink func(batch []G
 
 // ReadExchange is the one-pass streaming pipeline: a parallel file read
 // feeding the Partitioner's streaming exchange batch by batch. It requires
-// the grid — and so the global envelope — up front. All ranks must call it
-// collectively.
+// the grid — and so the global envelope — up front. Length-prefixed WKB read
+// by WKBParser is forwarded as record bytes, not decoded on the sender (see
+// "Streaming pipeline" above). All ranks must call it collectively.
 func ReadExchange(c *Comm, f *File, p Parser, opt ReadOptions, pt *Partitioner) (map[int][]Geometry, ReadStats, ExchangeStats, error) {
 	return core.ReadExchange(c, f, p, opt, pt)
 }
