@@ -46,9 +46,12 @@ const (
 // frameStage is one (phase, destination) pair's staged exchange frames,
 // held in chunks that are filled in place and never regrown: a frame is
 // reserved at its exact size (wkb.Size on the geometry path, the record
-// length on the raw path), so no staged byte is ever copied before gather.
+// length on the raw path) and never straddles two chunks, so the chunk list
+// itself is what the payload round sends and what the rank's own stage is
+// decoded from — no staged byte is copied before it reaches the decoder.
 type frameStage struct {
 	chunks [][]byte // each chunk's length is its used prefix
+	size   int      // staged bytes, over all chunks
 }
 
 // frame reserves one frame for cell with a payload of plen bytes (already
@@ -66,24 +69,10 @@ func (s *frameStage) frame(cell, plen int) []byte {
 		s.chunks = append(s.chunks, b)
 		b = b[:size:size]
 	}
+	s.size += size
 	binary.LittleEndian.PutUint32(b, uint32(cell))
 	binary.LittleEndian.PutUint32(b[4:], uint32(plen))
 	return b[exchangeHeader:]
-}
-
-// gather returns the staged frames as one buffer of exactly the staged
-// length — the chunk itself when there is only one — and empties the stage.
-func (s *frameStage) gather() []byte {
-	var out []byte
-	switch len(s.chunks) {
-	case 0:
-	case 1:
-		out = s.chunks[0]
-	default:
-		out = bytes.Join(s.chunks, nil) // no zeroing: every byte is copied over
-	}
-	*s = frameStage{}
-	return out
 }
 
 // decodeExchangeFrame decodes one exchange frame from the front of part
@@ -116,8 +105,9 @@ func decodeExchangeFrame(dec *wkb.Parser, part []byte) (cell int, g geom.Geometr
 // field is plausible, exactly that frame is dropped and decoding resumes at
 // the next one; otherwise the header itself is suspect and the rest of the
 // partition is surrendered (frames are not self-synchronizing). Returns the
-// bytes given up and the remainder. All arithmetic is 64-bit — a corrupted
-// length field must not overflow int on 32-bit builds.
+// bytes given up and the remainder, which is nil exactly when the rest was
+// surrendered. All arithmetic is 64-bit — a corrupted length field must not
+// overflow int on 32-bit builds.
 func quarantineFrame(part []byte) (skipped int, rest []byte) {
 	if len(part) >= exchangeHeader {
 		plen := int64(binary.LittleEndian.Uint32(part[4:]))
@@ -147,8 +137,9 @@ type Partitioner struct {
 	// everything in one phase. The window bounds each phase's message size
 	// and the receive/decode memory; send-side frames are staged at Add for
 	// all phases — in chunks per (phase, destination) that are filled in
-	// place and never regrown, gathered at exact size just before the
-	// phase's payload round and released as FinishStream ships it.
+	// place and never regrown, handed to the payload round as chunk lists
+	// (no gather) and released as FinishStream ships them. The rank's own
+	// stage is decoded in place, with no copy and no receive buffer.
 	WindowCells int
 	// DirectGrid replaces the paper's cell-lookup mechanism — an R-tree
 	// built over the cell boundaries, queried with each geometry's MBR —
@@ -165,8 +156,10 @@ type Partitioner struct {
 	SkipBadFrames bool
 	// FrameFault, when non-nil, inspects (and may mutate in place) every
 	// received exchange partition before it is decoded: an injection point
-	// for corruption testing (see internal/fault). The disabled path costs
-	// one nil check per partition.
+	// for corruption testing (see internal/fault). The rank's own partition,
+	// otherwise decoded straight from its staging chunks, is first joined
+	// into one buffer, so the hook sees the same contiguous bytes for every
+	// (phase, src). The disabled path costs one nil check per partition.
 	FrameFault func(phase, src int, part []byte)
 }
 
@@ -250,6 +243,10 @@ func (pt *Partitioner) Exchange(c *mpi.Comm, local []geom.Geometry) (map[int][]g
 // two produce byte-identical frames, so cells, their order, every
 // ExchangeStats field and the virtual clock do not depend on which path
 // ran. Receivers decode every frame once, with the Exchanger's own decoder.
+// A frame is copied at most once between its staging chunk and the decoder:
+// remote stages travel as chunk lists (mpi.Comm.AlltoallvChunks, no gather)
+// and land in one receive buffer per source; the rank's own stage never
+// enters the transport and is decoded from its chunks in place.
 //
 // Add may be called any number of times (including zero) with any batch
 // sizes; ranks need not agree on the call count. Stream, Finish, and
@@ -478,7 +475,9 @@ func (ex *Exchanger) Finish() (map[int][]geom.Geometry, ExchangeStats, error) {
 }
 
 // FinishStream is Finish with per-phase delivery: after each sliding-window
-// phase's payload round, the sink receives that phase's completed cells —
+// phase's payload round — remote stages sent as their chunk lists, with no
+// gather, and the own stage decoded from its chunks in place, never copied —
+// the sink receives that phase's completed cells —
 // cell id -> geometries (from every rank), in the same deterministic order
 // Finish returns. A cell's contents never grow after its phase (a
 // placement's phase is cell/window), so the sink may consume and drop each
@@ -512,6 +511,7 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 	sinkErr := ex.addErr
 
 	countRow := make([]byte, ex.size*16)
+	sendSizes := make([]int, ex.size)
 	recvSizes := make([]int, ex.size)
 	// Per-rank incoming loads, accumulated from the allgathered count
 	// matrix — every rank sums the same rows, so the totals (and the
@@ -519,8 +519,9 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 	// rank-identical without any trailing collective.
 	loadBytes := make([]int64, ex.size)
 	loadGeoms := make([]int64, ex.size)
-	// send is each phase's payload-round input, gathered from its stages.
-	send := make([][]byte, ex.size)
+	// send is each phase's payload-round input: each destination's stage as
+	// its chunk list.
+	send := make([][][]byte, ex.size)
 	// dec decodes every received frame of the exchange: one arena for the
 	// whole receive side (a zero Parser allocates its first slab lazily).
 	var dec wkb.Parser
@@ -531,11 +532,11 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 		t1 := c.Now()
 		var sentBytes int64
 		for dst := range send {
-			send[dst] = nil
+			send[dst], sendSizes[dst] = nil, 0
 			if ex.send[ph] != nil {
-				send[dst] = ex.send[ph][dst].gather()
+				send[dst], sendSizes[dst] = ex.send[ph][dst].chunks, ex.send[ph][dst].size
 			}
-			sentBytes += int64(len(send[dst]))
+			sentBytes += int64(sendSizes[dst])
 		}
 		c.Compute((costmodel.SerializePerByte*float64(sentBytes) + ex.serCost[ph]) * ex.scale)
 		ex.stats.BytesSent += sentBytes
@@ -549,8 +550,8 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 		// — with no trailing collective a strict-mode decode failure on one
 		// rank could strand the others in.
 		geomsTo := ex.sendGeoms[ph] // nil when this rank staged nothing
-		for dst, b := range send {
-			binary.LittleEndian.PutUint64(countRow[dst*16:], uint64(len(b)))
+		for dst, n := range sendSizes {
+			binary.LittleEndian.PutUint64(countRow[dst*16:], uint64(n))
 			var ng int64
 			if geomsTo != nil {
 				ng = geomsTo[dst]
@@ -570,52 +571,41 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 			}
 		}
 
-		// Round 2: exchange the coordinate payload (MPI_Alltoallv).
+		// Round 2: exchange the coordinate payload (MPI_Alltoallv, with an
+		// hindexed send type per peer). The own stage stays out of the
+		// transport — an empty own block, which the count row above still
+		// publishes at its staged size — and is decoded from its chunks.
+		self := send[rank]
+		send[rank], recvSizes[rank] = nil, 0
 		//vet:allow collective — same strict-mode world-abort contract as the count exchange above
-		parts, err := c.Alltoallv(send, recvSizes)
+		parts, err := c.AlltoallvChunks(send, recvSizes)
 		if err != nil {
 			return ex.stats, fmt.Errorf("core: payload exchange: %w", err)
 		}
 
 		// This phase's staged frames are dead the moment the payload round
-		// returns; release them so a long sliding-window run frees send
-		// buffers as it goes.
+		// returns — but for the own stage, dead once decoded; release them
+		// so a long sliding-window run frees send buffers as it goes.
 		clear(send)
 		ex.send[ph] = nil
 		ex.sendGeoms[ph] = nil
 
-		// Deserialize into this phase's owned cells.
+		// Deserialize into this phase's owned cells, source by source.
 		phaseCells := make(map[int][]geom.Geometry)
-		for src, part := range parts {
+		for src := range parts {
+			chunks := parts[src : src+1]
+			if src == rank {
+				chunks = self
+			}
 			if ex.frameFault != nil {
-				ex.frameFault(ph, src, part)
-			}
-			ex.stats.BytesRecv += int64(len(part))
-			c.Compute(costmodel.DeserializePerByte * float64(len(part)) * ex.scale)
-			var deserGeomCost float64
-			for len(part) > 0 {
-				cell, g, rest, err := decodeExchangeFrame(&dec, part)
-				if err == nil {
-					if own := ex.mapping(cell, ex.size); own != rank {
-						err = fmt.Errorf("received cell %d owned by rank %d", cell, own)
-					}
+				if src == rank {
+					chunks = [][]byte{bytes.Join(self, nil)}
 				}
-				if err != nil {
-					if !ex.skipBad {
-						return ex.stats, fmt.Errorf("core: rank %d exchange phase %d from rank %d: %w", rank, ph, src, err)
-					}
-					skipped, tail := quarantineFrame(part)
-					ex.stats.FramesQuarantined++
-					ex.stats.BytesQuarantined += int64(skipped)
-					part = tail
-					continue
-				}
-				phaseCells[cell] = append(phaseCells[cell], g)
-				ex.stats.GeomsRecv++
-				deserGeomCost += costmodel.DeserializeGeomCost(g.GeomType())
-				part = rest
+				ex.frameFault(ph, src, chunks[0])
 			}
-			c.Compute(deserGeomCost * ex.scale)
+			if err := ex.decodePart(&dec, chunks, phaseCells); err != nil {
+				return ex.stats, fmt.Errorf("core: rank %d exchange phase %d from rank %d: %w", rank, ph, src, err)
+			}
 		}
 		ex.stats.CommTime += c.Now() - t1
 
@@ -644,6 +634,62 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 	ex.stats.GeomImbalance = imbalance(float64(maxG), float64(sumG), ex.size)
 	ex.stats.ByteImbalance = imbalance(float64(maxB), float64(sumB), ex.size)
 	return ex.stats, sinkErr
+}
+
+// decodePart decodes one source's part of a phase — its frames, in chunks
+// that each end on a frame boundary — into cells, charging the per-byte
+// deserialization cost before and the per-geometry cost after. A frame that
+// fails to decode, or claims a cell this rank does not own, fails the part;
+// under SkipBadFrames it is quarantined instead, and when quarantineFrame
+// surrenders the rest of its chunk (a suspect header) every later chunk is
+// surrendered with it. Frames never straddle chunks, so a header announcing
+// more than its chunk holds is as suspect as one announcing more than the
+// part holds, and a forged length gives up what the concatenation would.
+// (The own stage is the only part decoded as several chunks, and only when
+// no FrameFault hook — the one thing that corrupts a received part — is
+// installed.)
+func (ex *Exchanger) decodePart(dec *wkb.Parser, chunks [][]byte, cells map[int][]geom.Geometry) error {
+	rank := ex.c.Rank()
+	size := 0
+	for _, ch := range chunks {
+		size += len(ch)
+	}
+	ex.stats.BytesRecv += int64(size)
+	ex.c.Compute(costmodel.DeserializePerByte * float64(size) * ex.scale)
+	var cost float64
+	for k := 0; k < len(chunks); k++ {
+		part := chunks[k]
+		for len(part) > 0 {
+			cell, g, rest, err := decodeExchangeFrame(dec, part)
+			if err == nil {
+				if own := ex.mapping(cell, ex.size); own != rank {
+					err = fmt.Errorf("received cell %d owned by rank %d", cell, own)
+				}
+			}
+			if err != nil {
+				if !ex.skipBad {
+					return err
+				}
+				skipped, tail := quarantineFrame(part)
+				if tail == nil {
+					for _, later := range chunks[k+1:] {
+						skipped += len(later)
+					}
+					chunks = chunks[:k+1]
+				}
+				ex.stats.FramesQuarantined++
+				ex.stats.BytesQuarantined += int64(skipped)
+				part = tail
+				continue
+			}
+			cells[cell] = append(cells[cell], g)
+			ex.stats.GeomsRecv++
+			cost += costmodel.DeserializeGeomCost(g.GeomType())
+			part = rest
+		}
+	}
+	ex.c.Compute(cost * ex.scale)
+	return nil
 }
 
 // imbalance is the load-balance factor: the heaviest rank's load over the

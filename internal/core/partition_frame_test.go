@@ -17,15 +17,15 @@ import (
 )
 
 // appendExchangeFrame stages g's frame for cell the way Exchanger.Add does —
-// checked header, exact-size slot, encode in place — and appends the
-// gathered bytes to dst.
+// checked header, exact-size slot, encode in place — and appends the staged
+// bytes to dst.
 func appendExchangeFrame(dst []byte, cell int, g geom.Geometry) ([]byte, error) {
 	if err := checkFrame(cell, wkb.Size(g)); err != nil {
 		return dst, err
 	}
 	var s frameStage
 	wkb.Append(s.frame(cell, wkb.Size(g))[:0], g)
-	return append(dst, s.gather()...), nil
+	return append(dst, s.chunks[0]...), nil
 }
 
 // TestDecodeExchangeFrameShortDecode is the regression test for the

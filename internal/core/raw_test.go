@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/datagen"
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -223,8 +225,8 @@ func TestRawPathParity(t *testing.T) {
 
 // TestStagingDoesNotRegrow pins the staging contract: K frames of B bytes
 // in total cost at most ⌈B/maxChunk⌉ chunks plus a constant (the ramp, the
-// chunk list, the gather) and about 2B bytes — the chunks and the one
-// gathered copy — where an appended buffer copies each byte about four
+// chunk list) and about B bytes — the chunks alone, which the payload round
+// sends as they are — where an appended buffer copies each byte about four
 // times; and BytesSent is exactly the staged frame bytes on both paths.
 func TestStagingDoesNotRegrow(t *testing.T) {
 	shell := make([]geom.Point, 0, 61)
@@ -240,8 +242,12 @@ func TestStagingDoesNotRegrow(t *testing.T) {
 		for i := 0; i < k; i++ {
 			copy(s.frame(i, len(rec)), rec)
 		}
-		if n := len(s.gather()); n != b {
-			t.Fatalf("gathered %d bytes, staged %d", n, b)
+		n := 0
+		for _, ch := range s.chunks {
+			n += len(ch)
+		}
+		if n != b || s.size != b {
+			t.Fatalf("staged %d bytes (size %d), want %d", n, s.size, b)
 		}
 	}
 	if allocs, budget := testing.AllocsPerRun(3, stage), float64((b+maxChunk-1)/maxChunk+16); allocs > budget {
@@ -251,8 +257,8 @@ func TestStagingDoesNotRegrow(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	stage()
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(2*b+2*maxChunk) {
-		t.Errorf("staging %d bytes allocated %d: frames were copied before gather", b, got)
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(b+2*maxChunk) {
+		t.Errorf("staging %d bytes allocated %d: frames were copied while staged", b, got)
 	}
 
 	g, err := grid.New(geom.Envelope{MinX: -1, MinY: -1, MaxX: 10, MaxY: 10}, 1, 1)
@@ -287,5 +293,145 @@ func TestStagingDoesNotRegrow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestSelfBlockFaultParity: the rank's own stage is decoded straight from
+// its staging chunks unless a FrameFault hook is installed, which joins it
+// first. A no-op hook must therefore change nothing — cells, their order,
+// every ExchangeStats field and the final clock — on both the raw and the
+// geometry path, in one phase and in sliding-window phases.
+func TestSelfBlockFaultParity(t *testing.T) {
+	world := geom.Envelope{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
+	pf := makeWKBFile(t, genGeoms(t, 400, 47))
+	opt := ReadOptions{BlockSize: 1 << 10, Framing: LengthPrefixed(), StreamBatch: 29}
+	paths := map[string]func() Parser{
+		"raw":      func() Parser { return NewWKBParser() },
+		"geometry": func() Parser { return geometryPath{WKBParser{}} },
+	}
+	for name, mk := range paths {
+		for _, window := range []int{0, 3} {
+			partitioner := func(hook func(phase, src int, part []byte)) func(c *mpi.Comm) *Partitioner {
+				return func(c *mpi.Comm) *Partitioner {
+					g, err := grid.New(world, 8, 8)
+					if err != nil {
+						panic(err)
+					}
+					return &Partitioner{Grid: g, WindowCells: window, DirectGrid: true, FrameFault: hook}
+				}
+			}
+			chunked := readExchangeOutcomes(t, pf, mk, opt, partitioner(nil))
+			joined := readExchangeOutcomes(t, pf, mk, opt, partitioner(func(int, int, []byte) {}))
+			for r := range chunked {
+				if chunked[r].err != "" || chunked[r].ex.GeomsRecv == 0 {
+					t.Fatalf("%s window=%d rank %d: err %q, %d geometries received", name, window, r, chunked[r].err, chunked[r].ex.GeomsRecv)
+				}
+				if !reflect.DeepEqual(chunked[r], joined[r]) {
+					t.Errorf("%s window=%d rank %d: chunked self block differs from joined:\n chunked %+v %v\n joined  %+v %v",
+						name, window, r, chunked[r].ex, chunked[r].clock, joined[r].ex, joined[r].clock)
+				}
+			}
+		}
+	}
+}
+
+// TestDecodePartChunks: a part handed to the decoder as a chunk list (the
+// own stage) gives up exactly what its concatenation would under
+// SkipBadFrames — a forged length surrenders the rest of the part, later
+// chunks included; a bad payload under a plausible length costs one frame.
+func TestDecodePartChunks(t *testing.T) {
+	frames := func() [][]byte {
+		var s frameStage
+		for i := 0; i < 200; i++ {
+			p := geom.Point{X: float64(i), Y: -float64(i)}
+			wkb.Append(s.frame(i%5, wkb.Size(p))[:0], p)
+		}
+		return s.chunks
+	}
+	if n := len(frames()); n != 3 {
+		t.Fatalf("fixture staged %d chunks, want 3", n)
+	}
+	frameLen := exchangeHeader + wkb.Size(geom.Point{})
+	forge := map[string]func(ch []byte){
+		"huge length": func(ch []byte) { binary.LittleEndian.PutUint32(ch[4:], 0xfffffff0) },
+		"bad payload": func(ch []byte) { ch[exchangeHeader] = 7 }, // byte-order marker
+	}
+	decode := func(chunks [][]byte) (cells map[int][]geom.Geometry, stats ExchangeStats, clock float64) {
+		err := mpi.Run(cluster.Local(1), func(c *mpi.Comm) error {
+			ex := &Exchanger{c: c, mapping: func(cell, size int) int { return 0 }, size: 1, scale: 1, skipBad: true}
+			cells = make(map[int][]geom.Geometry)
+			var dec wkb.Parser
+			err := ex.decodePart(&dec, chunks, cells)
+			stats, clock = ex.stats, c.Now()
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cells, stats, clock
+	}
+	for name, f := range forge {
+		for k := 0; k < 3; k++ {
+			for _, at := range []int{0, 2} { // first frame, third frame
+				chunks := frames()
+				f(chunks[k][at*frameLen:])
+				total := 0
+				for _, ch := range chunks {
+					total += len(ch)
+				}
+				gotCells, got, gotClock := decode(chunks)
+				wantCells, want, wantClock := decode([][]byte{bytes.Join(chunks, nil)})
+				if got != want || gotClock != wantClock || !reflect.DeepEqual(gotCells, wantCells) {
+					t.Errorf("%s in chunk %d frame %d: chunked %+v, contiguous %+v", name, k, at, got, want)
+				}
+				if got.FramesQuarantined != 1 {
+					t.Errorf("%s in chunk %d frame %d: %d frames quarantined", name, k, at, got.FramesQuarantined)
+				}
+				if name == "huge length" && k == 0 && at == 0 && got.BytesQuarantined != int64(total) {
+					t.Errorf("forged length at the front gave up %d of %d bytes", got.BytesQuarantined, total)
+				}
+			}
+		}
+	}
+}
+
+// TestReadExchangeAllocBudget is the receive half's allocation budget: the
+// raw path over a datagen lakes WKB file on 2 ranks allocates at most 3.3
+// bytes per input byte — the stage, one receive buffer for the remote
+// block, the decoded coordinates and bookkeeping. A gather before the
+// payload round, or an own-block receive buffer, costs about one more.
+func TestReadExchangeAllocBudget(t *testing.T) {
+	const scale = 1024
+	fs, err := pfs.New(pfs.RogerGPFS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, _, err := datagen.GenerateFileEncoded(datagen.Lakes(), scale, datagen.EncodingWKB, fs, "lakes.wkb", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		err := mpi.Run(cluster.Local(2), func(c *mpi.Comm) error {
+			g, err := grid.New(geom.Envelope{MinX: -180, MinY: -90, MaxX: 180, MaxY: 90}, 16, 16)
+			if err != nil {
+				return err
+			}
+			opt := ReadOptions{BlockSize: 256e6 / scale, Framing: LengthPrefixed()}
+			_, _, _, err = ReadExchange(c, mpiio.Open(c, pf, mpiio.Hints{}), NewWKBParser(), opt, &Partitioner{Grid: g, DirectGrid: true})
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(pf.Size())
+	t.Logf("%.2f B allocated per input byte (%d-byte file)", perByte, pf.Size())
+	if perByte > 3.3 {
+		t.Errorf("ReadExchange allocated %.2f B per input byte, budget 3.3", perByte)
 	}
 }

@@ -29,7 +29,7 @@ func (c *Comm) Barrier() error {
 	for dist := 1; dist < n; dist <<= 1 {
 		dst := (c.rank + dist) % n
 		src := (c.rank - dist + n) % n
-		c.isend(token, dst, tagBarrier)
+		c.isend(dst, tagBarrier, token)
 		if _, err := c.Recv(buf, src, tagBarrier); err != nil {
 			return fmt.Errorf("barrier: %w", err)
 		}
@@ -157,7 +157,7 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 	for step := 0; step < n-1; step++ {
 		// Forward the block received step hops ago (own block at step 0).
 		fwd := out[(c.rank-step+n)%n]
-		c.isend(fwd, right, tagAllgath)
+		c.isend(right, tagAllgath, fwd)
 		srcBlock := (c.rank - step - 1 + n) % n
 		st, err := c.Probe(left, tagAllgath)
 		if err != nil {
@@ -204,17 +204,36 @@ func (c *Comm) AlltoallFixed(send []byte, blockSize int) ([]byte, error) {
 // Alltoallv performs the personalized all-to-all exchange with per-rank
 // sizes: send[i] goes to rank i, and recvSizes[j] must equal len(send[j])
 // as provided by rank j (exchanged beforehand, exactly as the paper's
-// two-round protocol does with MPI_Alltoall). Uses pairwise exchange:
-// n-1 rounds of SendRecv with partners (rank±i) mod n.
+// two-round protocol does with MPI_Alltoall). It is AlltoallvChunks with
+// one chunk per block: same messages, bytes, counters and clock.
 func (c *Comm) Alltoallv(send [][]byte, recvSizes []int) ([][]byte, error) {
+	blocks := make([][][]byte, len(send))
+	for i := range send {
+		blocks[i] = send[i : i+1 : i+1]
+	}
+	return c.AlltoallvChunks(blocks, recvSizes)
+}
+
+// AlltoallvChunks is the vectored Alltoallv — MPI_Alltoallw with an
+// hindexed send type per peer: send[i] is the block for rank i given as a
+// list of chunks, sent as their concatenation without first being packed
+// into one buffer, and recvSizes[j] must equal the byte length of rank j's
+// block for this rank. Each remote block is copied once, from the sender's
+// chunks into a fresh receive buffer; the result holds one contiguous buffer
+// per source. The rank's own block never touches the transport: it is
+// copied into out[rank] (MPI's self-send) and recvSizes[rank] is not
+// consulted, so a caller that can consume its own block in place passes it
+// empty. Uses pairwise exchange: n-1 rounds of SendRecv with partners
+// (rank±i) mod n.
+func (c *Comm) AlltoallvChunks(send [][][]byte, recvSizes []int) ([][]byte, error) {
 	n := c.world.n
 	if len(send) != n || len(recvSizes) != n {
 		return nil, fmt.Errorf("alltoallv: %w: %d send blocks / %d recv sizes for %d ranks",
 			ErrCount, len(send), len(recvSizes), n)
 	}
 	out := make([][]byte, n)
-	own := make([]byte, len(send[c.rank]))
-	copy(own, send[c.rank])
+	own := make([]byte, chunksLen(send[c.rank]))
+	copyChunks(own, send[c.rank])
 	out[c.rank] = own
 	for i := 1; i < n; i++ {
 		dst := (c.rank + i) % n
@@ -222,12 +241,12 @@ func (c *Comm) Alltoallv(send [][]byte, recvSizes []int) ([][]byte, error) {
 		// Both peers know the size matrix, so empty pairings are skipped
 		// symmetrically — sparse exchanges (the common case under
 		// round-robin cell mapping) stay O(nonzero blocks).
-		needSend := len(send[dst]) > 0
+		needSend := chunksLen(send[dst]) > 0
 		needRecv := recvSizes[src] > 0
 		switch {
 		case needSend && needRecv:
 			buf := make([]byte, recvSizes[src])
-			st, err := c.SendRecv(send[dst], dst, tagAlltoal, buf, src, tagAlltoal)
+			st, err := c.sendRecv(send[dst], dst, tagAlltoal, buf, src, tagAlltoal)
 			if err != nil {
 				return nil, fmt.Errorf("alltoallv: %w", err)
 			}
@@ -237,7 +256,7 @@ func (c *Comm) Alltoallv(send [][]byte, recvSizes []int) ([][]byte, error) {
 			}
 			out[src] = buf
 		case needSend:
-			c.isend(send[dst], dst, tagAlltoal)
+			c.isend(dst, tagAlltoal, send[dst]...)
 		case needRecv:
 			buf := make([]byte, recvSizes[src])
 			st, err := c.Recv(buf, src, tagAlltoal)
@@ -349,7 +368,7 @@ func (c *Comm) Scan(data []byte, count int, dt *Datatype, op *Op) ([]byte, error
 	tmp := make([]byte, len(data))
 	for d := 1; d < n; d <<= 1 {
 		if c.rank+d < n {
-			c.isend(result, c.rank+d, tagScan)
+			c.isend(c.rank+d, tagScan, result)
 		}
 		if c.rank-d >= 0 {
 			if _, err := c.Recv(tmp, c.rank-d, tagScan); err != nil {

@@ -1,5 +1,7 @@
 package mpi
 
+import "bytes"
+
 // Fault-injection hook points. The runtime consults an optional
 // FaultInjector (Options.Fault) at every communicator operation; with no
 // injector installed the consultation is a single nil check, so the
@@ -121,12 +123,13 @@ func (c *Comm) faultPoint(kind OpKind, peer, tag int) FaultDecision {
 	return d
 }
 
-// corruptCopy returns a private copy of buf with one bit flipped. The
-// caller's buffer is never modified — rendezvous messages alias the
-// sender's live buffer, which the application is free to reuse after the
-// send completes.
-func corruptCopy(buf []byte, bit uint64) []byte {
-	out := append([]byte(nil), buf...)
+// corruptCopy returns a private flattened copy of a payload's chunks with
+// one bit flipped — the same bit whether the payload was sent contiguous or
+// vectored. The caller's buffers are never modified — rendezvous messages
+// alias the sender's live buffers, which the application is free to reuse
+// after the send completes.
+func corruptCopy(chunks [][]byte, bit uint64) []byte {
+	out := bytes.Join(chunks, nil)
 	if len(out) > 0 {
 		i := bit % uint64(len(out)*8)
 		out[i/8] ^= 1 << (i % 8)

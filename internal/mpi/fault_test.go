@@ -212,6 +212,16 @@ func crashSweepWorkload(c *Comm) error {
 	if _, err := c.Alltoallv(send, sizes); err != nil {
 		return err
 	}
+	// The vectored collective: each block three chunks, one empty, past the
+	// eager limit in total.
+	chunks := make([][][]byte, n)
+	for i := range chunks {
+		chunks[i] = [][]byte{{byte(c.Rank())}, nil, make([]byte, eagerLimit)}
+		sizes[i] = eagerLimit + 1
+	}
+	if _, err := c.AlltoallvChunks(chunks, sizes); err != nil {
+		return err
+	}
 	next := (c.Rank() + 1) % n
 	prev := (c.Rank() - 1 + n) % n
 	big := make([]byte, eagerLimit*2)

@@ -7,18 +7,47 @@ import (
 
 // message is one in-flight point-to-point message. For eager messages, data
 // is a private copy staged in the receiving mailbox's slab (slab non-nil)
-// and done is nil. For rendezvous messages, data aliases the sender's
-// buffer (safe: the sender blocks on done until the receiver has copied
-// it) and done carries the completion virtual time back.
+// and done is nil. For rendezvous messages, chunks aliases the sender's
+// buffers — one, or a vectored send's list, read in order (safe: the sender
+// blocks on done until the receiver has copied them) — and done carries the
+// completion virtual time back.
 type message struct {
 	src, tag int
 	data     []byte
+	chunks   [][]byte
 	// arrival is the virtual time at which the payload is available at the
 	// receiver (eager protocol), or the sender's virtual time at the moment
 	// the rendezvous envelope was posted.
 	arrival float64
 	done    chan float64 // nil for eager
 	slab    *msgSlab     // eager staging slab holding data; nil for rendezvous
+}
+
+// size is the payload's length in bytes.
+func (m *message) size() int { return len(m.data) + chunksLen(m.chunks) }
+
+// copyTo copies the payload into buf, which holds at least size() bytes:
+// the receive half of a vectored send is this one copy.
+func (m *message) copyTo(buf []byte) {
+	copyChunks(buf[copy(buf, m.data):], m.chunks)
+}
+
+// chunksLen is the byte length of a chunk list.
+func chunksLen(chunks [][]byte) int {
+	n := 0
+	for _, ch := range chunks {
+		n += len(ch)
+	}
+	return n
+}
+
+// copyChunks copies the chunks back to back into dst, which holds at least
+// chunksLen(chunks) bytes.
+func copyChunks(dst []byte, chunks [][]byte) {
+	n := 0
+	for _, ch := range chunks {
+		n += copy(dst[n:], ch)
+	}
 }
 
 // consumed releases an eager message's slab chunk once the receiver has
@@ -72,20 +101,22 @@ func (mb *mailbox) enqueue(m *message) {
 	mb.cond.Broadcast()
 }
 
-// enqueueCopy stages a private copy of payload in the mailbox's slab and
-// posts it as an eager message — the zero-per-message-allocation path
-// behind Send's eager protocol and isend. Only the chunk reservation runs
-// under the mailbox lock; the memcpy itself happens outside it, so
-// concurrent senders to one destination copy in parallel and the receiver
-// is never blocked behind a large copy. That is safe because the chunk is
+// enqueueCopy stages a private copy of payload, its chunks back to back, in
+// the mailbox's slab and posts it as an eager message — the
+// zero-per-message-allocation path behind Send's eager protocol and isend
+// (vectored or not: the chunks are copied once, here). Only the chunk
+// reservation runs under the mailbox lock; the memcpy itself happens
+// outside it, so concurrent senders to one destination copy in parallel and
+// the receiver is never blocked behind a large copy. That is safe because
+// the chunk is
 // exclusively owned between reserve and enqueue: nobody else writes it (the
 // slab's used mark is past it), and no receiver sees it until the message
 // is queued — the enqueue's lock handoff publishes the copied bytes.
-func (mb *mailbox) enqueueCopy(payload []byte, src, tag int, arrival float64) {
+func (mb *mailbox) enqueueCopy(payload [][]byte, src, tag int, arrival float64) {
 	mb.mu.Lock()
-	chunk, slab := mb.reserve(len(payload))
+	chunk, slab := mb.reserve(chunksLen(payload))
 	mb.mu.Unlock()
-	copy(chunk, payload)
+	copyChunks(chunk, payload)
 	mb.enqueue(&message{
 		src: src, tag: tag, data: chunk, arrival: arrival, slab: slab,
 	})

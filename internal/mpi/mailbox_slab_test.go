@@ -18,7 +18,7 @@ func TestMailboxSlabRecycling(t *testing.T) {
 	seen := map[*msgSlab]bool{}
 	for i := 0; i < 1000; i++ {
 		payload[0] = byte(i)
-		mb.enqueueCopy(payload, 0, 7, 0)
+		mb.enqueueCopy([][]byte{payload}, 0, 7, 0)
 		mb.mu.Lock()
 		m := mb.take(0)
 		mb.mu.Unlock()
@@ -47,7 +47,7 @@ func TestMailboxSlabBacklog(t *testing.T) {
 		return b
 	}
 	for i := 0; i < n; i++ {
-		mb.enqueueCopy(mk(i), 0, 7, 0)
+		mb.enqueueCopy([][]byte{mk(i)}, 0, 7, 0)
 	}
 	for i := 0; i < n; i++ {
 		mb.mu.Lock()
@@ -68,8 +68,8 @@ func TestMailboxSlabOversized(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i * 7)
 	}
-	mb.enqueueCopy(big, 0, 7, 0)
-	mb.enqueueCopy([]byte("small"), 0, 8, 0)
+	mb.enqueueCopy([][]byte{big}, 0, 7, 0)
+	mb.enqueueCopy([][]byte{[]byte("small")}, 0, 8, 0)
 	mb.mu.Lock()
 	m1 := mb.take(0)
 	m2 := mb.take(0)

@@ -53,7 +53,7 @@ func (c *Comm) Send(buf []byte, dst, tag int) error {
 	var extra float64
 	switch d.Action {
 	case FaultCorrupt:
-		payload = corruptCopy(buf, d.Bit)
+		payload = corruptCopy([][]byte{buf}, d.Bit)
 	case FaultDelay:
 		extra = d.Delay
 	}
@@ -63,12 +63,12 @@ func (c *Comm) Send(buf []byte, dst, tag int) error {
 		// staged in the receiving mailbox's slab — no per-message buffer.
 		c.clock.Advance(c.sendOverhead(dst))
 		arrival := c.clock.Now() + extra + c.world.cfg.MsgTime(c.rank, dst, len(buf))
-		c.world.boxes[dst].enqueueCopy(payload, c.rank, tag, arrival)
+		c.world.boxes[dst].enqueueCopy([][]byte{payload}, c.rank, tag, arrival)
 		return nil
 	}
 	done := make(chan float64, 1)
 	m := &message{
-		src: c.rank, tag: tag, data: payload,
+		src: c.rank, tag: tag, chunks: [][]byte{payload},
 		arrival: c.clock.Now() + extra,
 		done:    done,
 	}
@@ -108,33 +108,34 @@ func (c *Comm) sendOverhead(dst int) float64 {
 	return c.world.cfg.InterLatency
 }
 
-// isend transmits buf without ever blocking, regardless of size (a private
-// buffered send used by collective algorithms, as real MPI implementations
-// use nonblocking internals). The payload is copied into the receiving
-// mailbox's staging slab.
-func (c *Comm) isend(buf []byte, dst, tag int) {
-	c.isendDecided(buf, dst, tag, c.faultPoint(OpSend, dst, tag))
+// isend transmits one message, the chunks back to back, without ever
+// blocking, regardless of size (a private buffered send used by collective
+// algorithms, as real MPI implementations use nonblocking internals). The
+// payload is copied into the receiving mailbox's staging slab.
+func (c *Comm) isend(dst, tag int, chunks ...[]byte) {
+	c.isendDecided(chunks, dst, tag, c.faultPoint(OpSend, dst, tag))
 }
 
 // isendDecided is isend with the fault decision already made — SendRecv
 // charges its fault point to OpSendRecv and routes the verdict here for
 // eager-sized payloads.
-func (c *Comm) isendDecided(buf []byte, dst, tag int, d FaultDecision) {
-	c.bytesSent += int64(len(buf))
+func (c *Comm) isendDecided(chunks [][]byte, dst, tag int, d FaultDecision) {
+	size := chunksLen(chunks)
+	c.bytesSent += int64(size)
 	c.msgsSent++
 	c.clock.Advance(c.sendOverhead(dst))
 	if d.Action == FaultDrop {
 		return
 	}
-	payload := buf
+	payload := chunks
 	var extra float64
 	switch d.Action {
 	case FaultCorrupt:
-		payload = corruptCopy(buf, d.Bit)
+		payload = [][]byte{corruptCopy(chunks, d.Bit)}
 	case FaultDelay:
 		extra = d.Delay
 	}
-	arrival := c.clock.Now() + extra + c.world.cfg.MsgTime(c.rank, dst, len(buf))
+	arrival := c.clock.Now() + extra + c.world.cfg.MsgTime(c.rank, dst, size)
 	c.world.boxes[dst].enqueueCopy(payload, c.rank, tag, arrival)
 }
 
@@ -156,7 +157,7 @@ func (c *Comm) Recv(buf []byte, src, tag int) (Status, error) {
 		}
 		return Status{}, err
 	}
-	st := Status{Source: m.src, Tag: m.tag, Count: len(m.data)}
+	st := Status{Source: m.src, Tag: m.tag, Count: m.size()}
 	if st.Count > len(buf) {
 		if m.done != nil {
 			m.done <- c.clock.Now() // release the blocked sender regardless
@@ -164,7 +165,7 @@ func (c *Comm) Recv(buf []byte, src, tag int) (Status, error) {
 		m.consumed(box)
 		return st, fmt.Errorf("%w: got %d bytes, buffer holds %d", ErrTruncate, st.Count, len(buf))
 	}
-	copy(buf, m.data)
+	m.copyTo(buf)
 	m.consumed(box) // payload copied out; its slab chunk is dead
 	if m.done != nil {
 		// Rendezvous: the transfer starts when both sides are ready.
@@ -196,7 +197,7 @@ func (c *Comm) Probe(src, tag int) (Status, error) {
 		}
 		return Status{}, err
 	}
-	return Status{Source: m.src, Tag: m.tag, Count: len(m.data)}, nil
+	return Status{Source: m.src, Tag: m.tag, Count: m.size()}, nil
 }
 
 // SendRecv performs a combined send and receive that cannot deadlock, like
@@ -205,15 +206,24 @@ func (c *Comm) Probe(src, tag int) (Status, error) {
 // after it, so two ranks exchanging large buffers head-to-head always make
 // progress without the library buffering a jumbo copy.
 func (c *Comm) SendRecv(sendBuf []byte, dst, sendTag int, recvBuf []byte, src, recvTag int) (Status, error) {
+	return c.sendRecv([][]byte{sendBuf}, dst, sendTag, recvBuf, src, recvTag)
+}
+
+// sendRecv is SendRecv with a vectored send half: the chunks travel as one
+// message, exactly as their concatenation would — same size, same eager or
+// rendezvous protocol, same clock and counters — but a rendezvous hands the
+// receiver the chunk list itself, so the receive is the only copy.
+func (c *Comm) sendRecv(send [][]byte, dst, sendTag int, recvBuf []byte, src, recvTag int) (Status, error) {
 	if dst < 0 || dst >= c.world.n {
 		return Status{}, fmt.Errorf("%w: sendrecv to %d of %d", ErrRank, dst, c.world.n)
 	}
 	d := c.faultPoint(OpSendRecv, dst, sendTag)
-	if len(sendBuf) <= eagerLimit {
-		c.isendDecided(sendBuf, dst, sendTag, d)
+	size := chunksLen(send)
+	if size <= eagerLimit {
+		c.isendDecided(send, dst, sendTag, d)
 		return c.Recv(recvBuf, src, recvTag)
 	}
-	c.bytesSent += int64(len(sendBuf))
+	c.bytesSent += int64(size)
 	c.msgsSent++
 	var (
 		m      *message
@@ -224,16 +234,16 @@ func (c *Comm) SendRecv(sendBuf []byte, dst, sendTag int, recvBuf []byte, src, r
 	if d.Action == FaultDrop {
 		c.clock.Advance(c.sendOverhead(dst))
 	} else {
-		payload := sendBuf
+		payload := send
 		var extra float64
 		if d.Action == FaultCorrupt {
-			payload = corruptCopy(sendBuf, d.Bit)
+			payload = [][]byte{corruptCopy(send, d.Bit)}
 		} else if d.Action == FaultDelay {
 			extra = d.Delay
 		}
 		done = make(chan float64, 1)
 		m = &message{
-			src: c.rank, tag: sendTag, data: payload,
+			src: c.rank, tag: sendTag, chunks: payload,
 			arrival: c.clock.Now() + extra,
 			done:    done,
 		}

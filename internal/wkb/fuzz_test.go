@@ -55,6 +55,13 @@ func FuzzDecode(f *testing.F) {
 	for _, g := range scanEdgeGeoms() {
 		f.Add(Encode(g))
 	}
+	// Run lengths around the arena's slab size: pointRun reserves and folds
+	// each run in one pass.
+	for _, n := range []int{0, 1, slabPoints - 1, slabPoints, slabPoints + 1} {
+		f.Add(Encode(&geom.LineString{Pts: runPoints(n, 0)}))
+	}
+	f.Add(Encode(&geom.Polygon{Shell: runPoints(slabPoints+1, 0), Holes: [][]geom.Point{runPoints(1, 2), {}}}))
+	f.Add(Encode(&geom.MultiLineString{Lines: []geom.LineString{{Pts: runPoints(slabPoints-1, 0)}, {Pts: runPoints(2, 1)}}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, n, err := Decode(data)

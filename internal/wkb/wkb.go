@@ -15,7 +15,9 @@
 // Like the WKT scanner, decoding is arena-backed: coordinates accumulate
 // into a per-Parser slab that decoded geometries slice out of, so steady-
 // state decoding of a record stream allocates one slab per ~1k vertices
-// instead of one []Point per geometry. A Parser may be reused across
+// instead of one []Point per geometry. A counted vertex run is decoded in
+// one pass: reserved in the slab at once, read without per-vertex bounds
+// checks, its envelope folded in the same loop. A Parser may be reused across
 // records (geometries returned by earlier calls stay valid — exhausted
 // slabs are abandoned to the garbage collector, never recycled), but a
 // single Parser must not be shared between goroutines. The package-level
@@ -186,18 +188,19 @@ type Parser struct {
 
 	// slab is the coordinate arena. Completed point runs are sliced out
 	// with a full slice expression and handed to geometries, so the slab is
-	// never truncated below its used length; when it fills, a fresh slab is
-	// allocated and the old one is left to the geometries referencing it.
+	// never truncated below its used length; when a run does not fit, a
+	// fresh slab is allocated and the old one is left to the geometries
+	// referencing it.
 	slab []geom.Point
-	// mark is the start of the in-progress point run within slab.
+	// mark is the start of the in-progress MULTIPOINT run within slab — the
+	// one run whose length is not known up front, built by pushPoint.
 	mark int
 
-	// runEnv is the MBR of the most recently completed point run, computed
-	// by takeRun in one pass over the contiguous run (not per push — a
-	// per-vertex store into the parser field costs real throughput in the
-	// decode hot loop). Completed geometries get it primed into their
-	// cache: exactly the value a lazy Envelope() would compute — same fold,
-	// same order — so their first Envelope() call costs nothing.
+	// runEnv is the MBR of the most recently completed point run, folded by
+	// pointRun in its decode loop (by takeRun for a MULTIPOINT). Completed
+	// geometries get it primed into their cache: exactly the value a lazy
+	// Envelope() would compute — same fold, same order — so their first
+	// Envelope() call costs nothing.
 	runEnv geom.Envelope
 }
 
@@ -220,11 +223,12 @@ func (p *Parser) Decode(buf []byte) (geom.Geometry, int, error) {
 	return g, n, nil
 }
 
-// beginRun starts a new point run in the arena.
+// beginRun starts a new MULTIPOINT run in the arena.
 func (p *Parser) beginRun() { p.mark = len(p.slab) }
 
-// pushPoint appends one vertex to the in-progress run. When the slab is
-// full the run migrates to a fresh slab; completed geometries keep the old
+// pushPoint appends one vertex to the in-progress MULTIPOINT run (whose
+// elements are checked one by one, so it grows a point at a time where
+// pointRun reserves). When the slab is full the run migrates to a fresh slab; completed geometries keep the old
 // backing array, so nothing they reference is ever overwritten.
 func (p *Parser) pushPoint(pt geom.Point) {
 	if len(p.slab) == cap(p.slab) {
@@ -240,8 +244,8 @@ func (p *Parser) pushPoint(pt geom.Point) {
 	p.slab = append(p.slab, pt)
 }
 
-// takeRun completes the in-progress run, records its MBR in runEnv, and
-// returns it. The full slice expression caps the result so callers
+// takeRun completes the in-progress MULTIPOINT run, records its MBR in
+// runEnv, and returns it. The full slice expression caps the result so callers
 // appending to it reallocate instead of writing into the arena.
 func (p *Parser) takeRun() []geom.Point {
 	out := p.slab[p.mark:len(p.slab):len(p.slab)]
@@ -405,8 +409,9 @@ func (r *reader) scan() (geom.Type, geom.Envelope, error) {
 }
 
 // foldPoint extends the envelope of a run's first i vertices by (x, y) in
-// geom.EnvelopeOf's order, so a scanned run's envelope is bitwise the one
-// takeRun computes (NaN and signed zeros included).
+// geom.EnvelopeOf's order, so a run's envelope folded vertex by vertex —
+// by Scan, or by pointRun as it decodes — is bitwise the one EnvelopeOf
+// computes over the decoded run (NaN and signed zeros included).
 func foldPoint(e geom.Envelope, i int, x, y float64) geom.Envelope {
 	if i == 0 {
 		return geom.Envelope{MinX: x, MinY: y, MaxX: x, MaxY: y}
@@ -489,22 +494,34 @@ func (r *reader) scanCollection(elem uint32, mismatch string) (geom.Envelope, er
 	return env, nil
 }
 
-// pointRun decodes a counted vertex sequence into the arena.
+// pointRun decodes a counted vertex sequence into the arena in one pass.
+// count has already bounded the run against the remaining bytes, so its n
+// points are reserved at once — a run that does not fit the slab starts a
+// fresh one of max(slabPoints, n) — and its vertices are read with no
+// further checks, as scanRun does, folding runEnv in the same loop.
 func (p *Parser) pointRun() ([]geom.Point, error) {
 	n, err := p.count(minPointBytes)
 	if err != nil {
 		return nil, err
 	}
-	p.beginRun()
-	for i := 0; i < n; i++ {
-		pt, err := p.point()
-		if err != nil {
-			p.abandonRun()
-			return nil, err
-		}
-		p.pushPoint(pt)
+	if cap(p.slab)-len(p.slab) < n {
+		p.slab = make([]geom.Point, 0, max(slabPoints, n))
 	}
-	return p.takeRun(), nil
+	start := len(p.slab)
+	p.slab = p.slab[:start+n]
+	out := p.slab[start : start+n : start+n]
+	run := p.buf[p.pos : p.pos+n*minPointBytes]
+	env := geom.EmptyEnvelope()
+	for i := range out {
+		v := run[i*minPointBytes:]
+		x := math.Float64frombits(binary.LittleEndian.Uint64(v))
+		y := math.Float64frombits(binary.LittleEndian.Uint64(v[8:]))
+		out[i] = geom.Point{X: x, Y: y}
+		env = foldPoint(env, i, x, y)
+	}
+	p.pos += len(run)
+	p.runEnv = env
+	return out, nil
 }
 
 func (p *Parser) geometry() (geom.Geometry, error) {

@@ -160,12 +160,15 @@
 // decoded, staged with one copy, and decoded once — on the receiving rank.
 // Nothing selects this but the parser and framing passed in; the cells,
 // stats and virtual clock are bitwise those of the decode-and-Add path.
+// Between stage and decoder a frame is copied at most once: stages travel
+// as chunk lists (a vectored Alltoallv, no packing), and a rank's frames for
+// its own cells never leave it — they are decoded where they were staged.
 //
 // Because frames are always staged at Add, Partitioner.WindowCells bounds
 // each sliding-window phase's message size and the receive/decode memory,
 // not the send side: every phase's frames (compact bytes in chunks that are
-// never regrown, gathered and released phase by phase as FinishStream ships
-// them) are staged up front, on the materialized path on top of the
+// never regrown, sent as they are and released phase by phase as
+// FinishStream ships them) are staged up front, on the materialized path on top of the
 // caller's slice. No benchmark workload measures a materialized windowed
 // exchange's heap — join_polys, the materialized workload in benchmark/, is
 // single-phase.
@@ -646,7 +649,9 @@ func ReadStream(c *Comm, f *File, p Parser, opt ReadOptions, sink func(batch []G
 // feeding the Partitioner's streaming exchange batch by batch. It requires
 // the grid — and so the global envelope — up front. Length-prefixed WKB read
 // by WKBParser is forwarded as record bytes, not decoded on the sender (see
-// "Streaming pipeline" above). All ranks must call it collectively.
+// "Streaming pipeline" above). On a read error the exchange never runs: the
+// error is returned with the read's ReadStats and zero ExchangeStats. All
+// ranks must call it collectively.
 func ReadExchange(c *Comm, f *File, p Parser, opt ReadOptions, pt *Partitioner) (map[int][]Geometry, ReadStats, ExchangeStats, error) {
 	return core.ReadExchange(c, f, p, opt, pt)
 }
