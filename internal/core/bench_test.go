@@ -88,80 +88,36 @@ func BenchmarkReadExchange(b *testing.B) {
 	}
 }
 
-// BenchmarkReadExchangeKnobs is ParseWorkers' row on the raw path:
-// ReadExchange of the lakes layer at 1/256 as length-prefixed WKB (scanned,
-// never decoded on the sender) into a 16×16 DirectGrid, by rank count and
-// ParseWorkers. Run with -cpu 2 to compare {1 rank, 1 or 2 workers} against
-// {2 ranks, 0 workers} at equal thread count.
-func BenchmarkReadExchangeKnobs(b *testing.B) {
+// BenchmarkReadKnobs is ParseWorkers' row: ReadPartition of the lakes layer
+// at 1/256 (35 MB of WKT, the benchmark/ input) by rank count and
+// ParseWorkers. Run with -cpu 2 to compare {1 rank, 2 workers} against
+// {2 ranks, 0 workers} at equal thread count. The knob is text-only: binary
+// framings parse on the rank goroutine and ignore it.
+func BenchmarkReadKnobs(b *testing.B) {
 	const scale = 256
 	fs, err := pfs.New(pfs.RogerGPFS())
 	if err != nil {
 		b.Fatal(err)
 	}
-	pf, _, err := datagen.GenerateFileEncoded(datagen.Lakes(), scale, datagen.EncodingWKB, fs, "lakes.wkb", 0, 0)
+	pf, _, err := datagen.GenerateFileEncoded(datagen.Lakes(), scale, datagen.EncodingWKT, fs, "lakes.wkt", 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	world := geom.Envelope{MinX: -180, MinY: -90, MaxX: 180, MaxY: 90}
-	for _, knob := range []struct{ ranks, workers int }{{1, 0}, {1, 1}, {1, 2}, {2, 0}} {
-		opt := ReadOptions{BlockSize: 256e6 / scale, Framing: LengthPrefixed(), ParseWorkers: knob.workers}
-		b.Run(fmt.Sprintf("ranks=%d/workers=%d", knob.ranks, knob.workers), func(b *testing.B) {
-			b.SetBytes(pf.Size())
-			for i := 0; i < b.N; i++ {
-				err := mpi.Run(cluster.Local(knob.ranks), func(c *mpi.Comm) error {
-					g, err := grid.New(world, 16, 16)
-					if err != nil {
+	for _, ranks := range []int{1, 2, 4} {
+		for _, workers := range []int{0, 1, 2} {
+			opt := ReadOptions{BlockSize: 256e6 / scale, ParseWorkers: workers}
+			b.Run(fmt.Sprintf("wkt/ranks=%d/workers=%d", ranks, workers), func(b *testing.B) {
+				b.SetBytes(pf.Size())
+				for i := 0; i < b.N; i++ {
+					err := mpi.Run(cluster.Local(ranks), func(c *mpi.Comm) error {
+						_, _, err := ReadPartition(c, mpiio.Open(c, pf, mpiio.Hints{}), NewWKTParser(), opt)
 						return err
+					})
+					if err != nil {
+						b.Fatal(err)
 					}
-					_, _, _, err = ReadExchange(c, mpiio.Open(c, pf, mpiio.Hints{}), NewWKBParser(), opt, &Partitioner{Grid: g, DirectGrid: true})
-					return err
-				})
-				if err != nil {
-					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkReadKnobs is ROADMAP item 4's row: ReadPartition over the lakes
-// layer at 1/256 (35 MB, the benchmark/ input) by encoding, rank count and
-// ParseWorkers. Run with -cpu 2 to compare {2 ranks, 0 workers} against
-// {1 rank, 2 workers} at equal thread count.
-func BenchmarkReadKnobs(b *testing.B) {
-	const scale = 256
-	for _, enc := range []datagen.Encoding{datagen.EncodingWKT, datagen.EncodingWKB} {
-		fs, err := pfs.New(pfs.RogerGPFS())
-		if err != nil {
-			b.Fatal(err)
-		}
-		pf, _, err := datagen.GenerateFileEncoded(datagen.Lakes(), scale, enc, fs, "lakes"+enc.Ext(), 0, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		opt := ReadOptions{BlockSize: 256e6 / scale}
-		newParser := func() Parser { return NewWKTParser() }
-		if enc == datagen.EncodingWKB {
-			opt.Framing = LengthPrefixed()
-			newParser = func() Parser { return NewWKBParser() }
-		}
-		for _, ranks := range []int{1, 2} {
-			for _, workers := range []int{0, 1, 2} {
-				opt.ParseWorkers = workers
-				b.Run(fmt.Sprintf("%s/ranks=%d/workers=%d", enc.Ext()[1:], ranks, workers), func(b *testing.B) {
-					b.SetBytes(pf.Size())
-					for i := 0; i < b.N; i++ {
-						err := mpi.Run(cluster.Local(ranks), func(c *mpi.Comm) error {
-							_, _, err := ReadPartition(c, mpiio.Open(c, pf, mpiio.Hints{}), newParser(), opt)
-							return err
-						})
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
+			})
 		}
 	}
 }

@@ -80,7 +80,9 @@ func (w WKTParser) Parse(record []byte) (geom.Geometry, error) {
 // framing; wkb.AppendFramed is the writer). The framing strips the length
 // header, so the payload handed here is exactly one WKB geometry, decoded
 // with no float scanning at all — which is why the binary path approaches
-// raw I/O bandwidth (paper Figures 12/15).
+// raw I/O bandwidth (paper Figures 12/15), and why length-prefixed records
+// always decode on the rank goroutine (ReadOptions.ParseWorkers is text
+// only).
 //
 // The zero value works and is safe for concurrent use (it draws pooled
 // decoders from the wkb package). NewWKBParser returns a value with a
@@ -96,11 +98,6 @@ type WKBParser struct {
 func NewWKBParser() WKBParser {
 	return WKBParser{dec: wkb.NewParser()}
 }
-
-// CloneParser implements ParserCloner: each parallel parse worker gets a
-// WKBParser with its own dedicated coordinate arena, whatever the receiver's
-// configuration.
-func (w WKBParser) CloneParser() Parser { return NewWKBParser() }
 
 // Parse implements Parser. An empty record is malformed — the WKB encoders
 // never write one — and fails like any other truncation rather than being

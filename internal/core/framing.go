@@ -211,33 +211,19 @@ func (lengthPrefixed) continuation(prefix, data []byte) (int, bool) {
 	return int(n), true
 }
 
-// splitRegion returns a record-boundary cut into data at or past target, or
-// len(data) when no later boundary exists. data must begin at a record
-// boundary (it is a whole-record region; a trailing EOF-settled fragment, if
-// any, stays attached to the final chunk). This is how the parallel parse
-// path shards a region into worker batches without decoding payloads: a
-// self-synchronizing framing jumps straight to the first boundary past
-// target, while length-prefixed records hop headers from the front — four
-// bytes looked at per record.
+// splitRegion returns the first record boundary at or past target in data,
+// or len(data) when no later boundary exists (a trailing EOF-settled
+// fragment, if any, stays attached to the final chunk). This is how the text
+// parse workers shard a region into batches without parsing it: fr is
+// self-synchronizing, since only text framings start a worker pool.
 func splitRegion(fr Framing, data []byte, target int) int {
 	if target >= len(data) {
 		return len(data)
 	}
-	if fr.selfSync() {
-		if fb := fr.firstBoundary(data[target:]); fb >= 0 {
-			return target + fb
-		}
-		return len(data)
+	if fb := fr.firstBoundary(data[target:]); fb >= 0 {
+		return target + fb
 	}
-	pos := 0
-	for pos < target {
-		_, framed, ok := fr.next(data[pos:])
-		if !ok {
-			return len(data)
-		}
-		pos += framed
-	}
-	return pos
+	return len(data)
 }
 
 func (lengthPrefixed) eofTail(data []byte) ([]byte, bool, error) {

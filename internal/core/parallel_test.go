@@ -2,12 +2,17 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/pfs"
@@ -15,11 +20,8 @@ import (
 	"repro/internal/wkt"
 )
 
-// The shipped parsers must be able to furnish per-worker clones.
-var (
-	_ ParserCloner = WKTParser{}
-	_ ParserCloner = WKBParser{}
-)
+// The shipped text parser must be able to furnish per-worker clones.
+var _ ParserCloner = WKTParser{}
 
 // readPerRank runs ReadPartition and returns each rank's geometries as WKT
 // strings in delivery order (no sorting — the parallel path promises the
@@ -299,8 +301,173 @@ func TestParseWorkersTruncatedWKB(t *testing.T) {
 	}
 }
 
-// TestSplitRegion pins the batch-splitting helper on both framings: cuts
-// land on record boundaries at or past the target, never inside a record.
+// TestBinaryReadsStayOnTheRank: ParseWorkers is a text knob. Over
+// length-prefixed records — ReadPartition, ReadStream and ReadExchange's raw
+// path, under both strategies — 4 workers change nothing against 0: the
+// geometries (stream batch boundaries included) or cells and their order,
+// ReadStats, ExchangeStats, the error text, the final virtual clock, and the
+// goroutines alive while the read runs, sampled from the file's read hook
+// and from ReadStream's sink. The clean file runs strict; a file ending
+// inside a record runs strict and under SkipErrors, so its leftover is
+// settled by the EOF rule on both strategies.
+func TestBinaryReadsStayOnTheRank(t *testing.T) {
+	fs, err := pfs.New(pfs.CometLustre())
+	if err != nil {
+		t.Fatal(err)
+	}
+	geoms := genGeoms(t, 300, 53)
+	write := func(name string, tail []byte) *pfs.File {
+		f, err := fs.Create(name, 8, 4<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf []byte
+		for _, g := range geoms {
+			buf = wkb.AppendFramed(buf[:0], g)
+			f.Append(buf)
+		}
+		f.Append(tail)
+		return f
+	}
+	clean := write("clean.wkb", nil)
+	trunc := write("trunc.wkb", []byte{200, 1, 0, 0, 1, 2, 3})
+
+	// peak is the most goroutines seen alive during one run.
+	var peak atomic.Int64
+	sample := func() {
+		n := int64(runtime.NumGoroutine())
+		for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
+		}
+	}
+	fs.InjectReadFault(func(string, int64, int, int) pfs.ReadFault {
+		sample()
+		return pfs.ReadFault{}
+	})
+	defer fs.InjectReadFault(nil)
+	// Goroutines of an earlier run may still be exiting after mpi.Run
+	// returns; waitIdle gives them up to a second, so each run's peak is
+	// measured above the same idle count.
+	idle := runtime.NumGoroutine()
+	waitIdle := func() int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 1000 && n > idle; i++ {
+			time.Sleep(time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		return n
+	}
+
+	type outcome struct {
+		geoms []string // ReadPartition and ReadStream, as WKB; "batch" opens a ReadStream batch
+		cells map[int][]string
+		read  ReadStats
+		ex    ExchangeStats
+		err   string
+		clock float64
+	}
+	encode := func(dst []string, gs []geom.Geometry) []string {
+		for _, g := range gs {
+			dst = append(dst, string(wkb.Encode(g)))
+		}
+		return dst
+	}
+	run := func(pf *pfs.File, api string, opt ReadOptions) ([]outcome, int64) {
+		const ranks = 3
+		out := make([]outcome, ranks)
+		start := waitIdle()
+		peak.Store(int64(start))
+		var mu sync.Mutex
+		err := mpi.Run(cluster.Local(ranks), func(c *mpi.Comm) error {
+			f := mpiio.Open(c, pf, mpiio.Hints{})
+			var o outcome
+			var err error
+			switch api {
+			case "ReadPartition":
+				var gs []geom.Geometry
+				gs, o.read, err = ReadPartition(c, f, NewWKBParser(), opt)
+				o.geoms = encode(nil, gs)
+			case "ReadStream":
+				o.read, err = ReadStream(c, f, NewWKBParser(), opt, func(batch []geom.Geometry) error {
+					sample()
+					o.geoms = encode(append(o.geoms, "batch"), batch)
+					return nil
+				})
+			case "ReadExchange":
+				g, gerr := grid.New(geom.Envelope{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}, 8, 8)
+				if gerr != nil {
+					return gerr
+				}
+				var cells map[int][]geom.Geometry
+				cells, o.read, o.ex, err = ReadExchange(c, f, NewWKBParser(), opt, &Partitioner{Grid: g, DirectGrid: true})
+				o.cells = make(map[int][]string, len(cells))
+				for cell, gs := range cells {
+					o.cells[cell] = encode(nil, gs)
+				}
+			}
+			if err != nil {
+				o.err = err.Error()
+			}
+			o.clock = c.Now()
+			mu.Lock()
+			out[c.Rank()] = o
+			mu.Unlock()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, peak.Load() - int64(start)
+	}
+
+	inputs := []struct {
+		name string
+		pf   *pfs.File
+		skip bool
+	}{{"clean", clean, false}, {"truncated strict", trunc, false}, {"truncated skip", trunc, true}}
+	for _, in := range inputs {
+		for _, strat := range []Strategy{MessageBased, Overlap} {
+			for _, api := range []string{"ReadPartition", "ReadStream", "ReadExchange"} {
+				opt := ReadOptions{BlockSize: 1 << 10, Strategy: strat, MaxGeomSize: 2 << 10,
+					Framing: LengthPrefixed(), SkipErrors: in.skip, StreamBatch: 29}
+				label := fmt.Sprintf("%s %s %s", in.name, strat, api)
+				want, wantExtra := run(in.pf, api, opt)
+				opt.ParseWorkers = 4
+				got, gotExtra := run(in.pf, api, opt)
+				for r := range want {
+					if !reflect.DeepEqual(got[r], want[r]) {
+						t.Errorf("%s: rank %d with 4 workers differs from 0:\n 4 %+v %+v %q %v\n 0 %+v %+v %q %v",
+							label, r, got[r].read, got[r].ex, got[r].err, got[r].clock, want[r].read, want[r].ex, want[r].err, want[r].clock)
+					}
+				}
+				if gotExtra != wantExtra {
+					t.Errorf("%s: %d goroutines above idle during the read with 4 workers, %d with 0", label, gotExtra, wantExtra)
+				}
+				records, errs, failed := 0, 0, 0
+				for _, o := range want {
+					records += o.read.Records
+					errs += o.read.Errors
+					if o.err != "" {
+						failed++
+					}
+				}
+				wantErrs, wantFailed := 0, 0
+				if in.pf == trunc {
+					wantErrs = 1
+					if !in.skip {
+						wantFailed = len(want)
+					}
+				}
+				if records != len(geoms) || errs != wantErrs || failed != wantFailed {
+					t.Errorf("%s: %d records, %d errors, %d ranks failed; want %d, %d, %d",
+						label, records, errs, failed, len(geoms), wantErrs, wantFailed)
+				}
+			}
+		}
+	}
+}
+
+// TestSplitRegion pins the batch-splitting helper: cuts land on record
+// boundaries at or past the target, never inside a record.
 func TestSplitRegion(t *testing.T) {
 	d := Delimited('\n')
 	data := []byte("aa\nbbbb\ncc\ndddd\n")
@@ -312,21 +479,6 @@ func TestSplitRegion(t *testing.T) {
 	// Unterminated tail stays attached to the final chunk.
 	if got := splitRegion(d, []byte("aa\nbb"), 4); got != 5 {
 		t.Errorf("delimited unterminated tail: got %d, want 5", got)
-	}
-
-	var lp []byte
-	sizes := []int{0, 10, 11, 14} // cumulative framed offsets: 0, 4, 18, 33, 51
-	for _, n := range sizes {
-		var hdr [4]byte
-		hdr[0] = byte(n)
-		lp = append(lp, hdr[:]...)
-		lp = append(lp, make([]byte, n)...)
-	}
-	fr := LengthPrefixed()
-	for target, want := range map[int]int{0: 0, 1: 4, 4: 4, 5: 18, 18: 18, 19: 33, 34: 51, 51: 51} {
-		if got := splitRegion(fr, lp, target); got != want {
-			t.Errorf("length-prefixed splitRegion(target=%d) = %d, want %d", target, got, want)
-		}
 	}
 }
 

@@ -8,13 +8,13 @@ import (
 )
 
 // ParserCloner is implemented by parsers that can furnish independent
-// instances for ReadPartition's parallel parse workers. When
-// ReadOptions.ParseWorkers > 0 and the supplied Parser implements it, every
-// worker parses with its own clone — which is how WKTParser and WKBParser
-// give each worker a dedicated coordinate arena with no pool contention. A
-// parser that does not implement ParserCloner is shared by all workers and
-// must be safe for concurrent use (the zero values WKTParser{} and
-// WKBParser{} are).
+// instances for the text parse workers. When ReadOptions.ParseWorkers > 0 on
+// a self-synchronizing (text) framing and the supplied Parser implements it,
+// every worker parses with its own clone — which is how WKTParser gives each
+// worker a dedicated coordinate arena with no pool contention. A parser that
+// does not implement ParserCloner is shared by all workers and must be safe
+// for concurrent use (the zero value WKTParser{} is). Length-prefixed
+// records always parse on the rank goroutine, so no binary parser is cloned.
 type ParserCloner interface {
 	Parser
 	// CloneParser returns an independent Parser equivalent to the receiver.
@@ -39,48 +39,25 @@ const parseChunkTarget = 64 << 10
 type parseBatch struct {
 	buf   []byte
 	atEOF bool
-	raw   bool // buf is one pre-unframed payload, not a framed region
 	done  chan struct{}
 
 	geoms    []geom.Geometry
-	scanned  []scannedRecord // raw mode: records of buf, in file order
 	records  int
 	errs     int
 	firstErr error
 	cost     float64 // accumulated virtual-seconds parse charge
 }
 
-// scannedRecord is one raw-mode record a worker checked with scanWKB: the
-// record's bytes (in its batch's buf) and what its decode would report.
-type scannedRecord struct {
-	rec []byte
-	t   geom.Type
-	env geom.Envelope
-}
-
-// run parses the batch with the worker's parser — or, with scan set (raw
-// mode), scans each record and leaves it in buf for the reader to stage at
-// merge. It mirrors parseCtx.one and parseCtx.records exactly — same blank
-// handling, same error text, same per-record cost formula — but touches no
-// Comm: the virtual-time charge is accumulated in cost and applied by the
-// reader goroutine at merge, because Now/Compute are rank-single-threaded.
-func (b *parseBatch) run(p Parser, fr Framing, scale float64, scan bool) {
+// run parses the batch with the worker's parser. It mirrors parseCtx.one and
+// parseCtx.records exactly — same blank handling, same error text, same
+// per-record cost formula — but touches no Comm: the virtual-time charge is
+// accumulated in cost and applied by the reader goroutine at merge, because
+// Now/Compute are rank-single-threaded.
+func (b *parseBatch) run(p Parser, fr Framing, scale float64) {
 	b.geoms = b.geoms[:0]
-	b.scanned = b.scanned[:0]
 	b.records, b.errs, b.firstErr, b.cost = 0, 0, nil, 0
 	one := func(rec []byte) {
 		if fr.blank(rec) {
-			return
-		}
-		if scan {
-			t, env, err := scanWKB(rec)
-			if err != nil {
-				b.fail(parseErr(rec, err))
-				return
-			}
-			b.cost += costmodel.ParseCost(t, len(rec)) * scale
-			b.records++
-			b.scanned = append(b.scanned, scannedRecord{rec, t, env})
 			return
 		}
 		g, err := p.Parse(rec)
@@ -95,10 +72,6 @@ func (b *parseBatch) run(p Parser, fr Framing, scale float64, scan bool) {
 		b.records++
 		b.geoms = append(b.geoms, g)
 	}
-	if b.raw {
-		one(b.buf)
-		return
-	}
 	parseRegion(fr, b.buf, b.atEOF, one, b.fail)
 }
 
@@ -111,9 +84,10 @@ func (b *parseBatch) fail(err error) {
 	}
 }
 
-// parsePool is one rank's parse worker pool. The reader goroutine submits
-// batches in file order and merges them back in the same order, so the
-// geometry stream is deterministic regardless of worker count or scheduling.
+// parsePool is one rank's text parse worker pool. The reader goroutine
+// submits batches in file order and merges them back in the same order, so
+// the geometry stream is deterministic regardless of worker count or
+// scheduling.
 // The in-flight window is bounded (limit batches, work channel of the same
 // capacity), which both bounds memory and makes the virtual-time accounting
 // deterministic: merges — the only points where parse cost reaches the
@@ -122,7 +96,6 @@ func (b *parseBatch) fail(err error) {
 type parsePool struct {
 	fr    Framing
 	scale float64
-	scan  bool // raw mode: workers scan records instead of parsing them
 	work  chan *parseBatch
 	wg    sync.WaitGroup
 
@@ -134,12 +107,11 @@ type parsePool struct {
 
 // newParsePool starts workers goroutines, each with its own parser clone
 // when the supplied parser can furnish one (see ParserCloner).
-func newParsePool(workers int, p Parser, fr Framing, scale float64, scan bool) *parsePool {
+func newParsePool(workers int, p Parser, fr Framing, scale float64) *parsePool {
 	limit := 2 * workers
 	pl := &parsePool{
 		fr:    fr,
 		scale: scale,
-		scan:  scan,
 		work:  make(chan *parseBatch, limit),
 		limit: limit,
 	}
@@ -152,7 +124,7 @@ func newParsePool(workers int, p Parser, fr Framing, scale float64, scan bool) *
 		go func(wp Parser) {
 			defer pl.wg.Done()
 			for b := range pl.work {
-				b.run(wp, pl.fr, pl.scale, pl.scan)
+				b.run(wp, pl.fr, pl.scale)
 				b.done <- struct{}{}
 			}
 		}(wp)
@@ -175,23 +147,22 @@ func (pl *parsePool) get() *parseBatch {
 // the oldest outstanding batch if the in-flight window is full. Because the
 // queue never exceeds limit and the work channel holds limit, the channel
 // send cannot block.
-func (pc *parseCtx) submit(data []byte, atEOF, raw bool) {
+func (pc *parseCtx) submit(data []byte, atEOF bool) {
 	pl := pc.pool
 	if len(pl.queue) >= pl.limit {
 		pc.mergeOldest()
 	}
 	b := pl.get()
 	b.buf = append(b.buf[:0], data...)
-	b.atEOF, b.raw = atEOF, raw
+	b.atEOF = atEOF
 	pl.queue = append(pl.queue, b)
 	pl.work <- b
 }
 
 // mergeOldest joins the oldest outstanding batch on the reader goroutine:
-// geometries are appended (raw mode: records staged from the batch's own
-// buffer) in file order, the batch's accumulated parse cost is charged to
-// the rank's clock, and errors flow through the same SkipErrors gate as the
-// serial path. The drained batch is recycled.
+// geometries are appended in file order, the batch's accumulated parse cost
+// is charged to the rank's clock, and errors flow through the same
+// SkipErrors gate as the serial path. The drained batch is recycled.
 func (pc *parseCtx) mergeOldest() {
 	pl := pc.pool
 	b := pl.queue[0]
@@ -209,9 +180,6 @@ func (pc *parseCtx) mergeOldest() {
 	if b.cost > 0 {
 		pc.c.Compute(b.cost)
 		pc.stats.ParseTime += b.cost
-	}
-	for _, r := range b.scanned {
-		pc.stage(r.rec, r.t, r.env)
 	}
 	pl.free = append(pl.free, b)
 	pc.maybeFlush()

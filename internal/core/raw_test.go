@@ -21,9 +21,7 @@ import (
 )
 
 // geometryPath hides a WKBParser behind another type, so ReadExchange feeds
-// ReadStream's batches to Exchanger.Add instead of taking the raw path. It
-// hides CloneParser too, so parse workers share the wrapped parser: wrap the
-// concurrency-safe zero value.
+// ReadStream's batches to Exchanger.Add instead of taking the raw path.
 type geometryPath struct{ Parser }
 
 // TestRawPathApplies: the raw path is a property of the input — the stock
@@ -127,10 +125,11 @@ func badRecordsFile(t *testing.T, n int, seed int64) *pfs.File {
 // TestRawPathParity: ReadExchange over length-prefixed WKB takes the raw
 // path, and everything it produces — ReadStats, error text, cells and their
 // order, every ExchangeStats field, the final virtual clock — is bitwise the
-// geometry path's, on clean input across strategies, worker counts, windows
-// and both cell-lookup mechanisms; on a file with a truncated, a
-// wrong-element-type and a trailing-garbage record, strict and under
-// SkipErrors; and under a FrameCorrupt plan with SkipBadFrames.
+// geometry path's, on clean input across strategies, windows and both
+// cell-lookup mechanisms; on a file with a truncated, a wrong-element-type
+// and a trailing-garbage record, strict and under SkipErrors; and under a
+// FrameCorrupt plan with SkipBadFrames. Both paths run with ParseWorkers 0
+// and 2, which binary framings ignore (TestBinaryReadsStayOnTheRank).
 func TestRawPathParity(t *testing.T) {
 	world := geom.Envelope{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
 	raw := func() Parser { return NewWKBParser() }

@@ -79,29 +79,31 @@ type ReadOptions struct {
 	// hands a batch to its sink. Zero defaults to 256. ReadPartition
 	// ignores it.
 	StreamBatch int
-	// ParseWorkers fans record parsing out to this many per-rank worker
-	// goroutines, so a multi-core host overlaps parsing with the next
-	// block's I/O and the boundary exchange. 0 (the default) parses
-	// serially on the rank goroutine — exactly today's behavior. The
-	// output is deterministic: whole-record regions are sharded into
-	// batches at record boundaries, workers parse them concurrently, and
-	// the reader re-assembles results in file order, so the geometry slice
-	// is identical (order included) to the serial path for any worker
-	// count. Virtual-time accounting stays rank-single-threaded: workers
-	// never touch the Comm; each batch's per-record parse cost is
-	// accumulated off-clock and charged on the reader goroutine when the
-	// batch joins, so ReadStats.ParseTime totals match the serial path and
-	// error agreement stays collective-safe. The Parser must either
-	// implement ParserCloner (WKTParser and WKBParser do — every worker
-	// gets its own coordinate arena) or be safe for concurrent use.
+	// ParseWorkers fans text record parsing out to this many per-rank
+	// worker goroutines, so a multi-core host overlaps parsing with the
+	// next block's I/O and the boundary exchange. 0 (the default) parses
+	// serially on the rank goroutine. Binary (LengthPrefixed) framings
+	// always parse on the rank goroutine and ignore it: WKB decodes close
+	// to I/O speed, and there the workers never beat spending the same
+	// threads on ranks. The output is deterministic: whole-record regions
+	// are sharded into batches at record boundaries, workers parse them
+	// concurrently, and the reader re-assembles results in file order, so
+	// the geometry slice is identical (order included) to the serial path
+	// for any worker count. Virtual-time accounting stays
+	// rank-single-threaded: workers never touch the Comm; each batch's
+	// per-record parse cost is accumulated off-clock and charged on the
+	// reader goroutine when the batch joins, so ReadStats.ParseTime totals
+	// match the serial path (up to float summation order) and error
+	// agreement stays collective-safe. The Parser must either implement
+	// ParserCloner (WKTParser does — every worker gets its own coordinate
+	// arena) or be safe for concurrent use.
 	//
-	// The knob's row (BenchmarkReadKnobs, 35 MB lakes layer, -cpu 2 on a
-	// 2-vCPU host, medians of 5): WKT 231 ms serial, 166 ms with a second
-	// rank, 132 ms with 2 workers — as fast as adding a rank, with no
-	// boundary messages and no second partition. WKB parses too cheaply to
-	// pay for the batch copy: 41 ms serial, 33 ms with a second rank, 41 ms
-	// with 2 workers. 1 worker only moves the parse to another goroutine
-	// (246 ms WKT, 57 ms WKB) — use ≥ 2 or 0.
+	// The knob's row (BenchmarkReadKnobs, 35 MB WKT lakes layer, -cpu 2 on
+	// a 2-vCPU host, medians of 5, {ranks, workers}): {1, 0} 227 ms,
+	// {1, 2} 143 ms, {2, 0} 150 ms, {2, 2} 144 ms, {4, 0} 140 ms, {4, 2}
+	// 124 ms — 2 workers are worth a second rank, with no boundary
+	// messages and no second partition. 1 worker only moves the parse to
+	// another goroutine ({1, 1} 246 ms) — use ≥ 2 or 0.
 	ParseWorkers int
 }
 
@@ -628,13 +630,7 @@ func readMessageChain(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr 
 		if len(body) > 0 {
 			pc.region(body, false)
 		}
-		if len(eofLeft) > 0 {
-			if payload, emit, err := fr.eofTail(eofLeft); err != nil {
-				pc.fail(err)
-			} else if emit {
-				pc.rawRecord(payload)
-			}
-		}
+		pc.region(eofLeft, true)
 
 		// Close the ring: the world-trailing fragment becomes rank 0's
 		// prefix for the next iteration.
@@ -659,13 +655,7 @@ func readMessageChain(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr 
 	// The terminal rank consumes everything up to EOF, so the carry must
 	// drain empty; leftovers mean the file ended inside a record on a
 	// non-terminal rank's watch (defensive — settle by the EOF rule).
-	if carry := ar.liveCarry(); len(carry) > 0 {
-		if payload, emit, err := fr.eofTail(carry); err != nil {
-			pc.fail(err)
-		} else if emit {
-			pc.rawRecord(payload)
-		}
-	}
+	pc.region(ar.liveCarry(), true)
 	return pc.finish()
 }
 
@@ -834,8 +824,8 @@ func readOverlap(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Frami
 		if pos >= 0 && pos < ownedEnd {
 			// Scan the owned records first — boundary hops only, no payload
 			// decoding — so the whole run can be handed to the parser as one
-			// whole-record region (sharded across the parse workers when
-			// ParseWorkers > 0).
+			// whole-record region (sharded across the text parse workers
+			// when ParseWorkers > 0).
 			runStart := pos
 			incomplete := false
 			for pos < ownedEnd {
@@ -859,10 +849,8 @@ func readOverlap(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Frami
 				// the next iteration's read.
 				if extStart+int64(len(block)) < fileSize {
 					pc.fail(ioErr(c.Rank(), file, start, fmt.Sprintf("overlap iteration %d", i), ErrGeometryTooLarge))
-				} else if payload, emit, err := fr.eofTail(block[pos:]); err != nil {
-					pc.fail(err)
-				} else if emit {
-					pc.rawRecord(payload)
+				} else {
+					pc.region(block[pos:], true)
 				}
 			}
 		}
@@ -874,8 +862,9 @@ func readOverlap(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Frami
 // parseCtx accumulates one rank's parse results and defers parse errors so
 // the collective read structure stays intact: every rank completes all
 // iterations and the error becomes collective in finish(). With
-// ReadOptions.ParseWorkers > 0 it also owns the rank's parse worker pool
-// (see parsepool.go); otherwise pool is nil and everything runs inline.
+// ReadOptions.ParseWorkers > 0 over a self-synchronizing (text) framing it
+// also owns the rank's parse worker pool (see parsepool.go); otherwise pool
+// is nil and everything runs inline.
 type parseCtx struct {
 	c        *mpi.Comm
 	p        Parser
@@ -898,9 +887,9 @@ type parseCtx struct {
 	sinkErr     error
 
 	// Raw mode (ReadExchange over length-prefixed WKB): records are scanned,
-	// not parsed, and staged into raw as bytes; geoms stays empty. It
-	// streams like ReadStream — same deliveries gate, same agreement — so a
-	// staging failure is a sink error.
+	// not parsed, and staged into raw as bytes on the rank goroutine; geoms
+	// stays empty. It streams like ReadStream — same deliveries gate, same
+	// agreement — so a staging failure is a sink error.
 	raw *Exchanger
 }
 
@@ -909,9 +898,11 @@ type parseCtx struct {
 const defaultStreamBatch = 256
 
 // newParseCtx builds the parse context for one collective read, spinning up
-// the worker pool when ParseWorkers asks for one. Callers must pc.close()
-// on every exit path (finish does it on the success path; a deferred close
-// is idempotent and covers errors).
+// the worker pool when ParseWorkers asks for one and the framing is text.
+// Length-prefixed records — the raw path included — are always parsed or
+// scanned on the rank goroutine. Callers must pc.close() on every exit path
+// (finish does it on the success path; a deferred close is idempotent and
+// covers errors).
 func newParseCtx(c *mpi.Comm, p Parser, opt ReadOptions, fr Framing, scale float64, file string, out output) *parseCtx {
 	pc := &parseCtx{c: c, p: p, opt: opt, fr: fr, scale: scale, file: file, sink: out.batch, raw: out.raw}
 	if pc.sink != nil {
@@ -920,8 +911,8 @@ func newParseCtx(c *mpi.Comm, p Parser, opt ReadOptions, fr Framing, scale float
 			pc.batchTarget = defaultStreamBatch
 		}
 	}
-	if opt.ParseWorkers > 0 {
-		pc.pool = newParsePool(opt.ParseWorkers, p, fr, scale, pc.raw != nil)
+	if opt.ParseWorkers > 0 && fr.selfSync() {
+		pc.pool = newParsePool(opt.ParseWorkers, p, fr, scale)
 	}
 	return pc
 }
@@ -984,9 +975,11 @@ func (pc *parseCtx) maybeFlush() {
 }
 
 // region routes one whole-record byte run to the parser: inline on the
-// serial path, or copied and sharded into batches for the worker pool. data
-// aliases recycled reader buffers, so the parallel path copies synchronously
-// before returning; the caller may reuse the buffer immediately either way.
+// serial path, or copied and sharded into batches for the text worker pool.
+// With atEOF the run may end in a partial record, settled by the framing's
+// EOF rule (see parseRegion). data aliases recycled reader buffers, so the
+// parallel path copies synchronously before returning; the caller may reuse
+// the buffer immediately either way.
 func (pc *parseCtx) region(data []byte, atEOF bool) {
 	if len(data) == 0 {
 		return
@@ -1002,21 +995,10 @@ func (pc *parseCtx) region(data []byte, atEOF bool) {
 		if cut >= len(data) {
 			break
 		}
-		pc.submit(data[:cut], false, false)
+		pc.submit(data[:cut], false)
 		data = data[cut:]
 	}
-	pc.submit(data, atEOF, false)
-}
-
-// rawRecord routes one already-unframed record payload (an EOF-settled
-// tail) through the same ordered pipeline as region, so file order is
-// preserved relative to outstanding batches.
-func (pc *parseCtx) rawRecord(payload []byte) {
-	if pc.pool == nil {
-		pc.one(payload)
-		return
-	}
-	pc.submit(payload, false, true)
+	pc.submit(data, atEOF)
 }
 
 // records splits a whole-record byte run into framed records and parses

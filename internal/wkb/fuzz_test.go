@@ -55,10 +55,17 @@ func FuzzDecode(f *testing.F) {
 	for _, g := range scanEdgeGeoms() {
 		f.Add(Encode(g))
 	}
-	// Run lengths around the arena's slab size: pointRun reserves and folds
-	// each run in one pass.
+	// Run lengths around the arena's slab size: a vertex run or a
+	// MULTIPOINT's points are reserved and folded in one pass.
 	for _, n := range []int{0, 1, slabPoints - 1, slabPoints, slabPoints + 1} {
 		f.Add(Encode(&geom.LineString{Pts: runPoints(n, 0)}))
+		f.Add(Encode(&geom.MultiPoint{Pts: runPoints(n, 0)}))
+	}
+	// MULTIPOINTs failing at their first, middle and last element.
+	for _, k := range []int{0, 2, 4} {
+		for _, bad := range brokenMultiPoints(5, k) {
+			f.Add(bad)
+		}
 	}
 	f.Add(Encode(&geom.Polygon{Shell: runPoints(slabPoints+1, 0), Holes: [][]geom.Point{runPoints(1, 2), {}}}))
 	f.Add(Encode(&geom.MultiLineString{Lines: []geom.LineString{{Pts: runPoints(slabPoints-1, 0)}, {Pts: runPoints(2, 1)}}}))

@@ -22,12 +22,12 @@ func runPoints(n int, x0 float64) []geom.Point {
 	return pts
 }
 
-// TestPointRunEdges: pointRun reserves a whole run at once — in the current
-// slab when it fits, else in a fresh slab of max(slabPoints, n) — and folds
-// the run's envelope as it decodes. Across the boundary cases the decoded
-// run re-encodes to its input, its envelope is bitwise geom.EnvelopeOf of
-// its points, it is capped at its length, and the geometry decoded before
-// it is untouched.
+// TestPointRunEdges: a point run — a LINESTRING's vertices or a
+// MULTIPOINT's points — is reserved at once, in the current slab when it
+// fits, else in a fresh slab of max(slabPoints, n), and its envelope is
+// folded as it decodes. Across the boundary cases the decoded run re-encodes
+// to its input, its envelope is bitwise geom.EnvelopeOf of its points, it is
+// capped at its length, and the geometry decoded before it is untouched.
 func TestPointRunEdges(t *testing.T) {
 	const prefill = 10
 	cases := []struct {
@@ -42,39 +42,115 @@ func TestPointRunEdges(t *testing.T) {
 		{"slabPoints", 0, slabPoints, slabPoints, slabPoints},
 		{"slabPoints+1", 0, slabPoints + 1, slabPoints + 1, slabPoints + 1},
 	}
-	for _, tc := range cases {
-		p := NewParser()
-		var first geom.Geometry
-		var firstEnc []byte
-		if tc.prefill > 0 {
-			firstEnc = Encode(&geom.LineString{Pts: runPoints(tc.prefill, -50)})
-			g, _, err := p.Decode(firstEnc)
-			if err != nil {
-				t.Fatal(err)
+	shapes := []struct {
+		name string
+		make func([]geom.Point) geom.Geometry
+		pts  func(geom.Geometry) []geom.Point
+	}{
+		{"LINESTRING",
+			func(pts []geom.Point) geom.Geometry { return &geom.LineString{Pts: pts} },
+			func(g geom.Geometry) []geom.Point { return g.(*geom.LineString).Pts }},
+		{"MULTIPOINT",
+			func(pts []geom.Point) geom.Geometry { return &geom.MultiPoint{Pts: pts} },
+			func(g geom.Geometry) []geom.Point { return g.(*geom.MultiPoint).Pts }},
+	}
+	for _, shape := range shapes {
+		for _, tc := range cases {
+			name := shape.name + " " + tc.name
+			p := NewParser()
+			var first geom.Geometry
+			var firstEnc []byte
+			if tc.prefill > 0 {
+				firstEnc = Encode(&geom.LineString{Pts: runPoints(tc.prefill, -50)})
+				g, _, err := p.Decode(firstEnc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				first = g
 			}
-			first = g
+			pts := runPoints(tc.n, 100)
+			enc := Encode(shape.make(pts))
+			g, n, err := p.Decode(enc)
+			if err != nil || n != len(enc) {
+				t.Fatalf("%s: decode: %v (n=%d of %d)", name, err, n, len(enc))
+			}
+			if !bytes.Equal(Encode(g), enc) {
+				t.Errorf("%s: run does not re-encode to its input", name)
+			}
+			if got, want := g.Envelope(), geom.EnvelopeOf(pts); !sameBits(got, want) {
+				t.Errorf("%s: envelope %+v, EnvelopeOf %+v", name, got, want)
+			}
+			if run := shape.pts(g); cap(run) != len(run) {
+				t.Errorf("%s: run of %d points has capacity %d", name, len(run), cap(run))
+			}
+			if len(p.slab) != tc.wantLen || cap(p.slab) != tc.wantCap {
+				t.Errorf("%s: slab len %d cap %d, want %d / %d", name, len(p.slab), cap(p.slab), tc.wantLen, tc.wantCap)
+			}
+			if first != nil && !bytes.Equal(Encode(first), firstEnc) {
+				t.Errorf("%s: the earlier geometry was overwritten", name)
+			}
 		}
-		pts := runPoints(tc.n, 100)
-		enc := Encode(&geom.LineString{Pts: pts})
-		g, n, err := p.Decode(enc)
-		if err != nil || n != len(enc) {
-			t.Fatalf("%s: decode: %v (n=%d of %d)", tc.name, err, n, len(enc))
-		}
-		ls := g.(*geom.LineString)
-		if !bytes.Equal(Encode(ls), enc) {
-			t.Errorf("%s: run does not re-encode to its input", tc.name)
-		}
-		if got, want := ls.Envelope(), geom.EnvelopeOf(pts); !sameBits(got, want) {
-			t.Errorf("%s: envelope %+v, EnvelopeOf %+v", tc.name, got, want)
-		}
-		if cap(ls.Pts) != len(ls.Pts) {
-			t.Errorf("%s: run of %d points has capacity %d", tc.name, len(ls.Pts), cap(ls.Pts))
-		}
-		if len(p.slab) != tc.wantLen || cap(p.slab) != tc.wantCap {
-			t.Errorf("%s: slab len %d cap %d, want %d / %d", tc.name, len(p.slab), cap(p.slab), tc.wantLen, tc.wantCap)
-		}
-		if first != nil && !bytes.Equal(Encode(first), firstEnc) {
-			t.Errorf("%s: the earlier geometry was overwritten", tc.name)
+	}
+}
+
+// brokenMultiPoints returns an m-point MULTIPOINT encoding that fails at
+// element k, with a wrong element type and with a bad byte-order marker.
+// Both keep every byte, so the count check passes and the run is reserved.
+func brokenMultiPoints(m, k int) map[string][]byte {
+	elem := headerBytes + 4 + k*(headerBytes+minPointBytes) // element k's header
+	out := map[string][]byte{}
+	for kind, at := range map[string]int{"wrong element type": elem + 1, "bad byte order": elem} {
+		enc := Encode(&geom.MultiPoint{Pts: runPoints(m, 7)})
+		enc[at] = 9
+		out[kind] = enc
+	}
+	return out
+}
+
+// TestMultiPointErrorKeepsArena: a MULTIPOINT failing at element k hands
+// its reserved run back to the arena — the slab is where it was, or a fresh
+// one when the run did not fit — the geometries decoded before it keep their
+// coordinates bit for bit, and the next decode is correct.
+func TestMultiPointErrorKeepsArena(t *testing.T) {
+	const prefill = 10
+	for _, m := range []int{1, 5, slabPoints - prefill, slabPoints} {
+		for _, k := range []int{0, m / 2, m - 1} {
+			for kind, bad := range brokenMultiPoints(m, k) {
+				p := NewParser()
+				firstEnc := Encode(&geom.Polygon{Shell: runPoints(prefill, -50)})
+				first, _, err := p.Decode(firstEnc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				slab := p.slab
+				if _, _, err := p.Decode(bad); err == nil {
+					t.Fatalf("m=%d k=%d %s: decoded", m, k, kind)
+				}
+				wantLen, wantCap := len(slab), cap(slab)
+				if m > cap(slab)-len(slab) {
+					wantLen, wantCap = 0, max(slabPoints, m) // the run took a fresh slab
+				}
+				if len(p.slab) != wantLen || cap(p.slab) != wantCap {
+					t.Errorf("m=%d k=%d %s: slab len %d cap %d after the error, want %d / %d",
+						m, k, kind, len(p.slab), cap(p.slab), wantLen, wantCap)
+				}
+				if !bytes.Equal(Encode(first), firstEnc) {
+					t.Errorf("m=%d k=%d %s: the earlier geometry changed", m, k, kind)
+				}
+				for _, next := range []geom.Geometry{
+					&geom.MultiPoint{Pts: runPoints(3, 1)},
+					&geom.LineString{Pts: runPoints(4, 2)},
+				} {
+					enc := Encode(next)
+					g, n, err := p.Decode(enc)
+					if err != nil || n != len(enc) || !bytes.Equal(Encode(g), enc) || !sameBits(g.Envelope(), next.Envelope()) {
+						t.Errorf("m=%d k=%d %s: next decode of %T wrong (err %v)", m, k, kind, next, err)
+					}
+				}
+				if !bytes.Equal(Encode(first), firstEnc) {
+					t.Errorf("m=%d k=%d %s: the earlier geometry changed under the next decodes", m, k, kind)
+				}
+			}
 		}
 	}
 }
@@ -108,16 +184,19 @@ func TestArenaKeepsEarlierGeometries(t *testing.T) {
 
 // TestDecodeAllocsPerRecord pins wkb.decode_allocs_per_rec: a dedicated
 // Parser decoding polygons allocates the geometry, the hole list when there
-// are holes, and an amortized share of one slab per slabPoints vertices.
+// are holes, and an amortized share of one slab per slabPoints vertices; a
+// MULTIPOINT, reserved like a vertex run, the same minus the hole list.
 func TestDecodeAllocsPerRecord(t *testing.T) {
 	for _, tc := range []struct {
-		poly *geom.Polygon
+		name string
+		g    geom.Geometry
 		want float64
 	}{
-		{&geom.Polygon{Shell: runPoints(12, 0)}, 1},
-		{&geom.Polygon{Shell: runPoints(12, 0), Holes: [][]geom.Point{runPoints(4, 1)}}, 2},
+		{"polygon", &geom.Polygon{Shell: runPoints(12, 0)}, 1},
+		{"polygon with a hole", &geom.Polygon{Shell: runPoints(12, 0), Holes: [][]geom.Point{runPoints(4, 1)}}, 2},
+		{"multipoint", &geom.MultiPoint{Pts: runPoints(12, 0)}, 1},
 	} {
-		enc := Encode(tc.poly)
+		enc := Encode(tc.g)
 		p := NewParser()
 		allocs := testing.AllocsPerRun(1000, func() {
 			if _, _, err := p.Decode(enc); err != nil {
@@ -125,7 +204,7 @@ func TestDecodeAllocsPerRecord(t *testing.T) {
 			}
 		})
 		if allocs > tc.want {
-			t.Errorf("polygon with %d holes: %v allocations per decode, want %v", len(tc.poly.Holes), allocs, tc.want)
+			t.Errorf("%s: %v allocations per decode, want %v", tc.name, allocs, tc.want)
 		}
 	}
 }

@@ -180,27 +180,24 @@ const slabPoints = 1024
 // Parser is a reusable WKB decoder. The zero value is ready to use. It owns
 // a coordinate arena, so a Parser is single-goroutine; geometries it
 // returns remain valid for the Parser's whole lifetime and after it is
-// discarded. Parallel consumers hold one Parser per goroutine — this is
-// what core's per-rank parse workers do, each worker cloning its own —
-// rather than sharing one behind a lock; the arena is the point.
+// discarded. A consumer decoding on several goroutines holds one Parser per
+// goroutine rather than sharing one behind a lock; the arena is the point.
+// core decodes on the rank goroutine, one Parser per rank.
 type Parser struct {
 	reader
 
-	// slab is the coordinate arena. Completed point runs are sliced out
-	// with a full slice expression and handed to geometries, so the slab is
-	// never truncated below its used length; when a run does not fit, a
-	// fresh slab is allocated and the old one is left to the geometries
-	// referencing it.
+	// slab is the coordinate arena. Every point run — a vertex run or a
+	// MULTIPOINT's points — is reserved at its full length (reserve) and
+	// handed to its geometry with a full slice expression, so the slab is
+	// never truncated below what a returned geometry references; when a run
+	// does not fit, a fresh slab is allocated and the old one is left to the
+	// geometries referencing it.
 	slab []geom.Point
-	// mark is the start of the in-progress MULTIPOINT run within slab — the
-	// one run whose length is not known up front, built by pushPoint.
-	mark int
 
-	// runEnv is the MBR of the most recently completed point run, folded by
-	// pointRun in its decode loop (by takeRun for a MULTIPOINT). Completed
-	// geometries get it primed into their cache: exactly the value a lazy
-	// Envelope() would compute — same fold, same order — so their first
-	// Envelope() call costs nothing.
+	// runEnv is the MBR of the most recently decoded vertex run, folded by
+	// pointRun in its decode loop. Completed geometries get it primed into
+	// their cache: exactly the value a lazy Envelope() would compute — same
+	// fold, same order — so their first Envelope() call costs nothing.
 	runEnv geom.Envelope
 }
 
@@ -223,40 +220,19 @@ func (p *Parser) Decode(buf []byte) (geom.Geometry, int, error) {
 	return g, n, nil
 }
 
-// beginRun starts a new MULTIPOINT run in the arena.
-func (p *Parser) beginRun() { p.mark = len(p.slab) }
-
-// pushPoint appends one vertex to the in-progress MULTIPOINT run (whose
-// elements are checked one by one, so it grows a point at a time where
-// pointRun reserves). When the slab is full the run migrates to a fresh slab; completed geometries keep the old
-// backing array, so nothing they reference is ever overwritten.
-func (p *Parser) pushPoint(pt geom.Point) {
-	if len(p.slab) == cap(p.slab) {
-		run := len(p.slab) - p.mark
-		size := slabPoints
-		if size < 2*(run+1) {
-			size = 2 * (run + 1) // one oversized run gets its own slab
-		}
-		ns := make([]geom.Point, run, size)
-		copy(ns, p.slab[p.mark:])
-		p.slab, p.mark = ns, 0
+// reserve sets aside n points at the end of the arena and returns them,
+// capped at their length so a caller appending to the run reallocates
+// instead of writing into the arena. A run that does not fit the slab
+// starts a fresh one of max(slabPoints, n). n must already be bounded by
+// the bytes remaining (count does that).
+func (p *Parser) reserve(n int) []geom.Point {
+	if cap(p.slab)-len(p.slab) < n {
+		p.slab = make([]geom.Point, 0, max(slabPoints, n))
 	}
-	p.slab = append(p.slab, pt)
+	start := len(p.slab)
+	p.slab = p.slab[:start+n]
+	return p.slab[start : start+n : start+n]
 }
-
-// takeRun completes the in-progress MULTIPOINT run, records its MBR in
-// runEnv, and returns it. The full slice expression caps the result so callers
-// appending to it reallocate instead of writing into the arena.
-func (p *Parser) takeRun() []geom.Point {
-	out := p.slab[p.mark:len(p.slab):len(p.slab)]
-	p.mark = len(p.slab)
-	p.runEnv = geom.EnvelopeOf(out)
-	return out
-}
-
-// abandonRun discards the in-progress run, reclaiming its arena space
-// (safe because the run was never handed to a geometry).
-func (p *Parser) abandonRun() { p.slab = p.slab[:p.mark] }
 
 // reader is the bounds-checked cursor both walks share — Parser, which
 // builds geometries, and Scan, which only folds their envelope — so the two
@@ -410,7 +386,7 @@ func (r *reader) scan() (geom.Type, geom.Envelope, error) {
 
 // foldPoint extends the envelope of a run's first i vertices by (x, y) in
 // geom.EnvelopeOf's order, so a run's envelope folded vertex by vertex —
-// by Scan, or by pointRun as it decodes — is bitwise the one EnvelopeOf
+// by Scan, or by Decode as it reads — is bitwise the one EnvelopeOf
 // computes over the decoded run (NaN and signed zeros included).
 func foldPoint(e geom.Envelope, i int, x, y float64) geom.Envelope {
 	if i == 0 {
@@ -496,20 +472,14 @@ func (r *reader) scanCollection(elem uint32, mismatch string) (geom.Envelope, er
 
 // pointRun decodes a counted vertex sequence into the arena in one pass.
 // count has already bounded the run against the remaining bytes, so its n
-// points are reserved at once — a run that does not fit the slab starts a
-// fresh one of max(slabPoints, n) — and its vertices are read with no
-// further checks, as scanRun does, folding runEnv in the same loop.
+// points are reserved at once and its vertices are read with no further
+// checks, as scanRun does, folding runEnv in the same loop.
 func (p *Parser) pointRun() ([]geom.Point, error) {
 	n, err := p.count(minPointBytes)
 	if err != nil {
 		return nil, err
 	}
-	if cap(p.slab)-len(p.slab) < n {
-		p.slab = make([]geom.Point, 0, max(slabPoints, n))
-	}
-	start := len(p.slab)
-	p.slab = p.slab[:start+n]
-	out := p.slab[start : start+n : start+n]
+	out := p.reserve(n)
 	run := p.buf[p.pos : p.pos+n*minPointBytes]
 	env := geom.EmptyEnvelope()
 	for i := range out {
@@ -551,21 +521,25 @@ func (p *Parser) geometry() (geom.Geometry, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.beginRun()
-		for i := 0; i < n; i++ {
-			if err := p.header(codePoint, errMultiPointElem); err != nil {
-				p.abandonRun()
-				return nil, err
+		// Reserved at once like a vertex run: each element's header and
+		// point are read straight into its slot, the envelope folded as Scan
+		// folds it. On an element error the run goes back to the arena
+		// (nothing references it yet).
+		pts := p.reserve(n)
+		env := geom.EmptyEnvelope()
+		for i := range pts {
+			err := p.header(codePoint, errMultiPointElem)
+			if err == nil {
+				pts[i], err = p.point()
 			}
-			pt, err := p.point()
 			if err != nil {
-				p.abandonRun()
+				p.slab = p.slab[:len(p.slab)-n]
 				return nil, err
 			}
-			p.pushPoint(pt)
+			env = foldPoint(env, i, pts[i].X, pts[i].Y)
 		}
-		mp := &geom.MultiPoint{Pts: p.takeRun()}
-		mp.PrimeEnvelope(p.runEnv)
+		mp := &geom.MultiPoint{Pts: pts}
+		mp.PrimeEnvelope(env)
 		return mp, nil
 	case codeMultiLineString:
 		n, err := p.count(minCollectionElemBytes)

@@ -84,11 +84,13 @@
 // # Parallel parse workers
 //
 // Within one rank, ReadPartition parses serially by default. Setting
-// ReadOptions.ParseWorkers > 0 fans record parsing out to that many worker
-// goroutines per rank, overlapping parse work with the next block's I/O and
-// the boundary exchange — on a multi-core host this lifts text-ingest
-// throughput, which is parse-bound. Two guarantees hold for any worker
-// count:
+// ReadOptions.ParseWorkers > 0 fans text record parsing out to that many
+// worker goroutines per rank, overlapping parse work with the next block's
+// I/O and the boundary exchange — on a multi-core host this lifts
+// text-ingest throughput, which is parse-bound. Binary (LengthPrefixed)
+// records always decode on the rank goroutine and ignore the knob: WKB
+// decodes close to I/O speed, so a second rank is the better use of a core.
+// Two guarantees hold for any worker count:
 //
 //   - Ordering: the geometry slice each rank returns is identical, order
 //     included, to the serial path. Whole-record regions are sharded into
@@ -98,9 +100,9 @@
 //     rank goroutine when the batch joins, so ReadStats.ParseTime totals
 //     match the serial path and parse-error agreement stays collective.
 //
-// The Parser must either implement ParserCloner — WKTParser and WKBParser
-// do, so every worker parses with its own coordinate arena — or be safe for
-// concurrent use:
+// The Parser must either implement ParserCloner — WKTParser does, so every
+// worker parses with its own coordinate arena — or be safe for concurrent
+// use:
 //
 //	vectorio.Run(cfg, func(c *vectorio.Comm) error {
 //		geoms, _, err := vectorio.ReadPartition(c, f, vectorio.NewWKTParser(), vectorio.ReadOptions{
@@ -564,9 +566,9 @@ type (
 	// Parser converts one file record into a geometry (§4.3's flexible
 	// interface); WKTParser is the included WKT implementation.
 	Parser = core.Parser
-	// ParserCloner is a Parser that can furnish independent per-worker
-	// instances for ReadOptions.ParseWorkers (see "Parallel parse workers"
-	// above).
+	// ParserCloner is a text Parser that can furnish independent
+	// per-worker instances for ReadOptions.ParseWorkers (see "Parallel
+	// parse workers" above).
 	ParserCloner = core.ParserCloner
 	// WKTParser parses newline-delimited WKT records.
 	WKTParser = core.WKTParser
