@@ -10,10 +10,9 @@
 //
 // Because a length header is indistinguishable from payload bytes, binary
 // records are not self-synchronizing; ReadPartition repairs block
-// boundaries by threading phase information between ranks (a cheap
-// header-hopping chain under the message strategy, an 8-byte phase token
-// under overlap). That machinery is invisible here: only the Framing
-// option and the parser change.
+// boundaries by threading phase information between ranks in a cheap
+// header-hopping chain, whatever the boundary strategy. That machinery is
+// invisible here: only the Framing option and the parser change.
 //
 // Run with: go run ./examples/wkbingest
 package main
@@ -77,9 +76,5 @@ func main() {
 	ingest("WKT text, message strategy", txt, opt, func() vectorio.Parser { return vectorio.NewWKTParser() })
 
 	opt.Framing = vectorio.LengthPrefixed()
-	ingest("WKB binary, message strategy", bin, opt, func() vectorio.Parser { return vectorio.NewWKBParser() })
-
-	opt.Strategy = vectorio.Overlap
-	opt.MaxGeomSize = 64 << 10
-	ingest("WKB binary, overlap strategy", bin, opt, func() vectorio.Parser { return vectorio.NewWKBParser() })
+	ingest("WKB binary", bin, opt, func() vectorio.Parser { return vectorio.NewWKBParser() })
 }

@@ -181,8 +181,9 @@ func (l AccessLevel) String() string {
 	}
 }
 
-// Strategy selects how variable-length geometries split across block
-// boundaries are repaired (§4.1).
+// Strategy selects how variable-length text records split across block
+// boundaries are repaired (§4.1). Length-prefixed binary records ignore
+// it: they are always repaired by the message-based chain.
 type Strategy int
 
 const (
@@ -190,8 +191,8 @@ const (
 	// a ring exchange of the trailing incomplete fragment.
 	MessageBased Strategy = iota
 	// Overlap reads a halo of MaxGeomSize extra bytes per block so every
-	// boundary-spanning geometry is fully visible to one reader —
-	// redundant I/O traded against messaging.
+	// boundary-spanning text record is fully visible to one reader —
+	// redundant I/O traded against messaging. Binary framings ignore it.
 	Overlap
 )
 

@@ -21,19 +21,19 @@ var ErrTruncatedRecord = errors.New("core: file ends inside a length-prefixed re
 // Delimited (separator-terminated text, the default) and LengthPrefixed
 // (u32 payload length + WKB payload binary records, paper §4.1's
 // variable-length binary experiments). The interface is sealed: its methods
-// are unexported because the boundary-repair strategies depend on framing
-// properties (self-synchronization, below) that arbitrary implementations
-// cannot declare.
+// are unexported because the reader picks its boundary-repair protocol from
+// a framing property (self-synchronization, below) that arbitrary
+// implementations cannot declare.
 type Framing interface {
 	fmt.Stringer
 
 	// selfSync reports whether record boundaries can be recovered from an
 	// arbitrary position in the stream. Delimited text is
 	// self-synchronizing: scanning for the next separator resynchronizes
-	// from anywhere. Length-prefixed framing is not — boundaries are only
-	// reachable by hopping headers from a known record start — which
-	// changes how the boundary-repair strategies communicate (see
-	// readMessageChain and the overlap phase chain in reader.go).
+	// from anywhere, so either strategy applies. Length-prefixed framing is
+	// not — boundaries are only reachable by hopping headers from a known
+	// record start — so every such read runs readMessageChain (reader.go),
+	// whatever the Strategy.
 	selfSync() bool
 
 	// lastBoundary returns the offset just past the end of the last
@@ -46,22 +46,10 @@ type Framing interface {
 	// implement it.
 	firstBoundary(block []byte) int
 
-	// split returns the length of the longest prefix of data that is a
-	// whole number of records. data must begin at a record boundary
-	// (irrelevant for self-synchronizing framings).
-	split(data []byte) int
-
 	// next extracts the first record of data, which must begin at a record
 	// boundary: the parser-visible payload and the framed size consumed.
 	// ok is false when data does not hold one complete record.
 	next(data []byte) (payload []byte, framed int, ok bool)
-
-	// continuation returns how many leading bytes of data complete the
-	// record whose first len(prefix) bytes sit in prefix. prefix begins at
-	// a record boundary and holds no complete record — it may be as short
-	// as a sliver of the length header. ok is false when prefix+data still
-	// does not complete the record.
-	continuation(prefix, data []byte) (n int, ok bool)
 
 	// eofTail classifies bytes left over at end of file: the final
 	// record's payload for framings where EOF is a legitimate terminator,
@@ -92,8 +80,8 @@ func Delimited(delim byte) Framing {
 // LengthPrefixed returns the framing of length-prefixed binary records:
 // each record is a little-endian u32 payload length followed by that many
 // payload bytes (WKB, written by wkb.AppendFramed and parsed by
-// WKBParser). Under this framing ReadOptions.MaxGeomSize bounds the framed
-// record — the 4-byte header included.
+// WKBParser). A record may be any length: reads under this framing ignore
+// ReadOptions.Strategy and MaxGeomSize (see ReadPartition).
 func LengthPrefixed() Framing { return lengthPrefixed{} }
 
 type delimited struct{ delim byte }
@@ -115,26 +103,12 @@ func (d delimited) firstBoundary(block []byte) int {
 	return -1
 }
 
-func (d delimited) split(data []byte) int {
-	if n := d.lastBoundary(data); n >= 0 {
-		return n
-	}
-	return 0
-}
-
 func (d delimited) next(data []byte) ([]byte, int, bool) {
 	i := bytes.IndexByte(data, d.delim)
 	if i < 0 {
 		return nil, 0, false
 	}
 	return data[:i], i + 1, true
-}
-
-func (d delimited) continuation(prefix, data []byte) (int, bool) {
-	if i := bytes.IndexByte(data, d.delim); i >= 0 {
-		return i + 1, true
-	}
-	return 0, false
 }
 
 // eofTail: end-of-file terminates the final text record (files without a
@@ -166,7 +140,10 @@ func framedSize(hdr []byte) int64 {
 	return frameHeader + int64(binary.LittleEndian.Uint32(hdr))
 }
 
-func (lengthPrefixed) split(data []byte) int {
+// splitFramed returns the length of the longest prefix of data that is a
+// whole number of length-prefixed records. data must begin at a record
+// boundary.
+func splitFramed(data []byte) int {
 	pos := 0
 	for pos+frameHeader <= len(data) {
 		size := framedSize(data[pos:])
@@ -189,7 +166,12 @@ func (lengthPrefixed) next(data []byte) ([]byte, int, bool) {
 	return data[frameHeader:size], int(size), true
 }
 
-func (lengthPrefixed) continuation(prefix, data []byte) (int, bool) {
+// continueFramed returns how many leading bytes of data complete the
+// length-prefixed record whose first len(prefix) bytes sit in prefix.
+// prefix begins at a record boundary and holds no complete record — it may
+// be as short as a sliver of the length header. ok is false when
+// prefix+data still does not complete the record.
+func continueFramed(prefix, data []byte) (int, bool) {
 	if len(prefix)+len(data) < frameHeader {
 		return 0, false
 	}

@@ -301,15 +301,16 @@ func TestParseWorkersTruncatedWKB(t *testing.T) {
 	}
 }
 
-// TestBinaryReadsStayOnTheRank: ParseWorkers is a text knob. Over
-// length-prefixed records — ReadPartition, ReadStream and ReadExchange's raw
-// path, under both strategies — 4 workers change nothing against 0: the
-// geometries (stream batch boundaries included) or cells and their order,
-// ReadStats, ExchangeStats, the error text, the final virtual clock, and the
-// goroutines alive while the read runs, sampled from the file's read hook
-// and from ReadStream's sink. The clean file runs strict; a file ending
-// inside a record runs strict and under SkipErrors, so its leftover is
-// settled by the EOF rule on both strategies.
+// TestBinaryReadsStayOnTheRank: ParseWorkers and Strategy are text knobs.
+// Over length-prefixed records — ReadPartition, ReadStream and
+// ReadExchange's raw path — 4 workers change nothing against 0, and Overlap
+// changes nothing against MessageBased: the geometries (stream batch
+// boundaries included) or cells and their order, ReadStats (BytesRead
+// included), ExchangeStats, the error text, the final virtual clock, and
+// the goroutines alive while the read runs, sampled from the file's read
+// hook and from ReadStream's sink. The clean file runs strict; a file
+// ending inside a record runs strict and under SkipErrors, so its leftover
+// is settled by the EOF rule.
 func TestBinaryReadsStayOnTheRank(t *testing.T) {
 	fs, err := pfs.New(pfs.CometLustre())
 	if err != nil {
@@ -424,6 +425,7 @@ func TestBinaryReadsStayOnTheRank(t *testing.T) {
 		pf   *pfs.File
 		skip bool
 	}{{"clean", clean, false}, {"truncated strict", trunc, false}, {"truncated skip", trunc, true}}
+	ref := make(map[string][]outcome) // the {MessageBased, 0 workers} run of each input and API
 	for _, in := range inputs {
 		for _, strat := range []Strategy{MessageBased, Overlap} {
 			for _, api := range []string{"ReadPartition", "ReadStream", "ReadExchange"} {
@@ -431,12 +433,19 @@ func TestBinaryReadsStayOnTheRank(t *testing.T) {
 					Framing: LengthPrefixed(), SkipErrors: in.skip, StreamBatch: 29}
 				label := fmt.Sprintf("%s %s %s", in.name, strat, api)
 				want, wantExtra := run(in.pf, api, opt)
+				if strat == MessageBased {
+					ref[in.name+api] = want
+				}
 				opt.ParseWorkers = 4
 				got, gotExtra := run(in.pf, api, opt)
 				for r := range want {
 					if !reflect.DeepEqual(got[r], want[r]) {
 						t.Errorf("%s: rank %d with 4 workers differs from 0:\n 4 %+v %+v %q %v\n 0 %+v %+v %q %v",
 							label, r, got[r].read, got[r].ex, got[r].err, got[r].clock, want[r].read, want[r].ex, want[r].err, want[r].clock)
+					}
+					if m := ref[in.name+api][r]; !reflect.DeepEqual(want[r], m) {
+						t.Errorf("%s: rank %d differs from the message-based read:\n %s %+v %+v %q %v\n message %+v %+v %q %v",
+							label, r, strat, want[r].read, want[r].ex, want[r].err, want[r].clock, m.read, m.ex, m.err, m.clock)
 					}
 				}
 				if gotExtra != wantExtra {

@@ -17,11 +17,6 @@ import (
 // tagFragment is the point-to-point tag of Algorithm 1's ring exchange.
 const tagFragment = 77
 
-// tagPhase carries the 8-byte phase token that threads record-boundary
-// information through the ranks when the framing is not self-synchronizing
-// (the overlap strategy's only message).
-const tagPhase = 78
-
 // Fragment-framing flags: a final fragment closes the sender's chain for
 // this iteration; a non-final one announces that more fragments follow
 // (a record spanning more than one block is relayed piecewise).
@@ -30,8 +25,9 @@ const (
 	fragMore  byte = 0
 )
 
-// ErrGeometryTooLarge is returned by the overlap strategy when a record
-// exceeds the halo length (MaxGeomSize).
+// ErrGeometryTooLarge is returned by the overlap strategy when a text
+// record exceeds the halo length (MaxGeomSize). Binary records never
+// return it: they ignore the strategy and the halo.
 var ErrGeometryTooLarge = errors.New("core: record exceeds MaxGeomSize halo; increase MaxGeomSize")
 
 // ErrRemoteParse reports that another rank hit a parse error during a
@@ -58,12 +54,15 @@ type ReadOptions struct {
 	// read functions.
 	Level AccessLevel
 	// Strategy selects message-based (Algorithm 1) or overlap (halo)
-	// boundary handling.
+	// boundary handling for text (Delimited) framings. Binary
+	// (LengthPrefixed) framings ignore it: their records are not
+	// self-synchronizing, and every binary read repairs boundaries with the
+	// message-based chain.
 	Strategy Strategy
-	// MaxGeomSize is the halo length for the Overlap strategy — the upper
-	// bound on one record's size (the paper uses 11 MB, its largest
-	// polygon). For the LengthPrefixed framing it bounds the framed record,
-	// 4-byte length header included. Zero defaults to BlockSize.
+	// MaxGeomSize is the halo length for the Overlap strategy on text — the
+	// upper bound on one record's size (the paper uses 11 MB, its largest
+	// polygon). Zero defaults to BlockSize. Binary framings ignore it: no
+	// halo is read, and a record may be any length.
 	MaxGeomSize int64
 	// Framing selects how the file divides into records. Nil defaults to
 	// Delimited(Delimiter) — newline-separated text. LengthPrefixed()
@@ -132,11 +131,11 @@ type ReadStats struct {
 // no a-priori bound on geometry size is required.
 //
 // The record framing is pluggable (ReadOptions.Framing): delimited text and
-// length-prefixed binary WKB records are supported under both strategies
-// and both access levels. Because length-prefixed records are not
-// self-synchronizing, their boundary repair threads phase information
-// through the ranks; see readMessageChain and the overlap phase chain for
-// how each strategy does it.
+// length-prefixed binary WKB records are supported under both access
+// levels. The strategy applies to text only. Because length-prefixed
+// records are not self-synchronizing, their boundary repair threads phase
+// information through the ranks in a per-iteration chain
+// (readMessageChain), whatever the Strategy.
 func ReadPartition(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions) ([]geom.Geometry, ReadStats, error) {
 	return readCore(c, f, p, opt, output{})
 }
@@ -203,16 +202,16 @@ func readCore(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, out output)
 	if blockSize <= 0 { // empty file
 		return nil, ReadStats{}, nil
 	}
-	if opt.MaxGeomSize <= 0 {
-		opt.MaxGeomSize = blockSize
+	if !fr.selfSync() {
+		return readMessageChain(c, f, p, opt, fr, blockSize, out)
 	}
 	if opt.Strategy == Overlap {
+		if opt.MaxGeomSize <= 0 {
+			opt.MaxGeomSize = blockSize
+		}
 		return readOverlap(c, f, p, opt, fr, blockSize, out)
 	}
-	if fr.selfSync() {
-		return readMessage(c, f, p, opt, fr, blockSize, out)
-	}
-	return readMessageChain(c, f, p, opt, fr, blockSize, out)
+	return readMessage(c, f, p, opt, fr, blockSize, out)
 }
 
 // readArena holds one rank's reusable buffers for ReadPartition. Every
@@ -313,7 +312,7 @@ func (ar *readArena) appendFragsReversed(dst []byte) []byte {
 }
 
 // blockLoop is one rank's walk over its aligned file blocks: the set-up
-// and per-iteration bookkeeping the three boundary-repair strategies share
+// and per-iteration bookkeeping the three boundary-repair protocols share
 // (the repair bodies are different algorithms and stay with them).
 type blockLoop struct {
 	c          *mpi.Comm
@@ -520,11 +519,11 @@ func readMessage(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Frami
 	return pc.finish()
 }
 
-// readMessageChain implements the message-based strategy for framings that
-// are not self-synchronizing (length-prefixed binary records). A rank
-// cannot locate even its own trailing fragment until it knows the stream
-// phase at its block's first byte, and only its predecessor can tell it —
-// so Algorithm 1's concurrent ring exchange serializes into a per-iteration
+// readMessageChain is the boundary repair of every read over a framing that
+// is not self-synchronizing (length-prefixed binary records), whatever the
+// Strategy. A rank cannot locate even its own trailing fragment until it
+// knows the stream phase at its block's first byte, and only its
+// predecessor can tell it — so Algorithm 1's concurrent ring exchange serializes into a per-iteration
 // chain seeded by rank 0, whose phase is pinned by the carry from the
 // previous iteration. The serial step is cheap: classification is a header
 // hop touching four bytes per record, and each rank forwards its trailing
@@ -577,14 +576,14 @@ func readMessageChain(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr 
 		var straddle, body, tail []byte
 		relay := false
 		if len(prefix) == 0 {
-			bn := fr.split(block)
+			bn := splitFramed(block)
 			body, tail = block[:bn], block[bn:]
-		} else if cn, ok := fr.continuation(prefix, block); ok {
+		} else if cn, ok := continueFramed(prefix, block); ok {
 			ar.rec = append(ar.rec[:0], prefix...)
 			ar.rec = append(ar.rec, block[:cn]...)
 			straddle = ar.rec
 			rest := block[cn:]
-			bn := fr.split(rest)
+			bn := splitFramed(rest)
 			body, tail = rest[:bn], rest[bn:]
 		} else {
 			relay = true // prefix+block still inside one record: all of it flows onward
@@ -703,159 +702,84 @@ func (ar *readArena) recvFragment(c *mpi.Comm, src int) ([]byte, bool, error) {
 	return ar.recv[1:], ar.recv[0] == fragFinal, nil
 }
 
-// readOverlap implements the halo strategy: every block read is extended by
-// MaxGeomSize bytes so boundary-spanning records are fully visible to the
-// rank that owns their first byte. Redundant I/O, no data messages (§4.1).
-//
-// Under a self-synchronizing framing, a rank locates its first owned record
-// by reading one extra leading byte and scanning for the first boundary.
-// A non-self-synchronizing framing has no in-band way to do that, so the
-// ranks thread an 8-byte phase token — the absolute offset of the first
-// record boundary at or past the partition start — rank to rank (wrapping
-// from the last rank to rank 0 across iterations). The strategy's character
-// is unchanged: the halo still makes every owned record fully visible with
-// zero data bytes exchanged; the token is 8 bytes against MaxGeomSize of
-// redundant read per block.
+// readOverlap implements the halo strategy for self-synchronizing (text)
+// framings: every block read is extended by MaxGeomSize bytes so
+// boundary-spanning records are fully visible to the rank that owns their
+// first byte, and by one leading byte so a rank finds its first owned
+// record by scanning for the first boundary. Redundant I/O, no data
+// messages (§4.1).
 func readOverlap(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Framing, blockSize int64, out output) ([]geom.Geometry, ReadStats, error) {
 	l := newBlockLoop(c, f, p, opt, fr, blockSize, out)
-	pc, file, rank, fileSize, iterations := l.pc, l.file, c.Rank(), f.Size(), l.iterations
+	pc, file, fileSize := l.pc, l.file, f.Size()
 	defer pc.close()
-	sync := fr.selfSync()
 
-	// Phase token state for non-self-synchronizing framings. Rank 0 of
-	// iteration 0 starts at offset 0, a true record start.
-	token := int64(0)
-	intNext := (c.Rank() + 1) % c.Size()
-	intPrev := (c.Rank() - 1 + c.Size()) % c.Size()
-
-	for i := 0; i < iterations; i++ {
+	for i := 0; i < l.iterations; i++ {
 		l.at(i)
 		start, length := l.start, l.length
 
-		// Extend by the halo; self-synchronizing framings also read one
-		// leading byte for record-start detection.
+		// Extend by the halo and the leading byte.
 		extStart := start
-		if sync && length > 0 && start > 0 {
+		if length > 0 && start > 0 {
 			extStart = start - 1
 		}
 		var extLen int64
 		if length > 0 {
 			extLen = min(start-extStart+length+opt.MaxGeomSize, fileSize-extStart)
 		}
-
-		//vet:allow collective — token-chain halo overflow (reader.go:~820) cannot defer: the successor is blocked on a phase token this rank cannot construct, so the world abort is the only teardown that unblocks the chain
 		block, err := l.read(i, "overlap iteration", extStart, extLen)
 		if err != nil {
 			return nil, pc.stats, err
 		}
-
-		// Receive this iteration's phase token (all ranks participate,
-		// active or not, so the chain stays unbroken in ragged final
-		// iterations).
-		if !sync && c.Size() > 1 && !(i == 0 && rank == 0) {
-			t1 := c.Now()
-			var tok [8]byte
-			if _, err := c.Recv(tok[:], intPrev, tagPhase); err != nil {
-				return nil, pc.stats, ioErr(c.Rank(), file, start, fmt.Sprintf("overlap iteration %d phase token recv", i), err)
-			}
-			token = int64(binary.LittleEndian.Uint64(tok[:]))
-			pc.stats.CommTime += c.Now() - t1
+		if length == 0 {
+			continue
 		}
 
 		// Find the first record owned by this rank: one starting in
-		// [start, start+length).
-		pos := int64(-1) // block-relative offset of the ownership scan; -1 = nothing owned
-		if length > 0 {
-			switch {
-			case sync && start == 0:
-				pos = 0
-			case sync:
-				// block[0] is the byte at start-1: the first boundary past
-				// it starts the first record owned here; none means the
-				// whole extended block is one foreign record.
-				if fb := fr.firstBoundary(block); fb >= 0 {
-					pos = int64(fb)
-				}
-			default:
-				if token < start {
-					return nil, pc.stats, ioErr(c.Rank(), file, start,
-						fmt.Sprintf("overlap iteration %d", i),
-						fmt.Errorf("phase token %d behind partition start %d", token, start))
-				}
-				if token < start+length {
-					pos = token - extStart
-				}
+		// [start, start+length). block[0] is the byte at start-1, so the
+		// first boundary past it starts that record; none means the whole
+		// extended block is one foreign record.
+		pos := 0
+		if start > 0 {
+			if pos = fr.firstBoundary(block); pos < 0 {
+				continue
 			}
 		}
-		ownedEnd := start - extStart + length // block-relative end of ownership
-
-		// For the token chain, hop the record headers first — four bytes
-		// per record, no payload decoding — so the successor's boundary
-		// (and with it every downstream rank's scan) is unblocked before
-		// the expensive parse work starts, and parses overlap across ranks.
-		if !sync && pos >= 0 && pos < ownedEnd {
-			hop := pos
-			for hop < ownedEnd {
-				_, framed, ok := fr.next(block[hop:])
-				if !ok {
-					if extStart+int64(len(block)) < fileSize {
-						return nil, pc.stats, ioErr(c.Rank(), file, start, fmt.Sprintf("overlap iteration %d", i), ErrGeometryTooLarge)
-					}
-					hop = int64(len(block)) // file ends inside the record; the parse loop settles it
-					break
-				}
-				hop += int64(framed)
-			}
-			token = extStart + hop
+		ownedEnd := int(start - extStart + length) // block-relative end of ownership
+		if pos >= ownedEnd {
+			continue
 		}
 
-		// Pass the token on; the last chain cell of the run has no
-		// successor to feed.
-		if !sync && c.Size() > 1 && !(i == iterations-1 && intNext == 0) {
-			t1 := c.Now()
-			var tok [8]byte
-			binary.LittleEndian.PutUint64(tok[:], uint64(token))
-			if err := c.Send(tok[:], intNext, tagPhase); err != nil {
-				return nil, pc.stats, ioErr(c.Rank(), file, start, fmt.Sprintf("overlap iteration %d phase token send", i), err)
+		// Scan the owned records first — boundary hops only, no parsing — so
+		// the whole run can be handed to the parser as one whole-record
+		// region (sharded across the parse workers when ParseWorkers > 0).
+		runStart := pos
+		incomplete := false
+		for pos < ownedEnd {
+			_, framed, ok := fr.next(block[pos:])
+			if !ok {
+				incomplete = true
+				break
 			}
-			pc.stats.CommTime += c.Now() - t1
+			pos += framed
 		}
-
-		if pos >= 0 && pos < ownedEnd {
-			// Scan the owned records first — boundary hops only, no payload
-			// decoding — so the whole run can be handed to the parser as one
-			// whole-record region (sharded across the text parse workers
-			// when ParseWorkers > 0).
-			runStart := pos
-			incomplete := false
-			for pos < ownedEnd {
-				_, framed, ok := fr.next(block[pos:])
-				if !ok {
-					incomplete = true
-					break
-				}
-				pos += int64(framed)
-			}
-			if pos > runStart {
-				pc.region(block[runStart:pos], false)
-			}
-			if incomplete {
-				// No complete record at pos: either the file ends inside it
-				// (settled by the framing's EOF rule) or it overflows the
-				// halo. The overflow is rank-local — only this rank's block
-				// truncates the record — so it is deferred through pc.fail
-				// and settled collectively in finish(), like parse errors;
-				// an immediate return here would strand the other ranks in
-				// the next iteration's read.
-				if extStart+int64(len(block)) < fileSize {
-					pc.fail(ioErr(c.Rank(), file, start, fmt.Sprintf("overlap iteration %d", i), ErrGeometryTooLarge))
-				} else {
-					pc.region(block[pos:], true)
-				}
+		if pos > runStart {
+			pc.region(block[runStart:pos], false)
+		}
+		if incomplete {
+			// No complete record at pos: either the file ends inside it
+			// (settled by the framing's EOF rule) or it overflows the halo.
+			// The overflow is rank-local — only this rank's block truncates
+			// the record — so it is deferred through pc.fail and settled
+			// collectively in finish(), like parse errors; an immediate
+			// return here would strand the other ranks in the next
+			// iteration's read.
+			if extStart+int64(len(block)) < fileSize {
+				pc.fail(ioErr(c.Rank(), file, start, fmt.Sprintf("overlap iteration %d", i), ErrGeometryTooLarge))
+			} else {
+				pc.region(block[pos:], true)
 			}
 		}
 	}
-	//vet:allow collective — reachable only past the token-chain halo-overflow return above, whose world-abort teardown is sanctioned there
 	return pc.finish()
 }
 

@@ -277,6 +277,9 @@ func TestReadPartitionWKBBadPayloadSkipErrors(t *testing.T) {
 	}
 }
 
+// TestReadPartitionWKBOverlapHaloTooSmall: binary reads ignore the
+// strategy and the halo, so a ~1.6 KB record under Overlap with a 64-byte
+// MaxGeomSize reads like any other.
 func TestReadPartitionWKBOverlapHaloTooSmall(t *testing.T) {
 	geoms := genGeoms(t, 20, 26)
 	pts := make([]geom.Point, 100)
@@ -285,16 +288,8 @@ func TestReadPartitionWKBOverlapHaloTooSmall(t *testing.T) {
 	}
 	geoms = append(geoms, &geom.LineString{Pts: pts}) // ~1.6 KB framed
 	pf := makeWKBFile(t, geoms)
-	err := mpi.Run(cluster.Local(2), func(c *mpi.Comm) error {
-		f := mpiio.Open(c, pf, mpiio.Hints{})
-		_, _, err := ReadPartition(c, f, NewWKBParser(), ReadOptions{
-			BlockSize: 128, Strategy: Overlap, MaxGeomSize: 64, Framing: LengthPrefixed(),
-		})
-		return err
-	})
-	if !errors.Is(err, ErrGeometryTooLarge) {
-		t.Errorf("err = %v, want ErrGeometryTooLarge", err)
-	}
+	got := collectAllWKB(t, pf, 2, ReadOptions{BlockSize: 128, Strategy: Overlap, MaxGeomSize: 64})
+	assertSame(t, got, wkbOracle(geoms), "wkb overlap with a 64-byte halo")
 }
 
 func TestReadPartitionWKBEmptyFile(t *testing.T) {

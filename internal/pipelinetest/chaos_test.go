@@ -17,12 +17,9 @@ import (
 	"repro/internal/pfs"
 )
 
-// Wire tags of the reader strategies (core's tagFragment / tagPhase),
+// Wire tag of the reader's boundary-repair messages (core's tagFragment),
 // restated here so chaos rules can target the pipeline's own messages.
-const (
-	chaosTagFragment = 77
-	chaosTagPhase    = 78
-)
+const chaosTagFragment = 77
 
 // chaosWorkload is one (file, framing, strategy) instance the chaos matrix
 // sweeps, with its per-mode clean baselines.
@@ -60,6 +57,8 @@ func chaosWorkloads(t *testing.T) []*chaosWorkload {
 			fileName: "pipeline.wkt",
 		},
 		{
+			// Length-prefixed reads ignore the strategy: this workload runs
+			// readMessageChain, and pins that Overlap changes nothing.
 			name:     "length-prefixed/overlap",
 			cfg:      base(wkbFixture(t, geoms), func() core.Parser { return core.NewWKBParser() }, core.LengthPrefixed(), core.Overlap),
 			fileName: "pipeline.wkb",
@@ -158,21 +157,19 @@ func cleanRetry(t *testing.T, label string, w *chaosWorkload, mode Mode) {
 }
 
 // TestChaosMatrix sweeps deterministic fault injections across every
-// pipeline mode and both (framing, strategy) workloads, asserting the
-// failure contract each time: an injected fault ends with every rank
-// returning an error (no hang — the runs themselves are the proof, under a
-// short watchdog), no goroutine leaks, absorbed faults reproduce the clean
-// data exactly, and a clean retry after any failed attempt reproduces the
-// no-fault baseline bitwise.
+// pipeline mode and both framings — text under Algorithm 1's ring, binary
+// under the chain of readMessageChain (its workload asks for Overlap, which
+// length-prefixed reads ignore) — asserting the failure contract each
+// time: an injected fault ends with every rank returning an error (no hang
+// — the runs themselves are the proof, under a short watchdog), no
+// goroutine leaks, absorbed faults reproduce the clean data exactly, and a
+// clean retry after any failed attempt reproduces the no-fault baseline
+// bitwise.
 func TestChaosMatrix(t *testing.T) {
 	workloads := chaosWorkloads(t)
 
 	for _, w := range workloads {
 		fs := w.cfg.File.FS()
-		dataTag := chaosTagFragment
-		if w.cfg.ReadOpt.Strategy == core.Overlap {
-			dataTag = chaosTagPhase
-		}
 		for _, mode := range Modes {
 			prefix := fmt.Sprintf("%s/%s", w.name, mode)
 
@@ -220,7 +217,7 @@ func TestChaosMatrix(t *testing.T) {
 				// DeadlockError carrying the per-rank blocked-op dump, and
 				// the abort releases everyone else.
 				cfg := w.cfg
-				plan := fault.Plan{Seed: 13, Rules: []fault.Rule{fault.DropTag(1, dataTag)}}
+				plan := fault.Plan{Seed: 13, Rules: []fault.Rule{fault.DropTag(1, chaosTagFragment)}}
 				cfg.World = mpi.Options{Fault: plan.New(), Timeout: 1500 * time.Millisecond}
 				_, errs, worldErr := RunE(cfg, mode)
 				assertAllFailed(t, prefix, errs, worldErr, -1)
@@ -246,7 +243,7 @@ func TestChaosMatrix(t *testing.T) {
 				// A delayed message costs virtual time but no data: the run
 				// succeeds with clean data, and replays deterministically.
 				cfg := w.cfg
-				plan := fault.Plan{Seed: 14, Rules: []fault.Rule{fault.DelayTag(1, dataTag, 0.05)}}
+				plan := fault.Plan{Seed: 14, Rules: []fault.Rule{fault.DelayTag(1, chaosTagFragment, 0.05)}}
 				cfg.World = mpi.Options{Fault: plan.New()}
 				first := Run(t, cfg, mode)
 				assertDataEqual(t, prefix, first, w.baseline[mode])

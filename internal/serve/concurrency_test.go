@@ -175,10 +175,11 @@ func TestUsedSessionFreedByOneGC(t *testing.T) {
 	}
 }
 
-// BenchmarkServiceRangeParallel is ROADMAP item 5's row: GOMAXPROCS clients
-// (run with -cpu 1,2) querying one default Service of one and of two ranks,
-// over a fixture big enough — 50 000 boxes, 16x16 cells, 10-unit windows —
-// that a request is hundreds of microseconds of filter and refine.
+// BenchmarkServiceRangeParallel is the concurrent-serving row (ROADMAP, "The
+// serve path"): GOMAXPROCS clients (run with -cpu 1,2) querying one default
+// Service of one and of two ranks, over a fixture big enough — 50 000
+// boxes, 16x16 cells, 10-unit windows — that a request is hundreds of
+// microseconds of filter and refine.
 func BenchmarkServiceRangeParallel(b *testing.B) {
 	g, err := grid.New(geom.Envelope{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}, 16, 16)
 	if err != nil {

@@ -266,7 +266,7 @@ type Stats struct {
 	// Pairs is the total accepted pairs this rank reported.
 	Pairs int64
 	// Rounds always equals Admitted; the field stays only because benchmark/
-	// reads it (ROADMAP item 6 retires it).
+	// reads it (ROADMAP's "[benchmark] hygiene PR" retires it).
 	Rounds int
 	// Admitted is the number of sub-requests evaluated on this rank: one per
 	// request whose envelope overlaps a cell the rank owns.

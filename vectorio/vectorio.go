@@ -73,13 +73,12 @@
 // outlive the parser. Because length-prefixed records are not
 // self-synchronizing (a length header is indistinguishable from payload
 // bytes), binary boundary repair threads phase information between ranks:
-// the message-based strategy serializes its ring exchange into a cheap
-// header-hopping chain, and the overlap strategy passes an 8-byte phase
-// token — its only message — alongside the usual redundant halo reads. A
-// record whose length header straddles a block boundary is reassembled
-// transparently. Under LengthPrefixed, ReadOptions.MaxGeomSize bounds the
-// framed record (header included), and a file that ends mid-record fails
-// with a truncation error instead of silently dropping the tail.
+// every binary read serializes Algorithm 1's ring exchange into a cheap
+// header-hopping chain, whatever ReadOptions.Strategy says, and reads no
+// halo, so ReadOptions.MaxGeomSize is ignored and a record may be any
+// length. A record whose length header straddles a block boundary is
+// reassembled transparently, and a file that ends mid-record fails with a
+// truncation error instead of silently dropping the tail.
 //
 // # Parallel parse workers
 //
@@ -579,7 +578,7 @@ type (
 	// LengthPrefixed binary).
 	Framing = core.Framing
 	// ReadOptions configures ReadPartition (block size, access level,
-	// boundary strategy, halo size).
+	// boundary strategy and halo size for text, framing).
 	ReadOptions = core.ReadOptions
 	// ReadStats reports a rank's I/O, communication and parsing work.
 	ReadStats = core.ReadStats
@@ -587,7 +586,7 @@ type (
 	// MPI-IO read functions.
 	AccessLevel = core.AccessLevel
 	// Strategy selects message-based (Algorithm 1) or overlap boundary
-	// handling.
+	// handling for text records; binary records ignore it.
 	Strategy = core.Strategy
 	// Partitioner performs grid-based global spatial partitioning with the
 	// two-round all-to-all exchange.
