@@ -98,11 +98,12 @@ type ReadOptions struct {
 	// arena) or be safe for concurrent use.
 	//
 	// The knob's row (BenchmarkReadKnobs, 35 MB WKT lakes layer, -cpu 2 on
-	// a 2-vCPU host, medians of 5, {ranks, workers}): {1, 0} 227 ms,
-	// {1, 2} 143 ms, {2, 0} 150 ms, {2, 2} 144 ms, {4, 0} 140 ms, {4, 2}
-	// 124 ms — 2 workers are worth a second rank, with no boundary
-	// messages and no second partition. 1 worker only moves the parse to
-	// another goroutine ({1, 1} 246 ms) — use ≥ 2 or 0.
+	// a 2-vCPU host, medians [quartiles] of 10, ms, {ranks, workers}):
+	// {1, 0} 168 [165–180], {1, 2} 98 [95–110], {2, 0} 109 [104–118],
+	// {2, 2} 88 [87–103], {4, 0} 106 [99–111], {4, 2} 100 [93–102]. Since
+	// the WKT scanner converts short decimals without strconv, 2 workers
+	// only tie a second rank within quartiles. 1 worker only moves the
+	// parse to another goroutine ({1, 1} 174 [169–182]) — use ≥ 2 or 0.
 	ParseWorkers int
 }
 

@@ -102,24 +102,32 @@ func (e Envelope) ContainsPoint(x, y float64) bool {
 }
 
 // EnvelopeOf returns the MBR of a vertex run. It is THE fold — the
-// geometry types call it lazily in Envelope(), and the parsers call it
-// over each completed coordinate run to prime the cache — so primed and
-// lazily computed envelopes are bit-identical by construction. The body
-// uses plain comparisons rather than math.Min/Max: the NaN/signed-zero
-// ceremony of the latter costs ~4x in this hot loop (every parsed
-// geometry passes through here), and coordinates are finite in any input
-// the parsers accept as geometry.
+// geometry types call it lazily in Envelope(), and the decoders fold each
+// coordinate run with FoldPoint as they read it to prime the cache — so
+// primed and lazily computed envelopes are bit-identical by construction.
 func EnvelopeOf(pts []Point) Envelope {
-	if len(pts) == 0 {
-		return EmptyEnvelope()
+	e := EmptyEnvelope()
+	for i, p := range pts {
+		e = FoldPoint(e, i, p.X, p.Y)
 	}
-	e := Envelope{MinX: pts[0].X, MinY: pts[0].Y, MaxX: pts[0].X, MaxY: pts[0].Y}
-	for _, p := range pts[1:] {
-		e.MinX = min(e.MinX, p.X)
-		e.MaxX = max(e.MaxX, p.X)
-		e.MinY = min(e.MinY, p.Y)
-		e.MaxY = max(e.MaxY, p.Y)
+	return e
+}
+
+// FoldPoint extends e, the envelope of a run's first i vertices, by (x, y).
+// Folding a run vertex by vertex from i = 0 is EnvelopeOf, bitwise (NaN and
+// signed zeros included), so a decoder can fold while it reads instead of
+// walking the run a second time. The body uses the min/max builtins rather
+// than math.Min/Max: the NaN/signed-zero ceremony of the latter costs ~4x in
+// this hot loop (every parsed vertex passes through here), and coordinates
+// are finite in any input the parsers accept as geometry.
+func FoldPoint(e Envelope, i int, x, y float64) Envelope {
+	if i == 0 {
+		return Envelope{MinX: x, MinY: y, MaxX: x, MaxY: y}
 	}
+	e.MinX = min(e.MinX, x)
+	e.MaxX = max(e.MaxX, x)
+	e.MinY = min(e.MinY, y)
+	e.MaxY = max(e.MaxY, y)
 	return e
 }
 

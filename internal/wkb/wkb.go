@@ -195,9 +195,10 @@ type Parser struct {
 	slab []geom.Point
 
 	// runEnv is the MBR of the most recently decoded vertex run, folded by
-	// pointRun in its decode loop. Completed geometries get it primed into
-	// their cache: exactly the value a lazy Envelope() would compute — same
-	// fold, same order — so their first Envelope() call costs nothing.
+	// pointRun in its decode loop with geom.FoldPoint. Completed geometries
+	// get it primed into their cache: exactly the value a lazy Envelope()
+	// would compute — same fold, same order — so their first Envelope() call
+	// costs nothing.
 	runEnv geom.Envelope
 }
 
@@ -330,8 +331,9 @@ func (r *reader) point() (geom.Point, error) {
 // number of bytes consumed, and allocates nothing on success. It is
 // Decode's walk over the same guards, so it accepts, rejects and words
 // errors exactly as Decode does, and the envelope matches bitwise — each
-// run folded in geom.EnvelopeOf's order, a polygon's from its shell alone,
-// a collection's the Union of its elements' (FuzzDecode pins all of it).
+// run folded with geom.FoldPoint as EnvelopeOf folds it, a polygon's from
+// its shell alone, a collection's the Union of its elements' (FuzzDecode
+// pins all of it).
 func Scan(buf []byte) (geom.Type, geom.Envelope, int, error) {
 	r := reader{buf: buf}
 	t, env, err := r.scan()
@@ -370,7 +372,7 @@ func (r *reader) scan() (geom.Type, geom.Envelope, error) {
 			if err != nil {
 				return 0, geom.Envelope{}, err
 			}
-			env = foldPoint(env, i, p.X, p.Y)
+			env = geom.FoldPoint(env, i, p.X, p.Y)
 		}
 		return geom.TypeMultiPoint, env, nil
 	case codeMultiLineString:
@@ -382,21 +384,6 @@ func (r *reader) scan() (geom.Type, geom.Envelope, error) {
 	default:
 		return 0, geom.Envelope{}, fmt.Errorf("wkb: unsupported geometry code %d", code)
 	}
-}
-
-// foldPoint extends the envelope of a run's first i vertices by (x, y) in
-// geom.EnvelopeOf's order, so a run's envelope folded vertex by vertex —
-// by Scan, or by Decode as it reads — is bitwise the one EnvelopeOf
-// computes over the decoded run (NaN and signed zeros included).
-func foldPoint(e geom.Envelope, i int, x, y float64) geom.Envelope {
-	if i == 0 {
-		return geom.Envelope{MinX: x, MinY: y, MaxX: x, MaxY: y}
-	}
-	e.MinX = min(e.MinX, x)
-	e.MaxX = max(e.MaxX, x)
-	e.MinY = min(e.MinY, y)
-	e.MaxY = max(e.MaxY, y)
-	return e
 }
 
 // scanRun is pointRun without the arena. count has already bounded the run
@@ -411,7 +398,7 @@ func (r *reader) scanRun() (geom.Envelope, error) {
 	run := r.buf[r.pos : r.pos+n*minPointBytes]
 	for i := 0; i < n; i++ {
 		v := run[i*minPointBytes:]
-		env = foldPoint(env, i,
+		env = geom.FoldPoint(env, i,
 			math.Float64frombits(binary.LittleEndian.Uint64(v)),
 			math.Float64frombits(binary.LittleEndian.Uint64(v[8:])))
 	}
@@ -487,7 +474,7 @@ func (p *Parser) pointRun() ([]geom.Point, error) {
 		x := math.Float64frombits(binary.LittleEndian.Uint64(v))
 		y := math.Float64frombits(binary.LittleEndian.Uint64(v[8:]))
 		out[i] = geom.Point{X: x, Y: y}
-		env = foldPoint(env, i, x, y)
+		env = geom.FoldPoint(env, i, x, y)
 	}
 	p.pos += len(run)
 	p.runEnv = env
@@ -536,7 +523,7 @@ func (p *Parser) geometry() (geom.Geometry, error) {
 				p.slab = p.slab[:len(p.slab)-n]
 				return nil, err
 			}
-			env = foldPoint(env, i, pts[i].X, pts[i].Y)
+			env = geom.FoldPoint(env, i, pts[i].X, pts[i].Y)
 		}
 		mp := &geom.MultiPoint{Pts: pts}
 		mp.PrimeEnvelope(env)

@@ -47,6 +47,15 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte("POINT (1-2 3)"))
 	f.Add([]byte("GEOMETRYCOLLECTION (POINT (1 2))"))
 	f.Add([]byte("MULTIPOLYGON ((((((((("))
+	// Coordinates either side of number's fast path: 15 digits, 16 digits
+	// that double-round through a float64 significand, a halfway case,
+	// signed zeros, bare points and signs.
+	f.Add([]byte("POINT (999999999999999 -0.00000000000001)"))
+	f.Add([]byte("POINT (93.59078931092681 9007199254740995)"))
+	f.Add([]byte("LINESTRING (-0 +0, .5 5., -.5 +.5)"))
+	f.Add([]byte("POINT (1.00000000000000011102230246251565404236316680908203125 1e23)"))
+	f.Add([]byte("POINT (- .)"))
+	f.Add([]byte("POINT (1.2.3 4)"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := Parse(data)

@@ -5,13 +5,15 @@
 // avoids regexp and string splitting and works directly on byte slices.
 //
 // The scanner is allocation-free in steady state: keywords are matched
-// case-insensitively in place, float literals are handed to strconv without
-// a string copy, and coordinates accumulate into a per-Parser slab arena
-// that geometries slice out of. A Parser may be reused across records
-// (geometries returned by earlier calls stay valid — exhausted slabs are
-// abandoned to the garbage collector, never recycled), but a single Parser
-// must not be shared between goroutines. The package-level Parse draws
-// Parsers from a pool and is safe for concurrent use.
+// case-insensitively in place, short decimal literals are converted exactly
+// in the scan that finds them (any other literal goes to strconv without a
+// string copy), and coordinates accumulate into a per-Parser slab arena that
+// geometries slice out of, each run's envelope folded as the run fills. A
+// Parser may be reused across records (geometries returned by earlier calls
+// stay valid — exhausted slabs are abandoned to the garbage collector, never
+// recycled), but a single Parser must not be shared between goroutines. The
+// package-level Parse draws Parsers from a pool and is safe for concurrent
+// use.
 package wkt
 
 import (
@@ -76,12 +78,13 @@ type Parser struct {
 	// mark is the start of the in-progress point run within slab.
 	mark int
 
-	// runEnv is the MBR of the most recently completed point run, computed
-	// by takeRun in one pass over the contiguous run (not per push — a
-	// per-vertex store into the parser field costs real throughput in the
-	// scan hot loop). Completed geometries get it primed into their cache:
-	// exactly the value a lazy Envelope() would compute — same fold, same
-	// order — so their first Envelope() call costs nothing.
+	// runEnv is the MBR of the most recently completed point run. The run's
+	// scanner folds it into a local with geom.FoldPoint as each point is
+	// pushed and hands it to takeRun (not a per-push store into this field —
+	// that costs real throughput in the scan hot loop). Completed geometries
+	// get it primed into their cache: exactly the value a lazy Envelope()
+	// would compute — same fold, same order — so their first Envelope() call
+	// costs nothing.
 	runEnv geom.Envelope
 
 	// ringEnvs collects the per-ring envelopes of the current ring list —
@@ -184,7 +187,8 @@ func (p *Parser) peek() byte {
 }
 
 // bstr views a byte slice as a string without copying. Only for handing
-// bytes to functions that do not retain the string (strconv.ParseFloat).
+// bytes to functions that do not retain the string: number's
+// strconv.ParseFloat fallback.
 func bstr(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -192,25 +196,75 @@ func bstr(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// number parses one floating-point literal.
+// pow10 holds the powers of ten a float64 represents exactly; 1e22 is the
+// largest.
+var pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// maxFastDigits bounds the digits number converts itself: 10^15 < 2^53, so
+// the significand of such a token is an exact float64.
+const maxFastDigits = 15
+
+// isNumByte reports whether c belongs to a number token.
+func isNumByte(c byte) bool {
+	return (c >= '0' && c <= '9') || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E'
+}
+
+// number parses one floating-point literal. A token of the form
+// [+-]digits[.digits] with 1–15 digits in all (datagen's fixed five-decimal
+// coordinates have 6–8) is converted in the scan that finds it: its
+// significand and 10^fraction-digits are both exact float64s, so the one
+// IEEE division is correctly rounded — the value strconv.ParseFloat returns,
+// -0 included (Clinger's fast path). Every other token — more digits, an
+// exponent, a stray sign or second point — is rescanned and handed to
+// strconv, so what is accepted, how far it consumes and how it fails do not
+// depend on which path ran.
 func (p *Parser) number() (float64, error) {
 	p.skipSpace()
-	start := p.pos
-	for p.pos < len(p.buf) {
-		c := p.buf[p.pos]
-		if (c >= '0' && c <= '9') || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E' {
-			p.pos++
+	i, neg := p.pos, false
+	if i < len(p.buf) && (p.buf[i] == '-' || p.buf[i] == '+') {
+		neg = p.buf[i] == '-'
+		i++
+	}
+	var mant uint64
+	digits, dot := 0, -1
+	for ; i < len(p.buf); i++ {
+		c := p.buf[i]
+		if c >= '0' && c <= '9' {
+			mant = mant*10 + uint64(c-'0')
+			digits++
+		} else if c == '.' && dot < 0 {
+			dot = digits
 		} else {
 			break
 		}
+	}
+	if digits > 0 && digits <= maxFastDigits && (i == len(p.buf) || !isNumByte(p.buf[i])) {
+		frac := 0
+		if dot >= 0 {
+			frac = digits - dot
+		}
+		v := float64(mant) / pow10[frac]
+		if neg {
+			v = -v
+		}
+		p.pos = i
+		return v, nil
+	}
+	start := p.pos
+	for p.pos < len(p.buf) && isNumByte(p.buf[p.pos]) {
+		p.pos++
 	}
 	if p.pos == start {
 		return 0, p.errf("expected number")
 	}
 	v, err := strconv.ParseFloat(bstr(p.buf[start:p.pos]), 64)
 	if err != nil {
+		tok := string(p.buf[start:p.pos])
 		p.pos = start
-		return 0, p.errf("bad number %q", string(p.buf[start:p.pos]))
+		return 0, p.errf("bad number %q", tok)
 	}
 	return v, nil
 }
@@ -246,13 +300,14 @@ func (p *Parser) pushPoint(pt geom.Point) {
 	p.slab = append(p.slab, pt)
 }
 
-// takeRun completes the in-progress run, records its MBR in runEnv, and
-// returns it. The full slice expression caps the result so callers
-// appending to it reallocate instead of writing into the arena.
-func (p *Parser) takeRun() []geom.Point {
+// takeRun completes the in-progress run, records env — the run's MBR,
+// folded by its scanner as the points were pushed — in runEnv, and returns
+// the run. The full slice expression caps the result so callers appending
+// to it reallocate instead of writing into the arena.
+func (p *Parser) takeRun(env geom.Envelope) []geom.Point {
 	out := p.slab[p.mark:len(p.slab):len(p.slab)]
 	p.mark = len(p.slab)
-	p.runEnv = geom.EnvelopeOf(out)
+	p.runEnv = env
 	return out
 }
 
@@ -395,19 +450,21 @@ func (p *Parser) point() (geom.Point, error) {
 	return geom.Point{X: x, Y: y}, nil
 }
 
-// pointList parses "(x y, x y, ...)" into the arena.
+// pointList parses "(x y, x y, ...)" into the arena, folding its envelope.
 func (p *Parser) pointList() ([]geom.Point, error) {
 	if err := p.expect('('); err != nil {
 		return nil, err
 	}
 	p.beginRun()
-	for {
+	var env geom.Envelope
+	for i := 0; ; i++ {
 		pt, err := p.point()
 		if err != nil {
 			p.abandonRun()
 			return nil, err
 		}
 		p.pushPoint(pt)
+		env = geom.FoldPoint(env, i, pt.X, pt.Y)
 		if p.peek() != ',' {
 			break
 		}
@@ -417,7 +474,7 @@ func (p *Parser) pointList() ([]geom.Point, error) {
 		p.abandonRun()
 		return nil, err
 	}
-	return p.takeRun(), nil
+	return p.takeRun(env), nil
 }
 
 // ringList parses "((...), (...), ...)". The per-ring envelopes land in
@@ -447,13 +504,15 @@ func (p *Parser) ringList() ([][]geom.Point, error) {
 	return rings, nil
 }
 
-// multiPointList accepts both MULTIPOINT(1 2, 3 4) and MULTIPOINT((1 2),(3 4)).
+// multiPointList accepts both MULTIPOINT(1 2, 3 4) and MULTIPOINT((1 2),(3 4)),
+// folding the envelope as pointList does.
 func (p *Parser) multiPointList() ([]geom.Point, error) {
 	if err := p.expect('('); err != nil {
 		return nil, err
 	}
 	p.beginRun()
-	for {
+	var env geom.Envelope
+	for i := 0; ; i++ {
 		var pt geom.Point
 		var err error
 		if p.peek() == '(' {
@@ -470,6 +529,7 @@ func (p *Parser) multiPointList() ([]geom.Point, error) {
 			return nil, err
 		}
 		p.pushPoint(pt)
+		env = geom.FoldPoint(env, i, pt.X, pt.Y)
 		if p.peek() != ',' {
 			break
 		}
@@ -479,5 +539,5 @@ func (p *Parser) multiPointList() ([]geom.Point, error) {
 		p.abandonRun()
 		return nil, err
 	}
-	return p.takeRun(), nil
+	return p.takeRun(env), nil
 }

@@ -110,6 +110,11 @@ func TestSyntaxErrorMessage(t *testing.T) {
 	if serr.Offset <= 0 || !strings.Contains(serr.Error(), "byte") {
 		t.Errorf("unhelpful syntax error: %v", serr)
 	}
+	// A malformed coordinate is quoted, at the byte where its token starts.
+	_, err = ParseString("POINT (1-2 3)")
+	if serr, ok := err.(*SyntaxError); !ok || serr.Offset != 7 || !strings.Contains(serr.Msg, `"1-2"`) {
+		t.Errorf("bad number error = %v, want the token \"1-2\" quoted at byte 7", err)
+	}
 }
 
 func TestFormatRoundTrip(t *testing.T) {
