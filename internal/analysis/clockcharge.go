@@ -9,13 +9,13 @@ import (
 )
 
 // ClockCharge reports off-clock cost that never reaches the virtual
-// clock, or reaches it on only some paths. The pipeline's concurrency
-// discipline (commsafety) forbids worker code from touching the
-// communicator, so parse workers and the exchange serializer accumulate
-// costmodel-derived cost into plain variables and fields — parseBatch's
-// cost, the Exchanger's projection and serialization accumulators — and
-// the rank goroutine charges the total with Comm.Compute at a fixed
-// program point (the parse-pool join, FinishStream). An accumulator that
+// clock, or reaches it on only some paths. Code that batches its charges
+// — the Exchanger's projection and serialization accumulators — adds
+// costmodel-derived cost into plain variables and fields, and the rank
+// goroutine charges the total with Comm.Compute at a fixed program point
+// (FinishStream). The same discipline is what commsafety demands of any
+// off-goroutine work, which could not touch the communicator itself. An
+// accumulator that
 // is never charged silently deflates every reported virtual time; a
 // charge skipped on one path makes virtual time depend on which path
 // ran, which is exactly the nondeterminism the cost model exists to

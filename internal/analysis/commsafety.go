@@ -9,13 +9,12 @@ import (
 // CommSafety reports mpi.Comm method calls reachable from a goroutine
 // spawned in internal/core. The simulated communicator is the rank's
 // program counter: every send, receive, and Compute charge advances the
-// rank's virtual clock in program order. A worker goroutine (the PR 3
-// parse pool) touching the communicator races the rank's own trajectory —
-// the virtual clock stops being a deterministic function of the input and
-// the -race chaos jobs only catch it when the schedule cooperates.
-// Off-goroutine work must accumulate cost locally and charge it at a fixed
-// program point on the rank goroutine (parsepool's Compute-at-join
-// discipline).
+// rank's virtual clock in program order. A worker goroutine touching the
+// communicator races the rank's own trajectory — the virtual clock stops
+// being a deterministic function of the input and the -race chaos jobs
+// only catch it when the schedule cooperates. internal/core starts no
+// goroutine today; should one return, its work must accumulate cost
+// locally and charge it at a fixed program point on the rank goroutine.
 //
 // The reachability walk runs over the whole-program call graph
 // (Facts.Graph): static calls in any loaded package plus CHA-resolved

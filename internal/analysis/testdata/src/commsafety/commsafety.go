@@ -49,7 +49,7 @@ func goodArgEvaluation(c *mpi.Comm, sink func(int)) {
 	go sink(c.Rank())
 }
 
-// The escape hatch: parsepool-style deferred charging is the sanctioned
+// The escape hatch: deferred charging on the rank goroutine is the sanctioned
 // pattern, but a site that genuinely must touch the communicator
 // off-goroutine documents why.
 func allowedSite(c *mpi.Comm) {

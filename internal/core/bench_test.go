@@ -88,11 +88,9 @@ func BenchmarkReadExchange(b *testing.B) {
 	}
 }
 
-// BenchmarkReadKnobs is ParseWorkers' row: ReadPartition of the lakes layer
-// at 1/256 (35 MB of WKT, the benchmark/ input) by rank count and
-// ParseWorkers. Run with -cpu 2 to compare {1 rank, 2 workers} against
-// {2 ranks, 0 workers} at equal thread count. The knob is text-only: binary
-// framings parse on the rank goroutine and ignore it.
+// BenchmarkReadKnobs is the read's scaling row: ReadPartition of the lakes
+// layer at 1/256 (35 MB of WKT, the benchmark/ input) by rank count. A rank
+// is one goroutine, so run with -cpu 2 to see what a second core buys.
 func BenchmarkReadKnobs(b *testing.B) {
 	const scale = 256
 	fs, err := pfs.New(pfs.RogerGPFS())
@@ -103,21 +101,19 @@ func BenchmarkReadKnobs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	opt := ReadOptions{BlockSize: 256e6 / scale}
 	for _, ranks := range []int{1, 2, 4} {
-		for _, workers := range []int{0, 1, 2} {
-			opt := ReadOptions{BlockSize: 256e6 / scale, ParseWorkers: workers}
-			b.Run(fmt.Sprintf("wkt/ranks=%d/workers=%d", ranks, workers), func(b *testing.B) {
-				b.SetBytes(pf.Size())
-				for i := 0; i < b.N; i++ {
-					err := mpi.Run(cluster.Local(ranks), func(c *mpi.Comm) error {
-						_, _, err := ReadPartition(c, mpiio.Open(c, pf, mpiio.Hints{}), NewWKTParser(), opt)
-						return err
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("wkt/ranks=%d", ranks), func(b *testing.B) {
+			b.SetBytes(pf.Size())
+			for i := 0; i < b.N; i++ {
+				err := mpi.Run(cluster.Local(ranks), func(c *mpi.Comm) error {
+					_, _, err := ReadPartition(c, mpiio.Open(c, pf, mpiio.Hints{}), NewWKTParser(), opt)
+					return err
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -54,11 +54,6 @@ func NewWKTParser() WKTParser {
 	return WKTParser{scanner: wkt.NewParser()}
 }
 
-// CloneParser implements ParserCloner: each parallel parse worker gets a
-// WKTParser with its own dedicated coordinate arena, whatever the receiver's
-// configuration.
-func (w WKTParser) CloneParser() Parser { return NewWKTParser() }
-
 // Parse implements Parser.
 func (w WKTParser) Parse(record []byte) (geom.Geometry, error) {
 	record = trimSpace(record)
@@ -80,9 +75,7 @@ func (w WKTParser) Parse(record []byte) (geom.Geometry, error) {
 // framing; wkb.AppendFramed is the writer). The framing strips the length
 // header, so the payload handed here is exactly one WKB geometry, decoded
 // with no float scanning at all — which is why the binary path approaches
-// raw I/O bandwidth (paper Figures 12/15), and why length-prefixed records
-// always decode on the rank goroutine (ReadOptions.ParseWorkers is text
-// only).
+// raw I/O bandwidth (paper Figures 12/15).
 //
 // The zero value works and is safe for concurrent use (it draws pooled
 // decoders from the wkb package). NewWKBParser returns a value with a

@@ -193,21 +193,6 @@ func continueFramed(prefix, data []byte) (int, bool) {
 	return int(n), true
 }
 
-// splitRegion returns the first record boundary at or past target in data,
-// or len(data) when no later boundary exists (a trailing EOF-settled
-// fragment, if any, stays attached to the final chunk). This is how the text
-// parse workers shard a region into batches without parsing it: fr is
-// self-synchronizing, since only text framings start a worker pool.
-func splitRegion(fr Framing, data []byte, target int) int {
-	if target >= len(data) {
-		return len(data)
-	}
-	if fb := fr.firstBoundary(data[target:]); fb >= 0 {
-		return target + fb
-	}
-	return len(data)
-}
-
 func (lengthPrefixed) eofTail(data []byte) ([]byte, bool, error) {
 	if len(data) == 0 {
 		return nil, false, nil

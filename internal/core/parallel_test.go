@@ -20,12 +20,9 @@ import (
 	"repro/internal/wkt"
 )
 
-// The shipped text parser must be able to furnish per-worker clones.
-var _ ParserCloner = WKTParser{}
-
 // readPerRank runs ReadPartition and returns each rank's geometries as WKT
-// strings in delivery order (no sorting — the parallel path promises the
-// exact serial order, not just the multiset) plus each rank's stats.
+// strings in delivery order (no sorting — a read promises file order within
+// each rank, not just the multiset) plus each rank's stats.
 func readPerRank(t *testing.T, pf *pfs.File, ranks int, mk func() Parser, opt ReadOptions) ([][]string, []ReadStats) {
 	t.Helper()
 	var mu sync.Mutex
@@ -70,76 +67,10 @@ func assertRanksIdentical(t *testing.T, got, want [][]string, label string) {
 	}
 }
 
-// TestParseWorkersMatrix is the tentpole's determinism contract: for every
-// framing × strategy × access level, ParseWorkers ∈ {1, 4} must produce
-// rank-by-rank byte-identical geometries in identical order to the serial
-// path (ParseWorkers = 0).
-func TestParseWorkersMatrix(t *testing.T) {
-	records := genRecords(600, 31)
-	wktFile := makeWKTFile(t, records)
-	wkbFile := makeWKBFile(t, genGeoms(t, 600, 31))
-
-	type framingCase struct {
-		name string
-		pf   *pfs.File
-		mk   func() Parser
-		fr   Framing
-	}
-	cases := []framingCase{
-		{"delimited", wktFile, func() Parser { return NewWKTParser() }, nil},
-		{"length-prefixed", wkbFile, func() Parser { return NewWKBParser() }, LengthPrefixed()},
-	}
-	const ranks = 3
-	for _, fc := range cases {
-		for _, strat := range []Strategy{MessageBased, Overlap} {
-			for _, level := range []AccessLevel{Level0, Level1} {
-				opt := ReadOptions{
-					BlockSize: 1 << 10, Strategy: strat, Level: level,
-					MaxGeomSize: 2 << 10, Framing: fc.fr,
-				}
-				want, _ := readPerRank(t, fc.pf, ranks, fc.mk, opt)
-				for _, workers := range []int{1, 4} {
-					opt.ParseWorkers = workers
-					label := fmt.Sprintf("%s %s level=%d workers=%d", fc.name, strat, level, workers)
-					got, _ := readPerRank(t, fc.pf, ranks, fc.mk, opt)
-					assertRanksIdentical(t, got, want, label)
-				}
-			}
-		}
-	}
-}
-
-// TestParseWorkersStatsMatchSerial: the virtual-time parse accounting is
-// charged at batch join, but its totals must equal the serial path's —
-// same Records, same Errors, same ParseTime (up to float summation order).
-func TestParseWorkersStatsMatchSerial(t *testing.T) {
-	records := genRecords(500, 32)
-	pf := makeWKTFile(t, records)
-	opt := ReadOptions{BlockSize: 1 << 10}
-	_, serial := readPerRank(t, pf, 4, func() Parser { return NewWKTParser() }, opt)
-	opt.ParseWorkers = 4
-	_, par := readPerRank(t, pf, 4, func() Parser { return NewWKTParser() }, opt)
-	for r := range serial {
-		if par[r].Records != serial[r].Records || par[r].Errors != serial[r].Errors {
-			t.Errorf("rank %d: records/errors %d/%d, serial %d/%d",
-				r, par[r].Records, par[r].Errors, serial[r].Records, serial[r].Errors)
-		}
-		diff := par[r].ParseTime - serial[r].ParseTime
-		if diff < 0 {
-			diff = -diff
-		}
-		if tol := 1e-9 * (1 + serial[r].ParseTime); diff > tol {
-			t.Errorf("rank %d: ParseTime %g, serial %g (diff %g)", r, par[r].ParseTime, serial[r].ParseTime, diff)
-		}
-		if par[r].BytesRead != serial[r].BytesRead || par[r].Iterations != serial[r].Iterations {
-			t.Errorf("rank %d: bytes/iterations drifted from serial", r)
-		}
-	}
-}
-
-// TestParseWorkersGiantRecord: records spanning several blocks (and whole
-// iterations) flow through fragment relay and stitched assembly; the
-// parallel path must reproduce the serial order there too.
+// TestParseWorkersGiantRecord: a record spanning several blocks (and whole
+// iterations) flows through fragment relay and stitched assembly. Each
+// rank's geometries must be the file's records in file order, and every
+// record must land on exactly one rank.
 func TestParseWorkersGiantRecord(t *testing.T) {
 	big := "LINESTRING (0 0"
 	for i := 1; i < 300; i++ {
@@ -148,19 +79,43 @@ func TestParseWorkersGiantRecord(t *testing.T) {
 	big += ")"
 	records := []string{"POINT (9 9)", big, "POINT (1 1)"}
 	pf := makeWKTFile(t, records)
+	index := make(map[string]int, len(records)) // canonical WKT → file position
+	for i, r := range records {
+		g, err := wkt.ParseString(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		index[wkt.Format(g)] = i
+	}
 	for _, ranks := range []int{2, 3, 5} {
-		opt := ReadOptions{BlockSize: 64}
-		want, _ := readPerRank(t, pf, ranks, func() Parser { return NewWKTParser() }, opt)
-		opt.ParseWorkers = 4
-		got, _ := readPerRank(t, pf, ranks, func() Parser { return NewWKTParser() }, opt)
-		assertRanksIdentical(t, got, want, fmt.Sprintf("giant record ranks=%d", ranks))
+		got, _ := readPerRank(t, pf, ranks, func() Parser { return NewWKTParser() }, ReadOptions{BlockSize: 64})
+		seen := make([]int, len(records))
+		for r, recs := range got {
+			last := -1
+			for _, rec := range recs {
+				i, ok := index[rec]
+				if !ok {
+					t.Fatalf("ranks=%d: rank %d returned a record not in the file: %.40s", ranks, r, rec)
+				}
+				if i <= last {
+					t.Errorf("ranks=%d: rank %d returned record %d after record %d", ranks, r, i, last)
+				}
+				last = i
+				seen[i]++
+			}
+		}
+		for i, n := range seen {
+			if n != 1 {
+				t.Errorf("ranks=%d: record %d returned %d times, want once", ranks, i, n)
+			}
+		}
 	}
 }
 
-// TestParseWorkersErrorAgreement: a malformed record hit inside a worker
-// must fail the collective read on every rank (error agreement runs on the
-// rank goroutine), and under SkipErrors it must be counted exactly as the
-// serial path counts it.
+// TestParseWorkersErrorAgreement: a malformed record must fail the
+// collective read on every rank (the failing rank with the parse error, the
+// others with ErrRemoteParse), and under SkipErrors it must be counted once
+// while every other record is kept.
 func TestParseWorkersErrorAgreement(t *testing.T) {
 	records := genRecords(200, 33)
 	records[137] = "POLYGON ((oops not wkt"
@@ -171,68 +126,52 @@ func TestParseWorkersErrorAgreement(t *testing.T) {
 		pf.Append([]byte{'\n'})
 	}
 
-	for _, workers := range []int{0, 4} {
-		// Fatal path: every rank must see the failure — the failing rank
-		// with the parse error, the others with ErrRemoteParse — and no
-		// rank may hang or return success.
-		var mu sync.Mutex
-		failures := 0
-		err := mpi.Run(cluster.Local(3), func(c *mpi.Comm) error {
-			f := mpiio.Open(c, pf, mpiio.Hints{})
-			_, _, err := ReadPartition(c, f, NewWKTParser(), ReadOptions{
-				BlockSize: 512, ParseWorkers: workers,
-			})
-			if err == nil {
-				return fmt.Errorf("rank %d: malformed record accepted", c.Rank())
-			}
-			mu.Lock()
-			failures++
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	// Fatal path: every rank must see the failure, and no rank may hang or
+	// return success.
+	var mu sync.Mutex
+	failures := 0
+	err := mpi.Run(cluster.Local(3), func(c *mpi.Comm) error {
+		f := mpiio.Open(c, pf, mpiio.Hints{})
+		_, _, err := ReadPartition(c, f, NewWKTParser(), ReadOptions{BlockSize: 512})
+		if err == nil {
+			return fmt.Errorf("rank %d: malformed record accepted", c.Rank())
 		}
-		if failures != 3 {
-			t.Fatalf("workers=%d: %d ranks failed, want all 3", workers, failures)
-		}
+		mu.Lock()
+		failures++
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failures != 3 {
+		t.Fatalf("%d ranks failed, want all 3", failures)
 	}
 
-	// SkipErrors path: counts must match the serial path exactly.
-	count := func(workers int) (records, errs int) {
-		var mu sync.Mutex
-		err := mpi.Run(cluster.Local(3), func(c *mpi.Comm) error {
-			f := mpiio.Open(c, pf, mpiio.Hints{})
-			gs, stats, err := ReadPartition(c, f, NewWKTParser(), ReadOptions{
-				BlockSize: 512, ParseWorkers: workers, SkipErrors: true,
-			})
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			records += len(gs)
-			errs += stats.Errors
-			mu.Unlock()
-			return nil
-		})
+	// SkipErrors path: one error counted, every other record kept.
+	kept, errs := 0, 0
+	err = mpi.Run(cluster.Local(3), func(c *mpi.Comm) error {
+		f := mpiio.Open(c, pf, mpiio.Hints{})
+		gs, stats, err := ReadPartition(c, f, NewWKTParser(), ReadOptions{BlockSize: 512, SkipErrors: true})
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		return records, errs
+		mu.Lock()
+		kept += len(gs)
+		errs += stats.Errors
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	sr, se := count(0)
-	pr, pe := count(4)
-	if sr != pr || se != pe {
-		t.Errorf("skip-errors counts drifted: serial %d/%d, workers %d/%d", sr, se, pr, pe)
-	}
-	if se != 1 || sr != len(records)-1 {
-		t.Errorf("serial baseline wrong: records=%d errs=%d", sr, se)
+	if errs != 1 || kept != len(records)-1 {
+		t.Errorf("skip-errors: records=%d errs=%d, want %d and 1", kept, errs, len(records)-1)
 	}
 }
 
 // TestParseWorkersErrorMessageOrder: when several records are malformed,
-// the error reported is the first in file order — batches merge in
-// submission order, so a later error must not win the race.
+// the error reported is the first in file order.
 func TestParseWorkersErrorMessageOrder(t *testing.T) {
 	records := genRecords(300, 34)
 	records[50] = "FIRSTGARBAGE ((1"
@@ -245,9 +184,7 @@ func TestParseWorkersErrorMessageOrder(t *testing.T) {
 	}
 	err := mpi.Run(cluster.Local(1), func(c *mpi.Comm) error {
 		f := mpiio.Open(c, pf, mpiio.Hints{})
-		_, _, err := ReadPartition(c, f, NewWKTParser(), ReadOptions{
-			BlockSize: 512, ParseWorkers: 4,
-		})
+		_, _, err := ReadPartition(c, f, NewWKTParser(), ReadOptions{BlockSize: 512})
 		if err == nil {
 			return fmt.Errorf("malformed records accepted")
 		}
@@ -262,8 +199,8 @@ func TestParseWorkersErrorMessageOrder(t *testing.T) {
 }
 
 // TestParseWorkersTruncatedWKB: the binary truncation rule (a file ending
-// inside a length-prefixed record is data loss) survives the parallel path
-// under both strategies.
+// inside a length-prefixed record is data loss) holds on 3 ranks under both
+// strategies.
 func TestParseWorkersTruncatedWKB(t *testing.T) {
 	geoms := genGeoms(t, 40, 35)
 	fs, _ := pfs.New(pfs.CometLustre())
@@ -281,7 +218,7 @@ func TestParseWorkersTruncatedWKB(t *testing.T) {
 			f := mpiio.Open(c, pf, mpiio.Hints{})
 			gs, stats, err := ReadPartition(c, f, NewWKBParser(), ReadOptions{
 				BlockSize: 512, Strategy: strat, MaxGeomSize: 2 << 10,
-				Framing: LengthPrefixed(), SkipErrors: true, ParseWorkers: 3,
+				Framing: LengthPrefixed(), SkipErrors: true,
 			})
 			if err != nil {
 				return err
@@ -301,16 +238,144 @@ func TestParseWorkersTruncatedWKB(t *testing.T) {
 	}
 }
 
-// TestBinaryReadsStayOnTheRank: ParseWorkers and Strategy are text knobs.
-// Over length-prefixed records — ReadPartition, ReadStream and
-// ReadExchange's raw path — 4 workers change nothing against 0, and Overlap
-// changes nothing against MessageBased: the geometries (stream batch
-// boundaries included) or cells and their order, ReadStats (BytesRead
-// included), ExchangeStats, the error text, the final virtual clock, and
-// the goroutines alive while the read runs, sampled from the file's read
-// hook and from ReadStream's sink. The clean file runs strict; a file
-// ending inside a record runs strict and under SkipErrors, so its leftover
-// is settled by the EOF rule.
+// goroutinePeak records the most goroutines seen alive during one run,
+// measured above the count the run began with.
+type goroutinePeak struct {
+	idle  int // goroutines alive when the test began
+	start int
+	peak  atomic.Int64
+}
+
+func newGoroutinePeak() *goroutinePeak {
+	return &goroutinePeak{idle: runtime.NumGoroutine()}
+}
+
+// sample records the goroutines alive now. It is safe from any goroutine.
+func (g *goroutinePeak) sample() {
+	n := int64(runtime.NumGoroutine())
+	for old := g.peak.Load(); n > old && !g.peak.CompareAndSwap(old, n); old = g.peak.Load() {
+	}
+}
+
+// begin starts a run. Goroutines of an earlier run may still be exiting
+// after mpi.Run returns; begin gives them up to a second, so each run's
+// peak is measured above the same idle count.
+func (g *goroutinePeak) begin() {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1000 && n > g.idle; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	g.start = n
+	g.peak.Store(int64(n))
+}
+
+// extra returns the run's peak above its starting count.
+func (g *goroutinePeak) extra() int { return int(g.peak.Load()) - g.start }
+
+// TestReadsStartNoGoroutine: a read runs on its rank's goroutine and starts
+// none of its own. For both framings and each read API on 3 ranks, the most
+// goroutines alive during the read — sampled from the file's read hook and
+// from ReadStream's sink — must equal the peak of a bare mpi.Run on 3 ranks
+// whose ranks only sample between two Barriers.
+func TestReadsStartNoGoroutine(t *testing.T) {
+	fs, err := pfs.New(pfs.CometLustre())
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := genRecords(300, 54)
+	wktFile, err := fs.Create("data.wkt", 8, 4<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range records {
+		wktFile.Append([]byte(r + "\n"))
+	}
+	wkbFile, err := fs.Create("data.wkb", 8, 4<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	for _, g := range genGeoms(t, 300, 54) {
+		buf = wkb.AppendFramed(buf[:0], g)
+		wkbFile.Append(buf)
+	}
+
+	probe := newGoroutinePeak()
+	fs.InjectReadFault(func(string, int64, int, int) pfs.ReadFault {
+		probe.sample()
+		return pfs.ReadFault{}
+	})
+	defer fs.InjectReadFault(nil)
+
+	const ranks = 3
+	probe.begin()
+	err = mpi.Run(cluster.Local(ranks), func(c *mpi.Comm) error {
+		// Between the barriers every rank is alive, so each sample sees them all.
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		probe.sample()
+		return c.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := probe.extra()
+	if base < ranks {
+		t.Fatalf("baseline peak is %d goroutines above idle, fewer than its %d ranks", base, ranks)
+	}
+
+	cases := []struct {
+		name string
+		pf   *pfs.File
+		mk   func() Parser
+		fr   Framing
+	}{
+		{"delimited", wktFile, func() Parser { return NewWKTParser() }, nil},
+		{"length-prefixed", wkbFile, func() Parser { return NewWKBParser() }, LengthPrefixed()},
+	}
+	for _, fc := range cases {
+		for _, api := range []string{"ReadPartition", "ReadStream", "ReadExchange"} {
+			opt := ReadOptions{BlockSize: 1 << 10, Framing: fc.fr, StreamBatch: 29}
+			probe.begin()
+			err := mpi.Run(cluster.Local(ranks), func(c *mpi.Comm) error {
+				f := mpiio.Open(c, fc.pf, mpiio.Hints{})
+				var err error
+				switch api {
+				case "ReadPartition":
+					_, _, err = ReadPartition(c, f, fc.mk(), opt)
+				case "ReadStream":
+					_, err = ReadStream(c, f, fc.mk(), opt, func([]geom.Geometry) error {
+						probe.sample()
+						return nil
+					})
+				case "ReadExchange":
+					g, gerr := grid.New(geom.Envelope{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}, 8, 8)
+					if gerr != nil {
+						return gerr
+					}
+					_, _, _, err = ReadExchange(c, f, fc.mk(), opt, &Partitioner{Grid: g, DirectGrid: true})
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatalf("%s %s: %v", fc.name, api, err)
+			}
+			if got := probe.extra(); got != base {
+				t.Errorf("%s %s: %d goroutines above idle during the read, %d in a bare run", fc.name, api, got, base)
+			}
+		}
+	}
+}
+
+// TestBinaryReadsStayOnTheRank: Strategy is a text knob. Over
+// length-prefixed records — ReadPartition, ReadStream and ReadExchange's
+// raw path — Overlap changes nothing against MessageBased: the geometries
+// (stream batch boundaries included) or cells and their order, ReadStats
+// (BytesRead included), ExchangeStats, the error text and the final virtual
+// clock. The clean file runs strict; a file ending inside a record runs
+// strict and under SkipErrors, so its leftover is settled by the EOF rule.
 func TestBinaryReadsStayOnTheRank(t *testing.T) {
 	fs, err := pfs.New(pfs.CometLustre())
 	if err != nil {
@@ -333,31 +398,6 @@ func TestBinaryReadsStayOnTheRank(t *testing.T) {
 	clean := write("clean.wkb", nil)
 	trunc := write("trunc.wkb", []byte{200, 1, 0, 0, 1, 2, 3})
 
-	// peak is the most goroutines seen alive during one run.
-	var peak atomic.Int64
-	sample := func() {
-		n := int64(runtime.NumGoroutine())
-		for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
-		}
-	}
-	fs.InjectReadFault(func(string, int64, int, int) pfs.ReadFault {
-		sample()
-		return pfs.ReadFault{}
-	})
-	defer fs.InjectReadFault(nil)
-	// Goroutines of an earlier run may still be exiting after mpi.Run
-	// returns; waitIdle gives them up to a second, so each run's peak is
-	// measured above the same idle count.
-	idle := runtime.NumGoroutine()
-	waitIdle := func() int {
-		n := runtime.NumGoroutine()
-		for i := 0; i < 1000 && n > idle; i++ {
-			time.Sleep(time.Millisecond)
-			n = runtime.NumGoroutine()
-		}
-		return n
-	}
-
 	type outcome struct {
 		geoms []string // ReadPartition and ReadStream, as WKB; "batch" opens a ReadStream batch
 		cells map[int][]string
@@ -372,11 +412,9 @@ func TestBinaryReadsStayOnTheRank(t *testing.T) {
 		}
 		return dst
 	}
-	run := func(pf *pfs.File, api string, opt ReadOptions) ([]outcome, int64) {
+	run := func(pf *pfs.File, api string, opt ReadOptions) []outcome {
 		const ranks = 3
 		out := make([]outcome, ranks)
-		start := waitIdle()
-		peak.Store(int64(start))
 		var mu sync.Mutex
 		err := mpi.Run(cluster.Local(ranks), func(c *mpi.Comm) error {
 			f := mpiio.Open(c, pf, mpiio.Hints{})
@@ -389,7 +427,6 @@ func TestBinaryReadsStayOnTheRank(t *testing.T) {
 				o.geoms = encode(nil, gs)
 			case "ReadStream":
 				o.read, err = ReadStream(c, f, NewWKBParser(), opt, func(batch []geom.Geometry) error {
-					sample()
 					o.geoms = encode(append(o.geoms, "batch"), batch)
 					return nil
 				})
@@ -417,7 +454,7 @@ func TestBinaryReadsStayOnTheRank(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out, peak.Load() - int64(start)
+		return out
 	}
 
 	inputs := []struct {
@@ -425,34 +462,25 @@ func TestBinaryReadsStayOnTheRank(t *testing.T) {
 		pf   *pfs.File
 		skip bool
 	}{{"clean", clean, false}, {"truncated strict", trunc, false}, {"truncated skip", trunc, true}}
-	ref := make(map[string][]outcome) // the {MessageBased, 0 workers} run of each input and API
+	ref := make(map[string][]outcome) // the MessageBased run of each input and API
 	for _, in := range inputs {
 		for _, strat := range []Strategy{MessageBased, Overlap} {
 			for _, api := range []string{"ReadPartition", "ReadStream", "ReadExchange"} {
 				opt := ReadOptions{BlockSize: 1 << 10, Strategy: strat, MaxGeomSize: 2 << 10,
 					Framing: LengthPrefixed(), SkipErrors: in.skip, StreamBatch: 29}
 				label := fmt.Sprintf("%s %s %s", in.name, strat, api)
-				want, wantExtra := run(in.pf, api, opt)
+				got := run(in.pf, api, opt)
 				if strat == MessageBased {
-					ref[in.name+api] = want
+					ref[in.name+api] = got
 				}
-				opt.ParseWorkers = 4
-				got, gotExtra := run(in.pf, api, opt)
-				for r := range want {
-					if !reflect.DeepEqual(got[r], want[r]) {
-						t.Errorf("%s: rank %d with 4 workers differs from 0:\n 4 %+v %+v %q %v\n 0 %+v %+v %q %v",
-							label, r, got[r].read, got[r].ex, got[r].err, got[r].clock, want[r].read, want[r].ex, want[r].err, want[r].clock)
-					}
-					if m := ref[in.name+api][r]; !reflect.DeepEqual(want[r], m) {
+				for r := range got {
+					if m := ref[in.name+api][r]; !reflect.DeepEqual(got[r], m) {
 						t.Errorf("%s: rank %d differs from the message-based read:\n %s %+v %+v %q %v\n message %+v %+v %q %v",
-							label, r, strat, want[r].read, want[r].ex, want[r].err, want[r].clock, m.read, m.ex, m.err, m.clock)
+							label, r, strat, got[r].read, got[r].ex, got[r].err, got[r].clock, m.read, m.ex, m.err, m.clock)
 					}
-				}
-				if gotExtra != wantExtra {
-					t.Errorf("%s: %d goroutines above idle during the read with 4 workers, %d with 0", label, gotExtra, wantExtra)
 				}
 				records, errs, failed := 0, 0, 0
-				for _, o := range want {
+				for _, o := range got {
 					records += o.read.Records
 					errs += o.read.Errors
 					if o.err != "" {
@@ -463,7 +491,7 @@ func TestBinaryReadsStayOnTheRank(t *testing.T) {
 				if in.pf == trunc {
 					wantErrs = 1
 					if !in.skip {
-						wantFailed = len(want)
+						wantFailed = len(got)
 					}
 				}
 				if records != len(geoms) || errs != wantErrs || failed != wantFailed {
@@ -472,22 +500,6 @@ func TestBinaryReadsStayOnTheRank(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSplitRegion pins the batch-splitting helper: cuts land on record
-// boundaries at or past the target, never inside a record.
-func TestSplitRegion(t *testing.T) {
-	d := Delimited('\n')
-	data := []byte("aa\nbbbb\ncc\ndddd\n")
-	for target, want := range map[int]int{0: 3, 1: 3, 3: 8, 4: 8, 9: 11, 15: 16, 16: 16, 99: 16} {
-		if got := splitRegion(d, data, target); got != want {
-			t.Errorf("delimited splitRegion(target=%d) = %d, want %d", target, got, want)
-		}
-	}
-	// Unterminated tail stays attached to the final chunk.
-	if got := splitRegion(d, []byte("aa\nbb"), 4); got != 5 {
-		t.Errorf("delimited unterminated tail: got %d, want 5", got)
 	}
 }
 

@@ -128,8 +128,7 @@ func badRecordsFile(t *testing.T, n int, seed int64) *pfs.File {
 // geometry path's, on clean input across strategies, windows and both
 // cell-lookup mechanisms; on a file with a truncated, a wrong-element-type
 // and a trailing-garbage record, strict and under SkipErrors; and under a
-// FrameCorrupt plan with SkipBadFrames. Both paths run with ParseWorkers 0
-// and 2, which binary framings ignore (TestBinaryReadsStayOnTheRank).
+// FrameCorrupt plan with SkipBadFrames.
 func TestRawPathParity(t *testing.T) {
 	world := geom.Envelope{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
 	raw := func() Parser { return NewWKBParser() }
@@ -166,59 +165,51 @@ func TestRawPathParity(t *testing.T) {
 
 	clean := makeWKBFile(t, genGeoms(t, 400, 41))
 	for _, strat := range []Strategy{MessageBased, Overlap} {
-		for _, workers := range []int{0, 2} {
-			for _, window := range []int{0, 5} {
-				for _, direct := range []bool{true, false} {
-					opt := ReadOptions{BlockSize: 1 << 10, Strategy: strat, MaxGeomSize: 2 << 10,
-						Framing: LengthPrefixed(), ParseWorkers: workers, StreamBatch: 29}
-					label := fmt.Sprintf("clean %s workers=%d window=%d direct=%v", strat, workers, window, direct)
-					out := compare(label, clean, opt, func() func(*mpi.Comm) *Partitioner {
-						return partitioner(window, direct, false, nil)
-					})
-					if out[0].err != "" || out[0].read.Records == 0 {
-						t.Fatalf("%s: clean run read %d records, err %q", label, out[0].read.Records, out[0].err)
-					}
+		for _, window := range []int{0, 5} {
+			for _, direct := range []bool{true, false} {
+				opt := ReadOptions{BlockSize: 1 << 10, Strategy: strat, MaxGeomSize: 2 << 10,
+					Framing: LengthPrefixed(), StreamBatch: 29}
+				label := fmt.Sprintf("clean %s window=%d direct=%v", strat, window, direct)
+				out := compare(label, clean, opt, func() func(*mpi.Comm) *Partitioner {
+					return partitioner(window, direct, false, nil)
+				})
+				if out[0].err != "" || out[0].read.Records == 0 {
+					t.Fatalf("%s: clean run read %d records, err %q", label, out[0].read.Records, out[0].err)
 				}
 			}
 		}
 	}
 
 	bad := badRecordsFile(t, 300, 43)
-	for _, workers := range []int{0, 2} {
-		for _, skip := range []bool{false, true} {
-			opt := ReadOptions{BlockSize: 1 << 10, Framing: LengthPrefixed(), ParseWorkers: workers,
-				SkipErrors: skip, StreamBatch: 29}
-			label := fmt.Sprintf("bad records workers=%d skip=%v", workers, skip)
-			out := compare(label, bad, opt, func() func(*mpi.Comm) *Partitioner {
-				return partitioner(0, true, false, nil)
-			})
-			errs, failed := 0, 0
-			for _, o := range out {
-				errs += o.read.Errors
-				if o.err != "" {
-					failed++
-				}
+	for _, skip := range []bool{false, true} {
+		opt := ReadOptions{BlockSize: 1 << 10, Framing: LengthPrefixed(), SkipErrors: skip, StreamBatch: 29}
+		label := fmt.Sprintf("bad records skip=%v", skip)
+		out := compare(label, bad, opt, func() func(*mpi.Comm) *Partitioner {
+			return partitioner(0, true, false, nil)
+		})
+		errs, failed := 0, 0
+		for _, o := range out {
+			errs += o.read.Errors
+			if o.err != "" {
+				failed++
 			}
-			wantFailed := 3
-			if skip {
-				wantFailed = 0
-			}
-			if errs != 3 || failed != wantFailed {
-				t.Errorf("%s: %d bad records counted, %d ranks failed", label, errs, failed)
-			}
+		}
+		wantFailed := 3
+		if skip {
+			wantFailed = 0
+		}
+		if errs != 3 || failed != wantFailed {
+			t.Errorf("%s: %d bad records counted, %d ranks failed", label, errs, failed)
 		}
 	}
 
 	plan := fault.Plan{Seed: 21, Rules: []fault.Rule{fault.FrameCorrupt(0, -1, 1)}}
-	for _, workers := range []int{0, 2} {
-		opt := ReadOptions{BlockSize: 1 << 10, Framing: LengthPrefixed(), ParseWorkers: workers}
-		label := fmt.Sprintf("frame corruption workers=%d", workers)
-		out := compare(label, clean, opt, func() func(*mpi.Comm) *Partitioner {
-			return partitioner(7, true, true, &plan)
-		})
-		if out[0].ex.FramesQuarantined == 0 {
-			t.Errorf("%s: nothing quarantined; the plan exercised nothing", label)
-		}
+	opt := ReadOptions{BlockSize: 1 << 10, Framing: LengthPrefixed()}
+	out := compare("frame corruption", clean, opt, func() func(*mpi.Comm) *Partitioner {
+		return partitioner(7, true, true, &plan)
+	})
+	if out[0].ex.FramesQuarantined == 0 {
+		t.Errorf("frame corruption: nothing quarantined; the plan exercised nothing")
 	}
 }
 

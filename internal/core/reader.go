@@ -65,46 +65,24 @@ type ReadOptions struct {
 	// halo is read, and a record may be any length.
 	MaxGeomSize int64
 	// Framing selects how the file divides into records. Nil defaults to
-	// Delimited(Delimiter) — newline-separated text. LengthPrefixed()
-	// selects u32-length-prefixed binary records (WKB payloads parsed by
-	// WKBParser).
+	// Delimited('\n') — newline-separated text. LengthPrefixed() selects
+	// u32-length-prefixed binary records (WKB payloads parsed by WKBParser).
 	Framing Framing
-	// Delimiter separates records under the default Delimited framing;
-	// zero defaults to '\n'. Ignored when Framing is set.
-	Delimiter byte
 	// SkipErrors counts malformed records instead of failing.
 	SkipErrors bool
 	// StreamBatch bounds how many geometries accumulate before ReadStream
 	// hands a batch to its sink. Zero defaults to 256. ReadPartition
 	// ignores it.
 	StreamBatch int
-	// ParseWorkers fans text record parsing out to this many per-rank
-	// worker goroutines, so a multi-core host overlaps parsing with the
-	// next block's I/O and the boundary exchange. 0 (the default) parses
-	// serially on the rank goroutine. Binary (LengthPrefixed) framings
-	// always parse on the rank goroutine and ignore it: WKB decodes close
-	// to I/O speed, and there the workers never beat spending the same
-	// threads on ranks. The output is deterministic: whole-record regions
-	// are sharded into batches at record boundaries, workers parse them
-	// concurrently, and the reader re-assembles results in file order, so
-	// the geometry slice is identical (order included) to the serial path
-	// for any worker count. Virtual-time accounting stays
-	// rank-single-threaded: workers never touch the Comm; each batch's
-	// per-record parse cost is accumulated off-clock and charged on the
-	// reader goroutine when the batch joins, so ReadStats.ParseTime totals
-	// match the serial path (up to float summation order) and error
-	// agreement stays collective-safe. The Parser must either implement
-	// ParserCloner (WKTParser does — every worker gets its own coordinate
-	// arena) or be safe for concurrent use.
-	//
-	// The knob's row (BenchmarkReadKnobs, 35 MB WKT lakes layer, -cpu 2 on
-	// a 2-vCPU host, medians [quartiles] of 10, ms, {ranks, workers}):
-	// {1, 0} 168 [165–180], {1, 2} 98 [95–110], {2, 0} 109 [104–118],
-	// {2, 2} 88 [87–103], {4, 0} 106 [99–111], {4, 2} 100 [93–102]. Since
-	// the WKT scanner converts short decimals without strconv, 2 workers
-	// only tie a second rank within quartiles. 1 worker only moves the
-	// parse to another goroutine ({1, 1} 174 [169–182]) — use ≥ 2 or 0.
-	ParseWorkers int
+}
+
+// framing returns the configured Framing, or the default newline-delimited
+// text framing when none is set.
+func (o ReadOptions) framing() Framing {
+	if o.Framing == nil {
+		return Delimited('\n')
+	}
+	return o.Framing
 }
 
 // ReadStats reports what one rank did during ReadPartition. Times are
@@ -147,12 +125,11 @@ func ReadPartition(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions) ([]geo
 // batch — as regions finish parsing, so a downstream consumer — the
 // streaming Exchanger, an indexer, a writer — overlaps its work with the
 // read instead of following it, and the rank never holds more than one
-// batch plus the in-flight parse window.
+// batch.
 //
 // The stream is deterministic: batches arrive in file order, batch
-// boundaries are a pure function of the geometry stream (ParseWorkers does
-// not change them), and their concatenation is byte-for-byte the slice
-// ReadPartition would return. The
+// boundaries are a pure function of the geometry stream, and their
+// concatenation is byte-for-byte the slice ReadPartition would return. The
 // batch slice is only valid during the sink call (it is recycled for the
 // next batch); the geometries it holds remain valid indefinitely. The sink
 // runs on the rank goroutine and may use the Comm — but any collective it
@@ -187,13 +164,7 @@ type output struct {
 // readCore is the single read/boundary-repair engine behind ReadPartition,
 // ReadStream and ReadExchange's raw path (see output).
 func readCore(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, out output) ([]geom.Geometry, ReadStats, error) {
-	if opt.Delimiter == 0 {
-		opt.Delimiter = '\n'
-	}
-	fr := opt.Framing
-	if fr == nil {
-		fr = Delimited(opt.Delimiter)
-	}
+	fr := opt.framing()
 	n := int64(c.Size())
 	fileSize := f.Size()
 	blockSize := opt.BlockSize
@@ -332,7 +303,6 @@ type blockLoop struct {
 }
 
 // newBlockLoop opens the parse context and arena for one collective read.
-// Callers must l.pc.close() on every exit path (see newParseCtx).
 func newBlockLoop(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Framing, blockSize int64, out output) *blockLoop {
 	file := f.PFSFile().Name()
 	chunk := int64(c.Size()) * blockSize
@@ -379,7 +349,6 @@ func (l *blockLoop) read(i int, what string, off, length int64) ([]byte, error) 
 func readMessage(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Framing, blockSize int64, out output) ([]geom.Geometry, ReadStats, error) {
 	l := newBlockLoop(c, f, p, opt, fr, blockSize, out)
 	pc, ar, file, n, rank := l.pc, &l.ar, l.file, c.Size(), c.Rank()
-	defer pc.close()
 	next := (rank + 1) % n
 	prev := (rank - 1 + n) % n
 
@@ -542,7 +511,6 @@ func readMessage(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Frami
 func readMessageChain(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Framing, blockSize int64, out output) ([]geom.Geometry, ReadStats, error) {
 	l := newBlockLoop(c, f, p, opt, fr, blockSize, out)
 	pc, ar, file, n, rank := l.pc, &l.ar, l.file, c.Size(), c.Rank()
-	defer pc.close()
 	next := (rank + 1) % n
 	prev := (rank - 1 + n) % n
 
@@ -712,7 +680,6 @@ func (ar *readArena) recvFragment(c *mpi.Comm, src int) ([]byte, bool, error) {
 func readOverlap(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Framing, blockSize int64, out output) ([]geom.Geometry, ReadStats, error) {
 	l := newBlockLoop(c, f, p, opt, fr, blockSize, out)
 	pc, file, fileSize := l.pc, l.file, f.Size()
-	defer pc.close()
 
 	for i := 0; i < l.iterations; i++ {
 		l.at(i)
@@ -752,7 +719,7 @@ func readOverlap(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Frami
 
 		// Scan the owned records first — boundary hops only, no parsing — so
 		// the whole run can be handed to the parser as one whole-record
-		// region (sharded across the parse workers when ParseWorkers > 0).
+		// region.
 		runStart := pos
 		incomplete := false
 		for pos < ownedEnd {
@@ -786,10 +753,8 @@ func readOverlap(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Frami
 
 // parseCtx accumulates one rank's parse results and defers parse errors so
 // the collective read structure stays intact: every rank completes all
-// iterations and the error becomes collective in finish(). With
-// ReadOptions.ParseWorkers > 0 over a self-synchronizing (text) framing it
-// also owns the rank's parse worker pool (see parsepool.go); otherwise pool
-// is nil and everything runs inline.
+// iterations and the error becomes collective in finish(). Every record is
+// parsed inline on the rank goroutine.
 type parseCtx struct {
 	c        *mpi.Comm
 	p        Parser
@@ -800,7 +765,6 @@ type parseCtx struct {
 	geoms    []geom.Geometry
 	stats    ReadStats
 	firstErr error
-	pool     *parsePool
 
 	// Streaming mode (ReadStream): geoms doubles as the pooled batch
 	// accumulator, flushed to sink whenever it reaches batchTarget. A sink
@@ -822,12 +786,7 @@ type parseCtx struct {
 // ReadOptions.StreamBatch is zero.
 const defaultStreamBatch = 256
 
-// newParseCtx builds the parse context for one collective read, spinning up
-// the worker pool when ParseWorkers asks for one and the framing is text.
-// Length-prefixed records — the raw path included — are always parsed or
-// scanned on the rank goroutine. Callers must pc.close() on every exit path
-// (finish does it on the success path; a deferred close is idempotent and
-// covers errors).
+// newParseCtx builds the parse context for one collective read.
 func newParseCtx(c *mpi.Comm, p Parser, opt ReadOptions, fr Framing, scale float64, file string, out output) *parseCtx {
 	pc := &parseCtx{c: c, p: p, opt: opt, fr: fr, scale: scale, file: file, sink: out.batch, raw: out.raw}
 	if pc.sink != nil {
@@ -835,9 +794,6 @@ func newParseCtx(c *mpi.Comm, p Parser, opt ReadOptions, fr Framing, scale float
 		if pc.batchTarget <= 0 {
 			pc.batchTarget = defaultStreamBatch
 		}
-	}
-	if opt.ParseWorkers > 0 && fr.selfSync() {
-		pc.pool = newParsePool(opt.ParseWorkers, p, fr, scale)
 	}
 	return pc
 }
@@ -881,11 +837,9 @@ func (pc *parseCtx) deliver() {
 
 // maybeFlush emits full batches once the accumulator reaches the bound,
 // keeping any remainder buffered. Exact batchTarget-sized slices make the
-// batch boundaries a pure function of the geometry stream — identical for
-// any ParseWorkers setting, since the stream itself is — and the sink
-// calls happen at the deterministic merge points (after each inline
-// record, after each worker-batch join), like every other clock-visible
-// event on the rank goroutine.
+// batch boundaries a pure function of the geometry stream, and the sink
+// runs right after the record that fills a batch, on the rank goroutine
+// like every other clock-visible event.
 func (pc *parseCtx) maybeFlush() {
 	if pc.sink == nil || len(pc.geoms) < pc.batchTarget {
 		return
@@ -899,64 +853,29 @@ func (pc *parseCtx) maybeFlush() {
 	pc.geoms = pc.geoms[:rem]
 }
 
-// region routes one whole-record byte run to the parser: inline on the
-// serial path, or copied and sharded into batches for the text worker pool.
-// With atEOF the run may end in a partial record, settled by the framing's
-// EOF rule (see parseRegion). data aliases recycled reader buffers, so the
-// parallel path copies synchronously before returning; the caller may reuse
-// the buffer immediately either way.
-func (pc *parseCtx) region(data []byte, atEOF bool) {
-	if len(data) == 0 {
-		return
-	}
-	if pc.pool == nil {
-		pc.records(data, atEOF)
-		return
-	}
-	// Shard at record boundaries so batches land on several workers; the
-	// trailing piece keeps the region's atEOF disposition.
-	for len(data) > 2*parseChunkTarget {
-		cut := splitRegion(pc.fr, data, parseChunkTarget)
-		if cut >= len(data) {
-			break
-		}
-		pc.submit(data[:cut], false)
-		data = data[cut:]
-	}
-	pc.submit(data, atEOF)
-}
-
-// records splits a whole-record byte run into framed records and parses
+// region splits a whole-record byte run into framed records and parses
 // each inline. atEOF marks a run ending at end-of-file, where the framing's
 // EOF rule settles a trailing unterminated record (text framing accepts it,
-// binary framing reports truncation).
-func (pc *parseCtx) records(data []byte, atEOF bool) {
-	parseRegion(pc.fr, data, atEOF, pc.one, pc.fail)
-}
-
-// parseRegion iterates the framed records of a whole-record region, handing
-// each payload to one and any framing breach to fail. It is the single
-// definition of region decoding, shared by the serial parseCtx and the pool
-// workers so the two paths cannot drift.
-func parseRegion(fr Framing, data []byte, atEOF bool, one func([]byte), fail func(error)) {
+// binary framing reports truncation). data may alias recycled reader
+// buffers; nothing is retained past the call.
+func (pc *parseCtx) region(data []byte, atEOF bool) {
 	for len(data) > 0 {
-		payload, framed, ok := fr.next(data)
+		payload, framed, ok := pc.fr.next(data)
 		if !ok {
-			tail, emit, err := fr.eofTail(data)
+			tail, emit, err := pc.fr.eofTail(data)
 			switch {
 			case !atEOF:
-				// Callers hand parseRegion whole-record regions; leftover
-				// away from EOF is a framing invariant breach, not file
-				// truncation.
-				fail(fmt.Errorf("internal: %d unframed trailing bytes in record region", len(data)))
+				// Callers hand region whole-record runs; leftover away from
+				// EOF is a framing invariant breach, not file truncation.
+				pc.fail(fmt.Errorf("internal: %d unframed trailing bytes in record region", len(data)))
 			case err != nil:
-				fail(err)
+				pc.fail(err)
 			case emit:
-				one(tail)
+				pc.one(tail)
 			}
 			return
 		}
-		one(payload)
+		pc.one(payload)
 		data = data[framed:]
 	}
 }
@@ -1005,11 +924,7 @@ func parseErr(rec []byte, err error) error {
 
 // fail records a malformed-record or framing error: counted always,
 // remembered (to fail the collective read) unless SkipErrors is set.
-// Outstanding parallel batches are merged first — they lie earlier in the
-// file, so their errors take first-error precedence, exactly as on the
-// serial path.
 func (pc *parseCtx) fail(err error) {
-	pc.drain()
 	pc.stats.Errors++
 	if !pc.opt.SkipErrors && pc.firstErr == nil {
 		pc.firstErr = pc.stamp(err)
@@ -1017,15 +932,15 @@ func (pc *parseCtx) fail(err error) {
 }
 
 // stamp anchors a deferred record-level error to its rank and file — the
-// same context ioErr gives immediate I/O errors. Record errors have no
-// single block offset once parallel batches interleave, so none is claimed;
-// the record text in the cause pins the location instead.
+// same context ioErr gives immediate I/O errors. A record may be assembled
+// from several blocks (a carried prefix, relayed fragments), so no single
+// block offset is claimed; the record text in the cause pins the location
+// instead.
 func (pc *parseCtx) stamp(err error) error {
 	return fmt.Errorf("core: rank %d file %q: %w", pc.c.Rank(), pc.file, err)
 }
 
-// finish joins any outstanding parse batches, stops the workers, delivers
-// the final partial batch (streaming mode), and settles deferred errors
+// finish delivers the final partial batch (streaming mode) and settles deferred errors
 // collectively: one two-flag Allreduce — parse failures and sink failures
 // travel separately, because SkipErrors silences the former but never the
 // latter — tells every rank whether any rank failed, so all ranks of a
@@ -1037,9 +952,7 @@ func (pc *parseCtx) stamp(err error) error {
 // identical agreement structure on both paths means ReadPartition and a
 // collecting-sink ReadStream share the exact virtual-time trajectory.
 func (pc *parseCtx) finish() ([]geom.Geometry, ReadStats, error) {
-	pc.drain()
 	pc.deliver()
-	pc.close()
 	if pc.opt.SkipErrors && pc.sink == nil && pc.raw == nil {
 		return pc.geoms, pc.stats, nil
 	}

@@ -56,9 +56,9 @@ func TestReadPartitionCollectiveErrorAgreement(t *testing.T) {
 	}
 }
 
-// TestReadPartitionCustomDelimiter: records separated by ';' instead of
-// newlines partition just as well — the delimiter is a parameter, not an
-// assumption.
+// TestReadPartitionCustomDelimiter checks that records separated by ';'
+// instead of newlines partition just as well — the delimiter is a
+// parameter of the framing, not an assumption.
 func TestReadPartitionCustomDelimiter(t *testing.T) {
 	fs, _ := pfs.New(pfs.CometLustre())
 	pf, _ := fs.Create("semi.wkt", 2, 1<<10)
@@ -69,7 +69,7 @@ func TestReadPartitionCustomDelimiter(t *testing.T) {
 	err := mpi.Run(cluster.Local(3), func(c *mpi.Comm) error {
 		f := mpiio.Open(c, pf, mpiio.Hints{})
 		geoms, _, err := ReadPartition(c, f, WKTParser{}, ReadOptions{
-			BlockSize: 8, Delimiter: ';',
+			BlockSize: 8, Framing: Delimited(';'),
 		})
 		if err != nil {
 			return err

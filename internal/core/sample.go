@@ -69,13 +69,7 @@ type PartitionOptions struct {
 // and the analysis runs on the reduced (identical) sample. All ranks must
 // call it collectively.
 func SamplePartition(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, popt PartitionOptions) (*grid.Adaptive, error) {
-	if opt.Delimiter == 0 {
-		opt.Delimiter = '\n'
-	}
-	fr := opt.Framing
-	if fr == nil {
-		fr = Delimited(opt.Delimiter)
-	}
+	fr := opt.framing()
 	stride := popt.SampleStride
 	if stride <= 0 {
 		stride = defaultSampleStride

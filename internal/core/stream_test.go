@@ -87,7 +87,7 @@ func readPerRankClocked(t *testing.T, pf *pfs.File, ranks int, mk func() Parser,
 }
 
 // TestReadStreamMatrix is the tentpole's streaming-equivalence contract:
-// for every framing × strategy × access level × worker count, a
+// for every framing × strategy × access level, a
 // collecting-sink ReadStream must deliver rank-by-rank byte-identical
 // geometries in identical order to ReadPartition, with identical stats and
 // an identical final virtual clock (the two share one engine and one
@@ -111,26 +111,24 @@ func TestReadStreamMatrix(t *testing.T) {
 	for _, fc := range cases {
 		for _, strat := range []Strategy{MessageBased, Overlap} {
 			for _, level := range []AccessLevel{Level0, Level1} {
-				for _, workers := range []int{0, 4} {
-					opt := ReadOptions{
-						BlockSize: 1 << 10, Strategy: strat, Level: level,
-						MaxGeomSize: 2 << 10, Framing: fc.fr, ParseWorkers: workers,
+				opt := ReadOptions{
+					BlockSize: 1 << 10, Strategy: strat, Level: level,
+					MaxGeomSize: 2 << 10, Framing: fc.fr,
+				}
+				label := fmt.Sprintf("%s %s level=%d", fc.name, strat, level)
+				want, wantStats, wantClocks := readPerRankClocked(t, fc.pf, ranks, fc.mk, opt)
+				opt.StreamBatch = 37 // force many batches, uneven tail
+				got, gotStats, batches, gotClocks := streamPerRank(t, fc.pf, ranks, fc.mk, opt)
+				assertRanksIdentical(t, got, want, label)
+				for r := 0; r < ranks; r++ {
+					if gotStats[r] != wantStats[r] {
+						t.Errorf("%s: rank %d stats drifted:\n got %+v\nwant %+v", label, r, gotStats[r], wantStats[r])
 					}
-					label := fmt.Sprintf("%s %s level=%d workers=%d", fc.name, strat, level, workers)
-					want, wantStats, wantClocks := readPerRankClocked(t, fc.pf, ranks, fc.mk, opt)
-					opt.StreamBatch = 37 // force many batches, uneven tail
-					got, gotStats, batches, gotClocks := streamPerRank(t, fc.pf, ranks, fc.mk, opt)
-					assertRanksIdentical(t, got, want, label)
-					for r := 0; r < ranks; r++ {
-						if gotStats[r] != wantStats[r] {
-							t.Errorf("%s: rank %d stats drifted:\n got %+v\nwant %+v", label, r, gotStats[r], wantStats[r])
-						}
-						if gotClocks[r] != wantClocks[r] {
-							t.Errorf("%s: rank %d clock %g, materialized %g", label, r, gotClocks[r], wantClocks[r])
-						}
-						if wantBatches := (len(want[r]) + 36) / 37; batches[r] != wantBatches {
-							t.Errorf("%s: rank %d delivered %d batches, want %d", label, r, batches[r], wantBatches)
-						}
+					if gotClocks[r] != wantClocks[r] {
+						t.Errorf("%s: rank %d clock %g, materialized %g", label, r, gotClocks[r], wantClocks[r])
+					}
+					if wantBatches := (len(want[r]) + 36) / 37; batches[r] != wantBatches {
+						t.Errorf("%s: rank %d delivered %d batches, want %d", label, r, batches[r], wantBatches)
 					}
 				}
 			}
@@ -158,7 +156,7 @@ func renderCells(cells map[int][]geom.Geometry) exchangeResult {
 // partition identically to the two-pass materialized pipeline
 // (ReadPartition + Exchange) — same per-rank cells, same within-cell
 // order, same exchange counters, same ProjectTime — across framings,
-// strategies, worker counts, and sliding-window phase counts. And since
+// strategies, and sliding-window phase counts. And since
 // Exchange is one Add over the same engine, feeding the materialized slice
 // through Stream + Add in chunks of any size + Finish must reproduce it
 // bitwise: cells, within-cell order, every ExchangeStats field, and the
@@ -188,93 +186,91 @@ func TestStreamedExchangeMatrix(t *testing.T) {
 	const ranks = 3
 	for _, fc := range cases {
 		for _, strat := range []Strategy{MessageBased, Overlap} {
-			for _, workers := range []int{0, 3} {
-				for _, window := range []int{0, 5} { // one phase vs 13 phases over 64 cells
-					opt := ReadOptions{
-						BlockSize: 1 << 10, Strategy: strat, MaxGeomSize: 2 << 10,
-						Framing: fc.fr, ParseWorkers: workers, StreamBatch: 29,
-					}
-					label := fmt.Sprintf("%s %s workers=%d window=%d", fc.name, strat, workers, window)
+			for _, window := range []int{0, 5} { // one phase vs 13 phases over 64 cells
+				opt := ReadOptions{
+					BlockSize: 1 << 10, Strategy: strat, MaxGeomSize: 2 << 10,
+					Framing: fc.fr, StreamBatch: 29,
+				}
+				label := fmt.Sprintf("%s %s window=%d", fc.name, strat, window)
 
-					run := func(feed int) ([]exchangeResult, []ExchangeStats, []float64) {
-						var mu sync.Mutex
-						res := make([]exchangeResult, ranks)
-						sts := make([]ExchangeStats, ranks)
-						clocks := make([]float64, ranks)
-						err := mpi.Run(cluster.Local(ranks), func(c *mpi.Comm) error {
-							f := mpiio.Open(c, pf(fc), mpiio.Hints{})
-							g, err := grid.New(world, 8, 8)
+				run := func(feed int) ([]exchangeResult, []ExchangeStats, []float64) {
+					var mu sync.Mutex
+					res := make([]exchangeResult, ranks)
+					sts := make([]ExchangeStats, ranks)
+					clocks := make([]float64, ranks)
+					err := mpi.Run(cluster.Local(ranks), func(c *mpi.Comm) error {
+						f := mpiio.Open(c, pf(fc), mpiio.Hints{})
+						g, err := grid.New(world, 8, 8)
+						if err != nil {
+							return err
+						}
+						pt := &Partitioner{Grid: g, WindowCells: window, DirectGrid: true}
+						var cells map[int][]geom.Geometry
+						var estats ExchangeStats
+						if feed == fused {
+							cells, _, estats, err = ReadExchange(c, f, fc.mk(), opt, pt)
+						} else {
+							var local []geom.Geometry
+							local, _, err = ReadPartition(c, f, fc.mk(), opt)
 							if err != nil {
 								return err
 							}
-							pt := &Partitioner{Grid: g, WindowCells: window, DirectGrid: true}
-							var cells map[int][]geom.Geometry
-							var estats ExchangeStats
-							if feed == fused {
-								cells, _, estats, err = ReadExchange(c, f, fc.mk(), opt, pt)
+							if feed == materialized {
+								cells, estats, err = pt.Exchange(c, local)
 							} else {
-								var local []geom.Geometry
-								local, _, err = ReadPartition(c, f, fc.mk(), opt)
-								if err != nil {
+								var ex *Exchanger
+								if ex, err = pt.Stream(c); err != nil {
 									return err
 								}
-								if feed == materialized {
-									cells, estats, err = pt.Exchange(c, local)
-								} else {
-									var ex *Exchanger
-									if ex, err = pt.Stream(c); err != nil {
+								for i := 0; i < len(local); i += feed {
+									if err = ex.Add(local[i:min(i+feed, len(local))]); err != nil {
 										return err
 									}
-									for i := 0; i < len(local); i += feed {
-										if err = ex.Add(local[i:min(i+feed, len(local))]); err != nil {
-											return err
-										}
-									}
-									cells, estats, err = ex.Finish()
 								}
+								cells, estats, err = ex.Finish()
 							}
-							if err != nil {
-								return err
-							}
-							mu.Lock()
-							res[c.Rank()] = renderCells(cells)
-							sts[c.Rank()] = estats
-							clocks[c.Rank()] = c.Now()
-							mu.Unlock()
-							return nil
-						})
-						if err != nil {
-							t.Fatal(err)
 						}
-						return res, sts, clocks
+						if err != nil {
+							return err
+						}
+						mu.Lock()
+						res[c.Rank()] = renderCells(cells)
+						sts[c.Rank()] = estats
+						clocks[c.Rank()] = c.Now()
+						mu.Unlock()
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
 					}
-					wantRes, wantSts, wantClocks := run(materialized)
-					gotRes, gotSts, _ := run(fused)
+					return res, sts, clocks
+				}
+				wantRes, wantSts, wantClocks := run(materialized)
+				gotRes, gotSts, _ := run(fused)
+				for r := 0; r < ranks; r++ {
+					if !reflect.DeepEqual(gotRes[r], wantRes[r]) {
+						t.Fatalf("%s: rank %d cells differ from materialized", label, r)
+					}
+					g, w := gotSts[r], wantSts[r]
+					if g.Replicas != w.Replicas || g.GeomsRecv != w.GeomsRecv ||
+						g.BytesSent != w.BytesSent || g.Phases != w.Phases {
+						t.Errorf("%s: rank %d counters drifted:\n got %+v\nwant %+v", label, r, g, w)
+					}
+					if diff := math.Abs(g.ProjectTime - w.ProjectTime); diff > 1e-9*(1+w.ProjectTime) {
+						t.Errorf("%s: rank %d ProjectTime %g, materialized %g", label, r, g.ProjectTime, w.ProjectTime)
+					}
+				}
+				for _, chunk := range []int{1, 7, wholeSlice} {
+					gotRes, gotSts, gotClocks := run(chunk)
 					for r := 0; r < ranks; r++ {
 						if !reflect.DeepEqual(gotRes[r], wantRes[r]) {
-							t.Fatalf("%s: rank %d cells differ from materialized", label, r)
+							t.Fatalf("%s: rank %d cells differ from Exchange with Add chunks of %d", label, r, chunk)
 						}
-						g, w := gotSts[r], wantSts[r]
-						if g.Replicas != w.Replicas || g.GeomsRecv != w.GeomsRecv ||
-							g.BytesSent != w.BytesSent || g.Phases != w.Phases {
-							t.Errorf("%s: rank %d counters drifted:\n got %+v\nwant %+v", label, r, g, w)
+						if gotSts[r] != wantSts[r] {
+							t.Errorf("%s: rank %d stats drifted with Add chunks of %d:\n got %+v\nwant %+v", label, r, chunk, gotSts[r], wantSts[r])
 						}
-						if diff := math.Abs(g.ProjectTime - w.ProjectTime); diff > 1e-9*(1+w.ProjectTime) {
-							t.Errorf("%s: rank %d ProjectTime %g, materialized %g", label, r, g.ProjectTime, w.ProjectTime)
-						}
-					}
-					for _, chunk := range []int{1, 7, wholeSlice} {
-						gotRes, gotSts, gotClocks := run(chunk)
-						for r := 0; r < ranks; r++ {
-							if !reflect.DeepEqual(gotRes[r], wantRes[r]) {
-								t.Fatalf("%s: rank %d cells differ from Exchange with Add chunks of %d", label, r, chunk)
-							}
-							if gotSts[r] != wantSts[r] {
-								t.Errorf("%s: rank %d stats drifted with Add chunks of %d:\n got %+v\nwant %+v", label, r, chunk, gotSts[r], wantSts[r])
-							}
-							if gotClocks[r] != wantClocks[r] {
-								t.Errorf("%s: rank %d clock %v with Add chunks of %d, Exchange %v", label, r, gotClocks[r], chunk, wantClocks[r])
-							}
+						if gotClocks[r] != wantClocks[r] {
+							t.Errorf("%s: rank %d clock %v with Add chunks of %d, Exchange %v", label, r, gotClocks[r], chunk, wantClocks[r])
 						}
 					}
 				}
@@ -295,50 +291,48 @@ func pf(fc struct {
 
 // TestReadStreamSinkErrorAgreement: a sink failure on one rank must fail
 // the collective read on every rank — the failing rank with its own error,
-// the others with ErrRemoteSink — under both SkipErrors settings and with
-// parse workers in play, with no hang.
+// the others with ErrRemoteSink — under both SkipErrors settings, with no
+// hang.
 func TestReadStreamSinkErrorAgreement(t *testing.T) {
 	pfile := makeWKTFile(t, genRecords(300, 38))
 	boom := errors.New("downstream full")
-	for _, workers := range []int{0, 4} {
-		for _, skip := range []bool{false, true} {
-			var mu sync.Mutex
-			remote, local := 0, 0
-			err := mpi.Run(cluster.Local(3), func(c *mpi.Comm) error {
-				f := mpiio.Open(c, pfile, mpiio.Hints{})
-				fail := c.Rank() == 1
-				delivered := 0
-				_, err := ReadStream(c, f, NewWKTParser(), ReadOptions{
-					BlockSize: 512, ParseWorkers: workers, SkipErrors: skip, StreamBatch: 16,
-				}, func(batch []geom.Geometry) error {
-					delivered++
-					if fail && delivered == 2 {
-						return boom
-					}
-					return nil
-				})
-				switch {
-				case err == nil:
-					return fmt.Errorf("rank %d: sink failure not surfaced", c.Rank())
-				case fail && errors.Is(err, boom):
-					mu.Lock()
-					local++
-					mu.Unlock()
-				case !fail && errors.Is(err, ErrRemoteSink):
-					mu.Lock()
-					remote++
-					mu.Unlock()
-				default:
-					return fmt.Errorf("rank %d: wrong error %v", c.Rank(), err)
+	for _, skip := range []bool{false, true} {
+		var mu sync.Mutex
+		remote, local := 0, 0
+		err := mpi.Run(cluster.Local(3), func(c *mpi.Comm) error {
+			f := mpiio.Open(c, pfile, mpiio.Hints{})
+			fail := c.Rank() == 1
+			delivered := 0
+			_, err := ReadStream(c, f, NewWKTParser(), ReadOptions{
+				BlockSize: 512, SkipErrors: skip, StreamBatch: 16,
+			}, func(batch []geom.Geometry) error {
+				delivered++
+				if fail && delivered == 2 {
+					return boom
 				}
 				return nil
 			})
-			if err != nil {
-				t.Fatalf("workers=%d skip=%v: %v", workers, skip, err)
+			switch {
+			case err == nil:
+				return fmt.Errorf("rank %d: sink failure not surfaced", c.Rank())
+			case fail && errors.Is(err, boom):
+				mu.Lock()
+				local++
+				mu.Unlock()
+			case !fail && errors.Is(err, ErrRemoteSink):
+				mu.Lock()
+				remote++
+				mu.Unlock()
+			default:
+				return fmt.Errorf("rank %d: wrong error %v", c.Rank(), err)
 			}
-			if local != 1 || remote != 2 {
-				t.Fatalf("workers=%d skip=%v: local=%d remote=%d", workers, skip, local, remote)
-			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("skip=%v: %v", skip, err)
+		}
+		if local != 1 || remote != 2 {
+			t.Fatalf("skip=%v: local=%d remote=%d", skip, local, remote)
 		}
 	}
 }
@@ -357,44 +351,42 @@ func TestReadStreamParseErrorAgreement(t *testing.T) {
 		pfile.Append([]byte{'\n'})
 	}
 
-	for _, workers := range []int{0, 4} {
-		// Fatal: all ranks fail, none hang.
-		failures := 0
-		var mu sync.Mutex
-		err := mpi.Run(cluster.Local(3), func(c *mpi.Comm) error {
-			f := mpiio.Open(c, pfile, mpiio.Hints{})
-			_, err := ReadStream(c, f, NewWKTParser(), ReadOptions{
-				BlockSize: 512, ParseWorkers: workers, StreamBatch: 16,
-			}, func([]geom.Geometry) error { return nil })
-			if err == nil {
-				return fmt.Errorf("rank %d: malformed record accepted", c.Rank())
-			}
-			if !errors.Is(err, ErrRemoteParse) && !strings.Contains(err.Error(), "broken") {
-				return fmt.Errorf("rank %d: wrong error %v", c.Rank(), err)
-			}
-			mu.Lock()
-			failures++
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	// Fatal: all ranks fail, none hang.
+	failures := 0
+	var mu sync.Mutex
+	err := mpi.Run(cluster.Local(3), func(c *mpi.Comm) error {
+		f := mpiio.Open(c, pfile, mpiio.Hints{})
+		_, err := ReadStream(c, f, NewWKTParser(), ReadOptions{
+			BlockSize: 512, StreamBatch: 16,
+		}, func([]geom.Geometry) error { return nil })
+		if err == nil {
+			return fmt.Errorf("rank %d: malformed record accepted", c.Rank())
 		}
-		if failures != 3 {
-			t.Fatalf("workers=%d: %d ranks failed, want 3", workers, failures)
+		if !errors.Is(err, ErrRemoteParse) && !strings.Contains(err.Error(), "broken") {
+			return fmt.Errorf("rank %d: wrong error %v", c.Rank(), err)
 		}
+		mu.Lock()
+		failures++
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failures != 3 {
+		t.Fatalf("%d ranks failed, want 3", failures)
+	}
 
-		// SkipErrors: stream completes; counts match materialized.
-		opt := ReadOptions{BlockSize: 512, ParseWorkers: workers, SkipErrors: true}
-		want, wantStats := readPerRank(t, pfile, 3, func() Parser { return NewWKTParser() }, opt)
-		opt.StreamBatch = 16
-		got, gotStats, _, _ := streamPerRank(t, pfile, 3, func() Parser { return NewWKTParser() }, opt)
-		assertRanksIdentical(t, got, want, fmt.Sprintf("skip-errors workers=%d", workers))
-		for r := range wantStats {
-			if gotStats[r].Errors != wantStats[r].Errors || gotStats[r].Records != wantStats[r].Records {
-				t.Errorf("workers=%d rank %d: records/errors %d/%d, want %d/%d", workers, r,
-					gotStats[r].Records, gotStats[r].Errors, wantStats[r].Records, wantStats[r].Errors)
-			}
+	// SkipErrors: stream completes; counts match materialized.
+	opt := ReadOptions{BlockSize: 512, SkipErrors: true}
+	want, wantStats := readPerRank(t, pfile, 3, func() Parser { return NewWKTParser() }, opt)
+	opt.StreamBatch = 16
+	got, gotStats, _, _ := streamPerRank(t, pfile, 3, func() Parser { return NewWKTParser() }, opt)
+	assertRanksIdentical(t, got, want, "skip-errors")
+	for r := range wantStats {
+		if gotStats[r].Errors != wantStats[r].Errors || gotStats[r].Records != wantStats[r].Records {
+			t.Errorf("rank %d: records/errors %d/%d, want %d/%d", r,
+				gotStats[r].Records, gotStats[r].Errors, wantStats[r].Records, wantStats[r].Errors)
 		}
 	}
 }

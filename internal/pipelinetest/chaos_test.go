@@ -75,7 +75,7 @@ func chaosWorkloads(t *testing.T) []*chaosWorkload {
 
 // settleGoroutines waits for the goroutine count to fall back to the
 // pre-run level — the no-leak half of the failure contract. The count can
-// transiently overshoot (the mpi ticker and parse workers wind down
+// transiently overshoot (the mpi ticker and rank goroutines wind down
 // asynchronously after an abort), so it polls with a deadline.
 func settleGoroutines(t *testing.T, label string, before int) {
 	t.Helper()

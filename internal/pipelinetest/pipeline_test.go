@@ -85,7 +85,7 @@ func genQueries(n int, seed int64) []geom.Envelope {
 }
 
 // TestPipelineEquivalenceMatrix is the tentpole's contract: for every
-// framing × strategy × ParseWorkers configuration, the streamed pipeline
+// framing × strategy configuration, the streamed pipeline
 // (BuildIndexStream / RangeQueryFiles) and its backpressure variant must
 // reproduce the materialized pipeline exactly — per-rank read output and
 // ReadStats, per-cell index cardinalities and geometry multisets, query
@@ -107,23 +107,21 @@ func TestPipelineEquivalenceMatrix(t *testing.T) {
 
 	for _, fc := range files {
 		for _, strat := range []core.Strategy{core.MessageBased, core.Overlap} {
-			for _, workers := range []int{0, 3} {
-				label := fmt.Sprintf("%s %s workers=%d", fc.name, strat, workers)
-				cfg := Config{
-					File:   fc.pf,
-					Parser: fc.mk,
-					ReadOpt: core.ReadOptions{
-						BlockSize: 1 << 10, Strategy: strat, MaxGeomSize: 2 << 10,
-						Framing: fc.fr, ParseWorkers: workers, StreamBatch: 29,
-					},
-					Envelope:    world,
-					GridCells:   64,
-					WindowCells: 7, // 10 sliding-window phases over 64 cells
-					Queries:     queries,
-					Ranks:       3,
-				}
-				AssertAllEquivalent(t, label, RunAll(t, cfg))
+			label := fmt.Sprintf("%s %s", fc.name, strat)
+			cfg := Config{
+				File:   fc.pf,
+				Parser: fc.mk,
+				ReadOpt: core.ReadOptions{
+					BlockSize: 1 << 10, Strategy: strat, MaxGeomSize: 2 << 10,
+					Framing: fc.fr, StreamBatch: 29,
+				},
+				Envelope:    world,
+				GridCells:   64,
+				WindowCells: 7, // 10 sliding-window phases over 64 cells
+				Queries:     queries,
+				Ranks:       3,
 			}
+			AssertAllEquivalent(t, label, RunAll(t, cfg))
 		}
 	}
 }

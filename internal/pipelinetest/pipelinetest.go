@@ -13,8 +13,8 @@
 // Tests hand Build a file, a parser constructor, read options, a known
 // global envelope, and a query batch; RunAll/AssertEquivalent do the rest.
 // The harness is deliberately workload-agnostic so later PRs can pin new
-// pipeline variants (different framings, strategies, window shapes,
-// worker counts, rank counts) with one call.
+// pipeline variants (different framings, strategies, window shapes, rank
+// counts) with one call.
 package pipelinetest
 
 import (

@@ -74,23 +74,21 @@ func TestJoinFilesStreamedMatchesTwoPass(t *testing.T) {
 	world := core.LocalEnvelope(rSet).Union(core.LocalEnvelope(sSet))
 
 	for _, ranks := range []int{1, 3} {
-		for _, workers := range []int{0, 3} {
-			readOpt := core.ReadOptions{BlockSize: 1 << 10, ParseWorkers: workers, StreamBatch: 23}
-			twoPass := runJoinFiles(t, fR, fS, ranks, readOpt, JoinOptions{GridCells: 64})
-			onePass := runJoinFiles(t, fR, fS, ranks, readOpt, JoinOptions{GridCells: 64, Envelope: &world})
-			if twoPass.Pairs != oracle {
-				t.Fatalf("ranks=%d workers=%d: two-pass pairs = %d, oracle %d", ranks, workers, twoPass.Pairs, oracle)
-			}
-			if onePass.Pairs != oracle {
-				t.Errorf("ranks=%d workers=%d: streamed pairs = %d, oracle %d", ranks, workers, onePass.Pairs, oracle)
-			}
-			if onePass.Indexed != twoPass.Indexed {
-				t.Errorf("ranks=%d workers=%d: streamed indexed %d, two-pass %d (grids diverged?)",
-					ranks, workers, onePass.Indexed, twoPass.Indexed)
-			}
-			if onePass.Read <= 0 || onePass.Comm <= 0 || onePass.Total <= 0 {
-				t.Errorf("ranks=%d workers=%d: streamed breakdown not populated: %+v", ranks, workers, onePass)
-			}
+		readOpt := core.ReadOptions{BlockSize: 1 << 10, StreamBatch: 23}
+		twoPass := runJoinFiles(t, fR, fS, ranks, readOpt, JoinOptions{GridCells: 64})
+		onePass := runJoinFiles(t, fR, fS, ranks, readOpt, JoinOptions{GridCells: 64, Envelope: &world})
+		if twoPass.Pairs != oracle {
+			t.Fatalf("ranks=%d: two-pass pairs = %d, oracle %d", ranks, twoPass.Pairs, oracle)
+		}
+		if onePass.Pairs != oracle {
+			t.Errorf("ranks=%d: streamed pairs = %d, oracle %d", ranks, onePass.Pairs, oracle)
+		}
+		if onePass.Indexed != twoPass.Indexed {
+			t.Errorf("ranks=%d: streamed indexed %d, two-pass %d (grids diverged?)",
+				ranks, onePass.Indexed, twoPass.Indexed)
+		}
+		if onePass.Read <= 0 || onePass.Comm <= 0 || onePass.Total <= 0 {
+			t.Errorf("ranks=%d: streamed breakdown not populated: %+v", ranks, onePass)
 		}
 	}
 }

@@ -63,9 +63,9 @@ const slabPoints = 1024
 // Parser is a reusable WKT scanner. The zero value is ready to use. It
 // owns a coordinate arena, so a Parser is single-goroutine; geometries it
 // returns remain valid for the Parser's whole lifetime and after it is
-// discarded. Parallel consumers hold one Parser per goroutine — this is
-// what core's per-rank parse workers do, each worker cloning its own —
-// rather than sharing one behind a lock; the arena is the point.
+// discarded. Parallel consumers hold one Parser per goroutine — core's
+// NewWKTParser gives each rank its own — rather than sharing one behind a
+// lock; the arena is the point.
 type Parser struct {
 	buf []byte
 	pos int

@@ -80,35 +80,14 @@
 // reassembled transparently, and a file that ends mid-record fails with a
 // truncation error instead of silently dropping the tail.
 //
-// # Parallel parse workers
+// # One goroutine per rank
 //
-// Within one rank, ReadPartition parses serially by default. Setting
-// ReadOptions.ParseWorkers > 0 fans text record parsing out to that many
-// worker goroutines per rank, overlapping parse work with the next block's
-// I/O and the boundary exchange — on a multi-core host this lifts
-// text-ingest throughput, which is parse-bound. Binary (LengthPrefixed)
-// records always decode on the rank goroutine and ignore the knob: WKB
-// decodes close to I/O speed, so a second rank is the better use of a core.
-// Two guarantees hold for any worker count:
-//
-//   - Ordering: the geometry slice each rank returns is identical, order
-//     included, to the serial path. Whole-record regions are sharded into
-//     batches at record boundaries, and results re-assemble in file order.
-//   - Cost accounting: workers never touch the Comm. Each batch's
-//     virtual-time parse cost accumulates off-clock and is charged on the
-//     rank goroutine when the batch joins, so ReadStats.ParseTime totals
-//     match the serial path and parse-error agreement stays collective.
-//
-// The Parser must either implement ParserCloner — WKTParser does, so every
-// worker parses with its own coordinate arena — or be safe for concurrent
-// use:
-//
-//	vectorio.Run(cfg, func(c *vectorio.Comm) error {
-//		geoms, _, err := vectorio.ReadPartition(c, f, vectorio.NewWKTParser(), vectorio.ReadOptions{
-//			ParseWorkers: 4, // per rank; 0 = serial
-//		})
-//		...
-//	})
+// A rank reads, repairs boundaries and parses on its own goroutine; the
+// library starts no goroutine of its own inside a read. To use more cores,
+// run more ranks — Algorithm 1 gives each one its own blocks. The scaling
+// row (BenchmarkReadKnobs: ReadPartition of the 35 MB WKT lakes layer,
+// -cpu 2 on a 2-vCPU host, medians [quartiles] of 6, ms) is 217 [191–224]
+// on 1 rank, 143 [126–177] on 2 and 126 [110–150] on 4.
 //
 // # Streaming pipeline
 //
@@ -210,8 +189,8 @@
 // as the one-pass entry points — an IndexStream fed the whole slice in one
 // Add instead of by ReadStream — so the two compositions produce identical
 // per-cell indexes, query results, stats, and virtual-time trajectories;
-// internal/pipelinetest pins that equivalence bitwise across framings,
-// strategies, and worker counts.
+// internal/pipelinetest pins that equivalence bitwise across framings and
+// strategies.
 //
 // The sink runs on the rank goroutine; to overlap a slow consumer with the
 // read, add a rank. See examples/streamquery for the complete file-to-query
@@ -565,10 +544,6 @@ type (
 	// Parser converts one file record into a geometry (§4.3's flexible
 	// interface); WKTParser is the included WKT implementation.
 	Parser = core.Parser
-	// ParserCloner is a text Parser that can furnish independent
-	// per-worker instances for ReadOptions.ParseWorkers (see "Parallel
-	// parse workers" above).
-	ParserCloner = core.ParserCloner
 	// WKTParser parses newline-delimited WKT records.
 	WKTParser = core.WKTParser
 	// WKBParser parses binary WKB record payloads (use with the
