@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -41,6 +42,39 @@ func BenchmarkWKTParserDedicated(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkWKTParserLayer is ingest_wkt's per-record path without the
+// reader: about 1 MB of datagen's lakes, each record parsed in file order
+// by one NewWKTParser, the attribute cut included. The records differ, so
+// unlike the one-record fixtures above the branch predictor cannot learn a
+// record's signs and digit counts. It reports ns per vertex.
+func BenchmarkWKTParserLayer(b *testing.B) {
+	var file bytes.Buffer
+	if _, err := datagen.Generate(datagen.Lakes(), 9e9/1e6, &file); err != nil {
+		b.Fatal(err)
+	}
+	recs := bytes.Split(bytes.TrimSuffix(file.Bytes(), []byte{'\n'}), []byte{'\n'})
+	p := NewWKTParser()
+	verts := 0
+	for _, rec := range recs {
+		g, err := p.Parse(rec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		verts += g.NumPoints()
+	}
+	b.SetBytes(int64(file.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, rec := range recs {
+			if _, err := p.Parse(rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(verts), "ns/vertex")
 }
 
 // BenchmarkReadExchange is benchmark/'s partition_wkb op without the

@@ -17,6 +17,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/geom"
@@ -61,7 +62,7 @@ func (w WKTParser) Parse(record []byte) (geom.Geometry, error) {
 		return nil, nil
 	}
 	// Attributes may follow the geometry, separated by a tab.
-	if i := indexByte(record, '\t'); i >= 0 {
+	if i := bytes.IndexByte(record, '\t'); i >= 0 {
 		record = record[:i]
 	}
 	if w.scanner != nil {
@@ -140,15 +141,6 @@ func trimSpace(b []byte) []byte {
 		hi--
 	}
 	return b[lo:hi]
-}
-
-func indexByte(b []byte, c byte) int {
-	for i, x := range b {
-		if x == c {
-			return i
-		}
-	}
-	return -1
 }
 
 // AccessLevel selects the MPI-IO function class used for contiguous reads

@@ -174,16 +174,17 @@ func readCore(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, out output)
 	if blockSize <= 0 { // empty file
 		return nil, ReadStats{}, nil
 	}
-	if !fr.selfSync() {
-		return readMessageChain(c, f, p, opt, fr, blockSize, out)
+	if opt.MaxGeomSize <= 0 {
+		opt.MaxGeomSize = blockSize
 	}
-	if opt.Strategy == Overlap {
-		if opt.MaxGeomSize <= 0 {
-			opt.MaxGeomSize = blockSize
-		}
-		return readOverlap(c, f, p, opt, fr, blockSize, out)
+	l := newBlockLoop(c, f, p, opt, fr, blockSize, out)
+	switch {
+	case !fr.selfSync():
+		return readMessageChain(l)
+	case opt.Strategy == Overlap:
+		return readOverlap(l)
 	}
-	return readMessage(c, f, p, opt, fr, blockSize, out)
+	return readMessage(l)
 }
 
 // readArena holds one rank's reusable buffers for ReadPartition. Every
@@ -206,7 +207,7 @@ type readArena struct {
 	frags []byte
 	ends  []int
 
-	rec []byte // prefix + body record assembly
+	rec []byte // straddler assembly: the inbound prefix + the rest of its record
 
 	// carry double-buffers rank 0's cross-iteration prefix: the live
 	// buffer is consumed while the next iteration's carry builds in the
@@ -346,9 +347,9 @@ func (l *blockLoop) read(i int, what string, off, length int64) ([]byte, error) 
 // precisely because the framing is self-synchronizing: a rank finds its own
 // trailing fragment without knowing the stream phase at its block's first
 // byte.
-func readMessage(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Framing, blockSize int64, out output) ([]geom.Geometry, ReadStats, error) {
-	l := newBlockLoop(c, f, p, opt, fr, blockSize, out)
-	pc, ar, file, n, rank := l.pc, &l.ar, l.file, c.Size(), c.Rank()
+func readMessage(l *blockLoop) ([]geom.Geometry, ReadStats, error) {
+	c, pc, ar, fr, file := l.c, l.pc, &l.ar, l.pc.fr, l.file
+	n, rank := c.Size(), c.Rank()
 	next := (rank + 1) % n
 	prev := (rank - 1 + n) % n
 
@@ -462,24 +463,26 @@ func readMessage(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Frami
 			}
 		}
 
-		// Assemble and parse this iteration's records, copying only when a
-		// record genuinely spans buffers.
-		switch {
-		case stitched:
-			ar.rec = ar.appendFragsReversed(ar.rec[:0])
-			ar.rec = append(ar.rec, body...)
-			pc.region(ar.rec, isTerminal)
-		case len(prefix) == 0:
-			if len(body) > 0 {
-				pc.region(body, isTerminal)
+		// Parse this iteration's records. Only the straddler — the inbound
+		// prefix and body up to its first boundary — is copied, into ar.rec;
+		// the rest of body is parsed in place. A body with no boundary is all
+		// straddler.
+		if stitched || len(prefix) > 0 {
+			head := body
+			if fb := fr.firstBoundary(body); fb >= 0 {
+				head = body[:fb]
 			}
-		default:
-			// prefix non-empty implies body non-empty today (an active rank
-			// always contributes block bytes), but the concat stays correct
-			// either way.
-			ar.rec = append(ar.rec[:0], prefix...)
-			ar.rec = append(ar.rec, body...)
-			pc.region(ar.rec, isTerminal)
+			if stitched {
+				ar.rec = ar.appendFragsReversed(ar.rec[:0])
+			} else {
+				ar.rec = append(ar.rec[:0], prefix...)
+			}
+			ar.rec = append(ar.rec, head...)
+			body = body[len(head):]
+			pc.region(ar.rec, isTerminal && len(body) == 0)
+		}
+		if len(body) > 0 {
+			pc.region(body, isTerminal)
 		}
 	}
 	// Anything still carried at EOF is a final unterminated record.
@@ -508,9 +511,9 @@ func readMessage(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Frami
 // world-trailing fragment as its next-iteration carry. The terminal rank
 // owns end-of-file: nothing flows past it, and leftover bytes there are
 // settled by the framing's EOF rule (for binary records, truncation).
-func readMessageChain(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Framing, blockSize int64, out output) ([]geom.Geometry, ReadStats, error) {
-	l := newBlockLoop(c, f, p, opt, fr, blockSize, out)
-	pc, ar, file, n, rank := l.pc, &l.ar, l.file, c.Size(), c.Rank()
+func readMessageChain(l *blockLoop) ([]geom.Geometry, ReadStats, error) {
+	c, pc, ar, file := l.c, l.pc, &l.ar, l.file
+	n, rank := c.Size(), c.Rank()
 	next := (rank + 1) % n
 	prev := (rank - 1 + n) % n
 
@@ -677,9 +680,8 @@ func (ar *readArena) recvFragment(c *mpi.Comm, src int) ([]byte, bool, error) {
 // first byte, and by one leading byte so a rank finds its first owned
 // record by scanning for the first boundary. Redundant I/O, no data
 // messages (§4.1).
-func readOverlap(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Framing, blockSize int64, out output) ([]geom.Geometry, ReadStats, error) {
-	l := newBlockLoop(c, f, p, opt, fr, blockSize, out)
-	pc, file, fileSize := l.pc, l.file, f.Size()
+func readOverlap(l *blockLoop) ([]geom.Geometry, ReadStats, error) {
+	c, pc, fr, file, fileSize := l.c, l.pc, l.pc.fr, l.file, l.f.Size()
 
 	for i := 0; i < l.iterations; i++ {
 		l.at(i)
@@ -692,7 +694,7 @@ func readOverlap(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, fr Frami
 		}
 		var extLen int64
 		if length > 0 {
-			extLen = min(start-extStart+length+opt.MaxGeomSize, fileSize-extStart)
+			extLen = min(start-extStart+length+pc.opt.MaxGeomSize, fileSize-extStart)
 		}
 		block, err := l.read(i, "overlap iteration", extStart, extLen)
 		if err != nil {

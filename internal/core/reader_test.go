@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -382,3 +383,71 @@ func TestReadPartitionEquivalenceProperty(t *testing.T) {
 }
 
 var _ = geom.Point{} // keep geom imported for helpers below
+
+// TestReadMessageCopiesOnlyTheStraddler pins Algorithm 1's record assembly
+// to the straddler: a rank copies the inbound prefix and its block up to
+// the first boundary into the assembly buffer and parses the rest of the
+// block in place. With blocks far larger than any record, the buffer stays
+// within about twice the longest record (append's growth) instead of
+// growing to a whole block. The relay case sends a record spanning more
+// than three blocks through intermediate ranks; it is the longest
+// straddler there.
+func TestReadMessageCopiesOnlyTheStraddler(t *testing.T) {
+	giant := "LINESTRING (0 0"
+	for i := 1; len(giant) < 15<<10; i++ {
+		giant += fmt.Sprintf(", %d %d", i, i%17)
+	}
+	giant += ")"
+	records := genRecords(3000, 38)
+	relay := append(append(genRecords(300, 39), giant), genRecords(300, 40)...)
+	for _, tc := range []struct {
+		name    string
+		block   int64
+		records []string
+	}{
+		{"short records", 64 << 10, records},
+		{"relay", 4 << 10, relay},
+	} {
+		longest := 0
+		for _, r := range tc.records {
+			longest = max(longest, len(r)+1) // the delimiter is assembled too
+		}
+		limit := 5 * longest / 2
+		pf := makeWKTFile(t, tc.records)
+		want := sequentialOracle(t, tc.records)
+		for ranks := 1; ranks <= 3; ranks++ {
+			label := fmt.Sprintf("%s, %d ranks", tc.name, ranks)
+			var mu sync.Mutex
+			var got []string
+			grown := make([]int, ranks)
+			err := mpi.Run(cluster.Local(ranks), func(c *mpi.Comm) error {
+				opt := ReadOptions{BlockSize: tc.block}
+				l := newBlockLoop(c, mpiio.Open(c, pf, mpiio.Hints{}), NewWKTParser(), opt, opt.framing(), opt.BlockSize, output{})
+				geoms, _, err := readMessage(l)
+				if err != nil {
+					return err
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				for _, g := range geoms {
+					got = append(got, wkt.Format(g))
+				}
+				grown[c.Rank()] = cap(l.ar.rec)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			sort.Strings(got)
+			assertSame(t, got, want, label)
+			if slices.Max(grown) == 0 {
+				t.Fatalf("%s: no rank assembled a record", label)
+			}
+			for r, n := range grown {
+				if n > limit {
+					t.Errorf("%s: rank %d's assembly buffer grew to %d bytes; the longest record is %d", label, r, n, longest)
+				}
+			}
+		}
+	}
+}

@@ -1,10 +1,13 @@
 package wkt
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strconv"
 	"testing"
+
+	"repro/internal/geom"
 )
 
 // refNumber is Parser.number without its fast path: scan the token, hand it
@@ -79,6 +82,9 @@ var numberSeeds = []string{
 	// exponents, overflow, underflow and non-decimal spellings
 	"1e23", "1E23", "1e-400", "1e999", "-1e999", "5e-324", "1.7976931348623157e308",
 	"1e", "1e+", "0x1p3", "inf", "NaN",
+	// padded with WKT whitespace, as the tokens of a point list are
+	" 1", "  -122.41942", "\t+.5", "\r\n5.", " -0", "\n.", " --1", "\t1.2.3", "  -2.5E-3",
+	" 12345678901234567", "\t\t", " ",
 }
 
 // numberTails end a seed token the ways a record does, and the ways that
@@ -113,6 +119,155 @@ func TestNumberMatchesStrconv(t *testing.T) {
 		if err != nil || math.Float64bits(got) != math.Float64bits(want) || p.pos != len(buf) {
 			t.Fatalf("%q: number = %v (%#x), consumed %d, err %v; strconv %v (%#x)",
 				buf, got, math.Float64bits(got), p.pos, err, want, math.Float64bits(want))
+		}
+	}
+}
+
+// refPointList is pointList with every coordinate converted by refNumber:
+// the token-at-a-time parse the cursor loop must match. It returns the
+// points and their folded envelope.
+func refPointList(p *Parser) ([]geom.Point, geom.Envelope, error) {
+	var env geom.Envelope
+	if err := p.expect('('); err != nil {
+		return nil, env, err
+	}
+	var pts []geom.Point
+	for i := 0; ; i++ {
+		x, err := refNumber(p)
+		if err != nil {
+			return nil, env, err
+		}
+		y, err := refNumber(p)
+		if err != nil {
+			return nil, env, err
+		}
+		pts = append(pts, geom.Point{X: x, Y: y})
+		env = geom.FoldPoint(env, i, x, y)
+		if p.peek() != ',' {
+			break
+		}
+		p.pos++
+	}
+	if err := p.expect(')'); err != nil {
+		return nil, env, err
+	}
+	return pts, env, nil
+}
+
+// refRingList is ringList over refPointList.
+func refRingList(p *Parser) ([][]geom.Point, []geom.Envelope, error) {
+	if err := p.expect('('); err != nil {
+		return nil, nil, err
+	}
+	var rings [][]geom.Point
+	var envs []geom.Envelope
+	for {
+		pts, env, err := refPointList(p)
+		if err != nil {
+			return nil, nil, err
+		}
+		rings, envs = append(rings, pts), append(envs, env)
+		if p.peek() != ',' {
+			break
+		}
+		p.pos++
+	}
+	if err := p.expect(')'); err != nil {
+		return nil, nil, err
+	}
+	return rings, envs, nil
+}
+
+// sameBits reports whether two point runs are equal bit for bit.
+func sameBits(a, b []geom.Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i].X) != math.Float64bits(b[i].X) || math.Float64bits(a[i].Y) != math.Float64bits(b[i].Y) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameEnvBits is sameBits for envelopes.
+func sameEnvBits(a, b geom.Envelope) bool {
+	return sameBits([]geom.Point{{X: a.MinX, Y: a.MinY}, {X: a.MaxX, Y: a.MaxY}},
+		[]geom.Point{{X: b.MinX, Y: b.MinY}, {X: b.MaxX, Y: b.MaxY}})
+}
+
+// sameErr reports whether two parse errors agree: both nil, or both
+// SyntaxErrors with the same offset and text.
+func sameErr(a, b error) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	var sa, sb *SyntaxError
+	return errors.As(a, &sa) && errors.As(b, &sb) && *sa == *sb
+}
+
+// listTokens are the coordinate tokens the cursor loop must hand to the
+// token-at-a-time fallback: exponents, 16+ digits, a leading '+' or '.', a
+// trailing '.', a signed zero, bare and malformed tokens, and tokens padded
+// with every kind of WKT whitespace.
+var listTokens = []string{
+	"1e5", "-2.5E-3", "1234567890.1234567", "93.59078931092681", "+.5", "5.", "-0",
+	".", "--1", "1.2.3", "1-2", "+", "  -7.25 ", "\t12\r\n", " \n-0.00001\t",
+}
+
+// TestPointListMatchesNumber puts each listTokens entry in every coordinate
+// slot — x or y of the first, a middle or the last point — of a LINESTRING
+// point list and of either ring of a POLYGON ring list, the other slots
+// holding datagen's five-decimal coordinates, and checks the cursor loop
+// against refPointList / refRingList: coordinates and primed envelopes
+// bitwise, bytes consumed, and the SyntaxError offset and text.
+func TestPointListMatchesNumber(t *testing.T) {
+	const points = 3
+	fill := []string{"-122.41942", "37.77493", "0.00000", "-0.00001", "179.99999", "-90.00000"}
+	list := func(slot int, tok string) string {
+		b := []byte("(")
+		for k := 0; k < 2*points; k++ {
+			switch {
+			case k > 0 && k%2 == 0:
+				b = append(b, ", "...)
+			case k%2 == 1:
+				b = append(b, ' ')
+			}
+			if k == slot {
+				b = append(b, tok...)
+			} else {
+				b = append(b, fill[k]...)
+			}
+		}
+		return string(append(b, ')'))
+	}
+	others := list(-1, "")
+	for _, tok := range listTokens {
+		for slot := 0; slot < 2*points; slot++ {
+			ls := list(slot, tok)
+			got, ref := &Parser{buf: []byte(ls)}, &Parser{buf: []byte(ls)}
+			pts, err := got.pointList()
+			rpts, renv, rerr := refPointList(ref)
+			if !sameErr(err, rerr) || got.pos != ref.pos || !sameBits(pts, rpts) || (err == nil && !sameEnvBits(got.runEnv, renv)) {
+				t.Fatalf("LINESTRING %q: got %v env %v pos %d err %v; reference %v env %v pos %d err %v",
+					ls, pts, got.runEnv, got.pos, err, rpts, renv, ref.pos, rerr)
+			}
+			for _, rl := range []string{"(" + ls + ", " + others + ")", "(" + others + ", " + ls + ")"} {
+				got, ref := &Parser{buf: []byte(rl)}, &Parser{buf: []byte(rl)}
+				rings, err := got.ringList()
+				rrings, renvs, rerr := refRingList(ref)
+				if !sameErr(err, rerr) || got.pos != ref.pos || len(rings) != len(rrings) {
+					t.Fatalf("POLYGON %q: got %d rings pos %d err %v; reference %d rings pos %d err %v",
+						rl, len(rings), got.pos, err, len(rrings), ref.pos, rerr)
+				}
+				for i := range rings {
+					if !sameBits(rings[i], rrings[i]) || !sameEnvBits(got.ringEnvs[i], renvs[i]) {
+						t.Fatalf("POLYGON %q ring %d: got %v env %v; reference %v env %v",
+							rl, i, rings[i], got.ringEnvs[i], rrings[i], renvs[i])
+					}
+				}
+			}
 		}
 	}
 }

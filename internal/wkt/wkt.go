@@ -19,6 +19,7 @@ package wkt
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"unsafe"
@@ -126,15 +127,13 @@ func (p *Parser) errf(format string, args ...any) error {
 }
 
 func (p *Parser) skipSpace() {
-	for p.pos < len(p.buf) {
-		switch p.buf[p.pos] {
-		case ' ', '\t', '\r', '\n':
-			p.pos++
-		default:
-			return
-		}
+	for p.pos < len(p.buf) && isSpace(p.buf[p.pos]) {
+		p.pos++
 	}
 }
+
+// isSpace reports whether c is WKT whitespace.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
 
 // ident consumes an ASCII identifier and returns its raw bytes (no copy,
 // no case normalization — compare with foldEq).
@@ -207,52 +206,93 @@ var pow10 = [...]float64{
 // the significand of such a token is an exact float64.
 const maxFastDigits = 15
 
-// isNumByte reports whether c belongs to a number token.
-func isNumByte(c byte) bool {
-	return (c >= '0' && c <= '9') || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E'
+// numBytes marks the bytes that belong to a number token. A table, so the
+// check after every coordinate is one load rather than six compares.
+var numBytes = [256]bool{
+	'0': true, '1': true, '2': true, '3': true, '4': true, '5': true, '6': true, '7': true, '8': true, '9': true,
+	'.': true, '-': true, '+': true, 'e': true, 'E': true,
 }
 
-// number parses one floating-point literal. A token of the form
-// [+-]digits[.digits] with 1–15 digits in all (datagen's fixed five-decimal
-// coordinates have 6–8) is converted in the scan that finds it: its
-// significand and 10^fraction-digits are both exact float64s, so the one
-// IEEE division is correctly rounded — the value strconv.ParseFloat returns,
-// -0 included (Clinger's fast path). Every other token — more digits, an
-// exponent, a stray sign or second point — is rescanned and handed to
-// strconv, so what is accepted, how far it consumes and how it fails do not
-// depend on which path ran.
-func (p *Parser) number() (float64, error) {
-	p.skipSpace()
-	i, neg := p.pos, false
-	if i < len(p.buf) && (p.buf[i] == '-' || p.buf[i] == '+') {
-		neg = p.buf[i] == '-'
+// isNumByte reports whether c belongs to a number token.
+func isNumByte(c byte) bool { return numBytes[c] }
+
+// scanNumber is number's fast path as a pure function of the record and a
+// cursor, so the cursor stays in a register: it skips space from i, then
+// reads [+-]digits[.digits] with 1–15 digits in all (datagen's fixed
+// five-decimal coordinates have 6–8) and returns the value and the offset
+// just past the token. The sign costs no branch: a '-' sets bit 63, ORed
+// into the quotient, which is never negative, so this is negation, -0
+// included. Integer and fraction digits are read by two loops, so no digit
+// pays a check for the point. The significand and 10^fraction-digits are
+// both exact float64s, so the one IEEE division is correctly rounded — the
+// value strconv.ParseFloat returns (Clinger's fast path). Every other token
+// — more digits, an exponent, a stray sign or second point, no digits, or
+// a token followed by another number byte — returns end -1 and is left to
+// number's strconv path.
+func scanNumber(buf []byte, i int) (float64, int) {
+	for i < len(buf) && isSpace(buf[i]) {
 		i++
 	}
+	if i >= len(buf) {
+		return 0, -1
+	}
+	// '+' and '-' are 0x2B and 0x2D: s is 0 or 2 exactly for a sign. Both
+	// ifs compile to conditional moves.
+	s := buf[i] - '+'
+	var neg uint64
+	if s == 2 {
+		neg = 1 << 63
+	}
+	skip := 0
+	if s&^2 == 0 {
+		skip = 1
+	}
+	i += skip
+	start := i
 	var mant uint64
-	digits, dot := 0, -1
-	for ; i < len(p.buf); i++ {
-		c := p.buf[i]
-		if c >= '0' && c <= '9' {
-			mant = mant*10 + uint64(c-'0')
-			digits++
-		} else if c == '.' && dot < 0 {
-			dot = digits
-		} else {
+	for i < len(buf) {
+		d := buf[i] - '0'
+		if d > 9 {
 			break
 		}
+		mant = mant*10 + uint64(d)
+		i++
 	}
-	if digits > 0 && digits <= maxFastDigits && (i == len(p.buf) || !isNumByte(p.buf[i])) {
-		frac := 0
-		if dot >= 0 {
-			frac = digits - dot
+	digits, frac := i-start, 0
+	if i < len(buf) && buf[i] == '.' {
+		i++
+		fstart := i
+		for i < len(buf) {
+			d := buf[i] - '0'
+			if d > 9 {
+				break
+			}
+			mant = mant*10 + uint64(d)
+			i++
 		}
-		v := float64(mant) / pow10[frac]
-		if neg {
-			v = -v
-		}
-		p.pos = i
+		frac = i - fstart
+		digits += frac
+	}
+	if digits == 0 || digits > maxFastDigits || (i < len(buf) && isNumByte(buf[i])) {
+		return 0, -1
+	}
+	// mant < 10^15, so the signed conversion is exact and needs no
+	// high-bit fix-up.
+	return math.Float64frombits(math.Float64bits(float64(int64(mant))/pow10[frac]) | neg), i
+}
+
+// number parses one floating-point literal at the parser's cursor: scanNumber
+// converts the short decimals, and every token it declines is rescanned
+// from the first non-space byte and handed to strconv.ParseFloat. So what
+// is accepted, how far the cursor moves and how a bad token fails (the
+// error's offset is the token's first byte) do not depend on which path
+// ran.
+func (p *Parser) number() (float64, error) {
+	if v, end := scanNumber(p.buf, p.pos); end >= 0 {
+		p.pos = end
 		return v, nil
 	}
+	p.skipSpace()
 	start := p.pos
 	for p.pos < len(p.buf) && isNumByte(p.buf[p.pos]) {
 		p.pos++
@@ -451,25 +491,48 @@ func (p *Parser) point() (geom.Point, error) {
 }
 
 // pointList parses "(x y, x y, ...)" into the arena, folding its envelope.
+// The cursor lives in a local across each point's x, y and separator, and
+// scanNumber converts both coordinates; p.pos is written back only on exit,
+// or before a point scanNumber declines is reparsed by point from that
+// point's first byte. The fallback sees exactly the state number would
+// have left, so values, consumed bytes and error offsets and text are the
+// token-at-a-time parse's.
 func (p *Parser) pointList() ([]geom.Point, error) {
 	if err := p.expect('('); err != nil {
 		return nil, err
 	}
 	p.beginRun()
 	var env geom.Envelope
+	buf, pos := p.buf, p.pos
 	for i := 0; ; i++ {
-		pt, err := p.point()
-		if err != nil {
-			p.abandonRun()
-			return nil, err
+		x, end := scanNumber(buf, pos)
+		var y float64
+		if end >= 0 {
+			y, end = scanNumber(buf, end)
+		}
+		pt := geom.Point{X: x, Y: y}
+		if end >= 0 {
+			pos = end
+		} else {
+			p.pos = pos
+			var err error
+			if pt, err = p.point(); err != nil {
+				p.abandonRun()
+				return nil, err
+			}
+			pos = p.pos
 		}
 		p.pushPoint(pt)
 		env = geom.FoldPoint(env, i, pt.X, pt.Y)
-		if p.peek() != ',' {
+		for pos < len(buf) && isSpace(buf[pos]) {
+			pos++
+		}
+		if pos >= len(buf) || buf[pos] != ',' {
 			break
 		}
-		p.pos++
+		pos++
 	}
+	p.pos = pos
 	if err := p.expect(')'); err != nil {
 		p.abandonRun()
 		return nil, err
