@@ -262,17 +262,94 @@ func TestRectOfRejects(t *testing.T) {
 		"nan-coordinate": {Shell: []Point{{0, 0}, {math.NaN(), 0}, {4, 3}, {0, 3}, {0, 0}}},
 	}
 	for name, p := range cases {
-		if _, _, ok := rectOf(p); ok {
+		if _, ok := AsRect(p); ok {
 			t.Errorf("%s: taken for a rectangle", name)
 		}
 	}
 	for i, p := range rectRings(Envelope{-2, 1, 4, 3}) {
-		if r, _, ok := rectOf(p); !ok || r != (Envelope{-2, 1, 4, 3}) {
-			t.Errorf("ring %d: rectOf = %+v, %v", i, r, ok)
+		if rp, ok := AsRect(p); !ok || rp.r != (Envelope{-2, 1, 4, 3}) {
+			t.Errorf("ring %d: AsRect = %+v, %v", i, rp.r, ok)
 		}
 	}
-	if _, _, ok := rectOf(&LineString{Pts: Envelope{0, 0, 1, 1}.ToPolygon().Shell}); ok {
+	if _, ok := AsRect(&LineString{Pts: Envelope{0, 0, 1, 1}.ToPolygon().Shell}); ok {
 		t.Error("a line string is not a rectangle polygon")
+	}
+}
+
+// checkRectProbe holds the probe a refine loop builds once — AsRect of the
+// rectangle's polygon, fed the candidate's envelope — against the dispatch
+// and the general path on that polygon, in every vertex order. It returns
+// a description of the first disagreement, or "".
+func checkRectProbe(g Geometry, r Envelope) string {
+	for i, rp := range rectRings(r) {
+		p, ok := AsRect(rp)
+		if !ok {
+			if r.MinX < r.MaxX && r.MinY < r.MaxY {
+				return fmt.Sprintf("ring %d: AsRect rejects a proper rectangle", i)
+			}
+			continue
+		}
+		got := p.Intersects(g, g.Envelope())
+		if want := Intersects(g, rp); got != want {
+			return fmt.Sprintf("ring %d: RectProbe.Intersects = %v, Intersects = %v", i, got, want)
+		}
+		// An empty r's polygon has infinite corners, which the general path
+		// does not walk as a rectangle; checkRectEquivalence skips it too.
+		if want := intersectsGeneral(g, rp); !r.IsEmpty() && got != want {
+			return fmt.Sprintf("ring %d: RectProbe.Intersects = %v, general path = %v", i, got, want)
+		}
+	}
+	return ""
+}
+
+// probeRects returns the rectangles that stress a probe against a
+// candidate's envelope e: the case's own rectangle, and rectangles that
+// contain e, equal it, share one of its edges from outside, touch one of
+// its corners, and miss or cut it by one ulp on each side.
+func probeRects(r, e Envelope) []Envelope {
+	up, down := math.Inf(1), math.Inf(-1)
+	return []Envelope{
+		r,
+		{e.MinX - 1, e.MinY - 1, e.MaxX + 1, e.MaxY + 1},
+		e,
+		{e.MaxX, e.MinY, e.MaxX + 3, e.MaxY},
+		{e.MinX - 3, e.MinY, e.MinX, e.MaxY},
+		{e.MinX, e.MaxY, e.MaxX, e.MaxY + 3},
+		{e.MaxX, e.MaxY, e.MaxX + 2, e.MaxY + 2},
+		{e.MinX - 2, e.MinY - 2, e.MinX, e.MinY},
+		{math.Nextafter(e.MaxX, up), e.MinY, e.MaxX + 3, e.MaxY},
+		{e.MinX - 3, e.MinY, math.Nextafter(e.MinX, down), e.MaxY},
+		{e.MinX, e.MinY, math.Nextafter(e.MaxX, down), e.MaxY},
+		{math.Nextafter(e.MinX, up), e.MinY, e.MaxX, e.MaxY},
+		{e.MinX, math.Nextafter(e.MinY, up), e.MaxX, math.Nextafter(e.MaxY, down)},
+	}
+}
+
+// TestRectProbeMatchesIntersects pins the refine loop's probe: AsRect
+// built once, handed each candidate's own envelope, answers what
+// Intersects answers on the rectangle's polygon.
+func TestRectProbeMatchesIntersects(t *testing.T) {
+	for _, c := range rectCases {
+		for kind := byte(0); kind < kernelKinds; kind++ {
+			g := kernelGeometry(kind, bytePoints(c.coords))
+			if g == nil {
+				continue
+			}
+			for _, r := range probeRects(c.r, g.Envelope()) {
+				if msg := checkRectProbe(g, r); msg != "" {
+					t.Errorf("%s kind %d rect %+v: %s", c.name, kind, r, msg)
+				}
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(53))
+	for i := 0; i < 5000; i++ {
+		g := kernelGeometry(byte(i%kernelKinds), randomRun(r))
+		for _, rect := range probeRects(randomRect(r), g.Envelope()) {
+			if msg := checkRectProbe(g, rect); msg != "" {
+				t.Fatalf("case %d rect %+v: %s", i, rect, msg)
+			}
+		}
 	}
 }
 
@@ -344,7 +421,8 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// FuzzIntersectsRect fuzzes the rectangle kernel against the general path.
+// FuzzIntersectsRect fuzzes the rectangle kernel, and the probe a refine
+// loop builds from the rectangle's polygon, against the general path.
 // The seed corpus is the adversarial table, so plain `go test` runs it.
 func FuzzIntersectsRect(f *testing.F) {
 	for _, c := range rectCases {
@@ -362,7 +440,11 @@ func FuzzIntersectsRect(f *testing.F) {
 				t.Skip("rectangle out of range")
 			}
 		}
-		if msg := checkRectEquivalence(g, Envelope{minX, minY, maxX, maxY}); msg != "" {
+		r := Envelope{minX, minY, maxX, maxY}
+		if msg := checkRectEquivalence(g, r); msg != "" {
+			t.Error(msg)
+		}
+		if msg := checkRectProbe(g, r); msg != "" {
 			t.Error(msg)
 		}
 	})

@@ -18,12 +18,16 @@ package geom
 //     pre-test would have dropped — the set of pairs handed to
 //     SegmentsIntersect, and therefore the boolean, is that of the naive
 //     double loop.
-//   - The rectangle kernel (IntersectsRect) answers geometry × axis-aligned
+//   - The rectangle kernel (RectProbe) answers geometry × axis-aligned
 //     rectangle. Invariant: it returns what the general path returns on the
 //     rectangle's polygon. Its shortcuts are exact consequences of the
 //     general path's own arithmetic on axis-aligned edges, not
 //     approximations of it, and the segments it cannot settle by comparison
 //     go through the same SegmentsIntersect against the same four edges.
+//     AsRect recognizes the rectangle once per probe, and the kernel takes
+//     the candidate's envelope from its caller — the envelope an R-tree
+//     already holds — so a candidate whose envelope the rectangle contains
+//     is accepted without touching its vertices or its envelope cache.
 //
 // Neither kernel stores anything per geometry or allocates.
 
@@ -35,11 +39,11 @@ func Intersects(a, b Geometry) bool {
 	if a == nil || b == nil {
 		return false
 	}
-	if r, shell, ok := rectOf(b); ok {
-		return rectIntersects(a, r, shell)
+	if p, ok := AsRect(b); ok {
+		return p.Intersects(a, a.Envelope())
 	}
-	if r, shell, ok := rectOf(a); ok {
-		return rectIntersects(b, r, shell)
+	if p, ok := AsRect(a); ok {
+		return p.Intersects(b, b.Envelope())
 	}
 	return intersectsGeneral(a, b)
 }
@@ -107,27 +111,34 @@ func distribute(a, b Geometry) (hit, ok bool) {
 	}
 }
 
-// rectOf reports whether g is a non-degenerate axis-aligned rectangle
+// RectProbe is an axis-aligned rectangle polygon recognized once (AsRect),
+// ready to refine any number of candidates against it.
+type RectProbe struct {
+	r     Envelope  // the rectangle
+	shell *[5]Point // its boundary as the general path would walk it
+}
+
+// AsRect reports whether g is a non-degenerate axis-aligned rectangle
 // polygon — a hole-free closed 5-point shell whose vertices are the four
 // corners of its own envelope in cyclic order, either orientation, any
-// starting corner — and returns that envelope and the shell. O(1).
-func rectOf(g Geometry) (r Envelope, shell *[5]Point, ok bool) {
+// starting corner — and returns it as a probe. O(1).
+func AsRect(g Geometry) (RectProbe, bool) {
 	p, isPoly := g.(*Polygon)
 	if !isPoly || len(p.Holes) != 0 || len(p.Shell) != 5 || p.Shell[0] != p.Shell[4] {
-		return Envelope{}, nil, false
+		return RectProbe{}, false
 	}
 	s := (*[5]Point)(p.Shell)
 	// s[0] and s[2] are opposite corners; s[1] and s[3] must be the other
 	// two, so that the edges alternate between the axes.
 	if s[0].X == s[2].X || s[0].Y == s[2].Y {
-		return Envelope{}, nil, false
+		return RectProbe{}, false
 	}
 	xFirst := s[1].Y == s[0].Y && s[1].X == s[2].X && s[3].Y == s[2].Y && s[3].X == s[0].X
 	yFirst := s[1].X == s[0].X && s[1].Y == s[2].Y && s[3].X == s[2].X && s[3].Y == s[0].Y
 	if !xFirst && !yFirst {
-		return Envelope{}, nil, false
+		return RectProbe{}, false
 	}
-	return segBox(s[0], s[2]), s, true
+	return RectProbe{r: segBox(s[0], s[2]), shell: s}, true
 }
 
 // IntersectsRect reports whether g shares at least one point with the
@@ -145,29 +156,34 @@ func IntersectsRect(g Geometry, r Envelope) bool {
 	}
 	c := r.Corners()
 	shell := [5]Point{c[0], c[1], c[2], c[3], c[0]}
-	return rectIntersects(g, r, &shell)
+	return RectProbe{r: r, shell: &shell}.Intersects(g, g.Envelope())
 }
 
-// rectIntersects is the rectangle kernel: g against the rectangle whose
-// envelope is r and whose boundary the general path would walk as shell.
-// Every step is the general path's own outcome, reached cheaply:
+// Intersects is the rectangle kernel: whether g, whose envelope is env,
+// shares a point with the rectangle. env must be g.Envelope() bitwise — a
+// caller that holds it already (a tree item's stored envelope) passes it
+// instead of having the kernel reload it; for that env the answer is
+// Intersects(g, the rectangle's polygon). Every step is the general path's
+// own outcome, reached cheaply:
 //
-//   - r contains g's envelope: g's first vertex lies in r, which the general
-//     path accepts (a point is in a rectangle polygon iff it is in r).
-//   - a vertex on r's boundary: its segment meets the edge it lies on —
-//     orientation against an axis-aligned edge is exactly zero there.
+//   - the rectangle contains env: g's first vertex lies in it, which the
+//     general path accepts (a point is in a rectangle polygon iff it is in
+//     the rectangle). Nothing of g but env is read.
+//   - a vertex on the rectangle's boundary: its segment meets the edge it
+//     lies on — orientation against an axis-aligned edge is exactly zero
+//     there.
 //   - a segment whose endpoints' Cohen–Sutherland outcodes share a bit, or
-//     are both strictly inside r: its envelope misses all four edge
-//     envelopes, so the general path's pre-test skips it.
+//     are both strictly inside the rectangle: its envelope misses all four
+//     edge envelopes, so the general path's pre-test skips it.
 //   - what is left goes through SegmentsIntersect against the four edges,
-//     and containment is settled by PointInPolygon on shell[0], as in the
-//     general path.
+//     and containment is settled by PointInPolygon on the shell's first
+//     corner, as in the general path.
 //
 // So the cost follows how soon the answer is known — O(1) for a contained
 // candidate, the distance to the first boundary crossing for a straddling
 // one — and only a disjoint or enclosing polygon is walked in full.
-func rectIntersects(g Geometry, r Envelope, shell *[5]Point) bool {
-	env := g.Envelope()
+func (p RectProbe) Intersects(g Geometry, env Envelope) bool {
+	r, shell := p.r, p.shell
 	if !env.Intersects(r) {
 		return false
 	}
@@ -193,20 +209,20 @@ func rectIntersects(g Geometry, r Envelope, shell *[5]Point) bool {
 		}
 		return PointInPolygon(shell[0], g)
 	case *MultiPoint:
-		for _, p := range g.Pts {
-			if r.ContainsPoint(p.X, p.Y) {
+		for _, pt := range g.Pts {
+			if r.ContainsPoint(pt.X, pt.Y) {
 				return true
 			}
 		}
 	case *MultiLineString:
 		for i := range g.Lines {
-			if rectIntersects(&g.Lines[i], r, shell) {
+			if p.Intersects(&g.Lines[i], g.Lines[i].Envelope()) {
 				return true
 			}
 		}
 	case *MultiPolygon:
 		for i := range g.Polys {
-			if rectIntersects(&g.Polys[i], r, shell) {
+			if p.Intersects(&g.Polys[i], g.Polys[i].Envelope()) {
 				return true
 			}
 		}
@@ -286,7 +302,7 @@ func pointIntersects(p Point, b Geometry) bool {
 func lineIntersects(l *LineString, b Geometry) bool {
 	switch g := b.(type) {
 	case *LineString:
-		return polylinesCross(l.Pts, g.Pts)
+		return runsCross(l.Pts, l.Envelope(), g.Pts, g.Envelope())
 	case *Polygon:
 		return linePolygonIntersects(l, g)
 	default:
@@ -363,7 +379,14 @@ func boxesMeet(a, b Envelope) bool {
 // against a large one the n·m pre-tests. The longer clipped run drives the
 // outer loop, where a segment missing W skips its whole inner loop.
 func polylinesCross(a, b []Point) bool {
-	w := EnvelopeOf(a).Intersection(EnvelopeOf(b))
+	return runsCross(a, EnvelopeOf(a), b, EnvelopeOf(b))
+}
+
+// runsCross is polylinesCross for a caller that holds the runs' envelopes
+// already: ea and eb must be EnvelopeOf(a) and EnvelopeOf(b) bitwise, as a
+// shell's or a line's cached Envelope() is by the PrimeEnvelope contract.
+func runsCross(a []Point, ea Envelope, b []Point, eb Envelope) bool {
+	w := ea.Intersection(eb)
 	if w.IsEmpty() {
 		return false
 	}
@@ -408,7 +431,7 @@ func linePolygonIntersects(l *LineString, poly *Polygon) bool {
 	if len(l.Pts) == 0 {
 		return false
 	}
-	return PointInPolygon(l.Pts[0], poly) || ringsCross(l.Pts, poly)
+	return PointInPolygon(l.Pts[0], poly) || ringsCross(l.Pts, l.Envelope(), poly)
 }
 
 // polygonsIntersect: some ring of one crosses some ring of the other, or
@@ -416,11 +439,11 @@ func linePolygonIntersects(l *LineString, poly *Polygon) bool {
 // sits inside the other's hole can still reach its material across the hole
 // ring without ever meeting the shell.
 func polygonsIntersect(a, b *Polygon) bool {
-	if ringsCross(a.Shell, b) {
+	if ringsCross(a.Shell, a.Envelope(), b) {
 		return true
 	}
 	for _, h := range a.Holes {
-		if ringsCross(h, b) {
+		if ringsCross(h, EnvelopeOf(h), b) {
 			return true
 		}
 	}
@@ -434,14 +457,15 @@ func polygonsIntersect(a, b *Polygon) bool {
 	return false
 }
 
-// ringsCross reports whether the vertex run crosses the shell or a hole
-// ring of b.
-func ringsCross(run []Point, b *Polygon) bool {
-	if polylinesCross(run, b.Shell) {
+// ringsCross reports whether the vertex run, whose envelope is env, crosses
+// the shell or a hole ring of b. The shell's envelope is b's cached one;
+// a hole's is folded here.
+func ringsCross(run []Point, env Envelope, b *Polygon) bool {
+	if runsCross(run, env, b.Shell, b.Envelope()) {
 		return true
 	}
 	for _, h := range b.Holes {
-		if polylinesCross(run, h) {
+		if runsCross(run, env, h, EnvelopeOf(h)) {
 			return true
 		}
 	}

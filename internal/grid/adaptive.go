@@ -158,6 +158,7 @@ type Adaptive struct {
 	root   *anode
 	cells  []geom.Envelope // by cell id: ascending Hilbert order
 	rankOf []int           // cell id -> owning rank, packed for ranks
+	boxes  []RefBox        // by cell id: the leaf's bounds as cellAt tests them
 	ranks  int
 }
 
@@ -233,8 +234,40 @@ func BuildAdaptive(h *Histogram, opt AdaptiveOptions) (*Adaptive, error) {
 		w[id] = sums.weightIn(leaves[di].Bounds)
 	}
 	a.root = buildANode(root, idOf)
+	a.boxes = make([]RefBox, len(leaves))
+	inf := math.Inf(1)
+	a.setRefBoxes(a.root, RefBox{minX: -inf, minY: -inf, maxX: inf, maxY: inf,
+		openLeft: true, openRight: true, openBelow: true, openAbove: true})
 	a.rankOf = packAlongCurve(w, opt.Ranks, total)
 	return a, nil
+}
+
+// setRefBoxes records the RefBox of every leaf under n, b being n's: the
+// conjunction of the comparisons cellAt's descent makes on its way to the
+// leaf. Each split it takes bounds one side — x >= the split line for an
+// east child, x below it for a west one — and closes that side, so a leaf
+// on the world's border keeps that side open by its path, not by where its
+// edge lies.
+func (a *Adaptive) setRefBoxes(n *anode, b RefBox) {
+	if n.kids == nil {
+		a.boxes[n.id] = b
+		return
+	}
+	sx, sy := n.kids[0].env.MaxX, n.kids[0].env.MaxY
+	for q, k := range n.kids {
+		kb := b
+		if q&1 != 0 {
+			kb.minX, kb.openLeft = max(kb.minX, sx), false
+		} else {
+			kb.maxX, kb.openRight = min(kb.maxX, sx), false
+		}
+		if q&2 != 0 {
+			kb.minY, kb.openBelow = max(kb.minY, sy), false
+		} else {
+			kb.maxY, kb.openAbove = min(kb.maxY, sy), false
+		}
+		a.setRefBoxes(k, kb)
+	}
 }
 
 func buildANode(n *quadtree.SplitNode, idOf map[*quadtree.SplitNode]int) *anode {

@@ -93,15 +93,12 @@ func (g *Grid) CellEnv(id int) geom.Envelope {
 // boundary geometry placed only in the cell left of an edge that the query
 // path starts iterating at, silently dropping the hit on every rank. The
 // guess is repaired against the same boundary expression CellEnv evaluates,
-// making the half-open column intervals exact.
+// making the half-open column intervals exact. The guess is clamped
+// before it is converted, so a coordinate too far out for an int (±Inf
+// included) lands in its border column on every platform, and NaN in
+// column 0.
 func (g *Grid) clampCol(x float64) int {
-	c := int((x - g.env.MinX) / g.cellW)
-	if c < 0 {
-		return 0
-	}
-	if c >= g.cols {
-		c = g.cols - 1
-	}
+	c := clampGuess((x-g.env.MinX)/g.cellW, g.cols)
 	for c > 0 && x < g.env.MinX+float64(c)*g.cellW {
 		c--
 	}
@@ -113,13 +110,7 @@ func (g *Grid) clampCol(x float64) int {
 
 // clampRow is clampCol for the y axis, with the same boundary repair.
 func (g *Grid) clampRow(y float64) int {
-	r := int((y - g.env.MinY) / g.cellH)
-	if r < 0 {
-		return 0
-	}
-	if r >= g.rows {
-		r = g.rows - 1
-	}
+	r := clampGuess((y-g.env.MinY)/g.cellH, g.rows)
 	for r > 0 && y < g.env.MinY+float64(r)*g.cellH {
 		r--
 	}
@@ -127,6 +118,35 @@ func (g *Grid) clampRow(y float64) int {
 		r++
 	}
 	return r
+}
+
+// refBox is cell id's RefBox: the boundary expressions clampCol and
+// clampRow repair against, open on the sides where the column or row is
+// the first or last.
+func (g *Grid) refBox(id int) RefBox {
+	col, row := id%g.cols, id/g.cols
+	return RefBox{
+		minX:      g.env.MinX + float64(col)*g.cellW,
+		minY:      g.env.MinY + float64(row)*g.cellH,
+		maxX:      g.env.MinX + float64(col+1)*g.cellW,
+		maxY:      g.env.MinY + float64(row+1)*g.cellH,
+		openLeft:  col == 0,
+		openRight: col == g.cols-1,
+		openBelow: row == 0,
+		openAbove: row == g.rows-1,
+	}
+}
+
+// clampGuess converts a fractional cell offset f into an index in [0, n).
+func clampGuess(f float64, n int) int {
+	switch {
+	case f >= float64(n-1):
+		return n - 1
+	case f > 0:
+		return int(f)
+	default: // left of the world, or NaN
+		return 0
+	}
 }
 
 // CellAt returns the id of the cell containing point (x, y), clamped to the

@@ -64,3 +64,54 @@ func PairRefCell(p Partition, a, b geom.Envelope) int {
 	y := math.Max(a.MinY, b.MinY)
 	return p.RefCell(geom.Envelope{MinX: x, MinY: y, MaxX: x, MaxY: y})
 }
+
+// RefBox is one cell's side of the duplicate-avoidance rule, fixed once so
+// that a refine loop tests each candidate pair by comparison instead of
+// locating its reference point: Owns(a, b) is PairRefCell(p, a, b) ==
+// cell. The reference point (max(MinX), max(MinY)) belongs to the cell iff
+// it lies in the cell's half-open [MinX, MaxX) × [MinY, MaxY) — the very
+// edges CellAt compares against — where a border cell's outer side is
+// open: it absorbs everything beyond the world edge. Which sides are open
+// comes from the cell's position (its column and row, its quadtree path),
+// never from comparing an edge with the world's: on a grid whose cells are
+// narrower than half an ulp of its coordinates, an inner cell's MinX can
+// equal the world's.
+type RefBox struct {
+	minX, minY, maxX, maxY float64
+	// An open side has no bound: the cell owns everything beyond it.
+	openLeft, openRight, openBelow, openAbove bool
+	// p is set for a partition with no box form (and for an id that names
+	// no cell); Owns then asks PairRefCell.
+	p    Partition
+	cell int
+}
+
+// RefBoxOf returns cell's RefBox in p. The uniform Grid and the Adaptive
+// partition have one in closed form; any other Partition gets a box that
+// defers to PairRefCell.
+func RefBoxOf(p Partition, cell int) RefBox {
+	if cell >= 0 && cell < p.NumCells() {
+		switch p := p.(type) {
+		case *Grid:
+			return p.refBox(cell)
+		case *Adaptive:
+			return p.boxes[cell]
+		}
+	}
+	return RefBox{p: p, cell: cell}
+}
+
+// Owns reports whether the cell is the duplicate-avoidance cell of the pair
+// with envelopes a and b — PairRefCell(p, a, b) == cell, with no division
+// and no call into the partition. An upper bound is tested as
+// !(v >= max) rather than v < max so that a NaN coordinate passes every
+// upper bound and fails every lower one, as it does in CellAt's descent:
+// it lands where no lower bound applies.
+func (b *RefBox) Owns(a, c geom.Envelope) bool {
+	if b.p != nil {
+		return PairRefCell(b.p, a, c) == b.cell
+	}
+	x, y := max(a.MinX, c.MinX), max(a.MinY, c.MinY)
+	return (b.openLeft || x >= b.minX) && (b.openRight || !(x >= b.maxX)) &&
+		(b.openBelow || y >= b.minY) && (b.openAbove || !(y >= b.maxY))
+}

@@ -12,7 +12,11 @@
 //     construction: the R-trees are immutable once built, every geometry's
 //     envelope cache is primed up front, and evaluation writes only through
 //     the caller's callbacks — so any number of goroutines may query one
-//     Session concurrently.
+//     Session concurrently. Each tree stores a geometry under its own
+//     envelope, and the loop refines from that stored copy: the duplicate
+//     rule compares it with the cell's box, and a rectangle probe's kernel
+//     reads it in place of the geometry's, so a candidate the rectangle
+//     contains is answered without touching the geometry at all.
 //   - Service is the in-process frontend: rank goroutines register their
 //     Sessions, client goroutines submit requests from outside the MPI
 //     world, and a dispatcher routes each request only to the ranks owning
@@ -45,6 +49,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sync"
 
@@ -68,9 +73,11 @@ type SessionConfig struct {
 	// below 1 are treated as 1.
 	Scale float64
 	// Trees holds the finished per-cell R-trees, keyed by cell id, every
-	// geometry stored under its own Envelope() (duplicate suppression reads
-	// the stored envelope). The map must not change once the Session is
-	// constructed.
+	// geometry stored under its own Envelope(), bit for bit: duplicate
+	// suppression and refinement read the stored envelope in place of the
+	// geometry's. NewSession checks this and panics, naming the cell, on a
+	// geometry stored under any other envelope. The map must not change
+	// once the Session is constructed.
 	Trees map[int]*rtree.Tree[geom.Geometry]
 	// Predicate is the refinement predicate; nil means geom.Intersects.
 	Predicate func(a, b geom.Geometry) bool
@@ -91,6 +98,10 @@ type Session struct {
 	trees   map[int]*rtree.Tree[geom.Geometry]
 	pred    func(a, b geom.Geometry) bool
 	keepDup bool
+	// stockPred is set when the caller gave no Predicate: pred is then
+	// geom.Intersects, which probeCell may answer for a rectangle probe
+	// with the kernel fed stored envelopes.
+	stockPred bool
 
 	// idle lends Cursors to Session.Range and the Service alike; it grows to
 	// the peak number of concurrent callers. A plain list, not a sync.Pool: a
@@ -108,7 +119,9 @@ type Session struct {
 // concurrent queries would be a data race. Trees built by the spatial
 // pipeline are already primed (the index build stores each geometry by its
 // envelope); priming here makes the guarantee hold for hand-built trees
-// too, at the cost of one read-only pass over already-primed ones.
+// too, at the cost of one read-only pass over already-primed ones. The same
+// pass checks that each geometry is stored under its own envelope (see
+// SessionConfig.Trees), and panics if one is not.
 func NewSession(cfg SessionConfig) *Session {
 	s := &Session{
 		p:       cfg.Partition,
@@ -124,17 +137,27 @@ func NewSession(cfg SessionConfig) *Session {
 		s.scale = 1
 	}
 	if s.pred == nil {
-		s.pred = geom.Intersects
+		s.pred, s.stockPred = geom.Intersects, true
 	}
-	for _, tr := range s.trees {
-		// Priming is idempotent and order-independent, so iterating the
-		// map directly is safe here.
-		tr.Search(tr.Envelope(), func(_ geom.Envelope, g geom.Geometry) bool {
-			g.Envelope()
+	// Priming and the check are order-independent, so iterating the map
+	// directly is safe here.
+	for cell, tr := range s.trees {
+		tr.Search(tr.Envelope(), func(env geom.Envelope, g geom.Geometry) bool {
+			if e := g.Envelope(); !sameBits(env, e) {
+				panic(fmt.Sprintf("serve: cell %d stores a geometry under %+v, not its Envelope() %+v", cell, env, e))
+			}
 			return true
 		})
 	}
 	return s
+}
+
+// sameBits reports whether a and b are the same envelope bit for bit.
+func sameBits(a, b geom.Envelope) bool {
+	return math.Float64bits(a.MinX) == math.Float64bits(b.MinX) &&
+		math.Float64bits(a.MinY) == math.Float64bits(b.MinY) &&
+		math.Float64bits(a.MaxX) == math.Float64bits(b.MaxX) &&
+		math.Float64bits(a.MaxY) == math.Float64bits(b.MaxY)
 }
 
 // Cursor is one goroutine's handle on a Session: the shared read-only index
@@ -216,12 +239,26 @@ func (cu *Cursor) JoinCell(cell int, sg geom.Geometry, charge func(float64), emi
 }
 
 // probeCell is the shared filter-and-refine core: R-tree filter into the
-// cursor's buffer, reference-point duplicate suppression on the stored leaf
-// envelopes, exact refinement. chargeScale is the workload's candidate-set
-// scale factor: 1 for range queries (the batch is fixed; each real hit
-// stands for Scale full-size hits) and Scale for joins (candidate counts
-// follow the product of the two densities, so each real pair stands for
-// Scale² full-size ones). A nil charge skips the cost model altogether.
+// cursor's buffer, then, per candidate, reference-point duplicate
+// suppression and exact refinement, both decided from what the buffer
+// holds — the candidate's stored envelope — and values fixed once per
+// probe:
+//
+//   - the duplicate rule is the cell's RefBox, so a candidate is kept iff
+//     PairRefCell(p, c.Env, pEnv) == cell, by four comparisons;
+//   - with the stock predicate and a rectangle probe (a range query's, or
+//     a rectangular join input), refinement is the rectangle kernel handed
+//     c.Env, which is Intersects(c.Value, probe) because the stored
+//     envelope is the geometry's own (NewSession checks it). A candidate
+//     whose envelope the rectangle contains is accepted without touching
+//     its geometry. Any other probe, or a caller's Predicate, is refined by
+//     s.pred.
+//
+// chargeScale is the workload's candidate-set scale factor: 1 for range
+// queries (the batch is fixed; each real hit stands for Scale full-size
+// hits) and Scale for joins (candidate counts follow the product of the two
+// densities, so each real pair stands for Scale² full-size ones). A nil
+// charge skips the cost model altogether.
 func (cu *Cursor) probeCell(cell int, probe geom.Geometry, pEnv geom.Envelope, chargeScale float64, charge func(float64), emit func(geom.Geometry)) int64 {
 	s := cu.s
 	tr := s.trees[cell]
@@ -232,17 +269,28 @@ func (cu *Cursor) probeCell(cell int, probe geom.Geometry, pEnv geom.Envelope, c
 	if charge != nil {
 		charge(costmodel.IndexQuery(costmodel.VirtualCount(tr.Len(), s.scale), costmodel.VirtualCount(len(cu.cand), s.scale)) * chargeScale)
 	}
+	box := grid.RefBoxOf(s.p, cell)
+	rect, isRect := geom.RectProbe{}, false
+	if s.stockPred {
+		rect, isRect = geom.AsRect(probe)
+	}
 	probePoints := probe.NumPoints()
 	var pairs int64
 	for i := range cu.cand {
 		c := &cu.cand[i]
-		if !s.keepDup && grid.PairRefCell(s.p, c.Env, pEnv) != cell {
+		if !s.keepDup && !box.Owns(c.Env, pEnv) {
 			continue
 		}
 		if charge != nil {
 			charge(costmodel.RefineCost(c.Value.NumPoints(), probePoints) * chargeScale * s.scale)
 		}
-		if s.pred(c.Value, probe) {
+		var hit bool
+		if isRect {
+			hit = rect.Intersects(c.Value, c.Env)
+		} else {
+			hit = s.pred(c.Value, probe)
+		}
+		if hit {
 			pairs++
 			if emit != nil {
 				emit(c.Value)

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -391,5 +393,81 @@ func TestRangeAfterCloseFails(t *testing.T) {
 	case <-svc.Closed():
 	default:
 		t.Error("Closed() not signalled after Close")
+	}
+}
+
+// TestNewSessionChecksStoredEnvelopes pins the contract refinement relies
+// on: a geometry stored under anything but its own envelope, bit for bit —
+// one ulp off, or a zero of the other sign — panics NewSession, naming the
+// cell.
+func TestNewSessionChecksStoredEnvelopes(t *testing.T) {
+	g, err := grid.New(geom.Envelope{MinX: -10, MinY: -10, MaxX: 10, MaxY: 10}, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poly := &geom.Polygon{Shell: geom.Envelope{MinX: 0, MinY: 1, MaxX: 3, MaxY: 4}.ToPolygon().Shell}
+	env := geom.EnvelopeOf(poly.Shell)
+	ulp, negZero := env, env
+	ulp.MaxX = math.Nextafter(env.MaxX, math.Inf(1))
+	negZero.MinX = math.Copysign(0, -1)
+	for name, stored := range map[string]geom.Envelope{"one ulp": ulp, "negative zero": negZero} {
+		t.Run(name, func(t *testing.T) {
+			trees := map[int]*rtree.Tree[geom.Geometry]{
+				0: rtree.BulkLoad([]rtree.Item[geom.Geometry]{{Env: env, Value: poly}}),
+				3: rtree.BulkLoad([]rtree.Item[geom.Geometry]{{Env: env, Value: poly}, {Env: stored, Value: poly}}),
+			}
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "cell 3 ") {
+					t.Errorf("NewSession panicked with %q, want a message naming cell 3", msg)
+				}
+			}()
+			NewSession(SessionConfig{Partition: g, Rank: 0, Size: 1, Trees: trees})
+		})
+	}
+}
+
+// TestCustomPredicateSeesEveryCandidate pins the rectangle shortcut as the
+// stock predicate's: a caller's Predicate is asked about every candidate
+// that passes the duplicate rule, those the rectangle contains included,
+// and its answer — here always false — is the answer.
+func TestCustomPredicateSeesEveryCandidate(t *testing.T) {
+	calls := 0
+	g, _, sessions := residentFixture(t, func(a, b geom.Geometry) bool {
+		calls++
+		return false
+	})
+	for _, q := range []geom.Envelope{
+		{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100},
+		{MinX: 10, MinY: 20, MaxX: 60, MaxY: 45},
+	} {
+		want, contained := 0, 0
+		for r, s := range sessions {
+			for _, cell := range g.CellsFor(q) {
+				tr := s.trees[cell]
+				if grid.MappingOf(g)(cell, len(sessions)) != r || tr == nil {
+					continue
+				}
+				for _, c := range tr.AppendQuery(nil, q) {
+					if grid.PairRefCell(g, c.Env, q) == cell {
+						want++
+						if q.Contains(c.Env) {
+							contained++
+						}
+					}
+				}
+			}
+		}
+		if contained == 0 {
+			t.Fatalf("query %+v contains no candidate: the fixture proves nothing", q)
+		}
+		calls = 0
+		var pairs int64
+		for _, s := range sessions {
+			pairs += s.Range(q, nil, nil)
+		}
+		if pairs != 0 || calls != want {
+			t.Errorf("query %+v: %d pairs and %d predicate calls, want 0 and %d (%d contained)", q, pairs, calls, want, contained)
+		}
 	}
 }
