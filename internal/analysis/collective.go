@@ -12,8 +12,9 @@ import (
 // (Barrier, Allgather, Alltoallv, WorldSync, ...) and every mpiio.File
 // collective (ReadAtAll, SetView, ...) is that ALL ranks of the
 // communicator reach the same calls in the same order; one rank taking a
-// different path hangs the world (the chaos harness's deadlock watchdog
-// fires) or, worse, pairs one rank's Allgather with another's Barrier.
+// different path hangs the world (the runtime reports a DeadlockError
+// once every rank is blocked or done) or, worse, pairs one rank's
+// Allgather with another's Barrier.
 // Three path shapes break the contract:
 //
 //   - a collective guarded by a Rank()-derived condition whose branches

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/geom"
@@ -252,9 +251,9 @@ func FuzzReadPartition(f *testing.F) {
 		errs := make([]error, n)
 		var mu sync.Mutex
 		// A rank that returns before the read settles its errors
-		// collectively strands its peers: the short watchdog turns that
-		// into a DeadlockError instead of a minute-long hang.
-		_ = mpi.RunOpt(cluster.Local(n), mpi.Options{Timeout: 10 * time.Second}, func(c *mpi.Comm) error {
+		// collectively strands its peers: the runtime reports that as a
+		// DeadlockError the moment the last running rank blocks or returns.
+		_ = mpi.Run(cluster.Local(n), func(c *mpi.Comm) error {
 			gs, st, err := ReadPartition(c, mpiio.Open(c, pf, mpiio.Hints{}), mk(), opt)
 			keys := make([]string, len(gs))
 			for i, g := range gs {

@@ -7,12 +7,13 @@ import (
 )
 
 var (
-	// ErrDeadlock is returned when a blocking operation waits longer than
-	// the world's watchdog timeout — with the synchronous rendezvous
-	// protocol this almost always means a genuine communication deadlock
-	// (e.g. a ring of blocking sends with no posted receives, the hazard
-	// the paper's Algorithm 1 avoids with its even/odd split).
-	ErrDeadlock = errors.New("mpi: deadlock suspected (blocking operation timed out)")
+	// ErrDeadlock is returned from a blocking operation that can never
+	// complete: every rank is blocked in the runtime or has returned, so
+	// no rank is left to wake another (e.g. a ring of blocking rendezvous
+	// sends with no posted receives, the hazard the paper's Algorithm 1
+	// avoids with its even/odd split). It is reported the moment the
+	// deadlock forms.
+	ErrDeadlock = errors.New("mpi: deadlock (no rank can make progress)")
 
 	// ErrAborted is returned from blocked operations when another rank
 	// failed and the world was torn down.
@@ -30,7 +31,7 @@ var (
 )
 
 // BlockedOp describes what one rank was blocked on at a moment of
-// interest — a watchdog expiry or an injected crash. VTime is the rank's
+// interest — a deadlock or an injected crash. VTime is the rank's
 // virtual clock when it entered the operation; Key names a WorldSync
 // session (empty for point-to-point operations); Peer is -1 when the
 // operation has no single peer (AnySource receives report the wildcard).
@@ -55,23 +56,24 @@ func (b BlockedOp) String() string {
 	}
 }
 
-// DeadlockError is the diagnostic form of ErrDeadlock: the operation whose
-// watchdog expired plus a snapshot of what every blocked rank was waiting
-// on at that moment, so a hang reads as "rank 1 Recv from 0 tag 77; rank 0
-// Recv from 1 tag 77" instead of a bare timeout. It wraps ErrDeadlock, so
-// errors.Is(err, ErrDeadlock) keeps working everywhere.
+// DeadlockError is the diagnostic form of ErrDeadlock. Every rank blocked
+// when the deadlock formed returns its own: the operation it was blocked
+// in plus a snapshot of what every blocked rank was waiting on, so a hang
+// reads as "rank 1 Recv from 0 tag 77; rank 0 Recv from 1 tag 77" instead
+// of a bare error. It wraps ErrDeadlock, so errors.Is(err, ErrDeadlock)
+// keeps working everywhere.
 type DeadlockError struct {
-	// Op is the operation that hit the watchdog on the reporting rank.
+	// Op is the reporting rank's blocked operation.
 	Op BlockedOp
-	// Blocked is the per-rank dump: every rank that was inside a blocking
-	// operation when the watchdog fired (the reporting rank included).
+	// Blocked is the per-rank dump: every rank that was still inside a
+	// blocking operation when the reporting rank woke (itself included).
 	Blocked []BlockedOp
 }
 
 // Error renders the blocked-operation dump.
 func (e *DeadlockError) Error() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "mpi: deadlock suspected: %s timed out", e.Op)
+	fmt.Fprintf(&sb, "mpi: deadlock: %s can never complete", e.Op)
 	if len(e.Blocked) > 0 {
 		sb.WriteString("; blocked: ")
 		for i, b := range e.Blocked {

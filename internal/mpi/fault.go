@@ -66,7 +66,8 @@ const (
 	// FaultNone lets the operation proceed untouched.
 	FaultNone FaultAction = iota
 	// FaultDrop completes a send locally without delivering the message
-	// (a lost message; the receiver runs into the watchdog). Ignored for
+	// (a lost message; the receiver's wait ends in a DeadlockError once no
+	// rank is left running to send). Ignored for
 	// non-send operations.
 	FaultDrop
 	// FaultCorrupt delivers the message with one bit flipped (Decision.Bit

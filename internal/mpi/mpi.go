@@ -22,7 +22,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/simtime"
@@ -41,10 +40,6 @@ const (
 // (even/odd send-receive ordering) observable.
 const eagerLimit = 4096
 
-// defaultOpTimeout bounds how long a blocking operation may wait before the
-// runtime declares the program deadlocked.
-const defaultOpTimeout = 60 * time.Second
-
 // World is one SPMD execution context: the set of ranks, their mailboxes,
 // and the shared cost-model configuration.
 type World struct {
@@ -53,8 +48,7 @@ type World struct {
 	boxes   []*mailbox
 	syncHub *syncHub
 
-	timeout time.Duration
-	fault   FaultInjector
+	fault FaultInjector
 
 	// blocked[r] is what rank r is currently blocked on (nil when it is
 	// running). Written only by rank r; read by any rank assembling a
@@ -66,6 +60,24 @@ type World struct {
 	abortErr  error
 	abortMu   sync.Mutex
 
+	// The wait-for count. idle is the number of ranks parked in a runtime
+	// wait plus those that have returned from fn (exited). A rank counts
+	// itself (park) under the lock of the wait object it registers in,
+	// before the event that could wake it can happen; its waker un-counts
+	// it (unpark) under the same lock before waking it. So idle == n with
+	// a rank parked means no rank can ever wake another: the world is
+	// deadlocked, and deadCh is closed the moment that happens. A rank
+	// blocked outside the runtime (on a channel, in a sleep) counts as
+	// running, so detection can miss such a deadlock but never misfires —
+	// given the Comm contract that only a rank's own goroutine calls its
+	// Comm, which makes every waker a counted rank.
+	// After a halt (abort or deadlock) the count is no longer exact and
+	// no longer read: every wait then returns at once.
+	idle, exited atomic.Int32
+	wake         []chan struct{} // wake[r] (capacity 1) rouses rank r from sleep
+	deadOnce     sync.Once
+	deadCh       chan struct{}
+
 	// opByteCost charges CPU time for applying a reduction operator,
 	// seconds per byte combined.
 	opByteCost float64
@@ -73,8 +85,6 @@ type World struct {
 
 // Options tunes a World. The zero value gives defaults.
 type Options struct {
-	// Timeout overrides the per-operation deadlock watchdog (default 60s).
-	Timeout time.Duration
 	// OpByteCost overrides the modeled cost of combining one byte in a
 	// reduction (default 0.25 ns/byte).
 	OpByteCost float64
@@ -86,7 +96,9 @@ type Options struct {
 
 // Run launches fn on cfg.Size() ranks and waits for all of them. The first
 // error (or panic, converted to an error) aborts the world: blocked ranks
-// are released with ErrAborted so Run always returns.
+// are released with ErrAborted. A deadlock — every rank either blocked in
+// the runtime or returned, at least one blocked — releases each blocked
+// rank with a DeadlockError the moment it forms.
 func Run(cfg *cluster.Config, fn func(c *Comm) error) error {
 	return RunOpt(cfg, Options{}, fn)
 }
@@ -102,44 +114,20 @@ func RunOpt(cfg *cluster.Config, opt Options, fn func(c *Comm) error) error {
 		n:          n,
 		boxes:      make([]*mailbox, n),
 		syncHub:    newSyncHub(n),
-		timeout:    defaultOpTimeout,
 		fault:      opt.Fault,
 		blocked:    make([]atomic.Pointer[BlockedOp], n),
 		abortCh:    make(chan struct{}),
+		wake:       make([]chan struct{}, n),
+		deadCh:     make(chan struct{}),
 		opByteCost: 0.25e-9,
-	}
-	if opt.Timeout > 0 {
-		w.timeout = opt.Timeout
 	}
 	if opt.OpByteCost > 0 {
 		w.opByteCost = opt.OpByteCost
 	}
 	for i := range w.boxes {
-		w.boxes[i] = newMailbox()
+		w.boxes[i] = &mailbox{w: w, owner: i}
+		w.wake[i] = make(chan struct{}, 1)
 	}
-
-	// The ticker periodically wakes blocked ranks so they can observe
-	// deadlines and aborts.
-	stopTick := make(chan struct{})
-	var tickWG sync.WaitGroup
-	tickWG.Add(1)
-	go func() {
-		defer tickWG.Done()
-		//vet:allow wallclock — deadlock-watchdog waker: polls real time so blocked ranks observe deadlines/aborts; charges no virtual time
-		t := time.NewTicker(50 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				for _, b := range w.boxes {
-					b.wakeAll()
-				}
-				w.syncHub.wakeAll()
-			case <-stopTick:
-				return
-			}
-		}
-	}()
 
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -147,6 +135,10 @@ func RunOpt(cfg *cluster.Config, opt Options, fn func(c *Comm) error) error {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			defer func() {
+				w.exited.Add(1)
+				w.park()
+			}()
 			defer func() {
 				if p := recover(); p != nil {
 					if cp, ok := p.(crashPanic); ok {
@@ -168,8 +160,6 @@ func RunOpt(cfg *cluster.Config, opt Options, fn func(c *Comm) error) error {
 		}(r)
 	}
 	wg.Wait()
-	close(stopTick)
-	tickWG.Wait()
 
 	w.abortMu.Lock()
 	aerr := w.abortErr
@@ -192,10 +182,6 @@ func (w *World) abort(err error) {
 		w.abortErr = err
 		w.abortMu.Unlock()
 		close(w.abortCh)
-		for _, b := range w.boxes {
-			b.wakeAll()
-		}
-		w.syncHub.wakeAll()
 	})
 }
 
@@ -206,6 +192,56 @@ func (w *World) aborted() bool {
 	default:
 		return false
 	}
+}
+
+// halted is the error a blocked operation leaves with once the world has
+// stopped, or nil while it runs. A deadlock outranks the abort that the
+// first DeadlockError to return causes, so every rank parked when the
+// deadlock formed reports its own operation.
+func (w *World) halted() error {
+	select {
+	case <-w.deadCh:
+		return ErrDeadlock
+	default:
+	}
+	if w.aborted() {
+		return ErrAborted
+	}
+	return nil
+}
+
+// park counts one more rank as parked or exited, and declares the deadlock
+// when that leaves no rank running while one is parked. A parking rank
+// calls it holding the lock of the wait object it registered in; a rank
+// calls it once more when it returns from fn.
+func (w *World) park() {
+	if w.idle.Add(1) == int32(w.n) && w.exited.Load() < int32(w.n) && !w.aborted() {
+		w.deadOnce.Do(func() { close(w.deadCh) })
+	}
+}
+
+// unpark un-counts rank r, registered as parked in a wait object whose lock
+// the caller holds, and wakes it.
+func (w *World) unpark(r int) {
+	w.idle.Add(-1)
+	select {
+	case w.wake[r] <- struct{}{}:
+	default: // a token a halt-woken rank never took
+	}
+}
+
+// sleep parks rank r, just registered in a wait object guarded by mu, until
+// its waker calls unpark or the world halts. The caller holds mu; it is
+// released while r sleeps and held again on return.
+func (w *World) sleep(r int, mu *sync.Mutex) {
+	w.park()
+	mu.Unlock()
+	select {
+	case <-w.wake[r]:
+	case <-w.abortCh:
+	case <-w.deadCh:
+	}
+	mu.Lock()
 }
 
 // snapshotBlocked collects what every currently blocked rank is waiting on,
@@ -240,7 +276,7 @@ type Comm struct {
 }
 
 // setBlocked publishes what this rank is about to block on and returns the
-// entry so the caller can fold it into a DeadlockError on watchdog expiry.
+// entry so the caller can fold it into a DeadlockError.
 func (c *Comm) setBlocked(kind OpKind, peer, tag int, key string) *BlockedOp {
 	b := &BlockedOp{Rank: c.rank, Op: kind, Peer: peer, Tag: tag, Key: key, VTime: c.clock.Now()}
 	c.world.blocked[c.rank].Store(b)
@@ -251,7 +287,7 @@ func (c *Comm) setBlocked(kind OpKind, peer, tag int, key string) *BlockedOp {
 func (c *Comm) clearBlocked() { c.world.blocked[c.rank].Store(nil) }
 
 // deadlockError builds the diagnostic form of ErrDeadlock for an operation
-// that hit the watchdog: the failing operation plus a snapshot of every
+// caught in a deadlock: the failing operation plus a snapshot of every
 // blocked rank, taken while this rank's own entry is still published.
 func (c *Comm) deadlockError(op BlockedOp) error {
 	return &DeadlockError{Op: op, Blocked: c.world.snapshotBlocked()}

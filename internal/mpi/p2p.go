@@ -3,7 +3,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/simtime"
 )
@@ -59,45 +58,52 @@ func (c *Comm) Send(buf []byte, dst, tag int) error {
 	}
 	if len(buf) <= eagerLimit {
 		// Sender pays only the injection overhead for eager messages; the
-		// payload arrives one transfer time after that. The private copy is
-		// staged in the receiving mailbox's slab — no per-message buffer.
+		// payload arrives one transfer time after that, as a private copy.
 		c.clock.Advance(c.sendOverhead(dst))
 		arrival := c.clock.Now() + extra + c.world.cfg.MsgTime(c.rank, dst, len(buf))
 		c.world.boxes[dst].enqueueCopy([][]byte{payload}, c.rank, tag, arrival)
 		return nil
 	}
-	done := make(chan float64, 1)
 	m := &message{
 		src: c.rank, tag: tag, chunks: [][]byte{payload},
 		arrival: c.clock.Now() + extra,
-		done:    done,
+		done:    make(chan float64, 1),
 	}
 	box := c.world.boxes[dst]
 	box.enqueue(m)
-	bop := c.setBlocked(OpSend, dst, tag, "")
+	return c.awaitRendezvous(box, m, OpSend, dst, tag)
+}
+
+// awaitRendezvous blocks the sender of rendezvous message m, queued in box,
+// until a receive has copied the payload, and advances the clock to the
+// transfer's end — Send's wait and SendRecv's harvest, published as op
+// toward dst. If the world halts first, the message is withdrawn so nobody
+// reads a buffer the caller is free to reuse.
+func (c *Comm) awaitRendezvous(box *mailbox, m *message, op OpKind, dst, tag int) error {
+	bop := c.setBlocked(op, dst, tag, "")
 	defer c.clearBlocked()
-	timer := time.NewTimer(c.world.timeout) //vet:allow wallclock — rendezvous watchdog timeout: detects real-time hangs, never feeds the virtual clock
-	defer timer.Stop()
-	select {
-	case end := <-done:
-		c.clock.AdvanceTo(end)
-		return nil
-	case <-c.world.abortCh:
-		// The receiver may still be about to match the message; withdraw it
-		// so nobody reads a buffer the caller is free to reuse.
-		if !box.remove(m) {
-			// Already matched: wait for the receiver to finish the copy.
-			<-done
+	box.mu.Lock()
+	for !m.matched {
+		if err := c.world.halted(); err != nil {
+			box.unqueue(m)
+			box.mu.Unlock()
+			if errors.Is(err, ErrDeadlock) {
+				err = c.deadlockError(*bop)
+			}
+			return err
 		}
-		return ErrAborted
-	case <-timer.C:
-		if !box.remove(m) {
-			end := <-done
-			c.clock.AdvanceTo(end)
-			return nil
-		}
-		return c.deadlockError(*bop)
+		m.parked = true
+		c.world.sleep(c.rank, &box.mu)
 	}
+	box.mu.Unlock()
+	// Matched: the receiver is copying and sends the end time next. A send
+	// that completes after the world aborted fails with it.
+	end := <-m.done
+	if err := c.world.halted(); errors.Is(err, ErrAborted) {
+		return err
+	}
+	c.clock.AdvanceTo(end)
+	return nil
 }
 
 // sendOverhead is the sender-side injection overhead toward dst.
@@ -111,7 +117,7 @@ func (c *Comm) sendOverhead(dst int) float64 {
 // isend transmits one message, the chunks back to back, without ever
 // blocking, regardless of size (a private buffered send used by collective
 // algorithms, as real MPI implementations use nonblocking internals). The
-// payload is copied into the receiving mailbox's staging slab.
+// payload travels as a private copy.
 func (c *Comm) isend(dst, tag int, chunks ...[]byte) {
 	c.isendDecided(chunks, dst, tag, c.faultPoint(OpSend, dst, tag))
 }
@@ -150,7 +156,7 @@ func (c *Comm) Recv(buf []byte, src, tag int) (Status, error) {
 	box := c.world.boxes[c.rank]
 	bop := c.setBlocked(OpRecv, src, tag, "")
 	defer c.clearBlocked()
-	m, err := box.await(c.world, src, tag, false)
+	m, err := box.await(src, tag, false)
 	if err != nil {
 		if errors.Is(err, ErrDeadlock) {
 			err = c.deadlockError(*bop)
@@ -162,11 +168,9 @@ func (c *Comm) Recv(buf []byte, src, tag int) (Status, error) {
 		if m.done != nil {
 			m.done <- c.clock.Now() // release the blocked sender regardless
 		}
-		m.consumed(box)
 		return st, fmt.Errorf("%w: got %d bytes, buffer holds %d", ErrTruncate, st.Count, len(buf))
 	}
 	m.copyTo(buf)
-	m.consumed(box) // payload copied out; its slab chunk is dead
 	if m.done != nil {
 		// Rendezvous: the transfer starts when both sides are ready.
 		start := simtime.Max(m.arrival, c.clock.Now())
@@ -190,7 +194,7 @@ func (c *Comm) Probe(src, tag int) (Status, error) {
 	c.faultPoint(OpProbe, src, tag)
 	bop := c.setBlocked(OpProbe, src, tag, "")
 	defer c.clearBlocked()
-	m, err := c.world.boxes[c.rank].await(c.world, src, tag, true)
+	m, err := c.world.boxes[c.rank].await(src, tag, true)
 	if err != nil {
 		if errors.Is(err, ErrDeadlock) {
 			err = c.deadlockError(*bop)
@@ -225,11 +229,7 @@ func (c *Comm) sendRecv(send [][]byte, dst, sendTag int, recvBuf []byte, src, re
 	}
 	c.bytesSent += int64(size)
 	c.msgsSent++
-	var (
-		m      *message
-		done   chan float64
-		posted bool
-	)
+	var m *message // the posted send; nil when dropped
 	box := c.world.boxes[dst]
 	if d.Action == FaultDrop {
 		c.clock.Advance(c.sendOverhead(dst))
@@ -241,47 +241,25 @@ func (c *Comm) sendRecv(send [][]byte, dst, sendTag int, recvBuf []byte, src, re
 		} else if d.Action == FaultDelay {
 			extra = d.Delay
 		}
-		done = make(chan float64, 1)
 		m = &message{
 			src: c.rank, tag: sendTag, chunks: payload,
 			arrival: c.clock.Now() + extra,
-			done:    done,
+			done:    make(chan float64, 1),
 		}
 		box.enqueue(m)
-		posted = true
 	}
 	st, rerr := c.Recv(recvBuf, src, recvTag)
-	if !posted {
+	if m == nil {
 		return st, rerr
 	}
 	if rerr != nil {
 		// Withdraw the pending send so nobody matches a buffer the caller is
 		// about to reuse; if it was already matched, wait out the copy.
 		if !box.remove(m) {
-			<-done
+			<-m.done
 		}
 		return st, rerr
 	}
 	// Harvest the posted send.
-	bop := c.setBlocked(OpSendRecv, dst, sendTag, "")
-	defer c.clearBlocked()
-	timer := time.NewTimer(c.world.timeout) //vet:allow wallclock — rendezvous watchdog timeout: detects real-time hangs, never feeds the virtual clock
-	defer timer.Stop()
-	select {
-	case end := <-done:
-		c.clock.AdvanceTo(end)
-		return st, nil
-	case <-c.world.abortCh:
-		if !box.remove(m) {
-			<-done
-		}
-		return st, ErrAborted
-	case <-timer.C:
-		if !box.remove(m) {
-			end := <-done
-			c.clock.AdvanceTo(end)
-			return st, nil
-		}
-		return st, c.deadlockError(*bop)
-	}
+	return st, c.awaitRendezvous(box, m, OpSendRecv, dst, sendTag)
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // syncHub implements WorldSync: a zero-virtual-time rendezvous of all ranks
@@ -14,9 +13,9 @@ import (
 // and charges no virtual time.
 type syncHub struct {
 	mu       sync.Mutex
-	cond     *sync.Cond
 	n        int
 	sessions map[string]*syncSession
+	parked   []int // ranks asleep until the hub's next state change
 }
 
 type syncSession struct {
@@ -28,12 +27,28 @@ type syncSession struct {
 }
 
 func newSyncHub(n int) *syncHub {
-	h := &syncHub{n: n, sessions: make(map[string]*syncSession)}
-	h.cond = sync.NewCond(&h.mu)
-	return h
+	return &syncHub{n: n, sessions: make(map[string]*syncSession)}
 }
 
-func (h *syncHub) wakeAll() { h.cond.Broadcast() }
+// sleep parks the calling rank until the hub's next state change (it then
+// re-checks its condition) or a halt, whose error it returns. Caller holds
+// h.mu.
+func (h *syncHub) sleep(c *Comm) error {
+	if err := c.world.halted(); err != nil {
+		return err
+	}
+	h.parked = append(h.parked, c.rank)
+	c.world.sleep(c.rank, &h.mu)
+	return nil
+}
+
+// wakeAll un-parks every rank asleep on the hub. Caller holds h.mu.
+func (h *syncHub) wakeAll(w *World) {
+	for _, r := range h.parked {
+		w.unpark(r)
+	}
+	h.parked = h.parked[:0]
+}
 
 // WorldSync blocks until every rank has called it with the same key, then
 // runs compute exactly once (on the last arriving rank) over the inputs
@@ -52,10 +67,7 @@ func (c *Comm) WorldSync(key string, input any, compute func(inputs []any) []any
 
 // worldSync is the rendezvous body behind WorldSync.
 func (c *Comm) worldSync(key string, input any, compute func(inputs []any) []any) (any, error) {
-	w := c.world
-	h := w.syncHub
-	deadline := time.Now().Add(w.timeout)
-
+	h := c.world.syncHub
 	h.mu.Lock()
 	defer h.mu.Unlock()
 
@@ -65,10 +77,9 @@ func (c *Comm) worldSync(key string, input any, compute func(inputs []any) []any
 		if s == nil || !s.done {
 			break
 		}
-		if err := h.checkLiveness(w, deadline); err != nil {
+		if err := h.sleep(c); err != nil {
 			return nil, err
 		}
-		h.cond.Wait()
 	}
 	s := h.sessions[key]
 	if s == nil {
@@ -85,32 +96,19 @@ func (c *Comm) worldSync(key string, input any, compute func(inputs []any) []any
 		}
 		s.outputs = outs
 		s.done = true
-		h.cond.Broadcast()
+		h.wakeAll(c.world)
 	} else {
 		for !s.done {
-			if err := h.checkLiveness(w, deadline); err != nil {
+			if err := h.sleep(c); err != nil {
 				return nil, err
 			}
-			h.cond.Wait()
 		}
 	}
 	out := s.outputs[c.rank]
 	s.departed++
 	if s.departed == h.n {
 		delete(h.sessions, key)
-		h.cond.Broadcast()
+		h.wakeAll(c.world)
 	}
 	return out, nil
-}
-
-// checkLiveness converts aborts and watchdog expiry into errors. Caller
-// holds h.mu.
-func (h *syncHub) checkLiveness(w *World, deadline time.Time) error {
-	if w.aborted() {
-		return ErrAborted
-	}
-	if time.Now().After(deadline) {
-		return ErrDeadlock
-	}
-	return nil
 }

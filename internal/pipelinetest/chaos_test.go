@@ -161,7 +161,7 @@ func cleanRetry(t *testing.T, label string, w *chaosWorkload, mode Mode) {
 // under the chain of readMessageChain (its workload asks for Overlap, which
 // length-prefixed reads ignore) — asserting the failure contract each
 // time: an injected fault ends with every rank returning an error (no hang
-// — the runs themselves are the proof, under a short watchdog), no
+// — the runs themselves are the proof), no
 // goroutine leaks, absorbed faults reproduce the clean data exactly, and a
 // clean retry after any failed attempt reproduces the no-fault baseline
 // bitwise.
@@ -213,12 +213,12 @@ func TestChaosMatrix(t *testing.T) {
 			t.Run(prefix+"/mpi-drop", func(t *testing.T) {
 				before := runtime.NumGoroutine()
 				// Rank 1's first data-path message vanishes: its consumer
-				// blocks until the watchdog converts the hang into a
-				// DeadlockError carrying the per-rank blocked-op dump, and
-				// the abort releases everyone else.
+				// blocks until every rank is blocked or done, the moment
+				// the runtime reports a DeadlockError carrying the per-rank
+				// blocked-op dump, and the abort releases everyone else.
 				cfg := w.cfg
 				plan := fault.Plan{Seed: 13, Rules: []fault.Rule{fault.DropTag(1, chaosTagFragment)}}
-				cfg.World = mpi.Options{Fault: plan.New(), Timeout: 1500 * time.Millisecond}
+				cfg.World = mpi.Options{Fault: plan.New()}
 				_, errs, worldErr := RunE(cfg, mode)
 				assertAllFailed(t, prefix, errs, worldErr, -1)
 				var dl *mpi.DeadlockError

@@ -93,9 +93,9 @@ type Config struct {
 	Partition grid.Partition
 
 	// World tunes the MPI world a run executes under — most usefully
-	// Options.Fault (a deterministic injector, see internal/fault) and
-	// Options.Timeout (a short deadlock watchdog for chaos runs). The zero
-	// value keeps the defaults.
+	// Options.Fault (a deterministic injector, see internal/fault); a lost
+	// message needs no tuning, the runtime reports the deadlock it causes
+	// as soon as it forms. The zero value keeps the defaults.
 	World mpi.Options
 	// SinkFault, when non-nil, is consulted before each streamed-mode sink
 	// delivery with the rank and zero-based batch index; a non-nil return

@@ -543,8 +543,8 @@ func (rs *rankState) evaluate(rank int, req *request) (pairs int64, matches []ge
 
 // WaitClosed blocks until Close. Rank goroutines park here while clients
 // query; it is channel-based and touches neither the communicator nor the
-// virtual clock, so a parked rank spends no virtual time and cannot trip
-// the MPI deadlock watchdog.
+// virtual clock, so a parked rank spends no virtual time and counts as
+// running to the MPI runtime's deadlock detection.
 func (sv *Service) WaitClosed() { <-sv.closed }
 
 // DrainCharges returns rank's recorded per-request virtual-clock costs in

@@ -17,7 +17,7 @@ import (
 // Serve runs this rank's share of a resident query service over finished
 // cell trees: it registers a Session with svc, parks until svc.Close()
 // (channel-based — no virtual time passes and no MPI operation is pending,
-// so the deadlock watchdog stays quiet), then replays exactly what svc's
+// so the runtime counts the rank as running), then replays exactly what svc's
 // recorder holds. A default Service records nothing, so serving advances
 // the clock by nothing (Breakdown.Refine == 0) and the service's memory
 // does not grow with the requests it answers. On a Service with the replay

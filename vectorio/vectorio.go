@@ -304,13 +304,18 @@
 //   - A rank returning an error from the Run callback aborts the world;
 //     peers blocked in sends, receives, or collectives come back with
 //     ErrAborted (MPI_ERRORS_ARE_FATAL semantics).
-//   - A lost or never-sent message trips the per-operation deadlock
-//     watchdog (RunOptions.Timeout, default 60s of real time). The blocked
-//     rank gets a DeadlockError — the diagnostic form of ErrDeadlock,
+//   - A lost or never-sent message deadlocks the world, and the runtime
+//     reports it the moment it forms: when every rank is either blocked
+//     in a communicator operation or has returned from the Run callback,
+//     with at least one blocked, no rank can wake another. Each blocked
+//     rank then gets a DeadlockError — the diagnostic form of ErrDeadlock,
 //     carrying its own operation plus a per-rank dump of what every other
 //     rank was blocked on (operation kind, peer, tag, virtual time), the
-//     view an MPI debugger would give — and the abort releases everyone
-//     else.
+//     view an MPI debugger would give. No wall clock is involved. The rule
+//     has one known miss: a rank blocked outside the runtime (on a
+//     channel of its own, say, as a rank serving a Service waits for
+//     Close) counts as running, so a deadlock that involves it is not
+//     reported.
 //   - A rank that dies mid-run (a panic, or an injected crash) tears the
 //     world down with a CrashError wrapping ErrAborted, again with the
 //     per-rank blocked-operation dump.
@@ -356,8 +361,8 @@
 // conventions, they are enforced by an interprocedural static-analysis
 // suite (internal/analysis, driven by cmd/vectorio-vet and run in CI)
 // that builds a call graph over the whole module and checks: no
-// wall-clock reads inside the library outside the deadlock watchdog, so
-// virtual time stays the only clock; no Comm calls reachable — even
+// wall-clock reads inside the library, so virtual time stays the only
+// clock; no Comm calls reachable — even
 // through other packages — from goroutines spawned in the core
 // pipeline, so ranks never race on their own communicator; no
 // order-dependent work inside map iteration on the exchange and frame
@@ -417,8 +422,8 @@ type (
 // of them, aborting the world on the first error (MPI_ERRORS_ARE_FATAL).
 func Run(cfg *ClusterConfig, fn func(c *Comm) error) error { return mpi.Run(cfg, fn) }
 
-// RunOpt is Run with explicit options: the deadlock-watchdog timeout, the
-// reduction cost model, and the fault injector (see "Failure semantics and
+// RunOpt is Run with explicit options: the reduction cost model and the
+// fault injector (see "Failure semantics and
 // fault injection" in the package documentation).
 func RunOpt(cfg *ClusterConfig, opt RunOptions, fn func(c *Comm) error) error {
 	return mpi.RunOpt(cfg, opt, fn)
@@ -443,8 +448,8 @@ type (
 	// BlockedOp is one rank's blocked operation in a deadlock or crash
 	// diagnostic (operation kind, peer, tag, virtual time).
 	BlockedOp = mpi.BlockedOp
-	// DeadlockError is the diagnostic form of ErrDeadlock: the timed-out
-	// operation plus the per-rank blocked-operation dump.
+	// DeadlockError is the diagnostic form of ErrDeadlock: the reporting
+	// rank's blocked operation plus the per-rank blocked-operation dump.
 	DeadlockError = mpi.DeadlockError
 	// CrashError reports a rank that died mid-run; it wraps ErrAborted and
 	// carries the same per-rank blocked-operation dump.
@@ -453,7 +458,7 @@ type (
 
 // Failure sentinels, usable with errors.Is across the whole pipeline.
 var (
-	// ErrDeadlock marks a blocking operation that outlived the watchdog.
+	// ErrDeadlock marks a blocking operation that can never complete.
 	ErrDeadlock = mpi.ErrDeadlock
 	// ErrAborted is what blocked peers see when the world tears down.
 	ErrAborted = mpi.ErrAborted
