@@ -1,7 +1,8 @@
 // Package repro's top-level benchmarks regenerate every table and figure of
 // the paper's evaluation (one testing.B target per artifact) at a reduced
-// scale suitable for `go test -bench`. Full-scale sweeps — the ones recorded
-// in EXPERIMENTS.md — run through cmd/vectorio-bench.
+// scale suitable for `go test -bench`. Full-scale sweeps run through
+// cmd/vectorio-bench (`vectorio-bench -list` names every one; see
+// internal/bench/README.md).
 package repro
 
 import (

@@ -70,9 +70,10 @@ func TestFig14PolygonsSlowerThanPoints(t *testing.T) {
 
 // TestFig15ContiguousBeatsNC asserts Figure 15's claims: contiguous is
 // fastest, and non-contiguous time falls as the block size grows. It runs
-// the full-sweep configuration (the one EXPERIMENTS.md records): at very
-// coarse scales the largest block size degenerates to a handful of active
-// ranks and the ordering no longer holds.
+// the full-sweep configuration (`vectorio-bench -exp fig15`, listed by
+// `vectorio-bench -list`; see internal/bench/README.md): at very coarse
+// scales the largest block size degenerates to a handful of active ranks
+// and the ordering no longer holds.
 func TestFig15ContiguousBeatsNC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-sweep configuration")

@@ -419,6 +419,47 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 			t.Errorf("polylinesCross: %v allocs", n)
 		}
 	}
+
+	// A straddler the span rule accepts: the star's x-range lies within
+	// the rectangle's, its y-range does not.
+	star := &Polygon{Shell: run}
+	span := Envelope{0, 9, 20, 11}
+	if p, _ := AsRect(span.ToPolygon()); !p.Intersects(star, star.Envelope()) {
+		t.Fatal("span straddler not accepted")
+	}
+	if n := testing.AllocsPerRun(20, func() { IntersectsRect(star, span) }); n != 0 {
+		t.Errorf("IntersectsRect on a span straddler: %v allocs", n)
+	}
+
+	// Integer-grid collinear and touching inputs, which the float filter
+	// cannot settle: the exact fallback decides them without allocating.
+	square := &Polygon{Shell: []Point{{0, 0}, {4, 0}, {4, 4}, {0, 4}, {0, 0}}}
+	grid := []struct {
+		name       string
+		a, b, c, d Point
+	}{
+		{"collinear-overlap", Point{0, 0}, Point{4, 0}, Point{2, 0}, Point{6, 0}},
+		{"touching", Point{0, 0}, Point{4, 4}, Point{2, 2}, Point{2, 7}},
+		{"shared-vertex", Point{0, 0}, Point{3, 1}, Point{3, 1}, Point{5, 0}},
+	}
+	for _, c := range grid {
+		if _, ok := orient(c.a, c.b, c.c); ok {
+			t.Fatalf("%s: the float filter settled it; it does not reach the fallback", c.name)
+		}
+		if !SegmentsIntersect(c.a, c.b, c.c, c.d) {
+			t.Errorf("%s: SegmentsIntersect = false", c.name)
+		}
+		if n := testing.AllocsPerRun(20, func() { SegmentsIntersect(c.a, c.b, c.c, c.d) }); n != 0 {
+			t.Errorf("SegmentsIntersect %s: %v allocs", c.name, n)
+		}
+		line := &LineString{Pts: []Point{c.c, c.d}}
+		if n := testing.AllocsPerRun(20, func() { Intersects(line, square) }); n != 0 {
+			t.Errorf("Intersects %s: %v allocs", c.name, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { PointInPolygon(c.c, square) }); n != 0 {
+			t.Errorf("PointInPolygon %s: %v allocs", c.name, n)
+		}
+	}
 }
 
 // FuzzIntersectsRect fuzzes the rectangle kernel, and the probe a refine
@@ -433,11 +474,11 @@ func FuzzIntersectsRect(f *testing.F) {
 		if g == nil {
 			t.Skip("no vertices")
 		}
-		// Beyond 2^500 the orientation products overflow to ±Inf and NaN
-		// and neither path means anything.
+		// Non-finite coordinates keep the float behaviour, which claims
+		// nothing; every finite rectangle is decided exactly.
 		for _, v := range []float64{minX, minY, maxX, maxY} {
-			if math.IsNaN(v) || math.Abs(v) > 0x1p500 {
-				t.Skip("rectangle out of range")
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip("non-finite rectangle")
 			}
 		}
 		r := Envelope{minX, minY, maxX, maxY}

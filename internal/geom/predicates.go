@@ -1,13 +1,20 @@
 package geom
 
+import (
+	"math"
+	"math/big"
+)
+
 // This file implements the "intersects" spatial predicate for every pair of
 // supported geometry types. Intersects is the predicate θ of the paper's
 // spatial join definition (§2): it returns true iff the two shapes share any
 // portion of space. The refine phase of filter-and-refine calls these exact
 // routines after the MBR filter has discarded the cheap negatives.
 //
-// There are two kernels, and each is pinned to the plain all-pairs
-// definition by a differential test (kernels_test.go):
+// The kernel invariant: RectProbe returns the general path's answer, and
+// the general path is exact. Each kernel is pinned to its definition by a
+// differential test (kernels_test.go), and the general path to a rational
+// oracle (oracle_test.go):
 //
 //   - The general path crosses every ring of one operand against every ring
 //     of the other, segment pair by segment pair, with a per-pair envelope
@@ -18,18 +25,25 @@ package geom
 //     pre-test would have dropped — the set of pairs handed to
 //     SegmentsIntersect, and therefore the boolean, is that of the naive
 //     double loop.
+//   - Its arithmetic is exact for every finite input: the only arithmetic
+//     is the sign of the orientation determinant, which a float filter
+//     decides when it can prove the sign, and an exact fallback decides
+//     otherwise (orientation). Every other step is a comparison.
 //   - The rectangle kernel (RectProbe) answers geometry × axis-aligned
-//     rectangle. Invariant: it returns what the general path returns on the
-//     rectangle's polygon. Its shortcuts are exact consequences of the
-//     general path's own arithmetic on axis-aligned edges, not
-//     approximations of it, and the segments it cannot settle by comparison
-//     go through the same SegmentsIntersect against the same four edges.
-//     AsRect recognizes the rectangle once per probe, and the kernel takes
-//     the candidate's envelope from its caller — the envelope an R-tree
-//     already holds — so a candidate whose envelope the rectangle contains
-//     is accepted without touching its vertices or its envelope cache.
+//     rectangle. Its shortcuts are exact consequences of the general
+//     path's answer, not approximations of it, and the segments it cannot
+//     settle by comparison go through the same SegmentsIntersect against
+//     the same four edges. AsRect recognizes the rectangle once per probe,
+//     and the kernel takes the candidate's envelope from its caller — the
+//     envelope an R-tree already holds — so a candidate whose envelope the
+//     rectangle contains, or a line or polygon whose envelope spans it in
+//     one axis, is accepted without touching its vertices.
 //
-// Neither kernel stores anything per geometry or allocates.
+// Non-finite coordinates, which WKB can carry, keep the float behaviour:
+// orientation returns the plain float determinant for them, NaN included,
+// and the invariant is not claimed. Neither kernel stores anything per
+// geometry, and neither allocates unless orientExact meets a coordinate
+// difference outside [2^-450, 2^450] (its math/big stage).
 
 // Intersects reports whether geometries a and b share at least one point.
 // When either operand is an axis-aligned rectangle polygon (a range query's
@@ -169,6 +183,13 @@ func IntersectsRect(g Geometry, r Envelope) bool {
 //   - the rectangle contains env: g's first vertex lies in it, which the
 //     general path accepts (a point is in a rectangle polygon iff it is in
 //     the rectangle). Nothing of g but env is read.
+//   - g is a line or a polygon whose env lies within the rectangle's x-range
+//     or within its y-range: its line, or its shell, is one polyline through
+//     every vertex, so it passes through every height (width) of env, one
+//     of which env shares with the rectangle, and there it is inside. So it
+//     has a point in the rectangle, and the exact general path finds a
+//     vertex inside or a segment that meets an edge. Nothing of g but its
+//     type and env is read. Multi-geometries recurse per component.
 //   - a vertex on the rectangle's boundary: its segment meets the edge it
 //     lies on — orientation against an axis-aligned edge is exactly zero
 //     there.
@@ -180,8 +201,9 @@ func IntersectsRect(g Geometry, r Envelope) bool {
 //     corner, as in the general path.
 //
 // So the cost follows how soon the answer is known — O(1) for a contained
-// candidate, the distance to the first boundary crossing for a straddling
-// one — and only a disjoint or enclosing polygon is walked in full.
+// or spanning candidate, the distance to the first boundary crossing for
+// another straddling one — and only a disjoint or enclosing polygon is
+// walked in full.
 func (p RectProbe) Intersects(g Geometry, env Envelope) bool {
 	r, shell := p.r, p.shell
 	if !env.Intersects(r) {
@@ -189,6 +211,12 @@ func (p RectProbe) Intersects(g Geometry, env Envelope) bool {
 	}
 	if r.Contains(env) {
 		return true
+	}
+	if (r.MinX <= env.MinX && env.MaxX <= r.MaxX) || (r.MinY <= env.MinY && env.MaxY <= r.MaxY) {
+		switch g.(type) {
+		case *LineString, *Polygon:
+			return true
+		}
 	}
 	// A Point never gets this far: its envelope is itself.
 	switch g := g.(type) {
@@ -335,14 +363,16 @@ func PointInPolygon(p Point, poly *Polygon) bool {
 }
 
 // pointInRing is the classic even-odd crossing count (boundary excluded).
+// An edge that crosses p's height toggles the count when p lies left of the
+// crossing, that is on the upward side of the edge (j, i): its orientation
+// sign decides that exactly, with no division.
 func pointInRing(p Point, ring []Point) bool {
 	inside := false
 	n := len(ring)
 	for i, j := 0, n-1; i < n; j, i = i, i+1 {
 		yi, yj := ring[i].Y, ring[j].Y
 		if (yi > p.Y) != (yj > p.Y) {
-			xCross := ring[j].X + (p.Y-yj)/(yi-yj)*(ring[i].X-ring[j].X)
-			if p.X < xCross {
+			if o := orientation(ring[j], ring[i], p); o != 0 && (o > 0) == (yi > yj) {
 				inside = !inside
 			}
 		}
@@ -352,14 +382,22 @@ func pointInRing(p Point, ring []Point) bool {
 
 func pointOnRing(p Point, ring []Point) bool { return pointOnLine(p, ring) }
 
-// pointOnLine reports whether p lies on any segment of the polyline.
+// pointOnLine reports whether p lies on any segment of the polyline. The
+// bounding-box comparisons run first: they settle all but a few segments
+// of a ring without the orientation product.
 func pointOnLine(p Point, pts []Point) bool {
 	for i := 1; i < len(pts); i++ {
-		if onSegment(pts[i-1], pts[i], p) {
+		if inSegBox(pts[i-1], pts[i], p) && orientation(pts[i-1], pts[i], p) == 0 {
 			return true
 		}
 	}
 	return false
+}
+
+// inSegBox reports whether p lies in the closed bounding box of segment ab.
+func inSegBox(a, b, p Point) bool {
+	return min(a.X, b.X) <= p.X && p.X <= max(a.X, b.X) &&
+		min(a.Y, b.Y) <= p.Y && p.Y <= max(a.Y, b.Y)
 }
 
 // segBox is the closed bounding box of segment pq.
@@ -472,24 +510,29 @@ func ringsCross(run []Point, env Envelope, b *Polygon) bool {
 	return false
 }
 
-// orientation returns >0 if (a,b,c) turn counter-clockwise, <0 clockwise,
-// 0 if collinear.
-func orientation(a, b, c Point) float64 {
-	return (b.X-a.X)*(c.Y-a.Y) - (b.Y-a.Y)*(c.X-a.X)
-}
-
-// onSegment reports whether p lies on segment ab. The bounding-box
-// comparisons run first: they settle all but a few segments of a ring
-// without the orientation product.
-func onSegment(a, b, p Point) bool {
-	return min(a.X, b.X) <= p.X && p.X <= max(a.X, b.X) &&
-		min(a.Y, b.Y) <= p.Y && p.Y <= max(a.Y, b.Y) &&
-		orientation(a, b, p) == 0
-}
-
 // SegmentsIntersect reports whether closed segments p1p2 and p3p4 share a
-// point, including collinear overlap and endpoint touching.
+// point, including collinear overlap and endpoint touching. An orientation
+// the float filter settles is not zero: p1 and p2 settled on one side of
+// p3p4 miss it, and four settled signs leave only a proper crossing. Any
+// other case is decided on the exact signs.
 func SegmentsIntersect(p1, p2, p3, p4 Point) bool {
+	d1, ok1 := orient(p3, p4, p1)
+	d2, ok2 := orient(p3, p4, p2)
+	if ok1 && ok2 {
+		if (d1 > 0) == (d2 > 0) {
+			return false
+		}
+		d3, ok3 := orient(p1, p2, p3)
+		d4, ok4 := orient(p1, p2, p4)
+		if ok3 && ok4 {
+			return (d3 > 0) != (d4 > 0)
+		}
+	}
+	return segmentsIntersectExact(p1, p2, p3, p4)
+}
+
+// segmentsIntersectExact is SegmentsIntersect on the exact orientation signs.
+func segmentsIntersectExact(p1, p2, p3, p4 Point) bool {
 	d1 := orientation(p3, p4, p1)
 	d2 := orientation(p3, p4, p2)
 	d3 := orientation(p1, p2, p3)
@@ -499,8 +542,142 @@ func SegmentsIntersect(p1, p2, p3, p4 Point) bool {
 		((d3 > 0 && d4 < 0) || (d3 < 0 && d4 > 0)) {
 		return true
 	}
-	return (d1 == 0 && onSegment(p3, p4, p1)) ||
-		(d2 == 0 && onSegment(p3, p4, p2)) ||
-		(d3 == 0 && onSegment(p1, p2, p3)) ||
-		(d4 == 0 && onSegment(p1, p2, p4))
+	return (d1 == 0 && inSegBox(p3, p4, p1)) ||
+		(d2 == 0 && inSegBox(p3, p4, p2)) ||
+		(d3 == 0 && inSegBox(p1, p2, p3)) ||
+		(d4 == 0 && inSegBox(p1, p2, p4))
+}
+
+// orientation returns >0 if (a,b,c) turn counter-clockwise, <0 clockwise,
+// 0 if collinear — the sign of the determinant of b-a and c-a, exact for
+// finite coordinates. The float filter (orient) settles almost every call;
+// the rest go to orientExact.
+func orientation(a, b, c Point) float64 {
+	det, ok := orient(a, b, c)
+	if !ok {
+		det = orientExact(a, b, c, det)
+	}
+	return det
+}
+
+const (
+	// ccwErrBoundA is Shewchuk's static forward error bound for the float
+	// determinant ("Adaptive Precision Floating-Point Arithmetic and Fast
+	// Robust Geometric Predicates", 1997): with ε = 2^-53 and no underflow,
+	// |det - exact| <= ccwErrBoundA·(|l| + |r|).
+	ccwErrBoundA = (3 + 16*0x1p-53) * 0x1p-53
+	// sqErrBound is the bound squared, for orient's test without absolute
+	// values: (|l| + |r|)² <= 2(l² + r²), and the factor 1 + 2^-40 covers
+	// the rounding of the squares, their sum and the products.
+	sqErrBound = 2 * ccwErrBoundA * ccwErrBoundA * (1 + 0x1p-40)
+	// sqDetFloor is the smallest det² orient accepts. Below it a product
+	// may have lost bits to underflow, which the relative bound does not
+	// cover; above it an underflowed product's absolute error is far
+	// inside the bound's slack.
+	sqDetFloor = 0x1p-1000
+)
+
+// orient is orientation's float filter, kept small enough to inline: the
+// float determinant l - r of (a, b, c), and whether its sign is certain.
+// It is certain when det² exceeds the squared error bound — as it does for
+// products of opposite signs, whose difference cannot cancel, unless they
+// are tiny — and sqDetFloor. A zero, an overflow and a NaN are never
+// certain.
+func orient(a, b, c Point) (det float64, ok bool) {
+	l := (b.X - a.X) * (c.Y - a.Y)
+	r := (b.Y - a.Y) * (c.X - a.X)
+	det = l - r
+	return det, det*det > sqErrBound*(l*l+r*r)+sqDetFloor
+}
+
+// orientExact returns a value with the exact sign of the orientation
+// determinant of (a, b, c), for a call the filter could not settle; det is
+// the filter's float determinant, returned as it is when a coordinate is
+// not finite. It allocates nothing unless a coordinate difference, or its
+// rounding error, is nonzero and outside [2^-450, 2^450]; there it falls
+// back to math/big.
+func orientExact(a, b, c Point, det float64) float64 {
+	for _, v := range [...]float64{a.X, a.Y, b.X, b.Y, c.X, c.Y} {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return det
+		}
+	}
+	// Each difference is exactly hi + lo (two-sum), so the determinant is
+	// (bx+bxl)(cy+cyl) - (by+byl)(cx+cxl): eight products of two floats,
+	// each exactly two floats (two-product by FMA), summed exactly into one
+	// expansion whose largest component carries the sign.
+	bx, bxl := twoSum(b.X, -a.X)
+	by, byl := twoSum(b.Y, -a.Y)
+	cx, cxl := twoSum(c.X, -a.X)
+	cy, cyl := twoSum(c.Y, -a.Y)
+	terms := [...][2]float64{
+		{bx, cy}, {bx, cyl}, {bxl, cy}, {bxl, cyl},
+		{-by, cx}, {-by, cxl}, {-byl, cx}, {-byl, cxl},
+	}
+	for _, t := range terms {
+		for _, v := range t {
+			// Products of these stay within [2^-900, 2^900]: no product or
+			// sum below can overflow or lose bits to underflow.
+			if v != 0 && !(math.Abs(v) >= 0x1p-450 && math.Abs(v) <= 0x1p450) {
+				return orientBig(a, b, c)
+			}
+		}
+	}
+	var buf [2 * len(terms)]float64
+	e := buf[:0]
+	for _, t := range terms {
+		if t[0] != 0 && t[1] != 0 {
+			p := t[0] * t[1]
+			e = grow(grow(e, math.FMA(t[0], t[1], -p)), p)
+		}
+	}
+	if len(e) == 0 {
+		return 0
+	}
+	return e[len(e)-1]
+}
+
+// twoSum returns s = fl(a+b) and the rounding error e, so that s + e is
+// a + b exactly (Knuth), barring overflow.
+func twoSum(a, b float64) (s, e float64) {
+	s = a + b
+	bv := s - a
+	e = (a - (s - bv)) + (b - bv)
+	return s, e
+}
+
+// grow adds x to the expansion e exactly. An expansion is a sum of
+// nonoverlapping floats in increasing magnitude, so its sign is its last
+// component's; grow keeps that form and drops zero components
+// (Shewchuk's Grow-Expansion). e's backing array must have room for one
+// more component.
+func grow(e []float64, x float64) []float64 {
+	if x == 0 {
+		return e
+	}
+	n := 0
+	for _, c := range e {
+		var h float64
+		x, h = twoSum(x, c)
+		if h != 0 {
+			e[n] = h
+			n++
+		}
+	}
+	if x == 0 {
+		return e[:n]
+	}
+	return append(e[:n], x)
+}
+
+// orientBig is orientExact for coordinates whose differences or products
+// leave the range where the float expansion is exact.
+func orientBig(a, b, c Point) float64 {
+	diff := func(u, v float64) *big.Rat {
+		d := new(big.Rat).SetFloat64(u)
+		return d.Sub(d, new(big.Rat).SetFloat64(v))
+	}
+	l := new(big.Rat).Mul(diff(b.X, a.X), diff(c.Y, a.Y))
+	r := new(big.Rat).Mul(diff(b.Y, a.Y), diff(c.X, a.X))
+	return float64(l.Cmp(r))
 }

@@ -3,6 +3,7 @@ package pipelinetest
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -31,6 +32,49 @@ func genGeoms(n int, seed int64) []geom.Geometry {
 		}
 	}
 	return out
+}
+
+// genDegenerateGeoms draws the degenerate layer genGeoms never produces,
+// inside [0,100)²: polygons with a hole, pairs of polygons sharing a
+// border, and shapes whose vertices lie exactly on the lines of the 8×8
+// grid over [0,100]² (multiples of 12.5). Every coordinate is a multiple of
+// 0.5, so the WKT fixture carries it exactly.
+func genDegenerateGeoms(n int, seed int64) []geom.Geometry {
+	r := rand.New(rand.NewSource(seed))
+	gridLine := func() float64 { return 12.5 * float64(1+r.Intn(7)) }
+	lattice := func(lo, hi float64) float64 { return lo + 0.5*float64(r.Intn(int(2*(hi-lo)))) }
+	ring := func(pts ...geom.Point) []geom.Point { return append(pts, pts[0]) }
+	var out []geom.Geometry
+	for len(out) < n {
+		switch r.Intn(4) {
+		case 0: // a square with a square hole
+			x, y, s := lattice(0, 80), lattice(0, 80), 4+lattice(0, 12)
+			out = append(out, &geom.Polygon{
+				Shell: ring(geom.Point{X: x, Y: y}, geom.Point{X: x + s, Y: y}, geom.Point{X: x + s, Y: y + s}, geom.Point{X: x, Y: y + s}),
+				Holes: [][]geom.Point{ring(geom.Point{X: x + 1, Y: y + 1}, geom.Point{X: x + 1, Y: y + s - 1}, geom.Point{X: x + s - 1, Y: y + s - 1}, geom.Point{X: x + s - 1, Y: y + 1})},
+			})
+		case 1: // two quads sharing a border that lies on a vertical grid line
+			x, y := gridLine(), lattice(0, 80)
+			a, b, h := lattice(0, 4), 6+lattice(0, 4), 10+lattice(0, 5)
+			w1, w2 := 1+lattice(0, 8), 1+lattice(0, 8)
+			out = append(out,
+				&geom.Polygon{Shell: ring(geom.Point{X: x - w1, Y: y}, geom.Point{X: x, Y: y + a}, geom.Point{X: x, Y: y + b}, geom.Point{X: x - w1, Y: y + h})},
+				&geom.Polygon{Shell: ring(geom.Point{X: x, Y: y + a}, geom.Point{X: x + w2, Y: y}, geom.Point{X: x + w2, Y: y + h}, geom.Point{X: x, Y: y + b})})
+		case 2: // two triangles sharing a diagonal
+			x, y, s := lattice(0, 85), lattice(0, 85), 1+lattice(0, 12)
+			out = append(out,
+				&geom.Polygon{Shell: ring(geom.Point{X: x, Y: y}, geom.Point{X: x + s, Y: y + s}, geom.Point{X: x, Y: y + s})},
+				&geom.Polygon{Shell: ring(geom.Point{X: x, Y: y}, geom.Point{X: x + s, Y: y}, geom.Point{X: x + s, Y: y + s})})
+		default: // vertices on grid lines: a triangle at a cell corner, a
+			// line along a grid line, a point on a grid crossing
+			cx, cy := gridLine(), gridLine()
+			out = append(out,
+				&geom.Polygon{Shell: ring(geom.Point{X: cx, Y: cy}, geom.Point{X: cx + lattice(1, 8), Y: cy}, geom.Point{X: cx, Y: cy - lattice(1, 8)})},
+				&geom.LineString{Pts: []geom.Point{{X: cx, Y: lattice(0, 90)}, {X: cx, Y: lattice(0, 90)}, {X: lattice(0, 90), Y: cy}}},
+				geom.Point{X: cx, Y: cy})
+		}
+	}
+	return out[:n]
 }
 
 // wktFixture writes the geometries as newline-delimited WKT.
@@ -221,4 +265,55 @@ func TestPipelineEquivalenceUndersizedEnvelope(t *testing.T) {
 		Ranks:       3,
 	}
 	AssertAllEquivalent(t, "undersized envelope", RunAll(t, cfg))
+}
+
+// TestPipelineEquivalenceDegenerate runs the degenerate layer through
+// every mode, the service included, against queries whose edges lie on
+// grid lines and shared borders. The answers must also equal a brute-force
+// evaluation of every query against every geometry: a pair on a cell line
+// is reported exactly once, by one rank.
+func TestPipelineEquivalenceDegenerate(t *testing.T) {
+	geoms := genDegenerateGeoms(300, 75)
+	queries := genQueries(6, 76)
+	for _, q := range [][4]float64{
+		{12.5, 12.5, 37.5, 37.5}, {25, 0, 50, 100}, {0, 50, 100, 62.5},
+		{37.5, 37.5, 37.5, 37.5}, {60, 12.5, 62.5, 87.5}, {12.5, 40, 87.5, 40.5},
+	} {
+		queries = append(queries, geom.Envelope{MinX: q[0], MinY: q[1], MaxX: q[2], MaxY: q[3]})
+	}
+	cfg := Config{
+		File:        wktFixture(t, geoms),
+		Parser:      func() core.Parser { return core.NewWKTParser() },
+		ReadOpt:     core.ReadOptions{BlockSize: 1 << 10, StreamBatch: 23},
+		Envelope:    geom.Envelope{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100},
+		GridCells:   64,
+		WindowCells: 7,
+		Queries:     queries,
+		Ranks:       3,
+	}
+	results := RunAll(t, cfg)
+	AssertAllEquivalent(t, "degenerate", results)
+	AssertEquivalent(t, "degenerate", RunServe(t, cfg, 4), results[0])
+
+	var want, got []string
+	for qi, q := range queries {
+		for _, g := range geoms {
+			if geom.Intersects(g, q.ToPolygon()) {
+				want = append(want, fmt.Sprintf("%d:%s", qi, wkt.Format(g)))
+			}
+		}
+	}
+	for _, hits := range results[0].QueryHits {
+		got = append(got, hits...)
+	}
+	sort.Strings(want)
+	sort.Strings(got)
+	if len(got) != len(want) {
+		t.Fatalf("the pipeline answered %d pairs, brute force %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("pair %d: the pipeline answered %s, brute force %s", i, got[i], want[i])
+		}
+	}
 }

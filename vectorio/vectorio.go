@@ -315,7 +315,9 @@
 //     has one known miss: a rank blocked outside the runtime (on a
 //     channel of its own, say, as a rank serving a Service waits for
 //     Close) counts as running, so a deadlock that involves it is not
-//     reported.
+//     reported. For a caller this means a sink, or a Service's
+//     WaitClosed, that blocks on another rank hangs Run forever: there is
+//     no timeout.
 //   - A rank that dies mid-run (a panic, or an injected crash) tears the
 //     world down with a CrashError wrapping ErrAborted, again with the
 //     per-rank blocked-operation dump.
