@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -155,28 +156,54 @@ func TestReadAtSyncRemoteAgreement(t *testing.T) {
 	}
 }
 
-func TestReadAtAllLimitAgreement(t *testing.T) {
-	// One rank's request exceeds the ROMIO limit: the whole collective must
-	// fail in-band — the offender with ErrTooLarge, the others with
-	// ErrRemoteRead — instead of the offender abandoning the rendezvous.
-	_, pf := faultFS(t, 4096)
-	pf.SetScale(1 << 30) // each real byte stands for 1 GiB
-	errs := make([]error, 2)
-	if err := mpi.Run(cluster.Local(2), func(c *mpi.Comm) error {
-		f := Open(c, pf, Hints{})
-		size := 1
-		if c.Rank() == 1 {
-			size = 8 // 8 GiB virtual: over the 2 GB single-call limit
-		}
-		_, errs[c.Rank()] = f.ReadAtAll(make([]byte, size), 0)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+// TestCollectiveLimitAgreement: one rank's request exceeds the ROMIO
+// limit. Each of the four two-phase calls must fail in-band on every rank —
+// the offender with ErrTooLarge, the others with ErrRemoteRead naming the
+// offender — instead of the offender abandoning the rendezvous and leaving
+// the others deadlocked in it (or in the view calls' Allgather).
+func TestCollectiveLimitAgreement(t *testing.T) {
+	calls := []struct {
+		name string
+		view bool
+		call func(f *File, buf []byte) (int, error)
+	}{
+		{"ReadAtAll", false, func(f *File, b []byte) (int, error) { return f.ReadAtAll(b, 0) }},
+		{"ReadViewAll", true, func(f *File, b []byte) (int, error) { return f.ReadViewAll(b, 0) }},
+		{"WriteAtAll", false, func(f *File, b []byte) (int, error) { return f.WriteAtAll(b, 0) }},
+		{"WriteViewAll", true, func(f *File, b []byte) (int, error) { return f.WriteViewAll(b, 0) }},
 	}
-	if !errors.Is(errs[1], ErrTooLarge) {
-		t.Errorf("offending rank err = %v, want ErrTooLarge", errs[1])
-	}
-	if !errors.Is(errs[0], ErrRemoteRead) {
-		t.Errorf("healthy rank err = %v, want ErrRemoteRead", errs[0])
+	for _, tc := range calls {
+		t.Run(tc.name, func(t *testing.T) {
+			_, pf := faultFS(t, 4096)
+			pf.SetScale(1 << 30) // each real byte stands for 1 GiB
+			errs := make([]error, 2)
+			if err := mpi.Run(cluster.Local(2), func(c *mpi.Comm) error {
+				f := Open(c, pf, Hints{})
+				if tc.view {
+					// Round-robin single bytes: rank r sees bytes r, r+2, ...
+					ft, err := mpi.TypeVector(8, 1, 2, mpi.Byte)
+					if err != nil {
+						return err
+					}
+					if err := f.SetView(int64(c.Rank()), mpi.Byte, ft); err != nil {
+						return err
+					}
+				}
+				size := 1
+				if c.Rank() == 1 {
+					size = 8 // 8 GiB virtual: over the 2 GB single-call limit
+				}
+				_, errs[c.Rank()] = tc.call(f, make([]byte, size))
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !errors.Is(errs[1], ErrTooLarge) {
+				t.Errorf("offending rank err = %v, want ErrTooLarge", errs[1])
+			}
+			if !errors.Is(errs[0], ErrRemoteRead) || !strings.Contains(errs[0].Error(), "rank 1") {
+				t.Errorf("healthy rank err = %v, want ErrRemoteRead naming rank 1", errs[0])
+			}
+		})
 	}
 }

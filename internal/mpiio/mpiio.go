@@ -11,6 +11,10 @@
 //	Level 0  contiguous + independent  ->  ReadAt / ReadAtSync
 //	Level 1  contiguous + collective   ->  ReadAtAll
 //	Level 3  non-contiguous+collective ->  SetView + ReadViewAll
+//
+// Collective writes (WriteAtAll, WriteViewAll) run the same two-phase
+// engine as the collective reads: one plan rendezvous, one stripe-cyclic
+// plan and one buffering-cycle loop per direction (collective.go).
 package mpiio
 
 import (
@@ -31,11 +35,13 @@ const ROMIOLimit = int64(1) << 31
 // ErrTooLarge mirrors ROMIO failing reads over 2 GB in a single operation.
 var ErrTooLarge = errors.New("mpiio: request exceeds ROMIO 2 GB single-operation limit")
 
-// ErrRemoteRead is returned by coordinated reads (ReadAtSync, ReadAtAll) on
-// ranks whose own read succeeded when another rank's failed: the collective
-// agrees on failure in-band, so every rank returns an error instead of the
-// healthy ranks sailing on. The failing rank returns its concrete error.
-var ErrRemoteRead = errors.New("mpiio: read failed on another rank")
+// ErrRemoteRead is returned by coordinated calls (ReadAtSync and the
+// collective reads and writes ReadAtAll, ReadViewAll, WriteAtAll and
+// WriteViewAll) on ranks whose own part succeeded when another rank's
+// failed or was rejected: the call agrees on failure in-band, so every rank
+// returns an error naming the offending rank instead of the healthy ranks
+// sailing on (or hanging). The failing rank returns its concrete error.
+var ErrRemoteRead = errors.New("mpiio: I/O failed on another rank")
 
 // readRetries bounds how many times a read absorbing pfs.ErrTransientRead
 // faults is retried before the error is surfaced as permanent.
@@ -96,9 +102,9 @@ func (h Hints) bufferSize() int64 {
 }
 
 // File is an MPI file handle: a striped pfs file opened across a
-// communicator. It owns recycled collective-read scratch (aggBuf), so it
-// is a pooled type under the arenaescape invariant: slices carved from
-// its buffers must not outlive the next collective call.
+// communicator. It owns recycled collective scratch (aggBuf), so it is a
+// pooled type under the arenaescape invariant: slices carved from its
+// buffers must not outlive the next collective call.
 //
 //vet:pooled
 type File struct {
@@ -107,29 +113,32 @@ type File struct {
 	hint Hints
 	view *view
 
-	// Collective-read scratch, reused across buffering cycles and calls. A
-	// File handle is held by a single rank (each rank opens its own), so no
+	// Collective scratch, reused across buffering cycles and calls. A File
+	// handle is held by a single rank (each rank opens its own), so no
 	// synchronization is needed.
-	aggBuf    []byte   // aggregator phase-1 staging buffer
-	sendParts [][]byte // per-rank redistribution slices
-	recvSizes []int    // per-rank expected receive sizes
+	aggBuf    []byte     // aggregator staging buffer (one cycle slice)
+	sendParts [][][]byte // per-rank redistribution chunk lists
+	recvSizes []int      // per-rank expected receive sizes
 }
 
-// scratch returns the collective exchange scratch sized for n ranks, wiped.
-func (f *File) scratch(n int) ([][]byte, []int) {
+// scratch returns the collective exchange scratch sized for n ranks, wiped:
+// empty chunk lists (their capacity kept, their references dropped) and
+// zero receive sizes.
+func (f *File) scratch(n int) ([][][]byte, []int) {
 	if cap(f.sendParts) < n {
-		f.sendParts = make([][]byte, n)
+		f.sendParts = make([][][]byte, n)
 		f.recvSizes = make([]int, n)
 	}
 	f.sendParts, f.recvSizes = f.sendParts[:n], f.recvSizes[:n]
-	for i := range f.sendParts {
-		f.sendParts[i] = nil
+	for i, chunks := range f.sendParts {
+		clear(chunks)
+		f.sendParts[i] = chunks[:0]
 		f.recvSizes[i] = 0
 	}
 	return f.sendParts, f.recvSizes
 }
 
-// growAggBuf returns the phase-1 staging buffer resized to n bytes,
+// growAggBuf returns the aggregator staging buffer resized to n bytes,
 // recycled under the shared arena grow-or-reuse policy.
 func (f *File) growAggBuf(n int) []byte {
 	f.aggBuf = arena.GrowBuf(f.aggBuf, n)
@@ -179,13 +188,6 @@ func (f *File) ReadAt(buf []byte, off int64) (int, error) {
 	return n, err
 }
 
-// ReadAtSync has the semantics and cost model of independent reads (no
-// aggregators, no redistribution — every rank's own request goes straight
-// to the filesystem), but coordinates the *timing model* across ranks so
-// concurrent iterations share OST bandwidth deterministically. All ranks
-// must call it each iteration; inactive ranks pass an empty buf. This is
-// how the Level-0 experiments of Figures 8-9 are measured: every rank
-// spinning in the same read loop.
 // syncReq is one rank's contribution to the ReadAtSync rendezvous: its
 // timing-model request plus whether its local read failed, so failure is
 // agreed on in-band instead of one rank bailing out of the collective.
@@ -194,6 +196,13 @@ type syncReq struct {
 	failed bool
 }
 
+// ReadAtSync has the semantics and cost model of independent reads (no
+// aggregators, no redistribution — every rank's own request goes straight
+// to the filesystem), but coordinates the *timing model* across ranks so
+// concurrent iterations share OST bandwidth deterministically. All ranks
+// must call it each iteration; inactive ranks pass an empty buf. This is
+// how the Level-0 experiments of Figures 8-9 are measured: every rank
+// spinning in the same read loop.
 func (f *File) ReadAtSync(buf []byte, off int64) (int, error) {
 	// Do the local work first and carry any failure into the rendezvous —
 	// returning early here would strand the other ranks in WorldSync.

@@ -1,9 +1,8 @@
 package mpiio
 
 import (
-	"errors"
+	"encoding/binary"
 	"fmt"
-	"io"
 
 	"repro/internal/mpi"
 )
@@ -82,189 +81,12 @@ func (v *view) ranges(viewOff, length int64) []span {
 	return out
 }
 
-// ReadViewAll is the non-contiguous collective read of Level 3
-// (MPI_File_read_all under a file view): each rank reads len(buf) visible
-// bytes starting at visible offset viewOff of its own view. Two-phase I/O
-// with data sieving: aggregators read contiguous domain slices (holes
-// included) and redistribute only the requested pieces — the extra sieved
-// bytes and the denser exchange are exactly why the paper finds
-// non-contiguous access slower and very block-size sensitive (Figures
-// 15-16).
-func (f *File) ReadViewAll(buf []byte, viewOff int64) (int, error) {
-	if err := f.checkLimit(len(buf)); err != nil {
-		return 0, err
-	}
-	myRanges := f.view.ranges(viewOff, int64(len(buf)))
-
-	type viewReq struct {
-		ranges []span
-	}
-	planAny, err := f.comm.WorldSync("mpiio.view:"+f.pf.Name(), viewReq{ranges: myRanges}, func(inputs []any) []any {
-		// Build a plan over the hull of each rank's ranges; sieving reads
-		// whole domain slices.
-		reqs := make([]span, len(inputs))
-		all := make([][]span, len(inputs))
-		for i, in := range inputs {
-			rs := in.(viewReq).ranges
-			all[i] = rs
-			if len(rs) == 0 {
-				continue
-			}
-			lo, hi := rs[0].off, rs[0].end()
-			for _, r := range rs[1:] {
-				lo = min(lo, r.off)
-				hi = max(hi, r.end())
-			}
-			reqs[i] = span{off: lo, length: hi - lo}
-		}
-		plan := f.buildPlan(reqs)
-		outs := make([]any, len(inputs))
-		for i := range outs {
-			outs[i] = plan
-		}
-		return outs
-	})
-	if err != nil {
-		return 0, err
-	}
-	plan := planAny.(*readPlan)
-	if plan.err != nil {
-		return 0, plan.err
-	}
-
-	rank := f.comm.Rank()
-	myAgg := plan.aggIndex(rank)
-	nRanks := f.comm.Size()
-	size := f.pf.Size()
-
-	// Clamp my ranges at EOF for assembly accounting.
-	var wanted int64
-	for _, r := range myRanges {
-		if r.off >= size {
-			continue
-		}
-		wanted += min(r.length, size-r.off)
-	}
-
-	// Every rank needs every rank's ranges to compute exchange sizes; ship
-	// them through an allgather once (real communication, so the exchange
-	// metadata round the paper describes is charged).
-	enc := encodeSpans(myRanges)
-	allEnc, err := f.comm.Allgather(enc)
-	if err != nil {
-		return 0, err
-	}
-	allRanges := make([][]span, nRanks)
-	for i, e := range allEnc {
-		allRanges[i] = decodeSpans(e)
-	}
-
-	scale := f.pf.Scale()
-	chunkLat := f.pf.Params().ChunkLatency
-	totalRanges := 0
-	for _, rs := range allRanges {
-		totalRanges += len(rs)
-	}
-	for c := 0; c < plan.cycles; c++ {
-		var slice span
-		var data []byte
-		if myAgg >= 0 {
-			slice = plan.cycleSlice(myAgg, c)
-			if slice.length > 0 {
-				data = make([]byte, slice.length)
-				if _, rerr := f.fillAt(data, slice.off); rerr != nil && !errors.Is(rerr, io.EOF) {
-					return 0, rerr
-				}
-				f.comm.Compute(plan.aggTime[c][myAgg])
-			}
-		}
-		// Sends: for each rank, concatenate (in file order) the pieces of
-		// its ranges inside my slice. Each requested piece costs the
-		// aggregator one filesystem round trip (ROMIO falls back from hole
-		// sieving to per-piece access when the requested pieces are sparse)
-		// — the mechanism that makes small-block non-contiguous access
-		// expensive in Figures 15-16. One real piece stands for `scale`
-		// full-size pieces.
-		send := make([][]byte, nRanks)
-		if myAgg >= 0 && slice.length > 0 {
-			// Every cycle the aggregator rescans the flattened offset lists
-			// of all ranks to find the pieces inside its slice — the
-			// O(cycles x pieces) aggregation work that makes fine-grained
-			// non-contiguous access expensive (Figure 15). One real list
-			// entry stands for `scale` full-size entries.
-			f.comm.Compute(float64(totalRanges) * scale * listScanCost)
-			pieces := 0
-			for r := 0; r < nRanks; r++ {
-				for _, rg := range allRanges[r] {
-					ov := slice.overlap(clampSpan(rg, size))
-					if ov.length > 0 {
-						start := ov.off - slice.off
-						send[r] = append(send[r], data[start:start+ov.length]...)
-						pieces++
-					}
-				}
-			}
-			if pieces > 1 {
-				// Pieces not aligned to the access slice cost one extra
-				// filesystem round trip each (ROMIO abandons hole sieving
-				// for sparse requests) — the block-size sensitivity of
-				// Figure 16.
-				f.comm.Compute(float64(pieces) * scale * chunkLat)
-			}
-		}
-		// Receive sizes from each aggregator this cycle.
-		recvSizes := make([]int, nRanks)
-		for k, ar := range plan.aggRanks {
-			sl := plan.cycleSlice(k, c)
-			for _, rg := range myRanges {
-				recvSizes[ar] += int(sl.overlap(clampSpan(rg, size)).length)
-			}
-		}
-		//vet:allow collective — an aggregator whose fillAt read failed has no slice to serve; its early return is best-effort teardown and the world abort releases the peers with ErrAborted
-		parts, aerr := f.comm.Alltoallv(send, recvSizes)
-		if aerr != nil {
-			return 0, aerr
-		}
-		// Assemble: walk my ranges against each aggregator slice in the
-		// same order the sender used.
-		for k, ar := range plan.aggRanks {
-			sl := plan.cycleSlice(k, c)
-			cursor := 0
-			visPos := int64(0)
-			for _, rg := range myRanges {
-				cl := clampSpan(rg, size)
-				ov := sl.overlap(cl)
-				if ov.length > 0 {
-					bufPos := visPos + (ov.off - rg.off)
-					copy(buf[bufPos:bufPos+ov.length], parts[ar][cursor:cursor+int(ov.length)])
-					cursor += int(ov.length)
-				}
-				visPos += rg.length
-			}
-		}
-	}
-	if wanted < int64(len(buf)) {
-		return int(wanted), io.EOF
-	}
-	return len(buf), nil
-}
-
-func clampSpan(s span, size int64) span {
-	if s.off >= size {
-		return span{off: size, length: 0}
-	}
-	if s.end() > size {
-		s.length = size - s.off
-	}
-	return s
-}
-
 // encodeSpans serializes spans as 16-byte little-endian pairs.
 func encodeSpans(spans []span) []byte {
 	out := make([]byte, 0, len(spans)*16)
 	for _, s := range spans {
-		out = appendI64(out, s.off)
-		out = appendI64(out, s.length)
+		out = binary.LittleEndian.AppendUint64(out, uint64(s.off))
+		out = binary.LittleEndian.AppendUint64(out, uint64(s.length))
 	}
 	return out
 }
@@ -272,22 +94,7 @@ func encodeSpans(spans []span) []byte {
 func decodeSpans(b []byte) []span {
 	out := make([]span, 0, len(b)/16)
 	for i := 0; i+16 <= len(b); i += 16 {
-		out = append(out, span{off: i64At(b, i), length: i64At(b, i+8)})
+		out = append(out, span{off: int64(binary.LittleEndian.Uint64(b[i:])), length: int64(binary.LittleEndian.Uint64(b[i+8:]))})
 	}
 	return out
-}
-
-func appendI64(dst []byte, v int64) []byte {
-	for i := 0; i < 8; i++ {
-		dst = append(dst, byte(v>>(8*i)))
-	}
-	return dst
-}
-
-func i64At(b []byte, off int) int64 {
-	var v int64
-	for i := 0; i < 8; i++ {
-		v |= int64(b[off+i]) << (8 * i)
-	}
-	return v
 }
