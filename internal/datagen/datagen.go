@@ -352,9 +352,36 @@ func clampTo(v, lo, hi float64) float64 {
 }
 
 func appendCoord(buf []byte, x, y float64) []byte {
-	buf = strconv.AppendFloat(buf, x, 'f', 5, 64)
+	buf = appendFixed5(buf, x)
 	buf = append(buf, ' ')
-	return strconv.AppendFloat(buf, y, 'f', 5, 64)
+	return appendFixed5(buf, y)
+}
+
+// appendFixed5 appends exactly what strconv.AppendFloat(buf, x, 'f', 5, 64)
+// does, without the arbitrary-precision path strconv takes for every 'f'
+// format. For |x| < 1e10 the exact product |x|·1e5 is p + e, p the rounded
+// product and e its error, recovered exactly by math.FMA. p < 2^50, so
+// frac(p) is exact and |e| ≤ 1/16; rounding p + e half to even then needs
+// only the sign of (frac(p) - 1/2) + e, and frac(p) - 1/2 is exact
+// (Sterbenz) wherever that sum can be near zero. Other inputs go to strconv.
+func appendFixed5(buf []byte, x float64) []byte {
+	a := math.Abs(x)
+	if !(a < 1e10) {
+		return strconv.AppendFloat(buf, x, 'f', 5, 64)
+	}
+	p := a * 1e5
+	e := math.FMA(a, 1e5, -p)
+	k := math.Floor(p)
+	n := uint64(k)
+	if d := p - k - 0.5; d > -e || d == -e && n&1 == 1 {
+		n++
+	}
+	if math.Signbit(x) {
+		buf = append(buf, '-')
+	}
+	buf = strconv.AppendUint(buf, n/1e5, 10)
+	f := n % 1e5
+	return append(buf, '.', byte('0'+f/1e4), byte('0'+f/1e3%10), byte('0'+f/100%10), byte('0'+f/10%10), byte('0'+f%10))
 }
 
 // genLineVertices emits a random walk polyline around the center.
