@@ -20,7 +20,7 @@
 // abort, say) is annotated in place:
 //
 //	//vet:allow collective — a failed aggregator's early return is best-effort teardown; the world abort releases the peers
-//	parts, aerr := f.comm.Alltoallv(send, recvSizes)
+//	parts, err := f.comm.AlltoallvChunks(send, recvSizes)
 //
 // The comment names the analyzer and MUST carry a reason after a dash or
 // colon; an allow without a reason is itself reported. The annotation

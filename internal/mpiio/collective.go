@@ -507,8 +507,10 @@ func (f *File) writeCycles(plan *readPlan, buf []byte, spans [][]span, listed bo
 			f.comm.Compute(scan)
 		}
 		data := f.growAggBuf(int(slice.length))
-		m, _ := f.pf.ReadAt(data, slice.off) // best-effort prefill of the holes
-		clear(data[m:])                      // past EOF they stay zero
+		// Prefill the holes with the file's bytes; past EOF (a write that
+		// extends the file) the error is io.EOF and the holes stay zero.
+		m, _ := f.pf.ReadAt(data, slice.off)
+		clear(data[m:])
 		pieces := 0
 		for r, rs := range spans {
 			cursor := 0

@@ -32,7 +32,7 @@ import (
 // bytes so scaled experiments hit it exactly where the paper would.
 const ROMIOLimit = int64(1) << 31
 
-// ErrTooLarge mirrors ROMIO failing reads over 2 GB in a single operation.
+// ErrTooLarge mirrors ROMIO failing a read or write over 2 GB in one call.
 var ErrTooLarge = errors.New("mpiio: request exceeds ROMIO 2 GB single-operation limit")
 
 // ErrRemoteRead is returned by coordinated calls (ReadAtSync and the

@@ -326,9 +326,7 @@
 //     to the virtual clock, so an absorbed fault still replays
 //     deterministically. Permanent read errors settle collectively: the
 //     failing rank reports the concrete error, every other rank
-//     ErrRemoteRead. So does a collective read or write whose request one
-//     rank rejects (over ROMIO's 2 GB single-call limit): that rank gets
-//     the concrete error, every other rank ErrRemoteRead naming it.
+//     ErrRemoteRead; so does a collective read or write one rank rejects.
 //   - Parse and sink errors settle the same way through the read's
 //     error-agreement round: ErrRemoteParse / ErrRemoteSink on healthy
 //     ranks, the concrete error on the failing one.
@@ -470,8 +468,7 @@ var (
 	ErrInjected = fault.ErrInjected
 	// ErrTransientRead marks a retryable filesystem read failure.
 	ErrTransientRead = pfs.ErrTransientRead
-	// ErrRemoteRead reports a coordinated read, or a collective write, that
-	// failed on another rank.
+	// ErrRemoteRead reports a coordinated read or write that failed on another rank.
 	ErrRemoteRead = mpiio.ErrRemoteRead
 	// ErrRemoteParse reports a parse failure on another rank.
 	ErrRemoteParse = core.ErrRemoteParse
