@@ -45,10 +45,10 @@ const (
 
 // frameStage is one (phase, destination) pair's staged exchange frames,
 // held in chunks that are filled in place and never regrown: a frame is
-// reserved at its exact size (wkb.Size on the geometry path, the record
-// length on the raw path) and never straddles two chunks, so the chunk list
-// itself is what the payload round sends and what the rank's own stage is
-// decoded from — no staged byte is copied before it reaches the decoder.
+// reserved at its payload's exact length and never straddles two chunks,
+// so the chunk list itself is what the payload round sends and what the
+// rank's own stage is decoded from — no staged byte is copied before it
+// reaches the decoder.
 type frameStage struct {
 	chunks [][]byte // each chunk's length is its used prefix
 	size   int      // staged bytes, over all chunks
@@ -236,17 +236,19 @@ func (pt *Partitioner) Exchange(c *mpi.Comm, local []geom.Geometry) (map[int][]g
 // it, and the input geometries are never retained — once Add returns, a
 // batch's only footprint is its compact serialized frames.
 //
-// Frames have one format — [cell u32][len u32][WKB] — whoever stages them.
-// Add encodes geometries into them; ReadExchange over length-prefixed WKB
-// read by WKBParser stages the file's own record bytes instead (the raw
-// path: scanned, never decoded on the sender, one copy per replica). The
-// two produce byte-identical frames, so cells, their order, every
-// ExchangeStats field and the virtual clock do not depend on which path
-// ran. Receivers decode every frame once, with the Exchanger's own decoder.
-// A frame is copied at most once between its staging chunk and the decoder:
-// remote stages travel as chunk lists (mpi.Comm.AlltoallvChunks, no gather)
-// and land in one receive buffer per source; the rank's own stage never
-// enters the transport and is decoded from its chunks in place.
+// Frames have one format — [cell u32][len u32][WKB] — and one staging
+// path, addRaw, which copies a WKB payload into one frame per replica. Add
+// encodes each geometry into a recycled scratch and stages that;
+// ReadExchange over length-prefixed WKB read by WKBParser stages the file's
+// own record bytes (the raw path: scanned, never decoded on the sender).
+// The encoding is canonical, so the two produce byte-identical frames, and
+// cells, their order, every ExchangeStats field and the virtual clock do
+// not depend on which path ran. Receivers decode every frame once, with
+// the Exchanger's own decoder. A frame is copied at most once between its
+// staging chunk and the decoder: remote stages travel as chunk lists
+// (mpi.Comm.AlltoallvChunks, no gather) and land in one receive buffer per
+// source; the rank's own stage never enters the transport and is decoded
+// from its chunks in place.
 //
 // Add may be called any number of times (including zero) with any batch
 // sizes; ranks need not agree on the call count. Stream, Finish, and
@@ -298,6 +300,10 @@ type Exchanger struct {
 	skipBad    bool
 	frameFault func(phase, src int, part []byte)
 
+	// enc is Add's scratch: each geometry is encoded here, then staged
+	// through addRaw.
+	enc []byte
+
 	stats  ExchangeStats
 	addErr error // first Add failure (sticky)
 	done   bool
@@ -347,8 +353,8 @@ func (pt *Partitioner) Stream(c *mpi.Comm) (*Exchanger, error) {
 // charged inside Finish), and the batch is not retained: geometries with
 // empty envelopes are dropped, the rest live on as serialized frames.
 // Thanks to envelope-at-parse, freshly parsed batches project without
-// rescanning a single coordinate. Each frame is reserved at its exact
-// encoded size (wkb.Size), so encoding never regrows a buffer. Calls must
+// rescanning a single coordinate. Each geometry is encoded once, into a
+// recycled scratch, and staged through addRaw like a file record. Calls must
 // be serialized (one goroutine at a time — in practice the rank goroutine,
 // from a ReadStream sink). ReadExchange bypasses Add when its input allows
 // the raw path (see Exchanger); that is a property of the parser and
@@ -358,30 +364,21 @@ func (ex *Exchanger) Add(batch []geom.Geometry) error {
 		return err
 	}
 	for _, g := range batch {
-		env := g.Envelope()
-		if env.IsEmpty() {
-			continue
-		}
-		t, size := g.GeomType(), wkb.Size(g)
-		for _, cell := range ex.project(env) {
-			slot, err := ex.frame(cell, t, size)
-			if err != nil {
-				return err
-			}
-			if enc := wkb.Append(slot[:0], g); len(enc) != size {
-				panic(fmt.Sprintf("core: wkb.Size(%T) = %d but Append wrote %d bytes", g, size, len(enc)))
-			}
+		ex.enc = wkb.Append(ex.enc[:0], g)
+		if err := ex.addRaw(ex.enc, g.GeomType(), g.Envelope()); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// addRaw is Add for one record of the raw path: rec is the file's own WKB,
-// already checked whole by scanWKB, and t and env are what its decode would
-// report. By FuzzDecode's re-encode invariant rec is byte-for-byte
-// wkb.Append of that decode, so staging it with one copy per replica yields
-// Add's frames exactly; projection, charges and counters are Add's. The
-// caller's buffer is not retained.
+// addRaw stages one WKB payload: rec is Add's encoding of a geometry or,
+// on the raw path, the file's own record bytes, already checked whole by
+// scanWKB; t and env are what its decode would report. By FuzzDecode's
+// re-encode invariant a raw record is byte-for-byte wkb.Append of its
+// decode, so both paths stage the same frames. Empty envelopes are dropped;
+// every other payload is copied once per replica. The caller's buffer is
+// not retained.
 func (ex *Exchanger) addRaw(rec []byte, t geom.Type, env geom.Envelope) error {
 	if err := ex.open(); err != nil {
 		return err

@@ -17,14 +17,15 @@ import (
 )
 
 // appendExchangeFrame stages g's frame for cell the way Exchanger.Add does —
-// checked header, exact-size slot, encode in place — and appends the staged
-// bytes to dst.
+// encode, checked header, exact-size slot, one copy — and appends the
+// staged bytes to dst.
 func appendExchangeFrame(dst []byte, cell int, g geom.Geometry) ([]byte, error) {
-	if err := checkFrame(cell, wkb.Size(g)); err != nil {
+	enc := wkb.Encode(g)
+	if err := checkFrame(cell, len(enc)); err != nil {
 		return dst, err
 	}
 	var s frameStage
-	wkb.Append(s.frame(cell, wkb.Size(g))[:0], g)
+	copy(s.frame(cell, len(enc)), enc)
 	return append(dst, s.chunks[0]...), nil
 }
 

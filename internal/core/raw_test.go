@@ -334,14 +334,15 @@ func TestDecodePartChunks(t *testing.T) {
 		var s frameStage
 		for i := 0; i < 200; i++ {
 			p := geom.Point{X: float64(i), Y: -float64(i)}
-			wkb.Append(s.frame(i%5, wkb.Size(p))[:0], p)
+			enc := wkb.Encode(p)
+			copy(s.frame(i%5, len(enc)), enc)
 		}
 		return s.chunks
 	}
 	if n := len(frames()); n != 3 {
 		t.Fatalf("fixture staged %d chunks, want 3", n)
 	}
-	frameLen := exchangeHeader + wkb.Size(geom.Point{})
+	frameLen := exchangeHeader + len(wkb.Encode(geom.Point{}))
 	forge := map[string]func(ch []byte){
 		"huge length": func(ch []byte) { binary.LittleEndian.PutUint32(ch[4:], 0xfffffff0) },
 		"bad payload": func(ch []byte) { ch[exchangeHeader] = 7 }, // byte-order marker

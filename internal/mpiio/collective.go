@@ -487,6 +487,7 @@ func (f *File) writeCycles(plan *readPlan, buf []byte, spans [][]span, listed bo
 			}
 		}
 		var slice span
+		var data []byte
 		if myAgg >= 0 {
 			slice = plan.cycleSlice(myAgg, c)
 			for r, rs := range spans {
@@ -494,8 +495,20 @@ func (f *File) writeCycles(plan *readPlan, buf []byte, spans [][]span, listed bo
 					recvSizes[r] += int(slice.overlap(s).length)
 				}
 			}
+			if slice.length > 0 {
+				// Prefill the holes with the file's bytes before the
+				// exchange (the send chunks alias buf, not the staging
+				// buffer); past EOF (a write that extends the file) the
+				// error is io.EOF and the holes stay zero.
+				data = f.growAggBuf(int(slice.length))
+				m, rerr := f.fillAt(data, slice.off)
+				if rerr != nil && !errors.Is(rerr, io.EOF) {
+					return 0, rerr
+				}
+				clear(data[m:])
+			}
 		}
-		//vet:allow collective — an aggregator whose WriteAt failed cannot accept the next cycle's pieces; its early return is best-effort teardown and the world abort releases the peers with ErrAborted
+		//vet:allow collective — an aggregator whose prefill read or WriteAt failed has no slice to assemble or cannot accept the next cycle's pieces; its early return is best-effort teardown and the world abort releases the peers with ErrAborted
 		parts, err := f.comm.AlltoallvChunks(send, recvSizes)
 		if err != nil {
 			return 0, err
@@ -506,11 +519,6 @@ func (f *File) writeCycles(plan *readPlan, buf []byte, spans [][]span, listed bo
 		if listed {
 			f.comm.Compute(scan)
 		}
-		data := f.growAggBuf(int(slice.length))
-		// Prefill the holes with the file's bytes; past EOF (a write that
-		// extends the file) the error is io.EOF and the holes stay zero.
-		m, _ := f.pf.ReadAt(data, slice.off)
-		clear(data[m:])
 		pieces := 0
 		for r, rs := range spans {
 			cursor := 0

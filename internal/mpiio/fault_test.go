@@ -207,3 +207,69 @@ func TestCollectiveLimitAgreement(t *testing.T) {
 		})
 	}
 }
+
+// TestCollectiveWritePrefillFault: a collective write's aggregator prefills
+// the holes of its slice with the file's bytes before writing the slice
+// back. A permanent read fault there must fail the call and leave the file
+// as it was, not write zeros over bytes the call never targeted; transient
+// faults are retried like any other read. On NFS rank 0 is the one
+// aggregator; rank 1 only sends, so it may leave the exchange before the
+// world abort reaches it and is not asserted on in the permanent row.
+func TestCollectiveWritePrefillFault(t *testing.T) {
+	offline := errors.New("pfs: OST offline")
+	for _, tc := range []struct {
+		name      string
+		transient int // transient faults before reads succeed; -1: every read fails for good
+	}{
+		{"permanent", -1},
+		{"two transient", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs, pf := faultFS(t, 4096)
+			want := make([]byte, 4096)
+			if _, err := pf.ReadAt(want, 0); err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			fires := 0
+			fs.InjectReadFault(func(file string, off int64, n, stripe int) pfs.ReadFault {
+				mu.Lock()
+				defer mu.Unlock()
+				switch {
+				case tc.transient < 0:
+					return pfs.ReadFault{Err: offline}
+				case fires < tc.transient:
+					fires++
+					return pfs.ReadFault{Err: fmt.Errorf("OST hiccup: %w", pfs.ErrTransientRead)}
+				}
+				return pfs.ReadFault{}
+			})
+			errs := make([]error, 2)
+			runErr := mpi.Run(cluster.Local(2), func(c *mpi.Comm) error {
+				f := Open(c, pf, Hints{})
+				_, errs[c.Rank()] = f.WriteAtAll([]byte{0xAA}, 100+1000*int64(c.Rank()))
+				return errs[c.Rank()]
+			})
+			fs.InjectReadFault(nil)
+			if tc.transient < 0 {
+				if !errors.Is(errs[0], offline) || runErr == nil {
+					t.Errorf("aggregator err = %v, run err = %v; want the read fault on both", errs[0], runErr)
+				}
+			} else {
+				if runErr != nil || fires != tc.transient {
+					t.Errorf("run err = %v after %d transient faults, want nil after %d", runErr, fires, tc.transient)
+				}
+				want[100], want[1100] = 0xAA, 0xAA
+			}
+			got := make([]byte, 4096)
+			if _, err := pf.ReadAt(got, 0); err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("file byte %d = %#x, want %#x", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}

@@ -16,7 +16,8 @@ import (
 // derived from content) — the licence for core's raw exchange path to ship
 // a record's file bytes as its frame payload. Scan must agree with Decode on
 // every input: accept or reject, error text, bytes consumed, geometry type,
-// and the primed envelope bit for bit.
+// and the primed envelope bit for bit — and that envelope must equal the
+// lazy fold of an unprimed copy.
 func FuzzDecode(f *testing.F) {
 	seedGeoms := []geom.Geometry{
 		geom.Point{X: 1.5, Y: -2.25},
@@ -145,6 +146,38 @@ func assertScanMatches(t *testing.T, data []byte, g geom.Geometry, n int, err er
 	if denv := g.Envelope(); !sameBits(senv, denv) {
 		t.Fatalf("Scan envelope %+v, Decode %+v", senv, denv)
 	}
+	// Scan and Decode are one walk, so the check above compares the walk
+	// with itself. The oracle is geom's own lazy fold over the coordinates.
+	if lazy := unprimed(g).Envelope(); !sameBits(senv, lazy) {
+		t.Fatalf("primed envelope %+v, lazy EnvelopeOf fold %+v", senv, lazy)
+	}
+}
+
+// unprimed returns a copy of g with the same coordinate slices in fresh
+// structs, so no envelope cache is primed and Envelope() is geom's lazy
+// fold.
+func unprimed(g geom.Geometry) geom.Geometry {
+	switch v := g.(type) {
+	case *geom.LineString:
+		return &geom.LineString{Pts: v.Pts}
+	case *geom.Polygon:
+		return &geom.Polygon{Shell: v.Shell, Holes: v.Holes}
+	case *geom.MultiPoint:
+		return &geom.MultiPoint{Pts: v.Pts}
+	case *geom.MultiLineString:
+		lines := make([]geom.LineString, len(v.Lines))
+		for i := range lines {
+			lines[i].Pts = v.Lines[i].Pts
+		}
+		return &geom.MultiLineString{Lines: lines}
+	case *geom.MultiPolygon:
+		polys := make([]geom.Polygon, len(v.Polys))
+		for i := range polys {
+			polys[i].Shell, polys[i].Holes = v.Polys[i].Shell, v.Polys[i].Holes
+		}
+		return &geom.MultiPolygon{Polys: polys}
+	}
+	return g // a Point has no cache
 }
 
 func sameBits(a, b geom.Envelope) bool {

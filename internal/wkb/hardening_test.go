@@ -64,7 +64,10 @@ func TestDecodeRectsTruncated(t *testing.T) {
 		{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1},
 		{MinX: 2, MinY: 2, MaxX: 3, MaxY: 3},
 	}
-	buf := EncodeRects(rects)
+	var buf []byte
+	for _, e := range rects {
+		buf = AppendRect(buf, e)
+	}
 	if _, err := DecodeRects(buf[:len(buf)-5]); !errors.Is(err, ErrTruncated) {
 		t.Errorf("partial trailing record: err = %v, want ErrTruncated", err)
 	}

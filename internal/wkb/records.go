@@ -11,14 +11,11 @@ import (
 // Fixed-size binary record layouts. The paper (§4.1) preprocesses files of
 // fixed-length spatial types — points, lines (segments) and MBRs — into
 // binary so MPI-IO can read them directly as datatypes with regular access;
-// these layouts back the Figure 12 and Figure 15 experiments.
+// the MBR layout backs the Figure 12 and Figure 15 experiments.
 
 // RectRecordSize is the byte size of one MBR record: 4 little-endian doubles
 // (MinX, MinY, MaxX, MaxY), exactly the paper's MPI_RECT derived type.
 const RectRecordSize = 32
-
-// PointRecordSize is the byte size of one point record (2 doubles).
-const PointRecordSize = 16
 
 // AppendRect appends one MBR record.
 func AppendRect(dst []byte, e geom.Envelope) []byte {
@@ -59,29 +56,6 @@ func DecodeRects(buf []byte) ([]geom.Envelope, error) {
 		out = append(out, e)
 	}
 	return out, nil
-}
-
-// EncodeRects encodes a slice of MBRs as consecutive fixed records.
-func EncodeRects(rects []geom.Envelope) []byte {
-	dst := make([]byte, 0, len(rects)*RectRecordSize)
-	for _, e := range rects {
-		dst = AppendRect(dst, e)
-	}
-	return dst
-}
-
-// AppendPointRecord appends one fixed-size point record.
-func AppendPointRecord(dst []byte, p geom.Point) []byte {
-	dst = appendF64(dst, p.X)
-	return appendF64(dst, p.Y)
-}
-
-// DecodePointRecord decodes one fixed-size point record.
-func DecodePointRecord(buf []byte) (geom.Point, error) {
-	if len(buf) < PointRecordSize {
-		return geom.Point{}, ErrTruncated
-	}
-	return geom.Point{X: f64At(buf, 0), Y: f64At(buf, 8)}, nil
 }
 
 func f64At(buf []byte, off int) float64 {

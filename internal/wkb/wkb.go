@@ -1,7 +1,7 @@
 // Package wkb implements the Well-Known Binary encoding of geometries (the
 // binary sibling of WKT, paper §2) plus the binary record layouts used by
-// the paper's unformatted-file experiments: fixed-size records of MBRs and
-// points (records.go), and the length-prefixed variable-size record framing
+// the paper's unformatted-file experiments: fixed-size MBR records
+// (records.go), and the length-prefixed variable-size record framing
 // the binary ingest path reads (core.LengthPrefixed). WKB also serves as
 // the serialization format of the geometry exchange buffers in the
 // all-to-all spatial partitioning step.
@@ -16,21 +16,22 @@
 // into a per-Parser slab that decoded geometries slice out of, so steady-
 // state decoding of a record stream allocates one slab per ~1k vertices
 // instead of one []Point per geometry. A counted vertex run is decoded in
-// one pass: reserved in the slab at once, read without per-vertex bounds
-// checks, its envelope folded in the same loop. A Parser may be reused across
+// one pass: bounded against the input once, reserved in the slab at once,
+// its envelope folded in the same loop. A Parser may be reused across
 // records (geometries returned by earlier calls stay valid — exhausted
 // slabs are abandoned to the garbage collector, never recycled), but a
 // single Parser must not be shared between goroutines. The package-level
 // Decode draws Parsers from a pool and is safe for concurrent use.
 //
-// Scan is Decode's walk without the geometry: the type, the envelope Decode
-// would prime, and the bytes consumed, with no allocation. Because the
-// encoding is canonical — FuzzDecode pins Encode(Decode(b)) == b[:n] — a
-// record Scan accepts whole is byte-for-byte what Append would write for its
-// decode, which is what licenses core's raw exchange path to forward a
-// length-prefixed file's record bytes verbatim as frame payloads and decode
-// them once, on the receiving rank. Size is Append's length without
-// encoding, so a caller can reserve a frame exactly.
+// Scan is the same walk in fold mode: it builds nothing and returns the
+// type, the envelope Decode would prime, and the bytes consumed, with no
+// allocation. Because the encoding is canonical — FuzzDecode pins
+// Encode(Decode(b)) == b[:n] — a record Scan accepts whole is byte-for-byte
+// what Append would write for its decode, which is what licenses core's
+// raw exchange path to forward a length-prefixed file's record bytes
+// verbatim as frame payloads and decode them once, on the receiving rank.
+// The exchange stages decoded geometries the same way: Append into scratch,
+// then the raw path's copy.
 package wkb
 
 import (
@@ -54,13 +55,14 @@ const (
 )
 
 // Minimum encoded sizes used to bound untrusted element counts: a vertex is
-// two doubles; a collection element is at least its byte-order marker, type
-// code and one count word; a MULTIPOINT element is a full point geometry; a
-// ring is at least its count word.
+// two doubles; a collection element is at least its header (byte-order
+// marker and type code) and one count word; a MULTIPOINT element is a full
+// point geometry; a ring is at least its count word.
 const (
+	headerBytes            = 5
 	minPointBytes          = 16
-	minCollectionElemBytes = 9
-	minMultiPointElemBytes = 21
+	minCollectionElemBytes = headerBytes + 4
+	minMultiPointElemBytes = headerBytes + minPointBytes
 	minRingBytes           = 4
 )
 
@@ -113,51 +115,6 @@ func Append(dst []byte, g geom.Geometry) []byte {
 // Encode returns the WKB encoding of g.
 func Encode(g geom.Geometry) []byte { return Append(nil, g) }
 
-// headerBytes is one geometry header: byte-order marker plus type code.
-// A count word is 4 bytes; a vertex is minPointBytes.
-const headerBytes = 5
-
-// Size returns len(Append(nil, g)) without encoding, so a caller can
-// reserve exactly the bytes Append will write. It panics on the geometries
-// Append panics on.
-func Size(g geom.Geometry) int {
-	switch v := g.(type) {
-	case geom.Point, *geom.Point:
-		return headerBytes + minPointBytes
-	case *geom.LineString:
-		return headerBytes + runSize(v.Pts)
-	case *geom.Polygon:
-		return headerBytes + polygonBodySize(v)
-	case *geom.MultiPoint:
-		return headerBytes + 4 + (headerBytes+minPointBytes)*len(v.Pts)
-	case *geom.MultiLineString:
-		n := headerBytes + 4
-		for i := range v.Lines {
-			n += headerBytes + runSize(v.Lines[i].Pts)
-		}
-		return n
-	case *geom.MultiPolygon:
-		n := headerBytes + 4
-		for i := range v.Polys {
-			n += headerBytes + polygonBodySize(&v.Polys[i])
-		}
-		return n
-	default:
-		panic(fmt.Sprintf("wkb: unsupported geometry %T", g))
-	}
-}
-
-// runSize is the encoded size of a counted vertex run.
-func runSize(pts []geom.Point) int { return 4 + minPointBytes*len(pts) }
-
-func polygonBodySize(poly *geom.Polygon) int {
-	n := 4 + runSize(poly.Shell)
-	for _, h := range poly.Holes {
-		n += runSize(h)
-	}
-	return n
-}
-
 // parserPool backs the package-level Decode so stateless callers still get
 // arena-amortized decoding.
 var parserPool = sync.Pool{New: func() any { return NewParser() }}
@@ -184,7 +141,10 @@ const slabPoints = 1024
 // goroutine rather than sharing one behind a lock; the arena is the point.
 // core decodes on the rank goroutine, one Parser per rank.
 type Parser struct {
-	reader
+	// buf and pos are the walk's bounds-checked cursor over the untrusted
+	// bytes.
+	buf []byte
+	pos int
 
 	// slab is the coordinate arena. Every point run — a vertex run or a
 	// MULTIPOINT's points — is reserved at its full length (reserve) and
@@ -194,12 +154,9 @@ type Parser struct {
 	// geometries referencing it.
 	slab []geom.Point
 
-	// runEnv is the MBR of the most recently decoded vertex run, folded by
-	// pointRun in its decode loop with geom.FoldPoint. Completed geometries
-	// get it primed into their cache: exactly the value a lazy Envelope()
-	// would compute — same fold, same order — so their first Envelope() call
-	// costs nothing.
-	runEnv geom.Envelope
+	// fold is Scan's mode: the same walk, folding envelopes without
+	// reserving points or constructing geometries.
+	fold bool
 }
 
 // NewParser returns a Parser with a pre-allocated coordinate arena.
@@ -212,7 +169,7 @@ func NewParser() *Parser {
 // geometries copy their coordinates into the arena.
 func (p *Parser) Decode(buf []byte) (geom.Geometry, int, error) {
 	p.buf, p.pos = buf, 0
-	g, err := p.geometry()
+	g, _, _, err := p.geometry()
 	n := p.pos
 	p.buf = nil // don't pin the caller's (possibly huge, recycled) buffer
 	if err != nil {
@@ -235,14 +192,6 @@ func (p *Parser) reserve(n int) []geom.Point {
 	return p.slab[start : start+n : start+n]
 }
 
-// reader is the bounds-checked cursor both walks share — Parser, which
-// builds geometries, and Scan, which only folds their envelope — so the two
-// accept, reject and word errors identically.
-type reader struct {
-	buf []byte
-	pos int
-}
-
 // Element-type mismatches inside collections, and the one structural rule
 // beyond the byte counts.
 const (
@@ -253,21 +202,21 @@ const (
 
 var errZeroRings = errors.New("wkb: polygon with zero rings")
 
-func (r *reader) u32() (uint32, error) {
-	if r.pos+4 > len(r.buf) {
+func (p *Parser) u32() (uint32, error) {
+	if p.pos+4 > len(p.buf) {
 		return 0, ErrTruncated
 	}
-	v := binary.LittleEndian.Uint32(r.buf[r.pos:])
-	r.pos += 4
+	v := binary.LittleEndian.Uint32(p.buf[p.pos:])
+	p.pos += 4
 	return v, nil
 }
 
-func (r *reader) f64() (float64, error) {
-	if r.pos+8 > len(r.buf) {
+func (p *Parser) f64() (float64, error) {
+	if p.pos+8 > len(p.buf) {
 		return 0, ErrTruncated
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.pos:]))
-	r.pos += 8
+	v := math.Float64frombits(binary.LittleEndian.Uint64(p.buf[p.pos:]))
+	p.pos += 8
 	return v, nil
 }
 
@@ -277,12 +226,12 @@ func (r *reader) f64() (float64, error) {
 // otherwise reserve unbounded memory — a 9-byte MULTIPOINT header must not
 // make the decoder set aside gigabytes. The comparison is done in int64 so
 // the product cannot wrap where int is 32 bits.
-func (r *reader) count(minSize int) (int, error) {
-	n, err := r.u32()
+func (p *Parser) count(minSize int) (int, error) {
+	n, err := p.u32()
 	if err != nil {
 		return 0, err
 	}
-	if int64(n)*int64(minSize) > int64(len(r.buf)-r.pos) {
+	if int64(n)*int64(minSize) > int64(len(p.buf)-p.pos) {
 		return 0, ErrTruncated
 	}
 	return int(n), nil
@@ -290,21 +239,21 @@ func (r *reader) count(minSize int) (int, error) {
 
 // code consumes one geometry header (byte-order marker plus type code) and
 // returns the code.
-func (r *reader) code() (uint32, error) {
-	if r.pos >= len(r.buf) {
+func (p *Parser) code() (uint32, error) {
+	if p.pos >= len(p.buf) {
 		return 0, ErrTruncated
 	}
-	if r.buf[r.pos] != 1 {
-		return 0, fmt.Errorf("wkb: unsupported byte order marker %d", r.buf[r.pos])
+	if p.buf[p.pos] != 1 {
+		return 0, fmt.Errorf("wkb: unsupported byte order marker %d", p.buf[p.pos])
 	}
-	r.pos++
-	return r.u32()
+	p.pos++
+	return p.u32()
 }
 
 // header consumes one nested geometry header and checks the code against
 // want.
-func (r *reader) header(want uint32, mismatch string) error {
-	code, err := r.code()
+func (p *Parser) header(want uint32, mismatch string) error {
+	code, err := p.code()
 	if err != nil {
 		return err
 	}
@@ -314,12 +263,12 @@ func (r *reader) header(want uint32, mismatch string) error {
 	return nil
 }
 
-func (r *reader) point() (geom.Point, error) {
-	x, err := r.f64()
+func (p *Parser) point() (geom.Point, error) {
+	x, err := p.f64()
 	if err != nil {
 		return geom.Point{}, err
 	}
-	y, err := r.f64()
+	y, err := p.f64()
 	if err != nil {
 		return geom.Point{}, err
 	}
@@ -329,87 +278,187 @@ func (r *reader) point() (geom.Point, error) {
 // Scan walks one WKB geometry at the front of buf without building it: it
 // returns the geometry's type, the envelope Decode primes on it, and the
 // number of bytes consumed, and allocates nothing on success. It is
-// Decode's walk over the same guards, so it accepts, rejects and words
-// errors exactly as Decode does, and the envelope matches bitwise — each
-// run folded with geom.FoldPoint as EnvelopeOf folds it, a polygon's from
-// its shell alone, a collection's the Union of its elements' (FuzzDecode
-// pins all of it).
+// Decode's own walk in fold mode, so it accepts, rejects and words errors
+// exactly as Decode does, and the envelope is the one Decode primes.
 func Scan(buf []byte) (geom.Type, geom.Envelope, int, error) {
-	r := reader{buf: buf}
-	t, env, err := r.scan()
+	p := Parser{buf: buf, fold: true}
+	_, t, env, err := p.geometry()
 	if err != nil {
 		return 0, geom.Envelope{}, 0, err
 	}
-	return t, env, r.pos, nil
+	return t, env, p.pos, nil
 }
 
-func (r *reader) scan() (geom.Type, geom.Envelope, error) {
-	code, err := r.code()
+// pointRun reads a counted vertex sequence in one pass and returns its
+// points and envelope. count has already bounded the run against the
+// remaining bytes, so its vertices are read with no further checks, the
+// envelope folded with geom.FoldPoint as EnvelopeOf folds it. When decoding,
+// the n points are reserved in the arena at once and written in the same
+// loop; when folding, nothing is reserved or written.
+func (p *Parser) pointRun() ([]geom.Point, geom.Envelope, error) {
+	n, err := p.count(minPointBytes)
 	if err != nil {
-		return 0, geom.Envelope{}, err
+		return nil, geom.Envelope{}, err
+	}
+	var out []geom.Point // stays empty when folding
+	if !p.fold {
+		out = p.reserve(n)
+	}
+	run := p.buf[p.pos : p.pos+n*minPointBytes]
+	env := geom.EmptyEnvelope()
+	for i := 0; i < n; i++ {
+		v := run[i*minPointBytes:]
+		x := math.Float64frombits(binary.LittleEndian.Uint64(v))
+		y := math.Float64frombits(binary.LittleEndian.Uint64(v[8:]))
+		if i < len(out) { // doubles as the bounds check
+			out[i] = geom.Point{X: x, Y: y}
+		}
+		env = geom.FoldPoint(env, i, x, y)
+	}
+	p.pos += len(run)
+	return out, env, nil
+}
+
+// geometry walks one geometry and returns it with its type and envelope.
+// Every constructed geometry has that envelope primed into its cache —
+// exactly the value a lazy Envelope() would compute, same fold, same order
+// — so its first Envelope() call costs nothing. When folding, nothing is
+// constructed and the geometry is nil.
+func (p *Parser) geometry() (geom.Geometry, geom.Type, geom.Envelope, error) {
+	code, err := p.code()
+	if err != nil {
+		return nil, 0, geom.Envelope{}, err
 	}
 	switch code {
 	case codePoint:
-		p, err := r.point()
-		return geom.TypePoint, p.Envelope(), err
+		pt, err := p.point()
+		if err != nil || p.fold {
+			return nil, geom.TypePoint, pt.Envelope(), err
+		}
+		return pt, geom.TypePoint, pt.Envelope(), nil
 	case codeLineString:
-		env, err := r.scanRun()
-		return geom.TypeLineString, env, err
+		pts, env, err := p.pointRun()
+		if err != nil || p.fold {
+			return nil, geom.TypeLineString, env, err
+		}
+		ls := &geom.LineString{Pts: pts}
+		ls.PrimeEnvelope(env)
+		return ls, geom.TypeLineString, env, nil
 	case codePolygon:
-		env, err := r.scanPolygonBody()
-		return geom.TypePolygon, env, err
+		var poly *geom.Polygon
+		if !p.fold {
+			poly = &geom.Polygon{}
+		}
+		env, err := p.polygonBody(poly)
+		if err != nil || p.fold {
+			return nil, geom.TypePolygon, env, err
+		}
+		return poly, geom.TypePolygon, env, nil
 	case codeMultiPoint:
-		n, err := r.count(minMultiPointElemBytes)
+		n, err := p.count(minMultiPointElemBytes)
 		if err != nil {
-			return 0, geom.Envelope{}, err
+			return nil, 0, geom.Envelope{}, err
+		}
+		// Reserved at once like a vertex run: each element's header and
+		// point are read straight into its slot. On an element error the
+		// run goes back to the arena (nothing references it yet).
+		var pts []geom.Point
+		if !p.fold {
+			pts = p.reserve(n)
 		}
 		env := geom.EmptyEnvelope()
 		for i := 0; i < n; i++ {
-			if err := r.header(codePoint, errMultiPointElem); err != nil {
-				return 0, geom.Envelope{}, err
+			err := p.header(codePoint, errMultiPointElem)
+			var pt geom.Point
+			if err == nil {
+				pt, err = p.point()
 			}
-			p, err := r.point()
 			if err != nil {
-				return 0, geom.Envelope{}, err
+				if !p.fold {
+					p.slab = p.slab[:len(p.slab)-n]
+				}
+				return nil, 0, geom.Envelope{}, err
 			}
-			env = geom.FoldPoint(env, i, p.X, p.Y)
+			if !p.fold {
+				pts[i] = pt
+			}
+			env = geom.FoldPoint(env, i, pt.X, pt.Y)
 		}
-		return geom.TypeMultiPoint, env, nil
+		if p.fold {
+			return nil, geom.TypeMultiPoint, env, nil
+		}
+		mp := &geom.MultiPoint{Pts: pts}
+		mp.PrimeEnvelope(env)
+		return mp, geom.TypeMultiPoint, env, nil
 	case codeMultiLineString:
-		env, err := r.scanCollection(codeLineString, errMultiLineElem)
-		return geom.TypeMultiLineString, env, err
+		n, err := p.count(minCollectionElemBytes)
+		if err != nil {
+			return nil, 0, geom.Envelope{}, err
+		}
+		var lines []geom.LineString
+		if !p.fold {
+			lines = make([]geom.LineString, n)
+		}
+		env := geom.EmptyEnvelope()
+		for i := 0; i < n; i++ {
+			if err := p.header(codeLineString, errMultiLineElem); err != nil {
+				return nil, 0, geom.Envelope{}, err
+			}
+			pts, e, err := p.pointRun()
+			if err != nil {
+				return nil, 0, geom.Envelope{}, err
+			}
+			if !p.fold {
+				lines[i].Pts = pts
+				lines[i].PrimeEnvelope(e)
+			}
+			env = env.Union(e)
+		}
+		if p.fold {
+			return nil, geom.TypeMultiLineString, env, nil
+		}
+		ml := &geom.MultiLineString{Lines: lines}
+		ml.PrimeEnvelope(env)
+		return ml, geom.TypeMultiLineString, env, nil
 	case codeMultiPolygon:
-		env, err := r.scanCollection(codePolygon, errMultiPolyElem)
-		return geom.TypeMultiPolygon, env, err
+		n, err := p.count(minCollectionElemBytes)
+		if err != nil {
+			return nil, 0, geom.Envelope{}, err
+		}
+		var polys []geom.Polygon
+		if !p.fold {
+			polys = make([]geom.Polygon, n)
+		}
+		env := geom.EmptyEnvelope()
+		for i := 0; i < n; i++ {
+			if err := p.header(codePolygon, errMultiPolyElem); err != nil {
+				return nil, 0, geom.Envelope{}, err
+			}
+			var poly *geom.Polygon
+			if !p.fold {
+				poly = &polys[i]
+			}
+			e, err := p.polygonBody(poly)
+			if err != nil {
+				return nil, 0, geom.Envelope{}, err
+			}
+			env = env.Union(e)
+		}
+		if p.fold {
+			return nil, geom.TypeMultiPolygon, env, nil
+		}
+		mp := &geom.MultiPolygon{Polys: polys}
+		mp.PrimeEnvelope(env)
+		return mp, geom.TypeMultiPolygon, env, nil
 	default:
-		return 0, geom.Envelope{}, fmt.Errorf("wkb: unsupported geometry code %d", code)
+		return nil, 0, geom.Envelope{}, fmt.Errorf("wkb: unsupported geometry code %d", code)
 	}
 }
 
-// scanRun is pointRun without the arena. count has already bounded the run
-// against the remaining bytes, so its vertices are read with no further
-// checks.
-func (r *reader) scanRun() (geom.Envelope, error) {
-	n, err := r.count(minPointBytes)
-	if err != nil {
-		return geom.Envelope{}, err
-	}
-	env := geom.EmptyEnvelope()
-	run := r.buf[r.pos : r.pos+n*minPointBytes]
-	for i := 0; i < n; i++ {
-		v := run[i*minPointBytes:]
-		env = geom.FoldPoint(env, i,
-			math.Float64frombits(binary.LittleEndian.Uint64(v)),
-			math.Float64frombits(binary.LittleEndian.Uint64(v[8:])))
-	}
-	r.pos += len(run)
-	return env, nil
-}
-
-// scanPolygonBody is polygonBody without the arena: the envelope is the
-// shell's, as Decode primes it.
-func (r *reader) scanPolygonBody() (geom.Envelope, error) {
-	nRings, err := r.count(minRingBytes)
+// polygonBody reads a polygon's rings into poly (nil when folding) and
+// returns the polygon's envelope: its shell's.
+func (p *Parser) polygonBody(poly *geom.Polygon) (geom.Envelope, error) {
+	nRings, err := p.count(minRingBytes)
 	if err != nil {
 		return geom.Envelope{}, err
 	}
@@ -418,184 +467,22 @@ func (r *reader) scanPolygonBody() (geom.Envelope, error) {
 	}
 	var shell geom.Envelope
 	for i := 0; i < nRings; i++ {
-		env, err := r.scanRun()
+		ring, env, err := p.pointRun()
 		if err != nil {
 			return geom.Envelope{}, err
 		}
-		if i == 0 {
+		switch {
+		case i == 0:
 			shell = env
-		}
-	}
-	return shell, nil
-}
-
-// scanCollection walks a counted collection of linestrings or polygons
-// (elem), unioning their envelopes as Decode does for MULTILINESTRING and
-// MULTIPOLYGON. (A method value for the element body would move the reader
-// to the heap.)
-func (r *reader) scanCollection(elem uint32, mismatch string) (geom.Envelope, error) {
-	n, err := r.count(minCollectionElemBytes)
-	if err != nil {
-		return geom.Envelope{}, err
-	}
-	env := geom.EmptyEnvelope()
-	for i := 0; i < n; i++ {
-		if err := r.header(elem, mismatch); err != nil {
-			return geom.Envelope{}, err
-		}
-		var e geom.Envelope
-		if elem == codeLineString {
-			e, err = r.scanRun()
-		} else {
-			e, err = r.scanPolygonBody()
-		}
-		if err != nil {
-			return geom.Envelope{}, err
-		}
-		env = env.Union(e)
-	}
-	return env, nil
-}
-
-// pointRun decodes a counted vertex sequence into the arena in one pass.
-// count has already bounded the run against the remaining bytes, so its n
-// points are reserved at once and its vertices are read with no further
-// checks, as scanRun does, folding runEnv in the same loop.
-func (p *Parser) pointRun() ([]geom.Point, error) {
-	n, err := p.count(minPointBytes)
-	if err != nil {
-		return nil, err
-	}
-	out := p.reserve(n)
-	run := p.buf[p.pos : p.pos+n*minPointBytes]
-	env := geom.EmptyEnvelope()
-	for i := range out {
-		v := run[i*minPointBytes:]
-		x := math.Float64frombits(binary.LittleEndian.Uint64(v))
-		y := math.Float64frombits(binary.LittleEndian.Uint64(v[8:]))
-		out[i] = geom.Point{X: x, Y: y}
-		env = geom.FoldPoint(env, i, x, y)
-	}
-	p.pos += len(run)
-	p.runEnv = env
-	return out, nil
-}
-
-func (p *Parser) geometry() (geom.Geometry, error) {
-	code, err := p.code()
-	if err != nil {
-		return nil, err
-	}
-	switch code {
-	case codePoint:
-		return p.point()
-	case codeLineString:
-		pts, err := p.pointRun()
-		if err != nil {
-			return nil, err
-		}
-		ls := &geom.LineString{Pts: pts}
-		ls.PrimeEnvelope(p.runEnv)
-		return ls, nil
-	case codePolygon:
-		poly := &geom.Polygon{}
-		if err := p.polygonBody(poly); err != nil {
-			return nil, err
-		}
-		return poly, nil
-	case codeMultiPoint:
-		n, err := p.count(minMultiPointElemBytes)
-		if err != nil {
-			return nil, err
-		}
-		// Reserved at once like a vertex run: each element's header and
-		// point are read straight into its slot, the envelope folded as Scan
-		// folds it. On an element error the run goes back to the arena
-		// (nothing references it yet).
-		pts := p.reserve(n)
-		env := geom.EmptyEnvelope()
-		for i := range pts {
-			err := p.header(codePoint, errMultiPointElem)
-			if err == nil {
-				pts[i], err = p.point()
+			if poly != nil {
+				poly.Shell = ring
+				poly.PrimeEnvelope(env)
 			}
-			if err != nil {
-				p.slab = p.slab[:len(p.slab)-n]
-				return nil, err
-			}
-			env = geom.FoldPoint(env, i, pts[i].X, pts[i].Y)
-		}
-		mp := &geom.MultiPoint{Pts: pts}
-		mp.PrimeEnvelope(env)
-		return mp, nil
-	case codeMultiLineString:
-		n, err := p.count(minCollectionElemBytes)
-		if err != nil {
-			return nil, err
-		}
-		lines := make([]geom.LineString, 0, n)
-		env := geom.EmptyEnvelope()
-		for i := 0; i < n; i++ {
-			if err := p.header(codeLineString, errMultiLineElem); err != nil {
-				return nil, err
-			}
-			pts, err := p.pointRun()
-			if err != nil {
-				return nil, err
-			}
-			lines = append(lines, geom.LineString{Pts: pts})
-			lines[len(lines)-1].PrimeEnvelope(p.runEnv)
-			env = env.Union(p.runEnv)
-		}
-		ml := &geom.MultiLineString{Lines: lines}
-		ml.PrimeEnvelope(env)
-		return ml, nil
-	case codeMultiPolygon:
-		n, err := p.count(minCollectionElemBytes)
-		if err != nil {
-			return nil, err
-		}
-		polys := make([]geom.Polygon, 0, n)
-		env := geom.EmptyEnvelope()
-		for i := 0; i < n; i++ {
-			if err := p.header(codePolygon, errMultiPolyElem); err != nil {
-				return nil, err
-			}
-			polys = append(polys, geom.Polygon{})
-			if err := p.polygonBody(&polys[len(polys)-1]); err != nil {
-				return nil, err
-			}
-			env = env.Union(polys[len(polys)-1].Envelope())
-		}
-		mp := &geom.MultiPolygon{Polys: polys}
-		mp.PrimeEnvelope(env)
-		return mp, nil
-	default:
-		return nil, fmt.Errorf("wkb: unsupported geometry code %d", code)
-	}
-}
-
-func (p *Parser) polygonBody(poly *geom.Polygon) error {
-	nRings, err := p.count(minRingBytes)
-	if err != nil {
-		return err
-	}
-	if nRings == 0 {
-		return errZeroRings
-	}
-	for i := 0; i < nRings; i++ {
-		ring, err := p.pointRun()
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			poly.Shell = ring
-			poly.PrimeEnvelope(p.runEnv)
-		} else {
+		case poly != nil:
 			poly.Holes = append(poly.Holes, ring)
 		}
 	}
-	return nil
+	return shell, nil
 }
 
 func appendU32(dst []byte, v uint32) []byte {

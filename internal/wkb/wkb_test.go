@@ -126,7 +126,10 @@ func TestRectRecords(t *testing.T) {
 		env(-5, -5, 5, 5),
 		env(2.5, 3.5, 2.5, 3.5),
 	}
-	buf := EncodeRects(rects)
+	var buf []byte
+	for _, e := range rects {
+		buf = AppendRect(buf, e)
+	}
 	if len(buf) != len(rects)*RectRecordSize {
 		t.Fatalf("encoded length = %d", len(buf))
 	}
@@ -139,24 +142,6 @@ func TestRectRecords(t *testing.T) {
 	}
 	if _, err := DecodeRect(buf[:31]); err == nil {
 		t.Error("short rect decode should fail")
-	}
-}
-
-func TestPointRecords(t *testing.T) {
-	p := pt(3.25, -7.75)
-	buf := AppendPointRecord(nil, p)
-	if len(buf) != PointRecordSize {
-		t.Fatalf("point record length = %d", len(buf))
-	}
-	got, err := DecodePointRecord(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != p {
-		t.Errorf("point record round trip = %+v", got)
-	}
-	if _, err := DecodePointRecord(buf[:8]); err == nil {
-		t.Error("short point decode should fail")
 	}
 }
 
@@ -222,8 +207,8 @@ func TestEnvelopePrimedAtDecode(t *testing.T) {
 	}
 }
 
-// allTypes is one geometry of every type Append encodes, including the
-// empty runs and holes Size has to count.
+// allTypes is one geometry of every type Append encodes, including empty
+// runs and holes.
 func allTypes() []geom.Geometry {
 	ring := []geom.Point{pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 0)}
 	hole := []geom.Point{pt(1, 1), pt(2, 1), pt(2, 2), pt(1, 1)}
@@ -236,16 +221,6 @@ func allTypes() []geom.Geometry {
 		&geom.MultiLineString{Lines: []geom.LineString{{Pts: ring}, {Pts: hole[:2]}}},
 		&geom.MultiPolygon{Polys: []geom.Polygon{{Shell: ring, Holes: [][]geom.Point{hole}}, {Shell: hole}}},
 	)
-}
-
-// TestSizeMatchesAppend: Size is exactly the length Append writes, for every
-// geometry type — what lets the exchange reserve a frame that never regrows.
-func TestSizeMatchesAppend(t *testing.T) {
-	for _, g := range allTypes() {
-		if got, want := Size(g), len(Append(nil, g)); got != want {
-			t.Errorf("%T %+v: Size %d, Append wrote %d", g, g, got, want)
-		}
-	}
 }
 
 // TestScanDoesNotAllocate: the raw exchange path scans every record of a
