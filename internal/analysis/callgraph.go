@@ -41,7 +41,7 @@ import (
 // same order: the collective protocol the collective analyzer enforces.
 var commCollectives = map[string]bool{
 	"Barrier": true, "Bcast": true, "Gather": true, "Scatter": true,
-	"Allgather": true, "AlltoallFixed": true, "Alltoallv": true,
+	"Allgather": true, "AlltoallFixed": true, "Alltoallv": true, "AlltoallvChunks": true,
 	"Reduce": true, "Allreduce": true, "Scan": true, "WorldSync": true,
 }
 

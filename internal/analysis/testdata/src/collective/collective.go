@@ -176,3 +176,20 @@ func allowedTeardown(c *mpi.Comm, buf []byte) error {
 	//vet:allow collective — fixture: pretend the world abort releases the peers here
 	return c.Barrier()
 }
+
+// The chunk-list payload round is a collective like Alltoallv: a rank
+// that returns on a local error before it strands its peers there.
+func badUnsettledChunks(c *mpi.Comm, send [][][]byte, recvSizes []int, buf []byte) ([][]byte, error) {
+	if err := validateLocal(buf); err != nil {
+		return nil, err
+	}
+	return c.AlltoallvChunks(send, recvSizes) // want `mpi.Comm.AlltoallvChunks is reachable after a non-collectively-settled early return`
+}
+
+// ... and its error is settled like any collective's: every rank errors.
+func goodSettledChunks(c *mpi.Comm, send [][][]byte, recvSizes []int) error {
+	if _, err := c.AlltoallvChunks(send, recvSizes); err != nil {
+		return err
+	}
+	return c.Barrier()
+}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -43,15 +42,24 @@ const (
 	maxChunk     = minChunk << chunkDoubles // 64 KiB
 )
 
-// frameStage is one (phase, destination) pair's staged exchange frames,
-// held in chunks that are filled in place and never regrown: a frame is
-// reserved at its payload's exact length and never straddles two chunks,
-// so the chunk list itself is what the payload round sends and what the
-// rank's own stage is decoded from — no staged byte is copied before it
-// reaches the decoder.
+// frameStage is one (phase, destination) pair's exchange frames. A remote
+// destination's frames are staged as bytes, in chunks that are filled in
+// place and never regrown: a frame is reserved at its payload's exact
+// length and never straddles two chunks, so the chunk list itself is what
+// the payload round sends — no staged byte is copied before it reaches the
+// transport. The rank's own frames never enter the transport, so they are
+// never staged as bytes: each is kept as its decoded geometry (keep), and
+// size still counts the bytes its frame would have staged.
 type frameStage struct {
-	chunks [][]byte // each chunk's length is its used prefix
-	size   int      // staged bytes, over all chunks
+	chunks [][]byte    // remote stages: each chunk's length is its used prefix
+	kept   []keptFrame // the own stage: its frames, decoded, in addition order
+	size   int         // the frames' bytes, staged or kept
+}
+
+// keptFrame is one frame of the rank's own stage, held decoded.
+type keptFrame struct {
+	cell int
+	g    geom.Geometry
 }
 
 // frame reserves one frame for cell with a payload of plen bytes (already
@@ -73,6 +81,27 @@ func (s *frameStage) frame(cell, plen int) []byte {
 	binary.LittleEndian.PutUint32(b, uint32(cell))
 	binary.LittleEndian.PutUint32(b[4:], uint32(plen))
 	return b[exchangeHeader:]
+}
+
+// keep holds one own frame for cell as g, the decode of its plen-byte
+// payload, counting the bytes the frame would have staged.
+func (s *frameStage) keep(cell, plen int, g geom.Geometry) {
+	s.kept = append(s.kept, keptFrame{cell: cell, g: g})
+	s.size += exchangeHeader + plen
+}
+
+// encode returns the kept frames as the one contiguous part staging them
+// would have produced: the encoding is canonical, so wkb.Append of a kept
+// geometry is its payload byte for byte.
+func (s *frameStage) encode() []byte {
+	part := make([]byte, 0, s.size)
+	for _, k := range s.kept {
+		at := len(part)
+		part = binary.LittleEndian.AppendUint32(part, uint32(k.cell))
+		part = wkb.Append(append(part, 0, 0, 0, 0), k.g)
+		binary.LittleEndian.PutUint32(part[at+4:], uint32(len(part)-at-exchangeHeader))
+	}
+	return part
 }
 
 // decodeExchangeFrame decodes one exchange frame from the front of part
@@ -136,10 +165,11 @@ type Partitioner struct {
 	// phase (the sliding-window technique for large data). Zero exchanges
 	// everything in one phase. The window bounds each phase's message size
 	// and the receive/decode memory; send-side frames are staged at Add for
-	// all phases — in chunks per (phase, destination) that are filled in
-	// place and never regrown, handed to the payload round as chunk lists
-	// (no gather) and released as FinishStream ships them. The rank's own
-	// stage is decoded in place, with no copy and no receive buffer.
+	// all phases — remote frames in chunks per (phase, destination) that are
+	// filled in place and never regrown, handed to the payload round as chunk
+	// lists (no gather) and released as FinishStream ships them. The rank's
+	// own frames are kept decoded from Add on, with no staged bytes and no
+	// receive buffer.
 	WindowCells int
 	// DirectGrid replaces the paper's cell-lookup mechanism — an R-tree
 	// built over the cell boundaries, queried with each geometry's MBR —
@@ -157,8 +187,9 @@ type Partitioner struct {
 	// FrameFault, when non-nil, inspects (and may mutate in place) every
 	// received exchange partition before it is decoded: an injection point
 	// for corruption testing (see internal/fault). The rank's own partition,
-	// otherwise decoded straight from its staging chunks, is first joined
-	// into one buffer, so the hook sees the same contiguous bytes for every
+	// otherwise kept decoded and never staged, is re-encoded into one buffer
+	// (byte for byte what staging would have held) and decoded like any
+	// received part, so the hook sees the same contiguous bytes for every
 	// (phase, src). The disabled path costs one nil check per partition.
 	FrameFault func(phase, src int, part []byte)
 }
@@ -234,36 +265,44 @@ func (pt *Partitioner) Exchange(c *mpi.Comm, local []geom.Geometry) (map[int][]g
 // sliding-window exchange protocol when Finish is called. Cell assignment
 // and frame encoding thereby overlap the parallel read instead of following
 // it, and the input geometries are never retained — once Add returns, a
-// batch's only footprint is its compact serialized frames.
+// batch's only footprint is its frames: compact serialized bytes for other
+// ranks' cells, decoded copies for this rank's own.
 //
 // Frames have one format — [cell u32][len u32][WKB] — and one staging
-// path, addRaw, which copies a WKB payload into one frame per replica. Add
-// encodes each geometry into a recycled scratch and stages that;
+// path, addRaw, which takes a WKB payload and books one frame per replica.
+// Add encodes each geometry into a recycled scratch and stages that;
 // ReadExchange over length-prefixed WKB read by WKBParser stages the file's
-// own record bytes (the raw path: scanned, never decoded on the sender).
+// own record bytes (the raw path: scanned, not decoded, by the sender).
 // The encoding is canonical, so the two produce byte-identical frames, and
 // cells, their order, every ExchangeStats field and the virtual clock do
-// not depend on which path ran. Receivers decode every frame once, with
-// the Exchanger's own decoder. A frame is copied at most once between its
-// staging chunk and the decoder: remote stages travel as chunk lists
-// (mpi.Comm.AlltoallvChunks, no gather) and land in one receive buffer per
-// source; the rank's own stage never enters the transport and is decoded
-// from its chunks in place.
+// not depend on which path ran. A frame bound for another rank is copied
+// into its staging chunk, travels in its stage's chunk list
+// (mpi.Comm.AlltoallvChunks, no gather), lands in one receive buffer per
+// source and is decoded there. A frame the rank owns itself never enters
+// the transport, so it is never staged: its payload — Add's encoding, never
+// the caller's geometry — is decoded at Add time, once however many own
+// cells it replicates into, and the geometry kept until its phase. Both
+// decodes run on the Exchanger's one decoder. The virtual clock still
+// charges every own frame's serialization and deserialization at
+// FinishStream's program points, as if it had been staged and decoded
+// there.
 //
 // Add may be called any number of times (including zero) with any batch
 // sizes; ranks need not agree on the call count. Stream, Finish, and
 // FinishStream are collective. A failed Add (a geometry whose frame
-// overflows the u32 header) is sticky: later Adds return the same error,
-// and Finish treats it as a sink that had already failed — every phase's
-// collectives still run, so no peer is stranded, and the error is returned
-// after the last one. Virtual-time accounting follows the
-// parse-pool precedent: Add never touches the communicator — projection
-// and serialization costs accumulate off-clock and are charged inside
-// Finish at fixed rank-goroutine program points (the projection total
-// before the first phase, each phase's serialization inside that phase) —
-// so the clock trajectory is independent of how the input was batched.
+// overflows the u32 header, or an own frame that fails to decode) is
+// sticky: later Adds return the same error, and Finish treats it as a sink
+// that had already failed — every phase's collectives still run, so no
+// peer is stranded, and the error is returned after the last one.
+// Virtual-time accounting follows the parse-pool precedent: Add never
+// touches the communicator — projection and serialization costs accumulate
+// off-clock and are charged inside Finish at fixed rank-goroutine program
+// points (the projection total before the first phase, each phase's
+// serialization inside that phase) — so the clock trajectory is
+// independent of how the input was batched.
 type Exchanger struct {
 	c         *mpi.Comm
+	rank      int
 	mapping   func(cell, size int) int
 	grid      grid.Partition
 	cellIndex *grid.CellIndex
@@ -273,14 +312,15 @@ type Exchanger struct {
 	window    int
 	phases    int
 
-	// send stages serialized exchange frames as send[phase][dst]. A
-	// placement's phase is cell/window — deterministic at Add time — so
-	// frames land directly in their phase's stage in arrival order. Rows
-	// are allocated on first use (a fine-grained sliding window has many
-	// phases, most of them possibly empty on a given rank) and released as
-	// Finish ships them. Staging frames across all phases is what lets the
-	// batch's geometries go the moment Add returns; the window bounds what
-	// each phase sends, receives, and decodes, not what is staged.
+	// send stages exchange frames as send[phase][dst] — serialized for a
+	// remote dst, kept decoded for this rank. A placement's phase is
+	// cell/window — deterministic at Add time — so frames land directly in
+	// their phase's stage in arrival order. Rows are allocated on first use
+	// (a fine-grained sliding window has many phases, most of them possibly
+	// empty on a given rank) and released as Finish ships them. Staging
+	// frames across all phases is what lets the batch's geometries go the
+	// moment Add returns; the window bounds what each phase sends, receives,
+	// and decodes, not what is staged or kept.
 	send [][]frameStage
 	// sendGeoms counts staged frames as sendGeoms[phase][dst] — the geometry
 	// half of the count matrix each phase's Allgather publishes for
@@ -303,6 +343,9 @@ type Exchanger struct {
 	// enc is Add's scratch: each geometry is encoded here, then staged
 	// through addRaw.
 	enc []byte
+	// dec is the exchange's one decoder: own frames at Add time, received
+	// frames in FinishStream. A zero Parser allocates its first slab lazily.
+	dec wkb.Parser
 
 	stats  ExchangeStats
 	addErr error // first Add failure (sticky)
@@ -324,6 +367,7 @@ func (pt *Partitioner) Stream(c *mpi.Comm) (*Exchanger, error) {
 	}
 	ex := &Exchanger{
 		c:          c,
+		rank:       c.Rank(),
 		mapping:    pt.mapping(),
 		grid:       pt.Grid,
 		scale:      c.Config().Scale(),
@@ -376,9 +420,12 @@ func (ex *Exchanger) Add(batch []geom.Geometry) error {
 // on the raw path, the file's own record bytes, already checked whole by
 // scanWKB; t and env are what its decode would report. By FuzzDecode's
 // re-encode invariant a raw record is byte-for-byte wkb.Append of its
-// decode, so both paths stage the same frames. Empty envelopes are dropped;
-// every other payload is copied once per replica. The caller's buffer is
-// not retained.
+// decode, so both paths stage the same frames. Empty envelopes are dropped.
+// Every other payload is copied once per remote replica, and decoded once
+// if any replica is this rank's own, the geometry kept for each own cell.
+// The caller's buffer is not retained. A header field that overflows, or an
+// own payload that fails to decode, fails the Exchanger (sticky) before
+// that frame is booked.
 func (ex *Exchanger) addRaw(rec []byte, t geom.Type, env geom.Envelope) error {
 	if err := ex.open(); err != nil {
 		return err
@@ -386,14 +433,41 @@ func (ex *Exchanger) addRaw(rec []byte, t geom.Type, env geom.Envelope) error {
 	if env.IsEmpty() {
 		return nil
 	}
+	var own geom.Geometry // rec's decode, made at its first own replica
 	for _, cell := range ex.project(env) {
-		slot, err := ex.frame(cell, t, len(rec))
-		if err != nil {
+		if err := checkFrame(cell, len(rec)); err != nil {
+			ex.addErr = err
 			return err
 		}
-		copy(slot, rec)
+		dst := ex.mapping(cell, ex.size)
+		if dst != ex.rank {
+			copy(ex.book(cell, dst, t).frame(cell, len(rec)), rec)
+			continue
+		}
+		if own == nil {
+			g, err := ex.decodeOwn(rec)
+			if err != nil {
+				ex.addErr = err
+				return err
+			}
+			own = g
+		}
+		ex.book(cell, dst, t).keep(cell, len(rec), own)
 	}
 	return nil
+}
+
+// decodeOwn decodes one own payload with the exchange's decoder; the whole
+// of rec must be one geometry, as decodeExchangeFrame demands of a frame.
+func (ex *Exchanger) decodeOwn(rec []byte) (geom.Geometry, error) {
+	g, used, err := ex.dec.Decode(rec)
+	if err != nil {
+		return nil, fmt.Errorf("core: own exchange payload decode: %w", err)
+	}
+	if used != len(rec) {
+		return nil, fmt.Errorf("core: own exchange payload decode: geometry ends after %d of %d bytes", used, len(rec))
+	}
+	return g, nil
 }
 
 // open reports whether the Exchanger still accepts input.
@@ -431,25 +505,17 @@ func (ex *Exchanger) project(env geom.Envelope) []int {
 	return cells
 }
 
-// frame stages the header of one (geometry, cell) frame with a plen-byte
-// payload of type t in the cell's phase stage for its owner, books the
-// frame's count and serialization charge, and returns the payload slot. A
-// header field that overflows fails the Exchanger (sticky) before anything
-// is staged.
-func (ex *Exchanger) frame(cell int, t geom.Type, plen int) ([]byte, error) {
-	if err := checkFrame(cell, plen); err != nil {
-		ex.addErr = err
-		return nil, err
-	}
+// book counts one (geometry, cell) frame of type t bound for dst, books
+// its serialization charge, and returns the cell's phase stage for dst.
+func (ex *Exchanger) book(cell, dst int, t geom.Type) *frameStage {
 	ph := cell / ex.window
-	dst := ex.mapping(cell, ex.size)
 	if ex.send[ph] == nil {
 		ex.send[ph] = make([]frameStage, ex.size)
 		ex.sendGeoms[ph] = make([]int64, ex.size)
 	}
 	ex.sendGeoms[ph][dst]++
 	ex.serCost[ph] += costmodel.SerializeGeomCost(t)
-	return ex.send[ph][dst].frame(cell, plen), nil
+	return &ex.send[ph][dst]
 }
 
 // Finish runs the two-round exchange protocol over the staged frames, one
@@ -473,8 +539,9 @@ func (ex *Exchanger) Finish() (map[int][]geom.Geometry, ExchangeStats, error) {
 
 // FinishStream is Finish with per-phase delivery: after each sliding-window
 // phase's payload round — remote stages sent as their chunk lists, with no
-// gather, and the own stage decoded from its chunks in place, never copied —
-// the sink receives that phase's completed cells —
+// gather, and the own stage's geometries, decoded since Add, joining at
+// this rank's source position — the sink receives that phase's completed
+// cells —
 // cell id -> geometries (from every rank), in the same deterministic order
 // Finish returns. A cell's contents never grow after its phase (a
 // placement's phase is cell/window), so the sink may consume and drop each
@@ -497,7 +564,7 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 	}
 	ex.done = true
 	c := ex.c
-	rank := c.Rank()
+	rank := ex.rank
 
 	// The deferred projection charge lands here — before the first phase's
 	// collectives — whether the Adds ran mid-read or just above, so every
@@ -519,21 +586,24 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 	// send is each phase's payload-round input: each destination's stage as
 	// its chunk list.
 	send := make([][][]byte, ex.size)
-	// dec decodes every received frame of the exchange: one arena for the
-	// whole receive side (a zero Parser allocates its first slab lazily).
-	var dec wkb.Parser
 
 	for ph := 0; ph < ex.phases; ph++ {
 		// Serialization is charged at this fixed program point; Add already
-		// did the work off-clock.
+		// did the work off-clock. The own stage's size counts its kept
+		// frames, so the charge and BytesSent are what staging them would
+		// have cost.
 		t1 := c.Now()
 		var sentBytes int64
+		var own frameStage
 		for dst := range send {
 			send[dst], sendSizes[dst] = nil, 0
 			if ex.send[ph] != nil {
 				send[dst], sendSizes[dst] = ex.send[ph][dst].chunks, ex.send[ph][dst].size
 			}
 			sentBytes += int64(sendSizes[dst])
+		}
+		if ex.send[ph] != nil {
+			own = ex.send[ph][rank]
 		}
 		c.Compute((costmodel.SerializePerByte*float64(sentBytes) + ex.serCost[ph]) * ex.scale)
 		ex.stats.BytesSent += sentBytes
@@ -570,10 +640,9 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 
 		// Round 2: exchange the coordinate payload (MPI_Alltoallv, with an
 		// hindexed send type per peer). The own stage stays out of the
-		// transport — an empty own block, which the count row above still
-		// publishes at its staged size — and is decoded from its chunks.
-		self := send[rank]
-		send[rank], recvSizes[rank] = nil, 0
+		// transport — an empty own block (it holds no chunks), which the
+		// count row above still publishes at its kept frames' size.
+		recvSizes[rank] = 0
 		//vet:allow collective — same strict-mode world-abort contract as the count exchange above
 		parts, err := c.AlltoallvChunks(send, recvSizes)
 		if err != nil {
@@ -581,26 +650,27 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 		}
 
 		// This phase's staged frames are dead the moment the payload round
-		// returns — but for the own stage, dead once decoded; release them
-		// so a long sliding-window run frees send buffers as it goes.
+		// returns; release them so a long sliding-window run frees send
+		// buffers as it goes.
 		clear(send)
 		ex.send[ph] = nil
 		ex.sendGeoms[ph] = nil
 
-		// Deserialize into this phase's owned cells, source by source.
+		// Deserialize into this phase's owned cells, source by source; the
+		// own frames join at this rank's position, already decoded — unless a
+		// FrameFault hook must see them as bytes.
 		phaseCells := make(map[int][]geom.Geometry)
-		for src := range parts {
-			chunks := parts[src : src+1]
-			if src == rank {
-				chunks = self
-			}
+		for src, part := range parts {
 			if ex.frameFault != nil {
 				if src == rank {
-					chunks = [][]byte{bytes.Join(self, nil)}
+					part = own.encode()
 				}
-				ex.frameFault(ph, src, chunks[0])
+				ex.frameFault(ph, src, part)
+			} else if src == rank {
+				ex.deliverKept(own, phaseCells)
+				continue
 			}
-			if err := ex.decodePart(&dec, chunks, phaseCells); err != nil {
+			if err := ex.decodePart(part, phaseCells); err != nil {
 				return ex.stats, fmt.Errorf("core: rank %d exchange phase %d from rank %d: %w", rank, ph, src, err)
 			}
 		}
@@ -633,60 +703,53 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 	return ex.stats, sinkErr
 }
 
-// decodePart decodes one source's part of a phase — its frames, in chunks
-// that each end on a frame boundary — into cells, charging the per-byte
-// deserialization cost before and the per-geometry cost after. A frame that
-// fails to decode, or claims a cell this rank does not own, fails the part;
-// under SkipBadFrames it is quarantined instead, and when quarantineFrame
-// surrenders the rest of its chunk (a suspect header) every later chunk is
-// surrendered with it. Frames never straddle chunks, so a header announcing
-// more than its chunk holds is as suspect as one announcing more than the
-// part holds, and a forged length gives up what the concatenation would.
-// (The own stage is the only part decoded as several chunks, and only when
-// no FrameFault hook — the one thing that corrupts a received part — is
-// installed.)
-func (ex *Exchanger) decodePart(dec *wkb.Parser, chunks [][]byte, cells map[int][]geom.Geometry) error {
-	rank := ex.c.Rank()
-	size := 0
-	for _, ch := range chunks {
-		size += len(ch)
-	}
-	ex.stats.BytesRecv += int64(size)
-	ex.c.Compute(costmodel.DeserializePerByte * float64(size) * ex.scale)
+// decodePart decodes one source's part of a phase into cells, charging the
+// per-byte deserialization cost before and the per-geometry cost after. A
+// frame that fails to decode, or claims a cell this rank does not own,
+// fails the part; under SkipBadFrames it is quarantined instead.
+func (ex *Exchanger) decodePart(part []byte, cells map[int][]geom.Geometry) error {
+	ex.stats.BytesRecv += int64(len(part))
+	ex.c.Compute(costmodel.DeserializePerByte * float64(len(part)) * ex.scale)
 	var cost float64
-	for k := 0; k < len(chunks); k++ {
-		part := chunks[k]
-		for len(part) > 0 {
-			cell, g, rest, err := decodeExchangeFrame(dec, part)
-			if err == nil {
-				if own := ex.mapping(cell, ex.size); own != rank {
-					err = fmt.Errorf("received cell %d owned by rank %d", cell, own)
-				}
+	for len(part) > 0 {
+		cell, g, rest, err := decodeExchangeFrame(&ex.dec, part)
+		if err == nil {
+			if own := ex.mapping(cell, ex.size); own != ex.rank {
+				err = fmt.Errorf("received cell %d owned by rank %d", cell, own)
 			}
-			if err != nil {
-				if !ex.skipBad {
-					return err
-				}
-				skipped, tail := quarantineFrame(part)
-				if tail == nil {
-					for _, later := range chunks[k+1:] {
-						skipped += len(later)
-					}
-					chunks = chunks[:k+1]
-				}
-				ex.stats.FramesQuarantined++
-				ex.stats.BytesQuarantined += int64(skipped)
-				part = tail
-				continue
-			}
-			cells[cell] = append(cells[cell], g)
-			ex.stats.GeomsRecv++
-			cost += costmodel.DeserializeGeomCost(g.GeomType())
-			part = rest
 		}
+		if err != nil {
+			if !ex.skipBad {
+				return err
+			}
+			skipped, tail := quarantineFrame(part)
+			ex.stats.FramesQuarantined++
+			ex.stats.BytesQuarantined += int64(skipped)
+			part = tail
+			continue
+		}
+		cells[cell] = append(cells[cell], g)
+		ex.stats.GeomsRecv++
+		cost += costmodel.DeserializeGeomCost(g.GeomType())
+		part = rest
 	}
 	ex.c.Compute(cost * ex.scale)
 	return nil
+}
+
+// deliverKept is decodePart for the own stage, whose frames were decoded at
+// Add time: the same cells, the same booking, and the same two charges in
+// the same order, as if its staged bytes were decoded here.
+func (ex *Exchanger) deliverKept(own frameStage, cells map[int][]geom.Geometry) {
+	ex.stats.BytesRecv += int64(own.size)
+	ex.c.Compute(costmodel.DeserializePerByte * float64(own.size) * ex.scale)
+	var cost float64
+	for _, k := range own.kept {
+		cells[k.cell] = append(cells[k.cell], k.g)
+		ex.stats.GeomsRecv++
+		cost += costmodel.DeserializeGeomCost(k.g.GeomType())
+	}
+	ex.c.Compute(cost * ex.scale)
 }
 
 // imbalance is the load-balance factor: the heaviest rank's load over the
@@ -714,7 +777,9 @@ func f64field(buf []byte, i int) float64 {
 // the raw path: each record is scanned (wkb.Scan — type, envelope, length,
 // with Parse's checks and error text) instead of decoded, and its file
 // bytes are staged as the frame payload while the read block still holds
-// them, so the sender never builds a geometry and never encodes one. This
+// them, so the sender never encodes a geometry and builds one only for a
+// record with a cell of its own, which it decodes once, as its own
+// receiver (see Exchanger). This
 // is a property of the input, not an option: ReadStats, cells, within-cell
 // order, every ExchangeStats field and the virtual clock are bitwise those
 // of feeding ReadStream's batches to Exchanger.Add (a Parser wrapping

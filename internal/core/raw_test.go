@@ -1,9 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -286,11 +286,12 @@ func TestStagingDoesNotRegrow(t *testing.T) {
 	}
 }
 
-// TestSelfBlockFaultParity: the rank's own stage is decoded straight from
-// its staging chunks unless a FrameFault hook is installed, which joins it
-// first. A no-op hook must therefore change nothing — cells, their order,
-// every ExchangeStats field and the final clock — on both the raw and the
-// geometry path, in one phase and in sliding-window phases.
+// TestSelfBlockFaultParity: the rank's own frames are kept decoded from
+// Add on unless a FrameFault hook is installed, which re-encodes them into
+// one part and decodes that like a received one. A no-op hook must
+// therefore change nothing — cells, their order, every ExchangeStats field
+// and the final clock — on both the raw and the geometry path, in one phase
+// and in sliding-window phases.
 func TestSelfBlockFaultParity(t *testing.T) {
 	world := geom.Envelope{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
 	pf := makeWKBFile(t, genGeoms(t, 400, 47))
@@ -325,72 +326,98 @@ func TestSelfBlockFaultParity(t *testing.T) {
 	}
 }
 
-// TestDecodePartChunks: a part handed to the decoder as a chunk list (the
-// own stage) gives up exactly what its concatenation would under
-// SkipBadFrames — a forged length surrenders the rest of the part, later
-// chunks included; a bad payload under a plausible length costs one frame.
-func TestDecodePartChunks(t *testing.T) {
-	frames := func() [][]byte {
-		var s frameStage
-		for i := 0; i < 200; i++ {
-			p := geom.Point{X: float64(i), Y: -float64(i)}
-			enc := wkb.Encode(p)
-			copy(s.frame(i%5, len(enc)), enc)
-		}
-		return s.chunks
+// TestOwnFramesSkipStage: a frame the rank owns itself is never staged as
+// bytes — after the read, no own stage holds a chunk, only kept geometries
+// — and keeping it changes nothing: cells, their order, ReadStats, every
+// ExchangeStats field and the final clock's bits equal those of the same
+// run under a no-op FrameFault hook, which re-encodes the own frames and
+// decodes them like received ones. On 1 and 2 ranks, the raw and the
+// geometry path, in one phase and in sliding-window phases.
+func TestOwnFramesSkipStage(t *testing.T) {
+	world := geom.Envelope{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
+	pf := makeWKBFile(t, genGeoms(t, 400, 53))
+	opt := ReadOptions{BlockSize: 1 << 10, Framing: LengthPrefixed(), StreamBatch: 29}
+	paths := map[string]func() Parser{
+		"raw":      func() Parser { return NewWKBParser() },
+		"geometry": func() Parser { return geometryPath{WKBParser{}} },
 	}
-	if n := len(frames()); n != 3 {
-		t.Fatalf("fixture staged %d chunks, want 3", n)
-	}
-	frameLen := exchangeHeader + len(wkb.Encode(geom.Point{}))
-	forge := map[string]func(ch []byte){
-		"huge length": func(ch []byte) { binary.LittleEndian.PutUint32(ch[4:], 0xfffffff0) },
-		"bad payload": func(ch []byte) { ch[exchangeHeader] = 7 }, // byte-order marker
-	}
-	decode := func(chunks [][]byte) (cells map[int][]geom.Geometry, stats ExchangeStats, clock float64) {
-		err := mpi.Run(cluster.Local(1), func(c *mpi.Comm) error {
-			ex := &Exchanger{c: c, mapping: func(cell, size int) int { return 0 }, size: 1, scale: 1, skipBad: true}
-			cells = make(map[int][]geom.Geometry)
-			var dec wkb.Parser
-			err := ex.decodePart(&dec, chunks, cells)
-			stats, clock = ex.stats, c.Now()
-			return err
+	// run is ReadExchange with a look at the own stages between the read
+	// and the exchange; it returns each rank's outcome and kept-frame count.
+	run := func(ranks, window int, mk func() Parser, hook func(phase, src int, part []byte)) ([]rankOutcome, []int) {
+		out := make([]rankOutcome, ranks)
+		kept := make([]int, ranks)
+		err := mpi.Run(cluster.Local(ranks), func(c *mpi.Comm) error {
+			g, err := grid.New(world, 8, 8)
+			if err != nil {
+				return err
+			}
+			ex, err := (&Partitioner{Grid: g, WindowCells: window, DirectGrid: true, FrameFault: hook}).Stream(c)
+			if err != nil {
+				return err
+			}
+			f, p := mpiio.Open(c, pf, mpiio.Hints{}), mk()
+			var rst ReadStats
+			if rawPath(p, opt.Framing) {
+				_, rst, err = readCore(c, f, p, opt, output{raw: ex})
+			} else {
+				rst, err = ReadStream(c, f, p, opt, ex.Add)
+			}
+			if err != nil {
+				return err
+			}
+			for ph, row := range ex.send {
+				if row == nil {
+					continue
+				}
+				if own := row[c.Rank()]; len(own.chunks) > 0 {
+					return fmt.Errorf("rank %d phase %d: own stage holds %d chunks", c.Rank(), ph, len(own.chunks))
+				}
+				kept[c.Rank()] += len(row[c.Rank()].kept)
+			}
+			cells, est, err := ex.Finish()
+			if err != nil {
+				return err
+			}
+			o := rankOutcome{cells: make(map[int][]string, len(cells)), read: rst, ex: est, clock: c.Now()}
+			for cell, gs := range cells {
+				for _, g := range gs {
+					o.cells[cell] = append(o.cells[cell], string(wkb.Encode(g)))
+				}
+			}
+			out[c.Rank()] = o
+			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cells, stats, clock
+		return out, kept
 	}
-	for name, f := range forge {
-		for k := 0; k < 3; k++ {
-			for _, at := range []int{0, 2} { // first frame, third frame
-				chunks := frames()
-				f(chunks[k][at*frameLen:])
-				total := 0
-				for _, ch := range chunks {
-					total += len(ch)
-				}
-				gotCells, got, gotClock := decode(chunks)
-				wantCells, want, wantClock := decode([][]byte{bytes.Join(chunks, nil)})
-				if got != want || gotClock != wantClock || !reflect.DeepEqual(gotCells, wantCells) {
-					t.Errorf("%s in chunk %d frame %d: chunked %+v, contiguous %+v", name, k, at, got, want)
-				}
-				if got.FramesQuarantined != 1 {
-					t.Errorf("%s in chunk %d frame %d: %d frames quarantined", name, k, at, got.FramesQuarantined)
-				}
-				if name == "huge length" && k == 0 && at == 0 && got.BytesQuarantined != int64(total) {
-					t.Errorf("forged length at the front gave up %d of %d bytes", got.BytesQuarantined, total)
+	for _, ranks := range []int{1, 2} {
+		for name, mk := range paths {
+			for _, window := range []int{0, 3} {
+				label := fmt.Sprintf("%d ranks %s window=%d", ranks, name, window)
+				kept, keptFrames := run(ranks, window, mk, nil)
+				encoded, _ := run(ranks, window, mk, func(int, int, []byte) {})
+				for r := range kept {
+					if keptFrames[r] == 0 {
+						t.Fatalf("%s rank %d: no own frame kept; the fixture exercises nothing", label, r)
+					}
+					if math.Float64bits(kept[r].clock) != math.Float64bits(encoded[r].clock) || !reflect.DeepEqual(kept[r], encoded[r]) {
+						t.Errorf("%s rank %d: kept own frames differ from re-encoded:\n kept    %+v %v\n encoded %+v %v",
+							label, r, kept[r].ex, kept[r].clock, encoded[r].ex, encoded[r].clock)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestReadExchangeAllocBudget is the receive half's allocation budget: the
-// raw path over a datagen lakes WKB file on 2 ranks allocates at most 3.3
-// bytes per input byte — the stage, one receive buffer for the remote
-// block, the decoded coordinates and bookkeeping. A gather before the
-// payload round, or an own-block receive buffer, costs about one more.
+// TestReadExchangeAllocBudget is the exchange's allocation budget: the raw
+// path over a datagen lakes WKB file on 2 ranks allocates at most 2.8 bytes
+// per input byte — the remote stage, one receive buffer for the remote
+// block, the decoded coordinates and bookkeeping. Staging the own frames as
+// bytes again costs about 0.5 more; a gather before the payload round, or
+// an own-block receive buffer, about one more.
 func TestReadExchangeAllocBudget(t *testing.T) {
 	const scale = 1024
 	fs, err := pfs.New(pfs.RogerGPFS())
@@ -422,7 +449,7 @@ func TestReadExchangeAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(pf.Size())
 	t.Logf("%.2f B allocated per input byte (%d-byte file)", perByte, pf.Size())
-	if perByte > 3.3 {
-		t.Errorf("ReadExchange allocated %.2f B per input byte, budget 3.3", perByte)
+	if perByte > 2.8 {
+		t.Errorf("ReadExchange allocated %.2f B per input byte, budget 2.8", perByte)
 	}
 }

@@ -468,11 +468,17 @@ func (f *File) readCycles(plan *readPlan, buf []byte, spans [][]span, listed boo
 // each aggregator the pieces of its buffer inside that aggregator's slice,
 // as chunk lists; the aggregators assemble the slice in the recycled
 // staging buffer — read-modify-write where the requests leave holes
-// (ROMIO's data-sieving write) — and write it.
+// (ROMIO's data-sieving write) — and write it. An aggregator whose prefill
+// read or write fails stops touching the file but keeps joining every
+// cycle's exchange, and a clock-free rendezvous after the last cycle agrees
+// the outcome: the failing rank returns its error and every other rank
+// ErrRemoteRead naming it — a rank that only sends would otherwise return
+// nil for bytes that were never written.
 func (f *File) writeCycles(plan *readPlan, buf []byte, spans [][]span, listed bool) (int, error) {
 	rank, nRanks := f.comm.Rank(), f.comm.Size()
 	myAgg := plan.aggIndex(rank)
 	scan := f.listScan(spans)
+	var failed error
 	for c := 0; c < plan.cycles; c++ {
 		send, recvSizes := f.scratch(nRanks)
 		for k, ar := range plan.aggRanks {
@@ -495,7 +501,7 @@ func (f *File) writeCycles(plan *readPlan, buf []byte, spans [][]span, listed bo
 					recvSizes[r] += int(slice.overlap(s).length)
 				}
 			}
-			if slice.length > 0 {
+			if slice.length > 0 && failed == nil {
 				// Prefill the holes with the file's bytes before the
 				// exchange (the send chunks alias buf, not the staging
 				// buffer); past EOF (a write that extends the file) the
@@ -503,17 +509,16 @@ func (f *File) writeCycles(plan *readPlan, buf []byte, spans [][]span, listed bo
 				data = f.growAggBuf(int(slice.length))
 				m, rerr := f.fillAt(data, slice.off)
 				if rerr != nil && !errors.Is(rerr, io.EOF) {
-					return 0, rerr
+					failed = rerr
 				}
 				clear(data[m:])
 			}
 		}
-		//vet:allow collective — an aggregator whose prefill read or WriteAt failed has no slice to assemble or cannot accept the next cycle's pieces; its early return is best-effort teardown and the world abort releases the peers with ErrAborted
 		parts, err := f.comm.AlltoallvChunks(send, recvSizes)
 		if err != nil {
 			return 0, err
 		}
-		if myAgg < 0 || slice.length == 0 {
+		if myAgg < 0 || slice.length == 0 || failed != nil {
 			continue
 		}
 		if listed {
@@ -534,9 +539,30 @@ func (f *File) writeCycles(plan *readPlan, buf []byte, spans [][]span, listed bo
 			f.comm.Compute(f.pieceCost(pieces))
 		}
 		if _, werr := f.pf.WriteAt(data, slice.off); werr != nil {
-			return 0, werr
+			failed = werr
+			continue
 		}
 		f.comm.Compute(plan.aggTime[c][myAgg])
+	}
+	outAny, err := f.comm.WorldSync("mpiio.write.done:"+f.pf.Name(), failed != nil, func(inputs []any) []any {
+		outs := make([]any, len(inputs))
+		for i, in := range inputs {
+			if in.(bool) {
+				for j := range outs {
+					outs[j] = fmt.Errorf("%w: rank %d failed its collective write slice", ErrRemoteRead, i)
+				}
+				break
+			}
+		}
+		return outs
+	})
+	switch {
+	case err != nil:
+		return 0, err
+	case failed != nil:
+		return 0, failed
+	case outAny != nil:
+		return 0, outAny.(error)
 	}
 	return len(buf), nil
 }

@@ -213,8 +213,9 @@ func TestCollectiveLimitAgreement(t *testing.T) {
 // back. A permanent read fault there must fail the call and leave the file
 // as it was, not write zeros over bytes the call never targeted; transient
 // faults are retried like any other read. On NFS rank 0 is the one
-// aggregator; rank 1 only sends, so it may leave the exchange before the
-// world abort reaches it and is not asserted on in the permanent row.
+// aggregator and rank 1 only sends; the write's closing agreement must
+// still fail rank 1 with ErrRemoteRead naming rank 0, not return nil for a
+// byte that was never written.
 func TestCollectiveWritePrefillFault(t *testing.T) {
 	offline := errors.New("pfs: OST offline")
 	for _, tc := range []struct {
@@ -254,6 +255,9 @@ func TestCollectiveWritePrefillFault(t *testing.T) {
 			if tc.transient < 0 {
 				if !errors.Is(errs[0], offline) || runErr == nil {
 					t.Errorf("aggregator err = %v, run err = %v; want the read fault on both", errs[0], runErr)
+				}
+				if !errors.Is(errs[1], ErrRemoteRead) || !strings.Contains(errs[1].Error(), "rank 0") {
+					t.Errorf("sending rank err = %v, want ErrRemoteRead naming rank 0", errs[1])
 				}
 			} else {
 				if runErr != nil || fires != tc.transient {

@@ -142,14 +142,15 @@
 // stats and virtual clock are bitwise those of the decode-and-Add path.
 // Between stage and decoder a frame is copied at most once: stages travel
 // as chunk lists (a vectored Alltoallv, no packing), and a rank's frames for
-// its own cells never leave it — they are decoded where they were staged.
+// its own cells are never staged at all — each record is decoded once, at
+// Add, and its geometry kept for every own cell it falls in.
 //
 // Because frames are always staged at Add, Partitioner.WindowCells bounds
 // each sliding-window phase's message size and the receive/decode memory,
 // not the send side: every phase's frames (compact bytes in chunks that are
 // never regrown, sent as they are and released phase by phase as
-// FinishStream ships them) are staged up front, on the materialized path on top of the
-// caller's slice. No benchmark workload measures a materialized windowed
+// FinishStream ships them, and the own frames' kept geometries) are held up
+// front, on the materialized path on top of the caller's slice. No benchmark workload measures a materialized windowed
 // exchange's heap — join_polys, the materialized workload in benchmark/, is
 // single-phase.
 //
