@@ -1,8 +1,7 @@
 // Command vectorio-vet is the multichecker for the repository's
 // determinism and safety invariants: it loads and type-checks the
 // packages matching its arguments and runs the internal/analysis suite
-// (wallclock, commsafety, maporder, arenaescape, errwrap, collective,
-// clockcharge) over them.
+// (wallclock, maporder, errwrap, collective, clockcharge) over them.
 //
 // Usage:
 //

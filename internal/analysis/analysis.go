@@ -26,21 +26,6 @@
 // colon; an allow without a reason is itself reported. The annotation
 // suppresses diagnostics from that analyzer on its own line and the line
 // directly below it (so it can sit above a long expression).
-//
-// # Marking pooled types
-//
-// The arenaescape analyzer learns which types hand out recycled memory
-// from a marker in the type's doc comment:
-//
-//	// readArena holds one rank's reusable buffers.
-//	//
-//	//vet:pooled
-//	type readArena struct { ... }
-//
-// Slices derived from a marked type's fields or methods (or from
-// arena.GrowBuf) must not outlive the arena: returning one from an
-// exported function, storing one in a non-pooled struct field or package
-// variable, or sending one on a channel is reported.
 package analysis
 
 import (
@@ -84,7 +69,7 @@ type Pass struct {
 	// forward slashes ("internal/core").
 	RelDir string
 	// Facts holds cross-package information gathered by the driver
-	// before any analyzer runs (currently the //vet:pooled type set).
+	// before any analyzer runs: the //vet:uniform marks and the call graph.
 	Facts *Facts
 
 	diags *[]Diagnostic
@@ -113,9 +98,6 @@ func (d Diagnostic) String() string {
 // Facts carries driver-computed cross-package information into every
 // pass.
 type Facts struct {
-	// Pooled is the set of //vet:pooled-marked types, keyed
-	// "pkgpath.TypeName".
-	Pooled map[string]bool
 	// Uniform is the set of //vet:uniform-marked functions: their errors
 	// are deterministic functions of their arguments, so rank-uniform
 	// inputs fail every rank identically and an early return guarded by
@@ -180,9 +162,9 @@ type RunOptions struct {
 	// Scope. Used by the analysistest fixture runner, whose fixture
 	// packages live outside the real invariant scopes.
 	ForceScope bool
-	// FactPackages, when non-nil, is the package set facts (//vet:pooled
-	// marks) are gathered from instead of the analyzed set — so a
-	// fixture package can use pooled types declared in its real
+	// FactPackages, when non-nil, is the package set facts (//vet:uniform
+	// marks, the call graph) are gathered from instead of the analyzed
+	// set — so a fixture package's calls resolve into its real
 	// dependencies.
 	FactPackages []*Package
 }
@@ -296,38 +278,25 @@ func runWithFacts(pkgs []*Package, analyzers []*Analyzer, opt RunOptions, facts 
 	return out, nil
 }
 
-// gatherFacts walks every loaded package's syntax for cross-package
-// markers before any analyzer runs, then builds the call graph and its
-// summaries over the same package set (the graph's pooled summaries
-// consume the marker set, so the markers are collected first).
+// gatherFacts walks every loaded package's syntax for //vet:uniform marks
+// before any analyzer runs, then builds the call graph and its summaries
+// over the same package set.
 func gatherFacts(pkgs []*Package) *Facts {
-	facts := &Facts{Pooled: make(map[string]bool), Uniform: make(map[*types.Func]bool)}
+	facts := &Facts{Uniform: make(map[*types.Func]bool)}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
-				switch d := decl.(type) {
-				case *ast.GenDecl:
-					if d.Tok != token.TYPE {
-						continue
-					}
-					for _, spec := range d.Specs {
-						ts, ok := spec.(*ast.TypeSpec)
-						if !ok {
-							continue
-						}
-						if hasPooledMark(d.Doc) || hasPooledMark(ts.Doc) || hasPooledMark(ts.Comment) {
-							facts.Pooled[pkg.Path+"."+ts.Name.Name] = true
-						}
-					}
-				case *ast.FuncDecl:
-					ok, bad := uniformMark(d.Doc)
-					if bad.IsValid() {
-						facts.MalformedUniform = append(facts.MalformedUniform, pkg.Fset.Position(bad))
-					}
-					if ok {
-						if fn, isFn := pkg.Info.Defs[d.Name].(*types.Func); isFn {
-							facts.Uniform[fn] = true
-						}
+				d, isFunc := decl.(*ast.FuncDecl)
+				if !isFunc {
+					continue
+				}
+				ok, bad := uniformMark(d.Doc)
+				if bad.IsValid() {
+					facts.MalformedUniform = append(facts.MalformedUniform, pkg.Fset.Position(bad))
+				}
+				if ok {
+					if fn, isFn := pkg.Info.Defs[d.Name].(*types.Func); isFn {
+						facts.Uniform[fn] = true
 					}
 				}
 			}
@@ -363,28 +332,6 @@ func uniformMark(cg *ast.CommentGroup) (ok bool, bad token.Pos) {
 		return true, 0
 	}
 	return false, 0
-}
-
-func hasPooledMark(cg *ast.CommentGroup) bool {
-	if cg == nil {
-		return false
-	}
-	for _, c := range cg.List {
-		if strings.TrimSpace(strings.TrimPrefix(c.Text, "//")) == "vet:pooled" {
-			return true
-		}
-	}
-	return false
-}
-
-// PooledNamed reports whether named (after pointer stripping by the
-// caller) is a //vet:pooled-marked type.
-func (f *Facts) PooledNamed(t types.Type) bool {
-	named, ok := derefNamed(t)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return f.Pooled[named.Obj().Pkg().Path()+"."+named.Obj().Name()]
 }
 
 // derefNamed strips pointers and aliases down to a named type.

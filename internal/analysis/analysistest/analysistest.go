@@ -51,7 +51,8 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkg string) {
 		t.Fatalf("loading fixture %s: %v", pkg, err)
 	}
 	// Only the fixture package is analyzed (scope forced), but facts
-	// (//vet:pooled marks) must see every real package it pulled in.
+	// (the call graph, //vet:uniform marks) must see every package it
+	// pulled in.
 	diags, err := analysis.RunAnalyzers([]*analysis.Package{p}, []*analysis.Analyzer{a},
 		analysis.RunOptions{ForceScope: true, FactPackages: l.Packages()})
 	if err != nil {

@@ -11,17 +11,15 @@ import (
 // CHA-style call graph over go/types spanning every loaded module (and
 // fixture) package, plus per-function summaries computed over it. The
 // driver builds one CallGraph per run (gatherFacts) and hands it to every
-// pass through Facts.Graph, which is what lets collective/clockcharge see
-// through helper chains and commsafety/arenaescape reason across
-// packages.
+// pass through Facts.Graph, which is what lets collective and
+// clockcharge see through helper chains and across packages.
 //
 // Resolution rules, in order:
 //
 //   - Static calls (identifier or selector naming a declared function or
 //     method) become edges when the callee is declared in a loaded
 //     package. Calls into GOROOT have no node and no edges — the standard
-//     library is assumed not to touch the communicator, the clock, or
-//     pooled arenas.
+//     library is assumed not to touch the communicator or the clock.
 //   - Interface method calls are devirtualized CHA-style: the loaded
 //     packages are scanned for concrete types implementing the interface,
 //     and when exactly ONE implementation of the method exists the call
@@ -32,16 +30,16 @@ import (
 //     false positives.
 //   - Function values and function-typed parameters are never chased.
 //   - A function literal's body is attributed to its enclosing declared
-//     function — it runs on the same goroutine with the same obligations
-//     — EXCEPT a literal that is the immediate target of a `go`
-//     statement, which is recorded as a spawn site instead (commsafety
-//     walks spawned bodies separately).
+//     function — it runs on the same goroutine with the same obligations.
+//     A `go` statement's literal is no exception: internal/core starts
+//     no goroutine (TestCoreStartsNoGoroutine), and mpi.Run's rank
+//     goroutines call a function value, which is never chased.
 
 // commCollectives are the mpi.Comm methods every rank must reach in the
 // same order: the collective protocol the collective analyzer enforces.
 var commCollectives = map[string]bool{
-	"Barrier": true, "Bcast": true, "Gather": true, "Scatter": true,
-	"Allgather": true, "AlltoallFixed": true, "Alltoallv": true, "AlltoallvChunks": true,
+	"Barrier": true, "Bcast": true, "Gather": true,
+	"Allgather": true, "Alltoallv": true, "AlltoallvChunks": true,
 	"Reduce": true, "Allreduce": true, "Scan": true, "WorldSync": true,
 }
 
@@ -105,16 +103,6 @@ type CallEdge struct {
 	Dynamic bool
 }
 
-// A SpawnSite is one `go` statement: either a literal body or a static
-// callee runs on the new goroutine. Unresolvable spawn targets (function
-// values) have both fields zero — the spawned code is outside the
-// analyzable world and its contract is the interface documentation.
-type SpawnSite struct {
-	Stmt   *ast.GoStmt
-	Body   *ast.BlockStmt // non-nil for `go func(){...}()`
-	Callee *types.Func    // non-nil for `go f(...)` with a declared f
-}
-
 // A FuncNode is one declared function or method in a loaded package.
 type FuncNode struct {
 	Fn   *types.Func
@@ -123,7 +111,6 @@ type FuncNode struct {
 
 	Calls     []CallEdge
 	CommCalls []CommCall
-	Spawns    []SpawnSite
 }
 
 // A CallGraph spans every loaded package of one driver run.
@@ -137,10 +124,6 @@ type CallGraph struct {
 	charges     map[*types.Func]bool
 	settles     map[*types.Func]bool
 	rankRet     map[*types.Func]bool
-	commVia     map[*types.Func]string
-	pooledRet   map[*types.Func]bool
-	paramPass   map[*types.Func][]bool
-	paramEsc    map[*types.Func][]bool
 }
 
 // Node returns the graph node for fn, or nil for functions outside the
@@ -193,18 +176,6 @@ func (g *CallGraph) SettlesErrors(fn *types.Func) bool {
 	return g != nil && fn != nil && g.settles[fn.Origin()]
 }
 
-// CommVia returns the name of one communicator operation fn transitively
-// reaches ("mpi.Comm.Compute", "mpiio.File.ReadAtAll"), or "" when fn
-// provably never touches the communicator through resolved calls. The
-// representative is the lexicographically smallest reachable name, so
-// diagnostics quoting it are deterministic.
-func (g *CallGraph) CommVia(fn *types.Func) string {
-	if g == nil || fn == nil {
-		return ""
-	}
-	return g.commVia[fn.Origin()]
-}
-
 // ReturnsRankDerived reports whether fn's return value derives from
 // Comm.Rank — so conditions built from it are rank-dependent even though
 // no Rank() call appears at the guard.
@@ -212,37 +183,8 @@ func (g *CallGraph) ReturnsRankDerived(fn *types.Func) bool {
 	return g != nil && fn != nil && g.rankRet[fn.Origin()]
 }
 
-// ReturnsPooled reports whether fn may return a slice aliasing pooled
-// arena memory (its own pooled sources; passthrough of pooled arguments
-// is reported separately by ParamPassthrough).
-func (g *CallGraph) ReturnsPooled(fn *types.Func) bool {
-	return g != nil && fn != nil && g.pooledRet[fn.Origin()]
-}
-
-// ParamPassthrough reports, per parameter, whether fn may return a slice
-// derived from that parameter — so a pooled argument makes the result
-// pooled at the call site.
-func (g *CallGraph) ParamPassthrough(fn *types.Func) []bool {
-	if g == nil || fn == nil {
-		return nil
-	}
-	return g.paramPass[fn.Origin()]
-}
-
-// ParamEscapes reports, per parameter, whether fn stores that parameter
-// (or a slice derived from it) beyond the call: a package variable, a
-// channel, or a field of a non-pooled struct. Passing pooled memory at an
-// escaping position leaks the arena through the call graph.
-func (g *CallGraph) ParamEscapes(fn *types.Func) []bool {
-	if g == nil || fn == nil {
-		return nil
-	}
-	return g.paramEsc[fn.Origin()]
-}
-
 // buildCallGraph constructs the graph and runs every summary to fixpoint.
-// facts.Pooled must already be populated; facts.Graph is set by the
-// caller.
+// facts.Graph is set by the caller.
 func buildCallGraph(pkgs []*Package, facts *Facts) *CallGraph {
 	g := &CallGraph{
 		nodes:       make(map[*types.Func]*FuncNode),
@@ -252,10 +194,6 @@ func buildCallGraph(pkgs []*Package, facts *Facts) *CallGraph {
 		charges:     make(map[*types.Func]bool),
 		settles:     make(map[*types.Func]bool),
 		rankRet:     make(map[*types.Func]bool),
-		commVia:     make(map[*types.Func]string),
-		pooledRet:   make(map[*types.Func]bool),
-		paramPass:   make(map[*types.Func][]bool),
-		paramEsc:    make(map[*types.Func][]bool),
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -273,39 +211,16 @@ func buildCallGraph(pkgs []*Package, facts *Facts) *CallGraph {
 		}
 	}
 	for _, node := range g.nodes {
-		g.scanNode(node)
+		info := node.Pkg.Info
+		ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				g.recordCall(node, info, call)
+			}
+			return true
+		})
 	}
 	g.fixpointBoolSets()
-	g.fixpointPooled()
 	return g
-}
-
-// scanNode records node's call edges, communicator calls, and spawn
-// sites. Spawned literal bodies are excluded (they belong to the spawn),
-// every other literal body is the node's own code.
-func (g *CallGraph) scanNode(node *FuncNode) {
-	info := node.Pkg.Info
-	skip := make(map[ast.Node]bool)
-	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-		if skip[n] {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			sp := SpawnSite{Stmt: n}
-			switch fun := ast.Unparen(n.Call.Fun).(type) {
-			case *ast.FuncLit:
-				sp.Body = fun.Body
-				skip[fun] = true
-			default:
-				sp.Callee = staticFunc(info, n.Call)
-			}
-			node.Spawns = append(node.Spawns, sp)
-		case *ast.CallExpr:
-			g.recordCall(node, info, n)
-		}
-		return true
-	})
 }
 
 // recordCall classifies one call expression on a node: a communicator
@@ -391,6 +306,23 @@ func staticFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn.Origin()
 }
 
+// resolveCallee resolves a call to a declared function: statically, or
+// through the graph's unique-implementation CHA step for interface
+// methods.
+func resolveCallee(g *CallGraph, info *types.Info, call *ast.CallExpr) *types.Func {
+	if fn := staticFunc(info, call); fn != nil {
+		return fn
+	}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if selection, ok := info.Selections[sel]; ok && selection.Kind() == types.MethodVal {
+			if iface, ok := selection.Recv().Underlying().(*types.Interface); ok && g != nil {
+				return g.uniqueImpl(iface, sel.Sel.Name)
+			}
+		}
+	}
+	return nil
+}
+
 // fixpointBoolSets propagates the collective-set, clock-charge,
 // error-settlement, and rank-derived-return summaries to fixpoint over
 // the edge relation.
@@ -412,9 +344,6 @@ func (g *CallGraph) fixpointBoolSets() {
 			}
 			if cc.settles() {
 				g.settles[fn] = true
-			}
-			if via := g.commVia[fn]; via == "" || cc.Name() < via {
-				g.commVia[fn] = cc.Name()
 			}
 		}
 		if len(set) > 0 {
@@ -450,14 +379,6 @@ func (g *CallGraph) fixpointBoolSets() {
 				if g.settles[callee] && !g.settles[fn] {
 					g.settles[fn] = true
 					changed = true
-				}
-				// Min-lattice on the representative name keeps the choice
-				// deterministic across map iteration orders.
-				if via := g.commVia[callee]; via != "" {
-					if cur := g.commVia[fn]; cur == "" || via < cur {
-						g.commVia[fn] = via
-						changed = true
-					}
 				}
 			}
 			if !g.rankRet[fn] {
@@ -531,7 +452,7 @@ func isMPIIOFileType(t types.Type) bool {
 
 // inspectNoFuncLit walks n like ast.Inspect but does not descend into
 // function literal bodies: code inside a literal runs at the literal's
-// own call time (or goroutine), not on the paths being analyzed.
+// own call time, not on the paths being analyzed.
 func inspectNoFuncLit(n ast.Node, f func(ast.Node) bool) {
 	ast.Inspect(n, func(m ast.Node) bool {
 		if _, ok := m.(*ast.FuncLit); ok && m != n {

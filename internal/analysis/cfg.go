@@ -484,3 +484,23 @@ func hazardReturn(stmts []ast.Stmt, et *errTaint) *ast.ReturnStmt {
 	scanList(stmts, false)
 	return found
 }
+
+// objectOf resolves an identifier to its object, definition or use.
+func objectOf(info *types.Info, id *ast.Ident) types.Object {
+	if obj := info.Defs[id]; obj != nil {
+		return obj
+	}
+	return info.Uses[id]
+}
+
+// rhsFor pairs the i-th LHS of an assignment with its RHS expression,
+// handling both n:=n and the single-RHS (call/comma-ok) forms.
+func rhsFor(as *ast.AssignStmt, i int) (ast.Expr, bool) {
+	if len(as.Rhs) == len(as.Lhs) {
+		return as.Rhs[i], true
+	}
+	if len(as.Rhs) == 1 {
+		return as.Rhs[0], true
+	}
+	return nil, false
+}

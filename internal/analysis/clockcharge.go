@@ -13,13 +13,10 @@ import (
 // — the Exchanger's projection and serialization accumulators — adds
 // costmodel-derived cost into plain variables and fields, and the rank
 // goroutine charges the total with Comm.Compute at a fixed program point
-// (FinishStream). The same discipline is what commsafety demands of any
-// off-goroutine work, which could not touch the communicator itself. An
-// accumulator that
-// is never charged silently deflates every reported virtual time; a
-// charge skipped on one path makes virtual time depend on which path
-// ran, which is exactly the nondeterminism the cost model exists to
-// remove.
+// (FinishStream). An accumulator that is never charged silently
+// deflates every reported virtual time; a charge skipped on one path
+// makes virtual time depend on which path ran, which is exactly the
+// nondeterminism the cost model exists to remove.
 //
 // An accumulator is any `x += <expr mentioning the costmodel package>`.
 // For a local, some charge in the same function must mention it; for a

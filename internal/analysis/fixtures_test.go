@@ -15,25 +15,17 @@ func TestWallclockFixture(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), analysis.Wallclock, "wallclock")
 }
 
-func TestCommSafetyFixture(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), analysis.CommSafety, "commsafety")
-}
-
 func TestMapOrderFixture(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), analysis.MapOrder, "maporder")
-}
-
-func TestArenaEscapeFixture(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), analysis.ArenaEscape, "arenaescape")
 }
 
 func TestErrWrapFixture(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), analysis.ErrWrap, "errwrap")
 }
 
-// The interprocedural analyzers' fixtures include cross-package cases
-// (collective/helper, commsafety/commhelper, arenaescape/sink): each
-// seeds at least one violation invisible to per-function analysis.
+// The interprocedural analyzers' fixtures include a cross-package case
+// (collective/helper) seeding violations invisible to per-function
+// analysis.
 func TestCollectiveFixture(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), analysis.Collective, "collective")
 }

@@ -81,8 +81,8 @@ func NewLoader(moduleDir string) (*Loader, error) {
 
 // Packages returns every module/extra-root package loaded so far (not
 // the GOROOT ones), sorted by import path. The driver gathers facts
-// (//vet:pooled markers) over this set so markers on dependency types
-// are visible when analyzing their importers.
+// (//vet:uniform marks, the call graph) over this set so a dependency's
+// functions are visible when analyzing its importers.
 func (l *Loader) Packages() []*Package {
 	out := make([]*Package, 0, len(l.pkgs))
 	for _, p := range l.pkgs {

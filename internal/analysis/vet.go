@@ -11,7 +11,7 @@ import (
 
 // Analyzers returns the full vectorio-vet suite, in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Wallclock, CommSafety, MapOrder, ArenaEscape, ErrWrap, Collective, ClockCharge}
+	return []*Analyzer{Wallclock, MapOrder, ErrWrap, Collective, ClockCharge}
 }
 
 // FindModuleRoot walks up from dir to the nearest directory containing a
@@ -148,7 +148,7 @@ func CheckModule(moduleDir string, patterns []string, analyzers []*Analyzer) ([]
 		pkgs = append(pkgs, pkg)
 	}
 	// Facts come from everything the load pulled in, not just the match
-	// set, so a //vet:pooled marker on a dependency's type is visible.
+	// set, so the call graph and //vet:uniform marks reach dependencies.
 	facts := gatherFacts(l.Packages())
 	return runWithFacts(pkgs, analyzers, RunOptions{}, facts)
 }

@@ -2,6 +2,10 @@ package core
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -366,6 +370,34 @@ func TestReadsStartNoGoroutine(t *testing.T) {
 				t.Errorf("%s %s: %d goroutines above idle during the read, %d in a bare run", fc.name, api, got, base)
 			}
 		}
+	}
+}
+
+// TestCoreStartsNoGoroutine: no non-test file of this package holds a go
+// statement. A rank's Comm orders its fault points and clock charges, so
+// only the rank goroutine may drive it; with no goroutine started here
+// nothing else can. TestReadsStartNoGoroutine checks the same at run time,
+// on the read paths it drives.
+func TestCoreStartsNoGoroutine(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%s: go statement in internal/core; run the work on the rank goroutine", fset.Position(g.Pos()))
+			}
+			return true
+		})
 	}
 }
 

@@ -150,17 +150,16 @@ func quarantineFrame(part []byte) (skipped int, rest []byte) {
 // Partitioner carries out the global spatial partitioning of §4.2.3: local
 // geometries are projected to grid cells (replicated into every overlapping
 // cell), serialized per destination rank, and exchanged with the two-round
-// protocol — MPI_Alltoall for the count/displacement metadata, then
-// MPI_Alltoallv for the coordinate payload — optionally in sliding-window
-// phases to bound memory.
+// protocol — an MPI_Allgather of each rank's count row for the
+// count/displacement metadata (see FinishStream), then MPI_Alltoallv for
+// the coordinate payload — optionally in sliding-window phases to bound
+// memory.
 type Partitioner struct {
 	// Grid is the cellular decomposition: the uniform grid.Grid of §4.2 or
 	// the skew-aware grid.Adaptive built by SamplePartition.
+	// Cells go to ranks by the partition's own placement when it carries
+	// one (grid.Mapper) and round-robin (§4.2.3) otherwise.
 	Grid grid.Partition
-	// Mapping assigns cells to ranks; nil uses the partition's own
-	// placement when it carries one (grid.Mapper) and round-robin (§4.2.3)
-	// otherwise.
-	Mapping func(cell, size int) int
 	// WindowCells bounds how many consecutive cells are exchanged per
 	// phase (the sliding-window technique for large data). Zero exchanges
 	// everything in one phase. The window bounds each phase's message size
@@ -229,14 +228,6 @@ type ExchangeStats struct {
 	FramesQuarantined int
 	// BytesQuarantined counts the received bytes those frames surrendered.
 	BytesQuarantined int64
-}
-
-// mapping returns the effective cell-to-rank mapping.
-func (pt *Partitioner) mapping() func(cell, size int) int {
-	if pt.Mapping != nil {
-		return pt.Mapping
-	}
-	return grid.MappingOf(pt.Grid)
 }
 
 // Exchange projects local geometries to grid cells and performs the global
@@ -368,7 +359,7 @@ func (pt *Partitioner) Stream(c *mpi.Comm) (*Exchanger, error) {
 	ex := &Exchanger{
 		c:          c,
 		rank:       c.Rank(),
-		mapping:    pt.mapping(),
+		mapping:    grid.MappingOf(pt.Grid),
 		grid:       pt.Grid,
 		scale:      c.Config().Scale(),
 		size:       c.Size(),

@@ -168,7 +168,8 @@ func TestAppendExchangeFrameHeaderGuards(t *testing.T) {
 
 // negativeCells is a partition whose lookup hands Add a cell id no frame
 // header can carry — the only way to reach Add's encode failure short of a
-// 4 GiB geometry.
+// 4 GiB geometry. The frame-header check rejects the id before any
+// placement sees it.
 type negativeCells struct{ grid.Partition }
 
 func (negativeCells) CellsFor(geom.Envelope) []int { return []int{-1} }
@@ -190,7 +191,6 @@ func TestExchangeAddFailureCompletes(t *testing.T) {
 		pt := &Partitioner{Grid: g, WindowCells: 5, DirectGrid: true}
 		if c.Rank() == 1 {
 			pt.Grid = negativeCells{g}
-			pt.Mapping = func(cell, size int) int { return grid.RoundRobin(max(cell, 0), size) }
 		}
 		ex, err := pt.Stream(c)
 		if err != nil {

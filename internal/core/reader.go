@@ -192,9 +192,8 @@ func readCore(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, out output)
 // it, so steady-state iterations allocate nothing: blocks are read into a
 // recycled buffer, ring fragments are framed and received in scratch
 // space, and record assembly and the rank-0 carry reuse grown-once
-// buffers. An arena belongs to a single rank (goroutine).
-//
-//vet:pooled
+// buffers. An arena belongs to a single rank (goroutine). A slice of
+// its buffers is valid only until the arena's next reuse.
 type readArena struct {
 	block []byte // readBlock destination
 	frame []byte // outbound fragment framing (flag byte + payload)

@@ -151,8 +151,8 @@ func decodeSeg(b []byte) [2]geom.Point {
 	}
 }
 
-// EncodeRectBuffer packs envelopes into an MPI_RECT buffer.
-func EncodeRectBuffer(rects []geom.Envelope) []byte {
+// encodeRectBuffer packs envelopes into an MPI_RECT buffer.
+func encodeRectBuffer(rects []geom.Envelope) []byte {
 	buf := make([]byte, len(rects)*32)
 	for i, e := range rects {
 		encodeRect(buf[i*32:], e)
@@ -160,8 +160,8 @@ func EncodeRectBuffer(rects []geom.Envelope) []byte {
 	return buf
 }
 
-// DecodeRectBuffer unpacks an MPI_RECT buffer.
-func DecodeRectBuffer(buf []byte) []geom.Envelope {
+// decodeRectBuffer unpacks an MPI_RECT buffer.
+func decodeRectBuffer(buf []byte) []geom.Envelope {
 	out := make([]geom.Envelope, len(buf)/32)
 	for i := range out {
 		out[i] = decodeRect(buf[i*32:])
@@ -173,31 +173,31 @@ func DecodeRectBuffer(buf []byte) []geom.Envelope {
 // operator, leaving the result at root (Figure 6's usage pattern). Non-root
 // ranks get nil.
 func ReduceRects(c *mpi.Comm, rects []geom.Envelope, op *mpi.Op, root int) ([]geom.Envelope, error) {
-	res, err := c.Reduce(EncodeRectBuffer(rects), len(rects), RectType, op, root)
+	res, err := c.Reduce(encodeRectBuffer(rects), len(rects), RectType, op, root)
 	if err != nil || res == nil {
 		return nil, err
 	}
-	return DecodeRectBuffer(res), nil
+	return decodeRectBuffer(res), nil
 }
 
 // AllreduceRects is ReduceRects with the result on every rank — how the
 // global grid envelope is computed from per-process local MBR unions.
 func AllreduceRects(c *mpi.Comm, rects []geom.Envelope, op *mpi.Op) ([]geom.Envelope, error) {
-	res, err := c.Allreduce(EncodeRectBuffer(rects), len(rects), RectType, op)
+	res, err := c.Allreduce(encodeRectBuffer(rects), len(rects), RectType, op)
 	if err != nil {
 		return nil, err
 	}
-	return DecodeRectBuffer(res), nil
+	return decodeRectBuffer(res), nil
 }
 
 // ScanRects computes the inclusive prefix reduction of rectangle arrays
 // (Figure 13 runs geometric union under MPI_Scan).
 func ScanRects(c *mpi.Comm, rects []geom.Envelope, op *mpi.Op) ([]geom.Envelope, error) {
-	res, err := c.Scan(EncodeRectBuffer(rects), len(rects), RectType, op)
+	res, err := c.Scan(encodeRectBuffer(rects), len(rects), RectType, op)
 	if err != nil {
 		return nil, err
 	}
-	return DecodeRectBuffer(res), nil
+	return decodeRectBuffer(res), nil
 }
 
 // GlobalEnvelope unions every rank's local envelope with MPI_UNION and

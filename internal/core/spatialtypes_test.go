@@ -32,7 +32,7 @@ func TestRectBufferRoundTrip(t *testing.T) {
 		{MinX: 0, MinY: 1, MaxX: 2, MaxY: 3},
 		{MinX: -5.5, MinY: -6.5, MaxX: 7.25, MaxY: 8},
 	}
-	got := DecodeRectBuffer(EncodeRectBuffer(rects))
+	got := decodeRectBuffer(encodeRectBuffer(rects))
 	for i := range rects {
 		if got[i] != rects[i] {
 			t.Errorf("rect %d = %+v, want %+v", i, got[i], rects[i])

@@ -273,16 +273,4 @@ func TestMappings(t *testing.T) {
 	if RoundRobin(7, 4) != 3 || RoundRobin(8, 4) != 0 {
 		t.Error("round robin mapping wrong")
 	}
-	bm := BlockMapping(10)
-	// 10 cells over 4 ranks: 3 cells per rank (ceil), last rank gets one.
-	wants := []int{0, 0, 0, 1, 1, 1, 2, 2, 2, 3}
-	for c, want := range wants {
-		if got := bm(c, 4); got != want {
-			t.Errorf("block mapping cell %d = %d, want %d", c, got, want)
-		}
-	}
-	// Never exceeds size-1.
-	if bm(9, 2) != 1 {
-		t.Errorf("block mapping overflow: %d", bm(9, 2))
-	}
 }

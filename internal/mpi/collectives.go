@@ -9,8 +9,6 @@ const (
 	tagBarrier = 1 << 20
 	tagBcast   = 1<<20 + 1
 	tagGather  = 1<<20 + 2
-	tagGatherN = 1<<20 + 3
-	tagScatter = 1<<20 + 4
 	tagAllgath = 1<<20 + 5
 	tagAlltoal = 1<<20 + 6
 	tagReduce  = 1<<20 + 7
@@ -107,40 +105,6 @@ func (c *Comm) Gather(data []byte, root int) ([][]byte, error) {
 	return out, nil
 }
 
-// Scatter distributes bufs[i] from root to rank i and returns this rank's
-// piece. Only root's bufs argument is consulted.
-func (c *Comm) Scatter(bufs [][]byte, root int) ([]byte, error) {
-	n := c.world.n
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("scatter: %w: root %d", ErrRank, root)
-	}
-	if c.rank == root {
-		if len(bufs) != n {
-			return nil, fmt.Errorf("scatter: %w: %d buffers for %d ranks", ErrCount, len(bufs), n)
-		}
-		for dst := 0; dst < n; dst++ {
-			if dst == root {
-				continue
-			}
-			if err := c.Send(bufs[dst], dst, tagScatter); err != nil {
-				return nil, fmt.Errorf("scatter: %w", err)
-			}
-		}
-		own := make([]byte, len(bufs[root]))
-		copy(own, bufs[root])
-		return own, nil
-	}
-	st, err := c.Probe(root, tagScatter)
-	if err != nil {
-		return nil, fmt.Errorf("scatter: %w", err)
-	}
-	buf := make([]byte, st.Count)
-	if _, err := c.Recv(buf, root, tagScatter); err != nil {
-		return nil, fmt.Errorf("scatter: %w", err)
-	}
-	return buf, nil
-}
-
 // Allgather collects every rank's (variable-length) buffer on every rank,
 // in rank order, using the ring algorithm. Subsumes MPI_Allgather(v).
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
@@ -168,35 +132,6 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 			return nil, fmt.Errorf("allgather: %w", err)
 		}
 		out[srcBlock] = buf
-	}
-	return out, nil
-}
-
-// AlltoallFixed performs the fixed-size personalized exchange MPI_Alltoall:
-// send must be n*blockSize bytes, block i going to rank i; the result holds
-// block j received from rank j. The paper's partitioning protocol uses this
-// for the count/displacement exchange round (§4.2.3).
-func (c *Comm) AlltoallFixed(send []byte, blockSize int) ([]byte, error) {
-	n := c.world.n
-	if blockSize < 0 || len(send) != n*blockSize {
-		return nil, fmt.Errorf("alltoall: %w: buffer %d bytes, want %d ranks * %d",
-			ErrCount, len(send), n, blockSize)
-	}
-	sendBlocks := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		sendBlocks[i] = send[i*blockSize : (i+1)*blockSize]
-	}
-	recvSizes := make([]int, n)
-	for i := range recvSizes {
-		recvSizes[i] = blockSize
-	}
-	blocks, err := c.Alltoallv(sendBlocks, recvSizes)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, n*blockSize)
-	for i, b := range blocks {
-		copy(out[i*blockSize:], b)
 	}
 	return out, nil
 }

@@ -111,27 +111,6 @@ func TestGather(t *testing.T) {
 	}
 }
 
-func TestScatter(t *testing.T) {
-	run(t, 4, func(c *Comm) error {
-		var bufs [][]byte
-		root := 1
-		if c.Rank() == root {
-			for r := 0; r < 4; r++ {
-				bufs = append(bufs, bytes.Repeat([]byte{byte(r * 10)}, r+2))
-			}
-		}
-		got, err := c.Scatter(bufs, root)
-		if err != nil {
-			return err
-		}
-		want := bytes.Repeat([]byte{byte(c.Rank() * 10)}, c.Rank()+2)
-		if !bytes.Equal(got, want) {
-			return fmt.Errorf("rank %d got %v", c.Rank(), got)
-		}
-		return nil
-	})
-}
-
 func TestAllgather(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 9} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
@@ -154,27 +133,6 @@ func TestAllgather(t *testing.T) {
 			})
 		})
 	}
-}
-
-func TestAlltoallFixed(t *testing.T) {
-	run(t, 4, func(c *Comm) error {
-		n := c.Size()
-		send := make([]byte, n*2)
-		for i := 0; i < n; i++ {
-			send[i*2] = byte(c.Rank())
-			send[i*2+1] = byte(i)
-		}
-		got, err := c.AlltoallFixed(send, 2)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			if got[i*2] != byte(i) || got[i*2+1] != byte(c.Rank()) {
-				return fmt.Errorf("rank %d block %d = %v", c.Rank(), i, got[i*2:i*2+2])
-			}
-		}
-		return nil
-	})
 }
 
 func TestAlltoallv(t *testing.T) {

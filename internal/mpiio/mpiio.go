@@ -102,11 +102,8 @@ func (h Hints) bufferSize() int64 {
 }
 
 // File is an MPI file handle: a striped pfs file opened across a
-// communicator. It owns recycled collective scratch (aggBuf), so it is a
-// pooled type under the arenaescape invariant: slices carved from its
-// buffers must not outlive the next collective call.
-//
-//vet:pooled
+// communicator. It owns recycled collective scratch (aggBuf): slices
+// carved from its buffers must not outlive the next collective call.
 type File struct {
 	comm *mpi.Comm
 	pf   *pfs.File

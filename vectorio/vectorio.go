@@ -365,20 +365,19 @@
 // suite (internal/analysis, driven by cmd/vectorio-vet and run in CI)
 // that builds a call graph over the whole module and checks: no
 // wall-clock reads inside the library, so virtual time stays the only
-// clock; no Comm calls reachable — even
-// through other packages — from goroutines spawned in the core
-// pipeline, so ranks never race on their own communicator; no
-// order-dependent work inside map iteration on the exchange and frame
-// paths, so replays stay bit-identical; no pooled arena buffer escaping
-// its recycle lifetime, including through a callee that parks it; no
-// collective operation a subset of ranks can skip (the hang class: a
-// rank-guarded early return before a Barrier strands every other rank);
-// no accumulated off-clock cost that never reaches Comm.Compute, so
+// clock; no order-dependent work inside map iteration on the exchange
+// and frame paths, so replays stay bit-identical; no collective
+// operation a subset of ranks can skip (the hang class: a rank-guarded
+// early return before a Barrier strands every other rank); no
+// accumulated off-clock cost that never reaches Comm.Compute, so
 // deferred charging cannot silently deflate a rank's virtual time; and
 // %w wrapping with errors.Is/As matching throughout the error-agreement
 // paths, so the sentinel contracts above survive wrapping. Each
 // invariant, the failure it prevents, and the //vet:allow escape hatch
-// are catalogued in internal/analysis/README.md.
+// are catalogued in internal/analysis/README.md. Two rules are held by
+// tests instead: the core pipeline starts no goroutine, so only the rank
+// goroutine drives its communicator; and no recycled read buffer
+// outlives its reuse, which the equivalence tests catch as wrong cells.
 //
 // See the examples/ directory for complete programs: quickstart (parallel
 // read), wkbingest (the binary fast path vs text), streamingest (the
