@@ -334,6 +334,8 @@ type Exchanger struct {
 	// enc is Add's scratch: each geometry is encoded here, then staged
 	// through addRaw.
 	enc []byte
+	// cells is project's scratch: the cells of the record being staged.
+	cells []int
 	// dec is the exchange's one decoder: own frames at Add time, received
 	// frames in FinishStream. A zero Parser allocates its first slab lazily.
 	dec wkb.Parser
@@ -413,7 +415,8 @@ func (ex *Exchanger) Add(batch []geom.Geometry) error {
 // re-encode invariant a raw record is byte-for-byte wkb.Append of its
 // decode, so both paths stage the same frames. Empty envelopes are dropped.
 // Every other payload is copied once per remote replica, and decoded once
-// if any replica is this rank's own, the geometry kept for each own cell.
+// if any replica is this rank's own, with env primed rather than folded
+// again, the geometry kept for each own cell.
 // The caller's buffer is not retained. A header field that overflows, or an
 // own payload that fails to decode, fails the Exchanger (sticky) before
 // that frame is booked.
@@ -436,7 +439,7 @@ func (ex *Exchanger) addRaw(rec []byte, t geom.Type, env geom.Envelope) error {
 			continue
 		}
 		if own == nil {
-			g, err := ex.decodeOwn(rec)
+			g, err := ex.decodeOwn(rec, env)
 			if err != nil {
 				ex.addErr = err
 				return err
@@ -450,8 +453,11 @@ func (ex *Exchanger) addRaw(rec []byte, t geom.Type, env geom.Envelope) error {
 
 // decodeOwn decodes one own payload with the exchange's decoder; the whole
 // of rec must be one geometry, as decodeExchangeFrame demands of a frame.
-func (ex *Exchanger) decodeOwn(rec []byte) (geom.Geometry, error) {
-	g, used, err := ex.dec.Decode(rec)
+// env is the envelope addRaw was handed — Scan's on the raw path, the
+// geometry's own on Add — so the decode primes it instead of folding the
+// record a second time.
+func (ex *Exchanger) decodeOwn(rec []byte, env geom.Envelope) (geom.Geometry, error) {
+	g, used, err := ex.dec.DecodePrimed(rec, env)
 	if err != nil {
 		return nil, fmt.Errorf("core: own exchange payload decode: %w", err)
 	}
@@ -470,16 +476,17 @@ func (ex *Exchanger) open() error {
 }
 
 // project returns the cells an envelope overlaps, booking the lookup's
-// charge off-clock and the replicas in the stats.
+// charge off-clock and the replicas in the stats. The result is the
+// Exchanger's cells scratch, valid until the next project.
 func (ex *Exchanger) project(env geom.Envelope) []int {
 	var cells []int
 	if ex.cellIndex != nil {
 		// The paper's mechanism: query the R-tree of cell boundaries with
 		// the geometry's MBR.
-		cells = ex.cellIndex.CellsFor(env)
+		cells = ex.cellIndex.AppendCellsFor(ex.cells[:0], env)
 		ex.projCost += costmodel.IndexQuery(ex.numCells, len(cells)) * ex.scale
 	} else {
-		cells = ex.grid.CellsFor(env)
+		cells = ex.grid.AppendCellsFor(ex.cells[:0], env)
 		ex.projCost += costmodel.GridProjectPerCell * float64(len(cells)) * ex.scale
 	}
 	if len(cells) == 0 {
@@ -489,9 +496,10 @@ func (ex *Exchanger) project(env geom.Envelope) []int {
 		// from the data always covers it). Dropping it would silently lose
 		// data, so fall back to the arithmetic lookup, which clamps outside
 		// geometries to the border cells.
-		cells = ex.grid.CellsFor(env)
+		cells = ex.grid.AppendCellsFor(cells, env)
 		ex.projCost += costmodel.GridProjectPerCell * float64(len(cells)) * ex.scale
 	}
+	ex.cells = cells
 	ex.stats.Replicas += len(cells)
 	return cells
 }

@@ -174,6 +174,8 @@ type negativeCells struct{ grid.Partition }
 
 func (negativeCells) CellsFor(geom.Envelope) []int { return []int{-1} }
 
+func (negativeCells) AppendCellsFor(dst []int, _ geom.Envelope) []int { return append(dst, -1) }
+
 // TestExchangeAddFailureCompletes: an Add failure on one rank is sticky and
 // must not strand the others — Exchange still runs every phase's
 // collectives on all ranks, returns the encode error on the failing rank

@@ -185,3 +185,120 @@ func TestEnvelopeIntersectionSymmetry(t *testing.T) {
 		t.Errorf("intersects/intersection inconsistent: %v", err)
 	}
 }
+
+// foldRuns are vertex runs where a fold's order could show: NaNs of
+// distinct payloads (quiet, signalling, negative) at varied positions,
+// signed zeros, infinities, and runs around the four-vertex block size.
+func foldRuns() [][]Point {
+	nan := func(bits uint64) float64 { return math.Float64frombits(bits) }
+	a, b, c, d := nan(0x7ff8000000000abc), nan(0xfff8000000000001), nan(0x7ff0000000000001), nan(0x7ff8dead0000beef)
+	inf, nz := math.Inf(1), math.Copysign(0, -1)
+	return [][]Point{
+		{{a, 1}},
+		{{nz, 0}, {0, nz}},
+		{{1, nz}, {0, 2}, {nz, 0}, {-inf, 3}},
+		{{5, inf}, {1, nz}, {0, 2}, {nz, 0}, {-inf, 3}},
+		{{a, 1}, {2, b}, {nz, 0}, {3, -inf}, {c, d}, {0, nz}},
+		{{1, 2}, {a, nz}, {0, b}, {-inf, inf}, {inf, -inf}, {c, 0}, {-1, d}},
+		{{a, -1}, {b, -2}, {c, -3}, {d, -4}, {nz, nz}},
+	}
+}
+
+// foldSplit folds pts with s FoldPoint steps, then as many FoldBlock steps
+// as fit, then FoldPoint steps for the tail, and finishes with CanonicalNaN.
+func foldSplit(pts []Point, s int) Envelope {
+	e := EmptyEnvelope()
+	i := 0
+	for ; i < s; i++ {
+		e = FoldPoint(e, i, pts[i].X, pts[i].Y)
+	}
+	for ; i+4 <= len(pts); i += 4 {
+		q := pts[i : i+4]
+		e = FoldBlock(e, q[0].X, q[0].Y, q[1].X, q[1].Y, q[2].X, q[2].Y, q[3].X, q[3].Y)
+	}
+	for ; i < len(pts); i++ {
+		e = FoldPoint(e, i, pts[i].X, pts[i].Y)
+	}
+	return CanonicalNaN(e)
+}
+
+// oracleSide is one side of a run's envelope by definition: math.NaN() if
+// any coordinate is a NaN, else the least (or greatest) coordinate, with -0
+// below +0.
+func oracleSide(vs []float64, least bool) float64 {
+	m := vs[0]
+	for _, v := range vs {
+		if math.IsNaN(v) {
+			return math.NaN()
+		}
+		below := v < m || v == m && math.Signbit(v) && !math.Signbit(m)
+		above := v > m || v == m && !math.Signbit(v) && math.Signbit(m)
+		if least && below || !least && above {
+			m = v
+		}
+	}
+	return m
+}
+
+func sameEnvBits(a, b Envelope) bool {
+	return math.Float64bits(a.MinX) == math.Float64bits(b.MinX) &&
+		math.Float64bits(a.MinY) == math.Float64bits(b.MinY) &&
+		math.Float64bits(a.MaxX) == math.Float64bits(b.MaxX) &&
+		math.Float64bits(a.MaxY) == math.Float64bits(b.MaxY)
+}
+
+// permute calls f with every permutation of pts (Heap's algorithm, in
+// place).
+func permute(pts []Point, k int, f func([]Point)) {
+	if k <= 1 {
+		f(pts)
+		return
+	}
+	for i := 0; i < k; i++ {
+		permute(pts, k-1, f)
+		if k%2 == 0 {
+			pts[i], pts[k-1] = pts[k-1], pts[i]
+		} else {
+			pts[0], pts[k-1] = pts[k-1], pts[0]
+		}
+	}
+}
+
+// TestEnvelopeFoldOrderFree pins the envelope contract: EnvelopeOf is the
+// run's envelope by definition (oracleSide), every NaN side carrying
+// math.NaN()'s bits; and every permutation of the run, folded by every
+// split into FoldPoint and FoldBlock steps or by FoldPoint alone, and
+// finished by CanonicalNaN, is that envelope bit for bit.
+func TestEnvelopeFoldOrderFree(t *testing.T) {
+	for r, run := range foldRuns() {
+		xs, ys := make([]float64, len(run)), make([]float64, len(run))
+		for i, p := range run {
+			xs[i], ys[i] = p.X, p.Y
+		}
+		want := Envelope{
+			MinX: oracleSide(xs, true), MinY: oracleSide(ys, true),
+			MaxX: oracleSide(xs, false), MaxY: oracleSide(ys, false),
+		}
+		if got := EnvelopeOf(run); !sameEnvBits(got, want) {
+			t.Fatalf("run %d: EnvelopeOf %+v, want %+v", r, got, want)
+		}
+		perm := append([]Point(nil), run...)
+		permute(perm, len(perm), func(pts []Point) {
+			if got := EnvelopeOf(pts); !sameEnvBits(got, want) {
+				t.Fatalf("run %d as %v: EnvelopeOf %+v, want %+v", r, pts, got, want)
+			}
+			seq := EmptyEnvelope()
+			for i, p := range pts {
+				seq = FoldPoint(seq, i, p.X, p.Y)
+			}
+			if got := CanonicalNaN(seq); !sameEnvBits(got, want) {
+				t.Fatalf("run %d as %v: FoldPoint fold %+v, want %+v", r, pts, got, want)
+			}
+			for s := 0; s <= len(pts); s++ {
+				if got := foldSplit(pts, s); !sameEnvBits(got, want) {
+					t.Fatalf("run %d as %v split at %d: %+v, want %+v", r, pts, s, got, want)
+				}
+			}
+		})
+	}
+}

@@ -95,6 +95,11 @@ func (p Point) NumPoints() int { return 1 }
 // time via the PrimeEnvelope methods, so the first Envelope() call on a
 // freshly parsed geometry is free — and, because the cache is already
 // written, no longer a data race when the geometry crosses goroutines.
+// A primed value must be the lazy one bit for bit. A scanner may fold in
+// any order and grouping to get it, because the fold is order-free and
+// every NaN side is math.NaN()'s bits (see EnvelopeOf); a scanner that
+// already holds the value (a decoder handed Scan's envelope) primes it
+// without folding at all.
 type envCache struct {
 	env Envelope
 	ok  bool
@@ -124,21 +129,13 @@ func (l *LineString) Envelope() Envelope {
 }
 
 // PrimeEnvelope seeds the envelope cache with a precomputed MBR. e must
-// equal EnvelopeOf(l.Pts) exactly; it is for parsers that accumulate the
-// MBR while scanning the coordinates anyway.
+// equal EnvelopeOf(l.Pts) bit for bit (a NaN side is math.NaN()'s bits);
+// it is for parsers that fold the MBR while scanning the coordinates
+// anyway, or already hold it.
 func (l *LineString) PrimeEnvelope(e Envelope) { l.cache = envCache{env: e, ok: true} }
 
 // NumPoints implements Geometry.
 func (l *LineString) NumPoints() int { return len(l.Pts) }
-
-// Length returns the Euclidean length of the line.
-func (l *LineString) Length() float64 {
-	var sum float64
-	for i := 1; i < len(l.Pts); i++ {
-		sum += math.Hypot(l.Pts[i].X-l.Pts[i-1].X, l.Pts[i].Y-l.Pts[i-1].Y)
-	}
-	return sum
-}
 
 // Polygon is a shell ring with optional hole rings. Rings are closed: the
 // first and last vertex coincide, as in WKT.
@@ -159,7 +156,7 @@ func (p *Polygon) Envelope() Envelope {
 }
 
 // PrimeEnvelope seeds the envelope cache with a precomputed MBR. e must
-// equal EnvelopeOf(p.Shell) exactly (holes lie inside the shell).
+// equal EnvelopeOf(p.Shell) bit for bit (holes lie inside the shell).
 func (p *Polygon) PrimeEnvelope(e Envelope) { p.cache = envCache{env: e, ok: true} }
 
 // NumPoints implements Geometry.
@@ -205,7 +202,7 @@ func (m *MultiPoint) Envelope() Envelope {
 }
 
 // PrimeEnvelope seeds the envelope cache with a precomputed MBR. e must
-// equal EnvelopeOf(m.Pts) exactly.
+// equal EnvelopeOf(m.Pts) bit for bit.
 func (m *MultiPoint) PrimeEnvelope(e Envelope) { m.cache = envCache{env: e, ok: true} }
 
 // NumPoints implements Geometry.
@@ -234,7 +231,7 @@ func (m *MultiLineString) Envelope() Envelope {
 }
 
 // PrimeEnvelope seeds the envelope cache with a precomputed MBR. e must
-// equal the union of the member envelopes exactly; a parser priming the
+// equal the Union of the member envelopes bit for bit; a parser priming the
 // collection should prime the members too, so the cache state matches a
 // lazily computed one.
 func (m *MultiLineString) PrimeEnvelope(e Envelope) { m.cache = envCache{env: e, ok: true} }
@@ -271,7 +268,7 @@ func (m *MultiPolygon) Envelope() Envelope {
 }
 
 // PrimeEnvelope seeds the envelope cache with a precomputed MBR. e must
-// equal the union of the member envelopes exactly; a parser priming the
+// equal the Union of the member envelopes bit for bit; a parser priming the
 // collection should prime the members too, so the cache state matches a
 // lazily computed one.
 func (m *MultiPolygon) PrimeEnvelope(e Envelope) { m.cache = envCache{env: e, ok: true} }

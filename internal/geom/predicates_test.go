@@ -157,13 +157,6 @@ func TestPolygonArea(t *testing.T) {
 	}
 }
 
-func TestLineLength(t *testing.T) {
-	l := &LineString{Pts: []Point{{0, 0}, {3, 4}, {3, 5}}}
-	if got := l.Length(); math.Abs(got-6) > 1e-12 {
-		t.Errorf("length = %v, want 6", got)
-	}
-}
-
 func TestGeometryEnvelopes(t *testing.T) {
 	mp := &MultiPolygon{Polys: []Polygon{*unitSquare(0, 0), *unitSquare(4, 4)}}
 	if mp.Envelope() != (Envelope{0, 0, 5, 5}) {

@@ -361,14 +361,17 @@ func (a *Adaptive) cellAt(x, y float64) int {
 
 // CellsFor returns, ascending, every leaf whose area overlaps e under the
 // uniform grid's half-open clamped overlap rule.
-func (a *Adaptive) CellsFor(e geom.Envelope) []int {
+func (a *Adaptive) CellsFor(e geom.Envelope) []int { return a.AppendCellsFor(nil, e) }
+
+// AppendCellsFor appends CellsFor(e) to dst and returns the extended slice.
+func (a *Adaptive) AppendCellsFor(dst []int, e geom.Envelope) []int {
 	if e.IsEmpty() {
-		return nil
+		return dst
 	}
-	var out []int
-	a.collect(a.root, e, &out)
-	sort.Ints(out)
-	return out
+	start := len(dst)
+	a.collect(a.root, e, &dst)
+	sort.Ints(dst[start:])
+	return dst
 }
 
 func (a *Adaptive) collect(n *anode, e geom.Envelope, out *[]int) {

@@ -158,19 +158,24 @@ func (g *Grid) CellAt(x, y float64) int {
 // CellsFor returns the ids of every cell whose area overlaps envelope e —
 // the replication set of a geometry with MBR e. Empty envelopes map to no
 // cells.
-func (g *Grid) CellsFor(e geom.Envelope) []int {
+func (g *Grid) CellsFor(e geom.Envelope) []int { return g.AppendCellsFor(nil, e) }
+
+// AppendCellsFor appends CellsFor(e) to dst and returns the extended slice.
+func (g *Grid) AppendCellsFor(dst []int, e geom.Envelope) []int {
 	if e.IsEmpty() {
-		return nil
+		return dst
 	}
 	c0, c1 := g.clampCol(e.MinX), g.clampCol(e.MaxX)
 	r0, r1 := g.clampRow(e.MinY), g.clampRow(e.MaxY)
-	out := make([]int, 0, (c1-c0+1)*(r1-r0+1))
+	if n := (c1 - c0 + 1) * (r1 - r0 + 1); cap(dst)-len(dst) < n {
+		dst = append(make([]int, 0, len(dst)+n), dst...)
+	}
 	for r := r0; r <= r1; r++ {
 		for c := c0; c <= c1; c++ {
-			out = append(out, r*g.cols+c)
+			dst = append(dst, r*g.cols+c)
 		}
 	}
-	return out
+	return dst
 }
 
 // RefCell returns the cell containing the reference point (the lower-left
@@ -204,11 +209,19 @@ func NewCellIndex(p Partition) *CellIndex {
 
 // CellsFor returns the ids of cells whose boundary intersects e, via the
 // R-tree query path.
-func (ci *CellIndex) CellsFor(e geom.Envelope) []int {
+func (ci *CellIndex) CellsFor(e geom.Envelope) []int { return ci.AppendCellsFor(nil, e) }
+
+// AppendCellsFor appends CellsFor(e) to dst, in the tree's query order, and
+// returns the extended slice.
+func (ci *CellIndex) AppendCellsFor(dst []int, e geom.Envelope) []int {
 	if e.IsEmpty() {
-		return nil
+		return dst
 	}
-	return ci.tree.Query(e)
+	ci.tree.Search(e, func(_ geom.Envelope, id int) bool {
+		dst = append(dst, id)
+		return true
+	})
+	return dst
 }
 
 // RoundRobin is the default cell-to-rank mapping (§4.2.3): cell k belongs

@@ -274,3 +274,47 @@ func TestMappings(t *testing.T) {
 		t.Error("round robin mapping wrong")
 	}
 }
+
+// TestAppendCellsFor: for every lookup (the uniform Grid, the Adaptive
+// partition, and the R-tree CellIndex over each), AppendCellsFor keeps
+// dst's prefix and appends exactly CellsFor's cells in CellsFor's order,
+// empty envelopes appending nothing; and a recycled dst that has grown to
+// its working size is reused without allocating, which is what lets the
+// exchange project a record with no allocation.
+func TestAppendCellsFor(t *testing.T) {
+	g, _ := New(world(), 16, 12)
+	a, err := BuildAdaptive(skewedHistogram(t, 64), AdaptiveOptions{Ranks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookups := map[string]interface {
+		CellsFor(geom.Envelope) []int
+		AppendCellsFor([]int, geom.Envelope) []int
+	}{
+		"grid": g, "adaptive": a, "grid index": NewCellIndex(g), "adaptive index": NewCellIndex(a),
+	}
+	r := rand.New(rand.NewSource(5))
+	envs := []geom.Envelope{geom.EmptyEnvelope(), {MinX: 200, MinY: 200, MaxX: 210, MaxY: 210}}
+	for i := 0; i < 200; i++ {
+		x, y := r.Float64()*110-5, r.Float64()*110-5
+		envs = append(envs, geom.Envelope{MinX: x, MinY: y, MaxX: x + r.Float64()*30, MaxY: y + r.Float64()*30})
+	}
+	prefix := []int{-3, -2}
+	for name, l := range lookups {
+		var scratch []int
+		for _, e := range envs {
+			want := append(append([]int(nil), prefix...), l.CellsFor(e)...)
+			if got := l.AppendCellsFor(append([]int(nil), prefix...), e); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: AppendCellsFor(%v, %+v) = %v, want %v", name, prefix, e, got, want)
+			}
+			scratch = l.AppendCellsFor(scratch[:0], e)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			for _, e := range envs {
+				scratch = l.AppendCellsFor(scratch[:0], e)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: a recycled dst allocated %v times per pass", name, allocs)
+		}
+	}
+}

@@ -24,6 +24,10 @@ type Partition interface {
 	// MBR e replicates into. Empty envelopes map to no cells; envelopes
 	// outside the world clamp to the border cells.
 	CellsFor(e geom.Envelope) []int
+	// AppendCellsFor appends CellsFor(e) to dst and returns the extended
+	// slice: a caller recycling dst (dst[:0]) projects without allocating
+	// once it has grown to its working size.
+	AppendCellsFor(dst []int, e geom.Envelope) []int
 	// RefCell returns the cell containing e's reference point (the
 	// lower-left corner) — the duplicate-avoidance cell of §4.
 	RefCell(e geom.Envelope) int

@@ -208,3 +208,87 @@ func TestDecodeAllocsPerRecord(t *testing.T) {
 		}
 	}
 }
+
+// nanPayloadGeoms is one geometry of each type whose coordinates carry NaNs
+// of distinct, non-canonical payloads, inside a four-vertex block and in a
+// run's tail: a fold that kept whichever NaN it met, instead of
+// math.NaN()'s bits, differs from geom's lazy fold on them.
+func nanPayloadGeoms() []geom.Geometry {
+	a := math.Float64frombits(0x7ff8000000000abc)
+	b := math.Float64frombits(0xfff8000000000001)
+	run := []geom.Point{{X: 1, Y: 2}, {X: a, Y: 3}, {X: 4, Y: -1}, {X: 0, Y: 0}, {X: 2, Y: b}, {X: 1, Y: 2}}
+	hole := []geom.Point{{X: b, Y: 1}, {X: 2, Y: 1}, {X: 2, Y: 2}, {X: 1, Y: 1}}
+	return []geom.Geometry{
+		geom.Point{X: a, Y: b},
+		&geom.LineString{Pts: run},
+		&geom.Polygon{Shell: run, Holes: [][]geom.Point{hole}},
+		&geom.MultiPoint{Pts: run},
+		&geom.MultiLineString{Lines: []geom.LineString{{Pts: hole}, {Pts: run}}},
+		&geom.MultiPolygon{Polys: []geom.Polygon{{Shell: hole}, {Shell: run, Holes: [][]geom.Point{hole}}}},
+	}
+}
+
+// envelopes lists every envelope g caches: its own, then each member's.
+func envelopes(g geom.Geometry) []geom.Envelope {
+	out := []geom.Envelope{g.Envelope()}
+	switch v := g.(type) {
+	case *geom.MultiLineString:
+		for i := range v.Lines {
+			out = append(out, v.Lines[i].Envelope())
+		}
+	case *geom.MultiPolygon:
+		for i := range v.Polys {
+			out = append(out, v.Polys[i].Envelope())
+		}
+	}
+	return out
+}
+
+// TestOwnDecodeKnownEnvelope: DecodePrimed handed Scan's envelope is
+// Decode — the same bytes consumed, the same re-encoding, and every primed
+// envelope (the geometry's and each member's) bit for bit, each of them
+// geom's lazy fold of the coordinates — for all six types, over the
+// special-float and NaN-payload inputs. And it primes what it is handed:
+// a LINESTRING, POLYGON or MULTIPOINT decoded with a sentinel envelope
+// carries the sentinel, so its run was not folded, while a collection
+// still carries its members' fold.
+func TestOwnDecodeKnownEnvelope(t *testing.T) {
+	sentinel := env(-7, -7, 7, 7)
+	for _, g := range append(allTypes(), nanPayloadGeoms()...) {
+		enc := Encode(g)
+		name := g.GeomType().String()
+		_, senv, _, err := Scan(enc)
+		if err != nil {
+			t.Fatalf("%s: Scan: %v", name, err)
+		}
+		full, n, err := NewParser().Decode(enc)
+		if err != nil {
+			t.Fatalf("%s: Decode: %v", name, err)
+		}
+		known, kn, err := NewParser().DecodePrimed(enc, senv)
+		if err != nil || kn != n {
+			t.Fatalf("%s: DecodePrimed consumed %d (err %v), Decode %d", name, kn, err, n)
+		}
+		if !bytes.Equal(Encode(known), enc) {
+			t.Errorf("%s: the primed decode does not re-encode to its input", name)
+		}
+		fe, ke, le := envelopes(full), envelopes(known), envelopes(unprimed(full))
+		for i := range fe {
+			if !sameBits(ke[i], fe[i]) || !sameBits(fe[i], le[i]) {
+				t.Errorf("%s: envelope %d: primed decode %+v, Decode %+v, lazy fold %+v", name, i, ke[i], fe[i], le[i])
+			}
+		}
+		s, _, err := NewParser().DecodePrimed(enc, sentinel)
+		if err != nil {
+			t.Fatalf("%s: DecodePrimed with a sentinel: %v", name, err)
+		}
+		want := fe[0]
+		switch g.GeomType() {
+		case geom.TypeLineString, geom.TypePolygon, geom.TypeMultiPoint:
+			want = sentinel
+		}
+		if got := s.Envelope(); !sameBits(got, want) {
+			t.Errorf("%s: decoded with a sentinel envelope, carries %+v, want %+v", name, got, want)
+		}
+	}
+}

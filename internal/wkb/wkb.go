@@ -15,23 +15,31 @@
 // Like the WKT scanner, decoding is arena-backed: coordinates accumulate
 // into a per-Parser slab that decoded geometries slice out of, so steady-
 // state decoding of a record stream allocates one slab per ~1k vertices
-// instead of one []Point per geometry. A counted vertex run is decoded in
-// one pass: bounded against the input once, reserved in the slab at once,
-// its envelope folded in the same loop. A Parser may be reused across
+// instead of one []Point per geometry. A Parser may be reused across
 // records (geometries returned by earlier calls stay valid — exhausted
 // slabs are abandoned to the garbage collector, never recycled), but a
 // single Parser must not be shared between goroutines. The package-level
 // Decode draws Parsers from a pool and is safe for concurrent use.
 //
-// Scan is the same walk in fold mode: it builds nothing and returns the
+// A counted vertex run is decoded in one pass: bounded against the input
+// once, reserved in the slab at once, and read four vertices per step,
+// each block stored and folded into the envelope (geom.FoldBlock) in the
+// same loop. The envelope is geom.EnvelopeOf's, bit for bit, NaN
+// coordinates included: the fold is order-free, and every NaN side is
+// math.NaN()'s bits (geom.CanonicalNaN). A hole's envelope is never read,
+// so no hole is folded.
+//
+// Scan is the same walk in scan mode: it builds nothing and returns the
 // type, the envelope Decode would prime, and the bytes consumed, with no
-// allocation. Because the encoding is canonical — FuzzDecode pins
-// Encode(Decode(b)) == b[:n] — a record Scan accepts whole is byte-for-byte
-// what Append would write for its decode, which is what licenses core's
-// raw exchange path to forward a length-prefixed file's record bytes
-// verbatim as frame payloads and decode them once, on the receiving rank.
-// The exchange stages decoded geometries the same way: Append into scratch,
-// then the raw path's copy.
+// allocation. DecodePrimed is the walk's third mode: a caller that already
+// holds that envelope (core decodes a rank's own records with Scan's)
+// builds the geometry without folding its run a second time. Because the
+// encoding is canonical — FuzzDecode pins Encode(Decode(b)) == b[:n] — a
+// record Scan accepts whole is byte-for-byte what Append would write for
+// its decode, which is what licenses core's raw exchange path to forward a
+// length-prefixed file's record bytes verbatim as frame payloads and
+// decode them once, on the receiving rank. The exchange stages decoded
+// geometries the same way: Append into scratch, then the raw path's copy.
 package wkb
 
 import (
@@ -154,9 +162,14 @@ type Parser struct {
 	// geometries referencing it.
 	slab []geom.Point
 
-	// fold is Scan's mode: the same walk, folding envelopes without
+	// scan is Scan's mode: the same walk, folding envelopes without
 	// reserving points or constructing geometries.
-	fold bool
+	scan bool
+	// primed is DecodePrimed's mode: known is the geometry's envelope, so a
+	// single-run geometry (LINESTRING, POLYGON, MULTIPOINT) is built
+	// without folding and known is primed into its cache.
+	primed bool
+	known  geom.Envelope
 }
 
 // NewParser returns a Parser with a pre-allocated coordinate arena.
@@ -211,15 +224,6 @@ func (p *Parser) u32() (uint32, error) {
 	return v, nil
 }
 
-func (p *Parser) f64() (float64, error) {
-	if p.pos+8 > len(p.buf) {
-		return 0, ErrTruncated
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(p.buf[p.pos:]))
-	p.pos += 8
-	return v, nil
-}
-
 // count reads a u32 element count and bounds it against the bytes actually
 // remaining: every element occupies at least minSize bytes, so a claimed
 // count beyond remaining/minSize is truncation (or corruption) that would
@@ -263,25 +267,31 @@ func (p *Parser) header(want uint32, mismatch string) error {
 	return nil
 }
 
+// vertex reads one little-endian coordinate pair from the front of b.
+func vertex(b []byte) geom.Point {
+	_ = b[minPointBytes-1]
+	return geom.Point{
+		X: math.Float64frombits(binary.LittleEndian.Uint64(b)),
+		Y: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+	}
+}
+
 func (p *Parser) point() (geom.Point, error) {
-	x, err := p.f64()
-	if err != nil {
-		return geom.Point{}, err
+	if p.pos+minPointBytes > len(p.buf) {
+		return geom.Point{}, ErrTruncated
 	}
-	y, err := p.f64()
-	if err != nil {
-		return geom.Point{}, err
-	}
-	return geom.Point{X: x, Y: y}, nil
+	pt := vertex(p.buf[p.pos:])
+	p.pos += minPointBytes
+	return pt, nil
 }
 
 // Scan walks one WKB geometry at the front of buf without building it: it
 // returns the geometry's type, the envelope Decode primes on it, and the
 // number of bytes consumed, and allocates nothing on success. It is
-// Decode's own walk in fold mode, so it accepts, rejects and words errors
+// Decode's own walk in scan mode, so it accepts, rejects and words errors
 // exactly as Decode does, and the envelope is the one Decode primes.
 func Scan(buf []byte) (geom.Type, geom.Envelope, int, error) {
-	p := Parser{buf: buf, fold: true}
+	p := Parser{buf: buf, scan: true}
 	_, t, env, err := p.geometry()
 	if err != nil {
 		return 0, geom.Envelope{}, 0, err
@@ -289,41 +299,74 @@ func Scan(buf []byte) (geom.Type, geom.Envelope, int, error) {
 	return t, env, p.pos, nil
 }
 
+// DecodePrimed is Decode for a caller that already holds the geometry's
+// envelope: env must be the one Decode would prime on buf — Scan's, or the
+// Envelope() of the geometry buf encodes. It is Decode's own walk in primed
+// mode: a LINESTRING's, POLYGON's or MULTIPOINT's coordinates are read
+// without folding and env is primed in their place; a MULTILINESTRING or
+// MULTIPOLYGON still folds, because its members' envelopes are primed too.
+// The bytes are checked, and errors worded, exactly as Decode does.
+func (p *Parser) DecodePrimed(buf []byte, env geom.Envelope) (geom.Geometry, int, error) {
+	p.primed, p.known = true, env
+	g, n, err := p.Decode(buf)
+	p.primed = false
+	return g, n, err
+}
+
 // pointRun reads a counted vertex sequence in one pass and returns its
-// points and envelope. count has already bounded the run against the
-// remaining bytes, so its vertices are read with no further checks, the
-// envelope folded with geom.FoldPoint as EnvelopeOf folds it. When decoding,
-// the n points are reserved in the arena at once and written in the same
-// loop; when folding, nothing is reserved or written.
-func (p *Parser) pointRun() ([]geom.Point, geom.Envelope, error) {
+// points and, when fold is set, its envelope (EmptyEnvelope otherwise).
+// count has already bounded the run against the remaining bytes, so its
+// vertices are read with no further checks, four per step: each block is
+// stored (when decoding) and folded with geom.FoldBlock, the tail with
+// geom.FoldPoint, and the result finished with geom.CanonicalNaN — the
+// steps of EnvelopeOf, whose value the envelope is, bit for bit. When
+// scanning nothing is reserved or written. A run whose envelope nobody
+// reads (a hole's, or a primed one's) is not folded: decoding only copies
+// it, scanning only steps over it.
+func (p *Parser) pointRun(fold bool) ([]geom.Point, geom.Envelope, error) {
 	n, err := p.count(minPointBytes)
 	if err != nil {
 		return nil, geom.Envelope{}, err
 	}
-	var out []geom.Point // stays empty when folding
-	if !p.fold {
+	run := p.buf[p.pos : p.pos+n*minPointBytes]
+	p.pos += len(run)
+	var out []geom.Point // stays empty when scanning
+	if !p.scan {
 		out = p.reserve(n)
 	}
-	run := p.buf[p.pos : p.pos+n*minPointBytes]
 	env := geom.EmptyEnvelope()
-	for i := 0; i < n; i++ {
-		v := run[i*minPointBytes:]
-		x := math.Float64frombits(binary.LittleEndian.Uint64(v))
-		y := math.Float64frombits(binary.LittleEndian.Uint64(v[8:]))
-		if i < len(out) { // doubles as the bounds check
-			out[i] = geom.Point{X: x, Y: y}
+	if !fold {
+		for i := range out {
+			out[i] = vertex(run[i*minPointBytes:])
 		}
-		env = geom.FoldPoint(env, i, x, y)
+		return out, env, nil
 	}
-	p.pos += len(run)
-	return out, env, nil
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		b := (*[4 * minPointBytes]byte)(run[i*minPointBytes:])
+		v0, v1, v2, v3 := vertex(b[0:]), vertex(b[16:]), vertex(b[32:]), vertex(b[48:])
+		if i < len(out) { // doubles as the bounds check
+			q := (*[4]geom.Point)(out[i:])
+			q[0], q[1], q[2], q[3] = v0, v1, v2, v3
+		}
+		env = geom.FoldBlock(env, v0.X, v0.Y, v1.X, v1.Y, v2.X, v2.Y, v3.X, v3.Y)
+	}
+	for ; i < n; i++ {
+		v := vertex(run[i*minPointBytes:])
+		if i < len(out) {
+			out[i] = v
+		}
+		env = geom.FoldPoint(env, i, v.X, v.Y)
+	}
+	return out, geom.CanonicalNaN(env), nil
 }
 
 // geometry walks one geometry and returns it with its type and envelope.
 // Every constructed geometry has that envelope primed into its cache —
-// exactly the value a lazy Envelope() would compute, same fold, same order
-// — so its first Envelope() call costs nothing. When folding, nothing is
-// constructed and the geometry is nil.
+// exactly the value a lazy Envelope() would compute, by the fold's
+// order-free contract — so its first Envelope() call costs nothing. When
+// scanning, nothing is constructed and the geometry is nil; in primed mode
+// the known envelope stands in for a single run's fold.
 func (p *Parser) geometry() (geom.Geometry, geom.Type, geom.Envelope, error) {
 	code, err := p.code()
 	if err != nil {
@@ -332,27 +375,34 @@ func (p *Parser) geometry() (geom.Geometry, geom.Type, geom.Envelope, error) {
 	switch code {
 	case codePoint:
 		pt, err := p.point()
-		if err != nil || p.fold {
+		if err != nil || p.scan {
 			return nil, geom.TypePoint, pt.Envelope(), err
 		}
 		return pt, geom.TypePoint, pt.Envelope(), nil
 	case codeLineString:
-		pts, env, err := p.pointRun()
-		if err != nil || p.fold {
+		pts, env, err := p.pointRun(!p.primed)
+		if err != nil || p.scan {
 			return nil, geom.TypeLineString, env, err
+		}
+		if p.primed {
+			env = p.known
 		}
 		ls := &geom.LineString{Pts: pts}
 		ls.PrimeEnvelope(env)
 		return ls, geom.TypeLineString, env, nil
 	case codePolygon:
 		var poly *geom.Polygon
-		if !p.fold {
+		if !p.scan {
 			poly = &geom.Polygon{}
 		}
-		env, err := p.polygonBody(poly)
-		if err != nil || p.fold {
+		env, err := p.polygonBody(poly, !p.primed)
+		if err != nil || p.scan {
 			return nil, geom.TypePolygon, env, err
 		}
+		if p.primed {
+			env = p.known
+		}
+		poly.PrimeEnvelope(env)
 		return poly, geom.TypePolygon, env, nil
 	case codeMultiPoint:
 		n, err := p.count(minMultiPointElemBytes)
@@ -363,7 +413,7 @@ func (p *Parser) geometry() (geom.Geometry, geom.Type, geom.Envelope, error) {
 		// point are read straight into its slot. On an element error the
 		// run goes back to the arena (nothing references it yet).
 		var pts []geom.Point
-		if !p.fold {
+		if !p.scan {
 			pts = p.reserve(n)
 		}
 		env := geom.EmptyEnvelope()
@@ -374,18 +424,24 @@ func (p *Parser) geometry() (geom.Geometry, geom.Type, geom.Envelope, error) {
 				pt, err = p.point()
 			}
 			if err != nil {
-				if !p.fold {
+				if !p.scan {
 					p.slab = p.slab[:len(p.slab)-n]
 				}
 				return nil, 0, geom.Envelope{}, err
 			}
-			if !p.fold {
+			if !p.scan {
 				pts[i] = pt
 			}
-			env = geom.FoldPoint(env, i, pt.X, pt.Y)
+			if !p.primed {
+				env = geom.FoldPoint(env, i, pt.X, pt.Y)
+			}
 		}
-		if p.fold {
+		env = geom.CanonicalNaN(env)
+		if p.scan {
 			return nil, geom.TypeMultiPoint, env, nil
+		}
+		if p.primed {
+			env = p.known
 		}
 		mp := &geom.MultiPoint{Pts: pts}
 		mp.PrimeEnvelope(env)
@@ -396,7 +452,7 @@ func (p *Parser) geometry() (geom.Geometry, geom.Type, geom.Envelope, error) {
 			return nil, 0, geom.Envelope{}, err
 		}
 		var lines []geom.LineString
-		if !p.fold {
+		if !p.scan {
 			lines = make([]geom.LineString, n)
 		}
 		env := geom.EmptyEnvelope()
@@ -404,17 +460,17 @@ func (p *Parser) geometry() (geom.Geometry, geom.Type, geom.Envelope, error) {
 			if err := p.header(codeLineString, errMultiLineElem); err != nil {
 				return nil, 0, geom.Envelope{}, err
 			}
-			pts, e, err := p.pointRun()
+			pts, e, err := p.pointRun(true)
 			if err != nil {
 				return nil, 0, geom.Envelope{}, err
 			}
-			if !p.fold {
+			if !p.scan {
 				lines[i].Pts = pts
 				lines[i].PrimeEnvelope(e)
 			}
 			env = env.Union(e)
 		}
-		if p.fold {
+		if p.scan {
 			return nil, geom.TypeMultiLineString, env, nil
 		}
 		ml := &geom.MultiLineString{Lines: lines}
@@ -426,7 +482,7 @@ func (p *Parser) geometry() (geom.Geometry, geom.Type, geom.Envelope, error) {
 			return nil, 0, geom.Envelope{}, err
 		}
 		var polys []geom.Polygon
-		if !p.fold {
+		if !p.scan {
 			polys = make([]geom.Polygon, n)
 		}
 		env := geom.EmptyEnvelope()
@@ -435,16 +491,19 @@ func (p *Parser) geometry() (geom.Geometry, geom.Type, geom.Envelope, error) {
 				return nil, 0, geom.Envelope{}, err
 			}
 			var poly *geom.Polygon
-			if !p.fold {
+			if !p.scan {
 				poly = &polys[i]
 			}
-			e, err := p.polygonBody(poly)
+			e, err := p.polygonBody(poly, true)
 			if err != nil {
 				return nil, 0, geom.Envelope{}, err
 			}
+			if poly != nil {
+				poly.PrimeEnvelope(e)
+			}
 			env = env.Union(e)
 		}
-		if p.fold {
+		if p.scan {
 			return nil, geom.TypeMultiPolygon, env, nil
 		}
 		mp := &geom.MultiPolygon{Polys: polys}
@@ -455,9 +514,10 @@ func (p *Parser) geometry() (geom.Geometry, geom.Type, geom.Envelope, error) {
 	}
 }
 
-// polygonBody reads a polygon's rings into poly (nil when folding) and
-// returns the polygon's envelope: its shell's.
-func (p *Parser) polygonBody(poly *geom.Polygon) (geom.Envelope, error) {
+// polygonBody reads a polygon's rings into poly (nil when scanning) and
+// returns the polygon's envelope, its shell's, when fold is set; the caller
+// primes it. A hole's envelope is never read, so no hole is folded.
+func (p *Parser) polygonBody(poly *geom.Polygon, fold bool) (geom.Envelope, error) {
 	nRings, err := p.count(minRingBytes)
 	if err != nil {
 		return geom.Envelope{}, err
@@ -467,7 +527,7 @@ func (p *Parser) polygonBody(poly *geom.Polygon) (geom.Envelope, error) {
 	}
 	var shell geom.Envelope
 	for i := 0; i < nRings; i++ {
-		ring, env, err := p.pointRun()
+		ring, env, err := p.pointRun(fold && i == 0)
 		if err != nil {
 			return geom.Envelope{}, err
 		}
@@ -476,7 +536,6 @@ func (p *Parser) polygonBody(poly *geom.Polygon) (geom.Envelope, error) {
 			shell = env
 			if poly != nil {
 				poly.Shell = ring
-				poly.PrimeEnvelope(env)
 			}
 		case poly != nil:
 			poly.Holes = append(poly.Holes, ring)

@@ -84,8 +84,9 @@ type Parser struct {
 	// pushed and hands it to takeRun (not a per-push store into this field —
 	// that costs real throughput in the scan hot loop). Completed geometries
 	// get it primed into their cache: exactly the value a lazy Envelope()
-	// would compute — same fold, same order — so their first Envelope() call
-	// costs nothing.
+	// would compute — the fold is order-free, and a WKT coordinate is always
+	// finite, so no side needs geom.CanonicalNaN — and their first
+	// Envelope() call costs nothing.
 	runEnv geom.Envelope
 
 	// ringEnvs collects the per-ring envelopes of the current ring list —
