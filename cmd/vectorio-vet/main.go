@@ -1,7 +1,10 @@
 // Command vectorio-vet is the multichecker for the repository's
 // determinism and safety invariants: it loads and type-checks the
 // packages matching its arguments and runs the internal/analysis suite
-// (wallclock, maporder, errwrap, collective, clockcharge) over them.
+// (wallclock, maporder, errwrap, collective) over them. A modelled cost
+// that never reaches the virtual clock is not a static check: every charge
+// names its layer (simtime.Kind), and the clock golden tests pin each
+// rank's per-kind ledger, so a dropped charge fails naming its kind.
 //
 // Usage:
 //

@@ -11,15 +11,15 @@ import (
 // CHA-style call graph over go/types spanning every loaded module (and
 // fixture) package, plus per-function summaries computed over it. The
 // driver builds one CallGraph per run (gatherFacts) and hands it to every
-// pass through Facts.Graph, which is what lets collective and
-// clockcharge see through helper chains and across packages.
+// pass through Facts.Graph, which is what lets collective see through
+// helper chains and across packages.
 //
 // Resolution rules, in order:
 //
 //   - Static calls (identifier or selector naming a declared function or
 //     method) become edges when the callee is declared in a loaded
 //     package. Calls into GOROOT have no node and no edges — the standard
-//     library is assumed not to touch the communicator or the clock.
+//     library is assumed not to touch the communicator.
 //   - Interface method calls are devirtualized CHA-style: the loaded
 //     packages are scanned for concrete types implementing the interface,
 //     and when exactly ONE implementation of the method exists the call
@@ -38,7 +38,7 @@ import (
 // commCollectives are the mpi.Comm methods every rank must reach in the
 // same order: the collective protocol the collective analyzer enforces.
 var commCollectives = map[string]bool{
-	"Barrier": true, "Bcast": true, "Gather": true,
+	"Barrier": true, "Bcast": true,
 	"Allgather": true, "Alltoallv": true, "AlltoallvChunks": true,
 	"Reduce": true, "Allreduce": true, "Scan": true, "WorldSync": true,
 }
@@ -47,8 +47,8 @@ var commCollectives = map[string]bool{
 // settled by the failure contract (PR 6): any fault injected at one ends
 // with every rank erroring (world abort releases blocked peers), so an
 // early `return err` guarded by one of their errors cannot strand a
-// subset of ranks. Accessors (Rank, Size, Now) and Compute never fail and
-// settle nothing.
+// subset of ranks. Accessors (Rank, Size, Now, Ledger) and Charge never
+// fail and settle nothing.
 var commFallible = map[string]bool{
 	"Send": true, "Recv": true, "Probe": true, "SendRecv": true,
 }
@@ -121,7 +121,6 @@ type CallGraph struct {
 
 	// Fixpoint summaries, keyed by declared function.
 	collectives map[*types.Func]map[string]bool
-	charges     map[*types.Func]bool
 	settles     map[*types.Func]bool
 	rankRet     map[*types.Func]bool
 }
@@ -152,12 +151,6 @@ func (g *CallGraph) Collectives(fn *types.Func) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// ChargesClock reports whether fn transitively calls Comm.Compute or
-// Comm.AdvanceTo — the summary "charges the virtual clock somewhere".
-func (g *CallGraph) ChargesClock(fn *types.Func) bool {
-	return g != nil && fn != nil && g.charges[fn.Origin()]
 }
 
 // UniformErrors reports whether fn carries a //vet:uniform doc mark: its
@@ -191,7 +184,6 @@ func buildCallGraph(pkgs []*Package, facts *Facts) *CallGraph {
 		pkgs:        pkgs,
 		facts:       facts,
 		collectives: make(map[*types.Func]map[string]bool),
-		charges:     make(map[*types.Func]bool),
 		settles:     make(map[*types.Func]bool),
 		rankRet:     make(map[*types.Func]bool),
 	}
@@ -323,9 +315,8 @@ func resolveCallee(g *CallGraph, info *types.Info, call *ast.CallExpr) *types.Fu
 	return nil
 }
 
-// fixpointBoolSets propagates the collective-set, clock-charge,
-// error-settlement, and rank-derived-return summaries to fixpoint over
-// the edge relation.
+// fixpointBoolSets propagates the collective-set, error-settlement, and
+// rank-derived-return summaries to fixpoint over the edge relation.
 func (g *CallGraph) fixpointBoolSets() {
 	// Seed from direct facts.
 	type rankSeed struct {
@@ -338,9 +329,6 @@ func (g *CallGraph) fixpointBoolSets() {
 		for _, cc := range node.CommCalls {
 			if cc.Collective() {
 				set[cc.Name()] = true
-			}
-			if !cc.File && (cc.Method == "Compute" || cc.Method == "AdvanceTo") {
-				g.charges[fn] = true
 			}
 			if cc.settles() {
 				g.settles[fn] = true
@@ -371,10 +359,6 @@ func (g *CallGraph) fixpointBoolSets() {
 							changed = true
 						}
 					}
-				}
-				if g.charges[callee] && !g.charges[fn] {
-					g.charges[fn] = true
-					changed = true
 				}
 				if g.settles[callee] && !g.settles[fn] {
 					g.settles[fn] = true

@@ -6,10 +6,10 @@ import (
 	"go/types"
 )
 
-// Path-condition-lite analysis: the collective and clockcharge analyzers
-// reason about which paths through a function body reach which calls,
-// without building a real CFG. The walkers in their files recurse over
-// statement structure; this file holds the shared condition classifiers:
+// Path-condition-lite analysis: the collective analyzer reasons about
+// which paths through a function body reach which calls, without building
+// a real CFG. Its walkers (collective.go) recurse over statement
+// structure; this file holds the condition classifiers they share:
 //
 //   - rankTaint: is an expression derived from Comm.Rank()? A branch on
 //     one takes different arms on different ranks.
@@ -415,6 +415,22 @@ func (et *errTaint) unsettledGuard(cond ast.Expr) bool {
 // inside rank-guarded branches.
 func (et *errTaint) settledErrGuard(cond ast.Expr) bool {
 	return condMentionsError(et.info, cond) && !et.unsettledGuard(cond)
+}
+
+// condMentionsError reports whether the condition involves an
+// error-typed value — the shape of an error-path guard.
+func condMentionsError(info *types.Info, cond ast.Expr) bool {
+	found := false
+	ast.Inspect(cond, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		if e, ok := n.(ast.Expr); ok && isErrorType(info, e) {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // isErrorType reports whether e's static type is the error interface.

@@ -29,7 +29,3 @@ func TestErrWrapFixture(t *testing.T) {
 func TestCollectiveFixture(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), analysis.Collective, "collective")
 }
-
-func TestClockChargeFixture(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), analysis.ClockCharge, "clockcharge")
-}

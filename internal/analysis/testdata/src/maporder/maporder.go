@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"repro/internal/mpi"
+	"repro/internal/simtime"
 )
 
 // Appending payloads in map order builds a different frame each run.
@@ -35,7 +36,7 @@ func badFloatSum(costs map[int]float64) float64 {
 // order (the joinCells bug class).
 func badCommCharge(c *mpi.Comm, costs map[int]float64) {
 	for _, d := range costs { // want `call on the communicator`
-		c.Compute(d)
+		c.Charge(simtime.Query, d)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // Analyzers returns the full vectorio-vet suite, in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Wallclock, MapOrder, ErrWrap, Collective, ClockCharge}
+	return []*Analyzer{Wallclock, MapOrder, ErrWrap, Collective}
 }
 
 // FindModuleRoot walks up from dir to the nearest directory containing a

@@ -51,7 +51,7 @@ func runWallclock(pass *Pass) error {
 				return true
 			}
 			if wallclockFuncs[obj.Name()] {
-				pass.Reportf(call.Pos(), "time.%s reads the wall clock: virtual time must come from the simulated clock (mpi.Comm.Now/Compute)", obj.Name())
+				pass.Reportf(call.Pos(), "time.%s reads the wall clock: virtual time must come from the simulated clock (mpi.Comm.Now/Charge)", obj.Name())
 			}
 			return true
 		})

@@ -13,6 +13,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/pfs"
+	"repro/internal/simtime"
 	"repro/internal/wkb"
 )
 
@@ -97,10 +98,10 @@ func Fig12(cfg Config) (*Table, error) {
 				virt := float64(length) * scale
 				if useStruct {
 					_ = structType
-					c.Compute(costmodel.StructDecodePerByte * virt)
+					c.Charge(simtime.Decode, costmodel.StructDecodePerByte*virt)
 				} else {
 					_ = contigType
-					c.Compute(costmodel.ContiguousDecodePerByte*virt +
+					c.Charge(simtime.Decode, costmodel.ContiguousDecodePerByte*virt+
 						costmodel.ContiguousDecodePerElem*float64(len(rects))*scale)
 				}
 				tm, err := maxNow(c, c.Now())

@@ -10,6 +10,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
+	"repro/internal/simtime"
 	"repro/internal/wkb"
 )
 
@@ -568,7 +569,7 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 	// The deferred projection charge lands here — before the first phase's
 	// collectives — whether the Adds ran mid-read or just above, so every
 	// batching of the same input replays one clock trajectory.
-	c.Compute(ex.projCost)
+	c.Charge(simtime.Project, ex.projCost)
 	ex.stats.ProjectTime += ex.projCost
 	ex.projCost = 0
 	sinkErr := ex.addErr
@@ -604,7 +605,7 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 		if ex.send[ph] != nil {
 			own = ex.send[ph][rank]
 		}
-		c.Compute((costmodel.SerializePerByte*float64(sentBytes) + ex.serCost[ph]) * ex.scale)
+		c.Charge(simtime.Encode, (costmodel.SerializePerByte*float64(sentBytes)+ex.serCost[ph])*ex.scale)
 		ex.stats.BytesSent += sentBytes
 
 		// Round 1: publish buffer sizes (MPI_Allgather of each rank's count
@@ -708,7 +709,7 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 // fails the part; under SkipBadFrames it is quarantined instead.
 func (ex *Exchanger) decodePart(part []byte, cells map[int][]geom.Geometry) error {
 	ex.stats.BytesRecv += int64(len(part))
-	ex.c.Compute(costmodel.DeserializePerByte * float64(len(part)) * ex.scale)
+	ex.c.Charge(simtime.Decode, costmodel.DeserializePerByte*float64(len(part))*ex.scale)
 	var cost float64
 	for len(part) > 0 {
 		cell, g, rest, err := decodeExchangeFrame(&ex.dec, part)
@@ -732,7 +733,7 @@ func (ex *Exchanger) decodePart(part []byte, cells map[int][]geom.Geometry) erro
 		cost += costmodel.DeserializeGeomCost(g.GeomType())
 		part = rest
 	}
-	ex.c.Compute(cost * ex.scale)
+	ex.c.Charge(simtime.Decode, cost*ex.scale)
 	return nil
 }
 
@@ -741,14 +742,14 @@ func (ex *Exchanger) decodePart(part []byte, cells map[int][]geom.Geometry) erro
 // the same order, as if its staged bytes were decoded here.
 func (ex *Exchanger) deliverKept(own frameStage, cells map[int][]geom.Geometry) {
 	ex.stats.BytesRecv += int64(own.size)
-	ex.c.Compute(costmodel.DeserializePerByte * float64(own.size) * ex.scale)
+	ex.c.Charge(simtime.Decode, costmodel.DeserializePerByte*float64(own.size)*ex.scale)
 	var cost float64
 	for _, k := range own.kept {
 		cells[k.cell] = append(cells[k.cell], k.g)
 		ex.stats.GeomsRecv++
 		cost += costmodel.DeserializeGeomCost(k.g.GeomType())
 	}
-	ex.c.Compute(cost * ex.scale)
+	ex.c.Charge(simtime.Decode, cost*ex.scale)
 }
 
 // imbalance is the load-balance factor: the heaviest rank's load over the

@@ -12,6 +12,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
+	"repro/internal/simtime"
 )
 
 // tagFragment is the point-to-point tag of Algorithm 1's ring exchange.
@@ -897,7 +898,7 @@ func (pc *parseCtx) one(rec []byte) {
 			pc.fail(parseErr(rec, err))
 			return
 		}
-		pc.c.Compute(costmodel.ParseCost(t, len(rec)) * pc.scale)
+		pc.c.Charge(simtime.Parse, costmodel.ParseCost(t, len(rec))*pc.scale)
 		pc.stats.ParseTime += pc.c.Now() - t0
 		pc.stats.Records++
 		pc.stage(rec, t, env)
@@ -911,7 +912,7 @@ func (pc *parseCtx) one(rec []byte) {
 	if g == nil {
 		return
 	}
-	pc.c.Compute(costmodel.ParseCost(g.GeomType(), len(rec)) * pc.scale)
+	pc.c.Charge(simtime.Parse, costmodel.ParseCost(g.GeomType(), len(rec))*pc.scale)
 	pc.stats.ParseTime += pc.c.Now() - t0
 	pc.stats.Records++
 	pc.geoms = append(pc.geoms, g)

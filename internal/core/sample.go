@@ -12,6 +12,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
+	"repro/internal/simtime"
 )
 
 // Sampling-pass defaults. The prefix is deliberately small — the pass
@@ -185,7 +186,7 @@ func SamplePartition(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, popt
 		pos += framed
 	}
 	if parseCost > 0 {
-		c.Compute(parseCost)
+		c.Charge(simtime.Parse, parseCost)
 	}
 
 	// Fix the world envelope. The reduction runs unconditionally — with a

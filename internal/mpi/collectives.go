@@ -8,7 +8,6 @@ import "fmt"
 const (
 	tagBarrier = 1 << 20
 	tagBcast   = 1<<20 + 1
-	tagGather  = 1<<20 + 2
 	tagAllgath = 1<<20 + 5
 	tagAlltoal = 1<<20 + 6
 	tagReduce  = 1<<20 + 7
@@ -68,41 +67,6 @@ func (c *Comm) Bcast(buf []byte, root int) error {
 		mask >>= 1
 	}
 	return nil
-}
-
-// Gather collects each rank's (variable-length) buffer at root. At root the
-// result holds one entry per rank in rank order; other ranks get nil. This
-// subsumes MPI_Gather and MPI_Gatherv.
-func (c *Comm) Gather(data []byte, root int) ([][]byte, error) {
-	n := c.world.n
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("gather: %w: root %d", ErrRank, root)
-	}
-	if c.rank != root {
-		if err := c.Send(data, root, tagGather); err != nil {
-			return nil, fmt.Errorf("gather: %w", err)
-		}
-		return nil, nil
-	}
-	out := make([][]byte, n)
-	own := make([]byte, len(data))
-	copy(own, data)
-	out[root] = own
-	for src := 0; src < n; src++ {
-		if src == root {
-			continue
-		}
-		st, err := c.Probe(src, tagGather)
-		if err != nil {
-			return nil, fmt.Errorf("gather: %w", err)
-		}
-		buf := make([]byte, st.Count)
-		if _, err := c.Recv(buf, src, tagGather); err != nil {
-			return nil, fmt.Errorf("gather: %w", err)
-		}
-		out[src] = buf
-	}
-	return out, nil
 }
 
 // Allgather collects every rank's (variable-length) buffer on every rank,

@@ -78,39 +78,6 @@ func TestBcast(t *testing.T) {
 	}
 }
 
-func TestGather(t *testing.T) {
-	for _, n := range []int{1, 3, 8} {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			root := n / 2
-			run(t, n, func(c *Comm) error {
-				// Variable-size contributions: rank r sends r+1 bytes of value r.
-				data := bytes.Repeat([]byte{byte(c.Rank())}, c.Rank()+1)
-				got, err := c.Gather(data, root)
-				if err != nil {
-					return err
-				}
-				if c.Rank() != root {
-					if got != nil {
-						return fmt.Errorf("non-root got data")
-					}
-					return nil
-				}
-				for r := 0; r < n; r++ {
-					if len(got[r]) != r+1 {
-						return fmt.Errorf("rank %d block size %d", r, len(got[r]))
-					}
-					for _, b := range got[r] {
-						if b != byte(r) {
-							return fmt.Errorf("rank %d block corrupted", r)
-						}
-					}
-				}
-				return nil
-			})
-		})
-	}
-}
-
 func TestAllgather(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 9} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {

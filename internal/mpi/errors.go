@@ -33,8 +33,8 @@ var (
 // BlockedOp describes what one rank was blocked on at a moment of
 // interest — a deadlock or an injected crash. VTime is the rank's
 // virtual clock when it entered the operation; Key names a WorldSync
-// session (empty for point-to-point operations); Peer is -1 when the
-// operation has no single peer (AnySource receives report the wildcard).
+// session (empty for point-to-point operations); Peer is -1 for a
+// WorldSync, which has no single peer.
 type BlockedOp struct {
 	Rank  int
 	Op    OpKind
@@ -49,8 +49,6 @@ func (b BlockedOp) String() string {
 	switch {
 	case b.Op == OpSync:
 		return fmt.Sprintf("rank %d: WorldSync(%q) @%.6gs", b.Rank, b.Key, b.VTime)
-	case b.Peer == AnySource:
-		return fmt.Sprintf("rank %d: %s from any source tag %d @%.6gs", b.Rank, b.Op, b.Tag, b.VTime)
 	default:
 		return fmt.Sprintf("rank %d: %s peer %d tag %d @%.6gs", b.Rank, b.Op, b.Peer, b.Tag, b.VTime)
 	}

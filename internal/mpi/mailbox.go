@@ -82,11 +82,11 @@ func (mb *mailbox) enqueueCopy(payload [][]byte, src, tag int, arrival float64) 
 	mb.enqueue(&message{src: src, tag: tag, data: data, arrival: arrival})
 }
 
-// match returns the index of the first queued message matching src/tag
-// (with wildcards), or -1. Caller holds mb.mu.
+// match returns the index of the first queued message from src with tag,
+// or -1. Caller holds mb.mu.
 func (mb *mailbox) match(src, tag int) int {
 	for i, m := range mb.queue {
-		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
+		if m.src == src && m.tag == tag {
 			return i
 		}
 	}

@@ -3,9 +3,11 @@
 // runs an SPMD program with one goroutine per rank and provides the MPI
 // feature set MPI-Vector-IO uses: blocking point-to-point with tag/source
 // matching and eager/rendezvous protocols, Probe, the collective
-// set (Barrier, Bcast, Gather(v), Allgather(v), Alltoallv and its vectored
-// form, Reduce, Allreduce, Scan), derived datatypes, and user-defined
-// reduction operators (MPI_Op_create).
+// set (Barrier, Bcast, Allgather(v), Alltoallv and its vectored form,
+// Reduce, Allreduce, Scan), derived datatypes, and user-defined reduction
+// operators (MPI_Op_create). Every receive names its source and tag: there
+// are no wildcards, so which message a receive matches never depends on how
+// the ranks' goroutines are scheduled.
 //
 // Collectives are implemented on top of point-to-point with the textbook
 // algorithms (binomial trees, dissemination barrier, pairwise exchange,
@@ -14,7 +16,9 @@
 //
 // Every rank carries a virtual clock (see internal/simtime): real bytes move
 // in real buffers, while reported durations come from the alpha-beta network
-// model of the cluster configuration.
+// model of the cluster configuration. The runtime books its own advances to
+// simtime.Transport (injection overhead, reduction combines) and
+// simtime.Wait (rendezvous); callers charge the rest through Comm.Charge.
 package mpi
 
 import (
@@ -25,12 +29,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/simtime"
-)
-
-// Wildcards for Recv/Probe source and tag matching.
-const (
-	AnySource = -1
-	AnyTag    = -1
 )
 
 // eagerLimit is the message size (bytes) up to which sends complete without
@@ -305,11 +303,12 @@ func (c *Comm) Config() *cluster.Config { return c.world.cfg }
 // Now returns this rank's current virtual time in seconds.
 func (c *Comm) Now() float64 { return c.clock.Now() }
 
-// Compute charges d seconds of modeled CPU time to this rank.
-func (c *Comm) Compute(d float64) { c.clock.Advance(d) }
+// Charge advances this rank's clock by d seconds of modeled time, booked
+// to the pipeline layer k.
+func (c *Comm) Charge(k simtime.Kind, d float64) { c.clock.Advance(k, d) }
 
-// AdvanceTo moves this rank's clock to at least t.
-func (c *Comm) AdvanceTo(t float64) { c.clock.AdvanceTo(t) }
+// Ledger returns the seconds this rank's clock has booked to each kind.
+func (c *Comm) Ledger() simtime.Ledger { return c.clock.Ledger() }
 
 // BytesSent returns the total payload bytes this rank has sent.
 func (c *Comm) BytesSent() int64 { return c.bytesSent }

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"repro/internal/simtime"
 )
 
 // Op is a reduction operator over typed buffers, the reproduction of
@@ -40,7 +42,7 @@ func (c *Comm) applyOp(op *Op, in, inout []byte, count int, dt *Datatype) error 
 		c.world.abort(err)
 		return err
 	}
-	c.clock.Advance(c.world.opByteCost * float64(count*dt.Size()))
+	c.clock.Advance(simtime.Transport, c.world.opByteCost*float64(count*dt.Size()))
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/cluster"
+	"repro/internal/simtime"
 )
 
 // TestNonOvertaking: messages between one (sender, receiver, tag) pair
@@ -106,7 +107,7 @@ func TestVirtualTimeMonotonic(t *testing.T) {
 						return err
 					}
 				default:
-					c.Compute(1e-6)
+					c.Charge(simtime.Parse, 1e-6)
 				}
 				check()
 			}

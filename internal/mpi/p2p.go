@@ -31,7 +31,7 @@ func (c *Comm) Send(buf []byte, dst, tag int) error {
 	if d.Action == FaultDrop {
 		// A lost message: the sender pays its injection overhead and moves
 		// on none the wiser; nothing reaches the mailbox.
-		c.clock.Advance(c.sendOverhead(dst))
+		c.clock.Advance(simtime.Transport, c.sendOverhead(dst))
 		return nil
 	}
 	payload := buf
@@ -45,7 +45,7 @@ func (c *Comm) Send(buf []byte, dst, tag int) error {
 	if len(buf) <= eagerLimit {
 		// Sender pays only the injection overhead for eager messages; the
 		// payload arrives one transfer time after that, as a private copy.
-		c.clock.Advance(c.sendOverhead(dst))
+		c.clock.Advance(simtime.Transport, c.sendOverhead(dst))
 		arrival := c.clock.Now() + extra + c.world.cfg.MsgTime(c.rank, dst, len(buf))
 		c.world.boxes[dst].enqueueCopy([][]byte{payload}, c.rank, tag, arrival)
 		return nil
@@ -115,7 +115,7 @@ func (c *Comm) isendDecided(chunks [][]byte, dst, tag int, d FaultDecision) {
 	size := chunksLen(chunks)
 	c.bytesSent += int64(size)
 	c.msgsSent++
-	c.clock.Advance(c.sendOverhead(dst))
+	c.clock.Advance(simtime.Transport, c.sendOverhead(dst))
 	if d.Action == FaultDrop {
 		return
 	}
@@ -131,11 +131,11 @@ func (c *Comm) isendDecided(chunks [][]byte, dst, tag int, d FaultDecision) {
 	c.world.boxes[dst].enqueueCopy(payload, c.rank, tag, arrival)
 }
 
-// Recv blocks until a message matching src/tag (AnySource/AnyTag wildcards
-// allowed) arrives, copies its payload into buf, and returns the status.
-// A message longer than buf fails with ErrTruncate.
+// Recv blocks until a message from src with tag arrives, copies its payload
+// into buf, and returns the status. A message longer than buf fails with
+// ErrTruncate.
 func (c *Comm) Recv(buf []byte, src, tag int) (Status, error) {
-	if src != AnySource && (src < 0 || src >= c.world.n) {
+	if src < 0 || src >= c.world.n {
 		return Status{}, fmt.Errorf("%w: recv from %d of %d", ErrRank, src, c.world.n)
 	}
 	c.faultPoint(OpRecv, src, tag) // receives only crash; other verdicts are send-side
@@ -174,7 +174,7 @@ func (c *Comm) Recv(buf []byte, src, tag int) (Status, error) {
 // so the caller can size a receive buffer first (MPI_Probe + MPI_Get_count,
 // the pattern the paper describes for unknown-size geometry fragments).
 func (c *Comm) Probe(src, tag int) (Status, error) {
-	if src != AnySource && (src < 0 || src >= c.world.n) {
+	if src < 0 || src >= c.world.n {
 		return Status{}, fmt.Errorf("%w: probe from %d of %d", ErrRank, src, c.world.n)
 	}
 	c.faultPoint(OpProbe, src, tag)
@@ -218,7 +218,7 @@ func (c *Comm) sendRecv(send [][]byte, dst, sendTag int, recvBuf []byte, src, re
 	var m *message // the posted send; nil when dropped
 	box := c.world.boxes[dst]
 	if d.Action == FaultDrop {
-		c.clock.Advance(c.sendOverhead(dst))
+		c.clock.Advance(simtime.Transport, c.sendOverhead(dst))
 	} else {
 		payload := send
 		var extra float64

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/simtime"
 )
 
 // run launches an SPMD test body on n local ranks and fails the test on any
@@ -82,24 +82,18 @@ func TestSendRecvRendezvous(t *testing.T) {
 	})
 }
 
-func TestRecvWildcards(t *testing.T) {
-	run(t, 3, func(c *Comm) error {
-		switch c.Rank() {
-		case 1:
-			return c.Send([]byte{1}, 0, 42)
-		case 2:
-			return nil
-		default:
-			buf := make([]byte, 1)
-			st, err := c.Recv(buf, AnySource, AnyTag)
-			if err != nil {
-				return err
-			}
-			if st.Source != 1 || st.Tag != 42 {
-				return fmt.Errorf("wildcard status = %+v", st)
-			}
-			return nil
+// TestRecvNamesItsSource: there are no wildcard receives, so a negative
+// source is a rank out of range for Recv and Probe alike.
+func TestRecvNamesItsSource(t *testing.T) {
+	run(t, 2, func(c *Comm) error {
+		buf := make([]byte, 1)
+		if _, err := c.Recv(buf, -1, 42); !errors.Is(err, ErrRank) {
+			return fmt.Errorf("Recv(buf, -1, 42) = %v, want ErrRank", err)
 		}
+		if _, err := c.Probe(-1, 42); !errors.Is(err, ErrRank) {
+			return fmt.Errorf("Probe(-1, 42) = %v, want ErrRank", err)
+		}
+		return nil
 	})
 }
 
@@ -299,7 +293,7 @@ func TestVirtualTimeOrdering(t *testing.T) {
 		buf := make([]byte, 8)
 		switch c.Rank() {
 		case 0:
-			c.Compute(1e-3)
+			c.Charge(simtime.Parse, 1e-3)
 			if err := c.Send(buf, 1, 0); err != nil {
 				return err
 			}
@@ -465,37 +459,32 @@ func TestEagerSlabEndToEnd(t *testing.T) {
 }
 
 // TestEagerSlabBurst: many outstanding eager messages from several senders
-// at once (unconsumed backlog under concurrency), then drained in order,
-// with a Probe sizing each receive — the pattern the reader's fragment
-// exchange uses.
+// at once (unconsumed backlog under concurrency), then drained round-robin
+// by named source and tag, with a Probe sizing each receive — the pattern
+// the reader's fragment exchange uses.
 func TestEagerSlabBurst(t *testing.T) {
 	const per = 100
 	err := Run(cluster.Local(4), func(c *Comm) error {
 		if c.Rank() == 0 {
-			var mu sync.Mutex
-			got := map[int]int{}
-			for i := 0; i < 3*per; i++ {
-				st, err := c.Probe(AnySource, AnyTag)
-				if err != nil {
-					return err
-				}
-				buf := make([]byte, st.Count)
-				st, err = c.Recv(buf, st.Source, st.Tag)
-				if err != nil {
-					return err
-				}
-				for _, b := range buf {
-					if b != byte(st.Tag) {
-						return fmt.Errorf("burst payload from %d corrupted", st.Source)
+			for i := 0; i < per; i++ {
+				for src := 1; src < 4; src++ {
+					tag := (src*per + i) % 128
+					st, err := c.Probe(src, tag)
+					if err != nil {
+						return err
 					}
-				}
-				mu.Lock()
-				got[st.Source]++
-				mu.Unlock()
-			}
-			for src := 1; src < 4; src++ {
-				if got[src] != per {
-					return fmt.Errorf("got %d messages from rank %d, want %d", got[src], src, per)
+					if want := 1 + (i*13)%700; st.Count != want {
+						return fmt.Errorf("message %d from %d: probe count %d, want %d", i, src, st.Count, want)
+					}
+					buf := make([]byte, st.Count)
+					if _, err := c.Recv(buf, src, tag); err != nil {
+						return err
+					}
+					for _, b := range buf {
+						if b != byte(tag) {
+							return fmt.Errorf("burst payload from %d corrupted", src)
+						}
+					}
 				}
 			}
 			return nil

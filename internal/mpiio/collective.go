@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/pfs"
+	"repro/internal/simtime"
 )
 
 // readPlan is the deterministic outcome of the request-exchange phase of a
@@ -406,7 +407,7 @@ func (f *File) readCycles(plan *readPlan, buf []byte, spans [][]span, listed boo
 				if _, rerr := f.fillAt(data, slice.off); rerr != nil && !errors.Is(rerr, io.EOF) {
 					return 0, rerr
 				}
-				f.comm.Compute(plan.aggTime[c][myAgg])
+				f.comm.Charge(simtime.IO, plan.aggTime[c][myAgg])
 			}
 		}
 		// The send chunk lists alias the staging buffer; AlltoallvChunks
@@ -417,7 +418,7 @@ func (f *File) readCycles(plan *readPlan, buf []byte, spans [][]span, listed boo
 				// Every cycle the aggregator rescans the flattened offset
 				// lists of all ranks to find the pieces inside its slice —
 				// the O(cycles x pieces) work of Figure 15.
-				f.comm.Compute(scan)
+				f.comm.Charge(simtime.Aggregate, scan)
 			}
 			pieces := 0
 			for r, rs := range spans {
@@ -430,7 +431,7 @@ func (f *File) readCycles(plan *readPlan, buf []byte, spans [][]span, listed boo
 				}
 			}
 			if listed && pieces > 1 {
-				f.comm.Compute(f.pieceCost(pieces))
+				f.comm.Charge(simtime.Aggregate, f.pieceCost(pieces))
 			}
 		}
 		for k, ar := range plan.aggRanks {
@@ -522,7 +523,7 @@ func (f *File) writeCycles(plan *readPlan, buf []byte, spans [][]span, listed bo
 			continue
 		}
 		if listed {
-			f.comm.Compute(scan)
+			f.comm.Charge(simtime.Aggregate, scan)
 		}
 		pieces := 0
 		for r, rs := range spans {
@@ -536,13 +537,13 @@ func (f *File) writeCycles(plan *readPlan, buf []byte, spans [][]span, listed bo
 			}
 		}
 		if listed && pieces > 1 {
-			f.comm.Compute(f.pieceCost(pieces))
+			f.comm.Charge(simtime.Aggregate, f.pieceCost(pieces))
 		}
 		if _, werr := f.pf.WriteAt(data, slice.off); werr != nil {
 			failed = werr
 			continue
 		}
-		f.comm.Compute(plan.aggTime[c][myAgg])
+		f.comm.Charge(simtime.IO, plan.aggTime[c][myAgg])
 	}
 	outAny, err := f.comm.WorldSync("mpiio.write.done:"+f.pf.Name(), failed != nil, func(inputs []any) []any {
 		outs := make([]any, len(inputs))

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
+	"repro/internal/simtime"
 )
 
 // goldenRank is what one rank observes of one collective call: its virtual
@@ -37,8 +38,10 @@ type goldenCall struct {
 }
 
 // TestCollectiveClockGolden pins the four two-phase collective calls bit
-// for bit: every rank's virtual clock, bytes and messages sent, result and
-// data, on a 3-node × 2-rank Lustre layout at scale 4 with a 1 KB
+// for bit: every rank's virtual clock and its per-kind ledger (IO for the
+// aggregators' file access, Aggregate for the offset-list scans and
+// pieces, Transport and Wait for the exchange), bytes and messages sent,
+// result and data, on a 3-node × 2-rank Lustre layout at scale 4 with a 1 KB
 // cb_buffer_size (256 real bytes, 4 cycles per 1 KB real stripe, 20 cycles
 // over the read hull). Requests are uneven, rank 5 is idle, one read runs
 // past EOF and the view calls use a round-robin TypeVector view of
@@ -48,11 +51,12 @@ type goldenCall struct {
 func TestCollectiveClockGolden(t *testing.T) {
 	const fileSize = 9000
 	cases := []struct {
-		name  string
-		write bool
-		view  bool
-		calls [6]goldenCall
-		want  [6]goldenRank
+		name   string
+		write  bool
+		view   bool
+		calls  [6]goldenCall
+		want   [6]goldenRank
+		ledger [6]simtime.Ledger
 	}{
 		{
 			name: "ReadAtAll",
@@ -67,6 +71,14 @@ func TestCollectiveClockGolden(t *testing.T) {
 				{0x4003584686b34928, 0, 0, 1000, "", 0xd220ebfc10ccdcb1},
 				{0x40101ee395600b75, 0, 0, 3200, "EOF", 0x9866a28ccc5f13d9},
 				{0x0, 0, 0, 0, "", 0xcbf29ce484222325},
+			},
+			ledger: [6]simtime.Ledger{
+				{simtime.IO: 4.0301226, simtime.Transport: 3.440000000000001e-05, simtime.Wait: 6.031428571390274e-06},
+				{simtime.Wait: 1.007538844095238},
+				{simtime.IO: 3.2241024, simtime.Transport: 2.32e-05, simtime.Wait: 9.668000000351284e-06},
+				{simtime.Wait: 2.4181032679999994},
+				{simtime.Wait: 4.030165037142855},
+				{},
 			},
 		},
 		{
@@ -84,6 +96,14 @@ func TestCollectiveClockGolden(t *testing.T) {
 				{0x4010508f5ea49d78, 608, 5, 2200, "EOF", 0xa670bdbbc7bb4189},
 				{0x3ee86b04a33f338e, 560, 5, 0, "", 0xcbf29ce484222325},
 			},
+			ledger: [6]simtime.Ledger{
+				{simtime.IO: 4.0301226, simtime.Aggregate: 0.04846799999999998, simtime.Transport: 5.5600000000000017e-05, simtime.Wait: 2.370628571432736e-05},
+				{simtime.Transport: 9.999999999999999e-06, simtime.Wait: 1.4547503104523807},
+				{simtime.IO: 3.2241024, simtime.Aggregate: 0.0323744, simtime.Transport: 3.2000000000000005e-05, simtime.Wait: 0.01603531828571456},
+				{simtime.Transport: 9.999999999999999e-06, simtime.Wait: 0.41907771085714285},
+				{simtime.Transport: 2e-06, simtime.Wait: 4.078669911999997},
+				{simtime.Transport: 9.999999999999999e-06, simtime.Wait: 1.6434285714285697e-06},
+			},
 		},
 		{
 			name:  "WriteAtAll",
@@ -99,6 +119,14 @@ func TestCollectiveClockGolden(t *testing.T) {
 				{0x3ed5cf751db94e6a, 1000, 5, 1000, "", 0xf29c1e81875e2ab4},
 				{0x3ef2dfd694ccab3f, 2000, 9, 2000, "", 0xf29c1e81875e2ab4},
 				{0x0, 0, 0, 0, "", 0xf29c1e81875e2ab4},
+			},
+			ledger: [6]simtime.Ledger{
+				{simtime.IO: 4.0301226, simtime.Transport: 4e-06, simtime.Wait: 1.4058857142895675e-05},
+				{simtime.Transport: 6.4e-06},
+				{simtime.IO: 3.2241024, simtime.Transport: 9.999999999999999e-06, simtime.Wait: 6.0314285714332785e-06},
+				{simtime.Transport: 5.199999999999999e-06},
+				{simtime.Transport: 1.8e-05},
+				{},
 			},
 		},
 		{
@@ -116,6 +144,14 @@ func TestCollectiveClockGolden(t *testing.T) {
 				{0x3eee36d3b9ea4dfa, 472, 8, 280, "", 0x426a4b9a5ca46af3},
 				{0x3ef6a8c32b3039ae, 892, 9, 700, "", 0x426a4b9a5ca46af3},
 				{0x3ee8633f0b9321fd, 144, 5, 0, "", 0x426a4b9a5ca46af3},
+			},
+			ledger: [6]simtime.Ledger{
+				{simtime.IO: 1.4105419000000001, simtime.Aggregate: 0.018054599999999997, simtime.Transport: 8e-06, simtime.Wait: 2.3658857142857128e-05},
+				{simtime.Transport: 1.2799999999999998e-05, simtime.Wait: 1.6217142857142844e-06},
+				{simtime.IO: 0.8060256, simtime.Aggregate: 0.0120312, simtime.Transport: 6e-06, simtime.Wait: 0.0020276679999999985},
+				{simtime.Transport: 1.2799999999999998e-05, simtime.Wait: 1.607238095238097e-06},
+				{simtime.Transport: 9.999999999999999e-06, simtime.Wait: 1.1609523809523812e-05},
+				{simtime.Transport: 9.999999999999999e-06, simtime.Wait: 1.6289523809523823e-06},
 			},
 		},
 	}
@@ -142,6 +178,7 @@ func TestCollectiveClockGolden(t *testing.T) {
 			cc := cluster.Comet(3)
 			cc.RanksPerNode = 2
 			var got [6]goldenRank
+			var ledger [6]simtime.Ledger
 			err = mpi.Run(cc, func(c *mpi.Comm) error {
 				f := Open(c, pf, Hints{CBBufferSize: 1024})
 				call := tc.calls[c.Rank()]
@@ -182,6 +219,7 @@ func TestCollectiveClockGolden(t *testing.T) {
 					g.sum = fnvSum(buf)
 				}
 				got[c.Rank()] = g
+				ledger[c.Rank()] = c.Ledger()
 				return nil
 			})
 			if err != nil {
@@ -197,6 +235,13 @@ func TestCollectiveClockGolden(t *testing.T) {
 			for r := range got {
 				if got[r] != tc.want[r] {
 					t.Errorf("rank %d = %#v\n\twant %#v", r, got[r], tc.want[r])
+				}
+				if d := ledger[r].Diff(tc.ledger[r]); d != "" {
+					t.Errorf("rank %d ledger: %s\n\tgot %#v", r, d, ledger[r])
+				}
+				now := math.Float64frombits(got[r].now)
+				if sum := ledger[r].Sum(); math.Abs(sum-now) > 1e-12*now {
+					t.Errorf("rank %d ledger sums to %v, clock reads %v", r, sum, now)
 				}
 			}
 		})

@@ -25,6 +25,7 @@ import (
 	"repro/internal/arena"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
+	"repro/internal/simtime"
 )
 
 // ROMIOLimit is the maximum bytes one call may move per process: ROMIO's
@@ -48,7 +49,7 @@ var ErrRemoteRead = errors.New("mpiio: I/O failed on another rank")
 const readRetries = 3
 
 // retryBackoff is the virtual-clock pause before the first retry, doubling
-// each attempt. Charged with Compute, so retried runs stay deterministic.
+// each attempt. Charged to the clock, so retried runs stay deterministic.
 const retryBackoff = 2e-3
 
 // fillAt reads len(buf) bytes at off through the data path, absorbing short
@@ -68,7 +69,7 @@ func (f *File) fillAt(buf []byte, off int64) (int, error) {
 		if err != nil {
 			if errors.Is(err, pfs.ErrTransientRead) && retries < readRetries {
 				retries++
-				f.comm.Compute(backoff)
+				f.comm.Charge(simtime.IO, backoff)
 				backoff *= 2
 				continue
 			}
@@ -181,7 +182,7 @@ func (f *File) ReadAt(buf []byte, off int64) (int, error) {
 	if merr != nil {
 		return n, merr
 	}
-	f.comm.Compute(dur)
+	f.comm.Charge(simtime.IO, dur)
 	return n, err
 }
 
@@ -257,6 +258,6 @@ func (f *File) ReadAtSync(buf []byte, off int64) (int, error) {
 		}
 		return n, derr
 	}
-	f.comm.Compute(durAny.(float64))
+	f.comm.Charge(simtime.IO, durAny.(float64))
 	return n, eof
 }

@@ -6,9 +6,9 @@
 // RangeQueryFiles), and asserts that every observable agrees rank by rank:
 // the geometries each rank reads (order included), its ReadStats, the
 // per-cell index cardinalities and exact geometry multisets, the query
-// matches, the phase timings, and the final virtual clock — bitwise, not
-// within a tolerance, because the streamed compositions are built to replay
-// the materialized trajectory exactly.
+// matches, the phase timings, and the final virtual clock with its
+// per-kind ledger — bitwise, not within a tolerance, because the streamed
+// compositions are built to replay the materialized trajectory exactly.
 //
 // Tests hand Build a file, a parser constructor, read options, a known
 // global envelope, and a query batch; RunAll/AssertEquivalent do the rest.
@@ -32,6 +32,7 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/rtree"
 	"repro/internal/serve"
+	"repro/internal/simtime"
 	"repro/internal/spatial"
 	"repro/internal/wkt"
 )
@@ -128,7 +129,8 @@ type Result struct {
 	QueryRefine []float64
 	QueryHits   [][]string // "queryIdx:WKT" matches, sorted
 
-	Clock []float64 // final virtual time, after both pipelines
+	Clock  []float64        // final virtual time, after both pipelines
+	Ledger []simtime.Ledger // the final clock's seconds per kind
 }
 
 // Run executes the workload under one mode and collects its Result: first
@@ -172,6 +174,7 @@ func RunE(cfg Config, mode Mode) (*Result, []error, error) {
 		QueryRefine:    make([]float64, cfg.Ranks),
 		QueryHits:      make([][]string, cfg.Ranks),
 		Clock:          make([]float64, cfg.Ranks),
+		Ledger:         make([]simtime.Ledger, cfg.Ranks),
 	}
 	env := cfg.Envelope
 	iopt := spatial.IndexOptions{GridCells: cfg.GridCells, WindowCells: cfg.WindowCells, Envelope: &env, Partition: cfg.Partition}
@@ -258,7 +261,7 @@ func RunE(cfg Config, mode Mode) (*Result, []error, error) {
 				return fail(err)
 			}
 		}
-		clock := c.Now()
+		clock, ledger := c.Now(), c.Ledger()
 
 		// Harness-side captures — pure local computation, no Comm, so the
 		// clock above is the pipelines' own.
@@ -291,6 +294,7 @@ func RunE(cfg Config, mode Mode) (*Result, []error, error) {
 		res.QueryRefine[r] = queryBD.Refine
 		res.QueryHits[r] = hits
 		res.Clock[r] = clock
+		res.Ledger[r] = ledger
 		mu.Unlock()
 		return nil
 	})
@@ -343,6 +347,7 @@ func RunServeE(cfg Config, clients int) (*Result, []error, error) {
 		QueryRefine:    make([]float64, cfg.Ranks),
 		QueryHits:      make([][]string, cfg.Ranks),
 		Clock:          make([]float64, cfg.Ranks),
+		Ledger:         make([]simtime.Ledger, cfg.Ranks),
 	}
 	env := cfg.Envelope
 	iopt := spatial.IndexOptions{GridCells: cfg.GridCells, WindowCells: cfg.WindowCells, Envelope: &env, Partition: cfg.Partition}
@@ -415,7 +420,7 @@ func RunServeE(cfg Config, clients int) (*Result, []error, error) {
 		if err != nil {
 			return fail(err)
 		}
-		clock := c.Now()
+		clock, ledger := c.Now(), c.Ledger()
 
 		card := make(map[int]int, len(trees))
 		set := make(map[int][]string, len(trees))
@@ -454,6 +459,7 @@ func RunServeE(cfg Config, clients int) (*Result, []error, error) {
 		res.QueryRefine[r] = queryBD.Refine
 		res.QueryHits[r] = hits
 		res.Clock[r] = clock
+		res.Ledger[r] = ledger
 		mu.Unlock()
 		return nil
 	})
@@ -560,6 +566,9 @@ func AssertEquivalent(t *testing.T, label string, got, want *Result) {
 		}
 		if got.Clock[r] != want.Clock[r] {
 			t.Errorf("%s: rank %d final clock %v, want %v", pair, r, got.Clock[r], want.Clock[r])
+		}
+		if d := got.Ledger[r].Diff(want.Ledger[r]); d != "" {
+			t.Errorf("%s: rank %d ledger: %s", pair, r, d)
 		}
 	}
 }

@@ -38,7 +38,7 @@
 // virtual clock — the package does not import mpi at all. With the recorder
 // installed, each request's virtual-clock costs are recorded per
 // (rank, request id) as they are computed, and the rank goroutine replays
-// them through Comm.Compute at a single fixed program point after Close
+// them as Query time at a single fixed program point after Close
 // (ascending request id, original evaluation order within a request), so
 // the final virtual clock is bitwise identical to the batch pipeline
 // evaluating the same requests in id order — however the real scheduler
@@ -550,8 +550,8 @@ func (sv *Service) WaitClosed() { <-sv.closed }
 // DrainCharges returns rank's recorded per-request virtual-clock costs in
 // ascending request-id order — each request's charges in their original
 // evaluation order — and resets them; nil when no recorder is installed.
-// The rank goroutine replays the returned sequence through Comm.Compute at
-// one fixed program point, which reproduces the batch pipeline's Compute
+// The rank goroutine replays the returned sequence through Comm.Charge at
+// one fixed program point, which reproduces the batch pipeline's charge
 // sequence exactly: float accumulation order leaks into the virtual clock
 // bit for bit, so the replay preserves both grouping and order.
 func (sv *Service) DrainCharges(rank int) []float64 {

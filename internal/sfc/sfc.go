@@ -1,9 +1,11 @@
-// Package sfc implements the space-filling curves the paper's §4.1 relies
+// Package sfc implements the space-filling curve the paper's §4.1 relies
 // on for spatial locality: "points and line segments are often sorted in 2D
-// using Z-order and Hilbert curve". Sorting a dataset by curve index makes
-// contiguous file partitions spatially coherent (Figure 5a) — which is
-// exactly why round-robin declustered reads (Figure 5b) balance load better
-// on skewed data.
+// using Z-order and Hilbert curve". The Hilbert curve is the one used here
+// (adaptive cell placement, and the sorted layer of the declustering
+// ablation). Sorting a dataset by curve index makes contiguous file
+// partitions spatially coherent (Figure 5a) — which is exactly why
+// round-robin declustered reads (Figure 5b) balance load better on skewed
+// data.
 package sfc
 
 import "repro/internal/geom"
@@ -37,28 +39,10 @@ func cell(e, env geom.Envelope) (x, y uint32) {
 	return quantize(c.X, env.MinX, env.Width()), quantize(c.Y, env.MinY, env.Height())
 }
 
-// ZOrder returns the Morton (Z-order) index of e's center within env:
-// the bit-interleaving of the quantized x and y coordinates.
-func ZOrder(e, env geom.Envelope) uint64 {
-	x, y := cell(e, env)
-	return interleave(x) | interleave(y)<<1
-}
-
-// interleave spreads the low 32 bits of v so there is a zero bit between
-// every pair of consecutive bits (the standard Morton spreading).
-func interleave(v uint32) uint64 {
-	x := uint64(v)
-	x = (x | x<<16) & 0x0000FFFF0000FFFF
-	x = (x | x<<8) & 0x00FF00FF00FF00FF
-	x = (x | x<<4) & 0x0F0F0F0F0F0F0F0F
-	x = (x | x<<2) & 0x3333333333333333
-	x = (x | x<<1) & 0x5555555555555555
-	return x
-}
-
 // Hilbert returns the Hilbert-curve index of e's center within env. The
 // Hilbert curve preserves locality better than Z-order (no long diagonal
-// jumps), at the price of a slightly costlier transform.
+// jumps), at the price of a slightly costlier transform than bit
+// interleaving.
 func Hilbert(e, env geom.Envelope) uint64 {
 	x, y := cell(e, env)
 	return hilbertD(x, y)
@@ -87,12 +71,6 @@ func hilbertD(x, y uint32) uint64 {
 		}
 	}
 	return d
-}
-
-// SortByZOrder sorts geometries in place by the Z-order index of their
-// MBR centers within env.
-func SortByZOrder(gs []geom.Geometry, env geom.Envelope) {
-	sortByKey(gs, func(g geom.Geometry) uint64 { return ZOrder(g.Envelope(), env) })
 }
 
 // SortByHilbert sorts geometries in place by Hilbert index within env.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/rtree"
 	"repro/internal/serve"
+	"repro/internal/simtime"
 )
 
 // Serve runs this rank's share of a resident query service over finished
@@ -43,7 +44,7 @@ func Serve(c *mpi.Comm, svc *serve.Service, g grid.Partition, trees map[int]*rtr
 	var bd Breakdown
 	t0 := c.Now()
 	for _, d := range svc.DrainCharges(c.Rank()) {
-		c.Compute(d)
+		c.Charge(simtime.Query, d)
 	}
 	bd.Refine = c.Now() - t0
 	bd.Pairs = svc.Stats(c.Rank()).Pairs

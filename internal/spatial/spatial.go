@@ -21,6 +21,7 @@ import (
 	"repro/internal/mpiio"
 	"repro/internal/rtree"
 	"repro/internal/serve"
+	"repro/internal/simtime"
 )
 
 // Breakdown is the per-phase timing the paper plots in Figures 17-20. On a
@@ -268,8 +269,9 @@ func joinCells(c *mpi.Comm, g grid.Partition, cellsR, cellsS map[int][]geom.Geom
 	// probe filters into the same recycled candidate buffer.
 	t1 := c.Now()
 	cu := querySession(c, g, ci.trees, opt).Cursor()
+	charge := func(d float64) { c.Charge(simtime.Query, d) }
 	// Query cells in ascending id order: iterating the map directly would
-	// charge the per-query Compute costs in random order, and float
+	// charge the per-query costs in random order, and float
 	// accumulation order leaks into the virtual clock bit-for-bit (the
 	// maporder invariant; vectorio-vet flags the direct loop).
 	sCells := make([]int, 0, len(cellsS))
@@ -279,7 +281,7 @@ func joinCells(c *mpi.Comm, g grid.Partition, cellsR, cellsS map[int][]geom.Geom
 	sort.Ints(sCells)
 	for _, cell := range sCells {
 		for _, sg := range cellsS[cell] {
-			bd.Pairs += cu.JoinCell(cell, sg, c.Compute, nil)
+			bd.Pairs += cu.JoinCell(cell, sg, charge, nil)
 		}
 	}
 	bd.Refine = c.Now() - t1
@@ -287,7 +289,7 @@ func joinCells(c *mpi.Comm, g grid.Partition, cellsR, cellsS map[int][]geom.Geom
 
 // querySession wraps this rank's finished cell trees in the shared
 // filter-and-refine evaluation core (see internal/serve): the batch
-// workloads drive it with costs charged inline via c.Compute, the resident
+// workloads drive it with costs charged inline as Query time, the resident
 // service drives the same Session concurrently, its charges recorded for a
 // later replay or (by default) not computed at all.
 func querySession(c *mpi.Comm, g grid.Partition, trees map[int]*rtree.Tree[geom.Geometry], opt JoinOptions) *serve.Session {
@@ -343,7 +345,7 @@ func (ci *cellIndexer) phase(cells map[int][]geom.Geometry) error {
 		gs := cells[cell]
 		items := ci.items[:0]
 		for i, gg := range gs {
-			ci.c.Compute(costmodel.IndexInsert(costmodel.VirtualCount(i, ci.scale)) * ci.scale)
+			ci.c.Charge(simtime.Index, costmodel.IndexInsert(costmodel.VirtualCount(i, ci.scale))*ci.scale)
 			// Storing each geometry by its envelope also primes the lazy
 			// envelope cache on this rank's goroutine, before the tree is
 			// ever shared — the priming guarantee concurrent serving
@@ -491,8 +493,9 @@ func queryCells(c *mpi.Comm, queries []geom.Envelope, opt JoinOptions) func(grid
 	return func(g grid.Partition, trees map[int]*rtree.Tree[geom.Geometry], bd *Breakdown) {
 		t1 := c.Now()
 		cu := querySession(c, g, trees, opt).Cursor()
+		charge := func(d float64) { c.Charge(simtime.Query, d) }
 		for _, q := range queries {
-			bd.Pairs += cu.Range(q, c.Compute, nil)
+			bd.Pairs += cu.Range(q, charge, nil)
 		}
 		bd.Refine += c.Now() - t1
 	}

@@ -368,16 +368,18 @@
 // clock; no order-dependent work inside map iteration on the exchange
 // and frame paths, so replays stay bit-identical; no collective
 // operation a subset of ranks can skip (the hang class: a rank-guarded
-// early return before a Barrier strands every other rank); no
-// accumulated off-clock cost that never reaches Comm.Compute, so
-// deferred charging cannot silently deflate a rank's virtual time; and
-// %w wrapping with errors.Is/As matching throughout the error-agreement
+// early return before a Barrier strands every other rank); and %w
+// wrapping with errors.Is/As matching throughout the error-agreement
 // paths, so the sentinel contracts above survive wrapping. Each
 // invariant, the failure it prevents, and the //vet:allow escape hatch
-// are catalogued in internal/analysis/README.md. Two rules are held by
+// are catalogued in internal/analysis/README.md. Three rules are held by
 // tests instead: the core pipeline starts no goroutine, so only the rank
-// goroutine drives its communicator; and no recycled read buffer
-// outlives its reuse, which the equivalence tests catch as wrong cells.
+// goroutine drives its communicator; no recycled read buffer outlives
+// its reuse, which the equivalence tests catch as wrong cells; and every
+// modelled cost reaches the virtual clock. Each charge names its layer
+// (Comm.Charge with a simtime.Kind: IO, Parse, Decode, Query, ...), every
+// clock keeps a per-kind ledger, and golden tests pin each rank's ledger
+// bit for bit, so a dropped or moved charge fails naming its layer.
 //
 // See the examples/ directory for complete programs: quickstart (parallel
 // read), wkbingest (the binary fast path vs text), streamingest (the
