@@ -1,10 +1,12 @@
 // Command vectorio-vet is the multichecker for the repository's
 // determinism and safety invariants: it loads and type-checks the
 // packages matching its arguments and runs the internal/analysis suite
-// (wallclock, maporder, errwrap, collective) over them. A modelled cost
-// that never reaches the virtual clock is not a static check: every charge
-// names its layer (simtime.Kind), and the clock golden tests pin each
-// rank's per-kind ledger, so a dropped charge fails naming its kind.
+// (wallclock, maporder, errwrap) over them. Two former checks are not
+// static any more: a modelled cost that never reaches the virtual clock
+// fails the clock golden tests, which pin each rank's per-kind ledger
+// (simtime.Kind) and so name the dropped charge's layer; and ranks that
+// disagree on their collectives fail at run time, where internal/mpi
+// matches every collective across ranks (a CollectiveMismatchError).
 //
 // Usage:
 //

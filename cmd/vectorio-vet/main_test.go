@@ -56,7 +56,7 @@ func TestListMode(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("-list: exit %d (%s)", code, errOut.String())
 	}
-	for _, name := range []string{"wallclock", "maporder", "errwrap", "collective"} {
+	for _, name := range []string{"wallclock", "maporder", "errwrap"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
 		}

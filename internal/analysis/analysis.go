@@ -15,12 +15,11 @@
 //
 // # Suppressing a diagnostic
 //
-// A legitimate violation site (a collective that an aggregator's earlier
-// failure return makes a subset of ranks skip, torn down by the world
-// abort, say) is annotated in place:
+// A legitimate violation site (a map iteration whose output is consumed
+// as a set, say) is annotated in place:
 //
-//	//vet:allow collective — a failed aggregator's early return is best-effort teardown; the world abort releases the peers
-//	parts, err := f.comm.AlltoallvChunks(send, recvSizes)
+//	//vet:allow maporder — order irrelevant: the consumer hashes the set
+//	for k := range m {
 //
 // The comment names the analyzer and MUST carry a reason after a dash or
 // colon; an allow without a reason is itself reported. The annotation
@@ -68,9 +67,6 @@ type Pass struct {
 	// RelDir is the package directory relative to the module root, with
 	// forward slashes ("internal/core").
 	RelDir string
-	// Facts holds cross-package information gathered by the driver
-	// before any analyzer runs: the //vet:uniform marks and the call graph.
-	Facts *Facts
 
 	diags *[]Diagnostic
 }
@@ -93,24 +89,6 @@ type Diagnostic struct {
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
-}
-
-// Facts carries driver-computed cross-package information into every
-// pass.
-type Facts struct {
-	// Uniform is the set of //vet:uniform-marked functions: their errors
-	// are deterministic functions of their arguments, so rank-uniform
-	// inputs fail every rank identically and an early return guarded by
-	// such an error cannot strand a subset of ranks. Keyed by declared
-	// function; the mark carries a mandatory reason, like //vet:allow.
-	Uniform map[*types.Func]bool
-	// MalformedUniform are //vet:uniform marks missing their reason; the
-	// driver reports them instead of honoring them.
-	MalformedUniform []token.Position
-	// Graph is the whole-program call graph over every loaded package,
-	// with its per-function summaries (see callgraph.go). Interprocedural
-	// analyzers reach helper chains and sibling packages through it.
-	Graph *CallGraph
 }
 
 // allowRe matches the body of a //vet:allow comment: the analyzer name,
@@ -162,11 +140,6 @@ type RunOptions struct {
 	// Scope. Used by the analysistest fixture runner, whose fixture
 	// packages live outside the real invariant scopes.
 	ForceScope bool
-	// FactPackages, when non-nil, is the package set facts (//vet:uniform
-	// marks, the call graph) are gathered from instead of the analyzed
-	// set — so a fixture package's calls resolve into its real
-	// dependencies.
-	FactPackages []*Package
 }
 
 // RunAnalyzers applies analyzers to the loaded packages and returns the
@@ -174,34 +147,7 @@ type RunOptions struct {
 // their own line or the line above, plus one diagnostic per malformed
 // mark. Diagnostics come back sorted by file position.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, opt RunOptions) ([]Diagnostic, error) {
-	factSet := pkgs
-	if opt.FactPackages != nil {
-		factSet = opt.FactPackages
-	}
-	return runWithFacts(pkgs, analyzers, opt, gatherFacts(factSet))
-}
-
-func runWithFacts(pkgs []*Package, analyzers []*Analyzer, opt RunOptions, facts *Facts) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	// A //vet:uniform mark without a reason is reported, not honored —
-	// but only when its file is in the analyzed set, so a fixture run
-	// over a narrow package list does not re-report dependency marks.
-	analyzedFile := make(map[string]bool)
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			analyzedFile[pkg.Fset.Position(f.Pos()).Filename] = true
-		}
-	}
-	for _, pos := range facts.MalformedUniform {
-		if !analyzedFile[pos.Filename] {
-			continue
-		}
-		diags = append(diags, Diagnostic{
-			Analyzer: "vetuniform",
-			Pos:      pos,
-			Message:  "//vet:uniform is missing its reason (want `//vet:uniform — <reason>`)",
-		})
-	}
 	for _, pkg := range pkgs {
 		// Allow marks and their validity are per-file, independent of
 		// which analyzers run on the package.
@@ -237,7 +183,6 @@ func runWithFacts(pkgs []*Package, analyzers []*Analyzer, opt RunOptions, facts 
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
 				RelDir:    pkg.RelDir,
-				Facts:     facts,
 				diags:     &found,
 			}
 			if err := a.Run(pass); err != nil {
@@ -253,8 +198,7 @@ func runWithFacts(pkgs []*Package, analyzers []*Analyzer, opt RunOptions, facts 
 	}
 	// Deterministic machine-readable order: byte offset within the file
 	// is the position (line/column follow from it), then analyzer, then
-	// message, and exact duplicates — the same analyzer reaching the same
-	// site along two call paths — collapse to one finding.
+	// message, and exact duplicates collapse to one finding.
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -276,62 +220,6 @@ func runWithFacts(pkgs []*Package, analyzers []*Analyzer, opt RunOptions, facts 
 		out = append(out, d)
 	}
 	return out, nil
-}
-
-// gatherFacts walks every loaded package's syntax for //vet:uniform marks
-// before any analyzer runs, then builds the call graph and its summaries
-// over the same package set.
-func gatherFacts(pkgs []*Package) *Facts {
-	facts := &Facts{Uniform: make(map[*types.Func]bool)}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				d, isFunc := decl.(*ast.FuncDecl)
-				if !isFunc {
-					continue
-				}
-				ok, bad := uniformMark(d.Doc)
-				if bad.IsValid() {
-					facts.MalformedUniform = append(facts.MalformedUniform, pkg.Fset.Position(bad))
-				}
-				if ok {
-					if fn, isFn := pkg.Info.Defs[d.Name].(*types.Func); isFn {
-						facts.Uniform[fn] = true
-					}
-				}
-			}
-		}
-	}
-	facts.Graph = buildCallGraph(pkgs, facts)
-	return facts
-}
-
-// uniformRe matches the body of a //vet:uniform function-doc marker: the
-// word alone, then a dash/colon-separated reason. Like //vet:allow, the
-// reason is mandatory — the mark asserts a behavioral contract ("this
-// function's error is a deterministic function of its arguments") and the
-// reader deserves to know why it holds.
-var uniformRe = regexp.MustCompile(`^vet:uniform\s*(?:[—–:-]+\s*(\S.*))?$`)
-
-// uniformMark scans a function's doc comment for a //vet:uniform mark.
-// ok reports a well-formed mark; bad is the position of a mark missing
-// its reason (zero if none).
-func uniformMark(cg *ast.CommentGroup) (ok bool, bad token.Pos) {
-	if cg == nil {
-		return false, 0
-	}
-	for _, c := range cg.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if !strings.HasPrefix(text, "vet:uniform") {
-			continue
-		}
-		m := uniformRe.FindStringSubmatch(text)
-		if m == nil || m[1] == "" {
-			return false, c.Pos()
-		}
-		return true, 0
-	}
-	return false, 0
 }
 
 // derefNamed strips pointers and aliases down to a named type.

@@ -50,11 +50,8 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkg string) {
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", pkg, err)
 	}
-	// Only the fixture package is analyzed (scope forced), but facts
-	// (the call graph, //vet:uniform marks) must see every package it
-	// pulled in.
 	diags, err := analysis.RunAnalyzers([]*analysis.Package{p}, []*analysis.Analyzer{a},
-		analysis.RunOptions{ForceScope: true, FactPackages: l.Packages()})
+		analysis.RunOptions{ForceScope: true})
 	if err != nil {
 		t.Fatal(err)
 	}

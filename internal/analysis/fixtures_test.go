@@ -22,10 +22,3 @@ func TestMapOrderFixture(t *testing.T) {
 func TestErrWrapFixture(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), analysis.ErrWrap, "errwrap")
 }
-
-// The interprocedural analyzers' fixtures include a cross-package case
-// (collective/helper) seeding violations invisible to per-function
-// analysis.
-func TestCollectiveFixture(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), analysis.Collective, "collective")
-}

@@ -79,19 +79,6 @@ func NewLoader(moduleDir string) (*Loader, error) {
 	}, nil
 }
 
-// Packages returns every module/extra-root package loaded so far (not
-// the GOROOT ones), sorted by import path. The driver gathers facts
-// (//vet:uniform marks, the call graph) over this set so a dependency's
-// functions are visible when analyzing its importers.
-func (l *Loader) Packages() []*Package {
-	out := make([]*Package, 0, len(l.pkgs))
-	for _, p := range l.pkgs {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
-}
-
 // Load loads the package with the given import path.
 func (l *Loader) Load(path string) (*Package, error) {
 	if p, ok := l.pkgs[path]; ok {

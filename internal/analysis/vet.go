@@ -11,7 +11,7 @@ import (
 
 // Analyzers returns the full vectorio-vet suite, in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Wallclock, MapOrder, ErrWrap, Collective}
+	return []*Analyzer{Wallclock, MapOrder, ErrWrap}
 }
 
 // FindModuleRoot walks up from dir to the nearest directory containing a
@@ -147,8 +147,5 @@ func CheckModule(moduleDir string, patterns []string, analyzers []*Analyzer) ([]
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	// Facts come from everything the load pulled in, not just the match
-	// set, so the call graph and //vet:uniform marks reach dependencies.
-	facts := gatherFacts(l.Packages())
-	return runWithFacts(pkgs, analyzers, RunOptions{}, facts)
+	return RunAnalyzers(pkgs, analyzers, RunOptions{})
 }

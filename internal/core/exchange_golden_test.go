@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
@@ -36,8 +35,9 @@ type goldenExchange struct {
 //     3 cells, clean and with one FrameCorrupt rule (rank 0's part from
 //     rank 1, every phase) quarantined under SkipBadFrames. The rule flips
 //     a bit of the part's first frame length, so the whole part goes.
-//   - Exchanger.Add with only that part's first frame claiming a foreign
-//     cell (misroute), so a quarantine is followed by frames that decode.
+//   - Exchanger.Add with the same rule picking the part's first frame
+//     (Rule.Frame 1), whose cell id it sets outside the grid (misroute),
+//     so a quarantine is followed by frames that decode.
 //   - The raw path over the adaptive partition SamplePartition builds from
 //     the same file, which adds the sample's Parse charge.
 //
@@ -56,9 +56,9 @@ func TestExchangeClockGolden(t *testing.T) {
 		window  int
 		corrupt bool
 		sample  bool // the grid is SamplePartition's, not the 8×8 one
-		// misroute rewrites the first frame of rank 0's part from rank 1
-		// to claim a cell rank 0 does not own: that frame is quarantined
-		// and the rest of the part still decodes.
+		// misroute corrupts the cell id of the first frame of rank 0's part
+		// from rank 1: that frame is quarantined and the rest of the part
+		// still decodes.
 		misroute bool
 		want     [3]goldenExchange
 		ledger   [3]simtime.Ledger
@@ -164,8 +164,12 @@ func TestExchangeClockGolden(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			var inj *fault.Injector
-			if tc.corrupt {
-				inj = fault.Plan{Seed: 21, Rules: []fault.Rule{fault.FrameCorrupt(0, -1, 1)}}.New()
+			if tc.corrupt || tc.misroute {
+				rule := fault.FrameCorrupt(0, -1, 1)
+				if tc.misroute {
+					rule.Frame = 1
+				}
+				inj = fault.Plan{Seed: 21, Rules: []fault.Rule{rule}}.New()
 			}
 			cc := cluster.Comet(3)
 			cc.RanksPerNode = 1
@@ -187,17 +191,6 @@ func TestExchangeClockGolden(t *testing.T) {
 				pt := &Partitioner{Grid: g, WindowCells: tc.window, SkipBadFrames: tc.corrupt || tc.misroute}
 				if inj != nil {
 					pt.FrameFault = inj.FrameFault(c.Rank())
-				}
-				if tc.misroute && c.Rank() == 0 {
-					foreign := 0
-					for grid.MappingOf(g)(foreign, c.Size()) == 0 {
-						foreign++
-					}
-					pt.FrameFault = func(_, src int, part []byte) {
-						if src == 1 && len(part) >= exchangeHeader {
-							binary.LittleEndian.PutUint32(part, uint32(foreign))
-						}
-					}
 				}
 				var stats ExchangeStats
 				if tc.raw {

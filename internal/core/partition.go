@@ -350,9 +350,8 @@ type Exchanger struct {
 // collectively with identical Partitioner configuration (they see the same
 // grid, so the validation fails all ranks identically — deferring to the
 // per-frame guard would abort one rank mid-collective and strand its peers
-// in the count exchange).
-//
-//vet:uniform — validates only the shared Partitioner configuration, never rank-local state
+// in the count exchange). It validates only the shared Partitioner
+// configuration, never rank-local state.
 func (pt *Partitioner) Stream(c *mpi.Comm) (*Exchanger, error) {
 	numCells := pt.Grid.NumCells()
 	// Cell ids travel in a u32 frame header.
@@ -625,7 +624,10 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 			}
 			binary.LittleEndian.PutUint64(countRow[dst*16+8:], uint64(ng))
 		}
-		//vet:allow collective — a rank whose frames fail to decode in strict mode has nothing further to exchange; the documented contract is world-abort teardown, releasing the peers with ErrAborted (TestChaosFrameCorruption pins it)
+		// A rank whose frames fail to decode in strict mode returns before
+		// the next phase's rounds: it has nothing further to exchange, and
+		// the documented contract is world-abort teardown, releasing the
+		// peers with ErrAborted (TestChaosFrameCorruption pins it).
 		countRows, err := c.Allgather(countRow)
 		if err != nil {
 			return ex.stats, fmt.Errorf("core: count exchange: %w", err)
@@ -643,7 +645,7 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 		// transport — an empty own block (it holds no chunks), which the
 		// count row above still publishes at its kept frames' size.
 		recvSizes[rank] = 0
-		//vet:allow collective — same strict-mode world-abort contract as the count exchange above
+		// The same strict-mode world-abort contract as the count exchange.
 		parts, err := c.AlltoallvChunks(send, recvSizes)
 		if err != nil {
 			return ex.stats, fmt.Errorf("core: payload exchange: %w", err)
@@ -714,7 +716,9 @@ func (ex *Exchanger) decodePart(part []byte, cells map[int][]geom.Geometry) erro
 	for len(part) > 0 {
 		cell, g, rest, err := decodeExchangeFrame(&ex.dec, part)
 		if err == nil {
-			if own := ex.mapping(cell, ex.size); own != ex.rank {
+			if cell >= ex.numCells {
+				err = fmt.Errorf("received cell %d outside the grid of %d cells", cell, ex.numCells)
+			} else if own := ex.mapping(cell, ex.size); own != ex.rank {
 				err = fmt.Errorf("received cell %d owned by rank %d", cell, own)
 			}
 		}

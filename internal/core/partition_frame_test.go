@@ -226,3 +226,51 @@ func TestExchangeAddFailureCompletes(t *testing.T) {
 		t.Errorf("world received %d geometries, want the 2 the clean ranks added", total)
 	}
 }
+
+// TestDecodePartRejectsForeignCells: a received frame whose cell this rank
+// does not own, or whose cell lies outside the grid, fails a strict decode
+// naming why, and under SkipBadFrames is quarantined alone while the next
+// frame decodes.
+func TestDecodePartRejectsForeignCells(t *testing.T) {
+	g, err := grid.New(geom.Envelope{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4}, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := geom.Point{X: 0.5, Y: 0.5}
+	err = mpi.Run(cluster.Local(2), func(c *mpi.Comm) error {
+		if c.Rank() != 0 {
+			return nil
+		}
+		for _, tc := range []struct {
+			cell int
+			want string
+		}{{1, "received cell 1 owned by rank 1"}, {g.NumCells(), "outside the grid"}} {
+			part, err := appendExchangeFrame(nil, tc.cell, p)
+			if err != nil {
+				return err
+			}
+			if part, err = appendExchangeFrame(part, 0, p); err != nil {
+				return err
+			}
+			for _, skip := range []bool{false, true} {
+				ex, err := (&Partitioner{Grid: g, SkipBadFrames: skip}).Stream(c)
+				if err != nil {
+					return err
+				}
+				cells := make(map[int][]geom.Geometry)
+				err = ex.decodePart(part, cells)
+				switch {
+				case !skip && (err == nil || !strings.Contains(err.Error(), tc.want)):
+					t.Errorf("cell %d: strict decode err = %v, want %q", tc.cell, err, tc.want)
+				case skip && (err != nil || ex.stats.FramesQuarantined != 1 || len(cells[0]) != 1 || len(cells) != 1):
+					t.Errorf("cell %d: quarantined %d, cells %v, err %v; want the one frame dropped and cell 0 decoded",
+						tc.cell, ex.stats.FramesQuarantined, cells, err)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

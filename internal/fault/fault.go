@@ -20,6 +20,7 @@
 package fault
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -56,8 +57,9 @@ const (
 	ShortRead
 	// SinkError fails a sink at a matching (rank, batch).
 	SinkError
-	// CorruptFrame flips a seeded bit in the length field of a received
-	// exchange partition, guaranteeing the frame fails to decode.
+	// CorruptFrame corrupts one frame of a received exchange partition,
+	// guaranteeing it fails to decode: a seeded bit of the first frame's
+	// length field, or, with Rule.Frame set, the cell id of that frame.
 	CorruptFrame
 )
 
@@ -106,9 +108,15 @@ type Rule struct {
 	Stripe int
 
 	// Frame-fault coordinates (CorruptFrame): Rank above is the receiving
-	// rank; Phase the exchange phase; Src the sending rank.
+	// rank; Phase the exchange phase; Src the sending rank. Frame picks
+	// the corruption: zero flips a seeded bit of the first frame's length,
+	// which also loses the frames after it; k > 0 sets the top bit of the
+	// k-th frame's cell id, out of any grid of under 2^31 cells, so only
+	// that frame is lost and the rest of the partition decodes. A
+	// partition with fewer than k frames is left alone.
 	Phase int
 	Src   int
+	Frame int
 
 	// Sink-fault coordinates (SinkError): Rank above plus the batch number.
 	Batch int
@@ -335,14 +343,13 @@ func (in *Injector) ReadFault(file string, off int64, n, stripe int) pfs.ReadFau
 }
 
 // FrameFault returns the exchange-partition hook for one receiving rank
-// (pass to core's Partitioner.FrameFault). The hook flips a seeded bit in
-// the length field of the partition's first frame — bits 32-63 of the
-// header — which the frame decoder is guaranteed to reject.
+// (pass to core's Partitioner.FrameFault). A frame is an 8-byte header —
+// the cell id in bits 0-31, the payload length in bits 32-63 — and its
+// payload. The hook corrupts the frame a matching rule picks (Rule.Frame):
+// a seeded bit of the first frame's length, or a later pick's cell id.
+// The frame decoder is guaranteed to reject either.
 func (in *Injector) FrameFault(rank int) func(phase, src int, part []byte) {
 	return func(phase, src int, part []byte) {
-		if len(part) < 8 {
-			return
-		}
 		for i, r := range in.rules {
 			if r.Kind != CorruptFrame {
 				continue
@@ -356,11 +363,19 @@ func (in *Injector) FrameFault(rank int) func(phase, src int, part []byte) {
 			if r.Src >= 0 && r.Src != src {
 				continue
 			}
-			if !in.take(i, fireKey{rule: i, rank: rank}) {
+			at := int64(0) // the picked frame's offset
+			for k := 1; k < r.Frame && at+8 <= int64(len(part)); k++ {
+				at += 8 + int64(binary.LittleEndian.Uint32(part[at+4:]))
+			}
+			if at+8 > int64(len(part)) || !in.take(i, fireKey{rule: i, rank: rank}) {
 				continue
 			}
-			bit := 32 + splitmix64(in.seed^mix(rank, phase, src))%32
-			part[bit/8] ^= 1 << (bit % 8)
+			if r.Frame == 0 {
+				bit := 32 + splitmix64(in.seed^mix(rank, phase, src))%32
+				part[bit/8] ^= 1 << (bit % 8)
+			} else {
+				part[at+3] |= 0x80
+			}
 			return
 		}
 	}

@@ -1,6 +1,8 @@
 package fault_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -206,6 +208,38 @@ func TestWildcards(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestFrameCorruptPicksFrame: a rule with Frame k > 0 sets the top bit of
+// the k-th frame's cell id and touches nothing else; a partition with
+// fewer frames is left alone, and the rule stays armed for the next one.
+func TestFrameCorruptPicksFrame(t *testing.T) {
+	// Three frames with payloads of 4, 0 and 2 bytes, at offsets 0, 12, 20.
+	frames := func() []byte {
+		part := make([]byte, 30)
+		for _, f := range [][2]int{{0, 4}, {12, 0}, {20, 2}} {
+			binary.LittleEndian.PutUint32(part[f[0]:], 5)
+			binary.LittleEndian.PutUint32(part[f[0]+4:], uint32(f[1]))
+		}
+		return part
+	}
+	for k, at := range map[int]int{1: 0, 2: 12, 3: 20} {
+		rule := fault.FrameCorrupt(-1, -1, -1)
+		rule.Frame = k
+		hook := fault.Plan{Rules: []fault.Rule{rule}}.New().FrameFault(0)
+		if k == 3 {
+			short := frames()[:20] // holds frames 1 and 2 only
+			if hook(0, 1, short); !bytes.Equal(short, frames()[:20]) {
+				t.Errorf("frame 3 corrupted in a two-frame partition")
+			}
+		}
+		got, want := frames(), frames()
+		hook(0, 1, got)
+		want[at+3] |= 0x80
+		if !bytes.Equal(got, want) {
+			t.Errorf("Frame %d:\n got %v\nwant %v", k, got, want)
+		}
+	}
 }
 
 // TestFrameCorruptHitsLength: FrameCorrupt flips exactly one bit, always in

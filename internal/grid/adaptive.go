@@ -25,9 +25,9 @@ type Histogram struct {
 
 // NewHistogram builds an empty side x side weight field over env. side must
 // be a power of two so histogram bins align exactly with the quadtree
-// splits BuildAdaptive derives from them.
-//
-//vet:uniform — pure argument validation: ranks passing the same envelope and side fail or succeed identically
+// splits BuildAdaptive derives from them. Its error is pure argument
+// validation: ranks passing the same envelope and side fail or succeed
+// identically.
 func NewHistogram(env geom.Envelope, side int) (*Histogram, error) {
 	if env.IsEmpty() {
 		return nil, fmt.Errorf("grid: empty histogram envelope")
@@ -172,9 +172,9 @@ type anode struct {
 // BuildAdaptive analyzes a (rank-identical, Allreduced) sample histogram
 // and returns the tuned partition: hot quadrants split until each leaf's
 // expected load clears the thresholds, leaves Hilbert-ordered, load
-// bin-packed contiguously along the curve.
-//
-//vet:uniform — pure function of the histogram and options: ranks passing identical reduced weights build identical partitions or fail identically
+// bin-packed contiguously along the curve. It is a pure function of the
+// histogram and options: ranks passing identical reduced weights build
+// identical partitions or fail identically.
 func BuildAdaptive(h *Histogram, opt AdaptiveOptions) (*Adaptive, error) {
 	if h == nil {
 		return nil, fmt.Errorf("grid: adaptive partition needs a histogram")

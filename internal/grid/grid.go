@@ -24,9 +24,8 @@ type Grid struct {
 }
 
 // New builds a grid over env. The envelope must be non-empty and the
-// dimensions positive.
-//
-//vet:uniform — pure argument validation: ranks passing the same envelope and dimensions fail or succeed identically
+// dimensions positive. Its error is pure argument validation: ranks
+// passing the same envelope and dimensions fail or succeed identically.
 func New(env geom.Envelope, cols, rows int) (*Grid, error) {
 	if env.IsEmpty() {
 		return nil, fmt.Errorf("grid: empty world envelope")

@@ -17,6 +17,7 @@ const (
 // Barrier blocks until every rank has entered it (dissemination algorithm,
 // ceil(log2 n) rounds of eager messages).
 func (c *Comm) Barrier() error {
+	defer c.leave(c.enter(collBarrier, 0))
 	n := c.world.n
 	if n == 1 {
 		return nil
@@ -37,6 +38,7 @@ func (c *Comm) Barrier() error {
 // Bcast distributes root's buf to every rank using a binomial tree; all
 // ranks must pass buffers of identical length.
 func (c *Comm) Bcast(buf []byte, root int) error {
+	defer c.leave(c.enter(collBcast, mix(uint64(root), uint64(len(buf)))))
 	n := c.world.n
 	if root < 0 || root >= n {
 		return fmt.Errorf("bcast: %w: root %d", ErrRank, root)
@@ -72,6 +74,7 @@ func (c *Comm) Bcast(buf []byte, root int) error {
 // Allgather collects every rank's (variable-length) buffer on every rank,
 // in rank order, using the ring algorithm. Subsumes MPI_Allgather(v).
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
+	defer c.leave(c.enter(collAllgather, 0))
 	n := c.world.n
 	out := make([][]byte, n)
 	own := make([]byte, len(data))
@@ -125,6 +128,7 @@ func (c *Comm) Alltoallv(send [][]byte, recvSizes []int) ([][]byte, error) {
 // empty. Uses pairwise exchange: n-1 rounds of SendRecv with partners
 // (rank±i) mod n.
 func (c *Comm) AlltoallvChunks(send [][][]byte, recvSizes []int) ([][]byte, error) {
+	defer c.leave(c.enter(collAlltoallv, 0))
 	n := c.world.n
 	if len(send) != n || len(recvSizes) != n {
 		return nil, fmt.Errorf("alltoallv: %w: %d send blocks / %d recv sizes for %d ranks",
@@ -179,6 +183,7 @@ func (c *Comm) AlltoallvChunks(send [][][]byte, recvSizes []int) ([][]byte, erro
 // at root. Non-root ranks receive nil. The tree is order-preserving, so op
 // may be non-commutative but must be associative (paper §4.2.2).
 func (c *Comm) Reduce(data []byte, count int, dt *Datatype, op *Op, root int) ([]byte, error) {
+	defer c.leave(c.enter(collReduce, mix(mix(uint64(root), uint64(count)), uint64(dt.Size()))))
 	n := c.world.n
 	if root < 0 || root >= n {
 		return nil, fmt.Errorf("reduce: %w: root %d", ErrRank, root)
@@ -235,8 +240,10 @@ func (c *Comm) Reduce(data []byte, count int, dt *Datatype, op *Op, root int) ([
 	return nil, nil
 }
 
-// Allreduce is Reduce to rank 0 followed by Bcast.
+// Allreduce is Reduce to rank 0 followed by Bcast, matched as one
+// collective.
 func (c *Comm) Allreduce(data []byte, count int, dt *Datatype, op *Op) ([]byte, error) {
+	defer c.leave(c.enter(collAllreduce, mix(uint64(count), uint64(dt.Size()))))
 	res, err := c.Reduce(data, count, dt, op, 0)
 	if err != nil {
 		return nil, err
@@ -255,6 +262,7 @@ func (c *Comm) Allreduce(data []byte, count int, dt *Datatype, op *Op) ([]byte, 
 // operand order, so non-commutative associative operators are safe —
 // Figure 13 runs MPI_Scan with the geometric UNION operator.
 func (c *Comm) Scan(data []byte, count int, dt *Datatype, op *Op) ([]byte, error) {
+	defer c.leave(c.enter(collScan, mix(uint64(count), uint64(dt.Size()))))
 	if count*dt.Size() != len(data) {
 		return nil, fmt.Errorf("scan: %w: %d bytes for %d x %s", ErrCount, len(data), count, dt.Name())
 	}

@@ -187,55 +187,3 @@ func TypeStruct(fields []StructField, extent int) (*Datatype, error) {
 		blocks: coalesce(blocks),
 	}, nil
 }
-
-// Pack gathers count instances of the datatype from src (laid out with
-// extent spacing) into a dense dst buffer, returning bytes written.
-func (d *Datatype) Pack(dst, src []byte, count int) (int, error) {
-	need := count * d.size
-	if len(dst) < need {
-		return 0, fmt.Errorf("%w: pack needs %d bytes, dst has %d", ErrCount, need, len(dst))
-	}
-	if want := d.spanBytes(count); len(src) < want {
-		return 0, fmt.Errorf("%w: pack needs %d source bytes, src has %d", ErrCount, want, len(src))
-	}
-	w := 0
-	for i := 0; i < count; i++ {
-		basePos := i * d.extent
-		for _, b := range d.blocks {
-			copy(dst[w:w+b.Len], src[basePos+b.Off:])
-			w += b.Len
-		}
-	}
-	return w, nil
-}
-
-// Unpack scatters count densely packed instances from src into dst at
-// extent spacing, returning bytes consumed.
-func (d *Datatype) Unpack(dst, src []byte, count int) (int, error) {
-	need := count * d.size
-	if len(src) < need {
-		return 0, fmt.Errorf("%w: unpack needs %d bytes, src has %d", ErrCount, need, len(src))
-	}
-	if want := d.spanBytes(count); len(dst) < want {
-		return 0, fmt.Errorf("%w: unpack needs %d dest bytes, dst has %d", ErrCount, want, len(dst))
-	}
-	r := 0
-	for i := 0; i < count; i++ {
-		basePos := i * d.extent
-		for _, b := range d.blocks {
-			copy(dst[basePos+b.Off:basePos+b.Off+b.Len], src[r:r+b.Len])
-			r += b.Len
-		}
-	}
-	return r, nil
-}
-
-// spanBytes returns the memory footprint of count instances: the last
-// instance only needs its final block, but using full extents keeps the
-// contract simple and matches MPI's extent arithmetic.
-func (d *Datatype) spanBytes(count int) int {
-	if count == 0 {
-		return 0
-	}
-	return count * d.extent
-}

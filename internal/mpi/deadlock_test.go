@@ -50,6 +50,25 @@ func TestDeadlockReportedAtOnce(t *testing.T) {
 		}, func(r int) (BlockedOp, bool) {
 			return BlockedOp{Rank: r, Op: OpSync, Peer: -1, Key: "never"}, r != 2
 		}},
+		{"returned-before-barrier", func(c *Comm) error {
+			if c.Rank() == 0 {
+				return nil
+			}
+			err := c.Barrier()
+			if !errors.As(err, new(*CollectiveMismatchError)) {
+				t.Errorf("rank %d: err = %v, want a CollectiveMismatchError", c.Rank(), err)
+			}
+			return err
+		}, func(r int) (BlockedOp, bool) {
+			// Rank 1 blocks after its first token send; rank 2 after
+			// receiving rank 1's token and sending its second.
+			cfg := cluster.Local(n)
+			vt := cfg.IntraLatency
+			if r == 2 {
+				vt = cfg.IntraLatency + cfg.MsgTime(1, 2, 1) + cfg.IntraLatency
+			}
+			return BlockedOp{Rank: r, Op: OpRecv, Peer: 0, Tag: tagBarrier, VTime: vt}, r != 0
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

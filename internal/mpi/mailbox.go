@@ -10,6 +10,7 @@ import "sync"
 // matched and parked are guarded by the receiving mailbox's lock.
 type message struct {
 	src, tag int
+	coll     collStamp // the sender's collective, zero kind outside one
 	data     []byte
 	chunks   [][]byte
 	// arrival is the virtual time at which the payload is available at the
@@ -76,10 +77,10 @@ func (mb *mailbox) enqueue(m *message) {
 // before the mailbox lock is taken, so concurrent senders to one
 // destination copy in parallel and the receiver is never blocked behind a
 // large copy.
-func (mb *mailbox) enqueueCopy(payload [][]byte, src, tag int, arrival float64) {
+func (mb *mailbox) enqueueCopy(payload [][]byte, src, tag int, coll collStamp, arrival float64) {
 	data := make([]byte, chunksLen(payload))
 	copyChunks(data, payload)
-	mb.enqueue(&message{src: src, tag: tag, data: data, arrival: arrival})
+	mb.enqueue(&message{src: src, tag: tag, coll: coll, data: data, arrival: arrival})
 }
 
 // match returns the index of the first queued message from src with tag,
@@ -129,11 +130,16 @@ func (mb *mailbox) unqueue(m *message) bool {
 // await blocks the owner until a matching message is queued, then removes
 // and returns it (peek=false) or returns it in place (peek=true). It fails
 // with ErrDeadlock if the world deadlocks and with ErrAborted if it dies.
+// An owner inside a collective fails with a CollectiveMismatchError,
+// leaving the message queued, if the match was sent by another collective.
 func (mb *mailbox) await(src, tag int, peek bool) (*message, error) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for {
 		if i := mb.match(src, tag); i >= 0 {
+			if c := mb.w.comms[mb.owner]; c.coll.kind != collNone && mb.queue[i].coll != c.coll {
+				return nil, c.recvMismatch(mb.queue[i])
+			}
 			if peek {
 				return mb.queue[i], nil
 			}

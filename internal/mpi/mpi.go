@@ -14,6 +14,12 @@
 // Hillis-Steele scan), so the virtual-time cost of a collective emerges from
 // the messages it actually sends rather than from a closed-form guess.
 //
+// Collectives are matched at run time, on every run: each rank numbers the
+// collectives it enters, and their messages carry (kind, sequence number,
+// agreed arguments), so ranks that call different collectives, in a
+// different order, or with different roots or agreed sizes fail with a
+// CollectiveMismatchError instead of pairing the wrong calls (match.go).
+//
 // Every rank carries a virtual clock (see internal/simtime): real bytes move
 // in real buffers, while reported durations come from the alpha-beta network
 // model of the cluster configuration. The runtime books its own advances to
@@ -23,6 +29,7 @@ package mpi
 
 import (
 	"fmt"
+	"hash/maphash"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -43,8 +50,10 @@ const eagerLimit = 4096
 type World struct {
 	cfg     *cluster.Config
 	n       int
+	comms   []*Comm
 	boxes   []*mailbox
 	syncHub *syncHub
+	seed    maphash.Seed // hashes WorldSync keys into collective stamps
 
 	fault FaultInjector
 
@@ -75,6 +84,7 @@ type World struct {
 	wake         []chan struct{} // wake[r] (capacity 1) rouses rank r from sleep
 	deadOnce     sync.Once
 	deadCh       chan struct{}
+	deadPos      []collPos // every rank's collective position as the deadlock formed
 
 	// opByteCost charges CPU time for applying a reduction operator,
 	// seconds per byte combined.
@@ -96,7 +106,9 @@ type Options struct {
 // error (or panic, converted to an error) aborts the world: blocked ranks
 // are released with ErrAborted. A deadlock — every rank either blocked in
 // the runtime or returned, at least one blocked — releases each blocked
-// rank with a DeadlockError the moment it forms.
+// rank with a DeadlockError the moment it forms. Collectives are matched
+// across ranks (see match.go): a disagreement is a CollectiveMismatchError,
+// also when every rank returned nil.
 func Run(cfg *cluster.Config, fn func(c *Comm) error) error {
 	return RunOpt(cfg, Options{}, fn)
 }
@@ -110,8 +122,10 @@ func RunOpt(cfg *cluster.Config, opt Options, fn func(c *Comm) error) error {
 	w := &World{
 		cfg:        cfg,
 		n:          n,
+		comms:      make([]*Comm, n),
 		boxes:      make([]*mailbox, n),
 		syncHub:    newSyncHub(n),
+		seed:       maphash.MakeSeed(),
 		fault:      opt.Fault,
 		blocked:    make([]atomic.Pointer[BlockedOp], n),
 		abortCh:    make(chan struct{}),
@@ -125,6 +139,7 @@ func RunOpt(cfg *cluster.Config, opt Options, fn func(c *Comm) error) error {
 	for i := range w.boxes {
 		w.boxes[i] = &mailbox{w: w, owner: i}
 		w.wake[i] = make(chan struct{}, 1)
+		w.comms[i] = &Comm{world: w, rank: i}
 	}
 
 	errs := make([]error, n)
@@ -132,8 +147,10 @@ func RunOpt(cfg *cluster.Config, opt Options, fn func(c *Comm) error) error {
 	for r := 0; r < n; r++ {
 		wg.Add(1)
 		go func(rank int) {
+			c := w.comms[rank]
 			defer wg.Done()
 			defer func() {
+				c.exited = true
 				w.exited.Add(1)
 				w.park()
 			}()
@@ -150,7 +167,6 @@ func RunOpt(cfg *cluster.Config, opt Options, fn func(c *Comm) error) error {
 					w.abort(err)
 				}
 			}()
-			c := &Comm{world: w, rank: rank}
 			if err := fn(c); err != nil {
 				errs[rank] = err
 				w.abort(fmt.Errorf("mpi: rank %d: %w", rank, err))
@@ -170,7 +186,7 @@ func RunOpt(cfg *cluster.Config, opt Options, fn func(c *Comm) error) error {
 			return err
 		}
 	}
-	return nil
+	return w.runEndMismatch()
 }
 
 // abort releases every blocked rank with an error. Only the first call wins.
@@ -214,7 +230,13 @@ func (w *World) halted() error {
 // calls it once more when it returns from fn.
 func (w *World) park() {
 	if w.idle.Add(1) == int32(w.n) && w.exited.Load() < int32(w.n) && !w.aborted() {
-		w.deadOnce.Do(func() { close(w.deadCh) })
+		w.deadOnce.Do(func() {
+			w.deadPos = make([]collPos, w.n)
+			for r, c := range w.comms {
+				w.deadPos[r] = collPos{last: c.last, in: c.coll.kind != collNone, exited: c.exited}
+			}
+			close(w.deadCh)
+		})
 	}
 }
 
@@ -268,6 +290,14 @@ type Comm struct {
 	// while a fault injector is installed (see faultPoint).
 	opIndex int
 
+	// The collective matching state (see match.go): the collective this
+	// rank is in (zero kind outside one), the last one it entered (its seq
+	// is the count), and the fold of every entered one's kind and agreed
+	// arguments. exited is set once fn has returned.
+	coll, last collStamp
+	collFP     uint64
+	exited     bool
+
 	// stats
 	bytesSent int64
 	msgsSent  int64
@@ -283,13 +313,6 @@ func (c *Comm) setBlocked(kind OpKind, peer, tag int, key string) *BlockedOp {
 
 // clearBlocked marks this rank as running again.
 func (c *Comm) clearBlocked() { c.world.blocked[c.rank].Store(nil) }
-
-// deadlockError builds the diagnostic form of ErrDeadlock for an operation
-// caught in a deadlock: the failing operation plus a snapshot of every
-// blocked rank, taken while this rank's own entry is still published.
-func (c *Comm) deadlockError(op BlockedOp) error {
-	return &DeadlockError{Op: op, Blocked: c.world.snapshotBlocked()}
-}
 
 // Rank returns this process's rank in [0, Size).
 func (c *Comm) Rank() int { return c.rank }

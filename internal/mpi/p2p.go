@@ -47,11 +47,11 @@ func (c *Comm) Send(buf []byte, dst, tag int) error {
 		// payload arrives one transfer time after that, as a private copy.
 		c.clock.Advance(simtime.Transport, c.sendOverhead(dst))
 		arrival := c.clock.Now() + extra + c.world.cfg.MsgTime(c.rank, dst, len(buf))
-		c.world.boxes[dst].enqueueCopy([][]byte{payload}, c.rank, tag, arrival)
+		c.world.boxes[dst].enqueueCopy([][]byte{payload}, c.rank, tag, c.coll, arrival)
 		return nil
 	}
 	m := &message{
-		src: c.rank, tag: tag, chunks: [][]byte{payload},
+		src: c.rank, tag: tag, coll: c.coll, chunks: [][]byte{payload},
 		arrival: c.clock.Now() + extra,
 		done:    make(chan float64, 1),
 	}
@@ -128,7 +128,7 @@ func (c *Comm) isendDecided(chunks [][]byte, dst, tag int, d FaultDecision) {
 		extra = d.Delay
 	}
 	arrival := c.clock.Now() + extra + c.world.cfg.MsgTime(c.rank, dst, size)
-	c.world.boxes[dst].enqueueCopy(payload, c.rank, tag, arrival)
+	c.world.boxes[dst].enqueueCopy(payload, c.rank, tag, c.coll, arrival)
 }
 
 // Recv blocks until a message from src with tag arrives, copies its payload
@@ -228,7 +228,7 @@ func (c *Comm) sendRecv(send [][]byte, dst, sendTag int, recvBuf []byte, src, re
 			extra = d.Delay
 		}
 		m = &message{
-			src: c.rank, tag: sendTag, chunks: payload,
+			src: c.rank, tag: sendTag, coll: c.coll, chunks: payload,
 			arrival: c.clock.Now() + extra,
 			done:    make(chan float64, 1),
 		}

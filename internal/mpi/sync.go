@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"sync"
 )
 
@@ -56,6 +57,7 @@ func (h *syncHub) wakeAll(w *World) {
 // reuse a key for successive rounds; rounds are kept separate.
 func (c *Comm) WorldSync(key string, input any, compute func(inputs []any) []any) (any, error) {
 	c.faultPoint(OpSync, -1, 0)
+	defer c.leave(c.enter(collSync, maphash.String(c.world.seed, key)))
 	bop := c.setBlocked(OpSync, -1, 0, key)
 	defer c.clearBlocked()
 	out, err := c.worldSync(key, input, compute)

@@ -440,7 +440,9 @@ func (f *File) readCycles(plan *readPlan, buf []byte, spans [][]span, listed boo
 				recvSizes[ar] += int(sl.overlap(s).length)
 			}
 		}
-		//vet:allow collective — an aggregator whose fillAt read failed has no slice to serve; its early return is best-effort teardown and the world abort releases the peers with ErrAborted (see the fillAt comment above)
+		// An aggregator whose fillAt read failed returned above: it has no
+		// slice to serve, and the world abort releases the peers from this
+		// exchange with ErrAborted.
 		parts, err := f.comm.AlltoallvChunks(send, recvSizes)
 		if err != nil {
 			return 0, err

@@ -398,3 +398,68 @@ func TestChaosFrameCorruption(t *testing.T) {
 	}
 	settleGoroutines(t, "frame-corruption", before)
 }
+
+// TestChaosFrameQuarantineOneFrame: a FrameCorrupt rule that picks a frame
+// past the first (Rule.Frame) corrupts that frame's cell id, so the
+// receiver quarantines exactly that frame and decodes the rest of the
+// partition — on the Exchanger.Add path (WKT) and on the raw ReadExchange
+// path (WKB over LengthPrefixed). Rank 0 receives the clean run's bytes
+// and one geometry fewer; the other ranks receive exactly the clean run's.
+func TestChaosFrameQuarantineOneFrame(t *testing.T) {
+	geoms := genGeoms(150, 73)
+	world := geom.Envelope{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
+	before := runtime.NumGoroutine()
+	paths := []struct {
+		name    string
+		pf      *pfs.File
+		parser  func() core.Parser
+		framing core.Framing
+	}{
+		{"add", wktFixture(t, geoms), func() core.Parser { return core.NewWKTParser() }, nil},
+		{"raw", wkbFixture(t, geoms), func() core.Parser { return core.NewWKBParser() }, core.LengthPrefixed()},
+	}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			run := func(inj *fault.Injector) [3]core.ExchangeStats {
+				t.Helper()
+				var stats [3]core.ExchangeStats
+				err := mpi.Run(cluster.Local(3), func(c *mpi.Comm) error {
+					g, err := grid.New(world, 8, 8)
+					if err != nil {
+						return err
+					}
+					pt := &core.Partitioner{Grid: g, SkipBadFrames: true}
+					if inj != nil {
+						pt.FrameFault = inj.FrameFault(c.Rank())
+					}
+					opt := core.ReadOptions{BlockSize: 1 << 10, Framing: p.framing}
+					_, _, st, err := core.ReadExchange(c, mpiio.Open(c, p.pf, mpiio.Hints{}), p.parser(), opt, pt)
+					stats[c.Rank()] = st
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return stats
+			}
+			clean := run(nil)
+			rule := fault.FrameCorrupt(0, -1, 1)
+			rule.Frame = 2
+			got := run(fault.Plan{Seed: 21, Rules: []fault.Rule{rule}}.New())
+			for r := range got {
+				want, lost := clean[r], 0
+				if r == 0 {
+					lost = 1
+				}
+				if got[r].FramesQuarantined != lost || got[r].GeomsRecv != want.GeomsRecv-lost || got[r].BytesRecv != want.BytesRecv {
+					t.Errorf("rank %d: quarantined %d, received %d geometries in %d bytes; want %d, %d in %d",
+						r, got[r].FramesQuarantined, got[r].GeomsRecv, got[r].BytesRecv, lost, want.GeomsRecv-lost, want.BytesRecv)
+				}
+				if (got[r].BytesQuarantined > 0) != (lost > 0) {
+					t.Errorf("rank %d: %d bytes quarantined", r, got[r].BytesQuarantined)
+				}
+			}
+		})
+	}
+	settleGoroutines(t, "frame-quarantine", before)
+}

@@ -76,7 +76,9 @@ func WriteCells(c *mpi.Comm, f *mpiio.File, g grid.Partition, owned map[int][]ge
 		if err != nil {
 			return 0, fmt.Errorf("spatial: output view: %w", err)
 		}
-		//vet:allow collective — TypeIndexed validates this rank's own cell layout; a rank that cannot build its view has nothing to write and the world abort releases the peers with ErrAborted
+		// TypeIndexed validates this rank's own cell layout: a rank that
+		// cannot build its view has nothing to write and returns above, and
+		// the world abort releases the peers with ErrAborted.
 		if err := f.SetView(0, mpi.Byte, ft); err != nil {
 			return 0, fmt.Errorf("spatial: output view: %w", err)
 		}
@@ -95,7 +97,8 @@ func WriteCells(c *mpi.Comm, f *mpiio.File, g grid.Partition, owned map[int][]ge
 	myLen := int64(len(out))
 	var lenBuf [8]byte
 	binary.LittleEndian.PutUint64(lenBuf[:], uint64(myLen))
-	//vet:allow collective — reachable only past the rank-local TypeIndexed return above, whose world-abort teardown is sanctioned there
+	// Reachable only past the rank-local TypeIndexed return above, whose
+	// world-abort teardown releases the peers.
 	maxBuf, err := c.Allreduce(lenBuf[:], 1, mpi.Int64, opMaxInt64)
 	if err != nil {
 		return 0, fmt.Errorf("spatial: write sizing: %w", err)
@@ -104,7 +107,6 @@ func WriteCells(c *mpi.Comm, f *mpiio.File, g grid.Partition, owned map[int][]ge
 	for lo := int64(0); lo == 0 || lo < maxLen; lo += chunk {
 		clo := min(lo, myLen)
 		chi := min(lo+chunk, myLen)
-		//vet:allow collective — reachable only past the rank-local TypeIndexed return above, whose world-abort teardown is sanctioned there
 		if _, err := f.WriteViewAll(out[clo:chi], clo); err != nil {
 			return 0, fmt.Errorf("spatial: collective write: %w", err)
 		}

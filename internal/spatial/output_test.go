@@ -1,10 +1,13 @@
 package spatial
 
 import (
+	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -151,6 +154,50 @@ func TestWriteCellsAfterBuildIndex(t *testing.T) {
 	for _, p := range pts {
 		if seen[wkt.Format(p)] != 1 {
 			t.Fatalf("point %s appears %d times", wkt.Format(p), seen[wkt.Format(p)])
+		}
+	}
+}
+
+// TestWriteCellsRankLocalError: a rank whose own cells fail validation
+// returns its error before the layout Allreduce, so its peers never meet
+// it there. The world abort releases them: every rank errors — the
+// offender with its own error, the peers with ErrAborted — and no rank
+// goroutine outlives the run.
+func TestWriteCellsRankLocalError(t *testing.T) {
+	g, err := grid.New(geom.Envelope{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := pfs.New(pfs.CometLustre())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := fs.Create("bad.wkt", 4, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	const ranks = 3
+	errs := make([]error, ranks)
+	worldErr := mpi.Run(cluster.Local(ranks), func(c *mpi.Comm) error {
+		owned := map[int][]geom.Geometry{c.Rank(): {geom.Point{X: 1, Y: 1}}}
+		if c.Rank() == 1 {
+			owned[g.NumCells()] = []geom.Geometry{geom.Point{X: 2, Y: 2}} // outside the grid
+		}
+		_, errs[c.Rank()] = WriteCells(c, mpiio.Open(c, pf, mpiio.Hints{}), g, owned)
+		return errs[c.Rank()]
+	})
+	if worldErr == nil || !strings.Contains(errs[1].Error(), "outside grid") {
+		t.Fatalf("world err %v, rank 1 err %v; want rank 1's cell-range error", worldErr, errs[1])
+	}
+	for _, r := range []int{0, 2} {
+		if !errors.Is(errs[r], mpi.ErrAborted) {
+			t.Errorf("rank %d: err = %v, want ErrAborted", r, errs[r])
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("leaked goroutines: %d before the run, %d after", before, runtime.NumGoroutine())
 		}
 	}
 }

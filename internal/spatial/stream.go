@@ -37,9 +37,8 @@ type IndexStream struct {
 // IndexOptions.Envelope is required (when neither is known, read first and
 // use the materialized BuildIndex, which derives the envelope with the
 // MPI_UNION Allreduce). All ranks must call it collectively with identical
-// options.
-//
-//vet:uniform — validates only the shared IndexOptions; identical options fail every rank identically
+// options. It validates only the shared IndexOptions, so identical options
+// fail every rank identically.
 func BuildIndexStream(c *mpi.Comm, opt IndexOptions) (*IndexStream, error) {
 	return newIndexStream(c, opt.asJoin(), nil)
 }

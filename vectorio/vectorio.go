@@ -361,25 +361,30 @@
 // # Invariants are machine-checked
 //
 // The determinism and safety rules this documentation leans on are not
-// conventions, they are enforced by an interprocedural static-analysis
-// suite (internal/analysis, driven by cmd/vectorio-vet and run in CI)
-// that builds a call graph over the whole module and checks: no
-// wall-clock reads inside the library, so virtual time stays the only
-// clock; no order-dependent work inside map iteration on the exchange
-// and frame paths, so replays stay bit-identical; no collective
-// operation a subset of ranks can skip (the hang class: a rank-guarded
-// early return before a Barrier strands every other rank); and %w
+// conventions, they are enforced by a static-analysis suite
+// (internal/analysis, driven by cmd/vectorio-vet and run in CI) that
+// checks: no wall-clock reads inside the library, so virtual time stays
+// the only clock; no order-dependent work inside map iteration on the
+// exchange and frame paths, so replays stay bit-identical; and %w
 // wrapping with errors.Is/As matching throughout the error-agreement
 // paths, so the sentinel contracts above survive wrapping. Each
 // invariant, the failure it prevents, and the //vet:allow escape hatch
-// are catalogued in internal/analysis/README.md. Three rules are held by
-// tests instead: the core pipeline starts no goroutine, so only the rank
-// goroutine drives its communicator; no recycled read buffer outlives
-// its reuse, which the equivalence tests catch as wrong cells; and every
-// modelled cost reaches the virtual clock. Each charge names its layer
-// (Comm.Charge with a simtime.Kind: IO, Parse, Decode, Query, ...), every
-// clock keeps a per-kind ledger, and golden tests pin each rank's ledger
-// bit for bit, so a dropped or moved charge fails naming its layer.
+// are catalogued in internal/analysis/README.md. The runtime checks one
+// more on every run: every rank calls the same collectives in the same
+// order with the same roots and agreed sizes. Collective messages carry
+// their kind and sequence number, so a rank that skips or reorders a
+// collective fails with a CollectiveMismatchError — at the receive that
+// meets the wrong message, at the deadlock it forms (still an
+// ErrDeadlock), or, when every rank returned nil, at the end of Run —
+// instead of pairing its next call with its peers' earlier one. Three
+// rules are held by tests: the core pipeline starts no goroutine, so
+// only the rank goroutine drives its communicator; no recycled read
+// buffer outlives its reuse, which the equivalence tests catch as wrong
+// cells; and every modelled cost reaches the virtual clock. Each charge
+// names its layer (Comm.Charge with a simtime.Kind: IO, Parse, Decode,
+// Query, ...), every clock keeps a per-kind ledger, and golden tests pin
+// each rank's ledger bit for bit, so a dropped or moved charge fails
+// naming its layer.
 //
 // See the examples/ directory for complete programs: quickstart (parallel
 // read), wkbingest (the binary fast path vs text), streamingest (the
@@ -458,6 +463,9 @@ type (
 	// CrashError reports a rank that died mid-run; it wraps ErrAborted and
 	// carries the same per-rank blocked-operation dump.
 	CrashError = mpi.CrashError
+	// CollectiveMismatchError reports two ranks that disagree on the
+	// collective sequence; found at a deadlock, it wraps the DeadlockError.
+	CollectiveMismatchError = mpi.CollectiveMismatchError
 )
 
 // Failure sentinels, usable with errors.Is across the whole pipeline.
