@@ -272,7 +272,7 @@ func AblationWindow(cfg Config) (*Table, error) {
 			if err != nil {
 				return err
 			}
-			cm, err := maxNow(c, stats.CommTime)
+			cm, err := maxNow(c, stats.CommTime())
 			if err != nil {
 				return err
 			}
@@ -336,7 +336,7 @@ func AblationCellIndex(cfg Config) (*Table, error) {
 			if err != nil {
 				return err
 			}
-			pj, err := maxNow(c, stats.ProjectTime)
+			pj, err := maxNow(c, stats.ProjectTime())
 			if err != nil {
 				return err
 			}

@@ -46,7 +46,7 @@ func Table3(cfg Config) (*Table, error) {
 			if err != nil {
 				return err
 			}
-			secsSeq = stats.IOTime + stats.ParseTime
+			secsSeq = stats.Ledger.Sum()
 			records = int64(stats.Records)
 			return nil
 		})

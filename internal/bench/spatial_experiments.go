@@ -376,20 +376,12 @@ func Fig20(cfg Config) (*Table, error) {
 		var once sync.Once
 		err := mpi.Run(cc, func(c *mpi.Comm) error {
 			mf := mpiio.Open(c, f, mpiio.Hints{})
-			t0 := c.Now()
-			local, _, err := core.ReadPartition(c, mf, core.NewWKTParser(), core.ReadOptions{
+			_, _, my, err := spatial.BuildIndexFiles(c, mf, core.NewWKTParser(), core.ReadOptions{
 				Level: core.Level0, BlockSize: realBytes(256e6, scale),
-			})
+			}, spatial.IndexOptions{GridCells: cells})
 			if err != nil {
 				return err
 			}
-			readT := c.Now() - t0
-			_, _, my, err := spatial.BuildIndex(c, local, spatial.IndexOptions{GridCells: cells})
-			if err != nil {
-				return err
-			}
-			my.Read = readT
-			my.Total += readT
 			agg, err := my.Aggregate(c)
 			if err != nil {
 				return err

@@ -41,6 +41,12 @@ type goldenExchange struct {
 //   - The raw path over the adaptive partition SamplePartition builds from
 //     the same file, which adds the sample's Parse charge.
 //
+// On every row but the sample's, the read (raw rows) and FinishStream are
+// the only calls that charge — Stream, Add and the raw path's staging never
+// do — so ReadStats' ledger delta plus ExchangeStats' must be the pinned
+// ledger, kind by kind: the per-call views lose no charge and count none
+// twice.
+//
 // The parity tests compare one path with another; this one fails when a
 // charge both paths share — the deserialization charges in decodePart and
 // deliverKept, FinishStream's serialization and projection charges — is
@@ -175,7 +181,7 @@ func TestExchangeClockGolden(t *testing.T) {
 			cc.RanksPerNode = 1
 			cc.ByteScale = 4
 			var got [3]goldenExchange
-			var ledger [3]simtime.Ledger
+			var ledger, views [3]simtime.Ledger
 			err := mpi.Run(cc, func(c *mpi.Comm) error {
 				var g grid.Partition
 				var err error
@@ -192,9 +198,10 @@ func TestExchangeClockGolden(t *testing.T) {
 				if inj != nil {
 					pt.FrameFault = inj.FrameFault(c.Rank())
 				}
+				var rstats ReadStats
 				var stats ExchangeStats
 				if tc.raw {
-					_, _, stats, err = ReadExchange(c, mpiio.Open(c, pf, mpiio.Hints{}), NewWKBParser(), opt, pt)
+					_, rstats, stats, err = ReadExchange(c, mpiio.Open(c, pf, mpiio.Hints{}), NewWKBParser(), opt, pt)
 				} else {
 					var local []geom.Geometry
 					for i := c.Rank(); i < len(geoms); i += c.Size() {
@@ -221,6 +228,9 @@ func TestExchangeClockGolden(t *testing.T) {
 				}
 				got[c.Rank()] = goldenExchange{math.Float64bits(c.Now()), stats.BytesSent, stats.BytesRecv, stats.GeomsRecv}
 				ledger[c.Rank()] = c.Ledger()
+				for k := range views[c.Rank()] {
+					views[c.Rank()][k] = rstats.Ledger[k] + stats.Ledger[k]
+				}
 				return nil
 			})
 			if err != nil {
@@ -231,6 +241,11 @@ func TestExchangeClockGolden(t *testing.T) {
 					t.Errorf("rank %d = %#v\n\twant %#v", r, got[r], tc.want[r])
 				}
 				checkLedger(t, r, math.Float64frombits(got[r].now), ledger[r], tc.ledger[r])
+				if !tc.sample {
+					if d := views[r].Diff(tc.ledger[r]); d != "" {
+						t.Errorf("rank %d read + exchange views: %s", r, d)
+					}
+				}
 			}
 		})
 	}

@@ -194,15 +194,11 @@ type Partitioner struct {
 	FrameFault func(phase, src int, part []byte)
 }
 
-// ExchangeStats reports one rank's partitioning work. Times are virtual
-// seconds.
+// ExchangeStats reports one rank's partitioning work.
 type ExchangeStats struct {
-	// ProjectTime covers projecting local geometries onto grid cells (the
-	// "partition" phase of Figures 17-20).
-	ProjectTime float64
-	// CommTime covers serialization, the two exchange rounds, and
-	// deserialization (the "communication" phase).
-	CommTime float64
+	// Ledger is the virtual seconds FinishStream booked per kind, its
+	// sink's charges included: the rank's ledger delta over the call.
+	Ledger simtime.Ledger
 	// Phases is the number of sliding-window rounds executed.
 	Phases int
 	// Replicas counts (geometry, cell) pairs staged by this rank,
@@ -229,6 +225,16 @@ type ExchangeStats struct {
 	FramesQuarantined int
 	// BytesQuarantined counts the received bytes those frames surrendered.
 	BytesQuarantined int64
+}
+
+// ProjectTime is the Project kind: projecting local geometries onto grid
+// cells (the "partition" phase of Figures 17-20).
+func (s ExchangeStats) ProjectTime() float64 { return s.Ledger[simtime.Project] }
+
+// CommTime is Encode + Decode + Transport + Wait: serialization, the two
+// exchange rounds, and deserialization (the "communication" phase).
+func (s ExchangeStats) CommTime() float64 {
+	return s.Ledger[simtime.Encode] + s.Ledger[simtime.Decode] + s.Ledger[simtime.Transport] + s.Ledger[simtime.Wait]
 }
 
 // Exchange projects local geometries to grid cells and performs the global
@@ -540,21 +546,20 @@ func (ex *Exchanger) Finish() (map[int][]geom.Geometry, ExchangeStats, error) {
 // phase's payload round — remote stages sent as their chunk lists, with no
 // gather, and the own stage's geometries, decoded since Add, joining at
 // this rank's source position — the sink receives that phase's completed
-// cells —
-// cell id -> geometries (from every rank), in the same deterministic order
-// Finish returns. A cell's contents never grow after its phase (a
-// placement's phase is cell/window), so the sink may consume and drop each
-// delivery immediately; the map is freshly built per phase and is the
-// sink's to keep. The sink runs on the rank goroutine between phases, off
-// the CommTime measurement; any collective it issues must be collective
-// across ranks. A sink error stops further deliveries but not the
-// exchange: every remaining phase still runs its two rounds on all ranks
-// (so no rank is stranded mid-collective), and the first sink error is
-// returned after the last phase — compositions whose sinks can fail on a
-// subset of ranks must settle agreement themselves, as the spatial
-// workloads' infallible sinks never need to. All ranks must call it
-// collectively, once.
-func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error) (ExchangeStats, error) {
+// cells — cell id -> geometries (from every rank), in the same
+// deterministic order Finish returns. A cell's contents never grow after
+// its phase (a placement's phase is cell/window), so the sink may consume
+// and drop each delivery immediately; the map is freshly built per phase
+// and is the sink's to keep. The sink runs on the rank goroutine between
+// phases, its charges in the stats' Ledger (a tree build's Index is not
+// CommTime); any collective it issues must be collective across ranks. A
+// sink error stops further deliveries but not the exchange: every remaining
+// phase still runs its two rounds on all ranks (so no rank is stranded
+// mid-collective), and the first sink error is returned after the last
+// phase — compositions whose sinks can fail on a subset of ranks must
+// settle agreement themselves, as the spatial workloads' infallible sinks
+// never need to. All ranks must call it collectively, once.
+func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error) (stats ExchangeStats, err error) {
 	if ex.done {
 		return ex.stats, fmt.Errorf("core: Exchanger.Finish called twice")
 	}
@@ -564,12 +569,13 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 	ex.done = true
 	c := ex.c
 	rank := ex.rank
+	before := c.Ledger()
+	defer func() { stats.Ledger = c.Ledger().Sub(before) }()
 
 	// The deferred projection charge lands here — before the first phase's
 	// collectives — whether the Adds ran mid-read or just above, so every
 	// batching of the same input replays one clock trajectory.
 	c.Charge(simtime.Project, ex.projCost)
-	ex.stats.ProjectTime += ex.projCost
 	ex.projCost = 0
 	sinkErr := ex.addErr
 
@@ -591,7 +597,6 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 		// did the work off-clock. The own stage's size counts its kept
 		// frames, so the charge and BytesSent are what staging them would
 		// have cost.
-		t1 := c.Now()
 		var sentBytes int64
 		var own frameStage
 		for dst := range send {
@@ -676,11 +681,9 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 				return ex.stats, fmt.Errorf("core: rank %d exchange phase %d from rank %d: %w", rank, ph, src, err)
 			}
 		}
-		ex.stats.CommTime += c.Now() - t1
 
-		// Hand the completed phase over, outside the CommTime window — the
-		// sink's work (tree builds, writes) is the consumer's phase, not the
-		// exchange's.
+		// Hand the completed phase over: the sink's work (tree builds,
+		// writes) is the consumer's phase, not the exchange's.
 		if sinkErr == nil {
 			if err := sink(phaseCells); err != nil {
 				sinkErr = err

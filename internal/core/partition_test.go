@@ -185,10 +185,10 @@ func TestExchangeStatsAccounting(t *testing.T) {
 		replicas += stats.Replicas
 		received += stats.GeomsRecv
 		mu.Unlock()
-		if stats.ProjectTime <= 0 {
+		if stats.ProjectTime() <= 0 {
 			return fmt.Errorf("no projection time charged")
 		}
-		if stats.CommTime <= 0 {
+		if stats.CommTime() <= 0 {
 			return fmt.Errorf("no communication time charged")
 		}
 		return nil

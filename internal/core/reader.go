@@ -86,16 +86,19 @@ func (o ReadOptions) framing() Framing {
 	return o.Framing
 }
 
-// ReadStats reports what one rank did during ReadPartition. Times are
-// virtual seconds.
+// ReadStats reports what one rank did during one read: ReadPartition,
+// ReadStream, or the read half of ReadExchange.
 type ReadStats struct {
 	Records    int
 	Errors     int
 	BytesRead  int64 // real bytes read from the filesystem, redundancy included
 	Iterations int
-	IOTime     float64
-	CommTime   float64
-	ParseTime  float64
+	// Ledger is the rank's ledger delta over the call; its Sum is the
+	// read's elapsed virtual time. IO and Aggregate read blocks, Transport
+	// and Wait repair boundaries and agree on errors, Parse parses, and a
+	// ReadStream sink adds its own. A Level1 non-aggregator books its whole
+	// collective read as Wait, so I/O and comm do not split by kind.
+	Ledger simtime.Ledger
 }
 
 // ReadPartition reads and partitions a vector file across all ranks of c:
@@ -163,8 +166,10 @@ type output struct {
 }
 
 // readCore is the single read/boundary-repair engine behind ReadPartition,
-// ReadStream and ReadExchange's raw path (see output).
+// ReadStream and ReadExchange's raw path (see output). The stats' Ledger is
+// the ledger delta over the whole call, error agreement included.
 func readCore(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, out output) ([]geom.Geometry, ReadStats, error) {
+	before := c.Ledger()
 	fr := opt.framing()
 	n := int64(c.Size())
 	fileSize := f.Size()
@@ -178,14 +183,16 @@ func readCore(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, out output)
 	if opt.MaxGeomSize <= 0 {
 		opt.MaxGeomSize = blockSize
 	}
-	l := newBlockLoop(c, f, p, opt, fr, blockSize, out)
+	repair := readMessage
 	switch {
 	case !fr.selfSync():
-		return readMessageChain(l)
+		repair = readMessageChain
 	case opt.Strategy == Overlap:
-		return readOverlap(l)
+		repair = readOverlap
 	}
-	return readMessage(l)
+	geoms, stats, err := repair(newBlockLoop(c, f, p, opt, fr, blockSize, out))
+	stats.Ledger = c.Ledger().Sub(before)
+	return geoms, stats, err
 }
 
 // readArena holds one rank's reusable buffers for ReadPartition. Every
@@ -324,15 +331,13 @@ func (l *blockLoop) at(i int) {
 	l.isTerminal = i == l.iterations-1 && rank == active-1
 }
 
-// read is the timed per-iteration block read: IOTime and BytesRead are
-// accounted, and a failure is wrapped as "<what> <i> read" at off.
+// read is the per-iteration block read: BytesRead is accounted, and a
+// failure is wrapped as "<what> <i> read" at off.
 func (l *blockLoop) read(i int, what string, off, length int64) ([]byte, error) {
-	t0 := l.c.Now()
 	block, err := l.ar.readBlock(l.c, l.f, l.level, off, length)
 	if err != nil {
 		return nil, ioErr(l.c.Rank(), l.file, off, fmt.Sprintf("%s %d read", what, i), err)
 	}
-	l.pc.stats.IOTime += l.c.Now() - t0
 	l.pc.stats.BytesRead += int64(len(block))
 	return block, nil
 }
@@ -407,7 +412,6 @@ func readMessage(l *blockLoop) ([]geom.Geometry, ReadStats, error) {
 			}
 			ar.swapCarry()
 		} else {
-			t1 := c.Now()
 			ar.resetFrags()
 			sentOwn := false
 			sendOwn := func() error {
@@ -451,7 +455,6 @@ func readMessage(l *blockLoop) ([]geom.Geometry, ReadStats, error) {
 					break
 				}
 			}
-			pc.stats.CommTime += c.Now() - t1
 			if rank == 0 {
 				if !carryChain {
 					prefix = ar.liveCarry()
@@ -532,13 +535,11 @@ func readMessageChain(l *blockLoop) ([]geom.Geometry, ReadStats, error) {
 		if rank == 0 {
 			prefix = ar.liveCarry()
 		} else {
-			t1 := c.Now()
 			payload, _, err := ar.recvFragment(c, prev)
 			if err != nil {
 				return nil, pc.stats, ioErr(rank, file, start, fmt.Sprintf("iteration %d chain recv", i), err)
 			}
 			prefix = payload
-			pc.stats.CommTime += c.Now() - t1
 		}
 
 		// Classify prefix+block: assemble the record straddling into this
@@ -580,7 +581,6 @@ func readMessageChain(l *blockLoop) ([]geom.Geometry, ReadStats, error) {
 		// classification — and with it the whole downstream chain — is
 		// unblocked at memory speed.
 		if n > 1 {
-			t1 := c.Now()
 			var serr error
 			if relay {
 				serr = ar.sendFragment(c, next, true, prefix, block)
@@ -590,7 +590,6 @@ func readMessageChain(l *blockLoop) ([]geom.Geometry, ReadStats, error) {
 			if serr != nil {
 				return nil, pc.stats, ioErr(rank, file, start, fmt.Sprintf("iteration %d chain send", i), serr)
 			}
-			pc.stats.CommTime += c.Now() - t1
 		}
 
 		// Parse: the straddler first (it lies earlier in the file), then
@@ -613,12 +612,10 @@ func readMessageChain(l *blockLoop) ([]geom.Geometry, ReadStats, error) {
 			}
 			ar.swapCarry()
 		} else if rank == 0 {
-			t1 := c.Now()
 			payload, _, err := ar.recvFragment(c, prev)
 			if err != nil {
 				return nil, pc.stats, ioErr(rank, file, start, fmt.Sprintf("iteration %d chain carry recv", i), err)
 			}
-			pc.stats.CommTime += c.Now() - t1
 			ar.stashCarry(payload)
 			ar.swapCarry()
 		}
@@ -891,7 +888,6 @@ func (pc *parseCtx) one(rec []byte) {
 	if pc.fr.blank(rec) {
 		return
 	}
-	t0 := pc.c.Now()
 	if pc.raw != nil {
 		t, env, err := scanWKB(rec)
 		if err != nil {
@@ -899,7 +895,6 @@ func (pc *parseCtx) one(rec []byte) {
 			return
 		}
 		pc.c.Charge(simtime.Parse, costmodel.ParseCost(t, len(rec))*pc.scale)
-		pc.stats.ParseTime += pc.c.Now() - t0
 		pc.stats.Records++
 		pc.stage(rec, t, env)
 		return
@@ -913,7 +908,6 @@ func (pc *parseCtx) one(rec []byte) {
 		return
 	}
 	pc.c.Charge(simtime.Parse, costmodel.ParseCost(g.GeomType(), len(rec))*pc.scale)
-	pc.stats.ParseTime += pc.c.Now() - t0
 	pc.stats.Records++
 	pc.geoms = append(pc.geoms, g)
 	pc.maybeFlush()

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/pfs"
+	"repro/internal/simtime"
 	"repro/internal/wkt"
 )
 
@@ -278,35 +280,66 @@ func TestReadPartitionOverlapHaloTooSmall(t *testing.T) {
 	}
 }
 
+// TestReadStatspopulated checks the counters, and that a read's parts add
+// up to its whole: the ledger delta a read reports sums to the call's
+// elapsed virtual time within 1e-12 relative — the boundary repair and the
+// closing error-agreement Allreduce included — for both strategies and
+// both access levels, on every rank, for a first read and for a second one
+// whose ledger does not start at zero.
 func TestReadStatspopulated(t *testing.T) {
 	records := genRecords(200, 8)
 	pf := makeWKTFile(t, records)
-	err := mpi.Run(cluster.Local(4), func(c *mpi.Comm) error {
-		f := mpiio.Open(c, pf, mpiio.Hints{})
-		geoms, stats, err := ReadPartition(c, f, WKTParser{}, ReadOptions{BlockSize: 1 << 10})
-		if err != nil {
-			return err
+	for _, ranks := range []int{1, 2, 4} {
+		for _, strategy := range []Strategy{MessageBased, Overlap} {
+			for _, level := range []AccessLevel{Level0, Level1} {
+				name := fmt.Sprintf("ranks=%d/%v/level=%d", ranks, strategy, level)
+				t.Run(name, func(t *testing.T) {
+					err := mpi.Run(cluster.Local(ranks), func(c *mpi.Comm) error {
+						f := mpiio.Open(c, pf, mpiio.Hints{})
+						for pass := 0; pass < 2; pass++ {
+							start := c.Now()
+							geoms, stats, err := ReadPartition(c, f, WKTParser{}, ReadOptions{BlockSize: 1 << 10, Strategy: strategy, Level: level})
+							if err != nil {
+								return err
+							}
+							if err := checkReadStats(c.Rank(), level, c.Now()-start, len(geoms), stats); err != nil {
+								return fmt.Errorf("pass %d: %w", pass, err)
+							}
+						}
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
 		}
-		if stats.Records != len(geoms) {
-			return fmt.Errorf("stats.Records=%d len=%d", stats.Records, len(geoms))
-		}
-		if stats.Iterations < 1 {
-			return fmt.Errorf("iterations = %d", stats.Iterations)
-		}
-		if stats.BytesRead <= 0 && c.Rank() == 0 {
-			return fmt.Errorf("rank 0 read no bytes")
-		}
-		if stats.IOTime <= 0 && stats.BytesRead > 0 {
-			return fmt.Errorf("I/O happened but no time charged")
-		}
-		if stats.ParseTime <= 0 && stats.Records > 0 {
-			return fmt.Errorf("records parsed but no parse time charged")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
+}
+
+// checkReadStats is TestReadStatspopulated's per-rank check of one read
+// that took elapsed virtual seconds and returned n geometries.
+func checkReadStats(rank int, level AccessLevel, elapsed float64, n int, stats ReadStats) error {
+	l := stats.Ledger
+	switch {
+	case stats.Records != n:
+		return fmt.Errorf("stats.Records=%d len=%d", stats.Records, n)
+	case stats.Iterations < 1:
+		return fmt.Errorf("iterations = %d", stats.Iterations)
+	case stats.BytesRead <= 0 && rank == 0:
+		return fmt.Errorf("rank 0 read no bytes")
+	case level == Level0 && stats.BytesRead > 0 && l[simtime.IO] <= 0:
+		return fmt.Errorf("independent I/O happened but no IO charged: %#v", l)
+	case level == Level1 && l[simtime.IO]+l[simtime.Wait] <= 0:
+		return fmt.Errorf("collective read charged neither IO nor Wait: %#v", l)
+	case stats.Records > 0 && l[simtime.Parse] <= 0:
+		return fmt.Errorf("records parsed but no Parse charged: %#v", l)
+	case l[simtime.Project]+l[simtime.Encode]+l[simtime.Decode]+l[simtime.Index]+l[simtime.Query] != 0:
+		return fmt.Errorf("a read booked exchange, index or query time: %#v", l)
+	case math.Abs(l.Sum()-elapsed) > 1e-12*elapsed:
+		return fmt.Errorf("rank %d: read ledger sums to %v, the call took %v (%#v)", rank, l.Sum(), elapsed, l)
+	}
+	return nil
 }
 
 func TestOverlapReadsMoreBytesThanMessage(t *testing.T) {

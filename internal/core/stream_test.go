@@ -256,8 +256,8 @@ func TestStreamedExchangeMatrix(t *testing.T) {
 						g.BytesSent != w.BytesSent || g.Phases != w.Phases {
 						t.Errorf("%s: rank %d counters drifted:\n got %+v\nwant %+v", label, r, g, w)
 					}
-					if diff := math.Abs(g.ProjectTime - w.ProjectTime); diff > 1e-9*(1+w.ProjectTime) {
-						t.Errorf("%s: rank %d ProjectTime %g, materialized %g", label, r, g.ProjectTime, w.ProjectTime)
+					if diff := math.Abs(g.ProjectTime() - w.ProjectTime()); diff > 1e-9*(1+w.ProjectTime()) {
+						t.Errorf("%s: rank %d ProjectTime %g, materialized %g", label, r, g.ProjectTime(), w.ProjectTime())
 					}
 				}
 				for _, chunk := range []int{1, 7, wholeSlice} {

@@ -78,6 +78,15 @@ func (l Ledger) Sum() float64 {
 	return s
 }
 
+// Sub returns the seconds booked to each kind since before, an earlier
+// reading of the same clock's ledger: the ledger delta of a call.
+func (l Ledger) Sub(before Ledger) Ledger {
+	for k := range l {
+		l[k] -= before[k]
+	}
+	return l
+}
+
 // Diff names every kind whose total differs from want's, bit for bit, with
 // both values; it returns "" when the ledgers are identical.
 func (l Ledger) Diff(want Ledger) string {

@@ -128,3 +128,17 @@ func TestLedgerDiffNamesTheKind(t *testing.T) {
 		}
 	}
 }
+
+func TestLedgerSub(t *testing.T) {
+	var c Clock
+	c.Advance(IO, 2)
+	before := c.Ledger()
+	c.Advance(IO, 0.5)
+	c.Advance(Query, 1)
+	if got, want := c.Ledger().Sub(before), (Ledger{IO: 0.5, Query: 1}); got != want {
+		t.Errorf("Sub = %#v, want %#v", got, want)
+	}
+	if got := c.Ledger().Sub(Ledger{}); got != c.Ledger() {
+		t.Errorf("Sub of the zero ledger = %#v, want the ledger itself", got)
+	}
+}

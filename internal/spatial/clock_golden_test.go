@@ -29,6 +29,12 @@ type goldenSpatial struct {
 // reproduces RangeQuery's charges. A dropped or moved Index or Query
 // charge (cellIndexer's inserts, the cursor's filter and refine, Serve's
 // replay) fails naming its kind.
+//
+// Each case runs in a fresh world, so the pinned ledger is the workload's
+// own, and each rank's Breakdown must be its named kind sums: Partition
+// the Project kind, Comm Encode + Decode + Transport + Wait, Index the
+// Index kind, Refine the Query kind, all within 1e-12 relative; Read is
+// zero (the input is a slice) and Total is the clock, bit for bit.
 func TestSpatialClockGolden(t *testing.T) {
 	world := geom.Envelope{MinX: 0, MinY: 0, MaxX: 110, MaxY: 110}
 	rSet, sSet := boxes(240, 61, 6), boxes(200, 62, 8)
@@ -107,37 +113,29 @@ func TestSpatialClockGolden(t *testing.T) {
 			cc.ByteScale = 4
 			var got [3]goldenSpatial
 			var ledger [3]simtime.Ledger
+			var bds [3]Breakdown
 			err := mpi.Run(cc, func(c *mpi.Comm) error {
 				local := scatter(rSet, c.Rank(), c.Size())
-				var count int64
+				var bd Breakdown
+				var err error
+				count := &bd.Pairs
 				switch tc.name {
 				case "BuildIndex":
-					_, _, bd, err := BuildIndex(c, local, iopt)
-					if err != nil {
-						return err
-					}
-					count = bd.Indexed
+					_, _, bd, err = BuildIndex(c, local, iopt)
+					count = &bd.Indexed
 				case "Join":
-					bd, err := Join(c, local, scatter(sSet, c.Rank(), c.Size()), opt)
-					if err != nil {
-						return err
-					}
-					count = bd.Pairs
+					bd, err = Join(c, local, scatter(sSet, c.Rank(), c.Size()), opt)
 				case "RangeQuery":
-					bd, err := RangeQuery(c, local, queries, opt)
-					if err != nil {
-						return err
-					}
-					count = bd.Pairs
+					bd, err = RangeQuery(c, local, queries, opt)
 				case "Serve":
-					bd, err := ServeQuery(c, local, svc, opt)
-					if err != nil {
-						return err
-					}
-					count = bd.Pairs
+					bd, err = ServeQuery(c, local, svc, opt)
 				}
-				got[c.Rank()] = goldenSpatial{math.Float64bits(c.Now()), count}
+				if err != nil {
+					return err
+				}
+				got[c.Rank()] = goldenSpatial{math.Float64bits(c.Now()), *count}
 				ledger[c.Rank()] = c.Ledger()
+				bds[c.Rank()] = bd
 				return nil
 			})
 			if svc != nil {
@@ -158,7 +156,31 @@ func TestSpatialClockGolden(t *testing.T) {
 				if sum := ledger[r].Sum(); math.Abs(sum-now) > 1e-12*now {
 					t.Errorf("rank %d ledger sums to %v, clock reads %v", r, sum, now)
 				}
+				checkViews(t, r, now, bds[r], tc.ledger[r])
 			}
 		})
+	}
+}
+
+// checkViews fails when rank r's breakdown is not the named kind sums of
+// its workload's pinned ledger l (see TestSpatialClockGolden).
+func checkViews(t *testing.T, r int, now float64, bd Breakdown, l simtime.Ledger) {
+	t.Helper()
+	views := []struct {
+		name      string
+		got, want float64
+	}{
+		{"Partition", bd.Partition, l[simtime.Project]},
+		{"Comm", bd.Comm, l[simtime.Encode] + l[simtime.Decode] + l[simtime.Transport] + l[simtime.Wait]},
+		{"Index", bd.Index, l[simtime.Index]},
+		{"Refine", bd.Refine, l[simtime.Query]},
+	}
+	for _, v := range views {
+		if math.Abs(v.got-v.want) > 1e-12*v.want {
+			t.Errorf("rank %d Breakdown.%s = %v, its kinds sum to %v", r, v.name, v.got, v.want)
+		}
+	}
+	if bd.Read != 0 || bd.Total != now {
+		t.Errorf("rank %d Breakdown Read %v, Total %v; want 0 and the clock %v", r, bd.Read, bd.Total, now)
 	}
 }

@@ -35,19 +35,19 @@ import (
 // world and must never touch a Comm; the rank goroutines touch svc only
 // through Register and the post-Close drain. All ranks must call Serve
 // collectively, and some client must eventually call svc.Close() or every
-// rank parks forever. Returns this rank's served-work breakdown (Refine,
-// Pairs).
+// rank parks forever. Returns this rank's served-work breakdown: Pairs,
+// Refine (the replay's Query kind) and Total (its elapsed virtual time).
 func Serve(c *mpi.Comm, svc *serve.Service, g grid.Partition, trees map[int]*rtree.Tree[geom.Geometry], opt JoinOptions) Breakdown {
+	sp := begin(c)
 	svc.Register(c.Rank(), querySession(c, g, trees, opt))
 	svc.WaitClosed()
 
 	var bd Breakdown
-	t0 := c.Now()
 	for _, d := range svc.DrainCharges(c.Rank()) {
 		c.Charge(simtime.Query, d)
 	}
-	bd.Refine = c.Now() - t0
 	bd.Pairs = svc.Stats(c.Rank()).Pairs
+	sp.end(&bd)
 	return bd
 }
 
@@ -61,11 +61,9 @@ func Serve(c *mpi.Comm, svc *serve.Service, g grid.Partition, trees map[int]*rtr
 // world from queries it has not seen yet. All ranks must call it
 // collectively.
 func ServeQuery(c *mpi.Comm, localData []geom.Geometry, svc *serve.Service, opt JoinOptions) (Breakdown, error) {
-	_, _, bd, err := runIndex(c, opt, nil, source{local: localData},
+	_, _, bd, err := runIndex(c, opt, nil, &source{local: localData},
 		func(g grid.Partition, trees map[int]*rtree.Tree[geom.Geometry], bd *Breakdown) {
-			sbd := Serve(c, svc, g, trees, opt)
-			bd.Refine = sbd.Refine
-			bd.Pairs = sbd.Pairs
+			bd.Pairs = Serve(c, svc, g, trees, opt).Pairs
 		})
 	return bd, err
 }

@@ -27,14 +27,15 @@ import (
 // Breakdown is the per-phase timing the paper plots in Figures 17-20. On a
 // single rank it holds that rank's times; Aggregate turns it into the
 // paper's reported quantity — the maximum across ranks per phase (so the
-// total is typically less than the sum, exactly as the paper notes).
+// total is typically less than the sum, exactly as the paper notes). Every
+// phase time but Total is a named sum of simtime kinds over ledger deltas.
 type Breakdown struct {
-	Read      float64 // parallel I/O + parsing
-	Partition float64 // projecting geometries onto grid cells
-	Comm      float64 // serialization + all-to-all exchange
-	Index     float64 // per-cell R-tree construction
-	Refine    float64 // filter queries + exact intersection tests
-	Total     float64 // elapsed virtual time (max across ranks)
+	Read      float64 // parallel I/O + boundary repair + parsing: the reads' ReadStats.Ledger Sums
+	Partition float64 // projecting geometries onto grid cells: the Project kind
+	Comm      float64 // serialization + all-to-all exchange: the exchanges' ExchangeStats.CommTime
+	Index     float64 // per-cell R-tree construction: the Index kind
+	Refine    float64 // filter queries + exact intersection tests: the Query kind
+	Total     float64 // elapsed virtual time (max across ranks), a clock difference
 
 	// GeomImbalance and ByteImbalance are the exchange load-balance
 	// factors (max-rank load over mean-rank load, 1.0 = perfectly even)
@@ -47,6 +48,22 @@ type Breakdown struct {
 	Pairs       int64 // join result pairs (summed across ranks)
 	Indexed     int64 // geometries inserted into cell indexes (summed)
 	Quarantined int64 // exchange frames dropped under SkipBadFrames (summed)
+}
+
+// span is one workload's readings of the clock and ledger; end fills the
+// phase times that are kinds of the workload's own ledger delta, and Total.
+type span struct {
+	c      *mpi.Comm
+	start  float64
+	before simtime.Ledger
+}
+
+func begin(c *mpi.Comm) span { return span{c: c, start: c.Now(), before: c.Ledger()} }
+
+func (s span) end(bd *Breakdown) {
+	spent := s.c.Ledger().Sub(s.before)
+	bd.Partition, bd.Index, bd.Refine = spent[simtime.Project], spent[simtime.Index], spent[simtime.Query]
+	bd.Total = s.c.Now() - s.start
 }
 
 // Aggregate reduces a per-rank breakdown to the paper's reporting
@@ -180,13 +197,28 @@ func squareDims(n int) (cols, rows int) {
 	return cols, rows
 }
 
-// source is what feeds a workload's exchange: the materialized local
-// slice, or — file non-nil — a file streamed through the reader.
+// source is what feeds a workload's exchange: a local slice, or — file
+// non-nil — a file streamed through the reader.
 type source struct {
 	local   []geom.Geometry
 	file    *mpiio.File
 	parser  core.Parser
 	readOpt core.ReadOptions
+}
+
+// materialize is a two-pass workload's first pass: unless opt fixes the
+// partition, a file is read whole into local for the MPI_UNION reduction.
+// It returns the read's ledger Sum (zero when nothing was read).
+func (s *source) materialize(c *mpi.Comm, opt JoinOptions) (float64, error) {
+	if s.file == nil || opt.Envelope != nil || opt.Partition != nil {
+		return 0, nil
+	}
+	local, stats, err := core.ReadPartition(c, s.file, s.parser, s.readOpt)
+	if err != nil {
+		return 0, fmt.Errorf("spatial: read: %w", err)
+	}
+	s.local, s.file = local, nil
+	return stats.Ledger.Sum(), nil
 }
 
 // Join performs the distributed spatial join of the paper's §5.2 on
@@ -196,30 +228,35 @@ type source struct {
 // duplicate avoidance. Returns this rank's un-aggregated breakdown. All
 // ranks must call it collectively.
 func Join(c *mpi.Comm, localR, localS []geom.Geometry, opt JoinOptions) (Breakdown, error) {
-	return join(c, opt, func() geom.Envelope {
-		return core.LocalEnvelope(localR).Union(core.LocalEnvelope(localS))
-	}, source{local: localR}, source{local: localS})
+	return join(c, opt, &source{local: localR}, &source{local: localS})
 }
 
 // join is the one body of the distributed join, parameterised only by how
-// each side is fed: resolve the partition, exchange R then S (a slice
-// through Partitioner.Exchange, a file through core.ReadExchange), filter
-// and refine. Read covers a streamed side's I/O, boundary-repair
-// communication and parsing work from the fused pass (the phases overlap,
-// so they are attributed by work done, not by wall intervals); a slice
-// contributes zero.
-func join(c *mpi.Comm, opt JoinOptions, local func() geom.Envelope, srcR, srcS source) (Breakdown, error) {
+// each side is fed: materialize, resolve the partition, exchange R then S
+// (a slice through Partitioner.Exchange, a file through core.ReadExchange),
+// filter and refine. Read sums the sides' reads, whichever pass ran them
+// (attributed by call, not by wall interval); a slice contributes zero.
+func join(c *mpi.Comm, opt JoinOptions, srcR, srcS *source) (Breakdown, error) {
 	var bd Breakdown
-	start := c.Now()
-	pt, err := resolvePartition(c, opt, local)
+	sp := begin(c)
+	for _, src := range []*source{srcR, srcS} {
+		read, err := src.materialize(c, opt)
+		if err != nil {
+			return bd, err
+		}
+		bd.Read += read
+	}
+	pt, err := resolvePartition(c, opt, func() geom.Envelope {
+		return core.LocalEnvelope(srcR.local).Union(core.LocalEnvelope(srcS.local))
+	})
 	if err != nil {
 		return bd, err
 	}
 	if pt == nil {
-		bd.Total = c.Now() - start
+		sp.end(&bd)
 		return bd, nil
 	}
-	exchange := func(src source) (map[int][]geom.Geometry, core.ReadStats, core.ExchangeStats, error) {
+	exchange := func(src *source) (map[int][]geom.Geometry, core.ReadStats, core.ExchangeStats, error) {
 		if src.file != nil {
 			return core.ReadExchange(c, src.file, src.parser, src.readOpt, pt)
 		}
@@ -234,21 +271,19 @@ func join(c *mpi.Comm, opt JoinOptions, local func() geom.Envelope, srcR, srcS s
 	if err != nil {
 		return bd, fmt.Errorf("spatial: exchange S: %w", err)
 	}
-	bd.Read = readR.IOTime + readR.CommTime + readR.ParseTime +
-		readS.IOTime + readS.CommTime + readS.ParseTime
-	bd.Partition = statsR.ProjectTime + statsS.ProjectTime
-	bd.Comm = statsR.CommTime + statsS.CommTime
+	bd.Read += readR.Ledger.Sum() + readS.Ledger.Sum()
+	bd.Comm = statsR.CommTime() + statsS.CommTime()
 	bd.Quarantined = int64(statsR.FramesQuarantined + statsS.FramesQuarantined)
 	bd.GeomImbalance = math.Max(statsR.GeomImbalance, statsS.GeomImbalance)
 	bd.ByteImbalance = math.Max(statsR.ByteImbalance, statsS.ByteImbalance)
 
 	joinCells(c, pt.Grid, cellsR, cellsS, opt, &bd)
-	bd.Total = c.Now() - start
+	sp.end(&bd)
 	return bd, nil
 }
 
 // joinCells runs the filter and refine phases of the distributed join over
-// already-partitioned cells, accumulating timings and counters into bd. It
+// already-partitioned cells, accumulating counters into bd. It
 // is the shared back half of Join (two-pass) and the streamed JoinFiles
 // (one-pass). The refine loop itself lives in serve.Session — the same
 // filter-and-refine core the resident query service evaluates — with the
@@ -259,7 +294,7 @@ func joinCells(c *mpi.Comm, g grid.Partition, cellsR, cellsS map[int][]geom.Geom
 	// ones, inserted into a tree that is `scale` times larger.
 	ci := newCellIndexer(c)
 	_ = ci.phase(cellsR)
-	bd.Index, bd.Indexed = ci.time, ci.indexed
+	bd.Indexed = ci.indexed
 
 	// Refine phase: query with each S geometry, test exact intersection.
 	// Candidate counts follow the *product* of the two densities, so each
@@ -267,7 +302,6 @@ func joinCells(c *mpi.Comm, g grid.Partition, cellsR, cellsS map[int][]geom.Geom
 	// per-candidate term and the refinement tests are charged accordingly
 	// (Cursor.JoinCell's chargeScale). One cursor for the whole loop: every
 	// probe filters into the same recycled candidate buffer.
-	t1 := c.Now()
 	cu := querySession(c, g, ci.trees, opt).Cursor()
 	charge := func(d float64) { c.Charge(simtime.Query, d) }
 	// Query cells in ascending id order: iterating the map directly would
@@ -284,7 +318,6 @@ func joinCells(c *mpi.Comm, g grid.Partition, cellsR, cellsS map[int][]geom.Geom
 			bd.Pairs += cu.JoinCell(cell, sg, charge, nil)
 		}
 	}
-	bd.Refine = c.Now() - t1
 }
 
 // querySession wraps this rank's finished cell trees in the shared
@@ -321,7 +354,6 @@ type cellIndexer struct {
 	c       *mpi.Comm
 	scale   float64
 	trees   map[int]*rtree.Tree[geom.Geometry]
-	time    float64 // virtual seconds spent building (summed across phases)
 	indexed int64
 
 	ids   []int                       // recycled per-phase sorted cell ids
@@ -335,7 +367,6 @@ func newCellIndexer(c *mpi.Comm) *cellIndexer {
 // phase indexes one batch of completed cells. It is an Exchanger
 // FinishStream sink and never fails.
 func (ci *cellIndexer) phase(cells map[int][]geom.Geometry) error {
-	t0 := ci.c.Now()
 	ci.ids = ci.ids[:0]
 	for cell := range cells {
 		ci.ids = append(ci.ids, cell)
@@ -358,7 +389,6 @@ func (ci *cellIndexer) phase(cells map[int][]geom.Geometry) error {
 		ci.items = items
 		ci.indexed += int64(len(gs))
 	}
-	ci.time += ci.c.Now() - t0
 	return nil
 }
 
@@ -367,37 +397,17 @@ func (ci *cellIndexer) phase(cells map[int][]geom.Geometry) error {
 // (cross-rank) breakdown, identical on all ranks.
 //
 // With JoinOptions.Envelope and Partition nil (the default), the two-pass
-// pipeline runs: materialize both inputs with ReadPartition, then Join
-// derives the global envelope with the MPI_UNION Allreduce and exchanges.
-// With the partition known up front, the one-pass pipeline runs: each file
-// streams through core.ReadExchange, so cell assignment and frame encoding
-// overlap I/O and parsing and no rank ever materializes its full local
-// geometry slice.
+// pipeline runs: materialize both inputs with ReadPartition, then derive
+// the global envelope with the MPI_UNION Allreduce and exchange, as Join
+// does. With the partition known up front, the one-pass pipeline runs:
+// each file streams through core.ReadExchange, so cell assignment and
+// frame encoding overlap I/O and parsing and no rank ever materializes its
+// full local geometry slice.
 func JoinFiles(c *mpi.Comm, fR, fS *mpiio.File, parser core.Parser, readOpt core.ReadOptions, opt JoinOptions) (Breakdown, error) {
-	if opt.Envelope != nil || opt.Partition != nil {
-		bd, err := join(c, opt, nil, source{file: fR, parser: parser, readOpt: readOpt},
-			source{file: fS, parser: parser, readOpt: readOpt})
-		if err != nil {
-			return Breakdown{}, err
-		}
-		return bd.Aggregate(c)
-	}
-	t0 := c.Now()
-	localR, _, err := core.ReadPartition(c, fR, parser, readOpt)
-	if err != nil {
-		return Breakdown{}, fmt.Errorf("spatial: read R: %w", err)
-	}
-	localS, _, err := core.ReadPartition(c, fS, parser, readOpt)
-	if err != nil {
-		return Breakdown{}, fmt.Errorf("spatial: read S: %w", err)
-	}
-	readTime := c.Now() - t0
-	bd, err := Join(c, localR, localS, opt)
+	bd, err := join(c, opt, &source{file: fR, parser: parser, readOpt: readOpt}, &source{file: fS, parser: parser, readOpt: readOpt})
 	if err != nil {
 		return Breakdown{}, err
 	}
-	bd.Read = readTime
-	bd.Total += readTime
 	return bd.Aggregate(c)
 }
 
@@ -453,7 +463,12 @@ func (o IndexOptions) asJoin() JoinOptions {
 // front — the configuration whose clock trajectory the one-pass
 // BuildIndexFiles reproduces exactly.
 func BuildIndex(c *mpi.Comm, local []geom.Geometry, opt IndexOptions) (map[int]*rtree.Tree[geom.Geometry], grid.Partition, Breakdown, error) {
-	return runIndex(c, opt.asJoin(), func() geom.Envelope { return core.LocalEnvelope(local) }, source{local: local}, nil)
+	return buildIndex(c, &source{local: local}, opt)
+}
+
+// buildIndex is BuildIndex and BuildIndexFiles over either source.
+func buildIndex(c *mpi.Comm, src *source, opt IndexOptions) (map[int]*rtree.Tree[geom.Geometry], grid.Partition, Breakdown, error) {
+	return runIndex(c, opt.asJoin(), func() geom.Envelope { return core.LocalEnvelope(src.local) }, src, nil)
 }
 
 // RangeQuery runs a batch of rectangular range queries against a
@@ -471,32 +486,35 @@ func BuildIndex(c *mpi.Comm, local []geom.Geometry, opt IndexOptions) (map[int]*
 // which is the configuration the one-pass RangeQueryFiles reproduces
 // exactly.
 func RangeQuery(c *mpi.Comm, localData []geom.Geometry, queries []geom.Envelope, opt JoinOptions) (Breakdown, error) {
+	return rangeQuery(c, &source{local: localData}, queries, opt)
+}
+
+// rangeQuery is RangeQuery and RangeQueryFiles over either source.
+func rangeQuery(c *mpi.Comm, src *source, queries []geom.Envelope, opt JoinOptions) (Breakdown, error) {
 	_, _, bd, err := runIndex(c, opt, func() geom.Envelope {
-		env := core.LocalEnvelope(localData)
+		env := core.LocalEnvelope(src.local)
 		for _, q := range queries {
 			env = env.Union(q)
 		}
 		return env
-	}, source{local: localData}, queryCells(c, queries, opt))
+	}, src, queryCells(c, queries, opt))
 	return bd, err
 }
 
 // queryCells is the query phase of RangeQuery and RangeQueryFiles: it
 // evaluates a replicated rectangular query batch against this rank's cell
 // trees with filter-and-refine and reference-point duplicate suppression,
-// accumulating matches and refine time into bd — a thin batch wrapper over
+// accumulating matches into bd — a thin batch wrapper over
 // serve.Cursor.Range, the same evaluation the resident query service runs
 // concurrently: queries in batch order with costs charged inline, so a
 // recording service's id-ordered charge replay reproduces this trajectory
 // bitwise.
-func queryCells(c *mpi.Comm, queries []geom.Envelope, opt JoinOptions) func(grid.Partition, map[int]*rtree.Tree[geom.Geometry], *Breakdown) {
+func queryCells(c *mpi.Comm, queries []geom.Envelope, opt JoinOptions) queryPhase {
 	return func(g grid.Partition, trees map[int]*rtree.Tree[geom.Geometry], bd *Breakdown) {
-		t1 := c.Now()
 		cu := querySession(c, g, trees, opt).Cursor()
 		charge := func(d float64) { c.Charge(simtime.Query, d) }
 		for _, q := range queries {
 			bd.Pairs += cu.Range(q, charge, nil)
 		}
-		bd.Refine += c.Now() - t1
 	}
 }

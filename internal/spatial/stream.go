@@ -25,11 +25,10 @@ import (
 // materialized exchange. Open one with BuildIndexStream; Add is rank-local,
 // Finish is collective.
 type IndexStream struct {
-	c     *mpi.Comm
-	g     grid.Partition
-	ex    *core.Exchanger
-	ci    *cellIndexer
-	start float64
+	g  grid.Partition
+	ex *core.Exchanger
+	ci *cellIndexer
+	sp span // opened with the stream, so the build's breakdown covers it
 }
 
 // BuildIndexStream opens a streaming index build. The partition — and so
@@ -40,23 +39,22 @@ type IndexStream struct {
 // options. It validates only the shared IndexOptions, so identical options
 // fail every rank identically.
 func BuildIndexStream(c *mpi.Comm, opt IndexOptions) (*IndexStream, error) {
-	return newIndexStream(c, opt.asJoin(), nil)
+	return newIndexStream(begin(c), opt.asJoin(), nil)
 }
 
 // newIndexStream resolves the partition (see resolvePartition for what a
-// nil local means) and opens the streaming exchange over it. A nil stream
-// with a nil error means the world holds no data.
-func newIndexStream(c *mpi.Comm, opt JoinOptions, local func() geom.Envelope) (*IndexStream, error) {
-	start := c.Now()
-	pt, err := resolvePartition(c, opt, local)
+// nil local means) and opens the streaming exchange over it within span
+// sp. A nil stream with a nil error means the world holds no data.
+func newIndexStream(sp span, opt JoinOptions, local func() geom.Envelope) (*IndexStream, error) {
+	pt, err := resolvePartition(sp.c, opt, local)
 	if err != nil || pt == nil {
 		return nil, err
 	}
-	ex, err := pt.Stream(c)
+	ex, err := pt.Stream(sp.c)
 	if err != nil {
 		return nil, err
 	}
-	return &IndexStream{c: c, g: pt.Grid, ex: ex, ci: newCellIndexer(c), start: start}, nil
+	return &IndexStream{g: pt.Grid, ex: ex, ci: newCellIndexer(sp.c), sp: sp}, nil
 }
 
 // Add projects and stages one geometry batch. It is rank-local, never
@@ -73,16 +71,26 @@ func (s *IndexStream) Grid() grid.Partition { return s.g }
 // caller's to fill — the stream that fed Add owns that number). All ranks
 // must call it collectively, once.
 func (s *IndexStream) Finish() (map[int]*rtree.Tree[geom.Geometry], Breakdown, error) {
+	return s.finish(nil)
+}
+
+// queryPhase is a workload's query phase over the finished trees; it adds
+// its counters to bd, and its Query charges become bd.Refine.
+type queryPhase func(g grid.Partition, trees map[int]*rtree.Tree[geom.Geometry], bd *Breakdown)
+
+// finish is Finish, then the query phase, if any, inside the stream's span.
+func (s *IndexStream) finish(query queryPhase) (map[int]*rtree.Tree[geom.Geometry], Breakdown, error) {
 	var bd Breakdown
 	stats, err := s.ex.FinishStream(s.ci.phase)
-	bd.Partition = stats.ProjectTime
-	bd.Comm = stats.CommTime
-	bd.Index = s.ci.time
+	bd.Comm = stats.CommTime()
 	bd.Indexed = s.ci.indexed
 	bd.Quarantined = int64(stats.FramesQuarantined)
 	bd.GeomImbalance = stats.GeomImbalance
 	bd.ByteImbalance = stats.ByteImbalance
-	bd.Total = s.c.Now() - s.start
+	if err == nil && query != nil {
+		query(s.g, s.ci.trees, &bd)
+	}
+	s.sp.end(&bd)
 	if err != nil {
 		return nil, bd, fmt.Errorf("spatial: streamed index: %w", err)
 	}
@@ -90,41 +98,45 @@ func (s *IndexStream) Finish() (map[int]*rtree.Tree[geom.Geometry], Breakdown, e
 }
 
 // runIndex is the one body behind BuildIndex, RangeQuery, ServeQuery and
-// the one-pass *Files pipelines: open the IndexStream (which resolves the
-// partition), feed it, finish the exchange — trees rise as each
-// sliding-window phase completes, so the materialized owned-cells map never
-// exists — then run the workload's query phase, if it has one, over the
-// finished trees. Returns the cell indexes, the partition whose cell ids
-// key them (nil when the world holds no data), and this rank's
-// un-aggregated breakdown; Read is the streamed file's I/O, boundary-repair
-// communication and parsing work (zero for a slice).
-func runIndex(c *mpi.Comm, opt JoinOptions, local func() geom.Envelope, src source,
-	query func(g grid.Partition, trees map[int]*rtree.Tree[geom.Geometry], bd *Breakdown)) (map[int]*rtree.Tree[geom.Geometry], grid.Partition, Breakdown, error) {
-	start := c.Now()
-	s, err := newIndexStream(c, opt, local)
+// the *Files pipelines: materialize a file if the partition comes from the
+// data, open the IndexStream (which resolves the partition), feed it,
+// finish the exchange — trees rise as each sliding-window phase completes,
+// so the materialized owned-cells map never exists — then run the
+// workload's query phase, if it has one, over the finished trees. Returns
+// the cell indexes, the partition whose cell ids key them (nil when the
+// world holds no data), and this rank's un-aggregated breakdown; Read is
+// the file's read ledger Sum, whichever pass read it (zero for a slice).
+func runIndex(c *mpi.Comm, opt JoinOptions, local func() geom.Envelope, src *source, query queryPhase) (map[int]*rtree.Tree[geom.Geometry], grid.Partition, Breakdown, error) {
+	sp := begin(c)
+	read, err := src.materialize(c, opt)
+	if err != nil {
+		return nil, nil, Breakdown{}, err
+	}
+	s, err := newIndexStream(sp, opt, local)
 	if err != nil {
 		return nil, nil, Breakdown{}, err
 	}
 	if s == nil {
-		return map[int]*rtree.Tree[geom.Geometry]{}, nil, Breakdown{Total: c.Now() - start}, nil
+		bd := Breakdown{Read: read}
+		sp.end(&bd)
+		return map[int]*rtree.Tree[geom.Geometry]{}, nil, bd, nil
 	}
-	var rstats core.ReadStats
 	if src.file == nil {
 		_ = s.Add(src.local) // a failed Add is sticky: Finish returns it, after running its collectives
-	} else if rstats, err = core.ReadStream(c, src.file, src.parser, src.readOpt, s.Add); err != nil {
-		// The read settled its error collectively: every rank abandons the
-		// exchange here, so nobody is stranded in Finish's collectives.
-		return nil, nil, Breakdown{}, fmt.Errorf("spatial: stream: %w", err)
+	} else {
+		rstats, err := core.ReadStream(c, src.file, src.parser, src.readOpt, s.Add)
+		if err != nil {
+			// The read settled its error collectively: every rank abandons the
+			// exchange here, so nobody is stranded in Finish's collectives.
+			return nil, nil, Breakdown{}, fmt.Errorf("spatial: stream: %w", err)
+		}
+		read = rstats.Ledger.Sum()
 	}
-	trees, bd, err := s.Finish()
+	trees, bd, err := s.finish(query)
+	bd.Read = read
 	if err != nil {
 		return nil, nil, bd, err
 	}
-	bd.Read = rstats.IOTime + rstats.CommTime + rstats.ParseTime
-	if query != nil {
-		query(s.g, trees, &bd)
-	}
-	bd.Total = c.Now() - start
 	return trees, s.g, bd, nil
 }
 
@@ -138,22 +150,7 @@ func runIndex(c *mpi.Comm, opt JoinOptions, local func() geom.Envelope, src sour
 // ever holds its full local slice. Returns the cell indexes, the grid, and
 // this rank's un-aggregated breakdown. All ranks must call it collectively.
 func BuildIndexFiles(c *mpi.Comm, f *mpiio.File, parser core.Parser, readOpt core.ReadOptions, opt IndexOptions) (map[int]*rtree.Tree[geom.Geometry], grid.Partition, Breakdown, error) {
-	if opt.Envelope != nil || opt.Partition != nil {
-		return runIndex(c, opt.asJoin(), nil, source{file: f, parser: parser, readOpt: readOpt}, nil)
-	}
-	t0 := c.Now()
-	local, _, err := core.ReadPartition(c, f, parser, readOpt)
-	if err != nil {
-		return nil, nil, Breakdown{}, fmt.Errorf("spatial: read: %w", err)
-	}
-	readTime := c.Now() - t0
-	trees, g, bd, err := BuildIndex(c, local, opt)
-	if err != nil {
-		return nil, nil, bd, err
-	}
-	bd.Read = readTime
-	bd.Total += readTime
-	return trees, g, bd, nil
+	return buildIndex(c, &source{file: f, parser: parser, readOpt: readOpt}, opt)
 }
 
 // RangeQueryFiles is the file-to-query pipeline: read a vector file,
@@ -166,21 +163,5 @@ func BuildIndexFiles(c *mpi.Comm, f *mpiio.File, parser core.Parser, readOpt cor
 // un-aggregated breakdown; matches are per-rank until aggregated. All ranks
 // must call it collectively.
 func RangeQueryFiles(c *mpi.Comm, f *mpiio.File, parser core.Parser, readOpt core.ReadOptions, queries []geom.Envelope, opt JoinOptions) (Breakdown, error) {
-	if opt.Envelope != nil || opt.Partition != nil {
-		_, _, bd, err := runIndex(c, opt, nil, source{file: f, parser: parser, readOpt: readOpt}, queryCells(c, queries, opt))
-		return bd, err
-	}
-	t0 := c.Now()
-	local, _, err := core.ReadPartition(c, f, parser, readOpt)
-	if err != nil {
-		return Breakdown{}, fmt.Errorf("spatial: read: %w", err)
-	}
-	readTime := c.Now() - t0
-	bd, err := RangeQuery(c, local, queries, opt)
-	if err != nil {
-		return bd, err
-	}
-	bd.Read = readTime
-	bd.Total += readTime
-	return bd, nil
+	return rangeQuery(c, &source{file: f, parser: parser, readOpt: readOpt}, queries, opt)
 }

@@ -572,7 +572,10 @@ type (
 	// ReadOptions configures ReadPartition (block size, access level,
 	// boundary strategy and halo size for text, framing).
 	ReadOptions = core.ReadOptions
-	// ReadStats reports a rank's I/O, communication and parsing work.
+	// ReadStats reports one rank's read (ReadPartition, ReadStream, or
+	// ReadExchange's read half): its counters, and the Ledger of virtual
+	// seconds the call booked per kind — IO, Aggregate, Parse, Transport,
+	// Wait — whose Sum is the read's elapsed virtual time.
 	ReadStats = core.ReadStats
 	// AccessLevel selects independent (Level0) or collective (Level1)
 	// MPI-IO read functions.
@@ -589,7 +592,10 @@ type (
 	// them. Open one with Partitioner.Stream; Partitioner.Exchange is the
 	// one-Add composition.
 	Exchanger = core.Exchanger
-	// ExchangeStats reports a rank's partitioning work.
+	// ExchangeStats reports a rank's partitioning work: its counters, and
+	// the Ledger of virtual seconds Finish booked per kind. ProjectTime()
+	// is its Project kind, CommTime() its Encode + Decode + Transport +
+	// Wait.
 	ExchangeStats = core.ExchangeStats
 )
 
@@ -718,7 +724,10 @@ type (
 	JoinOptions = spatial.JoinOptions
 	// IndexOptions configures parallel index construction.
 	IndexOptions = spatial.IndexOptions
-	// Breakdown is the per-phase timing of Figures 17-20.
+	// Breakdown is the per-phase timing of Figures 17-20: Read is the
+	// reads' ledger Sum, Partition the Project kind, Comm the exchanges'
+	// CommTime, Index the Index kind, Refine the Query kind, and Total the
+	// elapsed virtual time.
 	Breakdown = spatial.Breakdown
 	// IndexStream is the streaming face of BuildIndex: Add accepts
 	// geometry batches mid-read (a ReadStream sink), Finish bulk-loads
