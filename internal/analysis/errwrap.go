@@ -1,39 +1,30 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/constant"
+	"go/token"
 	"go/types"
 	"strconv"
 )
 
-// ErrWrap enforces PR 6's error-wrapping audit in the packages whose
-// errors cross the public failure contract: internal/core,
-// internal/mpiio, internal/spatial. fmt.Errorf must wrap a formatted
-// error with %w (a %v/%s copy breaks errors.Is/As matching downstream —
-// callers test for ErrAborted, ErrRemoteRead, CrashError through
-// arbitrarily deep wrapping), error equality must go through
-// errors.Is (a == comparison misses wrapped sentinels), and error type
-// dispatch through errors.As.
-var ErrWrap = &Analyzer{
-	Name: "errwrap",
-	Doc: "flag fmt.Errorf formatting an error without %w, err == sentinel comparisons, and " +
-		"type switches/assertions on error values: wrapped errors only match through errors.Is/As",
-	Scope: func(relDir string) bool {
-		switch relDir {
-		case "internal/core", "internal/mpiio", "internal/spatial":
-			return true
-		}
-		return false
-	},
-	Run: runErrWrap,
-}
-
-func runErrWrap(pass *Pass) error {
+// ErrWrap checks the error-wrapping discipline in one package: fmt.Errorf
+// must wrap a formatted error with %w (a %v/%s copy breaks errors.Is/As
+// matching downstream — callers test for ErrAborted, ErrRemoteRead,
+// CrashError through arbitrarily deep wrapping), error equality must go
+// through errors.Is (a == comparison misses wrapped sentinels), and error
+// type dispatch through errors.As. CheckModule runs it on the packages
+// whose errors cross the public failure contract (errwrapScope).
+func ErrWrap(pkg *Package) []Diagnostic {
+	var diags []Diagnostic
+	report := func(pos token.Pos, format string, args ...any) {
+		diags = append(diags, Diagnostic{Pos: pkg.Fset.Position(pos), Message: fmt.Sprintf(format, args...)})
+	}
 	errType := types.Universe.Lookup("error").Type()
 	errIface := errType.Underlying().(*types.Interface)
 	isErr := func(e ast.Expr) bool {
-		tv, ok := pass.TypesInfo.Types[e]
+		tv, ok := pkg.Info.Types[e]
 		if !ok || tv.Type == nil {
 			return false
 		}
@@ -43,45 +34,45 @@ func runErrWrap(pass *Pass) error {
 		return types.Implements(tv.Type, errIface)
 	}
 
-	for _, f := range pass.Files {
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				checkErrorfCall(pass, n, isErr)
+				checkErrorfCall(pkg.Info, n, isErr, report)
 			case *ast.BinaryExpr:
-				if (n.Op.String() == "==" || n.Op.String() == "!=") && isErr(n.X) && isErr(n.Y) {
-					pass.Reportf(n.Pos(), "error compared with %s: use errors.Is so wrapped errors still match", n.Op)
+				if (n.Op == token.EQL || n.Op == token.NEQ) && isErr(n.X) && isErr(n.Y) {
+					report(n.Pos(), "error compared with %s: use errors.Is so wrapped errors still match", n.Op)
 				}
 			case *ast.TypeAssertExpr:
 				// Covers both x.(T) and switch x.(type) — the parser puts
 				// a TypeAssertExpr in the TypeSwitchStmt header.
-				tv, ok := pass.TypesInfo.Types[n.X]
+				tv, ok := pkg.Info.Types[n.X]
 				if ok && tv.Type != nil && types.Identical(tv.Type, errType) {
-					pass.Reportf(n.Pos(), "type assertion on an error value: use errors.As so wrapped errors still match")
+					report(n.Pos(), "type assertion on an error value: use errors.As so wrapped errors still match")
 				}
 			}
 			return true
 		})
 	}
-	return nil
+	return diags
 }
 
 // checkErrorfCall flags fmt.Errorf calls that format an error-typed
 // argument with anything but %w (or the type/pointer verbs %T and %p,
 // which do not render the error's content).
-func checkErrorfCall(pass *Pass, call *ast.CallExpr, isErr func(ast.Expr) bool) {
+func checkErrorfCall(info *types.Info, call *ast.CallExpr, isErr func(ast.Expr) bool, report func(token.Pos, string, ...any)) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
-	obj, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	obj, ok := info.Uses[sel.Sel].(*types.Func)
 	if !ok || obj.Pkg() == nil || obj.Pkg().Path() != "fmt" || obj.Name() != "Errorf" {
 		return
 	}
 	if len(call.Args) < 2 {
 		return
 	}
-	tv, ok := pass.TypesInfo.Types[call.Args[0]]
+	tv, ok := info.Types[call.Args[0]]
 	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
 		return
 	}
@@ -95,7 +86,7 @@ func checkErrorfCall(pass *Pass, call *ast.CallExpr, isErr func(ast.Expr) bool) 
 			continue
 		}
 		if isErr(args[v.argIndex]) {
-			pass.Reportf(args[v.argIndex].Pos(), "fmt.Errorf formats an error with %%%c: use %%w so callers can match it with errors.Is/As", v.verb)
+			report(args[v.argIndex].Pos(), "fmt.Errorf formats an error with %%%c: use %%w so callers can match it with errors.Is/As", v.verb)
 		}
 	}
 }

@@ -17,17 +17,12 @@ import (
 // A Package is one loaded, type-checked, non-test compilation unit.
 type Package struct {
 	// Path is the import path ("repro/internal/core", or a fixture path
-	// like "maporder" under an extra root).
-	Path string
-	// Dir is the absolute directory the files were read from.
-	Dir string
-	// RelDir is Dir relative to the module root, forward slashes. For
-	// packages under an extra root it is relative to that root.
-	RelDir string
-	Fset   *token.FileSet
-	Files  []*ast.File
-	Types  *types.Package
-	Info   *types.Info
+	// like "errwrap" under an extra root).
+	Path  string
+	Fset  *token.FileSet
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
 }
 
 // A Loader parses and type-checks packages of one module using only the
@@ -35,14 +30,12 @@ type Package struct {
 // directory, fixture imports against ExtraRoots, and everything else
 // against GOROOT source via go/importer's "source" compiler, so no
 // export data, network, or external tooling is needed. Test files
-// (*_test.go) are never loaded — the invariants the analyzers check
-// explicitly exempt tests.
+// (*_test.go) are never loaded — the checks exempt tests.
 type Loader struct {
 	ModuleDir  string
 	ModulePath string
 	// ExtraRoots maps an import path prefix to a directory holding it,
-	// used by the analysistest runner to mount fixture trees like
-	// testdata/src.
+	// used by the fixture test to mount testdata/src/errwrap.
 	ExtraRoots map[string]string
 
 	Fset    *token.FileSet
@@ -87,14 +80,14 @@ func (l *Loader) Load(path string) (*Package, error) {
 	if l.loading[path] {
 		return nil, fmt.Errorf("analysis: import cycle through %q", path)
 	}
-	dir, rel, ok := l.resolve(path)
+	dir, ok := l.resolve(path)
 	if !ok {
 		return nil, fmt.Errorf("analysis: cannot resolve import %q", path)
 	}
 	l.loading[path] = true
 	defer delete(l.loading, path)
 
-	p, err := l.loadDir(path, dir, rel)
+	p, err := l.loadDir(path, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -104,17 +97,15 @@ func (l *Loader) Load(path string) (*Package, error) {
 
 // resolve maps an import path to a directory. Module paths win, then
 // extra roots; anything else is GOROOT's problem.
-func (l *Loader) resolve(path string) (dir, rel string, ok bool) {
+func (l *Loader) resolve(path string) (dir string, ok bool) {
 	if path == l.ModulePath {
-		return l.ModuleDir, ".", true
+		return l.ModuleDir, true
 	}
-	if strings.HasPrefix(path, l.ModulePath+"/") {
-		rel = strings.TrimPrefix(path, l.ModulePath+"/")
-		return filepath.Join(l.ModuleDir, filepath.FromSlash(rel)), rel, true
+	if rel, ok := strings.CutPrefix(path, l.ModulePath+"/"); ok {
+		return filepath.Join(l.ModuleDir, filepath.FromSlash(rel)), true
 	}
 	// Sorted prefixes: map order must not pick the winner when roots
-	// overlap (vectorio-vet's own maporder analyzer flagged the direct
-	// iteration — the suite checks itself).
+	// overlap.
 	prefixes := make([]string, 0, len(l.ExtraRoots))
 	for prefix := range l.ExtraRoots {
 		prefixes = append(prefixes, prefix)
@@ -123,30 +114,25 @@ func (l *Loader) resolve(path string) (dir, rel string, ok bool) {
 	for _, prefix := range prefixes {
 		root := l.ExtraRoots[prefix]
 		if path == prefix {
-			return root, path, true
+			return root, true
 		}
-		if strings.HasPrefix(path, prefix+"/") {
-			rel = strings.TrimPrefix(path, prefix+"/")
-			return filepath.Join(root, filepath.FromSlash(rel)), path, true
+		if rel, ok := strings.CutPrefix(path, prefix+"/"); ok {
+			return filepath.Join(root, filepath.FromSlash(rel)), true
 		}
 	}
-	return "", "", false
+	return "", false
 }
 
-func (l *Loader) loadDir(path, dir, rel string) (*Package, error) {
+func (l *Loader) loadDir(path, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: package %q: %w", path, err)
 	}
 	var names []string
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
+		if !e.IsDir() && isSourceFile(e.Name()) {
+			names = append(names, e.Name())
 		}
-		names = append(names, name)
 	}
 	if len(names) == 0 {
 		return nil, fmt.Errorf("analysis: no non-test Go files in %s", dir)
@@ -162,20 +148,17 @@ func (l *Loader) loadDir(path, dir, rel string) (*Package, error) {
 		files = append(files, f)
 	}
 
+	// ErrWrap reads expression types and identifier uses, nothing else.
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{
 		Importer: importerFunc(func(p string) (*types.Package, error) {
 			if p == "unsafe" {
 				return types.Unsafe, nil
 			}
-			if _, _, ok := l.resolve(p); ok {
+			if _, ok := l.resolve(p); ok {
 				pkg, err := l.Load(p)
 				if err != nil {
 					return nil, err
@@ -190,15 +173,7 @@ func (l *Loader) loadDir(path, dir, rel string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-check %s: %w", path, err)
 	}
-	return &Package{
-		Path:   path,
-		Dir:    dir,
-		RelDir: filepath.ToSlash(rel),
-		Fset:   l.Fset,
-		Files:  files,
-		Types:  tpkg,
-		Info:   info,
-	}, nil
+	return &Package{Path: path, Fset: l.Fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 type importerFunc func(string) (*types.Package, error)

@@ -57,9 +57,3 @@ func goodTypeMatch(err error) bool {
 	var pe *os.PathError
 	return errors.As(err, &pe)
 }
-
-// The escape hatch, for identity comparisons that are genuinely about
-// object identity rather than error classification.
-func allowedIdentity(err, prev error) bool {
-	return err == prev //vet:allow errwrap — fixture: pointer-identity dedup, not sentinel matching
-}

@@ -117,7 +117,7 @@ func (w WKBParser) Parse(record []byte) (geom.Geometry, error) {
 }
 
 // scanWKB is WKBParser.Parse without the geometry — the raw exchange path's
-// record check (see ReadExchange). It accepts, rejects and words errors
+// record check (see Exchanger.Read). It accepts, rejects and words errors
 // exactly as Parse does, and returns the type and envelope Parse's geometry
 // would report.
 func scanWKB(record []byte) (geom.Type, geom.Envelope, error) {

@@ -269,7 +269,7 @@ func (pt *Partitioner) Exchange(c *mpi.Comm, local []geom.Geometry) (map[int][]g
 // Frames have one format — [cell u32][len u32][WKB] — and one staging
 // path, addRaw, which takes a WKB payload and books one frame per replica.
 // Add encodes each geometry into a recycled scratch and stages that;
-// ReadExchange over length-prefixed WKB read by WKBParser stages the file's
+// Read over length-prefixed WKB read by WKBParser stages the file's
 // own record bytes (the raw path: scanned, not decoded, by the sender).
 // The encoding is canonical, so the two produce byte-identical frames, and
 // cells, their order, every ExchangeStats field and the virtual clock do
@@ -399,9 +399,9 @@ func (pt *Partitioner) Stream(c *mpi.Comm) (*Exchanger, error) {
 // rescanning a single coordinate. Each geometry is encoded once, into a
 // recycled scratch, and staged through addRaw like a file record. Calls must
 // be serialized (one goroutine at a time — in practice the rank goroutine,
-// from a ReadStream sink). ReadExchange bypasses Add when its input allows
-// the raw path (see Exchanger); that is a property of the parser and
-// framing the caller passes, not an option.
+// from a ReadStream sink). Read bypasses Add when its input allows the raw
+// path; that is a property of the parser and framing the caller passes,
+// not an option.
 func (ex *Exchanger) Add(batch []geom.Geometry) error {
 	if err := ex.open(); err != nil {
 		return err
@@ -773,36 +773,20 @@ func f64field(buf []byte, i int) float64 {
 }
 
 // ReadExchange is the one-pass streaming pipeline: a parallel file read
-// feeding the spatial exchange batch by batch, so cell assignment and
-// frame encoding overlap I/O, boundary repair, and parsing, and the full
-// local geometry slice never exists. It requires the Partitioner's grid up
-// front (a caller-supplied global envelope); when the envelope is unknown,
-// read first and use the two-pass Allreduce path instead (see
-// spatial.JoinFiles). All ranks must call it collectively.
-//
-// When p is a WKBParser and opt.Framing is LengthPrefixed, the read takes
-// the raw path: each record is scanned (wkb.Scan — type, envelope, length,
-// with Parse's checks and error text) instead of decoded, and its file
-// bytes are staged as the frame payload while the read block still holds
-// them, so the sender never encodes a geometry and builds one only for a
-// record with a cell of its own, which it decodes once, as its own
-// receiver (see Exchanger). This
-// is a property of the input, not an option: ReadStats, cells, within-cell
-// order, every ExchangeStats field and the virtual clock are bitwise those
-// of feeding ReadStream's batches to Exchanger.Add (a Parser wrapping
-// WKBParser does exactly that). On a read error the exchange never runs and
-// its stats are zero.
+// feeding the spatial exchange batch by batch (Partitioner.Stream, then
+// Exchanger.Read, then Finish), so cell assignment and frame encoding
+// overlap I/O, boundary repair, and parsing, and the full local geometry
+// slice never exists. It requires the Partitioner's grid up front (a
+// caller-supplied global envelope); when the envelope is unknown, read
+// first and use the two-pass Allreduce path instead (see
+// spatial.JoinFiles). On a read error the exchange never runs and its
+// stats are zero. All ranks must call it collectively.
 func ReadExchange(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, pt *Partitioner) (map[int][]geom.Geometry, ReadStats, ExchangeStats, error) {
 	ex, err := pt.Stream(c)
 	if err != nil {
 		return nil, ReadStats{}, ExchangeStats{}, err
 	}
-	var rstats ReadStats
-	if rawPath(p, opt.Framing) {
-		_, rstats, err = readCore(c, f, p, opt, output{raw: ex})
-	} else {
-		rstats, err = ReadStream(c, f, p, opt, ex.Add)
-	}
+	rstats, err := ex.Read(f, p, opt)
 	if err != nil {
 		// The read settled its error collectively: every rank abandons the
 		// exchange here, so nobody is stranded in Finish's collectives.
@@ -812,7 +796,30 @@ func ReadExchange(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, pt *Par
 	return cells, rstats, estats, err
 }
 
-// rawPath reports whether ReadExchange can forward the file's record bytes:
+// Read is the one file-to-Exchanger feeder: a collective read of f (see
+// ReadStream) whose every record is staged as Add would stage it. When p
+// is a WKBParser and opt.Framing is LengthPrefixed, the read takes the
+// raw path: each record is scanned (wkb.Scan — type, envelope, length,
+// with Parse's checks and error text) instead of decoded, and its file
+// bytes are staged as the frame payload while the read block still holds
+// them, so the sender never encodes a geometry and builds one only for a
+// record with a cell of its own, which it decodes once, as its own
+// receiver. This is a property of the input, not an option: ReadStats,
+// cells, within-cell order, every ExchangeStats field and the virtual
+// clock are bitwise those of feeding ReadStream's batches to Add (a Parser
+// wrapping WKBParser does exactly that). The read settles its error
+// collectively, so on an error every rank abandons the Exchanger together
+// and none is stranded in Finish's collectives. All ranks must call it
+// collectively, before Finish.
+func (ex *Exchanger) Read(f *mpiio.File, p Parser, opt ReadOptions) (ReadStats, error) {
+	if rawPath(p, opt.Framing) {
+		_, stats, err := readCore(ex.c, f, p, opt, output{raw: ex})
+		return stats, err
+	}
+	return ReadStream(ex.c, f, p, opt, ex.Add)
+}
+
+// rawPath reports whether Exchanger.Read can forward the file's record bytes:
 // the stock WKB parser over length-prefixed framing, whose payloads are
 // exactly the frames' WKB.
 func rawPath(p Parser, fr Framing) bool {

@@ -87,7 +87,7 @@ func (o ReadOptions) framing() Framing {
 }
 
 // ReadStats reports what one rank did during one read: ReadPartition,
-// ReadStream, or the read half of ReadExchange.
+// ReadStream, or Exchanger.Read.
 type ReadStats struct {
 	Records    int
 	Errors     int
@@ -158,7 +158,7 @@ func ReadStream(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, sink func
 
 // output is where a read's records go: into the returned slice (the zero
 // value, ReadPartition), to batch in bounded batches (ReadStream), or — the
-// raw path of ReadExchange — into raw as scanned record bytes, with no
+// raw path of Exchanger.Read — into raw as scanned record bytes, with no
 // geometry built at all.
 type output struct {
 	batch func([]geom.Geometry) error
@@ -166,7 +166,7 @@ type output struct {
 }
 
 // readCore is the single read/boundary-repair engine behind ReadPartition,
-// ReadStream and ReadExchange's raw path (see output). The stats' Ledger is
+// ReadStream and Exchanger.Read's raw path (see output). The stats' Ledger is
 // the ledger delta over the whole call, error agreement included.
 func readCore(c *mpi.Comm, f *mpiio.File, p Parser, opt ReadOptions, out output) ([]geom.Geometry, ReadStats, error) {
 	before := c.Ledger()
@@ -774,7 +774,7 @@ type parseCtx struct {
 	batchTarget int
 	sinkErr     error
 
-	// Raw mode (ReadExchange over length-prefixed WKB): records are scanned,
+	// Raw mode (Exchanger.Read over length-prefixed WKB): records are scanned,
 	// not parsed, and staged into raw as bytes on the rank goroutine; geoms
 	// stays empty. It streams like ReadStream — same deliveries gate, same
 	// agreement — so a staging failure is a sink error.

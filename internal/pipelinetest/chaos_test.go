@@ -199,12 +199,16 @@ func TestChaosMatrix(t *testing.T) {
 				before := runtime.NumGoroutine()
 				plan := fault.Plan{Seed: 12, Rules: []fault.Rule{fault.PermanentRead(w.fileName, 0)}}
 				fs.InjectReadFault(plan.New().ReadFault)
-				res, errs, worldErr := RunE(w.cfg, mode)
+				_, errs, worldErr := RunE(w.cfg, mode)
 				fs.InjectReadFault(nil)
-				_ = res
 				assertAllFailed(t, prefix, errs, worldErr, -1)
-				if !errors.Is(worldErr, fault.ErrInjected) && !errors.Is(worldErr, mpi.ErrAborted) {
-					t.Errorf("%s: world error hides the cause: %v", prefix, worldErr)
+				// The read's error agreement hands every rank the cause, each
+				// wrapped with %w all the way up: a rank whose error no longer
+				// matches ErrInjected lost its cause to a %v wrap.
+				for r, err := range errs {
+					if !errors.Is(err, fault.ErrInjected) {
+						t.Errorf("%s: rank %d error hides the cause: %v", prefix, r, err)
+					}
 				}
 				cleanRetry(t, prefix, w, mode)
 				settleGoroutines(t, prefix, before)

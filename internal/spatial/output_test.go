@@ -2,7 +2,9 @@ package spatial
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/pfs"
+	"repro/internal/simtime"
 	"repro/internal/wkt"
 )
 
@@ -31,7 +34,12 @@ func randomPoints(n int, seed int64) []geom.Geometry {
 
 // TestWriteCellsMatchesSequentialOrder: the distributed collective write
 // must produce byte-for-byte the file a sequential writer would produce by
-// walking cells in row-major order.
+// walking cells in row-major order, whether each rank owns round-robin
+// cells or contiguous runs of them (as an adaptive placement hands out).
+// Each case runs three times, and every rank's clock and per-kind ledger
+// must be bitwise the same each time: the write's modelled cost depends on
+// how a rank's cells coalesce into file spans, so walking them in map
+// order instead of cell order would make the clock vary from run to run.
 func TestWriteCellsMatchesSequentialOrder(t *testing.T) {
 	pts := randomPoints(400, 5)
 	env := core.LocalEnvelope(pts)
@@ -56,43 +64,71 @@ func TestWriteCellsMatchesSequentialOrder(t *testing.T) {
 		}
 	}
 
-	for _, ranks := range []int{1, 2, 5} {
-		fs, err := pfs.New(pfs.CometLustre())
-		if err != nil {
-			t.Fatal(err)
-		}
-		pf, err := fs.Create("out.wkt", 4, 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = mpi.Run(cluster.Local(ranks), func(c *mpi.Comm) error {
-			// Each rank owns its round-robin cells.
-			owned := make(map[int][]geom.Geometry)
-			for cell, gs := range oracleCells {
-				if grid.RoundRobin(cell, c.Size()) == c.Rank() {
-					owned[cell] = gs
+	owners := []struct {
+		name string
+		of   func(cell, size int) int
+	}{
+		{"round-robin", grid.RoundRobin},
+		{"contiguous", func(cell, size int) int { return cell * size / g.NumCells() }},
+	}
+	for _, owner := range owners {
+		for _, ranks := range []int{1, 2, 5} {
+			label := fmt.Sprintf("%s ranks=%d", owner.name, ranks)
+			var first []simtime.Ledger
+			var firstNow []uint64
+			for run := 0; run < 3; run++ {
+				fs, err := pfs.New(pfs.CometLustre())
+				if err != nil {
+					t.Fatal(err)
+				}
+				pf, err := fs.Create("out.wkt", 4, 1024)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ledgers := make([]simtime.Ledger, ranks)
+				nows := make([]uint64, ranks)
+				err = mpi.Run(cluster.Local(ranks), func(c *mpi.Comm) error {
+					owned := make(map[int][]geom.Geometry)
+					for cell, gs := range oracleCells {
+						if owner.of(cell, c.Size()) == c.Rank() {
+							owned[cell] = gs
+						}
+					}
+					f := mpiio.Open(c, pf, mpiio.Hints{})
+					total, err := WriteCells(c, f, g, owned)
+					if err != nil {
+						return err
+					}
+					if total != int64(oracle.Len()) {
+						t.Errorf("%s: total %d, want %d", label, total, oracle.Len())
+					}
+					ledgers[c.Rank()], nows[c.Rank()] = c.Ledger(), math.Float64bits(c.Now())
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				got := make([]byte, pf.Size())
+				if _, err := pf.ReadAt(got, 0); err != nil && err != io.EOF {
+					t.Fatal(err)
+				}
+				if string(got) != oracle.String() {
+					t.Fatalf("%s: output differs from sequential oracle\n got %d bytes\nwant %d bytes",
+						label, len(got), oracle.Len())
+				}
+				if run == 0 {
+					first, firstNow = ledgers, nows
+					continue
+				}
+				for r := range nows {
+					if nows[r] != firstNow[r] {
+						t.Errorf("%s run %d: rank %d clock %#x, first run %#x", label, run, r, nows[r], firstNow[r])
+					}
+					if d := ledgers[r].Diff(first[r]); d != "" {
+						t.Errorf("%s run %d: rank %d ledger: %s", label, run, r, d)
+					}
 				}
 			}
-			f := mpiio.Open(c, pf, mpiio.Hints{})
-			total, err := WriteCells(c, f, g, owned)
-			if err != nil {
-				return err
-			}
-			if total != int64(oracle.Len()) {
-				t.Errorf("ranks=%d: total %d, want %d", ranks, total, oracle.Len())
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("ranks=%d: %v", ranks, err)
-		}
-		got := make([]byte, pf.Size())
-		if _, err := pf.ReadAt(got, 0); err != nil && err != io.EOF {
-			t.Fatal(err)
-		}
-		if string(got) != oracle.String() {
-			t.Fatalf("ranks=%d: output differs from sequential oracle\n got %d bytes\nwant %d bytes",
-				ranks, len(got), oracle.Len())
 		}
 	}
 }

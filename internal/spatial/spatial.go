@@ -305,9 +305,9 @@ func joinCells(c *mpi.Comm, g grid.Partition, cellsR, cellsS map[int][]geom.Geom
 	cu := querySession(c, g, ci.trees, opt).Cursor()
 	charge := func(d float64) { c.Charge(simtime.Query, d) }
 	// Query cells in ascending id order: iterating the map directly would
-	// charge the per-query costs in random order, and float
-	// accumulation order leaks into the virtual clock bit-for-bit (the
-	// maporder invariant; vectorio-vet flags the direct loop).
+	// charge the per-query costs in random order, and float accumulation
+	// order leaks into the virtual clock bit for bit (TestSpatialClockGolden
+	// and the pipelinetest matrices fail on the direct loop).
 	sCells := make([]int, 0, len(cellsS))
 	for cell := range cellsS {
 		sCells = append(sCells, cell)

@@ -124,7 +124,7 @@ func runIndex(c *mpi.Comm, opt JoinOptions, local func() geom.Envelope, src *sou
 	if src.file == nil {
 		_ = s.Add(src.local) // a failed Add is sticky: Finish returns it, after running its collectives
 	} else {
-		rstats, err := core.ReadStream(c, src.file, src.parser, src.readOpt, s.Add)
+		rstats, err := s.ex.Read(src.file, src.parser, src.readOpt)
 		if err != nil {
 			// The read settled its error collectively: every rank abandons the
 			// exchange here, so nobody is stranded in Finish's collectives.

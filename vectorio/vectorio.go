@@ -134,10 +134,11 @@
 //		...
 //	})
 //
-// Exchange frames are WKB, so when ReadExchange reads length-prefixed WKB
-// with the stock WKBParser it forwards the file's own record bytes as frame
-// payloads: each record is scanned for its type and envelope instead of
-// decoded, staged with one copy, and decoded once — on the receiving rank.
+// Exchange frames are WKB, so when Exchanger.Read (and so ReadExchange)
+// reads length-prefixed WKB with the stock WKBParser it forwards the
+// file's own record bytes as frame payloads: each record is scanned for
+// its type and envelope instead of decoded, staged with one copy, and
+// decoded once — on the receiving rank.
 // Nothing selects this but the parser and framing passed in; the cells,
 // stats and virtual clock are bitwise those of the decode-and-Add path.
 // Between stage and decoder a frame is copied at most once: stages travel
@@ -361,30 +362,28 @@
 // # Invariants are machine-checked
 //
 // The determinism and safety rules this documentation leans on are not
-// conventions, they are enforced by a static-analysis suite
-// (internal/analysis, driven by cmd/vectorio-vet and run in CI) that
-// checks: no wall-clock reads inside the library, so virtual time stays
-// the only clock; no order-dependent work inside map iteration on the
-// exchange and frame paths, so replays stay bit-identical; and %w
-// wrapping with errors.Is/As matching throughout the error-agreement
-// paths, so the sentinel contracts above survive wrapping. Each
-// invariant, the failure it prevents, and the //vet:allow escape hatch
-// are catalogued in internal/analysis/README.md. The runtime checks one
-// more on every run: every rank calls the same collectives in the same
-// order with the same roots and agreed sizes. Collective messages carry
-// their kind and sequence number, so a rank that skips or reorders a
-// collective fails with a CollectiveMismatchError — at the receive that
-// meets the wrong message, at the deadlock it forms (still an
-// ErrDeadlock), or, when every rank returned nil, at the end of Run —
-// instead of pairing its next call with its peers' earlier one. Three
-// rules are held by tests: the core pipeline starts no goroutine, so
-// only the rank goroutine drives its communicator; no recycled read
-// buffer outlives its reuse, which the equivalence tests catch as wrong
-// cells; and every modelled cost reaches the virtual clock. Each charge
+// conventions. Two are checked statically, by TestRepoIsClean
+// (internal/analysis) in the repository's own test run: no non-test file
+// under internal/ imports package time, so virtual time stays the only
+// clock; and errors are wrapped with %w and matched with errors.Is/As
+// throughout the error-agreement paths, so the sentinel contracts above
+// survive wrapping. The runtime checks one more on every run: every rank
+// calls the same collectives in the same order with the same roots and
+// agreed sizes. Collective messages carry their kind and sequence number,
+// so a rank that skips or reorders a collective fails with a
+// CollectiveMismatchError — at the receive that meets the wrong message,
+// at the deadlock it forms (still an ErrDeadlock), or, when every rank
+// returned nil, at the end of Run — instead of pairing its next call with
+// its peers' earlier one. The rest are held by tests: the core pipeline
+// starts no goroutine, so only the rank goroutine drives its
+// communicator; no recycled read buffer outlives its reuse, which the
+// equivalence tests catch as wrong cells; and every modelled cost reaches
+// the virtual clock, in an order no map iteration decides. Each charge
 // names its layer (Comm.Charge with a simtime.Kind: IO, Parse, Decode,
 // Query, ...), every clock keeps a per-kind ledger, and golden tests pin
-// each rank's ledger bit for bit, so a dropped or moved charge fails
-// naming its layer.
+// each rank's ledger bit for bit, so a dropped, moved or reordered charge
+// fails naming its layer. internal/analysis/README.md records the
+// mutations behind each of these claims.
 //
 // See the examples/ directory for complete programs: quickstart (parallel
 // read), wkbingest (the binary fast path vs text), streamingest (the
@@ -573,7 +572,7 @@ type (
 	// boundary strategy and halo size for text, framing).
 	ReadOptions = core.ReadOptions
 	// ReadStats reports one rank's read (ReadPartition, ReadStream, or
-	// ReadExchange's read half): its counters, and the Ledger of virtual
+	// Exchanger.Read): its counters, and the Ledger of virtual
 	// seconds the call booked per kind — IO, Aggregate, Parse, Transport,
 	// Wait — whose Sum is the read's elapsed virtual time.
 	ReadStats = core.ReadStats
@@ -588,9 +587,10 @@ type (
 	Partitioner = core.Partitioner
 	// Exchanger is the Partitioner's one exchange engine: Add accepts
 	// geometry batches (mid-read, for instance as a ReadStream sink) and
-	// stages their frames, Finish runs the sliding-window exchange over
-	// them. Open one with Partitioner.Stream; Partitioner.Exchange is the
-	// one-Add composition.
+	// stages their frames, Read feeds it a whole file, Finish runs the
+	// sliding-window exchange over them. Open one with Partitioner.Stream;
+	// Partitioner.Exchange is the one-Add composition, ReadExchange the
+	// one-Read composition.
 	Exchanger = core.Exchanger
 	// ExchangeStats reports a rank's partitioning work: its counters, and
 	// the Ledger of virtual seconds Finish booked per kind. ProjectTime()
