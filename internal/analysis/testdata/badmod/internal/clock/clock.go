@@ -1,11 +1,11 @@
-// Package clock is a deliberately broken fixture module: vectorio-vet
-// must exit non-zero on it (driver regression test).
+// Package clock is a deliberately broken fixture module: CheckModule must
+// report a finding on it (driver regression test).
 package clock
 
 import "time"
 
-// Stamp reads the wall clock in an internal package — the wallclock
-// invariant violation the driver must catch.
+// Stamp reads the wall clock in an internal package — the no-time-import
+// rule the driver must catch.
 func Stamp() int64 {
 	return time.Now().UnixNano()
 }
