@@ -60,14 +60,15 @@ func main() {
 			return err
 		}
 
-		// The MPI_UNION spatial reduction every rank participates in — the
-		// same collective BuildIndex uses internally to fix the grid.
+		// The MPI_UNION spatial reduction every rank participates in, which
+		// fixes the grid. BuildIndex is handed its result, so it does not
+		// run the reduction a second time.
 		env, err := vectorio.GlobalEnvelope(c, vectorio.LocalEnvelope(local))
 		if err != nil {
 			return err
 		}
 
-		trees, g, my, err := vectorio.BuildIndex(c, local, vectorio.IndexOptions{GridCells: 2048})
+		trees, g, my, err := vectorio.BuildIndex(c, local, vectorio.IndexOptions{GridCells: 2048, Envelope: &env})
 		if err != nil {
 			return err
 		}

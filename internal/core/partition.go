@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -164,12 +165,12 @@ type Partitioner struct {
 	// WindowCells bounds how many consecutive cells are exchanged per
 	// phase (the sliding-window technique for large data). Zero exchanges
 	// everything in one phase. The window bounds each phase's message size
-	// and the receive/decode memory; send-side frames are staged at Add for
-	// all phases — remote frames in chunks per (phase, destination) that are
-	// filled in place and never regrown, handed to the payload round as chunk
-	// lists (no gather) and released as FinishStream ships them. The rank's
-	// own frames are kept decoded from Add on, with no staged bytes and no
-	// receive buffer.
+	// and decode memory; send-side frames are staged at Add for all phases —
+	// remote frames in chunks per (phase, destination) that are filled in
+	// place and never regrown, handed to the payload round as chunk lists
+	// (no gather), decoded by the receiver straight off those chunks (no
+	// receive buffer) and released as FinishStream ships them. The rank's
+	// own frames are kept decoded from Add on, with no staged bytes.
 	WindowCells int
 	// DirectGrid replaces the paper's cell-lookup mechanism — an R-tree
 	// built over the cell boundaries, queried with each geometry's MBR —
@@ -186,11 +187,15 @@ type Partitioner struct {
 	SkipBadFrames bool
 	// FrameFault, when non-nil, inspects (and may mutate in place) every
 	// received exchange partition before it is decoded: an injection point
-	// for corruption testing (see internal/fault). The rank's own partition,
+	// for corruption testing (see internal/fault). With a hook installed,
+	// each received block is joined into one buffer during the payload
+	// round instead of being decoded there, and the rank's own partition,
 	// otherwise kept decoded and never staged, is re-encoded into one buffer
-	// (byte for byte what staging would have held) and decoded like any
-	// received part, so the hook sees the same contiguous bytes for every
-	// (phase, src). The disabled path costs one nil check per partition.
+	// (byte for byte what staging would have held); the hook then runs after
+	// the round, source by source in rank order, so it sees the same
+	// contiguous bytes for every (phase, src), each decoded like any
+	// received part once its hook ran. The disabled path costs one nil check
+	// per partition.
 	FrameFault func(phase, src int, part []byte)
 }
 
@@ -275,14 +280,17 @@ func (pt *Partitioner) Exchange(c *mpi.Comm, local []geom.Geometry) (map[int][]g
 // cells, their order, every ExchangeStats field and the virtual clock do
 // not depend on which path ran. A frame bound for another rank is copied
 // into its staging chunk, travels in its stage's chunk list
-// (mpi.Comm.AlltoallvChunks, no gather), lands in one receive buffer per
-// source and is decoded there. A frame the rank owns itself never enters
-// the transport, so it is never staged: its payload — Add's encoding, never
-// the caller's geometry — is decoded at Add time, once however many own
-// cells it replicates into, and the geometry kept until its phase. Both
-// decodes run on the Exchanger's one decoder. The virtual clock still
-// charges every own frame's serialization and deserialization at
-// FinishStream's program points, as if it had been staged and decoded
+// (mpi.Comm.AlltoallvChunks, no gather) and is decoded by the receiver
+// straight off that chunk while the sender is held: the decode is the
+// receive's one copy, and there is no receive buffer. A frame the rank
+// owns itself never enters the transport, so it is never staged: its
+// payload — Add's encoding, never the caller's geometry — is decoded at
+// Add time, once however many own cells it replicates into, and the
+// geometry kept until its phase. Both decodes run on the Exchanger's one
+// decoder. Every source's frames are booked into the phase's cells after
+// the round, in rank order, each cell's slice allocated once. The virtual
+// clock still charges every own frame's serialization and deserialization
+// at FinishStream's program points, as if it had been staged and decoded
 // there.
 //
 // Add may be called any number of times (including zero) with any batch
@@ -344,7 +352,8 @@ type Exchanger struct {
 	// cells is project's scratch: the cells of the record being staged.
 	cells []int
 	// dec is the exchange's one decoder: own frames at Add time, received
-	// frames in FinishStream. A zero Parser allocates its first slab lazily.
+	// frames in FinishStream's payload rounds. A zero Parser allocates its
+	// first slab lazily.
 	dec wkb.Parser
 
 	stats  ExchangeStats
@@ -589,8 +598,11 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 	loadBytes := make([]int64, ex.size)
 	loadGeoms := make([]int64, ex.size)
 	// send is each phase's payload-round input: each destination's stage as
-	// its chunk list.
+	// its chunk list; in is its output, each source's frames, decoded as
+	// the round hands over each block (see receive).
 	send := make([][][]byte, ex.size)
+	in := make([]recvPart, ex.size)
+	receive := func(src int, block [][]byte) { ex.receive(&in[src], block) }
 
 	for ph := 0; ph < ex.phases; ph++ {
 		// Serialization is charged at this fixed program point; Add already
@@ -643,16 +655,26 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 				loadBytes[dst] += int64(binary.LittleEndian.Uint64(countRows[src][dst*16:]))
 				loadGeoms[dst] += int64(binary.LittleEndian.Uint64(countRows[src][dst*16+8:]))
 			}
+			// Each source's frame list is sized once, from the geometry
+			// count its row publishes — bounded by its bytes, since a
+			// corrupted row may claim anything. The own frames, kept since
+			// Add, need no list unless a FrameFault hook decodes them anew.
+			in[src] = recvPart{}
+			ng := int(binary.LittleEndian.Uint64(countRows[src][rank*16+8:]))
+			if ng = min(ng, recvSizes[src]/exchangeHeader); ng > 0 && (src != rank || ex.frameFault != nil) {
+				in[src].frames = make([]keptFrame, 0, ng)
+			}
 		}
 
 		// Round 2: exchange the coordinate payload (MPI_Alltoallv, with an
-		// hindexed send type per peer). The own stage stays out of the
-		// transport — an empty own block (it holds no chunks), which the
-		// count row above still publishes at its kept frames' size.
+		// hindexed type per peer on both sides). The own stage stays out of
+		// the transport — an empty own block (it holds no chunks), which the
+		// count row above still publishes at its kept frames' size. Each
+		// remote block is decoded as the round hands it over, straight off
+		// the sender's chunks: the decode is the receive's one copy. The
+		// same strict-mode world-abort contract as the count exchange.
 		recvSizes[rank] = 0
-		// The same strict-mode world-abort contract as the count exchange.
-		parts, err := c.AlltoallvChunks(send, recvSizes)
-		if err != nil {
+		if err := c.AlltoallvChunks(send, recvSizes, receive); err != nil {
 			return ex.stats, fmt.Errorf("core: payload exchange: %w", err)
 		}
 
@@ -663,23 +685,29 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 		ex.send[ph] = nil
 		ex.sendGeoms[ph] = nil
 
-		// Deserialize into this phase's owned cells, source by source; the
-		// own frames join at this rank's position, already decoded — unless a
-		// FrameFault hook must see them as bytes.
-		phaseCells := make(map[int][]geom.Geometry)
-		for src, part := range parts {
-			if ex.frameFault != nil {
+		// The own frames join at this rank's source position, already
+		// decoded — unless a FrameFault hook must see them as bytes: then
+		// the hook sees every source's part in rank order, each decoded
+		// after its hook ran, up to the first strict failure.
+		if ex.frameFault == nil {
+			in[rank].frames, in[rank].size = own.kept, own.size
+		} else {
+			for src := range in {
+				r := &in[src]
 				if src == rank {
-					part = own.encode()
+					r.part = own.encode()
 				}
-				ex.frameFault(ph, src, part)
-			} else if src == rank {
-				ex.deliverKept(own, phaseCells)
-				continue
+				ex.frameFault(ph, src, r.part)
+				r.size = len(r.part)
+				ex.decodeFrames(r, r.part, false)
+				if r.err != nil {
+					break
+				}
 			}
-			if err := ex.decodePart(part, phaseCells); err != nil {
-				return ex.stats, fmt.Errorf("core: rank %d exchange phase %d from rank %d: %w", rank, ph, src, err)
-			}
+		}
+		phaseCells, err := ex.deliver(ph, in)
+		if err != nil {
+			return ex.stats, err
 		}
 
 		// Hand the completed phase over: the sink's work (tree builds,
@@ -708,14 +736,49 @@ func (ex *Exchanger) FinishStream(sink func(cells map[int][]geom.Geometry) error
 	return ex.stats, sinkErr
 }
 
-// decodePart decodes one source's part of a phase into cells, charging the
-// per-byte deserialization cost before and the per-geometry cost after. A
-// frame that fails to decode, or claims a cell this rank does not own,
-// fails the part; under SkipBadFrames it is quarantined instead.
-func (ex *Exchanger) decodePart(part []byte, cells map[int][]geom.Geometry) error {
-	ex.stats.BytesRecv += int64(len(part))
-	ex.c.Charge(simtime.Decode, costmodel.DeserializePerByte*float64(len(part))*ex.scale)
-	var cost float64
+// recvPart is one source's share of a phase, ready to book: its frames in
+// arrival order, the bytes its block held, the frames quarantined out of
+// it, and its strict failure. part is the joined copy a FrameFault hook
+// inspects.
+type recvPart struct {
+	frames           []keptFrame
+	size             int
+	quarantined      int
+	quarantinedBytes int64
+	err              error
+	part             []byte
+}
+
+// receive is the payload round's consumer for one source's block, a chunk
+// list that is the sender's own stage (or an eager copy of it). It decodes
+// the block into r, keeping nothing that aliases it, and charges nothing:
+// deliver books it after the round. Under a FrameFault hook it only joins
+// the block, for the hook to see contiguous after the round.
+func (ex *Exchanger) receive(r *recvPart, block [][]byte) {
+	if ex.frameFault != nil {
+		r.part = bytes.Join(block, nil)
+		return
+	}
+	for _, chunk := range block {
+		r.size += len(chunk)
+	}
+	for i, chunk := range block {
+		if rest := ex.decodeFrames(r, chunk, i+1 < len(block)); rest != nil {
+			// A frame never straddles two chunks (frameStage.frame), so
+			// only a bad one fails here; it is settled on the rest of the
+			// block joined, exactly as in one contiguous part.
+			ex.decodeFrames(r, bytes.Join(append([][]byte{rest}, block[i+1:]...), nil), false)
+			return
+		}
+	}
+}
+
+// decodeFrames decodes part's frames into r. A frame that fails to decode,
+// or claims a cell outside the grid or owned by another rank, is r's
+// error, or under SkipBadFrames is quarantined. When more bytes of the
+// block follow part (more), a failing frame is not settled here: part from
+// that frame on is returned instead. Otherwise the result is nil.
+func (ex *Exchanger) decodeFrames(r *recvPart, part []byte, more bool) []byte {
 	for len(part) > 0 {
 		cell, g, rest, err := decodeExchangeFrame(&ex.dec, part)
 		if err == nil {
@@ -726,37 +789,63 @@ func (ex *Exchanger) decodePart(part []byte, cells map[int][]geom.Geometry) erro
 			}
 		}
 		if err != nil {
-			if !ex.skipBad {
-				return err
+			switch {
+			case more:
+				return part
+			case !ex.skipBad:
+				r.err = err
+				return nil
 			}
 			skipped, tail := quarantineFrame(part)
-			ex.stats.FramesQuarantined++
-			ex.stats.BytesQuarantined += int64(skipped)
+			r.quarantined++
+			r.quarantinedBytes += int64(skipped)
 			part = tail
 			continue
 		}
-		cells[cell] = append(cells[cell], g)
-		ex.stats.GeomsRecv++
-		cost += costmodel.DeserializeGeomCost(g.GeomType())
+		r.frames = append(r.frames, keptFrame{cell: cell, g: g})
 		part = rest
 	}
-	ex.c.Charge(simtime.Decode, cost*ex.scale)
 	return nil
 }
 
-// deliverKept is decodePart for the own stage, whose frames were decoded at
-// Add time: the same cells, the same booking, and the same two charges in
-// the same order, as if its staged bytes were decoded here.
-func (ex *Exchanger) deliverKept(own frameStage, cells map[int][]geom.Geometry) {
-	ex.stats.BytesRecv += int64(own.size)
-	ex.c.Charge(simtime.Decode, costmodel.DeserializePerByte*float64(own.size)*ex.scale)
-	var cost float64
-	for _, k := range own.kept {
-		cells[k.cell] = append(cells[k.cell], k.g)
-		ex.stats.GeomsRecv++
-		cost += costmodel.DeserializeGeomCost(k.g.GeomType())
+// deliver books one phase's frames into its cells, source by source in
+// rank order, the own stage at this rank's position: each source's bytes
+// and per-byte deserialization charge, its geometries, its quarantines,
+// then its per-geometry charge — as if each source's part were decoded
+// here, so the own frames, decoded at Add time, book exactly like received
+// ones. Each cell's slice is allocated once, at its count across sources.
+// A source's strict failure is returned once its frames before the failure
+// are counted, without its per-geometry charge.
+func (ex *Exchanger) deliver(ph int, in []recvPart) (map[int][]geom.Geometry, error) {
+	count := make(map[int]int)
+	for _, r := range in {
+		for _, f := range r.frames {
+			count[f.cell]++
+		}
 	}
-	ex.c.Charge(simtime.Decode, cost*ex.scale)
+	cells := make(map[int][]geom.Geometry, len(count))
+	for src := range in {
+		r := &in[src]
+		ex.stats.BytesRecv += int64(r.size)
+		ex.c.Charge(simtime.Decode, costmodel.DeserializePerByte*float64(r.size)*ex.scale)
+		var cost float64
+		for _, f := range r.frames {
+			gs, ok := cells[f.cell]
+			if !ok {
+				gs = make([]geom.Geometry, 0, count[f.cell])
+			}
+			cells[f.cell] = append(gs, f.g)
+			ex.stats.GeomsRecv++
+			cost += costmodel.DeserializeGeomCost(f.g.GeomType())
+		}
+		ex.stats.FramesQuarantined += r.quarantined
+		ex.stats.BytesQuarantined += r.quarantinedBytes
+		if r.err != nil {
+			return nil, fmt.Errorf("core: rank %d exchange phase %d from rank %d: %w", ex.rank, ph, src, r.err)
+		}
+		ex.c.Charge(simtime.Decode, cost*ex.scale)
+	}
+	return cells, nil
 }
 
 // imbalance is the load-balance factor: the heaviest rank's load over the

@@ -230,7 +230,8 @@ func TestExchangeAddFailureCompletes(t *testing.T) {
 // TestDecodePartRejectsForeignCells: a received frame whose cell this rank
 // does not own, or whose cell lies outside the grid, fails a strict decode
 // naming why, and under SkipBadFrames is quarantined alone while the next
-// frame decodes.
+// frame decodes — whether the block arrives as one chunk or as one chunk
+// per frame.
 func TestDecodePartRejectsForeignCells(t *testing.T) {
 	g, err := grid.New(geom.Envelope{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4}, 4, 4)
 	if err != nil {
@@ -249,22 +250,26 @@ func TestDecodePartRejectsForeignCells(t *testing.T) {
 			if err != nil {
 				return err
 			}
+			first := len(part)
 			if part, err = appendExchangeFrame(part, 0, p); err != nil {
 				return err
 			}
-			for _, skip := range []bool{false, true} {
-				ex, err := (&Partitioner{Grid: g, SkipBadFrames: skip}).Stream(c)
-				if err != nil {
-					return err
-				}
-				cells := make(map[int][]geom.Geometry)
-				err = ex.decodePart(part, cells)
-				switch {
-				case !skip && (err == nil || !strings.Contains(err.Error(), tc.want)):
-					t.Errorf("cell %d: strict decode err = %v, want %q", tc.cell, err, tc.want)
-				case skip && (err != nil || ex.stats.FramesQuarantined != 1 || len(cells[0]) != 1 || len(cells) != 1):
-					t.Errorf("cell %d: quarantined %d, cells %v, err %v; want the one frame dropped and cell 0 decoded",
-						tc.cell, ex.stats.FramesQuarantined, cells, err)
+			for _, block := range [][][]byte{{part}, {part[:first], part[first:]}} {
+				for _, skip := range []bool{false, true} {
+					ex, err := (&Partitioner{Grid: g, SkipBadFrames: skip}).Stream(c)
+					if err != nil {
+						return err
+					}
+					in := make([]recvPart, c.Size())
+					ex.receive(&in[1], block)
+					cells, err := ex.deliver(0, in)
+					switch {
+					case !skip && (err == nil || !strings.Contains(err.Error(), tc.want)):
+						t.Errorf("cell %d, %d chunks: strict decode err = %v, want %q", tc.cell, len(block), err, tc.want)
+					case skip && (err != nil || ex.stats.FramesQuarantined != 1 || len(cells[0]) != 1 || len(cells) != 1):
+						t.Errorf("cell %d, %d chunks: quarantined %d, cells %v, err %v; want the one frame dropped and cell 0 decoded",
+							tc.cell, len(block), ex.stats.FramesQuarantined, cells, err)
+					}
 				}
 			}
 		}

@@ -1,6 +1,9 @@
 package mpi
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // Internal tag space for collective traffic, above anything user code uses.
 // MPI's non-overtaking guarantee (per source+tag FIFO, which the mailbox
@@ -107,37 +110,57 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 // sizes: send[i] goes to rank i, and recvSizes[j] must equal len(send[j])
 // as provided by rank j (exchanged beforehand, exactly as the paper's
 // two-round protocol does with MPI_Alltoall). It is AlltoallvChunks with
-// one chunk per block: same messages, bytes, counters and clock.
+// one chunk per block — same messages, bytes, counters and clock — whose
+// consumer is JoinInto: each non-empty block lands in a buffer of its own,
+// and an empty one is nil.
 func (c *Comm) Alltoallv(send [][]byte, recvSizes []int) ([][]byte, error) {
 	blocks := make([][][]byte, len(send))
 	for i := range send {
 		blocks[i] = send[i : i+1 : i+1]
 	}
-	return c.AlltoallvChunks(blocks, recvSizes)
+	out := make([][]byte, len(send))
+	if err := c.AlltoallvChunks(blocks, recvSizes, JoinInto(out)); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// JoinInto returns the AlltoallvChunks consumer that keeps every block as
+// one contiguous copy: out[src] = the block's chunks joined into a fresh
+// buffer, allocated without zeroing. out must hold one entry per rank.
+func JoinInto(out [][]byte) func(src int, block [][]byte) {
+	return func(src int, block [][]byte) { out[src] = bytes.Join(block, nil) }
 }
 
 // AlltoallvChunks is the vectored Alltoallv — MPI_Alltoallw with an
-// hindexed send type per peer: send[i] is the block for rank i given as a
-// list of chunks, sent as their concatenation without first being packed
-// into one buffer, and recvSizes[j] must equal the byte length of rank j's
-// block for this rank. Each remote block is copied once, from the sender's
-// chunks into a fresh receive buffer; the result holds one contiguous buffer
-// per source. The rank's own block never touches the transport: it is
-// copied into out[rank] (MPI's self-send) and recvSizes[rank] is not
-// consulted, so a caller that can consume its own block in place passes it
-// empty. Uses pairwise exchange: n-1 rounds of SendRecv with partners
+// hindexed type per peer on both sides: send[i] is the block for rank i
+// given as a list of chunks, sent as their concatenation without first
+// being packed into one buffer, and recvSizes[j] must equal the byte length
+// of rank j's block for this rank. Every non-empty block is handed to recv
+// once, as a chunk list, during the call, and no receive buffer is made:
+//   - a rendezvous block is the sender's own chunk list, its sender held
+//     until recv returns (or panics);
+//   - an eager block (at most the eager limit) is its private copy;
+//   - the rank's own block is send[rank] itself, uncopied (recvSizes[rank]
+//     is not consulted, so a caller that consumes its own block in place
+//     passes it empty).
+//
+// recv is the receive datatype's unpack, which keeps MPI's copy-on-receive
+// semantics: it must copy out whatever it keeps (no chunk may be retained
+// past its return), and it must not communicate or charge the clock. A
+// block whose length is not recvSizes[src] fails the call before recv sees
+// it. Uses pairwise exchange: n-1 rounds of SendRecv with partners
 // (rank±i) mod n.
-func (c *Comm) AlltoallvChunks(send [][][]byte, recvSizes []int) ([][]byte, error) {
+func (c *Comm) AlltoallvChunks(send [][][]byte, recvSizes []int, recv func(src int, block [][]byte)) error {
 	defer c.leave(c.enter(collAlltoallv, 0))
 	n := c.world.n
 	if len(send) != n || len(recvSizes) != n {
-		return nil, fmt.Errorf("alltoallv: %w: %d send blocks / %d recv sizes for %d ranks",
+		return fmt.Errorf("alltoallv: %w: %d send blocks / %d recv sizes for %d ranks",
 			ErrCount, len(send), len(recvSizes), n)
 	}
-	out := make([][]byte, n)
-	own := make([]byte, chunksLen(send[c.rank]))
-	copyChunks(own, send[c.rank])
-	out[c.rank] = own
+	if chunksLen(send[c.rank]) > 0 {
+		recv(c.rank, send[c.rank])
+	}
 	for i := 1; i < n; i++ {
 		dst := (c.rank + i) % n
 		src := (c.rank - i + n) % n
@@ -146,36 +169,45 @@ func (c *Comm) AlltoallvChunks(send [][][]byte, recvSizes []int) ([][]byte, erro
 		// round-robin cell mapping) stay O(nonzero blocks).
 		needSend := chunksLen(send[dst]) > 0
 		needRecv := recvSizes[src] > 0
+		var err error
 		switch {
 		case needSend && needRecv:
-			buf := make([]byte, recvSizes[src])
-			st, err := c.sendRecv(send[dst], dst, tagAlltoal, buf, src, tagAlltoal)
-			if err != nil {
-				return nil, fmt.Errorf("alltoallv: %w", err)
+			var m *message
+			if m, err = c.post(send[dst], dst, tagAlltoal); err == nil {
+				err = c.harvest(m, dst, tagAlltoal, c.recvBlock(src, recvSizes[src], recv))
 			}
-			if st.Count != recvSizes[src] {
-				return nil, fmt.Errorf("alltoallv: rank %d sent %d bytes, expected %d",
-					src, st.Count, recvSizes[src])
-			}
-			out[src] = buf
 		case needSend:
 			c.isend(dst, tagAlltoal, send[dst]...)
 		case needRecv:
-			buf := make([]byte, recvSizes[src])
-			st, err := c.Recv(buf, src, tagAlltoal)
-			if err != nil {
-				return nil, fmt.Errorf("alltoallv: %w", err)
-			}
-			if st.Count != recvSizes[src] {
-				return nil, fmt.Errorf("alltoallv: rank %d sent %d bytes, expected %d",
-					src, st.Count, recvSizes[src])
-			}
-			out[src] = buf
-		default:
-			out[src] = nil
+			err = c.recvBlock(src, recvSizes[src], recv)
+		}
+		if err != nil {
+			return fmt.Errorf("alltoallv: %w", err)
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// recvBlock is AlltoallvChunks' receive of src's block, of size bytes: the
+// message is taken, handed to recv in place, then completed — released
+// even if recv panics, so a rendezvous sender is never stranded.
+func (c *Comm) recvBlock(src, size int, recv func(src int, block [][]byte)) error {
+	m, err := c.take(src, tagAlltoal)
+	if err != nil {
+		return err
+	}
+	defer c.complete(m)
+	if got := m.size(); got != size {
+		return fmt.Errorf("rank %d sent %d bytes, expected %d", src, got, size)
+	}
+	block := m.chunks
+	if m.data != nil {
+		c.eagerBlock[0] = m.data
+		block = c.eagerBlock[:]
+	}
+	recv(src, block)
+	c.eagerBlock[0] = nil // the scratch outlives the payload
+	return nil
 }
 
 // Reduce combines count elements of datatype dt from every rank with op,

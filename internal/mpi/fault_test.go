@@ -219,7 +219,7 @@ func crashSweepWorkload(c *Comm) error {
 		chunks[i] = [][]byte{{byte(c.Rank())}, nil, make([]byte, eagerLimit)}
 		sizes[i] = eagerLimit + 1
 	}
-	if _, err := c.AlltoallvChunks(chunks, sizes); err != nil {
+	if err := c.AlltoallvChunks(chunks, sizes, func(int, [][]byte) {}); err != nil {
 		return err
 	}
 	next := (c.Rank() + 1) % n

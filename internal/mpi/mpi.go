@@ -298,6 +298,10 @@ type Comm struct {
 	collFP     uint64
 	exited     bool
 
+	// eagerBlock is the one-entry chunk list AlltoallvChunks hands its
+	// consumer for an eager block, reused: the consumer keeps no chunk list.
+	eagerBlock [1][]byte
+
 	// stats
 	bytesSent int64
 	msgsSent  int64

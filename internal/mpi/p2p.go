@@ -135,18 +135,8 @@ func (c *Comm) isendDecided(chunks [][]byte, dst, tag int, d FaultDecision) {
 // into buf, and returns the status. A message longer than buf fails with
 // ErrTruncate.
 func (c *Comm) Recv(buf []byte, src, tag int) (Status, error) {
-	if src < 0 || src >= c.world.n {
-		return Status{}, fmt.Errorf("%w: recv from %d of %d", ErrRank, src, c.world.n)
-	}
-	c.faultPoint(OpRecv, src, tag) // receives only crash; other verdicts are send-side
-	box := c.world.boxes[c.rank]
-	bop := c.setBlocked(OpRecv, src, tag, "")
-	defer c.clearBlocked()
-	m, err := box.await(src, tag, false)
+	m, err := c.take(src, tag)
 	if err != nil {
-		if errors.Is(err, ErrDeadlock) {
-			err = c.deadlockError(*bop)
-		}
 		return Status{}, err
 	}
 	st := Status{Source: m.src, Tag: m.tag, Count: m.size()}
@@ -157,17 +147,45 @@ func (c *Comm) Recv(buf []byte, src, tag int) (Status, error) {
 		return st, fmt.Errorf("%w: got %d bytes, buffer holds %d", ErrTruncate, st.Count, len(buf))
 	}
 	m.copyTo(buf)
+	c.complete(m)
+	return st, nil
+}
+
+// take is a receive's first step: it blocks until a message from src with
+// tag arrives and removes it from the mailbox. A rendezvous sender stays
+// held until complete releases it, so until then the message's chunks are
+// the sender's own buffers, safe to read in place.
+func (c *Comm) take(src, tag int) (*message, error) {
+	if src < 0 || src >= c.world.n {
+		return nil, fmt.Errorf("%w: recv from %d of %d", ErrRank, src, c.world.n)
+	}
+	c.faultPoint(OpRecv, src, tag) // receives only crash; other verdicts are send-side
+	bop := c.setBlocked(OpRecv, src, tag, "")
+	defer c.clearBlocked()
+	m, err := c.world.boxes[c.rank].await(src, tag, false)
+	if err != nil {
+		if errors.Is(err, ErrDeadlock) {
+			err = c.deadlockError(*bop)
+		}
+		return nil, err
+	}
+	return m, nil
+}
+
+// complete is a taken message's last step, once its payload has been
+// consumed: it advances the clock to the transfer's end and releases a
+// rendezvous sender.
+func (c *Comm) complete(m *message) {
 	if m.done != nil {
 		// Rendezvous: the transfer starts when both sides are ready.
 		start := simtime.Max(m.arrival, c.clock.Now())
-		end := start + c.world.cfg.MsgTime(m.src, c.rank, st.Count)
+		end := start + c.world.cfg.MsgTime(m.src, c.rank, m.size())
 		c.clock.AdvanceTo(end)
 		m.done <- end
 	} else {
 		// Eager: payload was already on its way; wait for its arrival.
 		c.clock.AdvanceTo(m.arrival)
 	}
-	return st, nil
 }
 
 // Probe blocks until a matching message is available without consuming it,
@@ -204,48 +222,64 @@ func (c *Comm) SendRecv(sendBuf []byte, dst, sendTag int, recvBuf []byte, src, r
 // rendezvous protocol, same clock and counters — but a rendezvous hands the
 // receiver the chunk list itself, so the receive is the only copy.
 func (c *Comm) sendRecv(send [][]byte, dst, sendTag int, recvBuf []byte, src, recvTag int) (Status, error) {
-	if dst < 0 || dst >= c.world.n {
-		return Status{}, fmt.Errorf("%w: sendrecv to %d of %d", ErrRank, dst, c.world.n)
+	m, err := c.post(send, dst, sendTag)
+	if err != nil {
+		return Status{}, err
 	}
-	d := c.faultPoint(OpSendRecv, dst, sendTag)
+	st, rerr := c.Recv(recvBuf, src, recvTag)
+	return st, c.harvest(m, dst, sendTag, rerr)
+}
+
+// post is a SendRecv's send half, issued before its receive: an eager-sized
+// payload goes as a buffered send; a rendezvous-sized one is queued at dst
+// and returned, for harvest to complete after the receive. The result is
+// nil when nothing is left to harvest (eager, or dropped).
+func (c *Comm) post(send [][]byte, dst, tag int) (*message, error) {
+	if dst < 0 || dst >= c.world.n {
+		return nil, fmt.Errorf("%w: sendrecv to %d of %d", ErrRank, dst, c.world.n)
+	}
+	d := c.faultPoint(OpSendRecv, dst, tag)
 	size := chunksLen(send)
 	if size <= eagerLimit {
-		c.isendDecided(send, dst, sendTag, d)
-		return c.Recv(recvBuf, src, recvTag)
+		c.isendDecided(send, dst, tag, d)
+		return nil, nil
 	}
 	c.bytesSent += int64(size)
 	c.msgsSent++
-	var m *message // the posted send; nil when dropped
-	box := c.world.boxes[dst]
 	if d.Action == FaultDrop {
 		c.clock.Advance(simtime.Transport, c.sendOverhead(dst))
-	} else {
-		payload := send
-		var extra float64
-		if d.Action == FaultCorrupt {
-			payload = [][]byte{corruptCopy(send, d.Bit)}
-		} else if d.Action == FaultDelay {
-			extra = d.Delay
-		}
-		m = &message{
-			src: c.rank, tag: sendTag, coll: c.coll, chunks: payload,
-			arrival: c.clock.Now() + extra,
-			done:    make(chan float64, 1),
-		}
-		box.enqueue(m)
+		return nil, nil
 	}
-	st, rerr := c.Recv(recvBuf, src, recvTag)
+	payload := send
+	var extra float64
+	if d.Action == FaultCorrupt {
+		payload = [][]byte{corruptCopy(send, d.Bit)}
+	} else if d.Action == FaultDelay {
+		extra = d.Delay
+	}
+	m := &message{
+		src: c.rank, tag: tag, coll: c.coll, chunks: payload,
+		arrival: c.clock.Now() + extra,
+		done:    make(chan float64, 1),
+	}
+	c.world.boxes[dst].enqueue(m)
+	return m, nil
+}
+
+// harvest completes the send post queued at dst, once the receive that
+// followed it returned rerr, and returns the SendRecv's error.
+func (c *Comm) harvest(m *message, dst, tag int, rerr error) error {
 	if m == nil {
-		return st, rerr
+		return rerr
 	}
+	box := c.world.boxes[dst]
 	if rerr != nil {
 		// Withdraw the pending send so nobody matches a buffer the caller is
 		// about to reuse; if it was already matched, wait out the copy.
 		if !box.remove(m) {
 			<-m.done
 		}
-		return st, rerr
+		return rerr
 	}
-	// Harvest the posted send.
-	return st, c.awaitRendezvous(box, m, OpSendRecv, dst, sendTag)
+	return c.awaitRendezvous(box, m, OpSendRecv, dst, tag)
 }

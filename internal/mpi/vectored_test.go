@@ -77,7 +77,8 @@ func vecRun(t *testing.T, n int, vectored bool, plan *fault.Plan) []vecOutcome {
 		}
 		var o vecOutcome
 		if vectored {
-			o.recv, o.errA2A = c.AlltoallvChunks(chunks, recvSizes)
+			o.recv = make([][]byte, n)
+			o.errA2A = c.AlltoallvChunks(chunks, recvSizes, mpi.JoinInto(o.recv))
 		} else {
 			o.recv, o.errA2A = c.Alltoallv(send, recvSizes)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/simtime"
 )
@@ -410,8 +411,9 @@ func (f *File) readCycles(plan *readPlan, buf []byte, spans [][]span, listed boo
 				f.comm.Charge(simtime.IO, plan.aggTime[c][myAgg])
 			}
 		}
-		// The send chunk lists alias the staging buffer; AlltoallvChunks
-		// copies them before returning, so the next cycle may refill it.
+		// The send chunk lists alias the staging buffer; every receiver
+		// joins its block into a copy of its own before AlltoallvChunks
+		// returns, so the next cycle may refill it.
 		send, recvSizes := f.scratch(nRanks)
 		if myAgg >= 0 && slice.length > 0 {
 			if listed {
@@ -443,8 +445,8 @@ func (f *File) readCycles(plan *readPlan, buf []byte, spans [][]span, listed boo
 		// An aggregator whose fillAt read failed returned above: it has no
 		// slice to serve, and the world abort releases the peers from this
 		// exchange with ErrAborted.
-		parts, err := f.comm.AlltoallvChunks(send, recvSizes)
-		if err != nil {
+		parts := make([][]byte, nRanks)
+		if err := f.comm.AlltoallvChunks(send, recvSizes, mpi.JoinInto(parts)); err != nil {
 			return 0, err
 		}
 		// Walk my spans against each aggregator's slice in the order the
@@ -517,8 +519,8 @@ func (f *File) writeCycles(plan *readPlan, buf []byte, spans [][]span, listed bo
 				clear(data[m:])
 			}
 		}
-		parts, err := f.comm.AlltoallvChunks(send, recvSizes)
-		if err != nil {
+		parts := make([][]byte, nRanks)
+		if err := f.comm.AlltoallvChunks(send, recvSizes, mpi.JoinInto(parts)); err != nil {
 			return 0, err
 		}
 		if myAgg < 0 || slice.length == 0 || failed != nil {

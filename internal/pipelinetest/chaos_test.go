@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,6 +17,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/pfs"
+	"repro/internal/wkb"
 )
 
 // Wire tag of the reader's boundary-repair messages (core's tagFragment),
@@ -466,4 +469,128 @@ func TestChaosFrameQuarantineOneFrame(t *testing.T) {
 		})
 	}
 	settleGoroutines(t, "frame-quarantine", before)
+}
+
+// Wire tag of the exchange's payload round (mpi's Alltoallv tag), restated
+// here so chaos rules can target it.
+const chaosTagAlltoallv = 1<<20 + 6
+
+// payloadRun streams the WKB chaos fixture through core.ReadExchange on 3
+// ranks into an 8×8 grid, window cells per phase (0: one phase), under
+// opt's injector, and returns each rank's error and the world's.
+func payloadRun(t *testing.T, pf *pfs.File, window int, opt mpi.Options) ([3]error, error) {
+	t.Helper()
+	var errs [3]error
+	world := geom.Envelope{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
+	worldErr := mpi.RunOpt(cluster.Local(3), opt, func(c *mpi.Comm) error {
+		g, err := grid.New(world, 8, 8)
+		if err != nil {
+			return err
+		}
+		readOpt := core.ReadOptions{BlockSize: 1 << 10, Framing: core.LengthPrefixed()}
+		pt := &core.Partitioner{Grid: g, WindowCells: window}
+		_, _, _, err = core.ReadExchange(c, mpiio.Open(c, pf, mpiio.Hints{}), core.NewWKBParser(), readOpt, pt)
+		errs[c.Rank()] = err
+		return err
+	})
+	return errs, worldErr
+}
+
+// opLog records one rank's communicator operations, injecting nothing.
+type opLog struct {
+	rank int
+	mu   sync.Mutex
+	ops  []mpi.FaultOp
+}
+
+func (l *opLog) Decide(op mpi.FaultOp) mpi.FaultDecision {
+	if op.Rank == l.rank {
+		l.mu.Lock()
+		l.ops = append(l.ops, op)
+		l.mu.Unlock()
+	}
+	return mpi.FaultDecision{}
+}
+
+// TestChaosPayloadCrash: rank 1 crashes inside the first phase's payload
+// round, at the send of its block for rank 0 — after it has received rank
+// 0's block, so rank 0 is inside the round and waits there for the block
+// that never comes. The world fails with the CrashError at that op; every
+// peer errors (later phases need rank 1 too), rank 0 with its cause kept
+// through both wraps ("core: payload exchange", "alltoallv"), so errors.Is
+// finds ErrAborted; nothing hangs or leaks.
+func TestChaosPayloadCrash(t *testing.T) {
+	pf := wkbFixture(t, genGeoms(150, 73))
+	const window = 7
+	before := runtime.NumGoroutine()
+	probe := &opLog{rank: 1}
+	if _, err := payloadRun(t, pf, window, mpi.Options{Fault: probe}); err != nil {
+		t.Fatal(err)
+	}
+	crashAt, gotRank0 := -1, false
+	for _, op := range probe.ops {
+		if op.Tag != chaosTagAlltoallv {
+			if gotRank0 {
+				break // the first payload round is over
+			}
+			continue
+		}
+		if op.Peer == 0 && op.Kind == mpi.OpRecv {
+			gotRank0 = true
+		} else if op.Peer == 0 && gotRank0 {
+			crashAt = op.Index
+			break
+		}
+	}
+	if crashAt < 0 {
+		t.Fatal("rank 1's first payload round does not receive from rank 0 and then send to it")
+	}
+	plan := fault.Plan{Seed: 17, Rules: []fault.Rule{fault.CrashAt(1, crashAt)}}
+	errs, worldErr := payloadRun(t, pf, window, mpi.Options{Fault: plan.New()})
+	assertAllFailed(t, "payload-crash", errs[:], worldErr, 1)
+	var ce *mpi.CrashError
+	if !errors.As(worldErr, &ce) || ce.Rank != 1 || ce.OpIndex != crashAt {
+		t.Fatalf("world error = %v, want rank 1's crash at op %d", worldErr, crashAt)
+	}
+	if !errors.Is(errs[0], mpi.ErrAborted) || !strings.Contains(errs[0].Error(), "core: payload exchange: alltoallv: ") {
+		t.Errorf("rank 0 error = %v, want ErrAborted through the payload exchange's wraps", errs[0])
+	}
+	if !errors.Is(errs[2], mpi.ErrAborted) {
+		t.Errorf("rank 2 error = %v, want ErrAborted", errs[2])
+	}
+	settleGoroutines(t, "payload-crash", before)
+}
+
+// TestChaosPayloadCorrupt: a seeded bit flip in rank 1's payload-round
+// message to rank 2 fails rank 2's strict decode — the flip chosen once to
+// turn a frame's cell id into a cell inside the grid that rank 0 owns
+// (decode's ownership check, reached from a plan), and once to truncate a
+// WKB count (wkb.ErrTruncated, kept through every wrap). The failure is
+// rank 2's alone: its peers finished their last round cleanly.
+func TestChaosPayloadCorrupt(t *testing.T) {
+	pf := wkbFixture(t, genGeoms(150, 73))
+	before := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		seed  int64
+		want  string
+		cause error
+	}{
+		{197, "core: rank 2 exchange phase 0 from rank 1: received cell 3 owned by rank 0", nil},
+		{31, "core: rank 2 exchange phase 0 from rank 1: exchange payload decode: wkb: truncated input", wkb.ErrTruncated},
+	} {
+		plan := fault.Plan{Seed: tc.seed, Rules: []fault.Rule{fault.CorruptTag(1, chaosTagAlltoallv)}}
+		errs, worldErr := payloadRun(t, pf, 0, mpi.Options{Fault: plan.New()})
+		if worldErr == nil || errs[2] == nil || errs[2].Error() != tc.want {
+			t.Errorf("seed %d: rank 2 error = %v (world %v), want %q", tc.seed, errs[2], worldErr, tc.want)
+		}
+		if tc.cause != nil && !errors.Is(errs[2], tc.cause) {
+			t.Errorf("seed %d: rank 2 error hides its cause %v: %v", tc.seed, tc.cause, errs[2])
+		}
+		for _, r := range []int{0, 1} {
+			if errs[r] != nil && !errors.Is(errs[r], mpi.ErrAborted) {
+				t.Errorf("seed %d: rank %d error = %v", tc.seed, r, errs[r])
+			}
+		}
+	}
+	settleGoroutines(t, "payload-corrupt", before)
 }

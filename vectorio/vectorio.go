@@ -141,13 +141,16 @@
 // decoded once — on the receiving rank.
 // Nothing selects this but the parser and framing passed in; the cells,
 // stats and virtual clock are bitwise those of the decode-and-Add path.
-// Between stage and decoder a frame is copied at most once: stages travel
-// as chunk lists (a vectored Alltoallv, no packing), and a rank's frames for
-// its own cells are never staged at all — each record is decoded once, at
-// Add, and its geometry kept for every own cell it falls in.
+// Between stage and decoder a remote frame is not copied at all: stages
+// travel as chunk lists (a vectored Alltoallv, no packing), and the
+// receiving rank decodes each frame straight from the sender's chunk while
+// the sender is held, the decode being the receive's one copy (a small,
+// eager block arrives as its private copy). A rank's frames for its own
+// cells are never staged at all — each record is decoded once, at Add, and
+// its geometry kept for every own cell it falls in.
 //
 // Because frames are always staged at Add, Partitioner.WindowCells bounds
-// each sliding-window phase's message size and the receive/decode memory,
+// each sliding-window phase's message size and the decode memory,
 // not the send side: every phase's frames (compact bytes in chunks that are
 // never regrown, sent as they are and released phase by phase as
 // FinishStream ships them, and the own frames' kept geometries) are held up
